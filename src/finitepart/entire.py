@@ -16,8 +16,11 @@ threads (coefficient memoization is lock-guarded per instance).
 import cmath
 import math
 import threading
+from itertools import accumulate, count, islice, repeat
+from operator import mul, truediv
 
-from .errors import IndeterminateZeroOrderError, NonconvergenceError
+from .errors import IndeterminateZeroOrderError
+from .series import power_terms, sum_until_small
 
 EVAL_TERM_CAP = 1024
 ZERO_ORDER_SCAN_CAP = 256
@@ -30,7 +33,7 @@ class TaylorFunction:
 
     Subclasses implement ``_coeff`` and may override the evaluation hooks
     with closed forms.  The base implementations sum partial series to
-    relative tolerance 1e-15 with a hard term cap.
+    relative tolerance 1e-15 with a hard cap of EVAL_TERM_CAP terms.
     """
 
     def __init__(self):
@@ -61,36 +64,17 @@ class TaylorFunction:
     def eval_complex(self, z: complex) -> complex:
         return self._series_eval(complex(z))
 
-    def _series_eval(self, z: complex, shift: int = 0) -> complex:
-        """sum_{k>=shift} c_k z^{k-shift} by partial sums.
+    def _series_eval(self, z: complex) -> complex:
+        """sum_k c_k z^k by partial sums, stopped by :func:`sum_until_small`.
 
         Streams whose nonzero coefficients are separated by runs of two or
-        more zeros may truncate early under the two-consecutive-small rule;
-        such providers should supply explicit evaluation callbacks.
+        more zeros may truncate early under that rule; such providers
+        should supply explicit evaluation callbacks.
         """
-        total = 0.0 + 0.0j
-        small_run = 0
-        zk = 1.0 + 0.0j
-        k = shift
-        while k < shift + EVAL_TERM_CAP:
-            term = self.coeff(k) * zk
-            total += term
-            if not cmath.isfinite(total):
-                raise NonconvergenceError(
-                    "series evaluation overflowed; stream is not behaving "
-                    "like an entire function"
-                )
-            if abs(term) <= _EVAL_RTOL * abs(total):
-                small_run += 1
-                if small_run >= 2 and k >= self.zero_order():
-                    return total
-            else:
-                small_run = 0
-            zk *= z
-            k += 1
-        raise NonconvergenceError(
-            f"series evaluation did not settle within {EVAL_TERM_CAP} terms"
-        )
+        r = self.zero_order()
+        s = sum_until_small(power_terms(self.coeff, z, 0, r, 1.0 + 0.0j),
+                            _EVAL_RTOL, EVAL_TERM_CAP - r, start=0.0 + 0.0j)
+        return s.total_or_raise("series evaluation")
 
     def derivative_at(self, k: int, x: float) -> float:
         """k-th derivative at x; differentiated series unless overridden."""
@@ -98,27 +82,17 @@ class TaylorFunction:
             raise ValueError("derivative order must be >= 0")
         if k == 0:
             return self.eval(x)
-        total = 0.0
-        small_run = 0
-        j = k
-        # falling-factorial weight j!/(j-k)! maintained multiplicatively
-        w = float(math.factorial(k))
-        xp = 1.0
-        while j < k + EVAL_TERM_CAP:
-            term = self.coeff(j) * w * xp
-            total += term
-            if abs(term) <= _EVAL_RTOL * abs(total):
-                small_run += 1
-                if small_run >= 2 and j >= self.zero_order():
-                    return total
-            else:
-                small_run = 0
-            w *= (j + 1) / (j + 1 - k)
-            xp *= x
-            j += 1
-        raise NonconvergenceError(
-            f"derivative series did not settle within {EVAL_TERM_CAP} terms"
-        )
+        # sum_{j>=k} c_j j!/(j-k)! x^{j-k}, weight and power formed from j = k
+        # as in power_terms, and the exact zeros below the zero order left out
+        skip = max(self.zero_order() - k, 0)
+        weights = accumulate(map(truediv, count(k + 1), count(1)), mul,
+                             initial=float(math.factorial(k)))
+        powers = accumulate(repeat(x), mul, initial=1.0)
+        terms = map(mul, map(mul, map(self.coeff, count(k + skip)),
+                             islice(weights, skip, None)),
+                    islice(powers, skip, None))
+        s = sum_until_small(terms, _EVAL_RTOL, EVAL_TERM_CAP - skip)
+        return s.total_or_raise("derivative series")
 
     # -- structure ----------------------------------------------------
 

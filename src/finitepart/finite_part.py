@@ -21,12 +21,14 @@ import enum
 import math
 import os
 from dataclasses import dataclass
+from itertools import count
 
 from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
                      Polynomial, TaylorFunction, unscale)
 from .errors import DivergentIntegralError, NonconvergenceError
 from .gammafn import digamma_int, gamma_real
 from .oracles import quad_adaptive
+from .series import sum_until_small
 
 DEFAULT_TERM_CAP = 10_000
 DEFAULT_TOL = 1e-15
@@ -90,12 +92,20 @@ def _check_m(m: int) -> None:
         raise ValueError("pole strength m must be an integer >= 1")
 
 
-def _series_sum(f, m, nu, a, tol, start):
-    """sum_{k>=start} c_k a^{k+1-m-nu}/(k+1-m-nu) with the stop rule:
+def _series_terms(coeff, m, nu, a, k0):
+    ap = a ** (k0 + 1 - m - nu)
+    for k in count(k0):
+        yield coeff(k) * ap / (k + 1 - m - nu)
+        ap *= a
 
-    two consecutive terms below tol * |partial sum| (exact zeros count),
-    hard cap from term_cap().  Finite-degree functions are summed exactly.
-    Returns (total, terms_used, tail_bound).
+
+def _series_sum(f, m, nu, a, tol, start):
+    """sum_{k>=start} c_k a^{k+1-m-nu}/(k+1-m-nu).
+
+    Summed by :func:`~finitepart.series.sum_until_small` to ``tol`` within
+    term_cap() terms; finite-degree functions are summed exactly.
+    Returns (total, terms_used, tail_bound), the tail bound being the
+    magnitude of the last term.
     """
     k0 = max(start, f.zero_order())
     deg = f.finite_degree()
@@ -111,30 +121,8 @@ def _series_sum(f, m, nu, a, tol, start):
             used += 1
         return total, used, 0.0
 
-    cap = term_cap()
-    total = 0.0
-    small_run = 0
-    used = 0
-    ap = a ** (k0 + 1 - m - nu)
-    for k in range(k0, k0 + cap):
-        term = f.coeff(k) * ap / (k + 1 - m - nu)
-        if not math.isfinite(term):
-            raise NonconvergenceError(
-                f"finite-part series term overflowed at k = {k}"
-            )
-        total += term
-        used += 1
-        last = abs(term)
-        if last <= tol * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                return total, used, last
-        else:
-            small_run = 0
-        ap *= a
-    raise NonconvergenceError(
-        f"finite-part series did not meet tolerance within {cap} terms"
-    )
+    s = sum_until_small(_series_terms(f.coeff, m, nu, a, k0), tol, term_cap())
+    return s.total_or_raise("finite-part series"), s.terms, s.last
 
 
 def fpi_pole_finite(f: TaylorFunction, m: int, a: float,
@@ -232,8 +220,14 @@ def fpi_pole_infinite(f: TaylorFunction, m: int, tol: float = DEFAULT_TOL,
     check_integrable_at_infinity(f, m, 0.0)
     if not force_split:
         base, factor = unscale(f)
-        closed = _pole_closed_form(base, m)
+        try:
+            closed = _pole_closed_form(base, m)
+        except OverflowError:  # factorials and powers at large m
+            closed = math.inf
         if closed is not None:
+            if not math.isfinite(closed):
+                raise NonconvergenceError(f"closed form for {base!r} at "
+                                          f"m = {m} leaves float range")
             return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
     return _split_infinite(f, m, 0.0, tol)
 
@@ -271,8 +265,14 @@ def fpi_branch_infinite(f: TaylorFunction, m: int, nu: float,
     check_integrable_at_infinity(f, m, nu)
     if not force_split:
         base, factor = unscale(f)
-        closed = _branch_closed_form(base, m, nu)
+        try:
+            closed = _branch_closed_form(base, m, nu)
+        except OverflowError:  # factorials and powers at large m
+            closed = math.inf
         if closed is not None:
+            if not math.isfinite(closed):
+                raise NonconvergenceError(f"closed form for {base!r} at "
+                                          f"m = {m} leaves float range")
             return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
     return _split_infinite(f, m, nu, tol)
 

@@ -23,6 +23,7 @@ from scipy import integrate
 
 from .entire import TaylorFunction
 from .errors import NonconvergenceError
+from .series import power_terms, sum_until_small
 
 _QUAD_LIMIT = 200
 
@@ -110,26 +111,18 @@ def _taylor_remainder(f: TaylorFunction, m: int, x: float, cap: int = 600) -> fl
     instead.
     """
     deg = f.finite_degree()
-    hi = deg + 1 if deg is not None else cap
-    total = 0.0
-    largest = 0.0
-    xk = x**m
-    small_run = 0
-    for k in range(m, hi):
-        term = f.coeff(k) * xk
-        total += term
-        largest = max(largest, abs(term))
-        if deg is None:
-            if abs(term) <= 1e-17 * abs(total):
-                small_run += 1
-                if small_run >= 2 and k >= f.zero_order():
-                    break
-            else:
-                small_run = 0
-        xk *= x
+    if deg is not None:
+        total = largest = 0.0
+        xk = x**m
+        for k in range(m, deg + 1):
+            term = f.coeff(k) * xk
+            total += term
+            largest = max(largest, abs(term))
+            xk *= x
     else:
-        if deg is None:
-            raise NonconvergenceError("Taylor tail did not settle")
+        r = max(m, f.zero_order())
+        s = sum_until_small(power_terms(f.coeff, x, m, r, x**m), 1e-17, cap - r)
+        total, largest = s.total_or_raise("Taylor tail"), s.largest
     if largest > 1e8 * max(abs(total), 1e-300):
         head = 0.0
         for k in range(m - 1, -1, -1):

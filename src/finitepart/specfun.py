@@ -18,11 +18,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .errors import NonconvergenceError
 from .finite_part import term_cap
 from .gammafn import (EULER_GAMMA, digamma_int, gamma_ratio, gamma_real,
                       inv_factorial)
+from .series import sum_until_small
 
 _SERIES_RTOL = 1e-15
 _MU_GUARD = 1e-12
@@ -114,25 +115,9 @@ class KummerParams:
             )
 
 
-# ---------------------------------------------------------------------------
-# shared series loop
-# ---------------------------------------------------------------------------
-
-def _sum_series(term_at, what):
-    """Sum term_at(k) for k = 0, 1, ... with the standard two-small stop."""
-    total = 0.0
-    small_run = 0
-    cap = term_cap()
-    for k in range(cap):
-        term = term_at(k)
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                return total
-        else:
-            small_run = 0
-    raise NonconvergenceError(f"{what} series did not converge within {cap} terms")
+def _sum_series(terms, what):
+    """sum_until_small to relative tolerance 1e-15 within term_cap() terms."""
+    return sum_until_small(terms, _SERIES_RTOL, term_cap()).total_or_raise(what)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +147,14 @@ def _gauss_int_cm(n, r, s, m) -> Fraction:
 
 def _gauss_int_naive(n, r, s, zeta):
     pref = math.factorial(s - 1) / (math.factorial(n - 1) * math.factorial(r - 1))
-    state = {"mk": math.factorial(n - 1) * zeta ** (-n)}
 
-    def term(k):
-        t = (-1) ** k * state["mk"] * float(_gauss_int_ak(n, r, s, k))
-        state["mk"] *= (n + k) / ((k + 1) * zeta)
-        return t
+    def terms():
+        mk = math.factorial(n - 1) * zeta ** (-n)
+        for k in count():
+            yield (-1) ** k * mk * float(_gauss_int_ak(n, r, s, k))
+            mk *= (n + k) / ((k + 1) * zeta)
 
-    return pref * _sum_series(term, "2F1 naive")
+    return pref * _sum_series(terms(), "2F1 naive series")
 
 
 def _gauss_int_singular(n, r, s, zeta):
@@ -195,19 +180,14 @@ def gauss_series(a: float, b: float, c: float, z: float) -> float:
     """Canonical 2F1 power series, |z| < 1."""
     if abs(z) >= 1.0:
         raise ValueError("canonical 2F1 series requires |z| < 1")
-    total = 0.0
-    t = 1.0
-    small_run = 0
-    for k in range(term_cap()):
-        total += t
-        if abs(t) <= _SERIES_RTOL * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                return total
-        else:
-            small_run = 0
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-    raise NonconvergenceError("canonical 2F1 series did not converge")
+
+    def terms():
+        t = 1.0
+        for k in count():
+            yield t
+            t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+
+    return _sum_series(terms(), "canonical 2F1 series")
 
 
 def gauss2f1_reflection(p: Gauss2F1IntParams) -> float:
@@ -227,20 +207,18 @@ def gauss2f1_reflection(p: Gauss2F1IntParams) -> float:
 def _gauss_branch_naive(n, s, mu, zeta):
     g = gamma_real(s - mu + 2.0)
     pref = g / (gamma_real(1.0 - mu) * math.factorial(n - 1) * zeta**n)
-    # b_k = Gamma(1-mu-n-k)/Gamma(s-mu+2-n-k); recurrence avoids repeated
-    # reflection near the negative axis
-    state = {
-        "bk": gamma_ratio(1.0 - mu - n, s - mu + 2.0 - n),
-        "mk": math.factorial(n - 1),
-    }
 
-    def term(k):
-        t = (-1) ** k * state["mk"] * state["bk"] * zeta ** (-k)
-        state["bk"] *= (s - mu + 1.0 - n - k) / (-mu - n - k)
-        state["mk"] *= (n + k) / (k + 1)
-        return t
+    def terms():
+        # b_k = Gamma(1-mu-n-k)/Gamma(s-mu+2-n-k); recurrence avoids
+        # repeated reflection near the negative axis
+        bk = gamma_ratio(1.0 - mu - n, s - mu + 2.0 - n)
+        mk = math.factorial(n - 1)
+        for k in count():
+            yield (-1) ** k * mk * bk * zeta ** (-k)
+            bk *= (s - mu + 1.0 - n - k) / (-mu - n - k)
+            mk *= (n + k) / (k + 1)
 
-    return pref * _sum_series(term, "2F1 branch naive")
+    return pref * _sum_series(terms(), "2F1 branch naive series")
 
 
 def _gauss_branch_singular(n, s, mu, zeta):
@@ -303,8 +281,31 @@ def _kummer_dm(s, n, m) -> Fraction:
     return acc
 
 
-def _kummer_log_and_poly(s, n, omega):
-    """The two singular pieces shared by both integer-order regimes."""
+def _kummer_int(s, n, omega):
+    # term-by-term integrals are divergent from k0 = max(0, s-n) on
+    pref = ((-1.0) ** (n - s) * omega ** (n - s)
+            / (math.factorial(s - 1) * math.factorial(n - 1)))
+    k0 = max(0, s - n)
+
+    def terms():
+        rk = (math.factorial(n + k0 - 1)
+              / (math.factorial(k0 + n - s) * math.factorial(k0)))
+        wk = omega**k0
+        for k in count(k0):
+            yield rk * digamma_int(k + n + 1 - s) * wk
+            rk *= (n + k) / ((k + n - s + 1) * (k + 1))
+            wk *= omega
+
+    t1 = pref * _sum_series(terms(), "Kummer U series")
+    if n < s:
+        # the first s-n terms integrate as ordinary Gamma integrals
+        head = 0.0
+        for k in range(s - n):
+            head += (math.factorial(n + k - 1) * math.factorial(s - n - k - 1)
+                     * (-omega) ** k / math.factorial(k))
+        head *= omega ** (n - s) / (math.factorial(s - 1) * math.factorial(n - 1))
+        t1 = head + t1
+
     log_sum = 0.0
     for j in range(min(n, s)):
         log_sum += omega ** (n - 1 - j) / (
@@ -317,64 +318,22 @@ def _kummer_log_and_poly(s, n, omega):
     for m in range(n - 1):
         poly_sum += omega**m / math.factorial(m) * float(_kummer_dm(s, n, m))
     t_poly = (-1.0) ** (s - 1) * math.exp(omega) * poly_sum
-    return t_log, t_poly
-
-
-def _kummer_int_ge(s, n, omega):
-    # n >= s: every term-by-term integral is divergent
-    pref = ((-1.0) ** (n - s) * omega ** (n - s)
-            / (math.factorial(s - 1) * math.factorial(n - 1)))
-    state = {"rk": math.factorial(n - 1) / math.factorial(n - s), "wk": 1.0}
-
-    def term(k):
-        t = state["rk"] * digamma_int(k + n + 1 - s) * state["wk"]
-        state["rk"] *= (n + k) / ((k + n - s + 1) * (k + 1))
-        state["wk"] *= omega
-        return t
-
-    t1 = pref * _sum_series(term, "Kummer U")
-    t_log, t_poly = _kummer_log_and_poly(s, n, omega)
     return t1 + t_log + t_poly
-
-
-def _kummer_int_lt(s, n, omega):
-    # n < s: the first s-n terms integrate as ordinary Gamma integrals
-    head = 0.0
-    for k in range(s - n):
-        head += (math.factorial(n + k - 1) * math.factorial(s - n - k - 1)
-                 * (-omega) ** k / math.factorial(k))
-    head *= omega ** (n - s) / (math.factorial(s - 1) * math.factorial(n - 1))
-
-    pref = ((-1.0) ** (n - s) * omega ** (n - s)
-            / (math.factorial(s - 1) * math.factorial(n - 1)))
-    k0 = s - n
-    state = {"rk": math.factorial(s - 1) / math.factorial(k0),
-             "wk": omega**k0}
-
-    def term(j):
-        k = k0 + j
-        t = state["rk"] * digamma_int(k + n + 1 - s) * state["wk"]
-        state["rk"] *= (n + k) / ((k + n - s + 1) * (k + 1))
-        state["wk"] *= omega
-        return t
-
-    t1 = pref * _sum_series(term, "Kummer U")
-    t_log, t_poly = _kummer_log_and_poly(s, n, omega)
-    return head + t1 + t_log + t_poly
 
 
 def _kummer_frac(a, n, omega):
     pref = ((-1.0) ** n * gamma_real(1.0 - a) * omega ** (n - a)
             / math.factorial(n - 1))
-    state = {"rk": math.factorial(n - 1) / gamma_real(n + 1.0 - a), "wk": 1.0}
 
-    def term(k):
-        t = state["rk"] * state["wk"]
-        state["rk"] *= (n + k) / ((n + k + 1.0 - a) * (k + 1))
-        state["wk"] *= omega
-        return t
+    def terms():
+        rk = math.factorial(n - 1) / gamma_real(n + 1.0 - a)
+        wk = 1.0
+        for k in count():
+            yield rk * wk
+            rk *= (n + k) / ((n + k + 1.0 - a) * (k + 1))
+            wk *= omega
 
-    t1 = pref * _sum_series(term, "Kummer U")
+    t1 = pref * _sum_series(terms(), "Kummer U series")
 
     acc = 0.0
     for k in range(n):
@@ -387,11 +346,9 @@ def _kummer_frac(a, n, omega):
 
 def kummer_u(p: KummerParams) -> float:
     """Kummer U at the covered parameter families, by regime."""
-    if p.regime is KummerRegime.INT_ORDER_N_GE_S:
-        return _kummer_int_ge(int(p.s_or_a), p.n, p.omega)
-    if p.regime is KummerRegime.INT_ORDER_N_LT_S:
-        return _kummer_int_lt(int(p.s_or_a), p.n, p.omega)
-    return _kummer_frac(float(p.s_or_a), p.n, p.omega)
+    if p.regime is KummerRegime.FRAC_ORDER:
+        return _kummer_frac(float(p.s_or_a), p.n, p.omega)
+    return _kummer_int(int(p.s_or_a), p.n, p.omega)
 
 
 def kummer_u_leading(p: KummerParams, omega: float = None) -> float:

@@ -18,12 +18,14 @@ diffusivity expansion needs.
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 from .entire import TaylorFunction
 from .errors import DivergentIntegralError
 from .finite_part import (check_integrable_at_infinity, finite_part_integral,
                           term_cap)
 from .gammafn import pochhammer
+from .series import sum_until_small
 
 DEFAULT_EVAL_TOL = 1e-12
 _FPI_TOL = 1e-15
@@ -100,43 +102,35 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
 
 
+def _naive_terms(fpi_at, n, ostep, rows):
+    wk = 1.0
+    for k in count():
+        coef = (-1) ** k * math.comb(n + k - 1, k) * wk
+        fv = fpi_at(k)
+        if rows is not None:
+            rows.append((k, coef, fv))
+        yield coef * fv
+        wk *= ostep
+
+
 def _naive_series(fpi_at, n, omega, tol, k_max, keep_terms, power_step=1):
-    """sum_k binom(-n,k) omega^{power_step*k} FPI_k with the standard stop.
+    """sum_k binom(-n,k) omega^{power_step*k} FPI_k for k = 0..cap.
 
     binom(-n,k) = (-1)^k binom(n+k-1,k) in exact integers, promoted per
-    term.  Stops after two consecutive terms below tol * |running total|
-    (exact zeros count as small); otherwise runs to the cap and reports
-    nonconvergence through the flag.  The tail estimate is the larger of
-    the last two term magnitudes, so an isolated near-zero term (a sign
-    change passing through the finite-part sequence) cannot make the
-    estimate under-cover the remainder.
+    term.  Summed by :func:`~finitepart.series.sum_until_small`; without
+    convergence the partial sum is returned and the flag reports it.  The
+    tail estimate is the larger of the last two term magnitudes, so an
+    isolated near-zero term (a sign change passing through the finite-part
+    sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged, rows).
     """
     cap = k_max if k_max is not None else term_cap()
-    total = 0.0
-    small_run = 0
-    last = prev = 0.0
     rows = [] if keep_terms else None
-    wk = 1.0
-    ostep = omega**power_step
-    k = 0
-    while k <= cap:
-        coef = (-1) ** k * math.comb(n + k - 1, k) * wk
-        fv = fpi_at(k)
-        term = coef * fv
-        total += term
-        prev, last = last, abs(term)
-        if rows is not None:
-            rows.append((k, coef, fv))
-        if last <= tol * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                return total, k, max(last, prev), True, rows
-        else:
-            small_run = 0
-        wk *= ostep
-        k += 1
-    return total, cap, max(last, prev), False, rows
+    s = sum_until_small(_naive_terms(fpi_at, n, omega**power_step, rows), tol,
+                        cap + 1)
+    # k_used is the last index summed; a negative k_max is reported as given
+    return (s.total, min(s.terms - 1, cap), max(s.last, s.prev), s.converged,
+            rows)
 
 
 def eval_integer(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,

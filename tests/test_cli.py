@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from finitepart.cli import (RunConfig, build_parser, parse_function, render,
-                            run)
+from finitepart.cli import (RunConfig, build_parser, main, parse_function,
+                            render, run)
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial, Scaled)
 from finitepart.gammafn import EULER_GAMMA
@@ -133,6 +133,29 @@ def test_exit_code_3_with_partial_rows_on_nonconvergence():
     assert len(data) == 1
     assert data[0][header.index("flag")] == "nonconverged"
     assert data[0][header.index("total")]  # partial value still present
+
+
+def test_overflowing_naive_sum_is_flagged(capsys):
+    # omega^k overflows near k = 119: the row is flagged, not converged to inf
+    code = main(["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "400",
+                 "--format", "json"])
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 3
+    assert row["flag"] == "nonconverged" and row["total"] == math.inf
+    code = main(["quadratic", "--f", "exp(1)", "--omega", "200",
+                 "--format", "json"])
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 3 and row["flag"] == "nonconverged"
+
+
+def test_closed_form_overflow_is_reported_not_raised(capsys):
+    for argv in (["stieltjes", "--f", "exp(50)", "--n", "1", "--omega", "2"],
+                 ["stieltjes", "--f", "exp(50)", "--n", "1", "--nu", "0.5",
+                  "--omega", "2"],
+                 ["quadratic", "--f", "exp(10)", "--omega", "20"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "float range" in err
 
 
 def test_replay_reproduces_json_byte_for_byte(tmp_path):

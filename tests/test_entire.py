@@ -132,6 +132,27 @@ def test_custom_series_contract():
                                                      rel=1e-12)
 
 
+def test_custom_series_with_zero_order_three():
+    # x^3 e^{-2x} as raw coefficients and no complex callback: the leading
+    # exact zeros are skipped by the partial sums, not summed
+    f = CustomSeries(
+        coeff_fn=lambda k: 0.0 if k < 3 else (-2.0) ** (k - 3) / math.factorial(k - 3),
+        eval_fn=lambda x: x**3 * math.exp(-2.0 * x),
+        label="x3-exp2-stream",
+    )
+    assert f.zero_order() == 3
+    z = 0.5j
+    assert f.eval_complex(z) == pytest.approx(z**3 * cmath.exp(-2.0 * z),
+                                              rel=1e-13)
+    x = 0.25
+    e = math.exp(-2.0 * x)
+    # Leibniz rule on x^3 e^{-2x}
+    d1 = (3 * x**2 - 2 * x**3) * e
+    d4 = (16 * x**3 - 4 * 3 * 8 * x**2 + 6 * 6 * 4 * x - 4 * 6 * 2) * e
+    assert f.derivative_at(1, x) == pytest.approx(d1, rel=1e-12)
+    assert f.derivative_at(4, x) == pytest.approx(d4, rel=1e-12)
+
+
 def test_custom_series_failure_modes():
     zero_stream = CustomSeries(lambda k: 0.0, lambda x: 0.0)
     with pytest.raises(IndeterminateZeroOrderError):

@@ -86,6 +86,16 @@ def test_branch_infinite_split_matches_closed_form():
                                     rel_tol=1e-10, abs_tol=1e-12)
 
 
+def test_closed_forms_beyond_float_range_are_nonconvergence():
+    # b^(m-1)/(m-1)! and Gamma(m+nu) leave float range near m = 172
+    with pytest.raises(NonconvergenceError):
+        fpi_pole_infinite(Exponential(2.0), 200)
+    with pytest.raises(NonconvergenceError):
+        fpi_branch_infinite(Exponential(2.0), 200, 0.5)
+    with pytest.raises(NonconvergenceError):
+        finite_part_integral(MonomialExp(1, 50.0), 173)
+
+
 def test_monomial_exp_reductions():
     # x^p e^{-bx} x^{-m} reduces to the pure exponential at strength m - p
     lhs = fpi_pole_infinite(MonomialExp(2, 1.0), 3)
