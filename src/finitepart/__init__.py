@@ -6,7 +6,7 @@ from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
                      Polynomial, Scaled, TaylorFunction)
 from .errors import (DivergentIntegralError, FinitePartError,
                      IndeterminateZeroOrderError, NonconvergenceError)
-from .finite_part import (FpiMethod, FpiRequest, FpiValue, finite_part_integral,
+from .finite_part import (FpiMethod, FpiValue, finite_part_integral,
                           fpi_branch_finite, fpi_branch_infinite,
                           fpi_pole_finite, fpi_pole_infinite, fpi_polynomial)
 from .oracles import (QuadratureResult, fpi_contour_oracle, fpi_epsilon_oracle,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinomialPoly", "CustomSeries", "DivergentIntegralError",
     "ExpansionResult", "Exponential", "FinitePartError", "FpiMethod",
-    "FpiRequest", "FpiValue", "Gauss2F1BranchParams", "Gauss2F1IntParams",
+    "FpiValue", "Gauss2F1BranchParams", "Gauss2F1IntParams",
     "IndeterminateZeroOrderError", "KummerParams", "KummerRegime",
     "LeadingBehavior", "LeadingKind", "MonomialExp", "NonconvergenceError",
     "Polynomial", "QuadratureResult", "Scaled", "TaylorFunction",

@@ -19,7 +19,8 @@ import threading
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
-from .errors import IndeterminateZeroOrderError
+from .errors import DivergentIntegralError, IndeterminateZeroOrderError
+from .gammafn import digamma_int
 from .series import power_terms, sum_until_small
 
 EVAL_TERM_CAP = 1024
@@ -33,7 +34,9 @@ class TaylorFunction:
 
     Subclasses implement ``_coeff`` and may override the evaluation hooks
     with closed forms.  The base implementations sum partial series to
-    relative tolerance 1e-15 with a hard cap of EVAL_TERM_CAP terms.
+    relative tolerance 1e-15 with a hard cap of EVAL_TERM_CAP terms.  At an
+    infinite upper limit the base rejects the function and has no closed
+    form; descriptors that know better override both hooks.
     """
 
     def __init__(self):
@@ -109,9 +112,20 @@ class TaylorFunction:
         """Polynomial degree if the stream terminates, else None."""
         return None
 
-    def decays_at_infinity(self) -> bool:
-        """True when f(x) x^{-m} is integrable at infinity for every m >= 1."""
-        return False
+    # -- infinite upper limit ---------------------------------------
+
+    def check_integrable_at_infinity(self, m: int, nu: float) -> None:
+        """Raise DivergentIntegralError unless f(x) x^{-m-nu} is
+        integrable at infinity."""
+        raise DivergentIntegralError(
+            f"cannot establish integrability at infinity for {self!r}"
+        )
+
+    def fpi_infinite(self, m: int, nu: float):
+        """Closed form of the finite part of int_0^inf f(x) x^{-m-nu} dx, or
+        None without one.  Beyond float range (large m) the value is not
+        finite or OverflowError is raised."""
+        return None
 
     # -- scaling ------------------------------------------------------
 
@@ -159,8 +173,18 @@ class Exponential(TaylorFunction):
     def zero_order(self):
         return 0
 
-    def decays_at_infinity(self):
-        return True
+    def check_integrable_at_infinity(self, m, nu):
+        """exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
+
+    def fpi_infinite(self, m, nu):
+        """nu = 0:     (-1)^m b^{m-1} (ln b - psi(m)) / (m-1)!
+        0 < nu < 1: (-1)^m b^{m+nu-1} pi / (sin(pi nu) Gamma(m+nu))"""
+        b = self.b
+        if nu == 0.0:
+            return ((-1.0) ** m * b ** (m - 1) * (math.log(b) - digamma_int(m))
+                    / math.factorial(m - 1))
+        return ((-1.0) ** m * b ** (m + nu - 1) * math.pi
+                / (math.sin(math.pi * nu) * math.gamma(m + nu)))
 
     def __repr__(self):
         return f"Exponential(b={self.b:g})"
@@ -233,6 +257,19 @@ class Polynomial(TaylorFunction):
     def finite_degree(self):
         return self.degree
 
+    def check_integrable_at_infinity(self, m, nu):
+        # need degree - m - nu < -1
+        max_deg = m - 2 if nu == 0.0 else m - 1
+        if self.degree > max_deg:
+            raise DivergentIntegralError(
+                f"polynomial of degree {self.degree} diverges at infinity "
+                f"against x^(-{m}-{nu:g})"
+            )
+
+    def fpi_infinite(self, m, nu):
+        """0: every admissible term vanishes as a -> inf."""
+        return 0.0
+
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)}, lowest={self.lowest})"
 
@@ -253,6 +290,11 @@ class BinomialPoly(Polynomial):
 
     def eval_complex(self, z):
         return z**self.p * (1.0 - z) ** self.q
+
+    def check_integrable_at_infinity(self, m, nu):
+        raise DivergentIntegralError(
+            "BinomialPoly is not admitted at an infinite upper limit"
+        )
 
     def __repr__(self):
         return f"BinomialPoly(p={self.p}, q={self.q})"
@@ -299,8 +341,16 @@ class MonomialExp(TaylorFunction):
     def zero_order(self):
         return self.p
 
-    def decays_at_infinity(self):
-        return True
+    def check_integrable_at_infinity(self, m, nu):
+        """x^p exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
+
+    def fpi_infinite(self, m, nu):
+        """The pure exponential at strength m - p once m > p, else the
+        ordinary integral Gamma(p-m+1-nu) / b^(p-m+1-nu)."""
+        if m > self.p:
+            return self._exp.fpi_infinite(m - self.p, nu)
+        arg = self.p - m + 1 - nu
+        return math.gamma(arg) / self.b ** arg
 
     def __repr__(self):
         return f"MonomialExp(p={self.p}, b={self.b:g})"
@@ -350,8 +400,11 @@ class CustomSeries(TaylorFunction):
             return complex(self.eval_complex_fn(z))
         return self._series_eval(complex(z))
 
-    def decays_at_infinity(self):
-        return self.decaying
+    def check_integrable_at_infinity(self, m, nu):
+        if not self.decaying:
+            raise DivergentIntegralError(
+                "custom series did not declare integrability at infinity"
+            )
 
     def __repr__(self):
         return f"CustomSeries({self.label})"
@@ -388,8 +441,8 @@ class Scaled(TaylorFunction):
     def finite_degree(self):
         return self.base.finite_degree()
 
-    def decays_at_infinity(self):
-        return self.base.decays_at_infinity()
+    def check_integrable_at_infinity(self, m, nu):
+        self.base.check_integrable_at_infinity(m, nu)
 
     def __repr__(self):
         return f"{self.factor:g}*{self.base!r}"

@@ -10,9 +10,12 @@ the Maclaurin coefficients c_k of f:
 
   0<nu<1:   sum_{k>=0} c_k a^{k+1-m-nu} / (k+1-m-nu)
 
-with empty sums equal to zero.  The a -> infinity limit is handled either
-through registered closed forms (exponential family, polynomials) or by
-splitting at a0 = 1: the finite part concerns only the origin, so
+with empty sums equal to zero.  At a = infinity each descriptor supplies
+its integrability rule and, where it has one, its closed form
+(``check_integrable_at_infinity`` and ``fpi_infinite`` in
+:mod:`finitepart.entire`); a user stream is admitted only when declared
+``CustomSeries(decaying=True)``.  Without a closed form the integral is
+split at a0 = 1: the finite part concerns only the origin, so
 fpi(f, m, nu, a0) plus an ordinary adaptive integral over [a0, inf) is
 exact and involves no cancellation between log a and the tail sum.
 """
@@ -23,10 +26,8 @@ import os
 from dataclasses import dataclass
 from itertools import count
 
-from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
-                     Polynomial, TaylorFunction, unscale)
-from .errors import DivergentIntegralError, NonconvergenceError
-from .gammafn import digamma_int, gamma_real
+from .entire import Polynomial, TaylorFunction, unscale
+from .errors import NonconvergenceError
 from .oracles import quad_adaptive
 from .series import sum_until_small
 
@@ -55,26 +56,6 @@ class FpiValue:
     method: FpiMethod
     terms_used: int
     tail_bound: float
-
-
-@dataclass(frozen=True)
-class FpiRequest:
-    """One finite-part query: int_0^a f(x) x^{-m-nu} dx."""
-
-    f: TaylorFunction
-    m: int
-    nu: float = 0.0
-    a: float = math.inf
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("pole strength m must be >= 1")
-        _check_nu(self.nu)
-        if not self.a > 0:
-            raise ValueError("upper limit a must be positive")
-
-    def evaluate(self, tol: float = DEFAULT_TOL) -> FpiValue:
-        return finite_part_integral(self.f, self.m, self.nu, self.a, tol=tol)
 
 
 def _check_nu(nu: float) -> None:
@@ -160,39 +141,6 @@ def fpi_branch_finite(f: TaylorFunction, m: int, nu: float, a: float,
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
-def check_integrable_at_infinity(f: TaylorFunction, m: int, nu: float) -> None:
-    """Raise DivergentIntegralError unless f(x) x^{-m-nu} is integrable
-    at infinity.  Decided per descriptor; user streams must declare decay.
-    """
-    base, _ = unscale(f)
-    if isinstance(base, (Exponential, MonomialExp)):
-        return
-    if isinstance(base, BinomialPoly):
-        raise DivergentIntegralError(
-            "BinomialPoly is not admitted at an infinite upper limit"
-        )
-    if isinstance(base, Polynomial):
-        # need degree - m - nu < -1
-        max_deg = m - 2 if nu == 0.0 else m - 1
-        if base.degree <= max_deg:
-            return
-        raise DivergentIntegralError(
-            f"polynomial of degree {base.degree} diverges at infinity "
-            f"against x^(-{m}-{nu:g})"
-        )
-    if isinstance(base, CustomSeries):
-        if base.decays_at_infinity():
-            return
-        raise DivergentIntegralError(
-            "custom series did not declare integrability at infinity"
-        )
-    if base.decays_at_infinity():
-        return
-    raise DivergentIntegralError(
-        f"cannot establish integrability at infinity for {base!r}"
-    )
-
-
 def _split_infinite(f, m, nu, tol):
     if nu == 0.0:
         fin = fpi_pole_finite(f, m, SPLIT_POINT, tol)
@@ -205,92 +153,40 @@ def _split_infinite(f, m, nu, tol):
                     fin.terms_used, fin.tail_bound + q.abs_err_estimate)
 
 
-def fpi_pole_infinite(f: TaylorFunction, m: int, tol: float = DEFAULT_TOL,
-                      force_split: bool = False) -> FpiValue:
-    """Finite part of int_0^inf f(x) x^{-m} dx.
+def _fpi_infinite(f, m, nu, tol):
+    """Finite part of int_0^inf f(x) x^{-m-nu} dx: the descriptor's closed
+    form when it has one, otherwise the split at a0 = 1."""
+    base, factor = unscale(f)
+    base.check_integrable_at_infinity(m, nu)
+    try:
+        closed = base.fpi_infinite(m, nu)
+    except OverflowError:  # factorials and powers at large m
+        closed = math.inf
+    if closed is None:
+        return _split_infinite(f, m, nu, tol)
+    if not math.isfinite(closed):
+        raise NonconvergenceError(f"closed form for {base!r} at "
+                                  f"m = {m} leaves float range")
+    return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
 
-    Registered closed forms:
-      exp(-b x):        (-1)^m b^{m-1} (ln b - psi(m)) / (m-1)!
-      x^p exp(-b x):    reduction to the pure exponential (m -> m - p), or
-                        the ordinary Gamma integral once m <= p
-      polynomials:      0 (every admissible term vanishes as a -> inf)
-    Everything else goes through the split at a0 = 1.
-    """
+
+def fpi_pole_infinite(f: TaylorFunction, m: int,
+                      tol: float = DEFAULT_TOL) -> FpiValue:
+    """Finite part of int_0^inf f(x) x^{-m} dx, by the descriptor's
+    ``fpi_infinite`` closed form or else by the split at a0 = 1."""
     _check_m(m)
-    check_integrable_at_infinity(f, m, 0.0)
-    if not force_split:
-        base, factor = unscale(f)
-        try:
-            closed = _pole_closed_form(base, m)
-        except OverflowError:  # factorials and powers at large m
-            closed = math.inf
-        if closed is not None:
-            if not math.isfinite(closed):
-                raise NonconvergenceError(f"closed form for {base!r} at "
-                                          f"m = {m} leaves float range")
-            return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
-    return _split_infinite(f, m, 0.0, tol)
-
-
-def _pole_closed_form(base, m):
-    if isinstance(base, Exponential):
-        b = base.b
-        return ((-1.0) ** m * b ** (m - 1) * (math.log(b) - digamma_int(m))
-                / math.factorial(m - 1))
-    if isinstance(base, MonomialExp):
-        mm = m - base.p
-        if mm >= 1:
-            return _pole_closed_form(Exponential(base.b), mm)
-        # convergent: int_0^inf x^{p-m} e^{-bx} dx
-        return math.gamma(base.p - m + 1) / base.b ** (base.p - m + 1)
-    if isinstance(base, Polynomial):
-        return 0.0
-    return None
+    return _fpi_infinite(f, m, 0.0, tol)
 
 
 def fpi_branch_infinite(f: TaylorFunction, m: int, nu: float,
-                        tol: float = DEFAULT_TOL,
-                        force_split: bool = False) -> FpiValue:
-    """Finite part of int_0^inf f(x) x^{-m-nu} dx, 0 < nu < 1.
-
-    Registered closed forms:
-      exp(-b x):        (-1)^m b^{m+nu-1} pi / (sin(pi nu) Gamma(m+nu))
-      x^p exp(-b x):    reduction as in the pole case
-      polynomials:      0
-    """
+                        tol: float = DEFAULT_TOL) -> FpiValue:
+    """Finite part of int_0^inf f(x) x^{-m-nu} dx, 0 < nu < 1, by the
+    descriptor's ``fpi_infinite`` closed form or else by the split."""
     _check_m(m)
     _check_nu(nu)
     if nu == 0.0:
         raise ValueError("fpi_branch_infinite requires 0 < nu < 1")
-    check_integrable_at_infinity(f, m, nu)
-    if not force_split:
-        base, factor = unscale(f)
-        try:
-            closed = _branch_closed_form(base, m, nu)
-        except OverflowError:  # factorials and powers at large m
-            closed = math.inf
-        if closed is not None:
-            if not math.isfinite(closed):
-                raise NonconvergenceError(f"closed form for {base!r} at "
-                                          f"m = {m} leaves float range")
-            return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
-    return _split_infinite(f, m, nu, tol)
-
-
-def _branch_closed_form(base, m, nu):
-    if isinstance(base, Exponential):
-        b = base.b
-        return ((-1.0) ** m * b ** (m + nu - 1) * math.pi
-                / (math.sin(math.pi * nu) * math.gamma(m + nu)))
-    if isinstance(base, MonomialExp):
-        mm = m - base.p
-        if mm >= 1:
-            return _branch_closed_form(Exponential(base.b), mm, nu)
-        arg = base.p - m + 1 - nu
-        return math.gamma(arg) / base.b ** arg
-    if isinstance(base, Polynomial):
-        return 0.0
-    return None
+    return _fpi_infinite(f, m, nu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +212,7 @@ def fpi_polynomial(f: TaylorFunction, m: int, nu: float = 0.0,
     if not a > 0:
         raise ValueError("upper limit a must be positive")
     if math.isinf(a):
-        check_integrable_at_infinity(f, m, nu)
+        base.check_integrable_at_infinity(m, nu)
         return FpiValue(0.0, FpiMethod.CLOSED_FORM, 0, 0.0)
 
     r, s = base.lowest, base.degree
@@ -353,9 +249,7 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
     if not a > 0:
         raise ValueError("upper limit a must be positive")
     if math.isinf(a):
-        if nu == 0.0:
-            return fpi_pole_infinite(f, m, tol)
-        return fpi_branch_infinite(f, m, nu, tol)
+        return _fpi_infinite(f, m, nu, tol)
     if nu == 0.0:
         return fpi_pole_finite(f, m, a, tol)
     return fpi_branch_finite(f, m, nu, a, tol)

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .entire import TaylorFunction
-from .errors import DivergentIntegralError
-from .finite_part import (check_integrable_at_infinity, finite_part_integral,
-                          term_cap)
+from .finite_part import finite_part_integral, term_cap
 from .gammafn import pochhammer
 from .series import sum_until_small
 
@@ -124,13 +122,13 @@ def _naive_series(fpi_at, n, omega, tol, k_max, keep_terms, power_step=1):
     sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged, rows).
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0; got {k_max}")
     cap = k_max if k_max is not None else term_cap()
     rows = [] if keep_terms else None
     s = sum_until_small(_naive_terms(fpi_at, n, omega**power_step, rows), tol,
                         cap + 1)
-    # k_used is the last index summed; a negative k_max is reported as given
-    return (s.total, min(s.terms - 1, cap), max(s.last, s.prev), s.converged,
-            rows)
+    return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
 
 
 def eval_integer(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
@@ -139,9 +137,6 @@ def eval_integer(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     if spec.nu != 0.0:
         raise ValueError("eval_integer handles nu = 0; use eval_branch")
     f, n, omega, a = spec.f, spec.n, spec.omega, spec.a
-    if math.isinf(a):
-        check_integrable_at_infinity(f, n, 0.0)
-
     naive, k_used, tail, ok, rows = _naive_series(
         lambda k: finite_part_integral(f, n + k, 0.0, a, tol=_FPI_TOL).value,
         n, omega, tol, k_max, keep_terms,
@@ -156,9 +151,6 @@ def eval_branch(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     if not (0.0 < spec.nu < 1.0):
         raise ValueError("eval_branch requires 0 < nu < 1")
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
-    if math.isinf(a):
-        check_integrable_at_infinity(f, n, nu)
-
     naive, k_used, tail, ok, rows = _naive_series(
         lambda k: finite_part_integral(f, n + k, nu, a, tol=_FPI_TOL).value,
         n, omega, tol, k_max, keep_terms,
@@ -190,9 +182,6 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
         raise ValueError("omega must be positive")
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
-    if math.isinf(a):
-        check_integrable_at_infinity(f, 2, 0.0)
-
     naive, k_used, tail, ok, rows = _naive_series(
         lambda k: finite_part_integral(f, 2 * k + 2, 0.0, a, tol=_FPI_TOL).value,
         1, omega, tol, k_max, keep_terms, power_step=2,

@@ -158,6 +158,15 @@ def test_closed_form_overflow_is_reported_not_raised(capsys):
         assert err.startswith("error:") and "float range" in err
 
 
+def test_negative_kmax_exits_2(capsys):
+    base = ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.9",
+            "--a", "1", "--format", "json"]
+    assert main(base + ["--kmax", "-5"]) == 2
+    assert capsys.readouterr().err == "error: k_max must be >= 0; got -5\n"
+    assert main(base + ["--kmax", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["results"][0]["k_used"] == 0
+
+
 def test_replay_reproduces_json_byte_for_byte(tmp_path):
     out1 = tmp_path / "run1.json"
     out2 = tmp_path / "run2.json"

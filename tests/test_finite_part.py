@@ -5,10 +5,10 @@ import pytest
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
-from finitepart.finite_part import (FpiMethod, FpiRequest, finite_part_integral,
-                                    fpi_branch_finite, fpi_branch_infinite,
-                                    fpi_pole_finite, fpi_pole_infinite,
-                                    fpi_polynomial)
+from finitepart.finite_part import (FpiMethod, _split_infinite,
+                                    finite_part_integral, fpi_branch_finite,
+                                    fpi_branch_infinite, fpi_pole_finite,
+                                    fpi_pole_infinite, fpi_polynomial)
 from finitepart.gammafn import EULER_GAMMA, digamma_int
 from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
 
@@ -46,7 +46,7 @@ def test_pole_infinite_split_matches_closed_form():
     for b in (1.0, 2.0, 5.0):
         for m in (1, 2, 3):
             closed = fpi_pole_infinite(Exponential(b), m)
-            split = fpi_pole_infinite(Exponential(b), m, force_split=True)
+            split = _split_infinite(Exponential(b), m, 0.0, 1e-15)
             assert split.method is FpiMethod.SPLIT_INFINITE
             assert math.isclose(closed.value, split.value,
                                 rel_tol=1e-10, abs_tol=1e-12)
@@ -80,8 +80,7 @@ def test_branch_infinite_split_matches_closed_form():
         for m in (1, 2):
             for nu in (0.25, 0.5, 0.75):
                 closed = fpi_branch_infinite(Exponential(b), m, nu)
-                split = fpi_branch_infinite(Exponential(b), m, nu,
-                                            force_split=True)
+                split = _split_infinite(Exponential(b), m, nu, 1e-15)
                 assert math.isclose(closed.value, split.value,
                                     rel_tol=1e-10, abs_tol=1e-12)
 
@@ -200,6 +199,40 @@ def test_integrability_rejections():
         fpi_pole_infinite(opaque, 3)
 
 
+@pytest.mark.parametrize("f", [MonomialExp(2, 1.0), MonomialExp(3, 0.7),
+                               0.5 * Exponential(2.0)], ids=repr)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])  # below, at and above p
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
+def test_descriptor_closed_form_matches_split(f, m, nu):
+    closed = finite_part_integral(f, m, nu, math.inf)
+    assert closed.method is FpiMethod.CLOSED_FORM
+    split = _split_infinite(f, m, nu, 1e-15)
+    assert math.isclose(closed.value, split.value, rel_tol=1e-10)
+
+
+def test_integrability_rejection_messages():
+    # the CLI prints these texts after "error: "
+    def message(f, m, nu=0.0):
+        with pytest.raises(DivergentIntegralError) as exc:
+            finite_part_integral(f, m, nu, math.inf)
+        return str(exc.value)
+
+    assert message(BinomialPoly(0, 0), 2) \
+        == "BinomialPoly is not admitted at an infinite upper limit"
+    quad = Polynomial([1.0, 0.0, 1.0])
+    assert finite_part_integral(quad, 4).value == 0.0  # degree m - 2
+    assert message(quad, 3) \
+        == "polynomial of degree 2 diverges at infinity against x^(-3-0)"
+    assert finite_part_integral(quad, 3, 0.5).value == 0.0  # degree m - 1
+    assert message(quad, 2, 0.5) \
+        == "polynomial of degree 2 diverges at infinity against x^(-2-0.5)"
+    opaque = CustomSeries(lambda k: 0.0 if k else 1.0, lambda x: 1.0)
+    assert message(opaque, 3) \
+        == "custom series did not declare integrability at infinity"
+    assert message(2.0 * opaque, 3) \
+        == "custom series did not declare integrability at infinity"
+
+
 def test_polynomial_infinite_limits_vanish():
     # every admissible polynomial term decays in the a -> inf limit
     assert fpi_pole_infinite(Polynomial([1.0]), 2).value == 0.0
@@ -228,10 +261,6 @@ def test_validation_errors():
         fpi_branch_finite(f, 1, 1.0 - 1e-13, 1.0)  # inside the nu guard
     with pytest.raises(ValueError):
         finite_part_integral(f, 1, 1e-14, 1.0)
-    with pytest.raises(ValueError):
-        FpiRequest(f, m=0)
-    req = FpiRequest(f, m=1, nu=0.0, a=math.inf)
-    assert req.evaluate().value == pytest.approx(-EULER_GAMMA, rel=1e-14)
 
 
 def test_term_cap_env_override(monkeypatch):

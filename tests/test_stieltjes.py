@@ -114,6 +114,18 @@ def test_eval_integer_nonconvergence_reported_not_raised():
     assert res.tail_estimate > 0
 
 
+def test_negative_k_max_is_rejected():
+    for call in (
+        lambda k: eval_integer(TransformSpec(EXP1, 1, 0.9, 1.0), k_max=k),
+        lambda k: eval_branch(TransformSpec(EXP1, 1, 0.5, nu=0.5), k_max=k),
+        lambda k: eval_quadratic(EXP1, 0.3, k_max=k),
+    ):
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match="k_max must be >= 0"):
+                call(k)
+        assert call(0).k_used == 0
+
+
 def test_monotone_refinement():
     spec = TransformSpec(EXP1, 2, 0.1, 1.0)
     full = eval_integer(spec)
