@@ -336,9 +336,12 @@ def _cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp):
+    # no subcommand defaults, so that --format and --output given before
+    # the subcommand are not overwritten
     sp.add_argument("--format", choices=("table", "json", "csv"),
-                    default="table")
-    sp.add_argument("--output", default=None, help="file path; stdout if absent")
+                    default=argparse.SUPPRESS)
+    sp.add_argument("--output", default=argparse.SUPPRESS,
+                    help="file path; stdout if absent")
     sp.add_argument("--tol", type=float, default=1e-12)
 
 

@@ -10,12 +10,16 @@ both the coefficients and a point-evaluation callback; nothing here ever
 differentiates a black box numerically.
 
 Instances are immutable after construction and safe to share across
-threads (coefficient memoization is lock-guarded per instance).
+threads.  Each keeps two caches, both written without a lock: the
+coefficient memo, which is idempotent because ``_coeff`` is a pure
+function of k, and the rung ladder of :mod:`finitepart.stieltjes`, the
+finite-part values FPI(f, m, nu, a) of one (nu, a) pair, which a transform
+replaces as a whole when it needs another pair.  A race between threads
+can only compute the same value twice.
 """
 
 import cmath
 import math
-import threading
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
@@ -41,19 +45,18 @@ class TaylorFunction:
 
     def __init__(self):
         self._memo = {}
-        self._lock = threading.Lock()
+        # (nu, a, {m: FpiValue}), owned by finitepart.stieltjes
+        self._ladder = (None, None, {})
 
     # -- coefficients ------------------------------------------------
 
     def coeff(self, k: int) -> float:
         """Maclaurin coefficient c_k, memoized."""
-        if k < 0:
-            raise ValueError("coefficient index must be >= 0")
-        with self._lock:
-            v = self._memo.get(k)
-            if v is None:
-                v = self._coeff(k)
-                self._memo[k] = v
+        v = self._memo.get(k)
+        if v is None:
+            if k < 0:
+                raise ValueError("coefficient index must be >= 0")
+            v = self._memo[k] = self._coeff(k)
         return v
 
     def _coeff(self, k: int) -> float:

@@ -100,6 +100,34 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
 
 
+def _rungs(f, nu, a, m0, step):
+    """k -> FPI(f, m0 + step*k, nu, a), read from f's rung ladder.
+
+    The rungs do not depend on omega, so a sweep on one descriptor computes
+    each of them once.  The ladder holds the rungs of a single (nu, a)
+    pair; another pair (or an equal value of another type, which can round
+    differently) replaces it with a fresh tuple, so a thread that still
+    holds the old one reads consistent rungs.  Only values are stored: a
+    rung that raises is computed, and raises, again on the next call.
+    ``FPI_MAX_TERMS`` is read when a rung is computed, so a stored rung
+    keeps the cap it was computed under.
+    """
+    lad = f._ladder
+    if (lad[0] != nu or lad[1] != a or type(lad[0]) is not type(nu)
+            or type(lad[1]) is not type(a)):
+        lad = f._ladder = (nu, a, {})
+    rungs = lad[2]
+
+    def fpi_at(k):
+        m = m0 + step * k
+        v = rungs.get(m)
+        if v is None:
+            v = rungs[m] = finite_part_integral(f, m, nu, a, tol=_FPI_TOL)
+        return v.value
+
+    return fpi_at
+
+
 def _naive_terms(fpi_at, n, ostep, rows):
     wk = 1.0
     for k in count():
@@ -138,8 +166,7 @@ def eval_integer(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
         raise ValueError("eval_integer handles nu = 0; use eval_branch")
     f, n, omega, a = spec.f, spec.n, spec.omega, spec.a
     naive, k_used, tail, ok, rows = _naive_series(
-        lambda k: finite_part_integral(f, n + k, 0.0, a, tol=_FPI_TOL).value,
-        n, omega, tol, k_max, keep_terms,
+        _rungs(f, 0.0, a, n, 1), n, omega, tol, k_max, keep_terms,
     )
     sing = singular_term_integer(f, n, omega)
     return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
@@ -152,8 +179,7 @@ def eval_branch(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
         raise ValueError("eval_branch requires 0 < nu < 1")
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
     naive, k_used, tail, ok, rows = _naive_series(
-        lambda k: finite_part_integral(f, n + k, nu, a, tol=_FPI_TOL).value,
-        n, omega, tol, k_max, keep_terms,
+        _rungs(f, nu, a, n, 1), n, omega, tol, k_max, keep_terms,
     )
     sing = singular_term_branch(f, n, nu, omega)
     return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
@@ -183,8 +209,8 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     naive, k_used, tail, ok, rows = _naive_series(
-        lambda k: finite_part_integral(f, 2 * k + 2, 0.0, a, tol=_FPI_TOL).value,
-        1, omega, tol, k_max, keep_terms, power_step=2,
+        _rungs(f, 0.0, a, 2, 2), 1, omega, tol, k_max, keep_terms,
+        power_step=2,
     )
     fi = f.eval_complex(1j * omega)
     sing = (math.pi / (2.0 * omega)) * fi.real \

@@ -195,3 +195,35 @@ def test_build_parser_help_smoke():
     for cmd in ("fpi", "stieltjes", "quadratic", "specfun", "asym",
                 "compare", "sweep"):
         assert cmd in parser.format_help()
+
+
+def test_format_and_output_before_or_after_subcommand(tmp_path, capsys):
+    cmd = ["fpi", "--f", "exp(1)", "--m", "1"]
+    assert main(cmd + ["--format", "json"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--format", "json"] + cmd) == 0
+    assert capsys.readouterr().out == after
+    assert json.loads(after)["results"][0]["value"] == -EULER_GAMMA
+    # the subcommand's own --format wins over the top-level one
+    assert main(["--format", "json"] + cmd + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("tail_estimate,flag,")
+    assert main(cmd) == 0
+    assert capsys.readouterr().out.startswith("value ")
+    for name, argv in (("sub.json", cmd + ["--format", "json", "--output"]),
+                       ("top.json", ["--format", "json", "--output"])):
+        path = tmp_path / name
+        argv = argv + [str(path)] + (cmd if name == "top.json" else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == after
+
+
+def test_replay_with_top_level_output(tmp_path, capsys):
+    first = tmp_path / "first.json"
+    again = tmp_path / "again.json"
+    assert main(["--format", "json", "--output", str(first), "stieltjes",
+                 "--f", "exp(1)", "--n", "2", "--omega", "0.25",
+                 "--a", "1"]) == 0
+    assert main(["--replay", str(first), "--output", str(again)]) == 0
+    assert capsys.readouterr().out == ""
+    assert again.read_bytes() == first.read_bytes()

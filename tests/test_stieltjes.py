@@ -1,11 +1,14 @@
+import cmath
 import math
+import sys
 
 import pytest
 from scipy import special
 
-from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
-                               Polynomial)
-from finitepart.errors import DivergentIntegralError
+from finitepart import stieltjes
+from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
+                               MonomialExp, Polynomial)
+from finitepart.errors import DivergentIntegralError, NonconvergenceError
 from finitepart.oracles import quad_adaptive
 from finitepart.stieltjes import (ExpansionResult, TransformSpec,
                                   effective_diffusivity, eval_branch,
@@ -281,3 +284,125 @@ def test_expansion_result_fields():
     assert res.total == res.naive_sum + res.singular
     assert res.tail_estimate >= 0.0
     assert res.per_term is None
+
+
+# ---------------------------------------------------------------------------
+# rung ladder: one descriptor reused across a sweep
+# ---------------------------------------------------------------------------
+
+def _gauss_stream():
+    """exp(-x^2) as a decaying user stream (split path at a = inf)."""
+    def coeff(k):
+        return 0.0 if k % 2 else (-1.0) ** (k // 2) / math.factorial(k // 2)
+    return CustomSeries(coeff, lambda x: math.exp(-x * x),
+                        lambda z: cmath.exp(-z * z), decaying=True)
+
+
+def _sweep_omegas(top, count=16):
+    return [top * 10.0 ** (-3.0 * (1.0 - i / (count - 1))) for i in range(count)]
+
+
+def _bits(res):
+    return repr((res.naive_sum, res.singular, res.total, res.k_used,
+                 res.tail_estimate, res.converged, res.per_term))
+
+
+def _transform(kernel, f, n, nu, a, omega):
+    if kernel == "quadratic":
+        return eval_quadratic(f, omega, a, keep_terms=True)
+    return evaluate_transform(TransformSpec(f, n, omega, a, nu),
+                              keep_terms=True)
+
+
+LADDER_SWEEPS = [
+    ("integer", lambda: Exponential(1.3), 2, 0.0, 1.5),
+    ("integer", lambda: MonomialExp(1, 0.8), 3, 0.0, 2.0),
+    ("branch", lambda: MonomialExp(1, 0.9), 2, 0.25, 1.5),
+    ("quadratic", lambda: Exponential(1.1), 0, 0.0, 1.8),
+    ("integer", _gauss_stream, 1, 0.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("kernel,make,n,nu,a", LADDER_SWEEPS)
+def test_shared_instance_sweep_matches_fresh_instances(kernel, make, n, nu, a):
+    top = 0.5 * a if math.isfinite(a) else 0.9
+    shared = make()
+    for omega in _sweep_omegas(top):
+        want = _transform(kernel, make(), n, nu, a, omega)
+        got = _transform(kernel, shared, n, nu, a, omega)
+        assert _bits(got) == _bits(want)
+
+
+def test_ladder_resets_on_another_a_or_nu():
+    f = MonomialExp(1, 0.9)
+    cases = [("integer", 1, 0.0, 1.0, 0.4), ("integer", 1, 0.0, 2.0, 0.4),
+             ("integer", 1, 0.0, 1.0, 0.3), ("branch", 2, 0.25, 2.0, 0.5),
+             ("branch", 2, 0.5, 2.0, 0.5), ("integer", 2, 0.0, 2.0, 0.5),
+             ("quadratic", 0, 0.0, 2.0, 0.6), ("integer", 2, 0.0, 2.0, 0.7),
+             ("integer", 1, 0.0, math.inf, 0.4)]
+    for kernel, n, nu, a, omega in cases:
+        want = _transform(kernel, MonomialExp(1, 0.9), n, nu, a, omega)
+        got = _transform(kernel, f, n, nu, a, omega)
+        assert _bits(got) == _bits(want)
+    # an int a rounds its high rungs differently from the equal float a
+    f = Exponential(1.0)
+    for a in (7, 7.0, 7):
+        want = evaluate_transform(TransformSpec(Exponential(1.0), 1, 6.3, a),
+                                  keep_terms=True)
+        got = evaluate_transform(TransformSpec(f, 1, 6.3, a), keep_terms=True)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.fixture
+def fpi_calls(monkeypatch):
+    """The m of every finite_part_integral call the transforms make."""
+    calls = []
+    real = stieltjes.finite_part_integral
+
+    def counting(f, m, nu, a, tol):
+        calls.append(m)
+        return real(f, m, nu, a, tol=tol)
+
+    monkeypatch.setattr(stieltjes, "finite_part_integral", counting)
+    return calls
+
+
+def test_raising_rung_raises_again(fpi_calls):
+    spec = TransformSpec(Exponential(1.0), 1, 54.0, 60.0)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NonconvergenceError) as exc:
+            evaluate_transform(spec)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "finite-part series overflowed after 174 terms"
+    assert fpi_calls == [1, 1]
+
+
+def test_sweep_computes_each_rung_once(fpi_calls):
+    f = Exponential(1.0)
+    k_used = [evaluate_transform(TransformSpec(f, 2, omega, 1.0)).k_used
+              for omega in _sweep_omegas(0.5)]
+    assert sorted(fpi_calls) == list(range(2, 2 + max(k_used) + 1))
+
+
+def test_shared_ladder_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = [(1.0 + i % 2, omega) for i, omega in
+            enumerate(_sweep_omegas(0.45, 24))] * 4
+
+    def run(f, a, omega):
+        return _bits(evaluate_transform(TransformSpec(f, 2, omega, a),
+                                        keep_terms=True))
+
+    want = [run(MonomialExp(1, 0.9), a, omega) for a, omega in jobs]
+    shared = MonomialExp(1, 0.9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, shared, a, omega) for a, omega in jobs]
+            got = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
