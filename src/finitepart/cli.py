@@ -102,14 +102,48 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (rows, converged)
+# options: the parser's arguments and run()'s defaults
 # ---------------------------------------------------------------------------
 
-def _with_defaults(prm):
-    out = {"nu": 0.0, "a": math.inf, "tol": 1e-12, "kappa": 1.0}
-    out.update(prm)
-    return out
+_COMPARE_OPS = ("fpi", "stieltjes", "quadratic")
 
+# dest -> (flag, add_argument keywords).  A "default" here is also what
+# run() fills in for an option that a stored config leaves out.
+_OPTIONS = {
+    "op": ("--op", {"choices": _COMPARE_OPS}),
+    "family": ("--family", {"choices": ("gauss-int", "gauss-branch",
+                                        "kummer-int", "kummer-frac")}),
+    "f": ("--f", {}),
+    "m": ("--m", {"type": int}),
+    "n": ("--n", {"type": int}),
+    "r": ("--r", {"type": int}),
+    "s": ("--s", {"type": int}),
+    "mu": ("--mu", {"type": float}),
+    "afrac": ("--afrac", {"type": float}),
+    "zeta": ("--zeta", {"type": float}),
+    "nu": ("--nu", {"type": float, "default": 0.0}),
+    "omega": ("--omega", {"type": float}),
+    "pe": ("--pe", {"type": float}),
+    "a": ("--a", {"type": _parse_a, "default": math.inf}),
+    "kappa": ("--kappa", {"type": float, "default": 1.0}),
+    "g_plus": ("--g-plus", {}),
+    "g_minus": ("--g-minus", {}),
+    "omega_grid": ("--omega-grid",
+                   {"help": "lo:hi:count, geometric spacing"}),
+    "kmax": ("--kmax", {"type": int}),
+    "compare": ("--compare", {"action": "store_true"}),
+    "with_oracle": ("--with-oracle", {"action": "store_true"}),
+    "format": ("--format", {"choices": ("table", "json", "csv")}),
+    "output": ("--output", {"help": "file path; stdout if absent"}),
+    "tol": ("--tol", {"type": float, "default": 1e-12}),
+}
+
+_DEFAULTS = {name: kw.get("default") for name, (_, kw) in _OPTIONS.items()}
+
+
+# ---------------------------------------------------------------------------
+# command implementations; each returns (rows, converged)
+# ---------------------------------------------------------------------------
 
 def _transform_row(omega, res):
     return {
@@ -123,20 +157,18 @@ def _transform_row(omega, res):
     }
 
 
+def _kernel_oracle(fn, omega, a, singular_lo=False):
+    pts = [omega, 10 * omega, 1.0] if omega < 1.0 else [omega]
+    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts,
+                         singular_lo=singular_lo).value
+
+
 def _stieltjes_oracle(f, n, nu, omega, a):
     if nu == 0.0:
         fn = lambda x: f.eval(x) / (omega + x) ** n
     else:
         fn = lambda x: f.eval(x) * x ** (-nu) / (omega + x) ** n
-    pts = [omega, 10 * omega, 1.0] if omega < 1.0 else [omega]
-    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts,
-                         singular_lo=nu > 0).value
-
-
-def _quadratic_oracle(f, omega, a):
-    fn = lambda x: f.eval(x) / (omega * omega + x * x)
-    pts = [omega, 10 * omega, 1.0] if omega < 1.0 else [omega]
-    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts).value
+    return _kernel_oracle(fn, omega, a, singular_lo=nu > 0)
 
 
 def _attach_oracle(row, method_value, oracle_value):
@@ -144,11 +176,9 @@ def _attach_oracle(row, method_value, oracle_value):
     row["abs_diff"] = abs(method_value - oracle_value)
     scale = max(abs(method_value), abs(oracle_value))
     row["rel_diff"] = row["abs_diff"] / scale if scale else 0.0
-    return row
 
 
 def _run_fpi(prm):
-    prm = _with_defaults(prm)
     f = parse_function(prm["f"])
     v = finite_part_integral(f, prm["m"], prm["nu"], prm["a"], tol=prm["tol"])
     row = {
@@ -158,7 +188,7 @@ def _run_fpi(prm):
         "tail_estimate": v.tail_bound,
         "flag": "",
     }
-    if prm.get("compare"):
+    if prm["compare"]:
         if math.isfinite(prm["a"]):
             oracle = fpi_epsilon_oracle(f, prm["m"], prm["nu"], prm["a"])
         else:
@@ -174,22 +204,27 @@ def _run_fpi(prm):
 
 
 def _run_stieltjes(prm):
-    prm = _with_defaults(prm)
+    # also runs sweep; f is parsed once, so the grid points share its rungs
     f = parse_function(prm["f"])
-    spec = TransformSpec(f, prm["n"], prm["omega"], prm["a"], prm["nu"])
-    res = evaluate_transform(spec, tol=prm["tol"], k_max=prm.get("kmax"))
-    row = _transform_row(prm["omega"], res)
-    if prm.get("compare"):
-        _attach_oracle(row, res.total,
-                       _stieltjes_oracle(f, prm["n"], prm["nu"],
-                                         prm["omega"], prm["a"]))
-    return [row], res.converged
+    grid = prm["omega_grid"]
+    rows = []
+    all_ok = True
+    for omega in [prm["omega"]] if grid is None else _parse_grid(grid):
+        spec = TransformSpec(f, prm["n"], omega, prm["a"], prm["nu"])
+        res = evaluate_transform(spec, tol=prm["tol"], k_max=prm["kmax"])
+        row = _transform_row(omega, res)
+        if prm["compare"] or prm["with_oracle"]:
+            _attach_oracle(row, res.total,
+                           _stieltjes_oracle(f, prm["n"], prm["nu"], omega,
+                                             prm["a"]))
+        rows.append(row)
+        all_ok = all_ok and res.converged
+    return rows, all_ok
 
 
 def _run_quadratic(prm):
-    prm = _with_defaults(prm)
-    if prm.get("g_plus") or prm.get("g_minus"):
-        if not (prm.get("g_plus") and prm.get("g_minus") and prm.get("pe")):
+    if prm["g_plus"] or prm["g_minus"]:
+        if not (prm["g_plus"] and prm["g_minus"] and prm["pe"]):
             raise ValueError(
                 "diffusivity mode needs --g-plus, --g-minus and --pe")
         gp = parse_function(prm["g_plus"])
@@ -198,41 +233,39 @@ def _run_quadratic(prm):
                                      a=prm["a"], tol=prm["tol"])
         return [{"peclet": prm["pe"], "kappa": prm["kappa"],
                  "kappa_eff": keff, "flag": ""}], True
-    if not prm.get("f"):
+    if not prm["f"]:
         raise ValueError("quadratic needs --f (or the diffusivity trio)")
-    if not (prm.get("omega") or prm.get("pe")):
+    if not (prm["omega"] or prm["pe"]):
         raise ValueError("quadratic needs --omega or --pe")
     f = parse_function(prm["f"])
-    omega = prm["omega"] if prm.get("omega") else 1.0 / prm["pe"]
+    omega = prm["omega"] if prm["omega"] else 1.0 / prm["pe"]
     res = eval_quadratic(f, omega, prm["a"], tol=prm["tol"],
-                         k_max=prm.get("kmax"))
+                         k_max=prm["kmax"])
     row = _transform_row(omega, res)
-    if prm.get("compare"):
-        _attach_oracle(row, res.total, _quadratic_oracle(f, omega, prm["a"]))
+    if prm["compare"]:
+        oracle = _kernel_oracle(
+            lambda x: f.eval(x) / (omega * omega + x * x), omega, prm["a"])
+        _attach_oracle(row, res.total, oracle)
     return [row], res.converged
 
 
 def _run_specfun(prm):
-    family = prm["family"]
+    family, n = prm["family"], prm["n"]
     if family == "gauss-int":
-        p = Gauss2F1IntParams(prm["n"], prm["r"], prm["s"], prm["zeta"])
-        value = gauss2f1_integer(p)
+        value = gauss2f1_integer(
+            Gauss2F1IntParams(n, prm["r"], prm["s"], prm["zeta"]))
     elif family == "gauss-branch":
-        p = Gauss2F1BranchParams(prm["n"], prm["mu"], prm["s"], prm["zeta"])
-        value = gauss2f1_branch(p)
-    elif family == "kummer-int":
-        p = KummerParams(prm["s"], prm["n"], prm["omega"])
-        value = kummer_u(p)
-    elif family == "kummer-frac":
-        p = KummerParams(prm["afrac"], prm["n"], prm["omega"])
-        value = kummer_u(p)
+        value = gauss2f1_branch(
+            Gauss2F1BranchParams(n, prm["mu"], prm["s"], prm["zeta"]))
+    elif family in ("kummer-int", "kummer-frac"):
+        order = prm["s"] if family == "kummer-int" else prm["afrac"]
+        value = kummer_u(KummerParams(order, n, prm["omega"]))
     else:
         raise ValueError(f"unknown specfun family {family!r}")
     return [{"family": family, "value": value, "flag": ""}], True
 
 
 def _run_asym(prm):
-    prm = _with_defaults(prm)
     f = parse_function(prm["f"])
     lb = classify(f, prm["n"], prm["nu"], prm["a"])
     row = {
@@ -242,56 +275,45 @@ def _run_asym(prm):
         "carries_log": lb.carries_log,
         "flag": "",
     }
-    if prm.get("omega"):
+    if prm["omega"]:
         row["leading_value"] = lb.value_at(prm["omega"])
     return [row], True
 
 
 def _run_compare(prm):
-    op = prm["op"]
-    sub = dict(prm)
-    sub["compare"] = True
-    if op == "fpi":
-        return _run_fpi(sub)
-    if op == "stieltjes":
-        return _run_stieltjes(sub)
-    if op == "quadratic":
-        return _run_quadratic(sub)
-    raise ValueError(f"unknown compare op {op!r}")
+    if prm["op"] not in _COMPARE_OPS:
+        raise ValueError(f"unknown compare op {prm['op']!r}")
+    return _COMMANDS[prm["op"]][0]({**prm, "compare": True})
 
 
-def _run_sweep(prm):
-    prm = _with_defaults(prm)
-    f = parse_function(prm["f"])
-    rows = []
-    all_ok = True
-    for omega in _parse_grid(prm["omega_grid"]):
-        spec = TransformSpec(f, prm["n"], omega, prm["a"], prm["nu"])
-        res = evaluate_transform(spec, tol=prm["tol"], k_max=prm.get("kmax"))
-        row = _transform_row(omega, res)
-        if prm.get("with_oracle"):
-            _attach_oracle(row, res.total,
-                           _stieltjes_oracle(f, prm["n"], prm["nu"], omega,
-                                             prm["a"]))
-        rows.append(row)
-        all_ok = all_ok and res.converged
-    return rows, all_ok
-
-
-_RUNNERS = {
-    "fpi": _run_fpi,
-    "stieltjes": _run_stieltjes,
-    "quadratic": _run_quadratic,
-    "specfun": _run_specfun,
-    "asym": _run_asym,
-    "compare": _run_compare,
-    "sweep": _run_sweep,
+# command -> (runner, help, its options in parser order; "!" marks a required
+# one).  Every command also takes --format, --output and --tol, added last;
+# it lists "tol" when it uses the tolerance and so stores it.
+_COMMANDS = {
+    "fpi": (_run_fpi, "finite-part integral", "f! m! nu a compare tol"),
+    "stieltjes": (_run_stieltjes, "generalized Stieltjes transform",
+                  "f! n! nu omega! a kmax compare tol"),
+    "quadratic": (_run_quadratic, "omega^2 + x^2 kernel / diffusivity",
+                  "f omega pe a kappa g_plus g_minus kmax compare tol"),
+    "specfun": (_run_specfun, "2F1 / Kummer U series values",
+                "family! n! r s mu afrac zeta omega"),
+    "asym": (_run_asym, "dominant small-omega behavior", "f! n! nu a omega"),
+    "compare": (_run_compare, "method vs independent oracle",
+                "op! f! m n nu omega pe a kmax tol"),
+    "sweep": (_run_stieltjes, "omega sweep of the decomposition",
+              "f! n! nu a omega_grid! kmax with_oracle tol"),
 }
+_CONFIG_KEYS = {cmd: tuple(name.rstrip("!") for name in names.split())
+                for cmd, (_, _, names) in _COMMANDS.items()}
 
 
 def run(config: RunConfig):
     """Execute a configuration; returns (exit_code, document)."""
-    rows, converged = _RUNNERS[config.command](_restore_inf(config.params))
+    prm = {**_DEFAULTS, **config.params}
+    if isinstance(prm["a"], str):
+        # stored configs hold an unbounded limit as "inf"
+        prm["a"] = _parse_a(prm["a"])
+    rows, converged = _COMMANDS[config.command][0](prm)
     doc = {"config": config.to_json(), "results": rows}
     return (0 if converged else 3), doc
 
@@ -335,14 +357,9 @@ def _cell(v) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    # no subcommand defaults, so that --format and --output given before
-    # the subcommand are not overwritten
-    sp.add_argument("--format", choices=("table", "json", "csv"),
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--output", default=argparse.SUPPRESS,
-                    help="file path; stdout if absent")
-    sp.add_argument("--tol", type=float, default=1e-12)
+def _add(parser, name, **override):
+    flag, kw = _OPTIONS[name]
+    parser.add_argument(flag, **{**kw, **override})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,104 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--replay", default=None,
                     help="re-run the configuration embedded in a JSON document")
-    ap.add_argument("--format", choices=("table", "json", "csv"),
-                    default="table")
-    ap.add_argument("--output", default=None)
+    _add(ap, "format", default="table")
+    _add(ap, "output", default=None, help=None)
     sub = ap.add_subparsers(dest="command")
-
-    p = sub.add_parser("fpi", help="finite-part integral")
-    p.add_argument("--f", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--compare", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("stieltjes", help="generalized Stieltjes transform")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--compare", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("quadratic", help="omega^2 + x^2 kernel / diffusivity")
-    p.add_argument("--f", default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--pe", type=float, default=None)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--g-plus", dest="g_plus", default=None)
-    p.add_argument("--g-minus", dest="g_minus", default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--compare", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("specfun", help="2F1 / Kummer U series values")
-    p.add_argument("--family", required=True,
-                   choices=("gauss-int", "gauss-branch", "kummer-int",
-                            "kummer-frac"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--afrac", type=float, default=None)
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("asym", help="dominant small-omega behavior")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--omega", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="method vs independent oracle")
-    p.add_argument("--op", required=True,
-                   choices=("fpi", "stieltjes", "quadratic"))
-    p.add_argument("--f", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--pe", type=float, default=None)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--kmax", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="omega sweep of the decomposition")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--a", type=_parse_a, default=math.inf)
-    p.add_argument("--omega-grid", dest="omega_grid", required=True,
-                   help="lo:hi:count, geometric spacing")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--with-oracle", dest="with_oracle", action="store_true")
-    _add_common(p)
+    for cmd, (_, text, names) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
+        for name in names.split():
+            if name != "tol":
+                _add(p, name.rstrip("!"), required=name.endswith("!"))
+        # no subcommand defaults, so that --format and --output given
+        # before the subcommand are not overwritten
+        _add(p, "format", default=argparse.SUPPRESS)
+        _add(p, "output", default=argparse.SUPPRESS)
+        _add(p, "tol")
     return ap
-
-
-_CONFIG_KEYS = {
-    "fpi": ("f", "m", "nu", "a", "tol", "compare"),
-    "stieltjes": ("f", "n", "nu", "omega", "a", "tol", "kmax", "compare"),
-    "quadratic": ("f", "omega", "pe", "a", "kappa", "g_plus", "g_minus",
-                  "tol", "kmax", "compare"),
-    "specfun": ("family", "n", "r", "s", "mu", "afrac", "zeta", "omega"),
-    "asym": ("f", "n", "nu", "a", "omega"),
-    "compare": ("op", "f", "m", "n", "nu", "omega", "pe", "a", "tol", "kmax"),
-    "sweep": ("f", "n", "nu", "a", "omega_grid", "tol", "kmax", "with_oracle"),
-}
 
 
 def _config_from_args(args) -> RunConfig:
     params = {}
     for key in _CONFIG_KEYS[args.command]:
-        v = getattr(args, key, None)
+        v = getattr(args, key)
         if v is not None and v is not False:
             # keep stored configs strict JSON: unbounded limits as "inf"
             if isinstance(v, float) and math.isinf(v):
@@ -459,15 +398,14 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(args.command, params)
 
 
-def _restore_inf(params: dict) -> dict:
-    out = dict(params)
-    if isinstance(out.get("a"), str) and out["a"].lower() == "inf":
-        out["a"] = math.inf
-    return out
+_parser = None  # built on the first main() call, then reused
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     fmt = args.format
     out_path = args.output
     try:
@@ -480,7 +418,7 @@ def main(argv=None) -> int:
         elif args.command:
             config = _config_from_args(args)
         else:
-            build_parser().print_usage(sys.stderr)
+            _parser.print_usage(sys.stderr)
             return 2
         code, doc = run(config)
     except (ValueError, TypeError, KeyError) as exc:

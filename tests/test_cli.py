@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from finitepart import cli
 from finitepart.cli import (RunConfig, build_parser, main, parse_function,
                             render, run)
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
@@ -227,3 +228,93 @@ def test_replay_with_top_level_output(tmp_path, capsys):
     assert main(["--replay", str(first), "--output", str(again)]) == 0
     assert capsys.readouterr().out == ""
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    argv = ["fpi", "--f", "exp(1)", "--m", "1"]
+    assert main(argv) == 0
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real())
+    for _ in range(3):
+        assert main(argv) == 0
+    assert builds == []
+    assert capsys.readouterr().out.count("value") == 4
+
+
+def test_negative_scalar_prefix_in_equals_form(capsys):
+    # "--f -3*exp(2)" reads as an option to argparse; "--f=..." does not
+    assert main(["fpi", "--f=-3*exp(2)", "--m", "1", "--format", "json"]) == 0
+    scaled = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert main(["fpi", "--f", "exp(2)", "--m", "1", "--format", "json"]) == 0
+    base = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert scaled == pytest.approx(-3.0 * base, rel=1e-15)
+
+
+# the keys each command stores in its JSON config, as released
+_STORED_KEYS = {
+    "fpi": ("f", "m", "nu", "a", "tol", "compare"),
+    "stieltjes": ("f", "n", "nu", "omega", "a", "tol", "kmax", "compare"),
+    "quadratic": ("f", "omega", "pe", "a", "kappa", "g_plus", "g_minus",
+                  "tol", "kmax", "compare"),
+    "specfun": ("family", "n", "r", "s", "mu", "afrac", "zeta", "omega"),
+    "asym": ("f", "n", "nu", "a", "omega"),
+    "compare": ("op", "f", "m", "n", "nu", "omega", "pe", "a", "tol", "kmax"),
+    "sweep": ("f", "n", "nu", "a", "omega_grid", "tol", "kmax", "with_oracle"),
+}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["fpi", "--f", "exp(1)", "--m", "2", "--a", "1.5", "--compare"], ()),
+    (["fpi", "--f", "exp(1)", "--m", "2", "--nu", "0.5", "--compare"], ()),
+    (["stieltjes", "--f", "exp(1)", "--n", "2", "--omega", "0.25", "--a", "2",
+      "--kmax", "60", "--compare"], ()),
+    (["quadratic", "--f", "exp(1)", "--omega", "0.2", "--kmax", "50",
+      "--compare"], ("pe", "g_plus", "g_minus")),
+    (["quadratic", "--g-plus", "0.5*exp(1)", "--g-minus", "0.5*exp(2)",
+      "--pe", "50", "--kappa", "2"], ("f", "omega", "kmax", "compare")),
+    (["specfun", "--family", "gauss-int", "--n", "5", "--r", "2", "--s", "4",
+      "--zeta", "2", "--tol", "1e-3"], ("mu", "afrac", "omega")),
+    (["specfun", "--family", "gauss-branch", "--n", "3", "--mu", "0.4",
+      "--s", "2", "--zeta", "3", "--tol", "1e-3"], ("r", "afrac", "omega")),
+    (["specfun", "--family", "kummer-int", "--n", "4", "--s", "2",
+      "--omega", "0.1", "--tol", "1e-3"], ("r", "mu", "afrac", "zeta")),
+    (["specfun", "--family", "kummer-frac", "--n", "2", "--afrac", "0.3",
+      "--omega", "0.2", "--tol", "1e-3"], ("r", "s", "mu", "zeta")),
+    (["asym", "--f", "exp(1)", "--n", "1", "--omega", "0.01",
+      "--tol", "1e-3"], ()),
+    (["compare", "--op", "fpi", "--f", "exp(1)", "--m", "2", "--a", "1"],
+     ("n", "omega", "pe", "kmax")),
+    (["compare", "--op", "stieltjes", "--f", "exp(1)", "--n", "1",
+      "--omega", "0.3", "--a", "2", "--kmax", "60"], ("m", "pe")),
+    (["compare", "--op", "quadratic", "--f", "exp(1)", "--pe", "10"],
+     ("m", "n", "omega", "kmax")),
+    (["sweep", "--f", "exp(1)", "--n", "1", "--a", "2", "--omega-grid",
+      "0.01:0.5:4", "--kmax", "60", "--with-oracle"], ()),
+])
+def test_stored_config_keys_and_replay(tmp_path, capsys, argv, absent):
+    first = tmp_path / "first.json"
+    again = tmp_path / "again.json"
+    assert main(argv + ["--format", "json", "--output", str(first)]) == 0
+    params = json.loads(first.read_text())["config"]["params"]
+    assert set(params) == set(_STORED_KEYS[argv[0]]) - set(absent)
+    assert main(["--replay", str(first), "--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("op, args", [
+    ("fpi", ["--f", "exp(1)", "--m", "2", "--a", "1.5"]),
+    ("stieltjes", ["--f", "monexp(1,1)", "--n", "2", "--nu", "0.25",
+                   "--omega", "0.2"]),
+    ("quadratic", ["--f", "exp(1)", "--pe", "20", "--a", "3"]),
+])
+def test_compare_is_the_op_with_compare(capsys, op, args):
+    assert main(["compare", "--op", op] + args + ["--format", "json"]) == 0
+    via_compare = json.loads(capsys.readouterr().out)
+    assert main([op] + args + ["--compare", "--format", "json"]) == 0
+    direct = json.loads(capsys.readouterr().out)
+    assert via_compare["results"] == direct["results"]
+    assert "oracle" in direct["results"][0]
+    assert "compare" not in via_compare["config"]["params"]
