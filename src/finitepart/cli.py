@@ -106,13 +106,15 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 _COMPARE_OPS = ("fpi", "stieltjes", "quadratic")
+# specfun family -> the options it reads besides --n
+_FAMILY_OPTIONS = {"gauss-int": "r s zeta", "gauss-branch": "mu s zeta",
+                   "kummer-int": "s omega", "kummer-frac": "afrac omega"}
 
 # dest -> (flag, add_argument keywords).  A "default" here is also what
 # run() fills in for an option that a stored config leaves out.
 _OPTIONS = {
     "op": ("--op", {"choices": _COMPARE_OPS}),
-    "family": ("--family", {"choices": ("gauss-int", "gauss-branch",
-                                        "kummer-int", "kummer-frac")}),
+    "family": ("--family", {"choices": tuple(_FAMILY_OPTIONS)}),
     "f": ("--f", {}),
     "m": ("--m", {"type": int}),
     "n": ("--n", {"type": int}),
@@ -144,6 +146,13 @@ _DEFAULTS = {name: kw.get("default") for name, (_, kw) in _OPTIONS.items()}
 # ---------------------------------------------------------------------------
 # command implementations; each returns (rows, converged)
 # ---------------------------------------------------------------------------
+
+def _need(prm, what, names):
+    """Name the first option of ``names`` that the command left unset."""
+    for name in names.split():
+        if prm[name] is None:
+            raise ValueError(f"{what} needs {_OPTIONS[name][0]}")
+
 
 def _transform_row(omega, res):
     return {
@@ -207,6 +216,8 @@ def _run_stieltjes(prm):
     # also runs sweep; f is parsed once, so the grid points share its rungs
     f = parse_function(prm["f"])
     grid = prm["omega_grid"]
+    if grid is None:
+        _need(prm, "stieltjes", "omega")
     rows = []
     all_ok = True
     for omega in [prm["omega"]] if grid is None else _parse_grid(grid):
@@ -251,17 +262,18 @@ def _run_quadratic(prm):
 
 def _run_specfun(prm):
     family, n = prm["family"], prm["n"]
+    if family not in _FAMILY_OPTIONS:
+        raise ValueError(f"unknown specfun family {family!r}")
+    _need(prm, family, _FAMILY_OPTIONS[family])
     if family == "gauss-int":
         value = gauss2f1_integer(
             Gauss2F1IntParams(n, prm["r"], prm["s"], prm["zeta"]))
     elif family == "gauss-branch":
         value = gauss2f1_branch(
             Gauss2F1BranchParams(n, prm["mu"], prm["s"], prm["zeta"]))
-    elif family in ("kummer-int", "kummer-frac"):
+    else:
         order = prm["s"] if family == "kummer-int" else prm["afrac"]
         value = kummer_u(KummerParams(order, n, prm["omega"]))
-    else:
-        raise ValueError(f"unknown specfun family {family!r}")
     return [{"family": family, "value": value, "flag": ""}], True
 
 
@@ -408,7 +420,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     fmt = args.format
     out_path = args.output
-    try:
+    try:  # OSError: an unreadable --replay or unwritable --output
         if args.replay:
             with open(args.replay) as fh:
                 saved = json.load(fh)
@@ -421,18 +433,17 @@ def main(argv=None) -> int:
             _parser.print_usage(sys.stderr)
             return 2
         code, doc = run(config)
-    except (ValueError, TypeError, KeyError) as exc:
+        text = render(doc, fmt)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FinitePartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    text = render(doc, fmt)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
     return code
 

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from itertools import count
 
-from .entire import Polynomial, TaylorFunction, unscale
+from .entire import TaylorFunction, unscale
 from .errors import NonconvergenceError
 from .oracles import quad_adaptive
 from .series import sum_until_small
@@ -187,53 +187,6 @@ def fpi_branch_infinite(f: TaylorFunction, m: int, nu: float,
     if nu == 0.0:
         raise ValueError("fpi_branch_infinite requires 0 < nu < 1")
     return _fpi_infinite(f, m, nu, tol)
-
-
-# ---------------------------------------------------------------------------
-# polynomial closed forms (cross-check path for the generic series)
-# ---------------------------------------------------------------------------
-
-def fpi_polynomial(f: TaylorFunction, m: int, nu: float = 0.0,
-                   a: float = 1.0) -> FpiValue:
-    """Closed-form finite part for polynomial f; exact finite sums.
-
-    nu = 0 splits into three regimes by the pole strength m relative to
-    the lowest power r and the degree s of the polynomial:
-      m <= r:           ordinary convergent integral,
-      r+1 <= m <= s+1:  mixed negative powers, log a, positive powers,
-      m >= s+2:         negative powers of a only;
-    for 0 < nu < 1 a single sum covers every regime.
-    """
-    _check_m(m)
-    _check_nu(nu)
-    base, factor = unscale(f)
-    if not isinstance(base, Polynomial):
-        raise TypeError("fpi_polynomial requires a polynomial descriptor")
-    if not a > 0:
-        raise ValueError("upper limit a must be positive")
-    if math.isinf(a):
-        base.check_integrable_at_infinity(m, nu)
-        return FpiValue(0.0, FpiMethod.CLOSED_FORM, 0, 0.0)
-
-    r, s = base.lowest, base.degree
-    ak = base.coeff
-    if nu == 0.0:
-        if m <= r:
-            val = sum(ak(k) * a ** (k - m + 1) / (k - m + 1)
-                      for k in range(r, s + 1))
-        elif m >= s + 2:
-            val = -sum(ak(k) / ((m - k - 1) * a ** (m - k - 1))
-                       for k in range(r, s + 1))
-        else:
-            val = -sum(ak(k) / ((m - k - 1) * a ** (m - k - 1))
-                       for k in range(r, m - 1))
-            val += ak(m - 1) * math.log(a)
-            val += sum(ak(k) * a ** (k - m + 1) / (k - m + 1)
-                       for k in range(m, s + 1))
-    else:
-        val = sum(ak(k) * a ** (k + 1 - m - nu) / (k + 1 - m - nu)
-                  for k in range(r, s + 1))
-    return FpiValue(factor * val, FpiMethod.CLOSED_FORM, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------

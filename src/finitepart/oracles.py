@@ -11,15 +11,14 @@ series representations used elsewhere in the package:
   definition: integrate on [eps, a], remove the exactly known divergent
   part, extrapolate eps -> 0.
 * :func:`fpi_contour_oracle` evaluates the equivalent circular-contour
-  representation by trigonometric interpolation, with a plain Simpson
-  reference path.
+  representation by trigonometric interpolation.
+
+scipy and numpy are imported by the functions that use them, on their
+first call, so importing this module needs only the standard library.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import integrate
 
 from .entire import TaylorFunction
 from .errors import NonconvergenceError
@@ -36,8 +35,10 @@ class QuadratureResult:
 
 
 def _quad_once(fn, lo, hi, tol, limit):
-    out = integrate.quad(fn, lo, hi, epsabs=1e-15, epsrel=tol,
-                         limit=limit, full_output=1)
+    from scipy.integrate import quad
+
+    out = quad(fn, lo, hi, epsabs=1e-15, epsrel=tol, limit=limit,
+               full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
     if len(out) > 3:
@@ -176,6 +177,8 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float, a: float,
     c_vals = [head + quad_adaptive(integrand, e, a, tol=quad_tol).value
               for e in eps]
 
+    import numpy as np
+
     # solve C(eps) = L + sum_j A_j eps^{j+1-nu} for the limit L
     npts = len(eps)
     powers = [j + 1.0 - nu for j in range(npts - 1)]
@@ -192,6 +195,8 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float, a: float,
 # ---------------------------------------------------------------------------
 
 def _contour_spectral(f, m, a, n):
+    import numpy as np
+
     theta = 2.0 * math.pi * np.arange(n) / n
     z = a * np.exp(1j * theta)
     g = np.array([f.eval_complex(zz) for zz in z]) * np.exp(1j * (1 - m) * theta)
@@ -206,24 +211,15 @@ def _contour_spectral(f, m, a, n):
     return complex(val) / a ** (m - 1)
 
 
-def _contour_simpson(f, m, a, panels=1 << 14):
-    theta = np.linspace(0.0, 2.0 * math.pi, panels + 1)
-    z = a * np.exp(1j * theta)
-    g = np.array([f.eval_complex(zz) for zz in z]) * np.exp(1j * (1 - m) * theta)
-    integrand = g.real * math.log(a) - g.imag * (theta - math.pi)
-    return integrate.simpson(integrand, x=theta) / (2.0 * math.pi * a ** (m - 1))
-
-
 def fpi_contour_oracle(f: TaylorFunction, m: int, a: float, n_theta: int = 64,
-                       tol: float = 1e-10, method: str = "spectral") -> float:
+                       tol: float = 1e-10) -> float:
     """Finite part of int_0^a f(x) x^{-m} dx from its contour representation.
 
     The value equals the average over the circle |z| = a of
     f(z) (log a + i (theta - pi)) e^{i (1-m) theta} / a^{m-1}.  The periodic
     factor is replaced by its trigonometric interpolant (FFT), against
     which the linear theta term integrates exactly; the resolution doubles
-    until two successive values agree to ``tol``.  ``method="simpson"``
-    keeps the plain composite-Simpson reference path at 2^14 panels.
+    until two successive values agree to ``tol``.
     """
     if m < 1:
         raise ValueError("pole strength m must be >= 1")
@@ -231,11 +227,6 @@ def fpi_contour_oracle(f: TaylorFunction, m: int, a: float, n_theta: int = 64,
         raise ValueError("contour oracle requires finite a > 0")
     if n_theta < 64 or (n_theta & (n_theta - 1)) != 0:
         raise ValueError("n_theta must be a power of two >= 64")
-    if method == "simpson":
-        return float(_contour_simpson(f, m, a))
-    if method != "spectral":
-        raise ValueError(f"unknown contour method: {method!r}")
-
     n = n_theta
     prev = _contour_spectral(f, m, a, n)
     while n < (1 << 18):

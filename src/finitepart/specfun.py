@@ -176,30 +176,6 @@ def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
     return _gauss_int_naive(n, r, s, zeta) + _gauss_int_singular(n, r, s, zeta)
 
 
-def gauss_series(a: float, b: float, c: float, z: float) -> float:
-    """Canonical 2F1 power series, |z| < 1."""
-    if abs(z) >= 1.0:
-        raise ValueError("canonical 2F1 series requires |z| < 1")
-
-    def terms():
-        t = 1.0
-        for k in count():
-            yield t
-            t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-
-    return _sum_series(terms(), "canonical 2F1 series")
-
-
-def gauss2f1_reflection(p: Gauss2F1IntParams) -> float:
-    """Same value as gauss2f1_integer with the infinite sum folded back
-    into a canonical 2F1 of argument -1/zeta."""
-    n, r, s, zeta = p.n, p.r, p.s, p.zeta
-    inner = gauss_series(n, n - s + 1, n - r + 1, -1.0 / zeta)
-    lead = ((-1) ** (s + r) * math.factorial(s - 1) * math.factorial(n - s)
-            / (math.factorial(r - 1) * math.factorial(n - r) * zeta**n))
-    return lead * inner + _gauss_int_singular(n, r, s, zeta)
-
-
 # ---------------------------------------------------------------------------
 # 2F1, branch-point parameters
 # ---------------------------------------------------------------------------

@@ -230,6 +230,44 @@ def test_replay_with_top_level_output(tmp_path, capsys):
     assert again.read_bytes() == first.read_bytes()
 
 
+def test_unreadable_replay_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["--replay", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.json"
+    assert main(["fpi", "--f", "exp(1)", "--m", "1",
+                 "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["specfun", "--family", "kummer-int", "--n", "3", "--omega", "0.2"],
+     "kummer-int needs --s"),
+    (["specfun", "--family", "kummer-int", "--n", "3", "--s", "2"],
+     "kummer-int needs --omega"),
+    (["specfun", "--family", "kummer-frac", "--n", "3", "--omega", "0.2"],
+     "kummer-frac needs --afrac"),
+    (["specfun", "--family", "kummer-frac", "--n", "3", "--afrac", "0.3"],
+     "kummer-frac needs --omega"),
+    (["specfun", "--family", "gauss-int", "--n", "5", "--r", "2", "--s", "4"],
+     "gauss-int needs --zeta"),
+    (["specfun", "--family", "gauss-branch", "--n", "3", "--s", "2",
+      "--zeta", "2"], "gauss-branch needs --mu"),
+    (["compare", "--op", "stieltjes", "--f", "exp(1)", "--n", "1"],
+     "stieltjes needs --omega"),
+])
+def test_missing_option_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     argv = ["fpi", "--f", "exp(1)", "--m", "1"]
     assert main(argv) == 0

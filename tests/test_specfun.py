@@ -7,8 +7,7 @@ from finitepart.entire import BinomialPoly, Exponential, MonomialExp
 from finitepart.oracles import quad_adaptive
 from finitepart.specfun import (Gauss2F1BranchParams, Gauss2F1IntParams,
                                 KummerParams, KummerRegime, gauss2f1_branch,
-                                gauss2f1_integer, gauss2f1_leading,
-                                gauss2f1_reflection, gauss_series, kummer_u,
+                                gauss2f1_integer, gauss2f1_leading, kummer_u,
                                 kummer_u_leading)
 from finitepart.stieltjes import TransformSpec, eval_branch, eval_integer
 
@@ -152,24 +151,6 @@ def test_gauss_int_against_quadrature(n, r, s, zeta):
     got = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
     want = gauss_int_quadrature(n, r, s, zeta)
     assert math.isclose(got, want, rel_tol=1e-10)
-
-
-@pytest.mark.parametrize("n,r,s,zeta", [(5, 2, 4, 2.0), (4, 1, 3, 1.7),
-                                        (6, 2, 4, 3.0)])
-def test_gauss_reflection_identity(n, r, s, zeta):
-    # the infinite piece folded into a canonical 2F1 of argument -1/zeta
-    got = gauss2f1_reflection(Gauss2F1IntParams(n, r, s, zeta))
-    want = gauss_int_quadrature(n, r, s, zeta)
-    assert math.isclose(got, want, rel_tol=1e-9)
-
-
-def test_gauss_series_helper():
-    # canonical series against scipy inside the unit disk
-    assert gauss_series(1.0, 2.0, 3.0, -0.5) == pytest.approx(
-        float(special.hyp2f1(1.0, 2.0, 3.0, -0.5)), rel=1e-13
-    )
-    with pytest.raises(ValueError):
-        gauss_series(1.0, 1.0, 2.0, -1.5)
 
 
 def test_gauss_int_matches_generic_transform():
