@@ -15,15 +15,15 @@ substituting x -> x/b does NOT rescale the value; a logarithm appears.
 
 import math
 
-from finitepart import (Exponential, fpi_contour_oracle, fpi_epsilon_oracle,
-                        fpi_pole_finite, fpi_pole_infinite)
+from finitepart import (Exponential, finite_part_integral, fpi_contour_oracle,
+                        fpi_epsilon_oracle)
 
 f = Exponential(1.0)
 
 print("finite part of exp(-x)/x^m on (0, 1]")
 print(f"{'m':>3} {'series':>22} {'eps-limit':>22} {'contour':>22}")
 for m in (1, 2, 3, 4):
-    series = fpi_pole_finite(f, m, 1.0).value
+    series = finite_part_integral(f, m, 0.0, 1.0).value
     eps = fpi_epsilon_oracle(f, m, 0.0, 1.0)
     contour = fpi_contour_oracle(f, m, 1.0)
     print(f"{m:>3} {series:>22.15g} {eps:>22.15g} {contour:>22.15g}")
@@ -31,8 +31,8 @@ for m in (1, 2, 3, 4):
 print()
 print("infinite upper limit: the value at b = 1 does not determine b = 2")
 for m in (1, 2, 3):
-    v1 = fpi_pole_infinite(Exponential(1.0), m).value
-    v2 = fpi_pole_infinite(Exponential(2.0), m).value
+    v1 = finite_part_integral(Exponential(1.0), m).value
+    v2 = finite_part_integral(Exponential(2.0), m).value
     naive = 2 ** (m - 1) * v1                    # what substitution predicts
     missing = (-1.0) ** m * 2 ** (m - 1) * math.log(2.0) / math.factorial(m - 1)
     print(f"  m={m}:  actual={v2:+.12f}  substitution={naive:+.12f}  "

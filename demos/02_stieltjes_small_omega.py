@@ -12,14 +12,14 @@ branch-point kernel where the missing piece is an omega^{-1/2} power.
 import math
 
 from finitepart import (Exponential, Polynomial, TransformSpec, classify,
-                        eval_branch, eval_integer, quad_adaptive)
+                        evaluate_transform, quad_adaptive)
 
 f = Exponential(1.0)
 print("S = int_0^inf exp(-x)/(omega+x) dx")
 print(f"{'omega':>10} {'naive':>14} {'singular':>14} {'total':>16} "
       f"{'quadrature':>16} {'leading -ln w':>14}")
 for omega in (1e-1, 1e-2, 1e-3, 1e-4):
-    res = eval_integer(TransformSpec(f, 1, omega))
+    res = evaluate_transform(TransformSpec(f, 1, omega))
     quad = quad_adaptive(lambda x: math.exp(-x) / (omega + x), 0.0, math.inf,
                          tol=1e-12, breakpoints=[omega, 1.0]).value
     print(f"{omega:>10.0e} {res.naive_sum:>14.8f} {res.singular:>14.8f} "
@@ -30,7 +30,7 @@ one = Polynomial([1.0])
 print("with a branch point: int_0^inf x^(-1/2)/(omega+x) dx = pi/sqrt(omega)")
 print(f"{'omega':>10} {'naive':>10} {'singular':>16} {'pi/sqrt(w)':>16}")
 for omega in (1e-1, 1e-2, 1e-3):
-    res = eval_branch(TransformSpec(one, 1, omega, nu=0.5))
+    res = evaluate_transform(TransformSpec(one, 1, omega, nu=0.5))
     print(f"{omega:>10.0e} {res.naive_sum:>10.4f} {res.singular:>16.10f} "
           f"{math.pi / math.sqrt(omega):>16.10f}")
 

@@ -6,18 +6,15 @@ from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
                      Polynomial, Scaled, TaylorFunction)
 from .errors import (DivergentIntegralError, FinitePartError,
                      IndeterminateZeroOrderError, NonconvergenceError)
-from .finite_part import (FpiMethod, FpiValue, finite_part_integral,
-                          fpi_branch_finite, fpi_branch_infinite,
-                          fpi_pole_finite, fpi_pole_infinite)
+from .finite_part import FpiMethod, FpiValue, finite_part_integral
 from .oracles import (QuadratureResult, fpi_contour_oracle, fpi_epsilon_oracle,
                       quad_adaptive)
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       KummerRegime, gauss2f1_branch, gauss2f1_integer,
                       gauss2f1_leading, kummer_u, kummer_u_leading)
 from .stieltjes import (ExpansionResult, TransformSpec, effective_diffusivity,
-                        eval_branch, eval_integer, eval_quadratic,
-                        evaluate_transform, singular_term_branch,
-                        singular_term_integer)
+                        eval_quadratic, evaluate_transform,
+                        singular_term_branch, singular_term_integer)
 
 __version__ = "0.1.0"
 
@@ -28,11 +25,9 @@ __all__ = [
     "IndeterminateZeroOrderError", "KummerParams", "KummerRegime",
     "LeadingBehavior", "LeadingKind", "MonomialExp", "NonconvergenceError",
     "Polynomial", "QuadratureResult", "Scaled", "TaylorFunction",
-    "TransformSpec", "classify", "effective_diffusivity", "eval_branch",
-    "eval_integer", "eval_quadratic", "evaluate_transform",
-    "finite_part_integral", "fpi_branch_finite", "fpi_branch_infinite",
-    "fpi_contour_oracle", "fpi_epsilon_oracle", "fpi_pole_finite",
-    "fpi_pole_infinite", "gauss2f1_branch", "gauss2f1_integer",
+    "TransformSpec", "classify", "effective_diffusivity", "eval_quadratic",
+    "evaluate_transform", "finite_part_integral", "fpi_contour_oracle",
+    "fpi_epsilon_oracle", "gauss2f1_branch", "gauss2f1_integer",
     "gauss2f1_leading", "kummer_u", "kummer_u_leading", "leading_term",
     "quad_adaptive", "singular_term_branch", "singular_term_integer",
 ]

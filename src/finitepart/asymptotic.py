@@ -18,7 +18,6 @@ with d0 the first nonzero Maclaurin coefficient of f.
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .entire import TaylorFunction
 from .finite_part import finite_part_integral
@@ -69,21 +68,14 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
             return LeadingBehavior(LeadingKind.LOG_DOMINANT, -d0, 0.0, True)
         if m <= n - 2:
             s = n - m
-            # alternating factorials cancel; keep the sum exact until the end
-            acc = Fraction(0)
-            for k in range(n - s + 1):
-                acc += (
-                    Fraction((-1) ** (n - s - k) * math.factorial(n - s),
-                             math.factorial(k) * (n - 1 - k)
-                             * math.factorial(n - s - k))
-                )
+            # the alternating factorial sum is the Beta integral
+            # B(s-1, n-s+1): an exact ratio of integers, rounded once
+            beta = (math.factorial(s - 2) * math.factorial(n - s)
+                    / math.factorial(n - 1))
             return LeadingBehavior(
-                LeadingKind.POWER_DOMINANT, d0 * float(acc), -(s - 1), False
+                LeadingKind.POWER_DOMINANT, d0 * beta, -(s - 1), False
             )
-        coeff = finite_part_integral(f, n, 0.0, a).value
-        return LeadingBehavior(LeadingKind.NAIVE_DOMINANT, coeff, 0.0, False)
-
-    if m <= n - 1:
+    elif m <= n - 1:
         acc = 0.0
         for k in range(n):
             j = m - n + k + 1

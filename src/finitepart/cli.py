@@ -410,6 +410,25 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(args.command, params)
 
 
+def _replay_config(saved) -> RunConfig:
+    """The configuration stored in a --replay document."""
+    if not isinstance(saved, dict):
+        raise ValueError("replay document is not a JSON object")
+    cfg = saved.get("config")
+    if not isinstance(cfg, dict):
+        raise ValueError('replay document has no "config" object')
+    for key in ("command", "params"):
+        if key not in cfg:
+            raise ValueError(f'replay config has no "{key}"')
+    cmd, params = cfg["command"], cfg["params"]
+    if not (isinstance(cmd, str) and cmd in _COMMANDS):
+        raise ValueError(f"replay config names unknown command {cmd!r}")
+    for name in _COMMANDS[cmd][2].split():
+        if name.endswith("!") and name[:-1] not in params:
+            raise ValueError(f'replay params have no "{name[:-1]}"')
+    return RunConfig(cmd, params)
+
+
 _parser = None  # built on the first main() call, then reused
 
 
@@ -424,8 +443,7 @@ def main(argv=None) -> int:
         if args.replay:
             with open(args.replay) as fh:
                 saved = json.load(fh)
-            config = RunConfig(saved["config"]["command"],
-                               saved["config"]["params"])
+            config = _replay_config(saved)
             fmt = "json" if fmt == "table" else fmt
         elif args.command:
             config = _config_from_args(args)

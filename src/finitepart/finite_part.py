@@ -18,6 +18,9 @@ its integrability rule and, where it has one, its closed form
 split at a0 = 1: the finite part concerns only the origin, so
 fpi(f, m, nu, a0) plus an ordinary adaptive integral over [a0, inf) is
 exact and involves no cancellation between log a and the tail sum.
+
+:func:`finite_part_integral` is the one entry point for every (m, nu, a);
+only the nu = 0 head and the a = inf route depend on the case.
 """
 
 import enum
@@ -58,21 +61,6 @@ class FpiValue:
     tail_bound: float
 
 
-def _check_nu(nu: float) -> None:
-    if nu == 0.0:
-        return
-    if not (NU_GUARD < nu < 1.0 - NU_GUARD):
-        raise ValueError(
-            "branch exponent nu must be 0 exactly or lie in "
-            f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}"
-        )
-
-
-def _check_m(m: int) -> None:
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError("pole strength m must be an integer >= 1")
-
-
 def _series_terms(coeff, m, nu, a, k0):
     ap = a ** (k0 + 1 - m - nu)
     for k in count(k0):
@@ -106,12 +94,16 @@ def _series_sum(f, m, nu, a, tol, start):
     return s.total_or_raise("finite-part series"), s.terms, s.last
 
 
-def fpi_pole_finite(f: TaylorFunction, m: int, a: float,
-                    tol: float = DEFAULT_TOL) -> FpiValue:
-    """Finite part of int_0^a f(x) x^{-m} dx for finite a."""
-    _check_m(m)
-    if not (0.0 < a < math.inf):
-        raise ValueError("fpi_pole_finite requires finite a > 0")
+def _fpi_finite(f, m, nu, a, tol):
+    """Finite part of int_0^a f(x) x^{-m-nu} dx for finite a > 0.
+
+    At nu = 0 the rungs k < m have closed forms (the c_{m-1} ln a head
+    and the negative powers below it) and the series starts at k = m; at
+    0 < nu < 1 it starts at k = 0.
+    """
+    if nu != 0.0:
+        total, used, bound = _series_sum(f, m, nu, a, tol, start=0)
+        return FpiValue(total, FpiMethod.SERIES_FINITE, used, bound)
     head = 0.0
     cm1 = f.coeff(m - 1)
     if cm1 != 0.0:
@@ -124,28 +116,12 @@ def fpi_pole_finite(f: TaylorFunction, m: int, a: float,
     return FpiValue(head + tail, FpiMethod.SERIES_FINITE, used, bound)
 
 
-def fpi_branch_finite(f: TaylorFunction, m: int, nu: float, a: float,
-                      tol: float = DEFAULT_TOL) -> FpiValue:
-    """Finite part of int_0^a f(x) x^{-m-nu} dx, 0 < nu < 1, finite a."""
-    _check_m(m)
-    _check_nu(nu)
-    if nu == 0.0:
-        raise ValueError("fpi_branch_finite requires 0 < nu < 1")
-    if not (0.0 < a < math.inf):
-        raise ValueError("fpi_branch_finite requires finite a > 0")
-    total, used, bound = _series_sum(f, m, nu, a, tol, start=0)
-    return FpiValue(total, FpiMethod.SERIES_FINITE, used, bound)
-
-
 # ---------------------------------------------------------------------------
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
 def _split_infinite(f, m, nu, tol):
-    if nu == 0.0:
-        fin = fpi_pole_finite(f, m, SPLIT_POINT, tol)
-    else:
-        fin = fpi_branch_finite(f, m, nu, SPLIT_POINT, tol)
+    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol)
     power = m + nu
     q = quad_adaptive(lambda x: f.eval(x) * x ** (-power), SPLIT_POINT,
                       math.inf, tol=1e-13)
@@ -170,39 +146,22 @@ def _fpi_infinite(f, m, nu, tol):
     return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
 
 
-def fpi_pole_infinite(f: TaylorFunction, m: int,
-                      tol: float = DEFAULT_TOL) -> FpiValue:
-    """Finite part of int_0^inf f(x) x^{-m} dx, by the descriptor's
-    ``fpi_infinite`` closed form or else by the split at a0 = 1."""
-    _check_m(m)
-    return _fpi_infinite(f, m, 0.0, tol)
-
-
-def fpi_branch_infinite(f: TaylorFunction, m: int, nu: float,
-                        tol: float = DEFAULT_TOL) -> FpiValue:
-    """Finite part of int_0^inf f(x) x^{-m-nu} dx, 0 < nu < 1, by the
-    descriptor's ``fpi_infinite`` closed form or else by the split."""
-    _check_m(m)
-    _check_nu(nu)
-    if nu == 0.0:
-        raise ValueError("fpi_branch_infinite requires 0 < nu < 1")
-    return _fpi_infinite(f, m, nu, tol)
-
-
 # ---------------------------------------------------------------------------
-# dispatcher
+# entry point
 # ---------------------------------------------------------------------------
 
 def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                          a: float = math.inf,
                          tol: float = DEFAULT_TOL) -> FpiValue:
-    """Route an (f, m, nu, a) finite-part query to the right evaluator."""
-    _check_m(m)
-    _check_nu(nu)
+    """Finite part of int_0^a f(x) x^{-m-nu} dx, m >= 1, nu = 0 or
+    0 < nu < 1, 0 < a <= inf."""
+    if not (isinstance(m, int) and m >= 1):
+        raise ValueError("pole strength m must be an integer >= 1")
+    if nu != 0.0 and not (NU_GUARD < nu < 1.0 - NU_GUARD):
+        raise ValueError("branch exponent nu must be 0 exactly or lie in "
+                         f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
     if not a > 0:
         raise ValueError("upper limit a must be positive")
     if math.isinf(a):
         return _fpi_infinite(f, m, nu, tol)
-    if nu == 0.0:
-        return fpi_pole_finite(f, m, a, tol)
-    return fpi_branch_finite(f, m, nu, a, tol)
+    return _fpi_finite(f, m, nu, a, tol)

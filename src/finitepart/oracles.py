@@ -24,7 +24,11 @@ from .entire import TaylorFunction
 from .errors import NonconvergenceError
 from .series import power_terms, sum_until_small
 
-_QUAD_LIMIT = 200
+_QUAD_LIMIT = 200  # QUADPACK subinterval limit
+_EPS_LIST = (1e-2, 1e-3, 1e-4)  # epsilon oracle sample points, decreasing
+_EPS_QUAD_TOL = 1e-12
+_CONTOUR_N_THETA = 64  # first contour resolution, a power of two
+_CONTOUR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,10 @@ class QuadratureResult:
     evaluations: int
 
 
-def _quad_once(fn, lo, hi, tol, limit):
+def _quad_once(fn, lo, hi, tol):
     from scipy.integrate import quad
 
-    out = quad(fn, lo, hi, epsabs=1e-15, epsrel=tol, limit=limit,
+    out = quad(fn, lo, hi, epsabs=1e-15, epsrel=tol, limit=_QUAD_LIMIT,
                full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
@@ -50,7 +54,7 @@ def _quad_once(fn, lo, hi, tol, limit):
 
 
 def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
-                  singular_lo=False, limit=_QUAD_LIMIT) -> QuadratureResult:
+                  singular_lo=False) -> QuadratureResult:
     """Adaptive quadrature of a convergent integral on (lo, hi].
 
     Parameters
@@ -81,18 +85,18 @@ def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
             cut = x1 if math.isfinite(x1) else x0 + 1.0
             tmax = math.sqrt(cut - x0)
             v, e, n = _quad_once(
-                lambda t: 2.0 * t * integrand(x0 + t * t), 0.0, tmax, tol, limit
+                lambda t: 2.0 * t * integrand(x0 + t * t), 0.0, tmax, tol
             )
             total += v
             err += e
             neval += n
             if cut != x1:
-                v, e, n = _quad_once(integrand, cut, x1, tol, limit)
+                v, e, n = _quad_once(integrand, cut, x1, tol)
                 total += v
                 err += e
                 neval += n
         else:
-            v, e, n = _quad_once(integrand, x0, x1, tol, limit)
+            v, e, n = _quad_once(integrand, x0, x1, tol)
             total += v
             err += e
             neval += n
@@ -132,8 +136,8 @@ def _taylor_remainder(f: TaylorFunction, m: int, x: float, cap: int = 600) -> fl
     return total
 
 
-def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float, a: float,
-                       eps_list=(1e-2, 1e-3, 1e-4), quad_tol=1e-12) -> float:
+def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
+                       a: float) -> float:
     """Finite part of int_0^a f(x) x^{-m-nu} dx from its defining limit.
 
     For each eps the regularized value C_eps (integral on [eps, a] minus
@@ -150,10 +154,7 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float, a: float,
         raise ValueError("branch exponent nu must lie in [0, 1)")
     if not (0.0 < a < math.inf):
         raise ValueError("epsilon oracle requires finite a > 0")
-    eps = [float(e) for e in eps_list]
-    if len(eps) < 2 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if eps[0] >= a:
+    if _EPS_LIST[0] >= a:
         raise ValueError("all eps must be smaller than a")
 
     # eps-free part: head coefficients integrated on [eps, a] minus the
@@ -174,16 +175,16 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float, a: float,
     def integrand(x):
         return _taylor_remainder(f, m, x) / x**power
 
-    c_vals = [head + quad_adaptive(integrand, e, a, tol=quad_tol).value
-              for e in eps]
+    c_vals = [head + quad_adaptive(integrand, e, a, tol=_EPS_QUAD_TOL).value
+              for e in _EPS_LIST]
 
     import numpy as np
 
     # solve C(eps) = L + sum_j A_j eps^{j+1-nu} for the limit L
-    npts = len(eps)
+    npts = len(_EPS_LIST)
     powers = [j + 1.0 - nu for j in range(npts - 1)]
     mat = np.ones((npts, npts))
-    for i, e in enumerate(eps):
+    for i, e in enumerate(_EPS_LIST):
         for j, p in enumerate(powers):
             mat[i, j + 1] = e**p
     sol = np.linalg.solve(mat, np.asarray(c_vals))
@@ -211,28 +212,25 @@ def _contour_spectral(f, m, a, n):
     return complex(val) / a ** (m - 1)
 
 
-def fpi_contour_oracle(f: TaylorFunction, m: int, a: float, n_theta: int = 64,
-                       tol: float = 1e-10) -> float:
+def fpi_contour_oracle(f: TaylorFunction, m: int, a: float) -> float:
     """Finite part of int_0^a f(x) x^{-m} dx from its contour representation.
 
     The value equals the average over the circle |z| = a of
     f(z) (log a + i (theta - pi)) e^{i (1-m) theta} / a^{m-1}.  The periodic
     factor is replaced by its trigonometric interpolant (FFT), against
     which the linear theta term integrates exactly; the resolution doubles
-    until two successive values agree to ``tol``.
+    from 64 nodes until two successive values agree to 1e-10.
     """
     if m < 1:
         raise ValueError("pole strength m must be >= 1")
     if not (0.0 < a < math.inf):
         raise ValueError("contour oracle requires finite a > 0")
-    if n_theta < 64 or (n_theta & (n_theta - 1)) != 0:
-        raise ValueError("n_theta must be a power of two >= 64")
-    n = n_theta
+    n = _CONTOUR_N_THETA
     prev = _contour_spectral(f, m, a, n)
     while n < (1 << 18):
         n *= 2
         cur = _contour_spectral(f, m, a, n)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < _CONTOUR_TOL:
             return float(cur.real)
         prev = cur
     raise NonconvergenceError(

@@ -16,7 +16,7 @@ Empty sums are zero and 1/(negative integer)! is zero throughout.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
@@ -89,7 +89,7 @@ class KummerParams:
     s_or_a: float
     n: int
     omega: float
-    regime: KummerRegime = None
+    regime: KummerRegime = field(init=False)
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -98,21 +98,15 @@ class KummerParams:
             raise ValueError("omega must be positive")
         v = self.s_or_a
         if isinstance(v, int) and v >= 1:
-            inferred = (KummerRegime.INT_ORDER_N_GE_S if self.n >= v
-                        else KummerRegime.INT_ORDER_N_LT_S)
+            regime = (KummerRegime.INT_ORDER_N_GE_S if self.n >= v
+                      else KummerRegime.INT_ORDER_N_LT_S)
         elif 0.0 < v < 1.0:
-            inferred = KummerRegime.FRAC_ORDER
+            regime = KummerRegime.FRAC_ORDER
         else:
             raise ValueError(
                 "first parameter must be a positive integer s or a real in (0,1)"
             )
-        if self.regime is None:
-            object.__setattr__(self, "regime", inferred)
-        elif self.regime is not inferred:
-            raise ValueError(
-                f"regime tag {self.regime} inconsistent with parameters "
-                f"(expected {inferred})"
-            )
+        object.__setattr__(self, "regime", regime)
 
 
 def _sum_series(terms, what):

@@ -11,9 +11,10 @@ term-by-term integration and sing collects the pole (nu = 0) or
 branch-point (0 < nu < 1) contributions of f(z) (omega+z)^{-n} that
 term-by-term integration misses.  The singular part carries the dominant
 behavior as omega -> 0 whenever the zero order of f at the origin is
-below n.  The quadratic kernel 1/(omega^2 + x^2) follows the same pattern
-with residues at +-i omega, which is what the high-Peclet effective
-diffusivity expansion needs.
+below n.  :func:`evaluate_transform` computes both parts for every nu;
+only the singular term depends on the case.  The quadratic kernel
+1/(omega^2 + x^2) follows the same pattern with residues at +-i omega,
+which is what the high-Peclet effective diffusivity expansion needs.
 """
 
 import math
@@ -159,39 +160,25 @@ def _naive_series(fpi_at, n, omega, tol, k_max, keep_terms, power_step=1):
     return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
 
 
-def eval_integer(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
-                 k_max: int = None, keep_terms: bool = False) -> ExpansionResult:
-    """Evaluate int_0^a f/(omega+x)^n dx by its exact decomposition (nu=0)."""
-    if spec.nu != 0.0:
-        raise ValueError("eval_integer handles nu = 0; use eval_branch")
-    f, n, omega, a = spec.f, spec.n, spec.omega, spec.a
-    naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, 0.0, a, n, 1), n, omega, tol, k_max, keep_terms,
-    )
-    sing = singular_term_integer(f, n, omega)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
-
-
-def eval_branch(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
-                k_max: int = None, keep_terms: bool = False) -> ExpansionResult:
-    """Evaluate int_0^a x^{-nu} f/(omega+x)^n dx exactly (0 < nu < 1)."""
-    if not (0.0 < spec.nu < 1.0):
-        raise ValueError("eval_branch requires 0 < nu < 1")
-    f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
-    naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, nu, a, n, 1), n, omega, tol, k_max, keep_terms,
-    )
-    sing = singular_term_branch(f, n, nu, omega)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
-
-
 def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
                        k_max: int = None,
                        keep_terms: bool = False) -> ExpansionResult:
-    """Dispatch a TransformSpec on its branch exponent."""
-    if spec.nu == 0.0:
-        return eval_integer(spec, tol, k_max, keep_terms)
-    return eval_branch(spec, tol, k_max, keep_terms)
+    """Evaluate int_0^a x^{-nu} f/(omega+x)^n dx by its exact decomposition.
+
+    The naive series is the same for every nu; the singular part is the
+    pole term at nu = 0 and the branch-point term at 0 < nu < 1.
+    """
+    f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
+    if nu == 0.0:
+        nu = 0.0  # an int 0 shares the float rungs (see _rungs)
+    naive, k_used, tail, ok, rows = _naive_series(
+        _rungs(f, nu, spec.a, n, 1), n, omega, tol, k_max, keep_terms,
+    )
+    if nu == 0.0:
+        sing = singular_term_integer(f, n, omega)
+    else:
+        sing = singular_term_branch(f, n, nu, omega)
+    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
 
 
 def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,

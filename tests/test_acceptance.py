@@ -19,8 +19,7 @@ from scipy import special
 from finitepart.asymptotic import classify
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial)
-from finitepart.finite_part import (finite_part_integral, fpi_branch_infinite,
-                                    fpi_pole_infinite)
+from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import EULER_GAMMA
 from finitepart.oracles import (fpi_contour_oracle, fpi_epsilon_oracle,
                                 quad_adaptive)
@@ -28,8 +27,7 @@ from finitepart.specfun import (Gauss2F1BranchParams, Gauss2F1IntParams,
                                 KummerParams, gauss2f1_branch,
                                 gauss2f1_integer, kummer_u)
 from finitepart.stieltjes import (TransformSpec, effective_diffusivity,
-                                  eval_branch, eval_integer, eval_quadratic,
-                                  evaluate_transform)
+                                  eval_quadratic, evaluate_transform)
 
 ONE = Polynomial([1.0])
 GRID_F = [Exponential(1.0), Exponential(2.0), ONE, BinomialPoly(1, 2),
@@ -66,13 +64,13 @@ def test_criterion_01_finite_part_oracle_equivalence():
 
 def test_criterion_02_closed_form_infinite_values():
     failures = []
-    got = fpi_pole_infinite(Exponential(1.0), 1).value
+    got = finite_part_integral(Exponential(1.0), 1).value
     if not _close(got, -EULER_GAMMA, 1e-12):
         failures.append(("euler", got))
     for b in (1.0, 2.0, 5.0):
         for m in (1, 2, 3):
             for nu in (0.25, 0.5, 0.75):
-                got = fpi_branch_infinite(Exponential(b), m, nu).value
+                got = finite_part_integral(Exponential(b), m, nu).value
                 want = ((-1.0) ** m * b ** (m + nu - 1) * math.pi
                         / (math.sin(math.pi * nu) * math.gamma(m + nu)))
                 if not _close(got, want, 1e-12):
@@ -84,8 +82,8 @@ def test_criterion_03_scaling_anomaly():
     failures = []
     for b in (2.0, math.e, 10.0):
         for m in (1, 2, 3):
-            lhs = fpi_pole_infinite(Exponential(b), m).value \
-                - b ** (m - 1) * fpi_pole_infinite(Exponential(1.0), m).value
+            lhs = finite_part_integral(Exponential(b), m).value \
+                - b ** (m - 1) * finite_part_integral(Exponential(1.0), m).value
             rhs = ((-1.0) ** m * b ** (m - 1) * math.log(b)
                    / math.factorial(m - 1))
             if not _close(lhs, rhs, 1e-12):
@@ -110,15 +108,15 @@ def test_criterion_04_integer_order_exactness():
                 for omega in (0.1, 0.25, 0.5):
                     if not omega < a:
                         continue
-                    got = eval_integer(
+                    got = evaluate_transform(
                         TransformSpec(f, n, omega, a), tol=1e-12).total
                     want = _transform_quadrature(f, n, 0.0, omega, a)
                     if not _close(got, want, 1e-8):
                         failures.append((repr(f), n, a, omega, got, want))
-    got = eval_integer(TransformSpec(ONE, 1, 0.5, 1.0)).total
+    got = evaluate_transform(TransformSpec(ONE, 1, 0.5, 1.0)).total
     if not _close(got, math.log(3.0), 1e-12):
         failures.append(("log3", got))
-    got = eval_integer(TransformSpec(Exponential(1.0), 2, 0.5)).total
+    got = evaluate_transform(TransformSpec(Exponential(1.0), 2, 0.5)).total
     want = 1.0 / 0.5 - math.exp(0.5) * float(special.exp1(0.5))
     if not _close(got, want, 1e-8):
         failures.append(("exp-n2", got, want))
@@ -133,16 +131,16 @@ def test_criterion_05_branch_order_exactness():
                 for omega in (0.1, 0.25, 0.5):
                     if not omega < a:
                         continue
-                    got = eval_branch(
+                    got = evaluate_transform(
                         TransformSpec(f, n, omega, a, nu=0.5), tol=1e-12).total
                     want = _transform_quadrature(f, n, 0.5, omega, a)
                     if not _close(got, want, 1e-8):
                         failures.append((repr(f), n, a, omega, got, want))
     for omega in (0.1, 0.25, 0.5):
-        got = eval_branch(TransformSpec(ONE, 1, omega, nu=0.5)).total
+        got = evaluate_transform(TransformSpec(ONE, 1, omega, nu=0.5)).total
         if not _close(got, math.pi / math.sqrt(omega), 1e-12):
             failures.append(("pi-sqrt", omega, got))
-        got = eval_branch(TransformSpec(ONE, 1, omega, 1.0, nu=0.5)).total
+        got = evaluate_transform(TransformSpec(ONE, 1, omega, 1.0, nu=0.5)).total
         want = 2.0 / math.sqrt(omega) * math.atan(1.0 / math.sqrt(omega))
         if not _close(got, want, 1e-10):
             failures.append(("atan", omega, got, want))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ def test_classify_power_dominant():
     assert lb.kind is LeadingKind.POWER_DOMINANT
     assert lb.exponent == -2
     assert lb.coefficient == pytest.approx(0.5, rel=1e-15)
+
+
+def test_power_dominant_coefficient_is_the_factorial_sum():
+    # the alternating factorial sum, kept exact until one final rounding
+    for n in range(2, 31):
+        for s in range(2, n + 1):
+            acc = sum(Fraction((-1) ** (n - s - k) * math.factorial(n - s),
+                               math.factorial(k) * (n - 1 - k)
+                               * math.factorial(n - s - k))
+                      for k in range(n - s + 1))
+            lb = classify(Polynomial([1.0], lowest=n - s), n, 0.0)
+            assert lb.kind is LeadingKind.POWER_DOMINANT
+            assert lb.exponent == -(s - 1)
+            assert lb.coefficient == float(acc), (n, s)
 
 
 def test_classify_naive_dominant():

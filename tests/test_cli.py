@@ -237,6 +237,25 @@ def test_unreadable_replay_exits_2(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("doc, named", [
+    ([{"command": "fpi", "params": {}}], "not a JSON object"),
+    ({"results": []}, 'no "config" object'),
+    ({"config": {"params": {"f": "exp(1)", "m": 1}}}, 'no "command"'),
+    ({"config": {"command": "fpi"}}, 'no "params"'),
+    ({"config": {"command": "bogus", "params": {}}},
+     "unknown command 'bogus'"),
+    ({"config": {"command": "fpi", "params": {"m": 1}}},
+     'params have no "f"'),
+], ids=["top-level-list", "no-config", "no-command", "no-params",
+        "unknown-command", "no-required-option"])
+def test_malformed_replay_names_the_problem(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: replay ") and named in err
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "out.json"
     assert main(["fpi", "--f", "exp(1)", "--m", "1",

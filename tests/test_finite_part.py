@@ -6,9 +6,7 @@ from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
 from finitepart.finite_part import (FpiMethod, _split_infinite,
-                                    finite_part_integral, fpi_branch_finite,
-                                    fpi_branch_infinite, fpi_pole_finite,
-                                    fpi_pole_infinite)
+                                    finite_part_integral)
 from finitepart.gammafn import EULER_GAMMA, digamma_int
 from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
 
@@ -46,35 +44,35 @@ GRID_F = [Exponential(1.0), Exponential(2.0), Polynomial([1.0]),
 
 
 def test_pole_finite_examples():
-    v = fpi_pole_finite(Exponential(1.0), 1, 1.0)
+    v = finite_part_integral(Exponential(1.0), 1, 0.0, 1.0)
     assert v.value == pytest.approx(-0.7965995993, abs=1e-9)
     assert v.method is FpiMethod.SERIES_FINITE
     assert v.terms_used > 0 and v.tail_bound >= 0
 
-    v = fpi_pole_finite(Polynomial([1.0]), 2, 1.0)
+    v = finite_part_integral(Polynomial([1.0]), 2, 0.0, 1.0)
     assert v.value == -1.0
     assert v.tail_bound == 0.0  # finite stream summed exactly
 
-    v = fpi_pole_finite(BinomialPoly(0, 2), 2, 1.0)
+    v = finite_part_integral(BinomialPoly(0, 2), 2, 0.0, 1.0)
     assert v.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pole_infinite_closed_forms():
-    v = fpi_pole_infinite(Exponential(1.0), 1)
+    v = finite_part_integral(Exponential(1.0), 1)
     assert v.method is FpiMethod.CLOSED_FORM and v.terms_used == 0
     assert v.value == pytest.approx(-EULER_GAMMA, rel=1e-15)
 
-    v = fpi_pole_infinite(Exponential(2.0), 1)
+    v = finite_part_integral(Exponential(2.0), 1)
     assert v.value == pytest.approx(-(math.log(2.0) + EULER_GAMMA), rel=1e-14)
 
-    v = fpi_pole_infinite(Exponential(1.0), 2)
+    v = finite_part_integral(Exponential(1.0), 2)
     assert v.value == pytest.approx(EULER_GAMMA - 1.0, rel=1e-14)
 
 
 def test_pole_infinite_split_matches_closed_form():
     for b in (1.0, 2.0, 5.0):
         for m in (1, 2, 3):
-            closed = fpi_pole_infinite(Exponential(b), m)
+            closed = finite_part_integral(Exponential(b), m)
             split = _split_infinite(Exponential(b), m, 0.0, 1e-15)
             assert split.method is FpiMethod.SPLIT_INFINITE
             assert math.isclose(closed.value, split.value,
@@ -82,25 +80,25 @@ def test_pole_infinite_split_matches_closed_form():
 
 
 def test_branch_finite_examples():
-    v = fpi_branch_finite(Polynomial([1.0]), 1, 0.5, 1.0)
+    v = finite_part_integral(Polynomial([1.0]), 1, 0.5, 1.0)
     assert v.value == pytest.approx(-2.0, rel=1e-15)
 
-    v = fpi_branch_finite(Exponential(1.0), 1, 0.5, 1.0)
+    v = finite_part_integral(Exponential(1.0), 1, 0.5, 1.0)
     assert v.value == pytest.approx(-3.723055, abs=1e-5)
 
     # 1/(-1/2) + (-2)/(1/2) + 1/(3/2)
-    v = fpi_branch_finite(BinomialPoly(0, 2), 1, 0.5, 1.0)
+    v = finite_part_integral(BinomialPoly(0, 2), 1, 0.5, 1.0)
     assert v.value == pytest.approx(-16.0 / 3.0, rel=1e-14)
 
 
 def test_branch_infinite_closed_forms():
-    v = fpi_branch_infinite(Exponential(1.0), 1, 0.5)
+    v = finite_part_integral(Exponential(1.0), 1, 0.5)
     assert v.value == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
 
-    v = fpi_branch_infinite(Exponential(2.0), 1, 0.5)
+    v = finite_part_integral(Exponential(2.0), 1, 0.5)
     assert v.value == pytest.approx(-2.0 * math.sqrt(2.0 * math.pi), rel=1e-14)
 
-    v = fpi_branch_infinite(Exponential(1.0), 2, 0.5)
+    v = finite_part_integral(Exponential(1.0), 2, 0.5)
     assert v.value == pytest.approx(4.0 * math.sqrt(math.pi) / 3.0, rel=1e-14)
 
 
@@ -108,7 +106,7 @@ def test_branch_infinite_split_matches_closed_form():
     for b in (1.0, 2.0):
         for m in (1, 2):
             for nu in (0.25, 0.5, 0.75):
-                closed = fpi_branch_infinite(Exponential(b), m, nu)
+                closed = finite_part_integral(Exponential(b), m, nu)
                 split = _split_infinite(Exponential(b), m, nu, 1e-15)
                 assert math.isclose(closed.value, split.value,
                                     rel_tol=1e-10, abs_tol=1e-12)
@@ -117,22 +115,22 @@ def test_branch_infinite_split_matches_closed_form():
 def test_closed_forms_beyond_float_range_are_nonconvergence():
     # b^(m-1)/(m-1)! and Gamma(m+nu) leave float range near m = 172
     with pytest.raises(NonconvergenceError):
-        fpi_pole_infinite(Exponential(2.0), 200)
+        finite_part_integral(Exponential(2.0), 200)
     with pytest.raises(NonconvergenceError):
-        fpi_branch_infinite(Exponential(2.0), 200, 0.5)
+        finite_part_integral(Exponential(2.0), 200, 0.5)
     with pytest.raises(NonconvergenceError):
         finite_part_integral(MonomialExp(1, 50.0), 173)
 
 
 def test_monomial_exp_reductions():
     # x^p e^{-bx} x^{-m} reduces to the pure exponential at strength m - p
-    lhs = fpi_pole_infinite(MonomialExp(2, 1.0), 3)
-    rhs = fpi_pole_infinite(Exponential(1.0), 1)
+    lhs = finite_part_integral(MonomialExp(2, 1.0), 3)
+    rhs = finite_part_integral(Exponential(1.0), 1)
     assert lhs.value == pytest.approx(rhs.value, rel=1e-14)
     # and to an ordinary Gamma integral once the singularity is gone
-    v = fpi_pole_infinite(MonomialExp(2, 1.0), 1)
+    v = finite_part_integral(MonomialExp(2, 1.0), 1)
     assert v.value == pytest.approx(1.0, rel=1e-14)  # int x e^{-x}
-    v = fpi_branch_infinite(MonomialExp(2, 1.0), 1, 0.5)
+    v = finite_part_integral(MonomialExp(2, 1.0), 1, 0.5)
     assert v.value == pytest.approx(math.gamma(1.5), rel=1e-14)
 
 
@@ -154,9 +152,9 @@ def test_polynomial_closed_form_agrees_with_series(m, nu, a):
     f = BinomialPoly(1, 2)  # r = 1, s = 3
     closed = fpi_polynomial(f, m, nu, a)
     if nu == 0.0:
-        series = fpi_pole_finite(f, m, a).value
+        series = finite_part_integral(f, m, 0.0, a).value
     else:
-        series = fpi_branch_finite(f, m, nu, a).value
+        series = finite_part_integral(f, m, nu, a).value
     assert math.isclose(closed, series, rel_tol=1e-13, abs_tol=1e-13)
 
 
@@ -165,7 +163,7 @@ def test_mixed_regime_denominators_match_epsilon_oracle(m):
     # regression guard for the negative-power denominators (m-k-1) a^{m-k-1}:
     # m = s+1 exercises the log boundary, m = s+2 the pure negative sum
     f = BinomialPoly(1, 2)
-    series = fpi_pole_finite(f, m, 1.37).value
+    series = finite_part_integral(f, m, 0.0, 1.37).value
     oracle = fpi_epsilon_oracle(f, m, 0.0, 1.37)
     assert math.isclose(series, oracle, rel_tol=1e-6, abs_tol=1e-9)
 
@@ -200,8 +198,8 @@ def test_remark_one_convergent_case(nu):
 @pytest.mark.parametrize("b", [2.0, math.e, 10.0])
 def test_scaling_anomaly_pole(m, b):
     # naive substitution x -> x/b misses the logarithm
-    lhs = fpi_pole_infinite(Exponential(b), m).value \
-        - b ** (m - 1) * fpi_pole_infinite(Exponential(1.0), m).value
+    lhs = finite_part_integral(Exponential(b), m).value \
+        - b ** (m - 1) * finite_part_integral(Exponential(1.0), m).value
     rhs = (-1.0) ** m * b ** (m - 1) * math.log(b) / math.factorial(m - 1)
     assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-14)
 
@@ -211,21 +209,21 @@ def test_scaling_anomaly_pole(m, b):
 @pytest.mark.parametrize("nu", [0.25, 0.75])
 def test_scaling_covariance_branch(m, b, nu):
     # with a branch point, substitution does hold
-    lhs = fpi_branch_infinite(Exponential(b), m, nu).value
-    rhs = b ** (m + nu - 1) * fpi_branch_infinite(Exponential(1.0), m, nu).value
+    lhs = finite_part_integral(Exponential(b), m, nu).value
+    rhs = b ** (m + nu - 1) * finite_part_integral(Exponential(1.0), m, nu).value
     assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
 def test_integrability_rejections():
     with pytest.raises(DivergentIntegralError):
-        fpi_pole_infinite(BinomialPoly(0, 2), 5)
+        finite_part_integral(BinomialPoly(0, 2), 5)
     with pytest.raises(DivergentIntegralError):
-        fpi_pole_infinite(Polynomial([1.0, 1.0]), 2)  # degree 1 > m-2
+        finite_part_integral(Polynomial([1.0, 1.0]), 2)  # degree 1 > m-2
     with pytest.raises(DivergentIntegralError):
-        fpi_branch_infinite(Polynomial([1.0, 1.0]), 1, 0.5)
+        finite_part_integral(Polynomial([1.0, 1.0]), 1, 0.5)
     opaque = CustomSeries(lambda k: 0.0 if k else 1.0, lambda x: 1.0)
     with pytest.raises(DivergentIntegralError):
-        fpi_pole_infinite(opaque, 3)
+        finite_part_integral(opaque, 3)
 
 
 @pytest.mark.parametrize("f", [MonomialExp(2, 1.0), MonomialExp(3, 0.7),
@@ -264,30 +262,26 @@ def test_integrability_rejection_messages():
 
 def test_polynomial_infinite_limits_vanish():
     # every admissible polynomial term decays in the a -> inf limit
-    assert fpi_pole_infinite(Polynomial([1.0]), 2).value == 0.0
-    assert fpi_pole_infinite(Polynomial([3.0], lowest=1), 4).value == 0.0
-    assert fpi_branch_infinite(Polynomial([1.0]), 1, 0.5).value == 0.0
+    assert finite_part_integral(Polynomial([1.0]), 2).value == 0.0
+    assert finite_part_integral(Polynomial([3.0], lowest=1), 4).value == 0.0
+    assert finite_part_integral(Polynomial([1.0]), 1, 0.5).value == 0.0
 
 
 def test_scaled_functions_scale_linearly():
     f = Exponential(1.0)
-    v = fpi_pole_infinite(f * 0.5, 1)
+    v = finite_part_integral(f * 0.5, 1)
     assert v.value == pytest.approx(-0.5 * EULER_GAMMA, rel=1e-14)
-    v = fpi_pole_finite(f * 2.0, 1, 1.0)
-    assert v.value == pytest.approx(2.0 * fpi_pole_finite(f, 1, 1.0).value,
-                                    rel=1e-14)
+    v = finite_part_integral(f * 2.0, 1, 0.0, 1.0)
+    want = 2.0 * finite_part_integral(f, 1, 0.0, 1.0).value
+    assert v.value == pytest.approx(want, rel=1e-14)
 
 
 def test_validation_errors():
     f = Exponential(1.0)
     with pytest.raises(ValueError):
-        fpi_pole_finite(f, 0, 1.0)
+        finite_part_integral(f, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        fpi_pole_finite(f, 1, math.inf)
-    with pytest.raises(ValueError):
-        fpi_branch_finite(f, 1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        fpi_branch_finite(f, 1, 1.0 - 1e-13, 1.0)  # inside the nu guard
+        finite_part_integral(f, 1, 1.0 - 1e-13, 1.0)  # inside the nu guard
     with pytest.raises(ValueError):
         finite_part_integral(f, 1, 1e-14, 1.0)
 
@@ -295,14 +289,14 @@ def test_validation_errors():
 def test_term_cap_env_override(monkeypatch):
     monkeypatch.setenv("FPI_MAX_TERMS", "4")
     with pytest.raises(NonconvergenceError):
-        fpi_pole_finite(Exponential(1.0), 1, 2.0)
+        finite_part_integral(Exponential(1.0), 1, 0.0, 2.0)
     monkeypatch.delenv("FPI_MAX_TERMS")
-    fpi_pole_finite(Exponential(1.0), 1, 2.0)  # default cap is plenty
+    finite_part_integral(Exponential(1.0), 1, 0.0, 2.0)  # default cap is plenty
 
 
 def test_kiw2_family_digamma_values():
     # pure b = 1: value is -(-1)^m psi(m)/(m-1)!
     for m in (1, 2, 3, 4):
-        got = fpi_pole_infinite(Exponential(1.0), m).value
+        got = finite_part_integral(Exponential(1.0), m).value
         want = -((-1.0) ** m) * digamma_int(m) / math.factorial(m - 1)
         assert got == pytest.approx(want, rel=1e-15)

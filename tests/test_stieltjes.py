@@ -11,8 +11,7 @@ from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
 from finitepart.oracles import quad_adaptive
 from finitepart.stieltjes import (ExpansionResult, TransformSpec,
-                                  effective_diffusivity, eval_branch,
-                                  eval_integer, eval_quadratic,
+                                  effective_diffusivity, eval_quadratic,
                                   evaluate_transform, singular_term_branch,
                                   singular_term_integer)
 
@@ -75,7 +74,7 @@ def test_singular_term_validation():
 # ---------------------------------------------------------------------------
 
 def test_eval_integer_constant_closed_form():
-    res = eval_integer(TransformSpec(ONE, 1, 0.5, 1.0))
+    res = evaluate_transform(TransformSpec(ONE, 1, 0.5, 1.0))
     assert res.total == pytest.approx(math.log(3.0), rel=1e-12)
     assert res.naive_sum == pytest.approx(math.log(1.5), rel=1e-11)
     assert res.singular == pytest.approx(-math.log(0.5), rel=1e-15)
@@ -84,18 +83,18 @@ def test_eval_integer_constant_closed_form():
 
 
 def test_eval_integer_exponential_infinite():
-    res = eval_integer(TransformSpec(EXP1, 1, 0.5))
+    res = evaluate_transform(TransformSpec(EXP1, 1, 0.5))
     want = math.exp(0.5) * special.exp1(0.5)
     assert res.total == pytest.approx(want, abs=1e-9)
 
-    res = eval_integer(TransformSpec(EXP1, 2, 0.5))
+    res = evaluate_transform(TransformSpec(EXP1, 2, 0.5))
     assert res.total == pytest.approx(1.0 / 0.5 - want, abs=1e-9)
 
 
 def test_eval_integer_reduces_to_first_order_decomposition():
     # at n = 1 the singular part is exactly -f(-omega) ln(omega)
     for omega in (0.1, 0.4):
-        res = eval_integer(TransformSpec(EXP1, 1, omega, 2.0))
+        res = evaluate_transform(TransformSpec(EXP1, 1, omega, 2.0))
         assert res.singular == pytest.approx(
             -EXP1.eval(-omega) * math.log(omega), rel=1e-15
         )
@@ -104,14 +103,12 @@ def test_eval_integer_reduces_to_first_order_decomposition():
 def test_eval_integer_domain_errors():
     with pytest.raises(ValueError, match="omega < a"):
         TransformSpec(ONE, 1, 0.7, 0.5)
-    with pytest.raises(ValueError):
-        eval_integer(TransformSpec(ONE, 1, 0.1, 1.0, nu=0.5))
     with pytest.raises(DivergentIntegralError):
-        eval_integer(TransformSpec(BinomialPoly(0, 2), 1, 0.5))
+        evaluate_transform(TransformSpec(BinomialPoly(0, 2), 1, 0.5))
 
 
 def test_eval_integer_nonconvergence_reported_not_raised():
-    res = eval_integer(TransformSpec(EXP1, 1, 0.9, 1.0), k_max=3)
+    res = evaluate_transform(TransformSpec(EXP1, 1, 0.9, 1.0), k_max=3)
     assert not res.converged
     assert res.k_used == 3
     assert res.tail_estimate > 0
@@ -119,8 +116,10 @@ def test_eval_integer_nonconvergence_reported_not_raised():
 
 def test_negative_k_max_is_rejected():
     for call in (
-        lambda k: eval_integer(TransformSpec(EXP1, 1, 0.9, 1.0), k_max=k),
-        lambda k: eval_branch(TransformSpec(EXP1, 1, 0.5, nu=0.5), k_max=k),
+        lambda k: evaluate_transform(TransformSpec(EXP1, 1, 0.9, 1.0),
+                                     k_max=k),
+        lambda k: evaluate_transform(TransformSpec(EXP1, 1, 0.5, nu=0.5),
+                                     k_max=k),
         lambda k: eval_quadratic(EXP1, 0.3, k_max=k),
     ):
         for k in (-1, -5):
@@ -131,14 +130,14 @@ def test_negative_k_max_is_rejected():
 
 def test_monotone_refinement():
     spec = TransformSpec(EXP1, 2, 0.1, 1.0)
-    full = eval_integer(spec)
+    full = evaluate_transform(spec)
     for k_max in (3, 5, 8, 12):
-        short = eval_integer(spec, k_max=k_max)
+        short = evaluate_transform(spec, k_max=k_max)
         assert abs(full.total - short.total) <= short.tail_estimate
 
 
 def test_per_term_reporting():
-    res = eval_integer(TransformSpec(ONE, 1, 0.5, 1.0), keep_terms=True)
+    res = evaluate_transform(TransformSpec(ONE, 1, 0.5, 1.0), keep_terms=True)
     assert res.per_term is not None
     ks = [row[0] for row in res.per_term]
     assert ks == list(range(res.k_used + 1))
@@ -199,21 +198,16 @@ def test_a_consistency(nu):
 # ---------------------------------------------------------------------------
 
 def test_eval_branch_closed_forms():
-    res = eval_branch(TransformSpec(ONE, 1, 0.25, nu=0.5))
+    res = evaluate_transform(TransformSpec(ONE, 1, 0.25, nu=0.5))
     assert res.total == pytest.approx(2.0 * math.pi, rel=1e-13)
     assert res.naive_sum == 0.0  # all infinite-limit finite parts vanish
 
-    res = eval_branch(TransformSpec(ONE, 1, 0.25, 1.0, nu=0.5))
+    res = evaluate_transform(TransformSpec(ONE, 1, 0.25, 1.0, nu=0.5))
     assert res.total == pytest.approx(4.0 * math.atan(2.0), rel=1e-11)
 
-    res = eval_branch(TransformSpec(EXP1, 1, 1.0, nu=0.5))
+    res = evaluate_transform(TransformSpec(EXP1, 1, 1.0, nu=0.5))
     assert res.total == pytest.approx(math.pi * math.e * special.erfc(1.0),
                                       abs=1e-9)
-
-
-def test_eval_branch_requires_branch_exponent():
-    with pytest.raises(ValueError):
-        eval_branch(TransformSpec(ONE, 1, 0.25, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,7 @@ def test_effective_diffusivity_domain_error():
 
 
 def test_expansion_result_fields():
-    res = eval_integer(TransformSpec(EXP1, 1, 0.5, 1.0))
+    res = evaluate_transform(TransformSpec(EXP1, 1, 0.5, 1.0))
     assert isinstance(res, ExpansionResult)
     assert res.total == res.naive_sum + res.singular
     assert res.tail_estimate >= 0.0
@@ -378,6 +372,16 @@ def test_raising_rung_raises_again(fpi_calls):
     assert fpi_calls == [1, 1]
 
 
+def test_int_nu_zero_shares_the_float_rungs(fpi_calls):
+    f = Exponential(1.0)
+    want = evaluate_transform(TransformSpec(f, 2, 0.3, 1.0), keep_terms=True)
+    computed = len(fpi_calls)
+    got = evaluate_transform(TransformSpec(f, 2, 0.3, 1.0, nu=0),
+                             keep_terms=True)
+    assert _bits(got) == _bits(want)
+    assert len(fpi_calls) == computed > 0
+
+
 def test_sweep_computes_each_rung_once(fpi_calls):
     f = Exponential(1.0)
     k_used = [evaluate_transform(TransformSpec(f, 2, omega, 1.0)).k_used
@@ -406,3 +410,30 @@ def test_shared_ladder_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+# the per-case wrappers that finite_part_integral and evaluate_transform
+# replaced
+REMOVED = ([f"fpi_{case}_{upper}" for case in ("pole", "branch")
+            for upper in ("finite", "infinite")]
+           + [f"eval_{case}" for case in ("integer", "branch")])
+
+
+def test_every_exported_name_resolves():
+    import finitepart
+
+    for name in finitepart.__all__:
+        assert getattr(finitepart, name) is not None, name
+
+
+def test_removed_wrappers_are_gone():
+    import finitepart
+    from finitepart import finite_part
+
+    for mod in (finitepart, finite_part, stieltjes):
+        for name in REMOVED:
+            assert not hasattr(mod, name), (mod.__name__, name)
