@@ -423,6 +423,8 @@ def _replay_config(saved) -> RunConfig:
     cmd, params = cfg["command"], cfg["params"]
     if not (isinstance(cmd, str) and cmd in _COMMANDS):
         raise ValueError(f"replay config names unknown command {cmd!r}")
+    if not isinstance(params, dict):
+        raise ValueError('replay config "params" is not a JSON object')
     for name in _COMMANDS[cmd][2].split():
         if name.endswith("!") and name[:-1] not in params:
             raise ValueError(f'replay params have no "{name[:-1]}"')

@@ -12,10 +12,10 @@ differentiates a black box numerically.
 Instances are immutable after construction and safe to share across
 threads.  Each keeps two caches, both written without a lock: the
 coefficient memo, which is idempotent because ``_coeff`` is a pure
-function of k, and the rung ladder of :mod:`finitepart.stieltjes`, the
-finite-part values FPI(f, m, nu, a) of one (nu, a) pair, which a transform
-replaces as a whole when it needs another pair.  A race between threads
-can only compute the same value twice.
+function of k, and the rung ladder (:meth:`TaylorFunction.rungs`), the
+finite-part values FPI(f, m, nu, a) of one (nu, a, tol), which is replaced
+as a whole when another one is needed.  A race between threads can only
+compute the same value twice.
 """
 
 import cmath
@@ -45,8 +45,8 @@ class TaylorFunction:
 
     def __init__(self):
         self._memo = {}
-        # (nu, a, {m: FpiValue}), owned by finitepart.stieltjes
-        self._ladder = (None, None, {})
+        # (key, {m: FpiValue}); see rungs()
+        self._ladder = (None, {})
 
     # -- coefficients ------------------------------------------------
 
@@ -115,6 +115,27 @@ class TaylorFunction:
         """Polynomial degree if the stream terminates, else None."""
         return None
 
+    def exp_family(self):
+        """(p, b, c) when f is c x^p exp(-b x), else None."""
+        return None
+
+    # -- finite parts -------------------------------------------------
+
+    def rungs(self, nu, a, tol) -> dict:
+        """The stored finite parts {m: FpiValue} of FPI(f, m, nu, a) at
+        tolerance tol.
+
+        The ladder holds a single (nu, a, tol); another one, or an equal
+        nu or a of another type (which can round differently), replaces it
+        with a fresh dict, so a thread that still holds the old one reads
+        consistent rungs.
+        """
+        key = (nu, type(nu), a, type(a), tol)
+        lad = self._ladder
+        if lad[0] != key:
+            lad = self._ladder = (key, {})
+        return lad[1]
+
     # -- infinite upper limit ---------------------------------------
 
     def check_integrable_at_infinity(self, m: int, nu: float) -> None:
@@ -175,6 +196,9 @@ class Exponential(TaylorFunction):
 
     def zero_order(self):
         return 0
+
+    def exp_family(self):
+        return 0, self.b, 1.0
 
     def check_integrable_at_infinity(self, m, nu):
         """exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
@@ -344,6 +368,9 @@ class MonomialExp(TaylorFunction):
     def zero_order(self):
         return self.p
 
+    def exp_family(self):
+        return self.p, self.b, 1.0
+
     def check_integrable_at_infinity(self, m, nu):
         """x^p exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
 
@@ -443,6 +470,13 @@ class Scaled(TaylorFunction):
 
     def finite_degree(self):
         return self.base.finite_degree()
+
+    def exp_family(self):
+        shape = self.base.exp_family()
+        if shape is None:
+            return None
+        p, b, c = shape
+        return p, b, self.factor * c
 
     def check_integrable_at_infinity(self, m, nu):
         self.base.check_integrable_at_infinity(m, nu)

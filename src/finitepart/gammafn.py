@@ -2,14 +2,26 @@
 
 Only the pieces the series representations actually need live here:
 digamma at positive integers, log-gamma with sign for arbitrary real
-(non-pole) arguments, and rising factorials.  Negative non-integer
-arguments go through the reflection formula so no evaluation ever lands
-next to a pole of Gamma itself.
+(non-pole) arguments, rising factorials, and the two incomplete-gamma
+pieces of the exponential-family finite parts: the generalized
+exponential integral E_p(z) for z > 1 and the lower incomplete gamma
+function.  Negative non-integer arguments go through the reflection
+formula so no evaluation ever lands next to a pole of Gamma itself.
 """
 
 import math
+from itertools import count
+
+from .errors import NonconvergenceError
+from .series import sum_until_small
 
 EULER_GAMMA = 0.57721566490153286061
+UNIT_ROUNDOFF = 2.0 ** -53
+
+# modified Lentz stops once a convergent moves the value by at most 1 ulp
+_CF_EPS = 2.0 ** -52
+# below exp(-700) the upper incomplete gamma is lost next to Gamma(s)
+_EXP_FLOOR = -700.0
 
 # Harmonic numbers H_0, H_1, ... grown on demand with compensated
 # accumulation (error stays below one ulp of the running sum).
@@ -82,3 +94,55 @@ def inv_factorial(n: int) -> float:
     if n < 0:
         return 0.0
     return 1.0 / math.factorial(n)
+
+
+def expint(p: float, z: float, cap: int) -> tuple[float, int]:
+    """E_p(z) = int_1^inf e^{-z t} t^{-p} dt for p > 0 and z > 1.
+
+    The even continued fraction of DLMF 8.19.17,
+    E_p(z) = e^{-z} / (z+p - 1*p / (z+p+2 - 2*(p+1) / (z+p+4 - ...))),
+    by modified Lentz.  Returns (value, iterations); more than ``cap``
+    iterations raise NonconvergenceError.
+    """
+    b = z + p
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    for i in range(1, cap + 1):
+        an = -i * (p - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _CF_EPS:
+            return h * math.exp(-z), i
+    raise NonconvergenceError(f"E_{p:g}({z:g}) continued fraction did not "
+                              f"converge within {max(cap, 0)} iterations")
+
+
+def lower_gamma(s: float, x: float, rtol: float, cap: int):
+    """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt for s > 0 and x > 0.
+
+    The positive-term series of DLMF 8.7.1,
+    x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)), summed to ``rtol`` by
+    :func:`~finitepart.series.sum_until_small` within ``cap`` terms.
+    Returns (value, terms, bound), the bound covering the truncation, the
+    rounding of the term products and that of x^s e^{-x}.  Where x^s e^{-x}
+    leaves float range below and x > s, the value is Gamma(s) to rounding.
+    """
+    lead = s * math.log(x) - x
+    if lead < _EXP_FLOOR and x > s:
+        g = math.gamma(s)
+        return g, 0, UNIT_ROUNDOFF * g
+
+    def terms():
+        t = math.exp(lead) / s
+        for k in count(1):
+            yield t
+            t *= x / (s + k)
+
+    r = sum_until_small(terms(), rtol, cap)
+    total = r.total_or_raise("lower incomplete gamma series")
+    rounding = (r.terms + 2 + abs(lead)) * UNIT_ROUNDOFF * total
+    return total, r.terms, r.last + rounding

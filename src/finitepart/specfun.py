@@ -109,9 +109,9 @@ class KummerParams:
         object.__setattr__(self, "regime", regime)
 
 
-def _sum_series(terms, what):
-    """sum_until_small to relative tolerance 1e-15 within term_cap() terms."""
-    return sum_until_small(terms, _SERIES_RTOL, term_cap()).total_or_raise(what)
+def _sum_series(terms, what, cap):
+    """sum_until_small to relative tolerance 1e-15 within ``cap`` terms."""
+    return sum_until_small(terms, _SERIES_RTOL, cap).total_or_raise(what)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _gauss_int_cm(n, r, s, m) -> Fraction:
     return acc
 
 
-def _gauss_int_naive(n, r, s, zeta):
+def _gauss_int_naive(n, r, s, zeta, cap):
     pref = math.factorial(s - 1) / (math.factorial(n - 1) * math.factorial(r - 1))
 
     def terms():
@@ -148,7 +148,7 @@ def _gauss_int_naive(n, r, s, zeta):
             yield (-1) ** k * mk * float(_gauss_int_ak(n, r, s, k))
             mk *= (n + k) / ((k + 1) * zeta)
 
-    return pref * _sum_series(terms(), "2F1 naive series")
+    return pref * _sum_series(terms(), "2F1 naive series", cap)
 
 
 def _gauss_int_singular(n, r, s, zeta):
@@ -167,14 +167,15 @@ def _gauss_int_singular(n, r, s, zeta):
 def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
     """2F1(n, r; s; -zeta) as a convergent large-argument expansion."""
     n, r, s, zeta = p.n, p.r, p.s, p.zeta
-    return _gauss_int_naive(n, r, s, zeta) + _gauss_int_singular(n, r, s, zeta)
+    return (_gauss_int_naive(n, r, s, zeta, term_cap())
+            + _gauss_int_singular(n, r, s, zeta))
 
 
 # ---------------------------------------------------------------------------
 # 2F1, branch-point parameters
 # ---------------------------------------------------------------------------
 
-def _gauss_branch_naive(n, s, mu, zeta):
+def _gauss_branch_naive(n, s, mu, zeta, cap):
     g = gamma_real(s - mu + 2.0)
     pref = g / (gamma_real(1.0 - mu) * math.factorial(n - 1) * zeta**n)
 
@@ -188,7 +189,7 @@ def _gauss_branch_naive(n, s, mu, zeta):
             bk *= (s - mu + 1.0 - n - k) / (-mu - n - k)
             mk *= (n + k) / (k + 1)
 
-    return pref * _sum_series(terms(), "2F1 branch naive series")
+    return pref * _sum_series(terms(), "2F1 branch naive series", cap)
 
 
 def _gauss_branch_singular(n, s, mu, zeta):
@@ -208,7 +209,8 @@ def _gauss_branch_singular(n, s, mu, zeta):
 def gauss2f1_branch(p: Gauss2F1BranchParams) -> float:
     """2F1(n, 1-mu; s-mu+2; -zeta) as a convergent large-argument expansion."""
     n, s, mu, zeta = p.n, p.s, p.mu, p.zeta
-    return _gauss_branch_naive(n, s, mu, zeta) + _gauss_branch_singular(n, s, mu, zeta)
+    return (_gauss_branch_naive(n, s, mu, zeta, term_cap())
+            + _gauss_branch_singular(n, s, mu, zeta))
 
 
 def gauss2f1_leading(p, zeta: float = None) -> float:
@@ -251,7 +253,7 @@ def _kummer_dm(s, n, m) -> Fraction:
     return acc
 
 
-def _kummer_int(s, n, omega):
+def _kummer_int(s, n, omega, cap):
     # term-by-term integrals are divergent from k0 = max(0, s-n) on
     pref = ((-1.0) ** (n - s) * omega ** (n - s)
             / (math.factorial(s - 1) * math.factorial(n - 1)))
@@ -266,7 +268,7 @@ def _kummer_int(s, n, omega):
             rk *= (n + k) / ((k + n - s + 1) * (k + 1))
             wk *= omega
 
-    t1 = pref * _sum_series(terms(), "Kummer U series")
+    t1 = pref * _sum_series(terms(), "Kummer U series", cap)
     if n < s:
         # the first s-n terms integrate as ordinary Gamma integrals
         head = 0.0
@@ -291,7 +293,7 @@ def _kummer_int(s, n, omega):
     return t1 + t_log + t_poly
 
 
-def _kummer_frac(a, n, omega):
+def _kummer_frac(a, n, omega, cap):
     pref = ((-1.0) ** n * gamma_real(1.0 - a) * omega ** (n - a)
             / math.factorial(n - 1))
 
@@ -303,7 +305,7 @@ def _kummer_frac(a, n, omega):
             rk *= (n + k) / ((n + k + 1.0 - a) * (k + 1))
             wk *= omega
 
-    t1 = pref * _sum_series(terms(), "Kummer U series")
+    t1 = pref * _sum_series(terms(), "Kummer U series", cap)
 
     acc = 0.0
     for k in range(n):
@@ -316,9 +318,10 @@ def _kummer_frac(a, n, omega):
 
 def kummer_u(p: KummerParams) -> float:
     """Kummer U at the covered parameter families, by regime."""
+    cap = term_cap()
     if p.regime is KummerRegime.FRAC_ORDER:
-        return _kummer_frac(float(p.s_or_a), p.n, p.omega)
-    return _kummer_int(int(p.s_or_a), p.n, p.omega)
+        return _kummer_frac(float(p.s_or_a), p.n, p.omega, cap)
+    return _kummer_int(int(p.s_or_a), p.n, p.omega, cap)
 
 
 def kummer_u_leading(p: KummerParams, omega: float = None) -> float:

@@ -105,19 +105,12 @@ def _rungs(f, nu, a, m0, step):
     """k -> FPI(f, m0 + step*k, nu, a), read from f's rung ladder.
 
     The rungs do not depend on omega, so a sweep on one descriptor computes
-    each of them once.  The ladder holds the rungs of a single (nu, a)
-    pair; another pair (or an equal value of another type, which can round
-    differently) replaces it with a fresh tuple, so a thread that still
-    holds the old one reads consistent rungs.  Only values are stored: a
-    rung that raises is computed, and raises, again on the next call.
-    ``FPI_MAX_TERMS`` is read when a rung is computed, so a stored rung
-    keeps the cap it was computed under.
+    each of them once (:meth:`~finitepart.entire.TaylorFunction.rungs`).
+    Only values are stored: a rung that raises is computed, and raises,
+    again on the next call.  ``FPI_MAX_TERMS`` is read when a rung is
+    computed, so a stored rung keeps the cap it was computed under.
     """
-    lad = f._ladder
-    if (lad[0] != nu or lad[1] != a or type(lad[0]) is not type(nu)
-            or type(lad[1]) is not type(a)):
-        lad = f._ladder = (nu, a, {})
-    rungs = lad[2]
+    rungs = f.rungs(nu, a, _FPI_TOL)
 
     def fpi_at(k):
         m = m0 + step * k
@@ -140,7 +133,16 @@ def _naive_terms(fpi_at, n, ostep, rows):
         wk *= ostep
 
 
-def _naive_series(fpi_at, n, omega, tol, k_max, keep_terms, power_step=1):
+def _term_cap(k_max):
+    """The naive-series cap: k_max, or term_cap() when it is None."""
+    if k_max is None:
+        return term_cap()
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0; got {k_max}")
+    return k_max
+
+
+def _naive_series(fpi_at, n, omega, tol, cap, keep_terms, power_step=1):
     """sum_k binom(-n,k) omega^{power_step*k} FPI_k for k = 0..cap.
 
     binom(-n,k) = (-1)^k binom(n+k-1,k) in exact integers, promoted per
@@ -151,9 +153,6 @@ def _naive_series(fpi_at, n, omega, tol, k_max, keep_terms, power_step=1):
     sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged, rows).
     """
-    if k_max is not None and k_max < 0:
-        raise ValueError(f"k_max must be >= 0; got {k_max}")
-    cap = k_max if k_max is not None else term_cap()
     rows = [] if keep_terms else None
     s = sum_until_small(_naive_terms(fpi_at, n, omega**power_step, rows), tol,
                         cap + 1)
@@ -169,10 +168,11 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.
     """
     f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
+    cap = _term_cap(k_max)
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see _rungs)
     naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, nu, spec.a, n, 1), n, omega, tol, k_max, keep_terms,
+        _rungs(f, nu, spec.a, n, 1), n, omega, tol, cap, keep_terms,
     )
     if nu == 0.0:
         sing = singular_term_integer(f, n, omega)
@@ -195,8 +195,9 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
         raise ValueError("omega must be positive")
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
+    cap = _term_cap(k_max)
     naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, 0.0, a, 2, 2), 1, omega, tol, k_max, keep_terms,
+        _rungs(f, 0.0, a, 2, 2), 1, omega, tol, cap, keep_terms,
         power_step=2,
     )
     fi = f.eval_complex(1j * omega)

@@ -246,8 +246,10 @@ def test_unreadable_replay_exits_2(tmp_path, capsys):
      "unknown command 'bogus'"),
     ({"config": {"command": "fpi", "params": {"m": 1}}},
      'params have no "f"'),
+    ({"config": {"command": "fpi", "params": "f m"}},
+     '"params" is not a JSON object'),
 ], ids=["top-level-list", "no-config", "no-command", "no-params",
-        "unknown-command", "no-required-option"])
+        "unknown-command", "no-required-option", "params-not-object"])
 def test_malformed_replay_names_the_problem(tmp_path, capsys, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -294,6 +294,76 @@ def test_term_cap_env_override(monkeypatch):
     finite_part_integral(Exponential(1.0), 1, 0.0, 2.0)  # default cap is plenty
 
 
+# ---------------------------------------------------------------------------
+# exponential family at finite a: the recurrence on the rung ladder
+# ---------------------------------------------------------------------------
+
+def _fpi_bits(v):
+    return repr((v.value, v.method, v.tail_bound))
+
+
+@pytest.mark.parametrize("make", [lambda: Exponential(1.3),
+                                  lambda: MonomialExp(2, 0.8),
+                                  lambda: -0.5 * Exponential(2.5)])
+@pytest.mark.parametrize("nu,a", [(0.0, 0.7), (0.0, 9.0), (0.25, 0.7),
+                                  (0.5, 9.0)])
+def test_recurrence_rungs_do_not_depend_on_call_order(make, nu, a):
+    ms = list(range(1, 41))
+    climbed = make()
+    want = [_fpi_bits(finite_part_integral(climbed, m, nu, a)) for m in ms]
+    backwards = make()
+    got = {m: _fpi_bits(finite_part_integral(backwards, m, nu, a))
+           for m in reversed(ms)}
+    assert [got[m] for m in ms] == want
+    # every rung on a fresh descriptor is one climb from the seed
+    for m in (5, 23, 40):
+        assert _fpi_bits(finite_part_integral(make(), m, nu, a)) == want[m - 1]
+
+
+def test_recurrence_terms_used_counts_the_work_of_the_call():
+    f = Exponential(1.0)
+    seed = finite_part_integral(f, 1, 0.0, 2.0)  # continued fraction, ab > 1
+    assert seed.method is FpiMethod.RECURRENCE and seed.terms_used > 4
+    assert [finite_part_integral(f, m, 0.0, 2.0).terms_used
+            for m in (2, 3, 5)] == [1, 1, 2]
+    fresh = finite_part_integral(Exponential(1.0), 5, 0.0, 2.0)
+    assert fresh.terms_used == seed.terms_used + 4
+    # below ab = 1 the seed is the series rung, and only the steps count
+    low = finite_part_integral(Exponential(1.0), 4, 0.0, 0.5)
+    first = finite_part_integral(Exponential(1.0), 1, 0.0, 0.5)
+    assert first.method is FpiMethod.SERIES_FINITE
+    assert low.terms_used == first.terms_used + 3
+
+
+def test_monomial_exp_below_its_power_is_an_ordinary_integral():
+    f = MonomialExp(3, 0.7)
+    for m in (1, 2, 3):
+        v = finite_part_integral(f, m, 0.25, 4.0)
+        assert v.method is FpiMethod.SERIES_FINITE
+
+        def integrand(x, m=m):
+            return x ** (3 - m - 0.25) * math.exp(-0.7 * x)
+
+        want = quad_adaptive(integrand, 0.0, 4.0, tol=1e-12).value
+        assert v.value == pytest.approx(want, rel=1e-11)
+    assert finite_part_integral(f, 5, 0.25, 4.0).method is FpiMethod.RECURRENCE
+
+
+def test_ladder_keeps_rungs_of_one_tolerance():
+    f = Exponential(1.0)
+    loose = finite_part_integral(f, 3, 0.0, 0.5, tol=1e-6)
+    tight = finite_part_integral(f, 3, 0.0, 0.5)
+    assert tight.value == finite_part_integral(Exponential(1.0), 3, 0.0,
+                                               0.5).value
+    assert loose.value != tight.value
+
+
+def test_recurrence_beyond_float_range_is_nonconvergence():
+    # a^{1-m} leaves float range at a = 0.5 past m = 1024
+    with pytest.raises(NonconvergenceError, match="m = 1025"):
+        finite_part_integral(Exponential(1.0), 1100, 0.0, 0.5)
+
+
 def test_kiw2_family_digamma_values():
     # pure b = 1: value is -(-1)^m psi(m)/(m-1)!
     for m in (1, 2, 3, 4):

@@ -1,10 +1,13 @@
-"""Closed forms at a = inf against an mpmath reference that shares no
+"""Exponential-family finite parts against mpmath references that share no
 formula with the library.
 
 For f(x) = x^p exp(-b x) the finite part of int_0^inf f(x) x^{-m-nu} dx
 is the analytic continuation of int_0^inf x^{-s} e^{-bx} dx = b^(s-1)
 Gamma(1-s) in s = m + nu - p; at an integer s it is the constant term of
-the Laurent expansion there, taken as the mean of F(s+e) and F(s-e).
+the Laurent expansion there, taken as the mean of F(s+e) and F(s-e).  At a
+finite a the part beyond a, int_a^inf e^{-bx} x^{-s} dx = a^{1-s} E_s(ab),
+is subtracted; for m <= p the integral is ordinary, b^{-s'} gamma(s', ab)
+with s' = p - m + 1 - nu.
 """
 
 import math
@@ -13,22 +16,43 @@ import mpmath
 import pytest
 
 from finitepart.entire import Exponential, MonomialExp
-from finitepart.finite_part import finite_part_integral
+from finitepart.finite_part import FpiMethod, _fpi_finite, finite_part_integral
+from finitepart.gammafn import expint, lower_gamma
 
 
-def reference(p, b, m, nu):
-    with mpmath.workdps(50):
-        s = m + mpmath.mpf(nu) - p
+def _reference_mp(p, b, m, nu, a=math.inf):
+    """The 50-digit reference as an mpf (call inside workdps(50))."""
+    s = m + mpmath.mpf(nu) - p
+    b = mpmath.mpf(b)
+    if s < 1:
+        return mpmath.gammainc(1 - s, 0, b * a) / b ** (1 - s)
 
-        def F(t):
-            return mpmath.mpf(b) ** (t - 1) * mpmath.gamma(1 - t)
+    def F(t):
+        return b ** (t - 1) * mpmath.gamma(1 - t)
 
-        if s != int(s):
-            return float(F(s))
+    if s != int(s):
+        value = F(s)
+    else:
         # a power of two near 1e-20 keeps s +- e exact, so only the pole
         # terms cancel in the mean
         e = mpmath.mpf(2) ** -66
-        return float((F(s + e) + F(s - e)) / 2)
+        value = (F(s + e) + F(s - e)) / 2
+    if math.isfinite(a):
+        a = mpmath.mpf(a)
+        value -= a ** (1 - s) * mpmath.expint(s, a * b)
+    return value
+
+
+def reference(p, b, m, nu, a=math.inf):
+    with mpmath.workdps(50):
+        return float(_reference_mp(p, b, m, nu, a))
+
+
+def _within(v, ref, rel=1e-12):
+    """v is within rel of ref, or within the rung's reported bound."""
+    with mpmath.workdps(50):
+        err = abs(v.value - ref)
+        return err <= rel * abs(ref) or err <= v.tail_bound
 
 
 @pytest.mark.parametrize("p,b", [(0, 1.0), (0, 2.0), (0, 0.3), (1, 2.0),
@@ -39,3 +63,88 @@ def test_closed_form_matches_mpmath(p, b, m, nu):
     f = Exponential(b) if p == 0 else MonomialExp(p, b)
     got = finite_part_integral(f, m, nu, math.inf).value
     assert math.isclose(got, reference(p, b, m, nu), rel_tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# finite a: the recurrence and its seeds
+# ---------------------------------------------------------------------------
+
+# every rung of each ladder is climbed; these are compared
+CHECKED_M = (1, 2, 3, 4, 6, 9, 14, 21, 33, 50, 75, 93, 120)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 30.0, 200.0])
+@pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
+def test_exponential_rungs_at_finite_a_match_mpmath(a, b):
+    for nu in (0.0, 0.25, 0.5, 0.75):
+        f = Exponential(b)
+        rungs = {m: finite_part_integral(f, m, nu, a) for m in range(1, 121)}
+        with mpmath.workdps(50):
+            for m in CHECKED_M:
+                ref = _reference_mp(0, b, m, nu, a)
+                assert _within(rungs[m], ref), (a, b, nu, m)
+
+
+@pytest.mark.parametrize("p,b,a", [(2, 1.0, 0.5), (2, 1.0, 10.0),
+                                   (3, 0.7, 2.0), (1, 2.5, 30.0),
+                                   (4, 0.3, 200.0)])
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.75])
+def test_monomial_exp_rungs_at_finite_a_match_mpmath(p, b, a, nu):
+    f = MonomialExp(p, b)
+    with mpmath.workdps(50):
+        for m in list(range(1, p + 4)) + [p + 20, p + 60]:
+            v = finite_part_integral(f, m, nu, a)
+            assert _within(v, _reference_mp(p, b, m, nu, a)), (m, v)
+
+
+@pytest.mark.parametrize("f,p,b,c", [
+    (2.5 * Exponential(1.0), 0, 1.0, 2.5),
+    (Exponential(0.3) * -0.5, 0, 0.3, -0.5),
+    (-0.5 * MonomialExp(2, 1.5), 2, 1.5, -0.5),
+])
+@pytest.mark.parametrize("a", [0.5, 10.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_scaled_rungs_at_finite_a_match_mpmath(f, p, b, c, a, nu):
+    with mpmath.workdps(50):
+        for m in range(1, p + 30):
+            v = finite_part_integral(f, m, nu, a)
+            assert _within(v, c * _reference_mp(p, b, m, nu, a)), (m, v)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.3), (0.5, 1.0), (2.0, 0.3),
+                                 (1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
+def test_recurrence_agrees_with_maclaurin_rung_where_ab_le_1(a, b, nu):
+    f = Exponential(b)
+    for m in range(1, 61):
+        got = finite_part_integral(f, m, nu, a)
+        old = _fpi_finite(Exponential(b), m, nu, a, 1e-15, 10_000)
+        want = FpiMethod.SERIES_FINITE if m == 1 else FpiMethod.RECURRENCE
+        assert got.method is want
+        assert math.isclose(got.value, old.value, rel_tol=1e-12), m
+
+
+@pytest.mark.parametrize("a", [40.0, 60.0])
+def test_first_rung_at_large_a_matches_mpmath(a):
+    v = finite_part_integral(Exponential(1.0), 1, 0.0, a)
+    assert v.method is FpiMethod.RECURRENCE
+    assert math.isclose(v.value, reference(0, 1.0, 1, 0.0, a), rel_tol=1e-14)
+    assert v.value == pytest.approx(-0.5772, abs=1e-4)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 3.0, 40.5])
+@pytest.mark.parametrize("z", [1.0001, 1.5, 3.0, 10.0, 100.0, 700.0])
+def test_expint_matches_mpmath(p, z):
+    value, iters = expint(p, z, 10_000)
+    assert 0 < iters < 100
+    with mpmath.workdps(50):
+        assert math.isclose(value, float(mpmath.expint(p, z)), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.25, 1.0, 2.75, 5.0])
+@pytest.mark.parametrize("x", [0.01, 0.5, 2.0, 30.0, 500.0, 800.0])
+def test_lower_gamma_matches_mpmath(s, x):
+    value, terms, bound = lower_gamma(s, x, 1e-15, 10_000)
+    with mpmath.workdps(50):
+        ref = mpmath.gammainc(s, 0, x)
+        assert abs(value - ref) <= max(1e-13 * ref, bound)

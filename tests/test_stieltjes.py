@@ -362,7 +362,9 @@ def fpi_calls(monkeypatch):
 
 
 def test_raising_rung_raises_again(fpi_calls):
-    spec = TransformSpec(Exponential(1.0), 1, 54.0, 60.0)
+    f = CustomSeries(Exponential(1.0).coeff, lambda x: math.exp(-x),
+                     decaying=True)
+    spec = TransformSpec(f, 1, 54.0, 60.0)
     errors = []
     for _ in range(2):
         with pytest.raises(NonconvergenceError) as exc:
