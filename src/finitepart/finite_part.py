@@ -30,13 +30,11 @@ fpi(f, m, nu, a0) plus an ordinary adaptive integral over [a0, inf) is
 exact and involves no cancellation between log a and the tail sum.
 
 :func:`finite_part_integral` is the one entry point for every (m, nu, a);
-only the nu = 0 head and the route depend on the case.  It reads
-``term_cap()`` once, where a route first needs it, and passes it down.
+only the nu = 0 head and the route depend on the case.
 """
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from itertools import count
 
@@ -46,15 +44,9 @@ from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive
 from .series import sum_until_small
 
-DEFAULT_TERM_CAP = 10_000
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
 SPLIT_POINT = 1.0
-
-
-def term_cap() -> int:
-    """Hard cap on summed series terms; FPI_MAX_TERMS overrides it."""
-    return int(os.environ.get("FPI_MAX_TERMS", DEFAULT_TERM_CAP))
 
 
 class FpiMethod(enum.Enum):
@@ -89,11 +81,11 @@ def _series_terms(coeff, m, nu, a, k0):
         ap *= a
 
 
-def _series_sum(f, m, nu, a, tol, start, cap):
+def _series_sum(f, m, nu, a, tol, start):
     """sum_{k>=start} c_k a^{k+1-m-nu}/(k+1-m-nu).
 
-    Summed by :func:`~finitepart.series.sum_until_small` to ``tol`` within
-    ``cap`` terms; finite-degree functions are summed exactly.
+    Summed by :func:`~finitepart.series.sum_until_small` to ``tol``;
+    finite-degree functions are summed exactly.
     Returns (total, terms_used, tail_bound), the tail bound being the
     magnitude of the last term.
     """
@@ -111,11 +103,11 @@ def _series_sum(f, m, nu, a, tol, start, cap):
             used += 1
         return total, used, 0.0
 
-    s = sum_until_small(_series_terms(f.coeff, m, nu, a, k0), tol, cap)
+    s = sum_until_small(_series_terms(f.coeff, m, nu, a, k0), tol)
     return s.total_or_raise("finite-part series"), s.terms, s.last
 
 
-def _fpi_finite(f, m, nu, a, tol, cap):
+def _fpi_finite(f, m, nu, a, tol):
     """Finite part of int_0^a f(x) x^{-m-nu} dx for finite a > 0.
 
     At nu = 0 the rungs k < m have closed forms (the c_{m-1} ln a head
@@ -123,17 +115,19 @@ def _fpi_finite(f, m, nu, a, tol, cap):
     0 < nu < 1 it starts at k = 0.
     """
     if nu != 0.0:
-        total, used, bound = _series_sum(f, m, nu, a, tol, 0, cap)
+        total, used, bound = _series_sum(f, m, nu, a, tol, 0)
         return FpiValue(total, FpiMethod.SERIES_FINITE, used, bound)
     head = 0.0
     cm1 = f.coeff(m - 1)
     if cm1 != 0.0:
         head += cm1 * math.log(a)
-    for k in range(m - 1):
+    deg = f.finite_degree()
+    stop = m - 1 if deg is None else min(m - 1, deg + 1)
+    for k in range(f.zero_order(), stop):
         c = f.coeff(k)
         if c != 0.0:
             head -= c / ((m - k - 1) * a ** (m - k - 1))
-    tail, used, bound = _series_sum(f, m, 0.0, a, tol, m, cap)
+    tail, used, bound = _series_sum(f, m, 0.0, a, tol, m)
     return FpiValue(head + tail, FpiMethod.SERIES_FINITE, used, bound)
 
 
@@ -141,13 +135,13 @@ def _fpi_finite(f, m, nu, a, tol, cap):
 # exponential family at finite a
 # ---------------------------------------------------------------------------
 
-def _exp_seed(f, p, b, c, nu, a, tol, cap):
+def _exp_seed(f, p, b, c, nu, a, tol):
     """FPI(f, p + 1, nu, a), where the recurrence starts: the series while
     ab <= 1, else the a = inf closed form less c a^{-nu} E_{1+nu}(ab)."""
     x = a * b
     if x <= 1.0:
-        return _fpi_finite(f, p + 1, nu, a, tol, cap)
-    e, iters = expint(1.0 + nu, x, cap)
+        return _fpi_finite(f, p + 1, nu, a, tol)
+    e, iters = expint(1.0 + nu, x)
     head = unscale(f)[0].fpi_infinite(p + 1, nu)
     tail = a ** -nu * e
     value = c * (head - tail)
@@ -177,7 +171,7 @@ def _fpi_exp_family(f, shape, m, nu, a, tol):
     u = UNIT_ROUNDOFF
     if m <= p:
         s = p - m + 1 - nu
-        g, used, bound = lower_gamma(s, a * b, tol, term_cap())
+        g, used, bound = lower_gamma(s, a * b, tol)
         scale = c / b ** s
         value = scale * g
         v = rungs[m] = FpiValue(value, FpiMethod.SERIES_FINITE, used,
@@ -191,7 +185,7 @@ def _fpi_exp_family(f, shape, m, nu, a, tol):
         work = 0
     else:
         j = p + 1
-        prev = rungs[j] = _exp_seed(f, p, b, c, nu, a, tol, term_cap())
+        prev = rungs[j] = _exp_seed(f, p, b, c, nu, a, tol)
         work = prev.terms_used
     ce = c * math.exp(-a * b)
     for k in range(j + 1, m + 1):
@@ -219,7 +213,7 @@ def _fpi_exp_family(f, shape, m, nu, a, tol):
 # ---------------------------------------------------------------------------
 
 def _split_infinite(f, m, nu, tol):
-    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol, term_cap())
+    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol)
     power = m + nu
     q = quad_adaptive(lambda x: f.eval(x) * x ** (-power), SPLIT_POINT,
                       math.inf, tol=1e-13)
@@ -265,4 +259,4 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
     shape = f.exp_family()
     if shape is not None:
         return _fpi_exp_family(f, shape, m, nu, a, tol)
-    return _fpi_finite(f, m, nu, a, tol, term_cap())
+    return _fpi_finite(f, m, nu, a, tol)

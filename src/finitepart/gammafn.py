@@ -13,7 +13,7 @@ import math
 from itertools import count
 
 from .errors import NonconvergenceError
-from .series import sum_until_small
+from .series import TERM_CAP, sum_until_small
 
 EULER_GAMMA = 0.57721566490153286061
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -89,26 +89,19 @@ def pochhammer(x: float, k: int) -> float:
     return out
 
 
-def inv_factorial(n: int) -> float:
-    """1/n! with the convention 1/(negative integer)! = 0."""
-    if n < 0:
-        return 0.0
-    return 1.0 / math.factorial(n)
-
-
-def expint(p: float, z: float, cap: int) -> tuple[float, int]:
+def expint(p: float, z: float) -> tuple[float, int]:
     """E_p(z) = int_1^inf e^{-z t} t^{-p} dt for p > 0 and z > 1.
 
     The even continued fraction of DLMF 8.19.17,
     E_p(z) = e^{-z} / (z+p - 1*p / (z+p+2 - 2*(p+1) / (z+p+4 - ...))),
-    by modified Lentz.  Returns (value, iterations); more than ``cap``
+    by modified Lentz.  Returns (value, iterations); more than TERM_CAP
     iterations raise NonconvergenceError.
     """
     b = z + p
     c = math.inf
     d = 1.0 / b
     h = d
-    for i in range(1, cap + 1):
+    for i in range(1, TERM_CAP + 1):
         an = -i * (p - 1.0 + i)
         b += 2.0
         d = 1.0 / (an * d + b)
@@ -118,15 +111,15 @@ def expint(p: float, z: float, cap: int) -> tuple[float, int]:
         if abs(delta - 1.0) <= _CF_EPS:
             return h * math.exp(-z), i
     raise NonconvergenceError(f"E_{p:g}({z:g}) continued fraction did not "
-                              f"converge within {max(cap, 0)} iterations")
+                              f"converge within {TERM_CAP} iterations")
 
 
-def lower_gamma(s: float, x: float, rtol: float, cap: int):
+def lower_gamma(s: float, x: float, rtol: float):
     """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt for s > 0 and x > 0.
 
     The positive-term series of DLMF 8.7.1,
     x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)), summed to ``rtol`` by
-    :func:`~finitepart.series.sum_until_small` within ``cap`` terms.
+    :func:`~finitepart.series.sum_until_small`.
     Returns (value, terms, bound), the bound covering the truncation, the
     rounding of the term products and that of x^s e^{-x}.  Where x^s e^{-x}
     leaves float range below and x > s, the value is Gamma(s) to rounding.
@@ -142,7 +135,7 @@ def lower_gamma(s: float, x: float, rtol: float, cap: int):
             yield t
             t *= x / (s + k)
 
-    r = sum_until_small(terms(), rtol, cap)
+    r = sum_until_small(terms(), rtol)
     total = r.total_or_raise("lower incomplete gamma series")
     rounding = (r.terms + 2 + abs(lead)) * UNIT_ROUNDOFF * total
     return total, r.terms, r.last + rounding

@@ -25,6 +25,7 @@ from .errors import NonconvergenceError
 from .series import power_terms, sum_until_small
 
 _QUAD_LIMIT = 200  # QUADPACK subinterval limit
+_TAYLOR_TERM_CAP = 600  # terms of the epsilon oracle's Taylor remainder
 _EPS_LIST = (1e-2, 1e-3, 1e-4)  # epsilon oracle sample points, decreasing
 _EPS_QUAD_TOL = 1e-12
 _CONTOUR_N_THETA = 64  # first contour resolution, a power of two
@@ -107,7 +108,7 @@ def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
 # epsilon-regularization oracle
 # ---------------------------------------------------------------------------
 
-def _taylor_remainder(f: TaylorFunction, m: int, x: float, cap: int = 600) -> float:
+def _taylor_remainder(f: TaylorFunction, m: int, x: float) -> float:
     """f(x) - sum_{k<m} c_k x^k, evaluated without catastrophic cancellation.
 
     The tail series sum_{k>=m} c_k x^k is used directly; if its terms grow
@@ -126,7 +127,8 @@ def _taylor_remainder(f: TaylorFunction, m: int, x: float, cap: int = 600) -> fl
             xk *= x
     else:
         r = max(m, f.zero_order())
-        s = sum_until_small(power_terms(f.coeff, x, m, r, x**m), 1e-17, cap - r)
+        s = sum_until_small(power_terms(f.coeff, x, m, r, x**m), 1e-17,
+                            _TAYLOR_TERM_CAP - r)
         total, largest = s.total_or_raise("Taylor tail"), s.largest
     if largest > 1e8 * max(abs(total), 1e-300):
         head = 0.0

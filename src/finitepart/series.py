@@ -7,6 +7,9 @@ from typing import NamedTuple
 
 from .errors import NonconvergenceError
 
+# a safety stop, not a tuning knob: every admitted series converges far below it
+TERM_CAP = 10_000
+
 
 class SeriesSum(NamedTuple):
     """Outcome of :func:`sum_until_small`: the total, the number of terms
@@ -33,7 +36,7 @@ class SeriesSum(NamedTuple):
 _new_sum = partial(tuple.__new__, SeriesSum)
 
 
-def sum_until_small(terms, rtol, cap, start=0.0):
+def sum_until_small(terms, rtol, cap=TERM_CAP, start=0.0):
     """Sum ``terms`` (real or complex) left to right from ``start``.
 
     A term t is small when |t| <= rtol * |running total|; exact zeros are

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .finite_part import term_cap
-from .gammafn import (EULER_GAMMA, digamma_int, gamma_ratio, gamma_real,
-                      inv_factorial)
+from .gammafn import EULER_GAMMA, digamma_int, gamma_ratio, gamma_real
 from .series import sum_until_small
 
 _SERIES_RTOL = 1e-15
@@ -109,9 +107,9 @@ class KummerParams:
         object.__setattr__(self, "regime", regime)
 
 
-def _sum_series(terms, what, cap):
-    """sum_until_small to relative tolerance 1e-15 within ``cap`` terms."""
-    return sum_until_small(terms, _SERIES_RTOL, cap).total_or_raise(what)
+def _sum_series(terms, what):
+    """sum_until_small to relative tolerance 1e-15."""
+    return sum_until_small(terms, _SERIES_RTOL).total_or_raise(what)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def _gauss_int_cm(n, r, s, m) -> Fraction:
     return acc
 
 
-def _gauss_int_naive(n, r, s, zeta, cap):
+def _gauss_int_naive(n, r, s, zeta):
     pref = math.factorial(s - 1) / (math.factorial(n - 1) * math.factorial(r - 1))
 
     def terms():
@@ -148,15 +146,13 @@ def _gauss_int_naive(n, r, s, zeta, cap):
             yield (-1) ** k * mk * float(_gauss_int_ak(n, r, s, k))
             mk *= (n + k) / ((k + 1) * zeta)
 
-    return pref * _sum_series(terms(), "2F1 naive series", cap)
+    return pref * _sum_series(terms(), "2F1 naive series")
 
 
 def _gauss_int_singular(n, r, s, zeta):
     acc = 0.0
-    for m in range(n - 1):
-        w = inv_factorial(s - r - m - 1)
-        if w == 0.0:
-            continue
+    for m in range(s - r):
+        w = 1.0 / math.factorial(s - r - m - 1)
         acc += float(_gauss_int_cm(n, r, s, m)) * w / (
             math.factorial(m) * (1.0 + zeta) ** m
         )
@@ -167,7 +163,7 @@ def _gauss_int_singular(n, r, s, zeta):
 def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
     """2F1(n, r; s; -zeta) as a convergent large-argument expansion."""
     n, r, s, zeta = p.n, p.r, p.s, p.zeta
-    return (_gauss_int_naive(n, r, s, zeta, term_cap())
+    return (_gauss_int_naive(n, r, s, zeta)
             + _gauss_int_singular(n, r, s, zeta))
 
 
@@ -175,7 +171,7 @@ def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
 # 2F1, branch-point parameters
 # ---------------------------------------------------------------------------
 
-def _gauss_branch_naive(n, s, mu, zeta, cap):
+def _gauss_branch_naive(n, s, mu, zeta):
     g = gamma_real(s - mu + 2.0)
     pref = g / (gamma_real(1.0 - mu) * math.factorial(n - 1) * zeta**n)
 
@@ -189,16 +185,14 @@ def _gauss_branch_naive(n, s, mu, zeta, cap):
             bk *= (s - mu + 1.0 - n - k) / (-mu - n - k)
             mk *= (n + k) / (k + 1)
 
-    return pref * _sum_series(terms(), "2F1 branch naive series", cap)
+    return pref * _sum_series(terms(), "2F1 branch naive series")
 
 
 def _gauss_branch_singular(n, s, mu, zeta):
     g = gamma_real(s - mu + 2.0)
     acc = 0.0
-    for k in range(n):
-        w = inv_factorial(s - n + k + 1)
-        if w == 0.0:
-            continue
+    for k in range(max(0, n - s - 1), n):
+        w = 1.0 / math.factorial(s - n + k + 1)
         acc += ((-1) ** k * gamma_real(mu + k) * w
                 / (math.factorial(k) * math.factorial(n - k - 1)
                    * (1.0 + zeta) ** (n - k)))
@@ -209,7 +203,7 @@ def _gauss_branch_singular(n, s, mu, zeta):
 def gauss2f1_branch(p: Gauss2F1BranchParams) -> float:
     """2F1(n, 1-mu; s-mu+2; -zeta) as a convergent large-argument expansion."""
     n, s, mu, zeta = p.n, p.s, p.mu, p.zeta
-    return (_gauss_branch_naive(n, s, mu, zeta, term_cap())
+    return (_gauss_branch_naive(n, s, mu, zeta)
             + _gauss_branch_singular(n, s, mu, zeta))
 
 
@@ -253,7 +247,7 @@ def _kummer_dm(s, n, m) -> Fraction:
     return acc
 
 
-def _kummer_int(s, n, omega, cap):
+def _kummer_int(s, n, omega):
     # term-by-term integrals are divergent from k0 = max(0, s-n) on
     pref = ((-1.0) ** (n - s) * omega ** (n - s)
             / (math.factorial(s - 1) * math.factorial(n - 1)))
@@ -268,7 +262,7 @@ def _kummer_int(s, n, omega, cap):
             rk *= (n + k) / ((k + n - s + 1) * (k + 1))
             wk *= omega
 
-    t1 = pref * _sum_series(terms(), "Kummer U series", cap)
+    t1 = pref * _sum_series(terms(), "Kummer U series")
     if n < s:
         # the first s-n terms integrate as ordinary Gamma integrals
         head = 0.0
@@ -293,7 +287,7 @@ def _kummer_int(s, n, omega, cap):
     return t1 + t_log + t_poly
 
 
-def _kummer_frac(a, n, omega, cap):
+def _kummer_frac(a, n, omega):
     pref = ((-1.0) ** n * gamma_real(1.0 - a) * omega ** (n - a)
             / math.factorial(n - 1))
 
@@ -305,7 +299,7 @@ def _kummer_frac(a, n, omega, cap):
             rk *= (n + k) / ((n + k + 1.0 - a) * (k + 1))
             wk *= omega
 
-    t1 = pref * _sum_series(terms(), "Kummer U series", cap)
+    t1 = pref * _sum_series(terms(), "Kummer U series")
 
     acc = 0.0
     for k in range(n):
@@ -318,10 +312,9 @@ def _kummer_frac(a, n, omega, cap):
 
 def kummer_u(p: KummerParams) -> float:
     """Kummer U at the covered parameter families, by regime."""
-    cap = term_cap()
     if p.regime is KummerRegime.FRAC_ORDER:
-        return _kummer_frac(float(p.s_or_a), p.n, p.omega, cap)
-    return _kummer_int(int(p.s_or_a), p.n, p.omega, cap)
+        return _kummer_frac(float(p.s_or_a), p.n, p.omega)
+    return _kummer_int(int(p.s_or_a), p.n, p.omega)
 
 
 def kummer_u_leading(p: KummerParams, omega: float = None) -> float:

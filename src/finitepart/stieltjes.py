@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .entire import TaylorFunction
-from .finite_part import finite_part_integral, term_cap
+from .finite_part import finite_part_integral
 from .gammafn import pochhammer
-from .series import sum_until_small
+from .series import TERM_CAP, sum_until_small
 
 DEFAULT_EVAL_TOL = 1e-12
 _FPI_TOL = 1e-15
@@ -107,8 +107,7 @@ def _rungs(f, nu, a, m0, step):
     The rungs do not depend on omega, so a sweep on one descriptor computes
     each of them once (:meth:`~finitepart.entire.TaylorFunction.rungs`).
     Only values are stored: a rung that raises is computed, and raises,
-    again on the next call.  ``FPI_MAX_TERMS`` is read when a rung is
-    computed, so a stored rung keeps the cap it was computed under.
+    again on the next call.
     """
     rungs = f.rungs(nu, a, _FPI_TOL)
 
@@ -133,10 +132,10 @@ def _naive_terms(fpi_at, n, ostep, rows):
         wk *= ostep
 
 
-def _term_cap(k_max):
-    """The naive-series cap: k_max, or term_cap() when it is None."""
+def _naive_cap(k_max):
+    """The naive-series cap: k_max, or TERM_CAP when it is None."""
     if k_max is None:
-        return term_cap()
+        return TERM_CAP
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0; got {k_max}")
     return k_max
@@ -168,7 +167,7 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.
     """
     f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
-    cap = _term_cap(k_max)
+    cap = _naive_cap(k_max)
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see _rungs)
     naive, k_used, tail, ok, rows = _naive_series(
@@ -195,7 +194,7 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
         raise ValueError("omega must be positive")
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
-    cap = _term_cap(k_max)
+    cap = _naive_cap(k_max)
     naive, k_used, tail, ok, rows = _naive_series(
         _rungs(f, 0.0, a, 2, 2), 1, omega, tol, cap, keep_terms,
         power_step=2,

@@ -286,12 +286,23 @@ def test_validation_errors():
         finite_part_integral(f, 1, 1e-14, 1.0)
 
 
-def test_term_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FPI_MAX_TERMS", "4")
-    with pytest.raises(NonconvergenceError):
-        finite_part_integral(Exponential(1.0), 1, 0.0, 2.0)
-    monkeypatch.delenv("FPI_MAX_TERMS")
-    finite_part_integral(Exponential(1.0), 1, 0.0, 2.0)  # default cap is plenty
+def test_divergent_stream_stops_at_the_term_cap():
+    # c_k = 1 at nu = 0.5, a = 1: terms 1/(k - 1/2) never fall below the
+    # relative tolerance, so the series stops at the fixed cap
+    f = CustomSeries(lambda k: 1.0, math.exp)
+    with pytest.raises(NonconvergenceError, match="within 10000 terms"):
+        finite_part_integral(f, 1, 0.5, 1.0)
+
+
+def test_pole_head_reads_only_the_nonzero_coefficients():
+    f = Polynomial([1.0, 2.0, 3.0])
+    calls = []
+    read = f.coeff
+    f.coeff = lambda k: calls.append(k) or read(k)
+    v = finite_part_integral(f, 400, 0.0, 2.0)
+    assert len(calls) < 10
+    assert v.value == -sum(c / ((399 - k) * 2.0 ** (399 - k))
+                           for k, c in enumerate([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from scipy import special
 
 from finitepart.gammafn import (EULER_GAMMA, digamma_int, gamma_ratio,
-                                gamma_real, harmonic, inv_factorial,
-                                lgamma_signed, pochhammer)
+                                gamma_real, harmonic, lgamma_signed,
+                                pochhammer)
 
 
 def test_digamma_small_values():
@@ -46,9 +46,6 @@ def test_pochhammer(x, k):
     assert pochhammer(x, k) == pytest.approx(float(special.poch(x, k)), rel=1e-13)
 
 
-def test_gamma_ratio_and_inv_factorial():
+def test_gamma_ratio():
     assert gamma_ratio(7.5, 5.5) == pytest.approx(6.5 * 5.5, rel=1e-13)
     assert gamma_ratio(-0.5, 0.5) == pytest.approx(-2.0, rel=1e-13)
-    assert inv_factorial(4) == pytest.approx(1.0 / 24.0)
-    assert inv_factorial(-1) == 0.0
-    assert inv_factorial(-5) == 0.0

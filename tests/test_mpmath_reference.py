@@ -118,7 +118,7 @@ def test_recurrence_agrees_with_maclaurin_rung_where_ab_le_1(a, b, nu):
     f = Exponential(b)
     for m in range(1, 61):
         got = finite_part_integral(f, m, nu, a)
-        old = _fpi_finite(Exponential(b), m, nu, a, 1e-15, 10_000)
+        old = _fpi_finite(Exponential(b), m, nu, a, 1e-15)
         want = FpiMethod.SERIES_FINITE if m == 1 else FpiMethod.RECURRENCE
         assert got.method is want
         assert math.isclose(got.value, old.value, rel_tol=1e-12), m
@@ -135,7 +135,7 @@ def test_first_rung_at_large_a_matches_mpmath(a):
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 3.0, 40.5])
 @pytest.mark.parametrize("z", [1.0001, 1.5, 3.0, 10.0, 100.0, 700.0])
 def test_expint_matches_mpmath(p, z):
-    value, iters = expint(p, z, 10_000)
+    value, iters = expint(p, z)
     assert 0 < iters < 100
     with mpmath.workdps(50):
         assert math.isclose(value, float(mpmath.expint(p, z)), rel_tol=1e-13)
@@ -144,7 +144,7 @@ def test_expint_matches_mpmath(p, z):
 @pytest.mark.parametrize("s", [0.25, 1.0, 2.75, 5.0])
 @pytest.mark.parametrize("x", [0.01, 0.5, 2.0, 30.0, 500.0, 800.0])
 def test_lower_gamma_matches_mpmath(s, x):
-    value, terms, bound = lower_gamma(s, x, 1e-15, 10_000)
+    value, terms, bound = lower_gamma(s, x, 1e-15)
     with mpmath.workdps(50):
         ref = mpmath.gammainc(s, 0, x)
         assert abs(value - ref) <= max(1e-13 * ref, bound)
