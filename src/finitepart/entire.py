@@ -12,10 +12,11 @@ differentiates a black box numerically.
 Instances are immutable after construction and safe to share across
 threads.  Each keeps two caches, both written without a lock: the
 coefficient memo, which is idempotent because ``_coeff`` is a pure
-function of k, and the rung ladder (:meth:`TaylorFunction.rungs`), the
-finite-part values FPI(f, m, nu, a) of one (nu, a, tol), which is replaced
-as a whole when another one is needed.  A race between threads can only
-compute the same value twice.
+function of k, and the rung ladder (:meth:`TaylorFunction.ladder`), the
+finite-part values FPI(f, m, nu, a) of one (nu, a, tol) and the tables
+they are computed from, which is replaced as a whole when another one is
+needed; a table grows by replacement, never in place.  A race between
+threads can only compute the same value twice.
 """
 
 import cmath
@@ -31,6 +32,35 @@ EVAL_TERM_CAP = 1024
 ZERO_ORDER_SCAN_CAP = 256
 
 _EVAL_RTOL = 1e-15
+# k! as floats for the exact-ratio coefficients of Exponential; a float
+# divided by an int rounds the int the same way, so the bits are unchanged
+_FACT = [float(math.factorial(k)) for k in range(151)]
+
+
+def first_nonzero(coeffs):
+    """(k, c_k) for the first nonzero of c_0, c_1, ... in ``coeffs``: the
+    zero order and its coefficient.  Reads at most ZERO_ORDER_SCAN_CAP + 1
+    values."""
+    for k, c in enumerate(islice(coeffs, ZERO_ORDER_SCAN_CAP + 1)):
+        if c != 0.0:
+            return k, c
+    raise IndeterminateZeroOrderError(
+        f"no nonzero coefficient found for k <= {ZERO_ORDER_SCAN_CAP}"
+    )
+
+
+class Ladder:
+    """The rung ladder of one (nu, a, tol): the stored finite parts
+    ``rungs`` {m: FpiValue}, and the per-ladder work tables of
+    :mod:`finitepart.finite_part` (``series``, the Maclaurin tables, and
+    ``nodes``, the exp-sinh nodes of the split), None until first needed.
+    """
+
+    __slots__ = ("rungs", "series", "nodes")
+
+    def __init__(self):
+        self.rungs = {}
+        self.series = self.nodes = None
 
 
 class TaylorFunction:
@@ -45,8 +75,8 @@ class TaylorFunction:
 
     def __init__(self):
         self._memo = {}
-        # (key, {m: FpiValue}); see rungs()
-        self._ladder = (None, {})
+        # (key, Ladder); see ladder()
+        self._ladder = (None, Ladder())
 
     # -- coefficients ------------------------------------------------
 
@@ -104,12 +134,7 @@ class TaylorFunction:
 
     def zero_order(self) -> int:
         """Order of the zero at the origin: smallest k with c_k != 0."""
-        for k in range(ZERO_ORDER_SCAN_CAP + 1):
-            if self.coeff(k) != 0.0:
-                return k
-        raise IndeterminateZeroOrderError(
-            f"no nonzero coefficient found for k <= {ZERO_ORDER_SCAN_CAP}"
-        )
+        return first_nonzero(map(self.coeff, count()))[0]
 
     def finite_degree(self):
         """Polynomial degree if the stream terminates, else None."""
@@ -121,19 +146,19 @@ class TaylorFunction:
 
     # -- finite parts -------------------------------------------------
 
-    def rungs(self, nu, a, tol) -> dict:
-        """The stored finite parts {m: FpiValue} of FPI(f, m, nu, a) at
-        tolerance tol.
+    def ladder(self, nu, a, tol) -> Ladder:
+        """The rung ladder of FPI(f, m, nu, a) at tolerance tol: the stored
+        finite parts and the tables they are computed from.
 
-        The ladder holds a single (nu, a, tol); another one, or an equal
+        The descriptor holds a single (nu, a, tol); another one, or an equal
         nu or a of another type (which can round differently), replaces it
-        with a fresh dict, so a thread that still holds the old one reads
+        with a fresh one, so a thread that still holds the old one reads
         consistent rungs.
         """
         key = (nu, type(nu), a, type(a), tol)
         lad = self._ladder
         if lad[0] != key:
-            lad = self._ladder = (key, {})
+            lad = self._ladder = (key, Ladder())
         return lad[1]
 
     # -- infinite upper limit ---------------------------------------
@@ -179,7 +204,7 @@ class Exponential(TaylorFunction):
     def _coeff(self, k):
         # exact ratio for small k, log form once factorials overflow floats
         if k <= 150:
-            return (-self.b) ** k / math.factorial(k)
+            return (-self.b) ** k / _FACT[k]
         mag = math.exp(k * math.log(self.b) - math.lgamma(k + 1))
         return -mag if k % 2 else mag
 

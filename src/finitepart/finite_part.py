@@ -10,7 +10,10 @@ the Maclaurin coefficients c_k of f:
 
   0<nu<1:   sum_{k>=0} c_k a^{k+1-m-nu} / (k+1-m-nu)
 
-with empty sums equal to zero.  The exponential family c x^p e^{-bx}
+with empty sums equal to zero.  Each descriptor's rung ladder keeps the
+tables of that series, c_k and the weights a^{j-nu}/(j-nu), j = k+1-m, so
+a climb over K rungs reads each c_k once and forms each weight once.  The
+exponential family c x^p e^{-bx}
 (``exp_family`` in :mod:`finitepart.entire`) does not sum that series past
 its first rung: for m <= p the integral is the ordinary c b^{-s} gamma(s, ab),
 s = p - m + 1 - nu, and from m = p + 1 on integration by parts steps the
@@ -26,8 +29,11 @@ its integrability rule and, where it has one, its closed form
 :mod:`finitepart.entire`); a user stream is admitted only when declared
 ``CustomSeries(decaying=True)``.  Without a closed form the integral is
 split at a0 = 1: the finite part concerns only the origin, so
-fpi(f, m, nu, a0) plus an ordinary adaptive integral over [a0, inf) is
-exact and involves no cancellation between log a and the tail sum.
+fpi(f, m, nu, a0) plus the ordinary integral over [a0, inf) is exact and
+involves no cancellation between log a and the tail sum.  That integral
+is an exp-sinh rule whose nodes x_i and weighted values w_i f(x_i) are
+computed once per ladder and serve every m; QUADPACK
+(:mod:`finitepart.oracles`) is left to check it.
 
 :func:`finite_part_integral` is the one entry point for every (m, nu, a);
 only the nu = 0 head and the route depend on the case.
@@ -36,17 +42,28 @@ only the nu = 0 head and the route depend on the case.
 import enum
 import math
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, chain, count, islice, repeat
+from operator import mul, sub, truediv
 
-from .entire import TaylorFunction, unscale
+from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
-from .oracles import quad_adaptive
+from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
 from .series import sum_until_small
 
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
 SPLIT_POINT = 1.0
+
+_CHUNK = 16  # tail terms formed per step of the tables
+
+# the exp-sinh rule of the split tail
+_HALF_PI = 0.5 * math.pi
+_DE_T_CAP = 6  # |t| of the outermost node; x = a0 + e^{317} there
+_DE_NEGLIGIBLE = 2.0 ** -70
+_DE_MIN_LEVEL = 3  # first level whose change from the one before is trusted
+_DE_LEVEL_CAP = 8  # finest step h = 2^-8
+_DE_RTOL, _DE_ATOL = 1e-13, 1e-15
 
 
 class FpiMethod(enum.Enum):
@@ -65,7 +82,9 @@ class FpiValue:
     ``tail_bound`` is the magnitude of the last series term; for Recurrence
     rungs it is a forward bound on the rounding error carried through the
     recurrence, and for the incomplete-gamma rungs of ``MonomialExp`` it
-    covers truncation and rounding.
+    covers truncation and rounding.  A SplitInfinite rung adds to the bound
+    of its series part the last change of the exp-sinh rule and the
+    rounding u (|series part| + |integral|) of the sum of the two.
     """
 
     value: float
@@ -74,61 +93,125 @@ class FpiValue:
     tail_bound: float
 
 
-def _series_terms(coeff, m, nu, a, k0):
-    ap = a ** (k0 + 1 - m - nu)
-    for k in count(k0):
-        yield coeff(k) * ap / (k + 1 - m - nu)
-        ap *= a
+class _SeriesTables:
+    """The tables of the Maclaurin rungs of one (nu, a), kept on f's ladder.
 
-
-def _series_sum(f, m, nu, a, tol, start):
-    """sum_{k>=start} c_k a^{k+1-m-nu}/(k+1-m-nu).
-
-    Summed by :func:`~finitepart.series.sum_until_small` to ``tol``;
-    finite-degree functions are summed exactly.
-    Returns (total, terms_used, tail_bound), the tail bound being the
-    magnitude of the last term.
+    With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
+    the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are c_k, each read
+    once per ladder, and, each formed once:
+      j >= 0:  the powers a^{j-nu}, a^{-nu} times a j times, as the
+               series has always formed them, and the divisors j - nu;
+      i = -j:  the head divisors -(i+nu) a^{i+nu}, one power each; past
+               float range the divisor is infinite and the term zero.
+    A polynomial's c_k stop at its degree.  A table grows by replacement,
+    never in place, so a thread only reads lists that are consistent.
     """
-    k0 = max(start, f.zero_order())
-    deg = f.finite_degree()
-    if deg is not None:
-        total = 0.0
-        used = 0
-        for k in range(k0, deg + 1):
-            c = f.coeff(k)
-            if c == 0.0:
-                continue
-            p = k + 1 - m - nu
-            total += c * a**p / p
-            used += 1
-        return total, used, 0.0
 
-    s = sum_until_small(_series_terms(f.coeff, m, nu, a, k0), tol)
-    return s.total_or_raise("finite-part series"), s.terms, s.last
+    def __init__(self, f, nu, a):
+        self.f, self.nu, self.a = f, nu, a
+        deg = f.finite_degree()
+        if deg is None:
+            r, c = first_nonzero(map(f.coeff, count()))
+            self.cs = [0.0] * r + [c]
+        else:
+            r = f.zero_order()
+            self.cs = [0.0] * r + [f.coeff(k) for k in range(r, deg + 1)]
+        self.r, self.deg = r, deg
+        self.pows = ([a ** -nu], [0 - nu])
+        self.es = []
+
+    def coeffs(self, n):
+        """c_k for k < n at least; all of them for a polynomial."""
+        cs = self.cs
+        if len(cs) < n and self.deg is None:
+            cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
+        return cs
+
+    def powers(self, n):
+        """(a^{j-nu}, j - nu) for j < n at least."""
+        ps, ds = self.pows
+        have = len(ps)
+        if have < n:
+            ps = ps + list(islice(accumulate(repeat(self.a, n - have), mul,
+                                             initial=ps[-1]), 1, None))
+            ds = ds + list(map(sub, range(have, n), repeat(self.nu)))
+            self.pows = (ps, ds)
+        return ps, ds
+
+    def head_divisors(self, n):
+        """-(i+nu) a^{i+nu} for i < n at least."""
+        es = self.es
+        if len(es) < n:
+            a, nu = self.a, self.nu
+            more = []
+            for i in range(len(es), n):
+                try:
+                    p = a ** (i + nu)
+                except OverflowError:
+                    p = math.inf
+                more.append(-(i + nu) * p)
+            es = self.es = es + more
+        return es
 
 
-def _fpi_finite(f, m, nu, a, tol):
+def _fpi_finite(f, m, nu, a, tol, ladder=None):
     """Finite part of int_0^a f(x) x^{-m-nu} dx for finite a > 0.
 
-    At nu = 0 the rungs k < m have closed forms (the c_{m-1} ln a head
-    and the negative powers below it) and the series starts at k = m; at
-    0 < nu < 1 it starts at k = 0.
+    Every rung is read from the Maclaurin tables of ``ladder`` (by default
+    f's own at (nu, a, tol); the split keeps those of a0 on its a = inf
+    ladder).  The head, k < m - 1, is the sum of c_k / (-(i+nu) a^{i+nu})
+    with i = m - 1 - k, plus c_{m-1} ln a at nu = 0; the tail starts at
+    k = m at nu = 0 and at k = m - 1 at 0 < nu < 1, both from the zero
+    order at least, and is summed by
+    :func:`~finitepart.series.sum_until_small` to ``tol`` term by term,
+    (c_k a^{j-nu}) / (j-nu); a polynomial's is summed whole.
+    ``terms_used`` counts the terms of the tail.
     """
-    if nu != 0.0:
-        total, used, bound = _series_sum(f, m, nu, a, tol, 0)
-        return FpiValue(total, FpiMethod.SERIES_FINITE, used, bound)
+    if ladder is None:
+        ladder = f.ladder(nu, a, tol)
+    tab = ladder.series
+    if tab is None:
+        tab = ladder.series = _SeriesTables(f, nu, a)
+    r, deg = tab.r, tab.deg
     head = 0.0
-    cm1 = f.coeff(m - 1)
-    if cm1 != 0.0:
-        head += cm1 * math.log(a)
-    deg = f.finite_degree()
-    stop = m - 1 if deg is None else min(m - 1, deg + 1)
-    for k in range(f.zero_order(), stop):
-        c = f.coeff(k)
-        if c != 0.0:
-            head -= c / ((m - k - 1) * a ** (m - k - 1))
-    tail, used, bound = _series_sum(f, m, 0.0, a, tol, m)
-    return FpiValue(head + tail, FpiMethod.SERIES_FINITE, used, bound)
+    if nu == 0.0:
+        cs = tab.coeffs(m)
+        if m <= len(cs) and cs[m - 1] != 0.0:
+            head = cs[m - 1] * math.log(a)
+        k0 = max(r, m)
+    else:
+        k0 = max(r, m - 1)
+    top = m - 1 if deg is None else min(m - 1, deg + 1)
+    if top > r:
+        cs = tab.coeffs(top)
+        es = tab.head_divisors(m - r)
+        try:
+            head = sum(map(truediv, cs[r:top], es[m - 1 - r:m - 1 - top:-1]),
+                       head)
+        except ZeroDivisionError:  # a^{m-1-k} below float range
+            head = math.inf
+        if not abs(head) < math.inf:
+            raise NonconvergenceError("finite-part head leaves float range "
+                                      f"at m = {m}")
+    j0 = k0 + 1 - m
+    if deg is not None:
+        cs = tab.coeffs(0)
+        ps, ds = tab.powers(deg + 2 - m)
+        tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]), 0.0)
+        return FpiValue(head + tail, FpiMethod.SERIES_FINITE,
+                        max(deg + 1 - k0, 0), 0.0)
+
+    def chunk(k):
+        j = k + 1 - m
+        cs = tab.coeffs(k + _CHUNK)
+        ps, ds = tab.powers(j + _CHUNK)
+        return map(truediv, map(mul, cs[k:k + _CHUNK], ps[j:j + _CHUNK]),
+                   ds[j:j + _CHUNK])
+
+    s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
+                        tol)
+    tail = s.total_or_raise("finite-part series")
+    return FpiValue(head + tail, FpiMethod.SERIES_FINITE, s.terms, s.last)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +247,7 @@ def _fpi_exp_family(f, shape, m, nu, a, tol):
     products.
     """
     p, b, c = shape
-    rungs = f.rungs(nu, a, tol)
+    rungs = f.ladder(nu, a, tol).rungs
     v = rungs.get(m)
     if v is not None:
         return v
@@ -212,13 +295,92 @@ def _fpi_exp_family(f, shape, m, nu, a, tol):
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
+class _ExpSinh:
+    """Exp-sinh quadrature on [a0, inf) for the tails of one ladder's split
+    rungs (Takahashi and Mori 1974).
+
+    x = a0 + exp(pi/2 sinh t) and w = dx/dt.  The nodes x_i and the values
+    g_i = w_i f(x_i) of every level are computed once and shared by all
+    rungs: level 0 takes the integers t in [lo, hi], each level after it
+    the odd multiples of h = 2^-level in that range.  The range ends where
+    two nodes in a row have |g_i| / x_i below _DE_NEGLIGIBLE times the
+    largest, which bounds every rung's term g_i x_i^{-p}, p = m + nu >= 1.
+    Levels, like the tables, grow by replacement.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        x, g = self._node(0.0)
+        xs, gs = [x], [g]
+        big = abs(g) / x
+        ends = []
+        for step in (1, -1):
+            t = quiet = 0
+            while quiet < 2:
+                t += step
+                if abs(t) > _DE_T_CAP:
+                    raise NonconvergenceError(
+                        f"split tail of {f!r} is not finite or does not "
+                        f"decay by x = {xs[-1]:.3g}")
+                x, g = self._node(float(t))
+                xs.append(x)
+                gs.append(g)
+                v = abs(g) / x
+                big = max(big, v)
+                quiet = quiet + 1 if v <= _DE_NEGLIGIBLE * big else 0
+            ends.append(t)
+        self.hi, self.lo = ends
+        self.levels = ((xs, gs),)
+
+    def _node(self, t):
+        u = math.exp(_HALF_PI * math.sinh(t))
+        x = SPLIT_POINT + u
+        return x, _HALF_PI * math.cosh(t) * u * self.f.eval(x)
+
+    def level(self, n):
+        """(x_i, g_i) of the nodes new at level n."""
+        levels = self.levels
+        while len(levels) <= n:
+            span = 2 ** (len(levels) - 1)
+            h = 1.0 / (2 * span)
+            ts = [(2 * i + 1) * h for i in range(self.lo * span,
+                                                 self.hi * span)]
+            xs, gs = zip(*map(self._node, ts))
+            levels = self.levels = levels + ((xs, gs),)
+        return levels[n]
+
+    def integral(self, p):
+        """(int_{a0}^inf f(x) x^{-p} dx, the change of its last level)."""
+        total = 0.0
+        est = math.nan
+        for n in range(_DE_LEVEL_CAP + 1):
+            xs, gs = self.level(n)
+            total += sum(map(mul, gs, map(pow, xs, repeat(-p))))
+            new = math.ldexp(total, -n)
+            if not abs(new) < math.inf:
+                break
+            err = abs(new - est)
+            if n >= _DE_MIN_LEVEL and err <= max(_DE_RTOL * abs(new),
+                                                 _DE_ATOL):
+                return new, err
+            est = new
+        raise NonconvergenceError(
+            f"exp-sinh tail of {self.f!r} at power {p:g} did not converge "
+            f"within {_DE_LEVEL_CAP} levels")
+
+
 def _split_infinite(f, m, nu, tol):
-    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol)
-    power = m + nu
-    q = quad_adaptive(lambda x: f.eval(x) * x ** (-power), SPLIT_POINT,
-                      math.inf, tol=1e-13)
-    return FpiValue(fin.value + q.value, FpiMethod.SPLIT_INFINITE,
-                    fin.terms_used, fin.tail_bound + q.abs_err_estimate)
+    """fpi(f, m, nu, a0) on the tables of f's a = inf ladder plus the
+    exp-sinh integral of f(x) x^{-m-nu} over [a0, inf) on its nodes."""
+    ladder = f.ladder(nu, math.inf, tol)
+    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol, ladder)
+    nodes = ladder.nodes
+    if nodes is None:
+        nodes = ladder.nodes = _ExpSinh(f)
+    q, err = nodes.integral(m + nu)
+    bound = fin.tail_bound + err + UNIT_ROUNDOFF * (abs(fin.value) + abs(q))
+    return FpiValue(fin.value + q, FpiMethod.SPLIT_INFINITE,
+                    fin.terms_used, bound)
 
 
 def _fpi_infinite(f, m, nu, tol):

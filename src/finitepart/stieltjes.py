@@ -105,11 +105,11 @@ def _rungs(f, nu, a, m0, step):
     """k -> FPI(f, m0 + step*k, nu, a), read from f's rung ladder.
 
     The rungs do not depend on omega, so a sweep on one descriptor computes
-    each of them once (:meth:`~finitepart.entire.TaylorFunction.rungs`).
+    each of them once (:meth:`~finitepart.entire.TaylorFunction.ladder`).
     Only values are stored: a rung that raises is computed, and raises,
     again on the next call.
     """
-    rungs = f.rungs(nu, a, _FPI_TOL)
+    rungs = f.ladder(nu, a, _FPI_TOL).rungs
 
     def fpi_at(k):
         m = m0 + step * k

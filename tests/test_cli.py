@@ -159,6 +159,22 @@ def test_closed_form_overflow_is_reported_not_raised(capsys):
         assert err.startswith("error:") and "float range" in err
 
 
+@pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),
+                                      ("binpoly(2,1)", {2: 1, 3: -1}),
+                                      ("poly(1:-2:1@1)", {1: 1, 2: -2, 3: 1}),
+                                      ("poly(3@2)", {2: 3})])
+def test_head_powers_beyond_float_range_give_the_value(capsys, f, coeffs):
+    # 30^(399-k) leaves float range: each head term is 0 to double precision
+    import mpmath
+    assert main(["fpi", "--f", f, "--m", "400", "--a", "30",
+                 "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    with mpmath.workdps(50):
+        want = -sum(c / ((399 - k) * mpmath.mpf(30) ** (399 - k))
+                    for k, c in coeffs.items())
+        assert row["value"] == float(want)
+
+
 def test_negative_kmax_exits_2(capsys):
     base = ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.9",
             "--a", "1", "--format", "json"]

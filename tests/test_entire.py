@@ -186,3 +186,11 @@ def test_instances_are_shareable_across_threads():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(worker, range(32)))
     assert all(r == want for r in results)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.7, 1.0, 1.3, 2.0, 2.5, 7.5, 50.0])
+def test_exponential_factorial_table_keeps_the_bits(b):
+    # the float table rounds k! as int-to-float division does
+    for k in range(151):
+        want = (-b) ** k / math.factorial(k)
+        assert Exponential(b).coeff(k).hex() == want.hex(), (b, k)

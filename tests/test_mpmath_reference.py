@@ -1,5 +1,9 @@
-"""Exponential-family finite parts against mpmath references that share no
-formula with the library.
+"""Finite parts against mpmath references.
+
+Exponential-family rungs are checked against formulas that share nothing
+with the library; user streams (``CustomSeries``) against their Maclaurin
+series summed at 50 digits, and the exp-sinh tail of the split against
+``mpmath.quad``.
 
 For f(x) = x^p exp(-b x) the finite part of int_0^inf f(x) x^{-m-nu} dx
 is the analytic continuation of int_0^inf x^{-s} e^{-bx} dx = b^(s-1)
@@ -15,8 +19,10 @@ import math
 import mpmath
 import pytest
 
-from finitepart.entire import Exponential, MonomialExp
-from finitepart.finite_part import FpiMethod, _fpi_finite, finite_part_integral
+from finitepart.entire import CustomSeries, Exponential, MonomialExp
+from finitepart.errors import NonconvergenceError
+from finitepart.finite_part import (FpiMethod, _ExpSinh, _fpi_finite,
+                                    finite_part_integral)
 from finitepart.gammafn import expint, lower_gamma
 
 
@@ -148,3 +154,106 @@ def test_lower_gamma_matches_mpmath(s, x):
     with mpmath.workdps(50):
         ref = mpmath.gammainc(s, 0, x)
         assert abs(value - ref) <= max(1e-13 * ref, bound)
+
+
+# ---------------------------------------------------------------------------
+# user streams at finite a: the Maclaurin tables
+# ---------------------------------------------------------------------------
+
+def _gauss_coeff(c):
+    """c_k of exp(-c x^2), exact ratios to k = 340."""
+    def coeff(k):
+        return 0.0 if k % 2 else (-c) ** (k // 2) / math.factorial(k // 2)
+    return coeff
+
+
+def _stream(name):
+    """(CustomSeries, its c_k) for one of the reference streams."""
+    if name.startswith("gauss"):
+        c = float(name[6:-1])
+        coeff = _gauss_coeff(c)
+        return CustomSeries(coeff, lambda x: math.exp(-c * x * x)), coeff
+    if name == "dense":  # every c_k nonzero until it underflows
+        coeff = Exponential(1.0).coeff
+        return CustomSeries(coeff, lambda x: math.exp(-x)), coeff
+    coeff = MonomialExp(3, 2.0).coeff  # zero order 3
+    return CustomSeries(coeff, lambda x: x**3 * math.exp(-2 * x)), coeff
+
+
+def _series_reference(coeff, m, nu, a):
+    """(the rung, the sum of its terms' magnitudes) at 50 digits, from the
+    stream's own float coefficients."""
+    with mpmath.workdps(50):
+        a, nu = mpmath.mpf(a), mpmath.mpf(nu)
+        total = scale = mpmath.mpf(0)
+        for k in range(m + 120):
+            c = mpmath.mpf(coeff(k))
+            if c == 0:
+                continue
+            if nu == 0 and k == m - 1:
+                t = c * mpmath.log(a)
+            else:
+                t = c * a ** (k + 1 - m - nu) / (k + 1 - m - nu)
+            total += t
+            scale += abs(t)
+        return total, scale
+
+
+STREAM_M = (1, 2, 3, 4, 6, 10, 22, 50, 100, 150, 200)
+
+
+@pytest.mark.parametrize("name", ["gauss(0.7)", "gauss(1)", "gauss(1.5)",
+                                  "dense", "x3e2x"])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
+def test_user_stream_rungs_match_mpmath(name, a, nu):
+    # each ladder is climbed; the error is measured against the sum of the
+    # terms' magnitudes, since the high rungs cancel at a = 2
+    f, coeff = _stream(name)
+    rungs = [finite_part_integral(f, m, nu, a) for m in range(1, 201)]
+    for m in STREAM_M:
+        v = rungs[m - 1]
+        assert v.method is FpiMethod.SERIES_FINITE
+        ref, scale = _series_reference(coeff, m, nu, a)
+        with mpmath.workdps(50):
+            assert abs(v.value - ref) <= 1e-15 * scale, (m, v.value, ref)
+
+
+# ---------------------------------------------------------------------------
+# the split at a = inf: the exp-sinh tail on [1, inf)
+# ---------------------------------------------------------------------------
+
+TAIL_STREAMS = {
+    "gauss(1)": (lambda x: math.exp(-x * x), lambda x: mpmath.exp(-x * x)),
+    "exp": (lambda x: math.exp(-x), lambda x: mpmath.exp(-x)),
+    "x2exp": (lambda x: x * x * math.exp(-x),
+              lambda x: x * x * mpmath.exp(-x)),
+    "expcos3": (lambda x: math.exp(-x) * math.cos(3 * x),
+                lambda x: mpmath.exp(-x) * mpmath.cos(3 * x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_STREAMS))
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
+def test_split_tail_matches_mpmath_quad(name, nu):
+    fn, mp_fn = TAIL_STREAMS[name]
+    nodes = _ExpSinh(CustomSeries(lambda k: 0.0, fn, decaying=True))
+    for m in (1, 2, 3, 5, 8, 13, 21, 30):
+        got, _ = nodes.integral(m + nu)
+        with mpmath.workdps(30):
+            p = m + mpmath.mpf(nu)
+            ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
+                              [1, 2, 4, 8, 16, mpmath.inf])
+            assert abs(got - ref) <= max(1e-13 * abs(ref), 1e-15), (m, got)
+
+
+def test_unresolved_split_tail_raises():
+    # too many oscillations for the finest level: no value comes back
+    f = CustomSeries(lambda k: 0.0,
+                     lambda x: math.exp(-x) * math.cos(60 * x), decaying=True)
+    with pytest.raises(NonconvergenceError, match="did not converge"):
+        _ExpSinh(f).integral(1.0)
+    # no decay: the node range cannot close
+    f = CustomSeries(lambda k: 0.0, math.cos, decaying=True)
+    with pytest.raises(NonconvergenceError, match="does not decay"):
+        _ExpSinh(f)

@@ -391,6 +391,42 @@ def test_sweep_computes_each_rung_once(fpi_calls):
     assert sorted(fpi_calls) == list(range(2, 2 + max(k_used) + 1))
 
 
+def gauss_stream(c):
+    """exp(-c x^2) as a user stream with exact eval callbacks."""
+    def coeff(k):
+        return 0.0 if k % 2 else (-c) ** (k // 2) / math.factorial(k // 2)
+
+    return CustomSeries(coeff, lambda x: math.exp(-c * x * x),
+                        lambda z: cmath.exp(-c * z * z), decaying=True)
+
+
+def test_user_stream_sweep_reads_each_coefficient_once():
+    f = gauss_stream(1.0)
+    calls = []
+    read = f.coeff
+    f.coeff = lambda k: calls.append(k) or read(k)
+    k_used = [evaluate_transform(TransformSpec(f, 1, omega, 2.0)).k_used
+              for omega in (1.2, 1.4, 1.6, 1.8)]
+    assert max(k_used) > 150  # the ladder is climbed past m = 150
+    assert len(calls) == len(set(calls))
+
+
+def test_split_sweep_evaluates_f_once_per_node():
+    def sweep(top):
+        f = gauss_stream(1.0)
+        calls = []
+        call = f.eval
+        f.eval = lambda x: calls.append(x) or call(x)
+        k_used = [evaluate_transform(TransformSpec(f, 1, omega)).k_used
+                  for omega in _sweep_omegas(top)]
+        return max(k_used) + 1, len(calls)
+
+    few, evals_few = sweep(0.05)
+    many, evals_many = sweep(1.0)
+    assert few <= 12 and many >= 28
+    assert evals_few == evals_many
+
+
 def test_shared_ladder_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -412,6 +448,33 @@ def test_shared_ladder_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+@pytest.mark.parametrize("a", [2.0, math.inf])
+def test_threads_climbing_one_user_stream_agree(a):
+    # every thread climbs the same fresh ladder at once, so its tables grow
+    # under contention; one lost or doubled extension shifts a table
+    from concurrent.futures import ThreadPoolExecutor
+
+    omegas = (1.8, 1.5, 1.2) if a == 2.0 else (0.9, 0.5, 0.2)
+
+    def run(f, omega):
+        res = evaluate_transform(TransformSpec(f, 1, omega, a))
+        return omega, repr((res.total, res.k_used))
+
+    want = dict(run(gauss_stream(1.0), omega) for omega in omegas)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            shared = gauss_stream(1.0)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, shared, omega)
+                           for omega in omegas * 4]
+                got = [fut.result(timeout=120) for fut in futures]
+            assert all(bits == want[omega] for omega, bits in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
