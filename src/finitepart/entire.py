@@ -51,15 +51,18 @@ def first_nonzero(coeffs):
 
 class Ladder:
     """The rung ladder of one (nu, a, tol): the stored finite parts
-    ``rungs`` {m: FpiValue}, and the per-ladder work tables of
+    ``rungs`` {m: FpiValue}; the rung values the naive series of
+    :mod:`finitepart.stieltjes` reads, ``naive`` {(m0, step): [FPI_m0,
+    FPI_{m0+step}, ...]}; and the per-ladder work tables of
     :mod:`finitepart.finite_part` (``series``, the Maclaurin tables, and
     ``nodes``, the exp-sinh nodes of the split), None until first needed.
     """
 
-    __slots__ = ("rungs", "series", "nodes")
+    __slots__ = ("rungs", "naive", "series", "nodes")
 
     def __init__(self):
         self.rungs = {}
+        self.naive = {}
         self.series = self.nodes = None
 
 

@@ -41,9 +41,9 @@ only the nu = 0 head and the route depend on the case.
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 from operator import mul, sub, truediv
+from typing import NamedTuple
 
 from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
@@ -73,9 +73,9 @@ class FpiMethod(enum.Enum):
     RECURRENCE = "Recurrence"
 
 
-@dataclass(frozen=True)
-class FpiValue:
-    """A finite-part integral value with evaluation diagnostics.
+class FpiValue(NamedTuple):
+    """A finite-part integral value with evaluation diagnostics; a
+    NamedTuple, so it unpacks as (value, method, terms_used, tail_bound).
 
     ``terms_used`` counts the work of the call that computed the value:
     series terms, or continued-fraction iterations plus recurrence steps.
@@ -162,9 +162,10 @@ def _fpi_finite(f, m, nu, a, tol, ladder=None):
     ladder).  The head, k < m - 1, is the sum of c_k / (-(i+nu) a^{i+nu})
     with i = m - 1 - k, plus c_{m-1} ln a at nu = 0; the tail starts at
     k = m at nu = 0 and at k = m - 1 at 0 < nu < 1, both from the zero
-    order at least, and is summed by
-    :func:`~finitepart.series.sum_until_small` to ``tol`` term by term,
-    (c_k a^{j-nu}) / (j-nu); a polynomial's is summed whole.
+    order at least.  Its terms (c_k a^{j-nu}) / (j-nu) are summed by
+    :func:`~finitepart.series.sum_until_small` to ``tol`` relative to the
+    rung's running value, head + tail so far, not to the tail's own sum,
+    and the tail is then added to the head; a polynomial's is summed whole.
     ``terms_used`` counts the terms of the tail.
     """
     if ladder is None:
@@ -209,7 +210,7 @@ def _fpi_finite(f, m, nu, a, tol, ladder=None):
                    ds[j:j + _CHUNK])
 
     s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
-                        tol)
+                        tol, offset=head)
     tail = s.total_or_raise("finite-part series")
     return FpiValue(head + tail, FpiMethod.SERIES_FINITE, s.terms, s.last)
 

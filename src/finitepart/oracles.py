@@ -25,6 +25,8 @@ from .errors import NonconvergenceError
 from .series import power_terms, sum_until_small
 
 _QUAD_LIMIT = 200  # QUADPACK subinterval limit
+# how scipy's quad opens its message for QUADPACK's roundoff code, ier = 2
+_ROUNDOFF = "The occurrence of roundoff error"
 _TAYLOR_TERM_CAP = 600  # terms of the epsilon oracle's Taylor remainder
 _EPS_LIST = (1e-2, 1e-3, 1e-4)  # epsilon oracle sample points, decreasing
 _EPS_QUAD_TOL = 1e-12
@@ -40,12 +42,24 @@ class QuadratureResult:
 
 
 def _quad_once(fn, lo, hi, tol):
+    """One QUADPACK call.  A result that QUADPACK flags for roundoff
+    (ier = 2) is still accepted when its error estimate is within ``tol``
+    of int |fn|: an integral that cancels to near zero cannot meet the
+    relative target, nor the fixed absolute floor below it, but is as
+    accurate as the integrand's size allows.  That case alone costs a
+    second call, for int |fn| to three digits."""
     from scipy.integrate import quad
 
     out = quad(fn, lo, hi, epsabs=1e-15, epsrel=tol, limit=_QUAD_LIMIT,
                full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
+    if len(out) > 3 and out[3].startswith(_ROUNDOFF):
+        mag = quad(lambda x: abs(fn(x)), lo, hi, epsabs=0.0, epsrel=1e-3,
+                   limit=_QUAD_LIMIT, full_output=1)
+        neval += int(mag[2].get("neval", 0))
+        if abserr <= tol * mag[0]:
+            return value, abserr, neval
     if len(out) > 3:
         raise NonconvergenceError(
             f"adaptive quadrature did not converge on [{lo}, {hi}]: {out[3]}",

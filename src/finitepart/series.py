@@ -36,11 +36,14 @@ class SeriesSum(NamedTuple):
 _new_sum = partial(tuple.__new__, SeriesSum)
 
 
-def sum_until_small(terms, rtol, cap=TERM_CAP, start=0.0):
+def sum_until_small(terms, rtol, cap=TERM_CAP, start=0.0, offset=0.0):
     """Sum ``terms`` (real or complex) left to right from ``start``.
 
-    A term t is small when |t| <= rtol * |running total|; exact zeros are
-    small, and a term that is not small resets the run.  Summation converges
+    A term t is small when |t| <= rtol * |offset + running total|; exact
+    zeros are small, and a term that is not small resets the run.
+    ``offset`` is a part of the value summed apart (the head of a
+    finite-part rung), which the rule measures against but the total
+    leaves out, so the caller adds it in its own order.  Summation converges
     on the second small term in a row.  It stops unconverged as soon as the
     running total is not finite (that term counted), after ``cap`` terms
     (none if ``cap <= 0``) or when ``terms`` runs out.
@@ -60,7 +63,7 @@ def sum_until_small(terms, rtol, cap=TERM_CAP, start=0.0):
             last = abs(t)
             if last > largest:
                 largest = last
-            if last > rtol * abs(total):
+            if last > rtol * abs(total + offset):
                 small_run = 0
             elif abs(total) < inf:
                 small_run += 1

@@ -19,7 +19,8 @@ which is what the high-Peclet effective diffusivity expansion needs.
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, chain, count, repeat
+from operator import mul
 
 from .entire import TaylorFunction
 from .finite_part import finite_part_integral
@@ -28,6 +29,10 @@ from .series import TERM_CAP, sum_until_small
 
 DEFAULT_EVAL_TOL = 1e-12
 _FPI_TOL = 1e-15
+
+# n -> the signed binomials (-1)^k binom(n+k-1,k) as floats, k = 0, 1, ...;
+# grown by replacement, never in place, so a thread reads a whole list
+_BINOMS = {}
 
 
 @dataclass(frozen=True)
@@ -101,35 +106,24 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
 
 
-def _rungs(f, nu, a, m0, step):
-    """k -> FPI(f, m0 + step*k, nu, a), read from f's rung ladder.
-
-    The rungs do not depend on omega, so a sweep on one descriptor computes
-    each of them once (:meth:`~finitepart.entire.TaylorFunction.ladder`).
-    Only values are stored: a rung that raises is computed, and raises,
-    again on the next call.
-    """
-    rungs = f.ladder(nu, a, _FPI_TOL).rungs
-
-    def fpi_at(k):
-        m = m0 + step * k
-        v = rungs.get(m)
-        if v is None:
-            v = rungs[m] = finite_part_integral(f, m, nu, a, tol=_FPI_TOL)
-        return v.value
-
-    return fpi_at
+def _powers(x):
+    """1, x, x^2, ... by repeated multiplication."""
+    return accumulate(repeat(x), mul, initial=1.0)
 
 
-def _naive_terms(fpi_at, n, ostep, rows):
-    wk = 1.0
-    for k in count():
-        coef = (-1) ** k * math.comb(n + k - 1, k) * wk
-        fv = fpi_at(k)
-        if rows is not None:
-            rows.append((k, coef, fv))
-        yield coef * fv
-        wk *= ostep
+def _signed_binomial(n, k):
+    """(-1)^k binom(n+k-1,k), an exact integer rounded once to a float."""
+    return float((-1) ** k * math.comb(n + k - 1, k))
+
+
+def _binomials(n, size):
+    """The signed binomials of n for k < size at least, grown by
+    replacement."""
+    bs = _BINOMS.get(n, [])
+    if len(bs) < size:
+        bs = _BINOMS[n] = bs + [_signed_binomial(n, k)
+                                for k in range(len(bs), size)]
+    return bs
 
 
 def _naive_cap(k_max):
@@ -141,20 +135,57 @@ def _naive_cap(k_max):
     return k_max
 
 
-def _naive_series(fpi_at, n, omega, tol, cap, keep_terms, power_step=1):
-    """sum_k binom(-n,k) omega^{power_step*k} FPI_k for k = 0..cap.
+def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
+    """sum_k binom(-n,k) ostep^k FPI(f, m0 + step*k, nu, a) for k = 0..cap.
 
-    binom(-n,k) = (-1)^k binom(n+k-1,k) in exact integers, promoted per
-    term.  Summed by :func:`~finitepart.series.sum_until_small`; without
+    The rungs do not depend on omega, so a sweep on one descriptor reads
+    them from two tables: the rung values of (m0, step) on f's rung ladder
+    (:meth:`~finitepart.entire.TaylorFunction.ladder`) and the signed
+    binomials of n.  A term is (binomial * ostep^k) * rung, ostep^k by
+    repeated multiplication from 1; over the stored rungs the terms are
+    formed by ``map``.  Past them one rung at a time is read from the
+    ladder's stored rungs or computed by :func:`finite_part_integral` and
+    stored, and only the rungs the sum reaches are.  A rung that raises is
+    not stored, so it is computed, and raises, again on the next call.
+    The value list grows by replacement once the sum is done, never in
+    place.
+
+    Summed by :func:`~finitepart.series.sum_until_small`; without
     convergence the partial sum is returned and the flag reports it.  The
     tail estimate is the larger of the last two term magnitudes, so an
     isolated near-zero term (a sign change passing through the finite-part
     sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged, rows).
     """
-    rows = [] if keep_terms else None
-    s = sum_until_small(_naive_terms(fpi_at, n, omega**power_step, rows), tol,
-                        cap + 1)
+    lad = f.ladder(nu, a, _FPI_TOL)
+    key = (m0, step)
+    fs = lad.naive.get(key, [])
+    ws = _powers(ostep)
+    new = []
+
+    def climb():
+        rungs = lad.rungs
+        for k in count(len(fs)):
+            m = m0 + step * k
+            v = rungs.get(m)
+            if v is None:
+                v = rungs[m] = finite_part_integral(f, m, nu, a,
+                                                    tol=_FPI_TOL)
+            new.append(v.value)
+            yield _signed_binomial(n, k) * next(ws) * v.value
+
+    # rung * (binomial * ostep^k) has the bits of the product the other way
+    # round, and the map stops at the last listed rung before it reads ws
+    listed = map(mul, fs, map(mul, _binomials(n, len(fs)), ws))
+    s = sum_until_small(chain(listed, climb()), tol, cap + 1)
+    if new:
+        fs = fs + new
+        if len(fs) > len(lad.naive.get(key, ())):
+            lad.naive[key] = fs
+    rows = None
+    if keep_terms:
+        rows = list(zip(range(s.terms), map(mul, _binomials(n, s.terms),
+                                            _powers(ostep)), fs))
     return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
 
 
@@ -169,10 +200,9 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
     cap = _naive_cap(k_max)
     if nu == 0.0:
-        nu = 0.0  # an int 0 shares the float rungs (see _rungs)
+        nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
     naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, nu, spec.a, n, 1), n, omega, tol, cap, keep_terms,
-    )
+        f, nu, spec.a, n, 1, n, omega, tol, cap, keep_terms)
     if nu == 0.0:
         sing = singular_term_integer(f, n, omega)
     else:
@@ -196,9 +226,7 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
     naive, k_used, tail, ok, rows = _naive_series(
-        _rungs(f, 0.0, a, 2, 2), 1, omega, tol, cap, keep_terms,
-        power_step=2,
-    )
+        f, 0.0, a, 2, 2, 1, omega**2, tol, cap, keep_terms)
     fi = f.eval_complex(1j * omega)
     sing = (math.pi / (2.0 * omega)) * fi.real \
         - (math.log(omega) / omega) * fi.imag

@@ -117,6 +117,16 @@ def test_compare_command():
     assert doc["results"][0]["rel_diff"] < 1e-5
 
 
+def test_compare_of_a_zero_finite_part_exits_0():
+    # x^2 (1 - x) at m = 1, a = 1.5: the finite part is exactly 0, and the
+    # epsilon oracle's quadratures cancel to near zero
+    res = invoke("compare", "--op", "fpi", "--f", "binpoly(2,1)", "--m", "1",
+                 "--a", "1.5", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    row = json.loads(res.stdout)["results"][0]
+    assert row["value"] == 0.0 and abs(row["oracle"]) < 1e-9
+
+
 def test_exit_code_2_on_bad_input():
     assert invoke("fpi", "--f", "bogus(1)", "--m", "1").returncode == 2
     assert invoke("fpi", "--f", "exp(1)").returncode == 2       # missing --m

@@ -219,6 +219,46 @@ def test_user_stream_rungs_match_mpmath(name, a, nu):
             assert abs(v.value - ref) <= 1e-15 * scale, (m, v.value, ref)
 
 
+def _gauss_rung_mp(c, m, nu, a):
+    """FPI(exp(-c x^2), m, nu, a) at 50 digits from the exact c_k."""
+    with mpmath.workdps(50):
+        a, nu, c = mpmath.mpf(a), mpmath.mpf(nu), mpmath.mpf(c)
+        total = mpmath.mpf(0)
+        for k in range(0, m + 120, 2):
+            ck = (-c) ** (k // 2) / mpmath.factorial(k // 2)
+            if nu == 0 and k == m - 1:
+                total += ck * mpmath.log(a)
+            else:
+                total += ck * a ** (k + 1 - m - nu) / (k + 1 - m - nu)
+        return total
+
+
+# (c, nu, a, worst relative error allowed, tail terms allowed over the grid)
+# When the tail was summed to 1e-15 of its own sum, the worst errors were
+# 1.44e-13 and 8.6e-16 and the grid took 1,910 and 1,330 tail terms.  At
+# gauss(1), a = 2 the tail is about 1e-56 of a rung of order 1, and the
+# floor of 1.44e-13 is set by cancellation in the head.  The tail now
+# stops at 1e-15 of the rung's running value: one gauss(1.26) rung lost
+# one ulp (worst 8.8e-16), inside the rung tolerance of 1e-15.
+TAIL_STOP_CASES = [(1.0, 0.0, 2.0, 1.45e-13, 955),
+                   (1.26, 0.5, 1.0, 1e-15, 665)]
+
+
+@pytest.mark.parametrize("c,nu,a,worst,work", TAIL_STOP_CASES)
+def test_tail_stops_at_the_rung_precision(c, nu, a, worst, work):
+    # the grid m = 1, 4, ..., 190; at most half the tail terms of a stop
+    # relative to the tail's own sum, and no larger error
+    f = CustomSeries(_gauss_coeff(c), lambda x: math.exp(-c * x * x))
+    rungs = [finite_part_integral(f, m, nu, a) for m in range(1, 191, 3)]
+    errors = []
+    for m, v in zip(range(1, 191, 3), rungs):
+        ref = _gauss_rung_mp(c, m, nu, a)
+        with mpmath.workdps(50):
+            errors.append(float(abs(v.value - ref) / abs(ref)))
+    assert max(errors) <= worst
+    assert sum(v.terms_used for v in rungs) <= work
+
+
 # ---------------------------------------------------------------------------
 # the split at a = inf: the exp-sinh tail on [1, inf)
 # ---------------------------------------------------------------------------

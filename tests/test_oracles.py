@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 
@@ -100,6 +101,30 @@ def test_quad_breakpoints_cover_sharp_peaks():
     r2b = quad_adaptive(lambda x: math.exp(-x) / (w * w + x * x), 5 * w,
                         math.inf, tol=1e-13)
     assert r.value == pytest.approx(r2a.value + r2b.value, rel=1e-10)
+
+
+def test_quad_accepts_roundoff_within_the_integrand_size():
+    # x - x^2 on [0.01, 1.5] cancels to -4.97e-5 against int |g| = 1/3;
+    # QUADPACK reports roundoff with an error estimate of 3.7e-15, below
+    # 1e-12 / 3, so the value is accepted
+    want = (1.5 ** 2 / 2 - 1.5 ** 3 / 3) - (0.01 ** 2 / 2 - 0.01 ** 3 / 3)
+    r = quad_adaptive(lambda x: x - x * x, 0.01, 1.5, tol=1e-12)
+    assert r.value == pytest.approx(want, abs=1e-15)
+    assert r.abs_err_estimate <= 1e-12 / 3
+
+
+def test_quad_still_raises_when_it_does_not_converge():
+    # roundoff again, but the error estimate (8e-9) is far above 1e-12
+    # times int |g|: a float32-rounded sine
+    def f32_sin(x):
+        return struct.unpack("f", struct.pack("f", math.sin(x)))[0]
+
+    with pytest.raises(NonconvergenceError, match="roundoff"):
+        quad_adaptive(f32_sin, 0.0, 3.0, tol=1e-12)
+    # another QUADPACK failure, the subdivision limit, is not forgiven
+    with pytest.raises(NonconvergenceError, match="subdivisions"):
+        quad_adaptive(lambda x: 1.0 + 1e-8 * math.sin(1e15 * x), 0.0, 1.0,
+                      tol=1e-12)
 
 
 def test_quad_validation():

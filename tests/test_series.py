@@ -21,6 +21,19 @@ def test_an_isolated_small_term_is_reset_by_a_large_one():
     assert (s.last, s.prev, s.largest) == (1e-20, 1e-20, 2.0)
 
 
+def test_offset_moves_the_stop_but_stays_out_of_the_total():
+    terms = [1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-21, 1e-24, 1e-27]
+    own = sum_until_small(terms, 1e-15, 100)
+    assert own.converged and own.terms == 7
+    # small against 1 + the running total, the series stops sooner
+    s = sum_until_small(terms, 1e-15, 100, offset=1.0)
+    assert s.converged and s.terms == 6
+    total = 0.0
+    for t in terms[:6]:
+        total += t
+    assert s.total == total
+
+
 def test_cap_returns_unconverged_partial_total():
     s = sum_until_small(repeat(1.0), 1e-15, 10)
     assert not s.converged

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from itertools import count
 
 import pytest
 from scipy import special
@@ -9,7 +10,9 @@ from finitepart import stieltjes
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
+from finitepart.finite_part import finite_part_integral
 from finitepart.oracles import quad_adaptive
+from finitepart.series import TERM_CAP, sum_until_small
 from finitepart.stieltjes import (ExpansionResult, TransformSpec,
                                   effective_diffusivity, eval_quadratic,
                                   evaluate_transform, singular_term_branch,
@@ -389,6 +392,77 @@ def test_sweep_computes_each_rung_once(fpi_calls):
     k_used = [evaluate_transform(TransformSpec(f, 2, omega, 1.0)).k_used
               for omega in _sweep_omegas(0.5)]
     assert sorted(fpi_calls) == list(range(2, 2 + max(k_used) + 1))
+    # three value lists on one ladder share their rungs, and none reads
+    # past the last rung its sum reaches
+    fpi_calls.clear()
+    f = gauss_stream(1.0)
+    reached = set()
+    for omega in (0.3, 0.1, 0.5):
+        for n in (1, 3):
+            k = evaluate_transform(TransformSpec(f, n, omega, 1.0)).k_used
+            reached.update(range(n, n + k + 1))
+        k = eval_quadratic(f, omega, 1.0).k_used
+        reached.update(range(2, 2 * k + 3, 2))
+    assert sorted(fpi_calls) == sorted(reached)
+
+
+def _reference_naive(f, nu, a, m0, step, n, ostep, tol, k_max):
+    """The naive series as a plain loop: float((-1)^k binom(n+k-1, k))
+    times ostep^k times FPI(f, m0 + step*k, nu, a), ostep^k by repeated
+    multiplication; (naive_sum, k_used, tail_estimate, converged, rows)."""
+    rows = []
+
+    def terms():
+        wk = 1.0
+        for k in count():
+            coef = float((-1) ** k * math.comb(n + k - 1, k)) * wk
+            fv = finite_part_integral(f, m0 + step * k, nu, a,
+                                      tol=1e-15).value
+            rows.append((k, coef, fv))
+            yield coef * fv
+            wk *= ostep
+
+    cap = TERM_CAP if k_max is None else k_max
+    s = sum_until_small(terms(), tol, cap + 1)
+    return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
+
+
+TABLE_STREAMS = {
+    "exp": lambda: Exponential(1.1),
+    "monexp": lambda: MonomialExp(1, 0.9),
+    "poly": lambda: Polynomial([1.0, -0.4]),
+    "gauss": lambda: gauss_stream(1.0),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(TABLE_STREAMS))
+@pytest.mark.parametrize("kernel,nu", [("integer", 0.0), ("branch", 0.25),
+                                       ("branch", 0.5), ("quadratic", 0.0)])
+@pytest.mark.parametrize("a", [1.5, math.inf])
+def test_table_sum_matches_a_plain_loop(stream, kernel, nu, a):
+    # a rising sweep needs more rungs than its tables hold, a falling one
+    # fewer; both must give the bits of the plain loop, rows included
+    make = TABLE_STREAMS[stream]
+    if stream == "poly" and kernel == "quadratic" and math.isinf(a):
+        return  # a degree-1 polynomial against x^-2 diverges at infinity
+    top = 0.5 * a if math.isfinite(a) else 0.9
+    omegas = _sweep_omegas(top, 6)
+    tol = 1e-12
+    for k_max in (0, 3, None):
+        for sweep in (omegas, omegas[::-1]):
+            f, ref_f = make(), make()
+            for omega in sweep:
+                if kernel == "quadratic":
+                    got = eval_quadratic(f, omega, a, tol, k_max, True)
+                    want = _reference_naive(ref_f, 0.0, a, 2, 2, 1,
+                                            omega ** 2, tol, k_max)
+                else:
+                    got = evaluate_transform(TransformSpec(f, 3, omega, a, nu),
+                                             tol, k_max, True)
+                    want = _reference_naive(ref_f, nu, a, 3, 1, 3, omega,
+                                            tol, k_max)
+                assert repr((got.naive_sum, got.k_used, got.tail_estimate,
+                             got.converged, got.per_term)) == repr(want)
 
 
 def gauss_stream(c):
@@ -453,26 +527,33 @@ def test_shared_ladder_across_threads():
 @pytest.mark.parametrize("a", [2.0, math.inf])
 def test_threads_climbing_one_user_stream_agree(a):
     # every thread climbs the same fresh ladder at once, so its tables grow
-    # under contention; one lost or doubled extension shifts a table
+    # under contention; one lost or doubled extension shifts a table.  The
+    # jobs mix n = 1, n = 2 and the quadratic kernel, which read three rung
+    # value lists, (1, 1), (2, 1) and (2, 2), and two binomial tables
     from concurrent.futures import ThreadPoolExecutor
 
     omegas = (1.8, 1.5, 1.2) if a == 2.0 else (0.9, 0.5, 0.2)
+    jobs = [(n, omega) for n in (1, 2, 0) for omega in omegas]
 
-    def run(f, omega):
-        res = evaluate_transform(TransformSpec(f, 1, omega, a))
-        return omega, repr((res.total, res.k_used))
+    def run(f, n, omega):
+        if n:
+            res = evaluate_transform(TransformSpec(f, n, omega, a))
+        else:
+            res = eval_quadratic(f, omega, a)
+        return (n, omega), repr((res.total, res.k_used))
 
-    want = dict(run(gauss_stream(1.0), omega) for omega in omegas)
+    want = dict(run(gauss_stream(1.0), n, omega) for n, omega in jobs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(60):
             shared = gauss_stream(1.0)
+            stieltjes._BINOMS.clear()  # the binomial tables grow afresh too
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(run, shared, omega)
-                           for omega in omegas * 4]
+                futures = [pool.submit(run, shared, n, omega)
+                           for n, omega in jobs * 3]
                 got = [fut.result(timeout=120) for fut in futures]
-            assert all(bits == want[omega] for omega, bits in got)
+            assert all(bits == want[job] for job, bits in got)
     finally:
         sys.setswitchinterval(interval)
 
