@@ -1,10 +1,12 @@
 """Entire functions represented by their Maclaurin coefficient streams.
 
 Every function handled by this package is an entire function f with
-f(z) = sum_k c_k z^k everywhere.  The built-in descriptors (decaying
-exponentials, polynomials, binomial kernels, monomial-times-exponential)
-carry exact closed forms for coefficients, point values, complex values
+f(z) = sum_k c_k z^k everywhere.  The built-in descriptors (the
+exponential family x^p exp(-b x) of :class:`MonomialExp`, whose p = 0
+member is :class:`Exponential`, polynomials and binomial kernels) carry
+exact closed forms for coefficients, point values, complex values
 and derivatives, so downstream series never inherit coefficient error.
+Their exponents are integers >= 0; a whole float such as 2.0 counts as 2.
 User-supplied streams go through :class:`CustomSeries`, which must declare
 both the coefficients and a point-evaluation callback; nothing here ever
 differentiates a black box numerically.
@@ -21,6 +23,7 @@ threads can only compute the same value twice.
 
 import cmath
 import math
+import numbers
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
@@ -32,7 +35,7 @@ EVAL_TERM_CAP = 1024
 ZERO_ORDER_SCAN_CAP = 256
 
 _EVAL_RTOL = 1e-15
-# k! as floats for the exact-ratio coefficients of Exponential; a float
+# k! as floats for the exact-ratio coefficients of MonomialExp; a float
 # divided by an int rounds the int the same way, so the bits are unchanged
 _FACT = [float(math.factorial(k)) for k in range(151)]
 
@@ -47,6 +50,13 @@ def first_nonzero(coeffs):
     raise IndeterminateZeroOrderError(
         f"no nonzero coefficient found for k <= {ZERO_ORDER_SCAN_CAP}"
     )
+
+
+def _integer(v, what):
+    """int(v) for a whole number v (2.0 counts as 2), else ValueError."""
+    if not (isinstance(v, numbers.Real) and v % 1 == 0):
+        raise ValueError(f"{what} must be an integer; got {v!r}")
+    return int(v)
 
 
 class Ladder:
@@ -182,8 +192,6 @@ class TaylorFunction:
     # -- scaling ------------------------------------------------------
 
     def scaled(self, factor: float) -> "TaylorFunction":
-        if factor == 0.0:
-            raise ValueError("scale factor must be nonzero")
         return Scaled(self, factor)
 
     def __mul__(self, factor):
@@ -195,56 +203,6 @@ class TaylorFunction:
         return self.scaled(1.0 / float(divisor))
 
 
-class Exponential(TaylorFunction):
-    """f(x) = exp(-b x), b > 0."""
-
-    def __init__(self, b: float):
-        super().__init__()
-        if b <= 0:
-            raise ValueError("Exponential requires b > 0")
-        self.b = float(b)
-
-    def _coeff(self, k):
-        # exact ratio for small k, log form once factorials overflow floats
-        if k <= 150:
-            return (-self.b) ** k / _FACT[k]
-        mag = math.exp(k * math.log(self.b) - math.lgamma(k + 1))
-        return -mag if k % 2 else mag
-
-    def eval(self, x):
-        return math.exp(-self.b * x)
-
-    def eval_complex(self, z):
-        return cmath.exp(-self.b * z)
-
-    def derivative_at(self, k, x):
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        return (-self.b) ** k * math.exp(-self.b * x)
-
-    def zero_order(self):
-        return 0
-
-    def exp_family(self):
-        return 0, self.b, 1.0
-
-    def check_integrable_at_infinity(self, m, nu):
-        """exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
-
-    def fpi_infinite(self, m, nu):
-        """nu = 0:     (-1)^m b^{m-1} (ln b - psi(m)) / (m-1)!
-        0 < nu < 1: (-1)^m b^{m+nu-1} pi / (sin(pi nu) Gamma(m+nu))"""
-        b = self.b
-        if nu == 0.0:
-            return ((-1.0) ** m * b ** (m - 1) * (math.log(b) - digamma_int(m))
-                    / math.factorial(m - 1))
-        return ((-1.0) ** m * b ** (m + nu - 1) * math.pi
-                / (math.sin(math.pi * nu) * math.gamma(m + nu)))
-
-    def __repr__(self):
-        return f"Exponential(b={self.b:g})"
-
-
 class Polynomial(TaylorFunction):
     """f(x) = sum_{k=r}^{s} a_k x^k with a_r != 0 and a_s != 0.
 
@@ -254,6 +212,7 @@ class Polynomial(TaylorFunction):
     def __init__(self, coeffs, lowest: int = 0):
         super().__init__()
         coeffs = [float(c) for c in coeffs]
+        lowest = _integer(lowest, "lowest exponent")
         if lowest < 0:
             raise ValueError("lowest exponent must be >= 0")
         while coeffs and coeffs[0] == 0.0:
@@ -289,10 +248,7 @@ class Polynomial(TaylorFunction):
         return acc * x**self.lowest
 
     def eval_complex(self, z):
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z**self.lowest
+        return self.eval(complex(z))
 
     def derivative_at(self, k, x):
         if k < 0:
@@ -333,6 +289,8 @@ class BinomialPoly(Polynomial):
     """f(x) = x^p (1-x)^q for non-negative integers p, q."""
 
     def __init__(self, p: int, q: int):
+        p = _integer(p, "BinomialPoly exponent p")
+        q = _integer(q, "BinomialPoly exponent q")
         if p < 0 or q < 0:
             raise ValueError("BinomialPoly requires p, q >= 0")
         coeffs = [(-1) ** j * math.comb(q, j) for j in range(q + 1)]
@@ -343,8 +301,7 @@ class BinomialPoly(Polynomial):
     def eval(self, x):
         return x**self.p * (1.0 - x) ** self.q
 
-    def eval_complex(self, z):
-        return z**self.p * (1.0 - z) ** self.q
+    eval_complex = eval
 
     def check_integrable_at_infinity(self, m, nu):
         raise DivergentIntegralError(
@@ -356,42 +313,49 @@ class BinomialPoly(Polynomial):
 
 
 class MonomialExp(TaylorFunction):
-    """f(x) = x^p exp(-b x) for non-negative integer p and b > 0."""
+    """f(x) = x^p exp(-b x) for integer p >= 0 and b > 0."""
 
     def __init__(self, p: int, b: float):
         super().__init__()
+        p = _integer(p, "MonomialExp exponent p")
         if p < 0:
             raise ValueError("MonomialExp requires p >= 0")
         if b <= 0:
-            raise ValueError("MonomialExp requires b > 0")
-        self.p = int(p)
+            raise ValueError(f"{type(self).__name__} requires b > 0")
+        self.p = p
         self.b = float(b)
-        self._exp = Exponential(b)
 
     def _coeff(self, k):
-        if k < self.p:
+        # (-b)^j / j!, j = k - p: exact ratio, log form once j! overflows
+        j = k - self.p
+        if j < 0:
             return 0.0
-        return self._exp.coeff(k - self.p)
+        if j <= 150:
+            return (-self.b) ** j / _FACT[j]
+        mag = math.exp(j * math.log(self.b) - math.lgamma(j + 1))
+        return -mag if j % 2 else mag
 
     def eval(self, x):
         return x**self.p * math.exp(-self.b * x)
 
     def eval_complex(self, z):
-        return z**self.p * cmath.exp(-self.b * z)
+        w = cmath.exp(-self.b * z)
+        # z**0 * w would turn an imaginary part of -0.0 into +0.0
+        return z**self.p * w if self.p else w
 
     def derivative_at(self, k, x):
         if k < 0:
             raise ValueError("derivative order must be >= 0")
-        # Leibniz rule; the monomial factor dies after p differentiations
-        total = 0.0
-        for j in range(min(k, self.p) + 1):
-            total += (
-                math.comb(k, j)
-                * math.perm(self.p, j)
-                * x ** (self.p - j)
-                * (-self.b) ** (k - j)
-            )
-        return total * math.exp(-self.b * x)
+        if not self.p:
+            return (-self.b) ** k * math.exp(-self.b * x)
+        p, b = self.p, self.b
+        # Leibniz rule from its j = 0 term; the monomial factor dies after p
+        # differentiations
+        total = x**p * (-b) ** k
+        for j in range(1, min(k, p) + 1):
+            total += (math.comb(k, j) * math.perm(p, j) * x ** (p - j)
+                      * (-b) ** (k - j))
+        return total * math.exp(-b * x)
 
     def zero_order(self):
         return self.p
@@ -403,15 +367,31 @@ class MonomialExp(TaylorFunction):
         """x^p exp(-b x) x^{-m-nu} is integrable at infinity for every m, nu."""
 
     def fpi_infinite(self, m, nu):
-        """The pure exponential at strength m - p once m > p, else the
-        ordinary integral Gamma(p-m+1-nu) / b^(p-m+1-nu)."""
-        if m > self.p:
-            return self._exp.fpi_infinite(m - self.p, nu)
-        arg = self.p - m + 1 - nu
-        return math.gamma(arg) / self.b ** arg
+        """q = m - p <= 0:      the integral Gamma(p-m+1-nu) / b^(p-m+1-nu);
+        q >= 1, nu = 0:      (-1)^q b^{q-1} (ln b - psi(q)) / (q-1)!
+        q >= 1, 0 < nu < 1:  (-1)^q b^{q+nu-1} pi / (sin(pi nu) Gamma(q+nu))"""
+        b, q = self.b, m - self.p
+        if q < 1:
+            arg = self.p - m + 1 - nu
+            return math.gamma(arg) / b ** arg
+        if nu == 0.0:
+            return ((-1.0) ** q * b ** (q - 1) * (math.log(b) - digamma_int(q))
+                    / math.factorial(q - 1))
+        return ((-1.0) ** q * b ** (q + nu - 1) * math.pi
+                / (math.sin(math.pi * nu) * math.gamma(q + nu)))
 
     def __repr__(self):
         return f"MonomialExp(p={self.p}, b={self.b:g})"
+
+
+class Exponential(MonomialExp):
+    """f(x) = exp(-b x), b > 0: the p = 0 member of :class:`MonomialExp`."""
+
+    def __init__(self, b: float):
+        super().__init__(0, b)
+
+    def __repr__(self):
+        return f"Exponential(b={self.b:g})"
 
 
 class CustomSeries(TaylorFunction):

@@ -81,8 +81,8 @@ class FpiValue(NamedTuple):
     series terms, or continued-fraction iterations plus recurrence steps.
     ``tail_bound`` is the magnitude of the last series term; for Recurrence
     rungs it is a forward bound on the rounding error carried through the
-    recurrence, and for the incomplete-gamma rungs of ``MonomialExp`` it
-    covers truncation and rounding.  A SplitInfinite rung adds to the bound
+    recurrence, and for the incomplete-gamma rungs m <= p of ``MonomialExp``
+    it covers truncation and rounding.  A SplitInfinite rung adds to the bound
     of its series part the last change of the exp-sinh rule and the
     rounding u (|series part| + |integral|) of the sum of the two.
     """

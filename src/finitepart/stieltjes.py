@@ -77,8 +77,6 @@ def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
         raise ValueError("order n must be >= 1")
     if not omega > 0:
         raise ValueError("omega must be positive")
-    if n == 1:
-        return -f.eval(-omega) * math.log(omega)
     total = -f.derivative_at(n - 1, -omega) * math.log(omega) / math.factorial(n - 1)
     for k in range(n - 1):
         total += f.derivative_at(k, -omega) / (

@@ -7,6 +7,9 @@ import pytest
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial, Scaled, unscale)
 from finitepart.errors import IndeterminateZeroOrderError, NonconvergenceError
+from finitepart.finite_part import finite_part_integral
+from finitepart.stieltjes import (TransformSpec, eval_quadratic,
+                                  evaluate_transform)
 
 
 def cauchy_coeff(f, k, radius, n=512):
@@ -194,3 +197,113 @@ def test_exponential_factorial_table_keeps_the_bits(b):
     for k in range(151):
         want = (-b) ** k / math.factorial(k)
         assert Exponential(b).coeff(k).hex() == want.hex(), (b, k)
+
+
+# ---------------------------------------------------------------------------
+# Exponential(b) is MonomialExp(0, b)
+# ---------------------------------------------------------------------------
+
+def test_exponential_is_the_p0_monomial_exp():
+    f = Exponential(1.5)
+    assert isinstance(f, MonomialExp)
+    assert repr(f) == "Exponential(b=1.5)"
+    assert repr(MonomialExp(0, 1.5)) == "MonomialExp(p=0, b=1.5)"
+    assert f.p == 0 and f.exp_family() == (0, 1.5, 1.0)
+    for args, message in (((0.0,), "Exponential requires b > 0"),
+                          ((1, -1.0), "MonomialExp requires b > 0"),
+                          ((-1, 1.0), "MonomialExp requires p >= 0")):
+        cls = Exponential if len(args) == 1 else MonomialExp
+        with pytest.raises(ValueError) as err:
+            cls(*args)
+        assert str(err.value) == message
+
+
+PAIR_B = [0.3, 1.0, 2.5]
+PAIR_X = [-3.0, -0.5, 0.0, 0.7, 4.0, 40.0]
+
+
+def same_bits(u, v):
+    # repr tells signed zeros apart, == does not
+    return repr(u) == repr(v)
+
+
+@pytest.mark.parametrize("b", PAIR_B)
+def test_exponential_and_p0_monomial_exp_share_every_bit(b):
+    e, m = Exponential(b), MonomialExp(0, b)
+    # k = 151.. crosses from the exact ratio to the log form
+    assert all(same_bits(e.coeff(k), m.coeff(k)) for k in range(161))
+    for x in PAIR_X:
+        assert same_bits(e.eval(x), m.eval(x))
+        assert same_bits(e.eval_complex(complex(x, 0.0)),
+                         m.eval_complex(complex(x, 0.0)))
+        assert same_bits(e.eval_complex(complex(x, 0.5)),
+                         m.eval_complex(complex(x, 0.5)))
+        for k in range(7):
+            assert same_bits(e.derivative_at(k, x), m.derivative_at(k, x))
+
+
+@pytest.mark.parametrize("a, nu", [(0.5, 0.0), (0.5, 0.25), (4.0, 0.0),
+                                   (4.0, 0.25), (math.inf, 0.0),
+                                   (math.inf, 0.5)])
+def test_exponential_and_p0_monomial_exp_share_their_finite_parts(a, nu):
+    # a b < 1 seeds the recurrence with the series, a b > 1 with E_p
+    e, m = Exponential(1.0), MonomialExp(0, 1.0)
+    for k in range(1, 16):
+        fe = finite_part_integral(e, k, nu, a)
+        fm = finite_part_integral(m, k, nu, a)
+        assert fe == fm and same_bits(fe.value, fm.value)
+
+
+def test_exponential_and_p0_monomial_exp_share_their_transforms():
+    e, m = Exponential(2.0), MonomialExp(0, 2.0)
+    for a in (3.0, math.inf):
+        te = evaluate_transform(TransformSpec(e, 2, 0.3, a), keep_terms=True)
+        tm = evaluate_transform(TransformSpec(m, 2, 0.3, a), keep_terms=True)
+        assert te == tm and te.per_term == tm.per_term
+    assert eval_quadratic(e, 0.2) == eval_quadratic(m, 0.2)
+
+
+def leibniz_reference(p, b, k, x):
+    """d^k/dx^k x^p e^{-bx} summed over every Leibniz term from zero."""
+    total = 0.0
+    for j in range(min(k, p) + 1):
+        total += (math.comb(k, j) * math.perm(p, j) * x ** (p - j)
+                  * (-b) ** (k - j))
+    return total * math.exp(-b * x)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_monomial_exp_derivative_is_the_leibniz_sum(p):
+    f = MonomialExp(p, 0.9)
+    for x in PAIR_X:
+        for k in range(7):
+            assert f.derivative_at(k, x) == leibniz_reference(p, 0.9, k, x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MonomialExp(1.5, 1.0),
+    lambda: MonomialExp(0.5, 1.0),
+    lambda: MonomialExp("2", 1.0),
+    lambda: MonomialExp(math.nan, 1.0),
+    lambda: Polynomial([1.0, 2.0], lowest=1.5),
+    lambda: BinomialPoly(1.5, 2),
+    lambda: BinomialPoly(1, 2.5),
+])
+def test_non_integer_exponents_are_rejected(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_whole_float_exponents_count_as_integers():
+    assert repr(MonomialExp(2.0, 1.0)) == "MonomialExp(p=2, b=1)"
+    assert repr(BinomialPoly(1.0, 2.0)) == "BinomialPoly(p=1, q=2)"
+    assert Polynomial([5.0], lowest=2.0).coeff(2) == 5.0
+    assert MonomialExp(np.int64(3), 1.0).p == 3
+
+
+def test_binomial_poly_complex_value_is_its_real_formula():
+    f = BinomialPoly(2, 3)
+    assert BinomialPoly.eval_complex is BinomialPoly.eval
+    assert type(f.eval_complex(0.4)) is float
+    z = 0.3 - 0.2j
+    assert f.eval_complex(z) == z**2 * (1.0 - z) ** 3

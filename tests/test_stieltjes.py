@@ -51,6 +51,20 @@ def test_singular_term_integer_examples():
         == pytest.approx(-math.log(0.1) - 1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("f", [
+    EXP1, MonomialExp(0, 2.0), MonomialExp(3, 0.7), ONE,
+    Polynomial([4.0, 0.0, -3.0, 1.0], lowest=1), BinomialPoly(1, 2),
+    0.5 * Exponential(2.0),
+    CustomSeries(lambda k: (-2.0) ** k / math.factorial(k),
+                 lambda x: math.exp(-2.0 * x), label="exp2-stream"),
+], ids=repr)
+@pytest.mark.parametrize("omega", [0.01, 0.4, 0.9, 3.0])
+def test_singular_term_at_n1_is_the_log_pole_term(f, omega):
+    # the general formula at n = 1: derivative_at(0) is eval, / 0! is exact
+    assert singular_term_integer(f, 1, omega) \
+        == -f.eval(-omega) * math.log(omega)
+
+
 def test_singular_term_branch_examples():
     assert singular_term_branch(ONE, 1, 0.5, 0.25) == pytest.approx(
         2.0 * math.pi, rel=1e-15
