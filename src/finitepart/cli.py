@@ -173,11 +173,9 @@ def _kernel_oracle(fn, omega, a, singular_lo=False):
 
 
 def _stieltjes_oracle(f, n, nu, omega, a):
-    if nu == 0.0:
-        fn = lambda x: f.eval(x) / (omega + x) ** n
-    else:
-        fn = lambda x: f.eval(x) * x ** (-nu) / (omega + x) ** n
-    return _kernel_oracle(fn, omega, a, singular_lo=nu > 0)
+    # x ** -0.0 == 1.0, so nu = 0 multiplies by one exactly
+    return _kernel_oracle(lambda x: f.eval(x) * x ** (-nu) / (omega + x) ** n,
+                          omega, a, singular_lo=nu > 0)
 
 
 def _attach_oracle(row, method_value, oracle_value):
@@ -198,17 +196,8 @@ def _run_fpi(prm):
         "flag": "",
     }
     if prm["compare"]:
-        if math.isfinite(prm["a"]):
-            oracle = fpi_epsilon_oracle(f, prm["m"], prm["nu"], prm["a"])
-        else:
-            # oracle split mirrors the library's, but with the epsilon
-            # oracle supplying the finite piece
-            power = prm["m"] + prm["nu"]
-            tail = quad_adaptive(lambda x: f.eval(x) * x ** (-power), 1.0,
-                                 math.inf, tol=1e-12)
-            oracle = fpi_epsilon_oracle(f, prm["m"], prm["nu"], 1.0) \
-                + tail.value
-        _attach_oracle(row, v.value, oracle)
+        _attach_oracle(row, v.value,
+                       fpi_epsilon_oracle(f, prm["m"], prm["nu"], prm["a"]))
     return [row], True
 
 

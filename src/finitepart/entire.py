@@ -227,6 +227,8 @@ class Polynomial(TaylorFunction):
 
     @classmethod
     def from_dict(cls, terms: dict) -> "Polynomial":
+        terms = {_integer(k, "Polynomial exponent"): c
+                 for k, c in terms.items()}
         lo = min(terms)
         hi = max(terms)
         return cls([terms.get(k, 0.0) for k in range(lo, hi + 1)], lowest=lo)

@@ -8,13 +8,14 @@ series representations used elsewhere in the package:
   for algebraic singularities at the lower limit; semi-infinite ranges use
   QUADPACK's built-in rational mapping.
 * :func:`fpi_epsilon_oracle` evaluates a finite part straight from its
-  definition: integrate on [eps, a], remove the exactly known divergent
-  part, extrapolate eps -> 0.
+  definition: the divergent part in eps is removed analytically, so the
+  eps -> 0 limit is one ordinary integral of the Taylor remainder.
 * :func:`fpi_contour_oracle` evaluates the equivalent circular-contour
   representation by trigonometric interpolation.
 
-scipy and numpy are imported by the functions that use them, on their
-first call, so importing this module needs only the standard library.
+scipy (quadrature) and numpy (the contour oracle's FFT, its only use) are
+imported by the functions that use them, on their first call, so
+importing this module needs only the standard library.
 """
 
 import math
@@ -28,7 +29,6 @@ _QUAD_LIMIT = 200  # QUADPACK subinterval limit
 # how scipy's quad opens its message for QUADPACK's roundoff code, ier = 2
 _ROUNDOFF = "The occurrence of roundoff error"
 _TAYLOR_TERM_CAP = 600  # terms of the epsilon oracle's Taylor remainder
-_EPS_LIST = (1e-2, 1e-3, 1e-4)  # epsilon oracle sample points, decreasing
 _EPS_QUAD_TOL = 1e-12
 _CONTOUR_N_THETA = 64  # first contour resolution, a power of two
 _CONTOUR_TOL = 1e-10
@@ -88,33 +88,26 @@ def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
     """
     if not lo < hi:
         raise ValueError("quadrature requires lo < hi")
-    pieces = [lo]
+    edges = [lo]
     if breakpoints:
-        pieces.extend(p for p in sorted(breakpoints) if lo < p < hi)
-    pieces.append(hi)
+        edges.extend(p for p in sorted(breakpoints) if lo < p < hi)
+    edges.append(hi)
+    pieces = [(integrand, x0, x1) for x0, x1 in zip(edges[:-1], edges[1:])]
+    if singular_lo:
+        x0, x1 = edges[0], edges[1]
+        cut = x1 if math.isfinite(x1) else x0 + 1.0
+        pieces[0] = (lambda t: 2.0 * t * integrand(x0 + t * t), 0.0,
+                     math.sqrt(cut - x0))
+        if cut != x1:
+            pieces.insert(1, (integrand, cut, x1))
 
     total = err = 0.0
     neval = 0
-    for i, (x0, x1) in enumerate(zip(pieces[:-1], pieces[1:])):
-        if i == 0 and singular_lo:
-            cut = x1 if math.isfinite(x1) else x0 + 1.0
-            tmax = math.sqrt(cut - x0)
-            v, e, n = _quad_once(
-                lambda t: 2.0 * t * integrand(x0 + t * t), 0.0, tmax, tol
-            )
-            total += v
-            err += e
-            neval += n
-            if cut != x1:
-                v, e, n = _quad_once(integrand, cut, x1, tol)
-                total += v
-                err += e
-                neval += n
-        else:
-            v, e, n = _quad_once(integrand, x0, x1, tol)
-            total += v
-            err += e
-            neval += n
+    for fn, x0, x1 in pieces:
+        v, e, n = _quad_once(fn, x0, x1, tol)
+        total += v
+        err += e
+        neval += n
     return QuadratureResult(total, err, neval)
 
 
@@ -123,17 +116,19 @@ def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
 # ---------------------------------------------------------------------------
 
 def _taylor_remainder(f: TaylorFunction, m: int, x: float) -> float:
-    """f(x) - sum_{k<m} c_k x^k, evaluated without catastrophic cancellation.
+    """(f(x) - sum_{k<m} c_k x^k) / x^m, without catastrophic cancellation.
 
-    The tail series sum_{k>=m} c_k x^k is used directly; if its terms grow
-    so large that the summed result would lose more than ~8 digits, the
-    direct difference (well conditioned exactly in that regime) is used
-    instead.
+    The tail series sum_{k>=m} c_k x^{k-m} is summed from x^0, so x^m never
+    underflows.  Its rounding error scales with its largest term; that of
+    the direct difference f(x) - head, divided by x^m, with the sizes of
+    f(x) and of the head terms.  The difference is taken instead of the
+    tail when its error is the smaller one, as where the tail's terms grow
+    far above its sum.
     """
     deg = f.finite_degree()
     if deg is not None:
         total = largest = 0.0
-        xk = x**m
+        xk = 1.0
         for k in range(m, deg + 1):
             term = f.coeff(k) * xk
             total += term
@@ -141,14 +136,17 @@ def _taylor_remainder(f: TaylorFunction, m: int, x: float) -> float:
             xk *= x
     else:
         r = max(m, f.zero_order())
-        s = sum_until_small(power_terms(f.coeff, x, m, r, x**m), 1e-17,
+        s = sum_until_small(power_terms(f.coeff, x, m, r, 1.0), 1e-17,
                             _TAYLOR_TERM_CAP - r)
         total, largest = s.total_or_raise("Taylor tail"), s.largest
-    if largest > 1e8 * max(abs(total), 1e-300):
-        head = 0.0
-        for k in range(m - 1, -1, -1):
-            head = head * x + f.coeff(k)
-        return f.eval(x) - head
+    head = size = 0.0
+    for k in range(m - 1, -1, -1):
+        c = f.coeff(k)
+        head = head * x + c
+        size = size * x + abs(c)
+    xm = x**m
+    if size + abs(total) * xm < largest * xm:
+        return (f.eval(x) - head) / xm
     return total
 
 
@@ -156,22 +154,25 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
                        a: float) -> float:
     """Finite part of int_0^a f(x) x^{-m-nu} dx from its defining limit.
 
-    For each eps the regularized value C_eps (integral on [eps, a] minus
-    the exact divergent part assembled from c_0..c_{m-1}) is computed; the
-    divergent part is cancelled analytically against the Taylor head of
-    the integrand, so no large-number subtraction happens in floats.  The
-    C_eps sequence is then extrapolated to eps -> 0 using the known
-    residual powers eps^{j+1-nu}, j = 0, 1, ... (the integrated Taylor
-    remainder), one power per spare sample point.
+    On [eps, a] the integral splits into the Taylor head c_0..c_{m-1},
+    whose divergent part in eps is exactly the one the definition removes,
+    and the remainder Q(x) x^{-nu} with Q = (f - head) / x^m bounded at 0.
+    So the eps -> 0 limit is the head's value at the upper limit plus the
+    ordinary integral of Q(x) x^{-nu} on (0, a], taken in u = x^{1-nu}
+    (x^{-nu} dx = du / (1-nu)) so that the integrand is bounded at both
+    ends.  At a = inf the value on (0, 1] is added to the convergent
+    integral of f(x) x^{-m-nu} over [1, inf).
     """
     if m < 1:
         raise ValueError("pole strength m must be >= 1")
     if not (0.0 <= nu < 1.0):
         raise ValueError("branch exponent nu must lie in [0, 1)")
-    if not (0.0 < a < math.inf):
-        raise ValueError("epsilon oracle requires finite a > 0")
-    if _EPS_LIST[0] >= a:
-        raise ValueError("all eps must be smaller than a")
+    if not a > 0.0:
+        raise ValueError("epsilon oracle requires a > 0")
+    if a == math.inf:
+        tail = quad_adaptive(lambda x: f.eval(x) * x ** -(m + nu), 1.0, a,
+                             tol=_EPS_QUAD_TOL)
+        return fpi_epsilon_oracle(f, m, nu, 1.0) + tail.value
 
     # eps-free part: head coefficients integrated on [eps, a] minus the
     # divergent group leaves only their value at the upper limit.
@@ -186,25 +187,10 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
         for k in range(m):
             p = k + 1 - m - nu
             head += f.coeff(k) * a**p / p
-    power = m + nu
-
-    def integrand(x):
-        return _taylor_remainder(f, m, x) / x**power
-
-    c_vals = [head + quad_adaptive(integrand, e, a, tol=_EPS_QUAD_TOL).value
-              for e in _EPS_LIST]
-
-    import numpy as np
-
-    # solve C(eps) = L + sum_j A_j eps^{j+1-nu} for the limit L
-    npts = len(_EPS_LIST)
-    powers = [j + 1.0 - nu for j in range(npts - 1)]
-    mat = np.ones((npts, npts))
-    for i, e in enumerate(_EPS_LIST):
-        for j, p in enumerate(powers):
-            mat[i, j + 1] = e**p
-    sol = np.linalg.solve(mat, np.asarray(c_vals))
-    return float(sol[0])
+    q = 1.0 - nu
+    rem = quad_adaptive(lambda u: _taylor_remainder(f, m, u ** (1.0 / q)),
+                        0.0, a**q, tol=_EPS_QUAD_TOL)
+    return head + rem.value / q
 
 
 # ---------------------------------------------------------------------------

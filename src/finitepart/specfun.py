@@ -126,17 +126,6 @@ def _gauss_int_ak(n, r, s, k) -> Fraction:
     return acc
 
 
-def _gauss_int_cm(n, r, s, m) -> Fraction:
-    acc = Fraction(0)
-    for j in range(m, n - 1):
-        if r + m - j - 1 < 0:
-            continue
-        acc += Fraction((-1) ** j,
-                        (n - 1 - j) * math.factorial(j - m)
-                        * math.factorial(r + m - j - 1))
-    return acc
-
-
 def _gauss_int_naive(n, r, s, zeta):
     pref = math.factorial(s - 1) / (math.factorial(n - 1) * math.factorial(r - 1))
 
@@ -153,7 +142,7 @@ def _gauss_int_singular(n, r, s, zeta):
     acc = 0.0
     for m in range(s - r):
         w = 1.0 / math.factorial(s - r - m - 1)
-        acc += float(_gauss_int_cm(n, r, s, m)) * w / (
+        acc += float(_kummer_dm(r, n, m)) * w / (
             math.factorial(m) * (1.0 + zeta) ** m
         )
     return ((-1) ** (r - 1) * math.factorial(s - 1)
@@ -213,7 +202,7 @@ def gauss2f1_leading(p, zeta: float = None) -> float:
         z = p.zeta if zeta is None else zeta
         n, r, s = p.n, p.r, p.s
         a0 = float(_gauss_int_ak(n, r, s, 0))
-        c0 = float(_gauss_int_cm(n, r, s, 0))
+        c0 = float(_kummer_dm(r, n, 0))
         lead = math.factorial(s - 1) / (math.factorial(r - 1) * z**n) * a0
         lead += ((-1) ** (r - 1) * math.factorial(s - 1) * c0
                  / (z ** (s - 1) * (z + 1.0) ** (r + 1 - s)
@@ -237,6 +226,7 @@ def gauss2f1_leading(p, zeta: float = None) -> float:
 # ---------------------------------------------------------------------------
 
 def _kummer_dm(s, n, m) -> Fraction:
+    # also the singular-part coefficients of 2F1(n, r; s; -zeta), at s = r
     acc = Fraction(0)
     for l in range(n - 1 - m):
         if s - l - 1 < 0:

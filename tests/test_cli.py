@@ -127,6 +127,15 @@ def test_compare_of_a_zero_finite_part_exits_0():
     assert row["value"] == 0.0 and abs(row["oracle"]) < 1e-9
 
 
+def test_compare_oracle_of_a_zero_finite_part_is_zero(capsys):
+    # the remainder x (1 - x) x^{-1} has an eps^3 term in its integral,
+    # which a three-point extrapolation in eps left as 3.3e-10
+    assert main(["compare", "--op", "fpi", "--f", "binpoly(2,1)", "--m", "1",
+                 "--a", "1.5", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert abs(row["oracle"]) <= 1e-15 and row["abs_diff"] <= 1e-15
+
+
 def test_exit_code_2_on_bad_input():
     assert invoke("fpi", "--f", "bogus(1)", "--m", "1").returncode == 2
     assert invoke("fpi", "--f", "exp(1)").returncode == 2       # missing --m

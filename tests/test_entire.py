@@ -118,6 +118,13 @@ def test_polynomial_trimming_and_validation():
     assert q.coeff(2) == 5.0 and q.coeff(1) == 0.0
 
 
+def test_polynomial_from_dict_checks_its_exponents():
+    p = Polynomial.from_dict({2.0: 1.0})
+    assert p.lowest == 2 and p.degree == 2 and p.coeff(2) == 1.0
+    with pytest.raises(ValueError, match="must be an integer"):
+        Polynomial.from_dict({1.5: 1.0})
+
+
 def test_custom_series_contract():
     # a shifted exponential supplied as a raw stream
     f = CustomSeries(

@@ -3,11 +3,13 @@ import struct
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from finitepart.entire import BinomialPoly, Exponential, MonomialExp, Polynomial
+from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
+                               MonomialExp, Polynomial)
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import EULER_GAMMA
@@ -142,10 +144,107 @@ def test_epsilon_oracle_examples():
 
 
 def test_epsilon_oracle_validation():
-    with pytest.raises(ValueError):
-        fpi_epsilon_oracle(Exponential(1.0), 1, 0.0, math.inf)
-    with pytest.raises(ValueError, match="smaller than a"):
-        fpi_epsilon_oracle(Exponential(1.0), 1, 0.0, 1e-2)
+    f = Exponential(1.0)
+    with pytest.raises(ValueError, match="pole strength"):
+        fpi_epsilon_oracle(f, 0, 0.0, 1.0)
+    for nu in (-0.25, 1.0):
+        with pytest.raises(ValueError, match="branch exponent"):
+            fpi_epsilon_oracle(f, 1, nu, 1.0)
+    for a in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="a > 0"):
+            fpi_epsilon_oracle(f, 1, 0.0, a)
+
+
+def _gauss_coeff(k):
+    # exp(-x^2); the zeros past k = 341 keep the float stream finite
+    if k % 2 or k // 2 > 170:
+        return 0.0
+    return (-1.0) ** (k // 2) / math.factorial(k // 2)
+
+
+def _exp_exact(b):
+    return lambda k: (-mpmath.mpf(b)) ** k / mpmath.factorial(k)
+
+
+def _gauss_exact(k):
+    return 0 if k % 2 else mpmath.mpf(-1) ** (k // 2) / mpmath.factorial(k // 2)
+
+
+# (descriptor, exact c_k as mpf or None for the float coefficients)
+_GRID_FUNCTIONS = {
+    "exp(1)": (Exponential(1.0), _exp_exact(1.0)),
+    "exp(2.5)": (Exponential(2.5), _exp_exact(2.5)),
+    "monexp(2,1)": (MonomialExp(2, 1.0),
+                    lambda k: 0 if k < 2 else _exp_exact(1.0)(k - 2)),
+    "poly(1:0.5:-0.3)": (Polynomial([1.0, 0.5, -0.3]), None),
+    "binpoly(1,3)": (BinomialPoly(1, 3), None),
+    "binpoly(2,1)": (BinomialPoly(2, 1), None),
+    "gauss(1)": (CustomSeries(_gauss_coeff, lambda x: math.exp(-x * x)),
+                 _gauss_exact),
+}
+
+
+def _series_fp(f, exact, m, nu, a):
+    """Finite part of int_0^a f x^{-m-nu} dx as the term-wise sum of its
+    Maclaurin series, at 60 digits."""
+    with mpmath.workdps(60):
+        a, nu = mpmath.mpf(a), mpmath.mpf(nu)
+        deg = f.finite_degree()
+        total = mpmath.mpf(0)
+        for k in range(200 if deg is None else deg + 1):
+            c = mpmath.mpf(f.coeff(k)) if exact is None else exact(k)
+            if nu == 0 and k == m - 1:
+                total += c * mpmath.log(a)
+            elif c:
+                p = k + 1 - m - nu
+                total += c * a**p / p
+        return float(total)
+
+
+@pytest.mark.parametrize("name", list(_GRID_FUNCTIONS))
+def test_epsilon_oracle_matches_the_series_reference(name):
+    f, exact = _GRID_FUNCTIONS[name]
+    for m in (1, 3, 8):
+        for nu in (0.0, 0.25, 0.75):
+            for a in (0.05, 1.0, 2.5, 5.0):
+                ref = _series_fp(f, exact, m, nu, a)
+                got = fpi_epsilon_oracle(f, m, nu, a)
+                assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-14, \
+                    (m, nu, a, got, ref)
+
+
+def test_epsilon_oracle_exact_zero_with_a_branch_point():
+    # x^2 (1 - x) x^{-2.75} on (0, 5]: 4 * 5^0.25 - 0.8 * 5^1.25 = 0; the
+    # remainder is integrated in u = x^0.25, which leaves no endpoint
+    # singularity for QUADPACK to fail on
+    assert abs(fpi_epsilon_oracle(BinomialPoly(2, 1), 2, 0.75, 5.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_epsilon_oracle_at_a_small_a(m, nu):
+    # the limit is taken exactly, so no upper limit is too small
+    f = Exponential(1.0)
+    ref = _series_fp(f, _exp_exact(1.0), m, nu, 1e-3)
+    assert fpi_epsilon_oracle(f, m, nu, 1e-3) == pytest.approx(ref,
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_epsilon_oracle_at_infinity_matches_the_closed_forms(b, m, nu):
+    with mpmath.workdps(40):
+        b_mp = mpmath.mpf(b)
+        if nu:
+            s = m + mpmath.mpf(nu)
+            ref = b_mp ** (s - 1) * mpmath.gamma(1 - s)
+        else:
+            ref = ((-b_mp) ** (m - 1) / mpmath.factorial(m - 1)
+                   * (mpmath.digamma(m) - mpmath.log(b_mp)))
+        ref = float(ref)
+    got = fpi_epsilon_oracle(Exponential(b), m, nu, math.inf)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_contour_oracle_examples():
