@@ -94,17 +94,17 @@ def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
     edges.append(hi)
     pieces = [(integrand, x0, x1) for x0, x1 in zip(edges[:-1], edges[1:])]
     if singular_lo:
-        x0, x1 = edges[0], edges[1]
-        cut = x1 if math.isfinite(x1) else x0 + 1.0
-        pieces[0] = (lambda t: 2.0 * t * integrand(x0 + t * t), 0.0,
-                     math.sqrt(cut - x0))
-        if cut != x1:
-            pieces.insert(1, (integrand, cut, x1))
+        first = edges[1]
+        cut = first if math.isfinite(first) else lo + 1.0
+        pieces[0] = (lambda t: 2.0 * t * integrand(lo + t * t), 0.0,
+                     math.sqrt(cut - lo))
+        if cut != first:
+            pieces.insert(1, (integrand, cut, first))
 
     total = err = 0.0
     neval = 0
-    for fn, x0, x1 in pieces:
-        v, e, n = _quad_once(fn, x0, x1, tol)
+    for fn, a, b in pieces:
+        v, e, n = _quad_once(fn, a, b, tol)
         total += v
         err += e
         neval += n

@@ -119,21 +119,15 @@ def test_compare_command():
 
 def test_compare_of_a_zero_finite_part_exits_0():
     # x^2 (1 - x) at m = 1, a = 1.5: the finite part is exactly 0, and the
-    # epsilon oracle's quadratures cancel to near zero
+    # epsilon oracle's one integral of the Taylor remainder x (1 - x) over
+    # (0, a] cancels the head exactly; a three-point extrapolation in eps
+    # left the remainder's eps^3 term behind, 3.3e-10
     res = invoke("compare", "--op", "fpi", "--f", "binpoly(2,1)", "--m", "1",
                  "--a", "1.5", "--format", "json")
     assert res.returncode == 0, res.stderr
     row = json.loads(res.stdout)["results"][0]
-    assert row["value"] == 0.0 and abs(row["oracle"]) < 1e-9
-
-
-def test_compare_oracle_of_a_zero_finite_part_is_zero(capsys):
-    # the remainder x (1 - x) x^{-1} has an eps^3 term in its integral,
-    # which a three-point extrapolation in eps left as 3.3e-10
-    assert main(["compare", "--op", "fpi", "--f", "binpoly(2,1)", "--m", "1",
-                 "--a", "1.5", "--format", "json"]) == 0
-    row = json.loads(capsys.readouterr().out)["results"][0]
-    assert abs(row["oracle"]) <= 1e-15 and row["abs_diff"] <= 1e-15
+    assert row["value"] == 0.0 and abs(row["oracle"]) <= 1e-15
+    assert row["abs_diff"] <= 1e-15
 
 
 def test_exit_code_2_on_bad_input():

@@ -92,6 +92,19 @@ def test_quad_examples():
     assert r.value == pytest.approx(4.0 * math.atan(2.0), rel=1e-9)
 
 
+def test_quad_singular_lo_substitutes_about_a_nonzero_lower_limit():
+    r = quad_adaptive(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0, tol=1e-12,
+                      singular_lo=True)
+    assert r.value == pytest.approx(2.0, rel=1e-12)
+    # hi = inf: the substituted piece ends at lo + 1, a plain one follows
+    r = quad_adaptive(lambda x: (x - 1.0) ** -0.5 * math.exp(1.0 - x), 1.0,
+                      math.inf, tol=1e-12, singular_lo=True)
+    assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
+    r = quad_adaptive(lambda x: (x - 2.0) ** -0.5, 2.0, 4.0, tol=1e-12,
+                      breakpoints=[3.0], singular_lo=True)
+    assert r.value == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+
 def test_quad_breakpoints_cover_sharp_peaks():
     w = 0.01
     r = quad_adaptive(lambda x: math.exp(-x) / (w * w + x * x), 0.0, math.inf,
