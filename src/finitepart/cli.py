@@ -179,10 +179,12 @@ def _stieltjes_oracle(f, n, nu, omega, a):
 
 
 def _attach_oracle(row, method_value, oracle_value):
+    # relative to an exact zero the difference is undefined: None, which
+    # renders as JSON null and an empty CSV or table cell
     row["oracle"] = oracle_value
     row["abs_diff"] = abs(method_value - oracle_value)
     scale = max(abs(method_value), abs(oracle_value))
-    row["rel_diff"] = row["abs_diff"] / scale if scale else 0.0
+    row["rel_diff"] = row["abs_diff"] / scale if method_value else None
 
 
 def _run_fpi(prm):
@@ -351,7 +353,7 @@ def render(doc, fmt: str) -> str:
 def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    return str(v)
+    return "" if v is None else str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -63,17 +63,18 @@ class Ladder:
     """The rung ladder of one (nu, a, tol): the stored finite parts
     ``rungs`` {m: FpiValue}; the rung values the naive series of
     :mod:`finitepart.stieltjes` reads, ``naive`` {(m0, step): [FPI_m0,
-    FPI_{m0+step}, ...]}; and the per-ladder work tables of
-    :mod:`finitepart.finite_part` (``series``, the Maclaurin tables, and
-    ``nodes``, the exp-sinh nodes of the split), None until first needed.
+    FPI_{m0+step}, ...]}; and the per-ladder work of
+    :mod:`finitepart.finite_part` (``route``, the callable m -> FPI_m of a
+    finite a, ``series``, the Maclaurin tables, and ``nodes``, the exp-sinh
+    nodes of the split), None until first needed.
     """
 
-    __slots__ = ("rungs", "naive", "series", "nodes")
+    __slots__ = ("rungs", "naive", "route", "series", "nodes")
 
     def __init__(self):
         self.rungs = {}
         self.naive = {}
-        self.series = self.nodes = None
+        self.route = self.series = self.nodes = None
 
 
 class TaylorFunction:
@@ -88,8 +89,8 @@ class TaylorFunction:
 
     def __init__(self):
         self._memo = {}
-        # (key, Ladder); see ladder()
-        self._ladder = (None, Ladder())
+        # (nu, a, tol, key, Ladder); see ladder()
+        self._ladder = (None, None, None, None, Ladder())
 
     # -- coefficients ------------------------------------------------
 
@@ -166,13 +167,16 @@ class TaylorFunction:
         The descriptor holds a single (nu, a, tol); another one, or an equal
         nu or a of another type (which can round differently), replaces it
         with a fresh one, so a thread that still holds the old one reads
-        consistent rungs.
+        consistent rungs.  The objects nu, a and tol of the last call are
+        kept, and the same three objects again skip the key.
         """
-        key = (nu, type(nu), a, type(a), tol)
         lad = self._ladder
-        if lad[0] != key:
-            lad = self._ladder = (key, Ladder())
-        return lad[1]
+        if lad[0] is nu and lad[1] is a and lad[2] is tol:
+            return lad[4]
+        key = (nu, type(nu), a, type(a), tol)
+        lad = self._ladder = (nu, a, tol, key,
+                              lad[4] if lad[3] == key else Ladder())
+        return lad[4]
 
     # -- infinite upper limit ---------------------------------------
 

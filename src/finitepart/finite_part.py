@@ -36,11 +36,14 @@ computed once per ladder and serve every m; QUADPACK
 (:mod:`finitepart.oracles`) is left to check it.
 
 :func:`finite_part_integral` is the one entry point for every (m, nu, a);
-only the nu = 0 head and the route depend on the case.
+only the nu = 0 head and the route depend on the case.  A finite-a
+ladder's route, the recurrence or the Maclaurin tables, is chosen once,
+at its first rung, and every later rung of the ladder goes straight to it.
 """
 
 import enum
 import math
+from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
@@ -93,8 +96,13 @@ class FpiValue(NamedTuple):
     tail_bound: float
 
 
+# builds an FpiValue without the Python-level NamedTuple constructor
+_new_fpi = partial(tuple.__new__, FpiValue)
+
+
 class _SeriesTables:
-    """The tables of the Maclaurin rungs of one (nu, a), kept on f's ladder.
+    """The Maclaurin rungs of one (nu, a, tol) and their tables, kept on
+    f's ladder; :meth:`rung` reads rung m.
 
     With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
     the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are c_k, each read
@@ -107,8 +115,8 @@ class _SeriesTables:
     never in place, so a thread only reads lists that are consistent.
     """
 
-    def __init__(self, f, nu, a):
-        self.f, self.nu, self.a = f, nu, a
+    def __init__(self, f, nu, a, tol):
+        self.f, self.nu, self.a, self.tol = f, nu, a, tol
         deg = f.finite_degree()
         if deg is None:
             r, c = first_nonzero(map(f.coeff, count()))
@@ -153,143 +161,155 @@ class _SeriesTables:
             es = self.es = es + more
         return es
 
+    def rung(self, m):
+        """Finite part of int_0^a f(x) x^{-m-nu} dx, read from the tables.
 
-def _fpi_finite(f, m, nu, a, tol, ladder=None):
-    """Finite part of int_0^a f(x) x^{-m-nu} dx for finite a > 0.
+        The head, k < m - 1, is the sum of c_k / (-(i+nu) a^{i+nu}) with
+        i = m - 1 - k, plus c_{m-1} ln a at nu = 0; the tail starts at k = m
+        at nu = 0 and at k = m - 1 at 0 < nu < 1, both from the zero order at
+        least.  Its terms (c_k a^{j-nu}) / (j-nu) are summed by
+        :func:`~finitepart.series.sum_until_small` to ``tol`` relative to the
+        rung's running value, head + tail so far, not to the tail's own sum,
+        and the tail is then added to the head; a polynomial's is summed
+        whole.  ``terms_used`` counts the terms of the tail.
+        """
+        nu, a = self.nu, self.a
+        r, deg = self.r, self.deg
+        head = 0.0
+        if nu == 0.0:
+            cs = self.coeffs(m)
+            if m <= len(cs) and cs[m - 1] != 0.0:
+                head = cs[m - 1] * math.log(a)
+            k0 = max(r, m)
+        else:
+            k0 = max(r, m - 1)
+        top = m - 1 if deg is None else min(m - 1, deg + 1)
+        if top > r:
+            cs = self.coeffs(top)
+            es = self.head_divisors(m - r)
+            try:
+                head = sum(map(truediv, cs[r:top],
+                               es[m - 1 - r:m - 1 - top:-1]), head)
+            except ZeroDivisionError:  # a^{m-1-k} below float range
+                head = math.inf
+            if not abs(head) < math.inf:
+                raise NonconvergenceError("finite-part head leaves float "
+                                          f"range at m = {m}")
+        j0 = k0 + 1 - m
+        if deg is not None:
+            cs = self.coeffs(0)
+            ps, ds = self.powers(deg + 2 - m)
+            tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]),
+                       0.0)
+            return _new_fpi((head + tail, FpiMethod.SERIES_FINITE,
+                             max(deg + 1 - k0, 0), 0.0))
 
-    Every rung is read from the Maclaurin tables of ``ladder`` (by default
-    f's own at (nu, a, tol); the split keeps those of a0 on its a = inf
-    ladder).  The head, k < m - 1, is the sum of c_k / (-(i+nu) a^{i+nu})
-    with i = m - 1 - k, plus c_{m-1} ln a at nu = 0; the tail starts at
-    k = m at nu = 0 and at k = m - 1 at 0 < nu < 1, both from the zero
-    order at least.  Its terms (c_k a^{j-nu}) / (j-nu) are summed by
-    :func:`~finitepart.series.sum_until_small` to ``tol`` relative to the
-    rung's running value, head + tail so far, not to the tail's own sum,
-    and the tail is then added to the head; a polynomial's is summed whole.
-    ``terms_used`` counts the terms of the tail.
-    """
-    if ladder is None:
-        ladder = f.ladder(nu, a, tol)
+        def chunk(k):
+            j = k + 1 - m
+            cs = self.coeffs(k + _CHUNK)
+            ps, ds = self.powers(j + _CHUNK)
+            return map(truediv, map(mul, cs[k:k + _CHUNK], ps[j:j + _CHUNK]),
+                       ds[j:j + _CHUNK])
+
+        s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
+                            self.tol, offset=head)
+        tail = s.total_or_raise("finite-part series")
+        return _new_fpi((head + tail, FpiMethod.SERIES_FINITE, s.terms,
+                         s.last))
+
+
+def _tables(ladder, f, nu, a, tol):
+    """The Maclaurin tables of ``ladder``, made on first use: f's own at
+    (nu, a) on a finite-a ladder, those of a0 on an a = inf one."""
     tab = ladder.series
     if tab is None:
-        tab = ladder.series = _SeriesTables(f, nu, a)
-    r, deg = tab.r, tab.deg
-    head = 0.0
-    if nu == 0.0:
-        cs = tab.coeffs(m)
-        if m <= len(cs) and cs[m - 1] != 0.0:
-            head = cs[m - 1] * math.log(a)
-        k0 = max(r, m)
-    else:
-        k0 = max(r, m - 1)
-    top = m - 1 if deg is None else min(m - 1, deg + 1)
-    if top > r:
-        cs = tab.coeffs(top)
-        es = tab.head_divisors(m - r)
-        try:
-            head = sum(map(truediv, cs[r:top], es[m - 1 - r:m - 1 - top:-1]),
-                       head)
-        except ZeroDivisionError:  # a^{m-1-k} below float range
-            head = math.inf
-        if not abs(head) < math.inf:
-            raise NonconvergenceError("finite-part head leaves float range "
-                                      f"at m = {m}")
-    j0 = k0 + 1 - m
-    if deg is not None:
-        cs = tab.coeffs(0)
-        ps, ds = tab.powers(deg + 2 - m)
-        tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]), 0.0)
-        return FpiValue(head + tail, FpiMethod.SERIES_FINITE,
-                        max(deg + 1 - k0, 0), 0.0)
-
-    def chunk(k):
-        j = k + 1 - m
-        cs = tab.coeffs(k + _CHUNK)
-        ps, ds = tab.powers(j + _CHUNK)
-        return map(truediv, map(mul, cs[k:k + _CHUNK], ps[j:j + _CHUNK]),
-                   ds[j:j + _CHUNK])
-
-    s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
-                        tol, offset=head)
-    tail = s.total_or_raise("finite-part series")
-    return FpiValue(head + tail, FpiMethod.SERIES_FINITE, s.terms, s.last)
+        tab = ladder.series = _SeriesTables(f, nu, a, tol)
+    return tab
 
 
 # ---------------------------------------------------------------------------
 # exponential family at finite a
 # ---------------------------------------------------------------------------
 
-def _exp_seed(f, p, b, c, nu, a, tol):
+def _exp_seed(f, lad, p, b, c, nu, a, tol):
     """FPI(f, p + 1, nu, a), where the recurrence starts: the series while
     ab <= 1, else the a = inf closed form less c a^{-nu} E_{1+nu}(ab)."""
     x = a * b
     if x <= 1.0:
-        return _fpi_finite(f, p + 1, nu, a, tol)
+        return _tables(lad, f, nu, a, tol).rung(p + 1)
     e, iters = expint(1.0 + nu, x)
     head = unscale(f)[0].fpi_infinite(p + 1, nu)
     tail = a ** -nu * e
     value = c * (head - tail)
     bound = (abs(c) * (4.0 * abs(head) + (iters + 4.0) * abs(tail))
              + abs(value)) * UNIT_ROUNDOFF
-    return FpiValue(value, FpiMethod.RECURRENCE, iters, bound)
+    return _new_fpi((value, FpiMethod.RECURRENCE, iters, bound))
 
 
-def _fpi_exp_family(f, shape, m, nu, a, tol):
-    """Finite part of int_0^a c x^p e^{-bx} x^{-m-nu} dx on f's rung ladder.
+def _exp_route(f, lad, shape, nu, a, tol):
+    """The rung route of c x^p e^{-bx} on its finite-a ladder ``lad``:
+    m -> finite part of int_0^a c x^p e^{-bx} x^{-m-nu} dx.
 
-    A stored rung is returned as is.  Rungs m <= p are ordinary integrals.
+    p, b, c, c e^{-ab} and the coefficient stream are read once, here.  A
+    stored rung is returned as is.  Rungs m <= p are ordinary integrals.
     Above them a call steps the recurrence from the highest stored rung
     below m, or from the seed at m = p + 1, and stores every rung it
     passes, so each rung has the bits of one climb from the seed whatever
     the order of the calls.  The bound of each step is
     (u |c_{m-1}| + 4u |edge| + b e_{m-1} + u |b FPI_{m-1}|) / (q - 1 + nu)
     + u |FPI_m|, with e_{m-1} the bound of the rung below and
-    edge = c e^{-ab} a^{1-q-nu}, which takes an exp, a power and two
-    products.
+    edge = c e^{-ab} a^{1-q-nu}, which takes a power and a product.
     """
     p, b, c = shape
-    rungs = f.ladder(nu, a, tol).rungs
-    v = rungs.get(m)
-    if v is not None:
-        return v
-    u = UNIT_ROUNDOFF
-    if m <= p:
-        s = p - m + 1 - nu
-        g, used, bound = lower_gamma(s, a * b, tol)
-        scale = c / b ** s
-        value = scale * g
-        v = rungs[m] = FpiValue(value, FpiMethod.SERIES_FINITE, used,
-                                abs(scale) * bound + u * abs(value))
-        return v
-    j = m - 1
-    while j > p and j not in rungs:
-        j -= 1
-    if j > p:
-        prev = rungs[j]
-        work = 0
-    else:
-        j = p + 1
-        prev = rungs[j] = _exp_seed(f, p, b, c, nu, a, tol)
-        work = prev.terms_used
+    rungs = lad.rungs
+    coeff = f.coeff if nu == 0.0 else None
     ce = c * math.exp(-a * b)
-    for k in range(j + 1, m + 1):
-        q = k - p
-        d = q - 1 + nu
-        try:
-            edge = ce * a ** (1 - q - nu)
-        except OverflowError:
-            edge = math.inf
-        head = f.coeff(k - 1) if nu == 0.0 else 0.0
-        step = b * prev.value
-        value = (head - edge - step) / d
-        if not abs(value) < math.inf:
-            raise NonconvergenceError("finite-part recurrence leaves float "
-                                      f"range at m = {k}")
-        work += 1
-        bound = ((u * (abs(head) + 4.0 * abs(edge) + abs(step))
-                  + b * prev.tail_bound) / d + u * abs(value))
-        prev = rungs[k] = FpiValue(value, FpiMethod.RECURRENCE, work, bound)
-    return prev
+    u = UNIT_ROUNDOFF
+
+    def route(m):
+        v = rungs.get(m)
+        if v is not None:
+            return v
+        if m <= p:
+            s = p - m + 1 - nu
+            g, used, bound = lower_gamma(s, a * b, tol)
+            scale = c / b ** s
+            value = scale * g
+            v = rungs[m] = _new_fpi((value, FpiMethod.SERIES_FINITE, used,
+                                     abs(scale) * bound + u * abs(value)))
+            return v
+        j = m - 1
+        while j > p and j not in rungs:
+            j -= 1
+        if j > p:
+            prev = rungs[j]
+            work = 0
+        else:
+            j = p + 1
+            prev = rungs[j] = _exp_seed(f, lad, p, b, c, nu, a, tol)
+            work = prev.terms_used
+        value, bound = prev.value, prev.tail_bound
+        for k in range(j + 1, m + 1):
+            q = k - p
+            d = q - 1 + nu
+            try:
+                edge = ce * a ** (1 - q - nu)
+            except OverflowError:
+                edge = math.inf
+            head = coeff(k - 1) if coeff else 0.0
+            step = b * value
+            value = (head - edge - step) / d
+            if not abs(value) < math.inf:
+                raise NonconvergenceError("finite-part recurrence leaves "
+                                          f"float range at m = {k}")
+            work += 1
+            bound = ((u * (abs(head) + 4.0 * abs(edge) + abs(step))
+                      + b * bound) / d + u * abs(value))
+            prev = rungs[k] = _new_fpi((value, FpiMethod.RECURRENCE, work,
+                                        bound))
+        return prev
+
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +394,14 @@ def _split_infinite(f, m, nu, tol):
     """fpi(f, m, nu, a0) on the tables of f's a = inf ladder plus the
     exp-sinh integral of f(x) x^{-m-nu} over [a0, inf) on its nodes."""
     ladder = f.ladder(nu, math.inf, tol)
-    fin = _fpi_finite(f, m, nu, SPLIT_POINT, tol, ladder)
+    fin = _tables(ladder, f, nu, SPLIT_POINT, tol).rung(m)
     nodes = ladder.nodes
     if nodes is None:
         nodes = ladder.nodes = _ExpSinh(f)
     q, err = nodes.integral(m + nu)
     bound = fin.tail_bound + err + UNIT_ROUNDOFF * (abs(fin.value) + abs(q))
-    return FpiValue(fin.value + q, FpiMethod.SPLIT_INFINITE,
-                    fin.terms_used, bound)
+    return _new_fpi((fin.value + q, FpiMethod.SPLIT_INFINITE,
+                     fin.terms_used, bound))
 
 
 def _fpi_infinite(f, m, nu, tol):
@@ -398,12 +418,21 @@ def _fpi_infinite(f, m, nu, tol):
     if not math.isfinite(closed):
         raise NonconvergenceError(f"closed form for {base!r} at "
                                   f"m = {m} leaves float range")
-    return FpiValue(factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0)
+    return _new_fpi((factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _route(f, lad, nu, a, tol):
+    """The route of a finite-a ladder, chosen once: the exponential-family
+    recurrence when f is c x^p e^{-bx}, else the Maclaurin tables."""
+    shape = f.exp_family()
+    if shape is None:
+        return _tables(lad, f, nu, a, tol).rung
+    return _exp_route(f, lad, shape, nu, a, tol)
+
 
 def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                          a: float = math.inf,
@@ -419,7 +448,8 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
         raise ValueError("upper limit a must be positive")
     if math.isinf(a):
         return _fpi_infinite(f, m, nu, tol)
-    shape = f.exp_family()
-    if shape is not None:
-        return _fpi_exp_family(f, shape, m, nu, a, tol)
-    return _fpi_finite(f, m, nu, a, tol)
+    lad = f.ladder(nu, a, tol)
+    route = lad.route
+    if route is None:
+        route = lad.route = _route(f, lad, nu, a, tol)
+    return route(m)

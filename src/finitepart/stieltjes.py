@@ -71,15 +71,21 @@ class ExpansionResult:
     per_term: list = field(default=None, compare=False)
 
 
+def _derivatives(f, n, x):
+    """f(x), f'(x), ..., f^{(n-1)}(x); order 0 is one ``eval`` call."""
+    return [f.eval(x)] + [f.derivative_at(k, x) for k in range(1, n)]
+
+
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
     """Pole contribution of f(z)/(omega+z)^n at z = -omega (nu = 0 case)."""
     if n < 1:
         raise ValueError("order n must be >= 1")
     if not omega > 0:
         raise ValueError("omega must be positive")
-    total = -f.derivative_at(n - 1, -omega) * math.log(omega) / math.factorial(n - 1)
+    ds = _derivatives(f, n, -omega)
+    total = -ds[n - 1] * math.log(omega) / math.factorial(n - 1)
     for k in range(n - 1):
-        total += f.derivative_at(k, -omega) / (
+        total += ds[k] / (
             math.factorial(k) * (n - 1 - k) * omega ** (n - k - 1)
         )
     return total
@@ -94,10 +100,11 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
         raise ValueError("nu must lie strictly between 0 and 1")
     if not omega > 0:
         raise ValueError("omega must be positive")
+    ds = _derivatives(f, n, -omega)
     total = 0.0
     for k in range(n):
         total += (
-            f.derivative_at(n - 1 - k, -omega)
+            ds[n - 1 - k]
             * pochhammer(nu, k)
             / (math.factorial(k) * math.factorial(n - 1 - k) * omega**k)
         )
@@ -143,7 +150,9 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
     repeated multiplication from 1; over the stored rungs the terms are
     formed by ``map``.  Past them one rung at a time is read from the
     ladder's stored rungs or computed by :func:`finite_part_integral` and
-    stored, and only the rungs the sum reaches are.  A rung that raises is
+    stored, and only the rungs the sum reaches are; its binomial comes from
+    the table of n, extended by one where the climb passes its end, so no
+    binomial is formed that the sum does not reach.  A rung that raises is
     not stored, so it is computed, and raises, again on the next call.
     The value list grows by replacement once the sum is done, never in
     place.
@@ -163,14 +172,16 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
 
     def climb():
         rungs = lad.rungs
+        bs = _BINOMS.get(n, ())
         for k in count(len(fs)):
             m = m0 + step * k
             v = rungs.get(m)
             if v is None:
-                v = rungs[m] = finite_part_integral(f, m, nu, a,
-                                                    tol=_FPI_TOL)
+                v = rungs[m] = finite_part_integral(f, m, nu, a, _FPI_TOL)
             new.append(v.value)
-            yield _signed_binomial(n, k) * next(ws) * v.value
+            if k == len(bs):
+                bs = _binomials(n, k + 1)
+            yield bs[k] * next(ws) * v.value
 
     # rung * (binomial * ostep^k) has the bits of the product the other way
     # round, and the map stops at the last listed rung before it reads ws

@@ -130,6 +130,35 @@ def test_compare_of_a_zero_finite_part_exits_0():
     assert row["abs_diff"] <= 1e-15
 
 
+@pytest.mark.parametrize("argv", [["--m", "1", "--a", "1.5"],
+                                  ["--m", "2", "--nu", "0.75", "--a", "5"]])
+def test_compare_of_a_zero_value_has_no_relative_difference(argv, capsys):
+    # both finite parts are exactly 0 and the oracle is a rounding-level
+    # nonzero; against a zero value a relative difference means nothing
+    base = ["compare", "--op", "fpi", "--f", "binpoly(2,1)", *argv]
+    assert main(base + ["--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert row["value"] == 0.0 and row["rel_diff"] is None
+    assert row["abs_diff"] == abs(row["oracle"]) and row["abs_diff"] <= 1e-15
+    assert main(base + ["--format", "csv"]) == 0
+    header, data = csv.reader(io.StringIO(capsys.readouterr().out))
+    cells = dict(zip(header, data))
+    assert cells["rel_diff"] == "" and float(cells["abs_diff"]) <= 1e-15
+    assert main(base) == 0
+    header, data = capsys.readouterr().out.splitlines()
+    assert "None" not in data
+    assert data[header.index("rel_diff"):].strip() == ""
+
+
+def test_compare_of_a_nonzero_value_keeps_its_relative_difference(capsys):
+    assert main(["compare", "--op", "fpi", "--f", "exp(1)", "--m", "2",
+                 "--a", "1.5", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    scale = max(abs(row["value"]), abs(row["oracle"]))
+    assert row["rel_diff"] == row["abs_diff"] / scale
+    assert row["rel_diff"] < 1e-12
+
+
 def test_exit_code_2_on_bad_input():
     assert invoke("fpi", "--f", "bogus(1)", "--m", "1").returncode == 2
     assert invoke("fpi", "--f", "exp(1)").returncode == 2       # missing --m

@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
-from finitepart.finite_part import (FpiMethod, _split_infinite,
+from finitepart.finite_part import (DEFAULT_TOL, FpiMethod, _split_infinite,
                                     finite_part_integral)
 from finitepart.gammafn import EULER_GAMMA, digamma_int
 from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
@@ -373,6 +374,101 @@ def test_recurrence_beyond_float_range_is_nonconvergence():
     # a^{1-m} leaves float range at a = 0.5 past m = 1024
     with pytest.raises(NonconvergenceError, match="m = 1025"):
         finite_part_integral(Exponential(1.0), 1100, 0.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the route of a finite-a ladder
+# ---------------------------------------------------------------------------
+
+def _exp2_stream():
+    return CustomSeries(lambda k: (-2.0) ** k / math.factorial(k),
+                        lambda x: math.exp(-2.0 * x), label="exp2")
+
+
+ROUTE_CASES = {
+    "exp": lambda: Exponential(1.3),
+    "monexp": lambda: MonomialExp(2, 0.8),
+    "scaled-exp": lambda: -0.5 * Exponential(2.5),
+    "poly": lambda: Polynomial([1.0, -2.0, 0.5, 3.0], lowest=1),
+    "custom": _exp2_stream,
+}
+_SHUFFLED = list(range(1, 41))
+random.Random(14).shuffle(_SHUFFLED)
+ROUTE_ORDERS = {
+    "ascending": list(range(1, 41)),
+    "descending": list(range(40, 0, -1)),
+    "step-2": list(range(2, 41, 2)) + list(range(1, 41, 2)),
+    "shuffled": _SHUFFLED,
+}
+
+
+@pytest.mark.parametrize("order", sorted(ROUTE_ORDERS))
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+@pytest.mark.parametrize("nu,a", [(0.0, 0.7), (0.0, 6.0), (0.25, 2.0)])
+def test_route_rungs_do_not_depend_on_call_order(case, order, nu, a):
+    make = ROUTE_CASES[case]
+    # monexp(2, b) covers the ordinary integrals m <= p = 2 too
+    want = {m: _fpi_bits(finite_part_integral(make(), m, nu, a))
+            for m in range(1, 41)}
+    f = make()
+    for m in ROUTE_ORDERS[order]:
+        assert _fpi_bits(finite_part_integral(f, m, nu, a)) == want[m], m
+        # a direct call at another m between two rungs changes nothing
+        other = 41 - m if m % 3 else 1
+        assert _fpi_bits(finite_part_integral(f, other, nu, a)) \
+            == want[other], other
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_route_is_chosen_once_per_ladder(case):
+    f = ROUTE_CASES[case]()
+    first = finite_part_integral(f, 3, 0.0, 0.7)
+    lad = f.ladder(0.0, 0.7, DEFAULT_TOL)
+    route = lad.route
+    assert route is not None
+    finite_part_integral(f, 5, 0.0, 0.7)
+    assert f.ladder(0.0, 0.7, DEFAULT_TOL).route is route
+    # another (nu, a, tol) replaces the ladder, and its route is fresh
+    for nu, a, tol in [(0.25, 0.7, DEFAULT_TOL), (0.0, 1.4, DEFAULT_TOL),
+                       (0.0, 0.7, 1e-10)]:
+        v = finite_part_integral(f, 3, nu, a, tol)
+        assert _fpi_bits(v) == _fpi_bits(
+            finite_part_integral(ROUTE_CASES[case](), 3, nu, a, tol))
+        assert f.ladder(nu, a, tol).route not in (None, route)
+    again = finite_part_integral(f, 3, 0.0, 0.7)
+    assert f.ladder(0.0, 0.7, DEFAULT_TOL).route is not route
+    assert _fpi_bits(again) == _fpi_bits(first)
+
+
+def test_route_validates_every_call():
+    f = Exponential(1.0)
+    finite_part_integral(f, 2, 0.0, 0.7)
+    for m, nu, a in [(0, 0.0, 0.7), (2.0, 0.0, 0.7), (2, 1e-13, 0.7),
+                     (2, 0.0, 0.0), (2, 0.0, math.nan)]:
+        with pytest.raises(ValueError):
+            finite_part_integral(f, m, nu, a)
+
+
+def test_overflowing_recurrence_rung_is_not_stored_and_raises_again():
+    # exact at any a, the recurrence decays at a = 60 (FPI_200 is -0.0);
+    # it leaves float range where a < 1, here past m = 1024
+    f = Exponential(1.0)
+    for _ in range(2):
+        with pytest.raises(NonconvergenceError, match="m = 1025"):
+            finite_part_integral(f, 1100, 0.0, 0.5)
+        rungs = f.ladder(0.0, 0.5, DEFAULT_TOL).rungs
+        assert 1024 in rungs and 1025 not in rungs
+    assert finite_part_integral(Exponential(1.0), 200, 0.0, 60.0).value == 0.0
+
+
+def test_overflowing_series_rung_raises_again():
+    # the Maclaurin route of e^{-x} at a = 60: a^k overflows past k = 173
+    f = CustomSeries(Exponential(1.0).coeff, lambda x: math.exp(-x))
+    for _ in range(2):
+        with pytest.raises(NonconvergenceError,
+                           match="finite-part series overflowed after 174"):
+            finite_part_integral(f, 1, 0.0, 60.0)
+        assert not f.ladder(0.0, 60.0, DEFAULT_TOL).rungs
 
 
 def test_kiw2_family_digamma_values():

@@ -21,7 +21,7 @@ import pytest
 
 from finitepart.entire import CustomSeries, Exponential, MonomialExp
 from finitepart.errors import NonconvergenceError
-from finitepart.finite_part import (FpiMethod, _ExpSinh, _fpi_finite,
+from finitepart.finite_part import (FpiMethod, _ExpSinh, _SeriesTables,
                                     finite_part_integral)
 from finitepart.gammafn import expint, lower_gamma
 
@@ -122,9 +122,10 @@ def test_scaled_rungs_at_finite_a_match_mpmath(f, p, b, c, a, nu):
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
 def test_recurrence_agrees_with_maclaurin_rung_where_ab_le_1(a, b, nu):
     f = Exponential(b)
+    series = _SeriesTables(Exponential(b), nu, a, 1e-15)
     for m in range(1, 61):
         got = finite_part_integral(f, m, nu, a)
-        old = _fpi_finite(Exponential(b), m, nu, a, 1e-15)
+        old = series.rung(m)
         want = FpiMethod.SERIES_FINITE if m == 1 else FpiMethod.RECURRENCE
         assert got.method is want
         assert math.isclose(got.value, old.value, rel_tol=1e-12), m

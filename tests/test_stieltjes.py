@@ -11,6 +11,7 @@ from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
 from finitepart.finite_part import finite_part_integral
+from finitepart.gammafn import pochhammer
 from finitepart.oracles import quad_adaptive
 from finitepart.series import TERM_CAP, sum_until_small
 from finitepart.stieltjes import (ExpansionResult, TransformSpec,
@@ -63,6 +64,50 @@ def test_singular_term_at_n1_is_the_log_pole_term(f, omega):
     # the general formula at n = 1: derivative_at(0) is eval, / 0! is exact
     assert singular_term_integer(f, 1, omega) \
         == -f.eval(-omega) * math.log(omega)
+
+
+SINGULAR_FS = [MonomialExp(0, 2.0), MonomialExp(3, 0.7),
+               Polynomial([4.0, 0.0, -3.0, 1.0], lowest=1), BinomialPoly(1, 2),
+               0.5 * Exponential(2.0), -2.0 * Polynomial([1.0, 3.0]),
+               CustomSeries(lambda k: (-2.0) ** k / math.factorial(k),
+                            lambda x: math.exp(-2.0 * x), label="exp2-stream")]
+
+
+@pytest.mark.parametrize("f", SINGULAR_FS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_singular_terms_call_eval_for_the_order_0_derivative(f, n,
+                                                             monkeypatch):
+    omega, nu = 0.4, 0.25
+    # the formulas with derivative_at at every order, order 0 included
+    ds = [f.derivative_at(k, -omega) for k in range(n)]
+    pole = -ds[n - 1] * math.log(omega) / math.factorial(n - 1)
+    for k in range(n - 1):
+        pole += ds[k] / (math.factorial(k) * (n - 1 - k)
+                         * omega ** (n - k - 1))
+    branch = 0.0
+    for k in range(n):
+        branch += (ds[n - 1 - k] * pochhammer(nu, k)
+                   / (math.factorial(k) * math.factorial(n - 1 - k)
+                      * omega ** k))
+    branch = math.pi / (math.sin(math.pi * nu) * omega ** nu) * branch
+    calls = []
+    for name in ("eval", "derivative_at"):
+        real = getattr(f, name)
+        monkeypatch.setattr(f, name, lambda *args, real=real, name=name:
+                            calls.append((name, args[0])) or real(*args))
+    assert repr(singular_term_integer(f, n, omega)) == repr(pole)
+    # one descriptor call per order: eval at 0, derivative_at above
+    assert calls == [("eval", -omega)] + [("derivative_at", k)
+                                          for k in range(1, n)]
+    calls.clear()
+    assert repr(singular_term_branch(f, n, nu, omega)) == repr(branch)
+    assert calls[0] == ("eval", -omega) and len(calls) == n
+
+
+@pytest.mark.parametrize("f", SINGULAR_FS, ids=repr)
+def test_order_0_derivative_is_eval_bit_for_bit(f):
+    for x in (-3.0, -0.4, -1e-3, 0.0, 0.7):
+        assert repr(f.derivative_at(0, x)) == repr(f.eval(x))
 
 
 def test_singular_term_branch_examples():
@@ -389,6 +434,28 @@ def test_raising_rung_raises_again(fpi_calls):
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == "finite-part series overflowed after 174 terms"
     assert fpi_calls == [1, 1]
+
+
+@pytest.mark.parametrize("f", [Exponential(1.0), Polynomial([1.0, 2.0])],
+                         ids=repr)
+def test_nu_below_the_guard_is_rejected_by_the_rungs(f):
+    # TransformSpec admits any nu in [0, 1); the finite parts do not
+    spec = TransformSpec(f, 1, 0.3, 1.0, nu=1e-13)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="branch exponent nu must be 0 "
+                           "exactly or lie in"):
+            evaluate_transform(spec)
+
+
+def test_climb_forms_only_the_binomials_it_reaches(monkeypatch):
+    monkeypatch.setattr(stieltjes, "_BINOMS", {})
+    f = Exponential(1.0)
+    res = evaluate_transform(TransformSpec(f, 3, 0.2, 1.0))
+    assert len(stieltjes._BINOMS[3]) == res.k_used + 1
+    deeper = evaluate_transform(TransformSpec(Exponential(1.0), 3, 0.6, 1.0))
+    assert len(stieltjes._BINOMS[3]) == deeper.k_used + 1 > res.k_used + 1
+    assert stieltjes._BINOMS[3] == [float((-1) ** k * math.comb(k + 2, k))
+                                    for k in range(deeper.k_used + 1)]
 
 
 def test_int_nu_zero_shares_the_float_rungs(fpi_calls):
