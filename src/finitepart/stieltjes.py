@@ -71,21 +71,18 @@ class ExpansionResult:
     per_term: list = field(default=None, compare=False)
 
 
-def _derivatives(f, n, x):
-    """f(x), f'(x), ..., f^{(n-1)}(x); order 0 is one ``eval`` call."""
-    return [f.eval(x)] + [f.derivative_at(k, x) for k in range(1, n)]
-
-
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
     """Pole contribution of f(z)/(omega+z)^n at z = -omega (nu = 0 case)."""
     if n < 1:
         raise ValueError("order n must be >= 1")
     if not omega > 0:
         raise ValueError("omega must be positive")
-    ds = _derivatives(f, n, -omega)
-    total = -ds[n - 1] * math.log(omega) / math.factorial(n - 1)
+    # the order-0 derivative is f itself: one eval call
+    x = -omega
+    top = f.derivative_at(n - 1, x) if n > 1 else f.eval(x)
+    total = -top * math.log(omega) / math.factorial(n - 1)
     for k in range(n - 1):
-        total += ds[k] / (
+        total += (f.derivative_at(k, x) if k else f.eval(x)) / (
             math.factorial(k) * (n - 1 - k) * omega ** (n - k - 1)
         )
     return total
@@ -100,11 +97,12 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
         raise ValueError("nu must lie strictly between 0 and 1")
     if not omega > 0:
         raise ValueError("omega must be positive")
-    ds = _derivatives(f, n, -omega)
+    x = -omega
     total = 0.0
     for k in range(n):
+        j = n - 1 - k
         total += (
-            ds[n - 1 - k]
+            (f.derivative_at(j, x) if j else f.eval(x))
             * pochhammer(nu, k)
             / (math.factorial(k) * math.factorial(n - 1 - k) * omega**k)
         )

@@ -97,11 +97,12 @@ def test_singular_terms_call_eval_for_the_order_0_derivative(f, n,
                             calls.append((name, args[0])) or real(*args))
     assert repr(singular_term_integer(f, n, omega)) == repr(pole)
     # one descriptor call per order: eval at 0, derivative_at above
-    assert calls == [("eval", -omega)] + [("derivative_at", k)
-                                          for k in range(1, n)]
+    want = sorted([("eval", -omega)] + [("derivative_at", k)
+                                        for k in range(1, n)])
+    assert sorted(calls) == want
     calls.clear()
     assert repr(singular_term_branch(f, n, nu, omega)) == repr(branch)
-    assert calls[0] == ("eval", -omega) and len(calls) == n
+    assert sorted(calls) == want
 
 
 @pytest.mark.parametrize("f", SINGULAR_FS, ids=repr)
