@@ -114,17 +114,13 @@ def _powers(x):
     return accumulate(repeat(x), mul, initial=1.0)
 
 
-def _signed_binomial(n, k):
-    """(-1)^k binom(n+k-1,k), an exact integer rounded once to a float."""
-    return float((-1) ** k * math.comb(n + k - 1, k))
-
-
 def _binomials(n, size):
-    """The signed binomials of n for k < size at least, grown by
+    """The signed binomials (-1)^k binom(n+k-1,k) of n for k < size at
+    least, each an exact integer rounded once to a float; grown by
     replacement."""
     bs = _BINOMS.get(n, [])
     if len(bs) < size:
-        bs = _BINOMS[n] = bs + [_signed_binomial(n, k)
+        bs = _BINOMS[n] = bs + [float((-1) ** k * math.comb(n + k - 1, k))
                                 for k in range(len(bs), size)]
     return bs
 
