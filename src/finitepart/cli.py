@@ -36,6 +36,7 @@ from .entire import BinomialPoly, Exponential, MonomialExp, Polynomial
 from .errors import FinitePartError
 from .finite_part import finite_part_integral
 from .oracles import fpi_epsilon_oracle, quad_adaptive
+from .series import tol_error
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       gauss2f1_branch, gauss2f1_integer, kummer_u)
 from .stieltjes import (TransformSpec, eval_quadratic, evaluate_transform,
@@ -79,6 +80,16 @@ def _parse_a(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
     return float(text)
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:  # argparse's own message for a type=float option
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(str(tol_error(tol)))
+    return tol
 
 
 def _parse_grid(text: str):
@@ -137,7 +148,7 @@ _OPTIONS = {
     "with_oracle": ("--with-oracle", {"action": "store_true"}),
     "format": ("--format", {"choices": ("table", "json", "csv")}),
     "output": ("--output", {"help": "file path; stdout if absent"}),
-    "tol": ("--tol", {"type": float, "default": 1e-12}),
+    "tol": ("--tol", {"type": _parse_tol, "default": 1e-12}),
 }
 
 _DEFAULTS = {name: kw.get("default") for name, (_, kw) in _OPTIONS.items()}
@@ -225,8 +236,9 @@ def _run_stieltjes(prm):
 
 
 def _run_quadratic(prm):
+    # omega and pe are tested against None: a zero reaches the range checks
     if prm["g_plus"] or prm["g_minus"]:
-        if not (prm["g_plus"] and prm["g_minus"] and prm["pe"]):
+        if not (prm["g_plus"] and prm["g_minus"]) or prm["pe"] is None:
             raise ValueError(
                 "diffusivity mode needs --g-plus, --g-minus and --pe")
         gp = parse_function(prm["g_plus"])
@@ -237,10 +249,14 @@ def _run_quadratic(prm):
                  "kappa_eff": keff, "flag": ""}], True
     if not prm["f"]:
         raise ValueError("quadratic needs --f (or the diffusivity trio)")
-    if not (prm["omega"] or prm["pe"]):
-        raise ValueError("quadratic needs --omega or --pe")
+    omega = prm["omega"]
+    if omega is None:
+        if prm["pe"] is None:
+            raise ValueError("quadratic needs --omega or --pe")
+        if not prm["pe"] > 0:
+            raise ValueError("Peclet number must be positive")
+        omega = 1.0 / prm["pe"]
     f = parse_function(prm["f"])
-    omega = prm["omega"] if prm["omega"] else 1.0 / prm["pe"]
     res = eval_quadratic(f, omega, prm["a"], tol=prm["tol"],
                          k_max=prm["kmax"])
     row = _transform_row(omega, res)

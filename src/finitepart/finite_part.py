@@ -52,11 +52,12 @@ from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
-from .series import sum_until_small
+from .series import sum_until_small, tol_error
 
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
 SPLIT_POINT = 1.0
+_NU_TOP = 1.0 - NU_GUARD
 
 _CHUNK = 16  # tail terms formed per step of the tables
 
@@ -98,6 +99,9 @@ class FpiValue(NamedTuple):
 
 # builds an FpiValue without the Python-level NamedTuple constructor
 _new_fpi = partial(tuple.__new__, FpiValue)
+# the methods as module globals: reading an Enum member off its class costs
+# about ten times a global lookup, once per rung
+_SERIES_FINITE, _RECURRENCE = FpiMethod.SERIES_FINITE, FpiMethod.RECURRENCE
 
 
 class _SeriesTables:
@@ -105,61 +109,81 @@ class _SeriesTables:
     f's ladder; :meth:`rung` reads rung m.
 
     With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
-    the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are c_k, each read
-    once per ladder, and, each formed once:
+    the nu = 0 term at j = 0 being c_{m-1} ln a, with ln a formed once.
+    Kept are c_k, each read once per ladder, and, each formed once:
       j >= 0:  the powers a^{j-nu}, a^{-nu} times a j times, as the
                series has always formed them, and the divisors j - nu;
-      i = -j:  the head divisors -(i+nu) a^{i+nu}, one power each; past
-               float range the divisor is infinite and the term zero.
-    A polynomial's c_k stop at its degree.  A table grows by replacement,
-    never in place, so a thread only reads lists that are consistent.
+      i = -j:  the head divisors -(i+nu) a^{i+nu}, one power each, formed
+               _CHUNK at a time; past float range the divisor is infinite
+               and the term zero.
+    A rung checks each table's length once and grows it only when short.
+    The c_k a series rung needs are read as its sum reaches them, _CHUNK
+    at a time; a polynomial's stop at its degree, and all of them, with
+    their powers, are read and formed with the tables.  A table grows by
+    replacement, never in place, so a thread only reads lists that are
+    consistent.
     """
 
     def __init__(self, f, nu, a, tol):
         self.f, self.nu, self.a, self.tol = f, nu, a, tol
+        self.log_a = math.log(a)
         deg = f.finite_degree()
+        self.pows = ([a ** -nu], [0 - nu])
         if deg is None:
             r, c = first_nonzero(map(f.coeff, count()))
             self.cs = [0.0] * r + [c]
         else:
             r = f.zero_order()
             self.cs = [0.0] * r + [f.coeff(k) for k in range(r, deg + 1)]
+            self._powers(deg + 1)
         self.r, self.deg = r, deg
-        self.pows = ([a ** -nu], [0 - nu])
         self.es = []
 
-    def coeffs(self, n):
-        """c_k for k < n at least; all of them for a polynomial."""
+    def _coeffs(self, n):
+        """c_k for k < n, read from the stream where the table is short."""
         cs = self.cs
-        if len(cs) < n and self.deg is None:
-            cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
+        cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
         return cs
 
-    def powers(self, n):
-        """(a^{j-nu}, j - nu) for j < n at least."""
+    def _powers(self, n):
+        """(a^{j-nu}, j - nu) for j < n."""
         ps, ds = self.pows
         have = len(ps)
-        if have < n:
-            ps = ps + list(islice(accumulate(repeat(self.a, n - have), mul,
-                                             initial=ps[-1]), 1, None))
-            ds = ds + list(map(sub, range(have, n), repeat(self.nu)))
-            self.pows = (ps, ds)
+        ps = ps + list(islice(accumulate(repeat(self.a, n - have), mul,
+                                         initial=ps[-1]), 1, None))
+        ds = ds + list(map(sub, range(have, n), repeat(self.nu)))
+        self.pows = (ps, ds)
         return ps, ds
 
-    def head_divisors(self, n):
-        """-(i+nu) a^{i+nu} for i < n at least."""
+    def _head_divisors(self, n):
+        """-(i+nu) a^{i+nu} for i < n at least, formed _CHUNK at a time."""
         es = self.es
-        if len(es) < n:
-            a, nu = self.a, self.nu
-            more = []
-            for i in range(len(es), n):
-                try:
-                    p = a ** (i + nu)
-                except OverflowError:
-                    p = math.inf
-                more.append(-(i + nu) * p)
-            es = self.es = es + more
+        a, nu = self.a, self.nu
+        more = []
+        for i in range(len(es), -(-n // _CHUNK) * _CHUNK):
+            try:
+                p = a ** (i + nu)
+            except OverflowError:
+                p = math.inf
+            more.append(-(i + nu) * p)
+        es = self.es = es + more
         return es
+
+    def _chunks(self, k, m):
+        """The tail terms (c_k a^{j-nu}) / (j-nu), j = k + 1 - m, from k on,
+        one map of _CHUNK terms at a time."""
+        j = k + 1 - m
+        while True:
+            stop = k + _CHUNK
+            cs = self.cs
+            if len(cs) < stop:
+                cs = self._coeffs(stop)
+            ps, ds = self.pows
+            if len(ps) < j + _CHUNK:
+                ps, ds = self._powers(j + _CHUNK)
+            yield map(truediv, map(mul, cs[k:stop], ps[j:j + _CHUNK]),
+                      ds[j:j + _CHUNK])
+            k, j = stop, j + _CHUNK
 
     def rung(self, m):
         """Finite part of int_0^a f(x) x^{-m-nu} dx, read from the tables.
@@ -171,22 +195,26 @@ class _SeriesTables:
         :func:`~finitepart.series.sum_until_small` to ``tol`` relative to the
         rung's running value, head + tail so far, not to the tail's own sum,
         and the tail is then added to the head; a polynomial's is summed
-        whole.  ``terms_used`` counts the terms of the tail.
+        whole, and past its degree, where it is empty, the rung is its head.
+        ``terms_used`` counts the terms of the tail.
         """
-        nu, a = self.nu, self.a
-        r, deg = self.r, self.deg
+        r, deg, cs = self.r, self.deg, self.cs
         head = 0.0
-        if nu == 0.0:
-            cs = self.coeffs(m)
+        if self.nu == 0.0:
+            if len(cs) < m and deg is None:
+                cs = self._coeffs(m)
             if m <= len(cs) and cs[m - 1] != 0.0:
-                head = cs[m - 1] * math.log(a)
+                head = cs[m - 1] * self.log_a
             k0 = max(r, m)
         else:
             k0 = max(r, m - 1)
         top = m - 1 if deg is None else min(m - 1, deg + 1)
         if top > r:
-            cs = self.coeffs(top)
-            es = self.head_divisors(m - r)
+            if len(cs) < top:
+                cs = self._coeffs(top)
+            es = self.es
+            if len(es) < m - r:
+                es = self._head_divisors(m - r)
             try:
                 head = sum(map(truediv, cs[r:top],
                                es[m - 1 - r:m - 1 - top:-1]), head)
@@ -195,27 +223,19 @@ class _SeriesTables:
             if not abs(head) < math.inf:
                 raise NonconvergenceError("finite-part head leaves float "
                                           f"range at m = {m}")
+        if deg is None:
+            s = sum_until_small(chain.from_iterable(self._chunks(k0, m)),
+                                self.tol, offset=head)
+            tail = s.total_or_raise("finite-part series")
+            return _new_fpi((head + tail, _SERIES_FINITE, s.terms,
+                             s.last))
+        if k0 > deg:  # the empty tail's + 0.0 turns a -0.0 head to 0.0
+            return _new_fpi((head + 0.0, _SERIES_FINITE, 0, 0.0))
         j0 = k0 + 1 - m
-        if deg is not None:
-            cs = self.coeffs(0)
-            ps, ds = self.powers(deg + 2 - m)
-            tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]),
-                       0.0)
-            return _new_fpi((head + tail, FpiMethod.SERIES_FINITE,
-                             max(deg + 1 - k0, 0), 0.0))
-
-        def chunk(k):
-            j = k + 1 - m
-            cs = self.coeffs(k + _CHUNK)
-            ps, ds = self.powers(j + _CHUNK)
-            return map(truediv, map(mul, cs[k:k + _CHUNK], ps[j:j + _CHUNK]),
-                       ds[j:j + _CHUNK])
-
-        s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
-                            self.tol, offset=head)
-        tail = s.total_or_raise("finite-part series")
-        return _new_fpi((head + tail, FpiMethod.SERIES_FINITE, s.terms,
-                         s.last))
+        ps, ds = self.pows
+        tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]), 0.0)
+        return _new_fpi((head + tail, _SERIES_FINITE, deg + 1 - k0,
+                         0.0))
 
 
 def _tables(ladder, f, nu, a, tol):
@@ -243,7 +263,7 @@ def _exp_seed(f, lad, p, b, c, nu, a, tol):
     value = c * (head - tail)
     bound = (abs(c) * (4.0 * abs(head) + (iters + 4.0) * abs(tail))
              + abs(value)) * UNIT_ROUNDOFF
-    return _new_fpi((value, FpiMethod.RECURRENCE, iters, bound))
+    return _new_fpi((value, _RECURRENCE, iters, bound))
 
 
 def _exp_route(f, lad, shape, nu, a, tol):
@@ -275,7 +295,7 @@ def _exp_route(f, lad, shape, nu, a, tol):
             g, used, bound = lower_gamma(s, a * b, tol)
             scale = c / b ** s
             value = scale * g
-            v = rungs[m] = _new_fpi((value, FpiMethod.SERIES_FINITE, used,
+            v = rungs[m] = _new_fpi((value, _SERIES_FINITE, used,
                                      abs(scale) * bound + u * abs(value)))
             return v
         j = m - 1
@@ -305,7 +325,7 @@ def _exp_route(f, lad, shape, nu, a, tol):
             work += 1
             bound = ((u * (abs(head) + 4.0 * abs(edge) + abs(step))
                       + b * bound) / d + u * abs(value))
-            prev = rungs[k] = _new_fpi((value, FpiMethod.RECURRENCE, work,
+            prev = rungs[k] = _new_fpi((value, _RECURRENCE, work,
                                         bound))
         return prev
 
@@ -438,14 +458,21 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                          a: float = math.inf,
                          tol: float = DEFAULT_TOL) -> FpiValue:
     """Finite part of int_0^a f(x) x^{-m-nu} dx, m >= 1, nu = 0 or
-    0 < nu < 1, 0 < a <= inf."""
+    0 < nu < 1, 0 < a <= inf, 0 < tol < 1.
+
+    Every call validates its arguments.  At finite a it then returns
+    ``route(m)`` of f's ladder for (nu, a, tol), the route being chosen at
+    the ladder's first rung; at a = inf the closed form or the split.
+    """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("pole strength m must be an integer >= 1")
-    if nu != 0.0 and not (NU_GUARD < nu < 1.0 - NU_GUARD):
+    if nu != 0.0 and not NU_GUARD < nu < _NU_TOP:
         raise ValueError("branch exponent nu must be 0 exactly or lie in "
                          f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
     if not a > 0:
         raise ValueError("upper limit a must be positive")
+    if not 0.0 < tol < 1.0:
+        raise tol_error(tol)
     if math.isinf(a):
         return _fpi_infinite(f, m, nu, tol)
     lad = f.ladder(nu, a, tol)

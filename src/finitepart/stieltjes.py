@@ -25,7 +25,7 @@ from operator import mul
 from .entire import TaylorFunction
 from .finite_part import finite_part_integral
 from .gammafn import pochhammer
-from .series import TERM_CAP, sum_until_small
+from .series import TERM_CAP, sum_until_small, tol_error
 
 DEFAULT_EVAL_TOL = 1e-12
 _FPI_TOL = 1e-15
@@ -167,15 +167,17 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
     def climb():
         rungs = lad.rungs
         bs = _BINOMS.get(n, ())
-        for k in count(len(fs)):
-            m = m0 + step * k
+        k = len(fs)
+        for m in count(m0 + step * k, step):
             v = rungs.get(m)
             if v is None:
                 v = rungs[m] = finite_part_integral(f, m, nu, a, _FPI_TOL)
-            new.append(v.value)
+            v = v.value
+            new.append(v)
             if k == len(bs):
                 bs = _binomials(n, k + 1)
-            yield bs[k] * next(ws) * v.value
+            yield bs[k] * next(ws) * v
+            k += 1
 
     # rung * (binomial * ostep^k) has the bits of the product the other way
     # round, and the map stops at the last listed rung before it reads ws
@@ -198,8 +200,11 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     """Evaluate int_0^a x^{-nu} f/(omega+x)^n dx by its exact decomposition.
 
     The naive series is the same for every nu; the singular part is the
-    pole term at nu = 0 and the branch-point term at 0 < nu < 1.
+    pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
+    must lie in (0, 1).
     """
+    if not 0.0 < tol < 1.0:
+        raise tol_error(tol)
     f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
     cap = _naive_cap(k_max)
     if nu == 0.0:
@@ -222,9 +227,12 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     sum_k (-1)^k omega^{2k} FPI(f, 2k+2, 0, a); the residues of
     f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega supply the missing
     (pi/(2 omega)) Re f(i omega) - (ln omega / omega) Im f(i omega).
+    ``tol`` must lie in (0, 1).
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
+    if not 0.0 < tol < 1.0:
+        raise tol_error(tol)
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
@@ -252,6 +260,8 @@ def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,
         raise ValueError("Peclet number must be positive")
     if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if not 0.0 < tol < 1.0:
+        raise tol_error(tol)
     omega = 1.0 / peclet
     q_plus = eval_quadratic(g_plus, omega, a, tol)
     q_minus = eval_quadratic(g_minus, omega, a, tol)
