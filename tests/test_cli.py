@@ -93,6 +93,68 @@ def test_quadratic_and_diffusivity_commands():
                                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fpi", "--f", "exp(1)", "--m", "1", "--a", "0.5", "--tol", "nan"],
+    ["fpi", "--f", "exp(1)", "--m", "1", "--a", "0.5", "--tol", "2"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.1",
+     "--tol", "-1"],
+    ["quadratic", "--f", "exp(1)", "--omega", "0.2", "--tol", "0"],
+    ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "0.1:0.2:2",
+     "--tol", "1"],
+])
+def test_tolerance_outside_0_1_exits_2_at_parse_time(argv, capsys):
+    # nan and 2 once printed a 2-term value and exited 0; -1 climbed until
+    # a closed form left float range and exited 3
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --tol: tolerance tol must lie in (0, 1); got" in err
+
+
+def test_unreadable_tolerance_keeps_the_float_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fpi", "--f", "exp(1)", "--m", "1", "--tol", "abc"])
+    assert exc.value.code == 2
+    assert "argument --tol: invalid float value: 'abc'" in \
+        capsys.readouterr().err
+
+
+def test_stored_tolerance_outside_0_1_exits_2():
+    for cmd, params in [("fpi", {"f": "exp(1)", "m": 1, "tol": math.nan}),
+                        ("stieltjes", {"f": "exp(1)", "n": 1, "omega": 0.1,
+                                       "tol": -1.0})]:
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            run(RunConfig(cmd, params))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--f", "exp(1)", "--omega", "0", "--pe", "5"], "omega must be positive"),
+    (["--f", "exp(1)", "--omega", "0"], "omega must be positive"),
+    (["--f", "exp(1)", "--pe", "0"], "Peclet number must be positive"),
+    (["--f", "exp(1)", "--pe", "-5"], "Peclet number must be positive"),
+    (["--g-plus", "exp(1)", "--g-minus", "exp(1)", "--pe", "0"],
+     "Peclet number must be positive"),
+    (["--g-plus", "exp(1)", "--g-minus", "exp(1)"],
+     "diffusivity mode needs --g-plus, --g-minus and --pe"),
+    (["--f", "exp(1)"], "quadratic needs --omega or --pe"),
+])
+def test_quadratic_zero_omega_or_peclet_reaches_the_range_checks(
+        args, message, capsys):
+    # a zero --omega once fell back to --pe or read as missing, and a zero
+    # --pe in diffusivity mode read as missing
+    assert main(["quadratic"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_quadratic_peclet_alone_is_omega_1_over_pe():
+    _, by_pe = run(RunConfig("quadratic", {"f": "exp(1)", "pe": 5.0}))
+    _, by_omega = run(RunConfig("quadratic", {"f": "exp(1)", "omega": 0.2}))
+    assert by_pe["results"] == by_omega["results"]
+
+
 def test_specfun_and_asym_commands():
     code, doc = run(RunConfig("specfun", {
         "family": "gauss-int", "n": 5, "r": 2, "s": 4, "zeta": 2.0,

@@ -1,15 +1,19 @@
 import math
 import random
+from itertools import accumulate, chain, count, islice, repeat
+from operator import mul, sub, truediv
 
 import pytest
 
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
-                               MonomialExp, Polynomial)
+                               MonomialExp, Polynomial, first_nonzero)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
-from finitepart.finite_part import (DEFAULT_TOL, FpiMethod, _split_infinite,
+from finitepart.finite_part import (_CHUNK, DEFAULT_TOL, FpiMethod, FpiValue,
+                                    _SeriesTables, _split_infinite,
                                     finite_part_integral)
 from finitepart.gammafn import EULER_GAMMA, digamma_int
 from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
+from finitepart.series import sum_until_small
 
 def fpi_polynomial(f, m, nu, a):
     """Reference finite part of a Polynomial at finite a, by exact sums.
@@ -287,6 +291,14 @@ def test_validation_errors():
         finite_part_integral(f, 1, 1e-14, 1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, 1.0, 2.0])
+@pytest.mark.parametrize("a", [0.5, 2.0, math.inf])
+def test_tolerance_outside_0_1_is_rejected(tol, a):
+    for f in (Exponential(1.0), Polynomial([1.0, 2.0]), _gauss(1.0)):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            finite_part_integral(f, 1, 0.0, a, tol)
+
+
 def test_divergent_stream_stops_at_the_term_cap():
     # c_k = 1 at nu = 0.5, a = 1: terms 1/(k - 1/2) never fall below the
     # relative tolerance, so the series stops at the fixed cap
@@ -477,3 +489,197 @@ def test_kiw2_family_digamma_values():
         got = finite_part_integral(Exponential(1.0), m).value
         want = -((-1.0) ** m) * digamma_int(m) / math.factorial(m - 1)
         assert got == pytest.approx(want, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the Maclaurin tables against their reference
+# ---------------------------------------------------------------------------
+
+class _ReferenceTables:
+    """The Maclaurin rungs as written before each rung checked its tables'
+    lengths once: every rung and every chunk calls ``coeffs``, ``powers``
+    and ``head_divisors``, ln a is formed per rung, and a polynomial rung
+    past its degree still sums its empty tail.  ``_SeriesTables.rung``
+    must give its bits, its errors and its coefficient reads."""
+
+    def __init__(self, f, nu, a, tol):
+        self.f, self.nu, self.a, self.tol = f, nu, a, tol
+        deg = f.finite_degree()
+        if deg is None:
+            r, c = first_nonzero(map(f.coeff, count()))
+            self.cs = [0.0] * r + [c]
+        else:
+            r = f.zero_order()
+            self.cs = [0.0] * r + [f.coeff(k) for k in range(r, deg + 1)]
+        self.r, self.deg = r, deg
+        self.pows = ([a ** -nu], [0 - nu])
+        self.es = []
+
+    def coeffs(self, n):
+        cs = self.cs
+        if len(cs) < n and self.deg is None:
+            cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
+        return cs
+
+    def powers(self, n):
+        ps, ds = self.pows
+        have = len(ps)
+        if have < n:
+            ps = ps + list(islice(accumulate(repeat(self.a, n - have), mul,
+                                             initial=ps[-1]), 1, None))
+            ds = ds + list(map(sub, range(have, n), repeat(self.nu)))
+            self.pows = (ps, ds)
+        return ps, ds
+
+    def head_divisors(self, n):
+        es = self.es
+        if len(es) < n:
+            a, nu = self.a, self.nu
+            more = []
+            for i in range(len(es), n):
+                try:
+                    p = a ** (i + nu)
+                except OverflowError:
+                    p = math.inf
+                more.append(-(i + nu) * p)
+            es = self.es = es + more
+        return es
+
+    def rung(self, m):
+        nu, a = self.nu, self.a
+        r, deg = self.r, self.deg
+        head = 0.0
+        if nu == 0.0:
+            cs = self.coeffs(m)
+            if m <= len(cs) and cs[m - 1] != 0.0:
+                head = cs[m - 1] * math.log(a)
+            k0 = max(r, m)
+        else:
+            k0 = max(r, m - 1)
+        top = m - 1 if deg is None else min(m - 1, deg + 1)
+        if top > r:
+            cs = self.coeffs(top)
+            es = self.head_divisors(m - r)
+            try:
+                head = sum(map(truediv, cs[r:top],
+                               es[m - 1 - r:m - 1 - top:-1]), head)
+            except ZeroDivisionError:
+                head = math.inf
+            if not abs(head) < math.inf:
+                raise NonconvergenceError("finite-part head leaves float "
+                                          f"range at m = {m}")
+        j0 = k0 + 1 - m
+        if deg is not None:
+            cs = self.coeffs(0)
+            ps, ds = self.powers(deg + 2 - m)
+            tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]),
+                       0.0)
+            return FpiValue(head + tail, FpiMethod.SERIES_FINITE,
+                            max(deg + 1 - k0, 0), 0.0)
+
+        def chunk(k):
+            j = k + 1 - m
+            cs = self.coeffs(k + _CHUNK)
+            ps, ds = self.powers(j + _CHUNK)
+            return map(truediv, map(mul, cs[k:k + _CHUNK], ps[j:j + _CHUNK]),
+                       ds[j:j + _CHUNK])
+
+        s = sum_until_small(chain.from_iterable(map(chunk, count(k0, _CHUNK))),
+                            self.tol, offset=head)
+        tail = s.total_or_raise("finite-part series")
+        return FpiValue(head + tail, FpiMethod.SERIES_FINITE, s.terms, s.last)
+
+
+def _gauss(c):
+    """exp(-c x^2) as a user stream."""
+    def coeff(k):
+        return 0.0 if k % 2 else (-c) ** (k // 2) / math.factorial(k // 2)
+
+    return CustomSeries(coeff, lambda x: math.exp(-c * x * x),
+                        decaying=True, label=f"gauss({c})")
+
+
+def _logged(f):
+    """f, with every coefficient read appended to the returned list."""
+    reads = []
+    read = f.coeff
+    f.coeff = lambda k: reads.append(k) or read(k)
+    return f, reads
+
+
+def _rung_outcome(tables, m):
+    try:
+        return repr(tables.rung(m))
+    except NonconvergenceError as exc:
+        return f"NonconvergenceError: {exc}"
+
+
+TABLE_CASES = {
+    # r = 2, degree 5: rungs at m <= deg + 1 and past it
+    "poly-r2": lambda: Polynomial([1.5, -0.25, 3.0, 0.5], lowest=2),
+    # -2 x^3: at a = 1 and nu = 0 the head of m = 4 is -2 ln 1 = -0.0
+    "monomial": lambda: Polynomial([-2.0], lowest=3),
+    "binpoly": lambda: BinomialPoly(1, 2),
+    "scaled-binpoly": lambda: 2.0 * BinomialPoly(2, 3),
+    "gauss": lambda: _gauss(1.0),
+}
+_M_TOP = 200
+_SHUFFLED_200 = list(range(1, _M_TOP + 1))
+random.Random(15).shuffle(_SHUFFLED_200)
+TABLE_ORDERS = {
+    "ascending": list(range(1, _M_TOP + 1)),
+    "descending": list(range(_M_TOP, 0, -1)),
+    "shuffled": _SHUFFLED_200,
+}
+
+
+def _assert_reference_rungs(make, nu, a, order):
+    ref_f, ref_reads = _logged(make())
+    f, reads = _logged(make())
+    ref = _ReferenceTables(ref_f, nu, a, DEFAULT_TOL)
+    tab = _SeriesTables(f, nu, a, DEFAULT_TOL)
+    assert reads == ref_reads
+    outcomes = []
+    for m in order:
+        want = _rung_outcome(ref, m)
+        assert _rung_outcome(tab, m) == want, m
+        assert reads == ref_reads, m
+        outcomes.append(want)
+    return outcomes
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_ORDERS))
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+def test_series_tables_give_the_reference_rungs(case, order, nu, a):
+    _assert_reference_rungs(TABLE_CASES[case], nu, a, TABLE_ORDERS[order])
+
+
+def test_polynomial_rung_past_its_degree_is_its_head():
+    f = Polynomial([-2.0], lowest=3)
+    tab = _SeriesTables(f, 0.0, 1.0, DEFAULT_TOL)
+    # head -2 ln 1 = -0.0 and an empty tail: the rung keeps the tail's 0.0
+    assert repr(tab.rung(4)) == repr(FpiValue(0.0, FpiMethod.SERIES_FINITE,
+                                              0, 0.0))
+    v = tab.rung(100)
+    assert (v.value, v.terms_used, v.tail_bound) == (-2.0 / -96.0, 0, 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: Polynomial([1.0, 2.0]),
+                                  lambda: _gauss(1.0)])
+@pytest.mark.parametrize("order", sorted(TABLE_ORDERS))
+def test_overflowing_head_raises_at_the_reference_m(make, order):
+    # at a = 0.01 the head terms c_k / a^{m-1-k} leave float range near
+    # m = 155, and a^i underflows to 0 near i = 162
+    outcomes = _assert_reference_rungs(make, 0.0, 0.01, TABLE_ORDERS[order])
+    raised = [o for o in outcomes if o.startswith("NonconvergenceError")]
+    assert raised and "finite-part head leaves float range" in raised[0]
+
+
+def test_head_divisors_grow_a_chunk_at_a_time():
+    tab = _SeriesTables(BinomialPoly(1, 2), 0.0, 0.5, DEFAULT_TOL)
+    tab.rung(3)
+    assert len(tab.es) == _CHUNK
+    tab.rung(_CHUNK + 2)
+    assert len(tab.es) == 2 * _CHUNK

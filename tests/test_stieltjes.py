@@ -177,6 +177,31 @@ def test_eval_integer_nonconvergence_reported_not_raised():
     assert res.tail_estimate > 0
 
 
+BAD_TOLS = [math.nan, 0.0, -1.0, 1.0, 2.0, math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_tolerance_outside_0_1_is_rejected(tol):
+    # a nan tol once stopped the naive sum at k_used = 1, marked converged
+    calls = [
+        lambda: evaluate_transform(TransformSpec(EXP1, 1, 0.5, 1.0), tol=tol),
+        lambda: evaluate_transform(TransformSpec(EXP1, 1, 0.1), tol=tol),
+        lambda: evaluate_transform(TransformSpec(EXP1, 2, 0.1, nu=0.5),
+                                   tol=tol),
+        lambda: eval_quadratic(EXP1, 0.3, tol=tol),
+        lambda: effective_diffusivity(EXP1, EXP1, 5.0, 1.0, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            call()
+
+
+def test_tolerance_inside_0_1_is_accepted():
+    spec = TransformSpec(EXP1, 1, 0.5, 1.0)
+    loose = evaluate_transform(spec, tol=0.5)
+    assert loose.converged and loose.k_used < evaluate_transform(spec).k_used
+
+
 def test_negative_k_max_is_rejected():
     for call in (
         lambda k: evaluate_transform(TransformSpec(EXP1, 1, 0.9, 1.0),
