@@ -57,7 +57,6 @@ from .series import sum_until_small, tol_error
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
 SPLIT_POINT = 1.0
-_NU_TOP = 1.0 - NU_GUARD
 
 _CHUNK = 16  # tail terms formed per step of the tables
 
@@ -109,18 +108,18 @@ class _SeriesTables:
     f's ladder; :meth:`rung` reads rung m.
 
     With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
-    the nu = 0 term at j = 0 being c_{m-1} ln a, with ln a formed once.
-    Kept are c_k, each read once per ladder, and, each formed once:
+    the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are ln a and c_k,
+    each read once per ladder, and, each formed once:
       j >= 0:  the powers a^{j-nu}, a^{-nu} times a j times, as the
                series has always formed them, and the divisors j - nu;
-      i = -j:  the head divisors -(i+nu) a^{i+nu}, one power each, formed
-               _CHUNK at a time; past float range the divisor is infinite
-               and the term zero.
-    A rung checks each table's length once and grows it only when short.
-    The c_k a series rung needs are read as its sum reaches them, _CHUNK
-    at a time; a polynomial's stop at its degree, and all of them, with
-    their powers, are read and formed with the tables.  A table grows by
-    replacement, never in place, so a thread only reads lists that are
+      i = -j:  the head divisors -(i+nu) a^{i+nu}, one power each; past
+               float range the divisor is infinite and the term zero.
+    A rung checks each table's length once and grows it only where it is
+    short.  A series rung reads the c_k its sum reaches, _CHUNK at a time
+    and no further; the head divisors, pure arithmetic, are formed _CHUNK
+    at a time, ahead of need.  A polynomial's c_k stop at its degree; they
+    and their powers are read and formed with the tables.  A table grows
+    by replacement, never in place, so a thread only reads lists that are
     consistent.
     """
 
@@ -140,7 +139,7 @@ class _SeriesTables:
         self.es = []
 
     def _coeffs(self, n):
-        """c_k for k < n, read from the stream where the table is short."""
+        """c_k for k < n; those the table lacks are read from the stream."""
         cs = self.cs
         cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
         return cs
@@ -227,15 +226,13 @@ class _SeriesTables:
             s = sum_until_small(chain.from_iterable(self._chunks(k0, m)),
                                 self.tol, offset=head)
             tail = s.total_or_raise("finite-part series")
-            return _new_fpi((head + tail, _SERIES_FINITE, s.terms,
-                             s.last))
+            return _new_fpi((head + tail, _SERIES_FINITE, s.terms, s.last))
         if k0 > deg:  # the empty tail's + 0.0 turns a -0.0 head to 0.0
             return _new_fpi((head + 0.0, _SERIES_FINITE, 0, 0.0))
         j0 = k0 + 1 - m
         ps, ds = self.pows
         tail = sum(map(truediv, map(mul, cs[k0:], ps[j0:]), ds[j0:]), 0.0)
-        return _new_fpi((head + tail, _SERIES_FINITE, deg + 1 - k0,
-                         0.0))
+        return _new_fpi((head + tail, _SERIES_FINITE, deg + 1 - k0, 0.0))
 
 
 def _tables(ladder, f, nu, a, tol):
@@ -325,8 +322,7 @@ def _exp_route(f, lad, shape, nu, a, tol):
             work += 1
             bound = ((u * (abs(head) + 4.0 * abs(edge) + abs(step))
                       + b * bound) / d + u * abs(value))
-            prev = rungs[k] = _new_fpi((value, _RECURRENCE, work,
-                                        bound))
+            prev = rungs[k] = _new_fpi((value, _RECURRENCE, work, bound))
         return prev
 
     return route
@@ -466,7 +462,7 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
     """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("pole strength m must be an integer >= 1")
-    if nu != 0.0 and not NU_GUARD < nu < _NU_TOP:
+    if nu != 0.0 and not (NU_GUARD < nu < 1.0 - NU_GUARD):
         raise ValueError("branch exponent nu must be 0 exactly or lie in "
                          f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
     if not a > 0:

@@ -172,11 +172,11 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
             v = rungs.get(m)
             if v is None:
                 v = rungs[m] = finite_part_integral(f, m, nu, a, _FPI_TOL)
-            v = v.value
-            new.append(v)
+            value = v.value
+            new.append(value)
             if k == len(bs):
                 bs = _binomials(n, k + 1)
-            yield bs[k] * next(ws) * v
+            yield bs[k] * next(ws) * value
             k += 1
 
     # rung * (binomial * ostep^k) has the bits of the product the other way
