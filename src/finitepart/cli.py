@@ -36,7 +36,7 @@ from .entire import BinomialPoly, Exponential, MonomialExp, Polynomial
 from .errors import FinitePartError
 from .finite_part import finite_part_integral
 from .oracles import fpi_epsilon_oracle, quad_adaptive
-from .series import tol_error
+from .series import check_tol
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       gauss2f1_branch, gauss2f1_integer, kummer_u)
 from .stieltjes import (TransformSpec, eval_quadratic, evaluate_transform,
@@ -87,9 +87,10 @@ def _parse_tol(text: str) -> float:
         tol = float(text)
     except ValueError:  # argparse's own message for a type=float option
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(str(tol_error(tol)))
-    return tol
+    try:
+        return check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_grid(text: str):

@@ -52,7 +52,7 @@ from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
-from .series import sum_until_small, tol_error
+from .series import sum_until_small, check_tol
 
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
@@ -467,8 +467,7 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                          f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
     if not a > 0:
         raise ValueError("upper limit a must be positive")
-    if not 0.0 < tol < 1.0:
-        raise tol_error(tol)
+    check_tol(tol)
     if math.isinf(a):
         return _fpi_infinite(f, m, nu, tol)
     lad = f.ladder(nu, a, tol)

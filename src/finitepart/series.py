@@ -36,10 +36,12 @@ class SeriesSum(NamedTuple):
 _new_sum = partial(tuple.__new__, SeriesSum)
 
 
-def tol_error(tol):
-    """The ValueError for a tolerance outside (0, 1), nan included; each
-    entry point raises it where ``not 0.0 < tol < 1.0``."""
-    return ValueError(f"tolerance tol must lie in (0, 1); got {tol!r}")
+def check_tol(tol):
+    """Return ``tol``; raise ValueError for one outside (0, 1), nan
+    included.  Every entry point that takes a tolerance calls it."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance tol must lie in (0, 1); got {tol!r}")
+    return tol
 
 
 def sum_until_small(terms, rtol, cap=TERM_CAP, start=0.0, offset=0.0):

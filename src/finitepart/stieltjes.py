@@ -25,7 +25,7 @@ from operator import mul
 from .entire import TaylorFunction
 from .finite_part import finite_part_integral
 from .gammafn import pochhammer
-from .series import TERM_CAP, sum_until_small, tol_error
+from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
 _FPI_TOL = 1e-15
@@ -203,8 +203,7 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
     must lie in (0, 1).
     """
-    if not 0.0 < tol < 1.0:
-        raise tol_error(tol)
+    check_tol(tol)
     f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
     cap = _naive_cap(k_max)
     if nu == 0.0:
@@ -231,8 +230,7 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
-    if not 0.0 < tol < 1.0:
-        raise tol_error(tol)
+    check_tol(tol)
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
@@ -260,8 +258,6 @@ def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,
         raise ValueError("Peclet number must be positive")
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    if not 0.0 < tol < 1.0:
-        raise tol_error(tol)
     omega = 1.0 / peclet
     q_plus = eval_quadratic(g_plus, omega, a, tol)
     q_minus = eval_quadratic(g_minus, omega, a, tol)

@@ -120,8 +120,6 @@ def main(argv=None):
                     help="checkout whose src/ and bench/ are dumped")
     ap.add_argument("--seeds", default="1-10",
                     help="benchmark seeds, e.g. 1-10 or 1,4; '' for none")
-    ap.add_argument("--no-grid", action="store_true",
-                    help="print the benchmark rounds only")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -136,8 +134,7 @@ def main(argv=None):
         write(line + "\n")
 
     dump_rounds(child, workloads, parse_seeds(args.seeds), out)
-    if not args.no_grid:
-        dump_grid(child, fp, st, out)
+    dump_grid(child, fp, st, out)
     return 0
 
 
