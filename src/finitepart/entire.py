@@ -63,18 +63,19 @@ class Ladder:
     """The rung ladder of one (nu, a, tol): the stored finite parts
     ``rungs`` {m: FpiValue}; the rung values the naive series of
     :mod:`finitepart.stieltjes` reads, ``naive`` {(m0, step): [FPI_m0,
-    FPI_{m0+step}, ...]}; and the per-ladder work of
+    FPI_{m0+step}, ...]}; the per-ladder work of
     :mod:`finitepart.finite_part` (``route``, the callable m -> FPI_m of a
     finite a, ``series``, the Maclaurin tables, and ``nodes``, the exp-sinh
-    nodes of the split), None until first needed.
+    nodes of the split); and ``rule``, the tanh-sinh nodes of the direct
+    transforms at a finite a; each None until first needed.
     """
 
-    __slots__ = ("rungs", "naive", "route", "series", "nodes")
+    __slots__ = ("rungs", "naive", "route", "series", "nodes", "rule")
 
     def __init__(self):
         self.rungs = {}
         self.naive = {}
-        self.route = self.series = self.nodes = None
+        self.route = self.series = self.nodes = self.rule = None
 
 
 class TaylorFunction:

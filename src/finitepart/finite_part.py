@@ -31,9 +31,9 @@ its integrability rule and, where it has one, its closed form
 split at a0 = 1: the finite part concerns only the origin, so
 fpi(f, m, nu, a0) plus the ordinary integral over [a0, inf) is exact and
 involves no cancellation between log a and the tail sum.  That integral
-is an exp-sinh rule whose nodes x_i and weighted values w_i f(x_i) are
-computed once per ladder and serve every m; QUADPACK
-(:mod:`finitepart.oracles`) is left to check it.
+is the exp-sinh rule of :mod:`finitepart.quadrature`, whose nodes x_i and
+weighted values w_i f(x_i) are computed once per ladder and serve every m;
+QUADPACK (:mod:`finitepart.oracles`) is left to check it.
 
 :func:`finite_part_integral` is the one entry point for every (m, nu, a);
 only the nu = 0 head and the route depend on the case.  A finite-a
@@ -52,6 +52,7 @@ from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
+from .quadrature import ExpSinh
 from .series import sum_until_small, check_tol
 
 DEFAULT_TOL = 1e-15
@@ -59,14 +60,6 @@ NU_GUARD = 1e-12
 SPLIT_POINT = 1.0
 
 _CHUNK = 16  # tail terms formed per step of the tables
-
-# the exp-sinh rule of the split tail
-_HALF_PI = 0.5 * math.pi
-_DE_T_CAP = 6  # |t| of the outermost node; x = a0 + e^{317} there
-_DE_NEGLIGIBLE = 2.0 ** -70
-_DE_MIN_LEVEL = 3  # first level whose change from the one before is trusted
-_DE_LEVEL_CAP = 8  # finest step h = 2^-8
-_DE_RTOL, _DE_ATOL = 1e-13, 1e-15
 
 
 class FpiMethod(enum.Enum):
@@ -101,6 +94,26 @@ _new_fpi = partial(tuple.__new__, FpiValue)
 # the methods as module globals: reading an Enum member off its class costs
 # about ten times a global lookup, once per rung
 _SERIES_FINITE, _RECURRENCE = FpiMethod.SERIES_FINITE, FpiMethod.RECURRENCE
+
+
+def _stream_error(f, k, m, exc):
+    """The NonconvergenceError of a coefficient c_k of f that rung m read
+    and that left float range."""
+    return NonconvergenceError(f"coefficient c_{k} of {f!r} leaves float "
+                               f"range at m = {m} ({type(exc).__name__}: "
+                               f"{exc})")
+
+
+def _read_coeffs(f, lo, hi, m):
+    """[c_lo, ..., c_{hi-1}] of f, read for rung m.  An OverflowError or
+    ZeroDivisionError of the stream raises NonconvergenceError instead; the
+    list holds the coefficients read before it, so its length gives k."""
+    cs = []
+    try:
+        cs.extend(map(f.coeff, range(lo, hi)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _stream_error(f, lo + len(cs), m, exc) from exc
+    return cs
 
 
 class _SeriesTables:
@@ -138,10 +151,11 @@ class _SeriesTables:
         self.r, self.deg = r, deg
         self.es = []
 
-    def _coeffs(self, n):
-        """c_k for k < n; those the table lacks are read from the stream."""
+    def _coeffs(self, n, m):
+        """c_k for k < n; those the table lacks are read from the stream,
+        for rung m."""
         cs = self.cs
-        cs = self.cs = cs + list(map(self.f.coeff, range(len(cs), n)))
+        cs = self.cs = cs + _read_coeffs(self.f, len(cs), n, m)
         return cs
 
     def _powers(self, n):
@@ -176,7 +190,7 @@ class _SeriesTables:
             stop = k + _CHUNK
             cs = self.cs
             if len(cs) < stop:
-                cs = self._coeffs(stop)
+                cs = self._coeffs(stop, m)
             ps, ds = self.pows
             if len(ps) < j + _CHUNK:
                 ps, ds = self._powers(j + _CHUNK)
@@ -201,7 +215,7 @@ class _SeriesTables:
         head = 0.0
         if self.nu == 0.0:
             if len(cs) < m and deg is None:
-                cs = self._coeffs(m)
+                cs = self._coeffs(m, m)
             if m <= len(cs) and cs[m - 1] != 0.0:
                 head = cs[m - 1] * self.log_a
             k0 = max(r, m)
@@ -210,7 +224,7 @@ class _SeriesTables:
         top = m - 1 if deg is None else min(m - 1, deg + 1)
         if top > r:
             if len(cs) < top:
-                cs = self._coeffs(top)
+                cs = self._coeffs(top, m)
             es = self.es
             if len(es) < m - r:
                 es = self._head_divisors(m - r)
@@ -313,7 +327,10 @@ def _exp_route(f, lad, shape, nu, a, tol):
                 edge = ce * a ** (1 - q - nu)
             except OverflowError:
                 edge = math.inf
-            head = coeff(k - 1) if coeff else 0.0
+            try:
+                head = coeff(k - 1) if coeff else 0.0
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _stream_error(f, k - 1, k, exc) from exc
             step = b * value
             value = (head - edge - step) / d
             if not abs(value) < math.inf:
@@ -332,80 +349,6 @@ def _exp_route(f, lad, shape, nu, a, tol):
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
-class _ExpSinh:
-    """Exp-sinh quadrature on [a0, inf) for the tails of one ladder's split
-    rungs (Takahashi and Mori 1974).
-
-    x = a0 + exp(pi/2 sinh t) and w = dx/dt.  The nodes x_i and the values
-    g_i = w_i f(x_i) of every level are computed once and shared by all
-    rungs: level 0 takes the integers t in [lo, hi], each level after it
-    the odd multiples of h = 2^-level in that range.  The range ends where
-    two nodes in a row have |g_i| / x_i below _DE_NEGLIGIBLE times the
-    largest, which bounds every rung's term g_i x_i^{-p}, p = m + nu >= 1.
-    Levels, like the tables, grow by replacement.
-    """
-
-    def __init__(self, f):
-        self.f = f
-        x, g = self._node(0.0)
-        xs, gs = [x], [g]
-        big = abs(g) / x
-        ends = []
-        for step in (1, -1):
-            t = quiet = 0
-            while quiet < 2:
-                t += step
-                if abs(t) > _DE_T_CAP:
-                    raise NonconvergenceError(
-                        f"split tail of {f!r} is not finite or does not "
-                        f"decay by x = {xs[-1]:.3g}")
-                x, g = self._node(float(t))
-                xs.append(x)
-                gs.append(g)
-                v = abs(g) / x
-                big = max(big, v)
-                quiet = quiet + 1 if v <= _DE_NEGLIGIBLE * big else 0
-            ends.append(t)
-        self.hi, self.lo = ends
-        self.levels = ((xs, gs),)
-
-    def _node(self, t):
-        u = math.exp(_HALF_PI * math.sinh(t))
-        x = SPLIT_POINT + u
-        return x, _HALF_PI * math.cosh(t) * u * self.f.eval(x)
-
-    def level(self, n):
-        """(x_i, g_i) of the nodes new at level n."""
-        levels = self.levels
-        while len(levels) <= n:
-            span = 2 ** (len(levels) - 1)
-            h = 1.0 / (2 * span)
-            ts = [(2 * i + 1) * h for i in range(self.lo * span,
-                                                 self.hi * span)]
-            xs, gs = zip(*map(self._node, ts))
-            levels = self.levels = levels + ((xs, gs),)
-        return levels[n]
-
-    def integral(self, p):
-        """(int_{a0}^inf f(x) x^{-p} dx, the change of its last level)."""
-        total = 0.0
-        est = math.nan
-        for n in range(_DE_LEVEL_CAP + 1):
-            xs, gs = self.level(n)
-            total += sum(map(mul, gs, map(pow, xs, repeat(-p))))
-            new = math.ldexp(total, -n)
-            if not abs(new) < math.inf:
-                break
-            err = abs(new - est)
-            if n >= _DE_MIN_LEVEL and err <= max(_DE_RTOL * abs(new),
-                                                 _DE_ATOL):
-                return new, err
-            est = new
-        raise NonconvergenceError(
-            f"exp-sinh tail of {self.f!r} at power {p:g} did not converge "
-            f"within {_DE_LEVEL_CAP} levels")
-
-
 def _split_infinite(f, m, nu, tol):
     """fpi(f, m, nu, a0) on the tables of f's a = inf ladder plus the
     exp-sinh integral of f(x) x^{-m-nu} over [a0, inf) on its nodes."""
@@ -413,7 +356,7 @@ def _split_infinite(f, m, nu, tol):
     fin = _tables(ladder, f, nu, SPLIT_POINT, tol).rung(m)
     nodes = ladder.nodes
     if nodes is None:
-        nodes = ladder.nodes = _ExpSinh(f)
+        nodes = ladder.nodes = ExpSinh(f, SPLIT_POINT)
     q, err = nodes.integral(m + nu)
     bound = fin.tail_bound + err + UNIT_ROUNDOFF * (abs(fin.value) + abs(q))
     return _new_fpi((fin.value + q, FpiMethod.SPLIT_INFINITE,
@@ -450,6 +393,14 @@ def _route(f, lad, nu, a, tol):
     return _exp_route(f, lad, shape, nu, a, tol)
 
 
+def check_nu(nu):
+    """Raise ValueError unless nu = 0 exactly or NU_GUARD < nu <
+    1 - NU_GUARD, the exponents the finite parts accept."""
+    if nu != 0.0 and not (NU_GUARD < nu < 1.0 - NU_GUARD):
+        raise ValueError("branch exponent nu must be 0 exactly or lie in "
+                         f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
+
+
 def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                          a: float = math.inf,
                          tol: float = DEFAULT_TOL) -> FpiValue:
@@ -462,9 +413,7 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
     """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("pole strength m must be an integer >= 1")
-    if nu != 0.0 and not (NU_GUARD < nu < 1.0 - NU_GUARD):
-        raise ValueError("branch exponent nu must be 0 exactly or lie in "
-                         f"({NU_GUARD:g}, 1 - {NU_GUARD:g}); got {nu}")
+    check_nu(nu)
     if not a > 0:
         raise ValueError("upper limit a must be positive")
     check_tol(tol)

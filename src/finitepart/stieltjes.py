@@ -15,16 +15,27 @@ below n.  :func:`evaluate_transform` computes both parts for every nu;
 only the singular term depends on the case.  The quadratic kernel
 1/(omega^2 + x^2) follows the same pattern with residues at +-i omega,
 which is what the high-Peclet effective diffusivity expansion needs.
+
+The split converges like (omega/a)^k, so at a finite a with omega > a/2 a
+transform is first tried on its direct route: the convergent integral
+itself by the tanh-sinh rule of :mod:`finitepart.quadrature`, whose nodes
+f's rung ladder keeps, with naive_sum = direct - singular.  The route is
+taken only where |singular| <= (tol/u) |direct|, u the unit roundoff, so
+that the exact identity naive_sum + singular == total costs at most tol;
+elsewhere, and with ``k_max`` or ``keep_terms`` given, the split is summed.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, count, repeat
-from operator import mul
+from operator import add, mul, truediv
 
 from .entire import TaylorFunction
-from .finite_part import finite_part_integral
-from .gammafn import pochhammer
+from .errors import FinitePartError
+from .finite_part import check_nu, finite_part_integral
+from .gammafn import UNIT_ROUNDOFF, pochhammer
+from .quadrature import TanhSinh
 from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
@@ -60,7 +71,14 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Naive + singular decomposition of one transform value."""
+    """Naive + singular decomposition of one transform value.
+
+    ``route`` is "series" where the naive series was summed, to k_used
+    terms with a tail estimate from its last terms, and "direct" where the
+    transform was integrated directly: there naive_sum = direct - singular,
+    k_used = 0 and the tail estimate is the quadrature's last change plus
+    u (|direct| + |singular|).
+    """
 
     naive_sum: float
     singular: float
@@ -69,6 +87,7 @@ class ExpansionResult:
     tail_estimate: float
     converged: bool = True
     per_term: list = field(default=None, compare=False)
+    route: str = "series"
 
 
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
@@ -107,6 +126,50 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
             / (math.factorial(k) * math.factorial(n - 1 - k) * omega**k)
         )
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
+
+
+def _singular(f, n, nu, omega):
+    """The pole term at nu = 0, the branch-point term at 0 < nu < 1."""
+    if nu == 0.0:
+        return singular_term_integer(f, n, omega)
+    return singular_term_branch(f, n, nu, omega)
+
+
+def _quadratic_singular(f, omega):
+    """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega."""
+    fi = f.eval_complex(1j * omega)
+    return (math.pi / (2.0 * omega)) * fi.real \
+        - (math.log(omega) / omega) * fi.imag
+
+
+def _direct(f, nu, a, tol, singular, level_sum):
+    """The transform integrated directly, or None where that is refused.
+
+    The singular term ``singular()`` comes first.  The integral is the
+    tanh-sinh rule of f's ladder at (nu, a), made on first use, with the
+    kernel that ``level_sum`` applies; it is refused from the rule's first
+    trusted level on wherever |singular| > (tol/u) |direct|, and when the
+    singular term or the rule raises or the rule does not converge to tol
+    within its level cap.
+    """
+    limit = tol / UNIT_ROUNDOFF
+    try:
+        sing = singular()
+        lad = f.ladder(nu, a, _FPI_TOL)
+        rule = lad.rule
+        if rule is None:
+            rule = lad.rule = TanhSinh(f, nu, a)
+        got = rule.integral(level_sum, tol,
+                            accept=lambda v: abs(sing) <= limit * abs(v))
+    except (ArithmeticError, FinitePartError):
+        return None
+    if got is None:
+        return None
+    direct, change = got
+    naive = direct - sing
+    tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
+    return ExpansionResult(naive, sing, naive + sing, 0, tail, True, None,
+                           "direct")
 
 
 def _powers(x):
@@ -201,19 +264,25 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
 
     The naive series is the same for every nu; the singular part is the
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
-    must lie in (0, 1).
+    must lie in (0, 1).  At a finite a with omega > a/2 the direct route is
+    tried first, unless ``k_max`` or ``keep_terms`` is given (see the module
+    docstring and ``ExpansionResult.route``).
     """
     check_tol(tol)
-    f, n, nu, omega = spec.f, spec.n, spec.nu, spec.omega
+    f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
     cap = _naive_cap(k_max)
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
+    if omega > 0.5 * a and k_max is None and not keep_terms:
+        check_nu(nu)
+        res = _direct(f, nu, a, tol, partial(_singular, f, n, nu, omega),
+                      lambda xs, gs: sum(map(truediv, gs, map(
+                          pow, map(add, xs, repeat(omega)), repeat(n)))))
+        if res is not None:
+            return res
     naive, k_used, tail, ok, rows = _naive_series(
-        f, nu, spec.a, n, 1, n, omega, tol, cap, keep_terms)
-    if nu == 0.0:
-        sing = singular_term_integer(f, n, omega)
-    else:
-        sing = singular_term_branch(f, n, nu, omega)
+        f, nu, a, n, 1, n, omega, tol, cap, keep_terms)
+    sing = _singular(f, n, nu, omega)
     return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
 
 
@@ -226,7 +295,8 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     sum_k (-1)^k omega^{2k} FPI(f, 2k+2, 0, a); the residues of
     f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega supply the missing
     (pi/(2 omega)) Re f(i omega) - (ln omega / omega) Im f(i omega).
-    ``tol`` must lie in (0, 1).
+    ``tol`` must lie in (0, 1).  The direct route is tried first as in
+    :func:`evaluate_transform`.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
@@ -234,11 +304,16 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
+    if omega > 0.5 * a and k_max is None and not keep_terms:
+        w2 = omega * omega
+        res = _direct(f, 0.0, a, tol, partial(_quadratic_singular, f, omega),
+                      lambda xs, gs: sum(map(truediv, gs, map(
+                          add, map(mul, xs, xs), repeat(w2)))))
+        if res is not None:
+            return res
     naive, k_used, tail, ok, rows = _naive_series(
         f, 0.0, a, 2, 2, 1, omega**2, tol, cap, keep_terms)
-    fi = f.eval_complex(1j * omega)
-    sing = (math.pi / (2.0 * omega)) * fi.real \
-        - (math.log(omega) / omega) * fi.imag
+    sing = _quadratic_singular(f, omega)
     return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
 
 

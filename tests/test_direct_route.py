@@ -1,0 +1,285 @@
+"""The direct route of the transforms at a finite a with omega > a/2, its
+tanh-sinh rule, and coefficient streams that leave float range.
+
+References are mpmath quadratures at 40 digits.  A routed result must keep
+the exact identity naive_sum + singular == total and lie within
+tol |ref| + 4u |singular| of the reference: the identity's own rounding is
+u |singular| at most twice.  A refused one must be the series result, bit
+for bit.
+"""
+
+import cmath
+import math
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
+                               MonomialExp)
+from finitepart.errors import FinitePartError, NonconvergenceError
+from finitepart.finite_part import finite_part_integral
+from finitepart.gammafn import UNIT_ROUNDOFF
+from finitepart.quadrature import MIN_LEVEL, TanhSinh
+from finitepart.series import TERM_CAP
+from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec,
+                                  eval_quadratic, evaluate_transform)
+
+U = UNIT_ROUNDOFF
+TOL = DEFAULT_EVAL_TOL
+
+
+def gauss(c):
+    """exp(-c x^2) as a user stream with exact eval callbacks."""
+    def coeff(k):
+        return 0.0 if k % 2 else (-c) ** (k // 2) / math.factorial(k // 2)
+
+    return CustomSeries(coeff, lambda x: math.exp(-c * x * x),
+                        lambda z: cmath.exp(-c * z * z), decaying=True,
+                        label=f"gauss({c})")
+
+
+# name -> (descriptor maker, mpmath integrand maker) of the parameters
+FAMILIES = {
+    "exp": (lambda b: Exponential(b),
+            lambda b: lambda x: mpmath.exp(-b * x)),
+    "monexp": (lambda p, b: MonomialExp(p, b),
+               lambda p, b: lambda x: x ** p * mpmath.exp(-b * x)),
+    "binpoly": (lambda p, q: BinomialPoly(p, q),
+                lambda p, q: lambda x: x ** p * (1 - x) ** q),
+    "gauss": (gauss, lambda c: lambda x: mpmath.exp(-c * x * x)),
+}
+
+
+def reference(fn, n, nu, a, omega):
+    """int_0^a x^{-nu} fn(x) K(x) dx at 40 digits, K = (omega+x)^{-n}, or
+    1/(omega^2+x^2) for n = 0; taken in u = x^{1-nu}, in which the
+    integrand is bounded at 0."""
+    with mpmath.workdps(40):
+        w, a = mpmath.mpf(omega), mpmath.mpf(a)
+        k = 1 / (1 - mpmath.mpf(nu))
+        if n:
+            def kernel(x):
+                return (w + x) ** -n
+        else:
+            def kernel(x):
+                return 1 / (w * w + x * x)
+        pts = [x ** (1 / k) for x in ([0, 1, 4, a] if a > 4 else [0, a])]
+        return mpmath.quad(lambda u: k * fn(u ** k) * kernel(u ** k), pts)
+
+
+def evaluate(f, n, nu, a, omega, **kw):
+    if n:
+        return evaluate_transform(TransformSpec(f, n, omega, a, nu), **kw)
+    return eval_quadratic(f, omega, a, **kw)
+
+
+def outcome(make, n, nu, a, omega, **kw):
+    """The result's fields, or the error's type and message, of a call on
+    a fresh descriptor."""
+    try:
+        r = evaluate(make(), n, nu, a, omega, **kw)
+    except (FinitePartError, ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((r.naive_sum, r.singular, r.total, r.k_used,
+                 r.tail_estimate, r.converged, r.route))
+
+
+def assert_routed_or_refused(name, params, n, nu, a, omega):
+    make_f, make_mp = FAMILIES[name]
+    try:
+        res = evaluate(make_f(*params), n, nu, a, omega)
+    except (FinitePartError, ArithmeticError):
+        res = None
+    if res is None or res.route == "series":
+        got = outcome(lambda: make_f(*params), n, nu, a, omega)
+        want = outcome(lambda: make_f(*params), n, nu, a, omega,
+                       k_max=TERM_CAP)
+        assert got == want
+        return "refused"
+    assert res.route == "direct"
+    assert (res.k_used, res.converged, res.per_term) == (0, True, None)
+    assert res.naive_sum + res.singular == res.total
+    assert res.tail_estimate >= U * abs(res.singular)
+    ref = reference(make_mp(*params), n, nu, a, omega)
+    err = abs(mpmath.mpf(res.total) - ref)
+    assert err <= TOL * abs(ref) + 4 * U * abs(res.singular), (res, ref)
+    return "routed"
+
+
+SHAPES = st.one_of(
+    st.tuples(st.just("exp"), st.tuples(st.floats(0.3, 3.0))),
+    st.tuples(st.just("monexp"), st.tuples(st.integers(0, 3),
+                                           st.floats(0.3, 3.0))),
+    st.tuples(st.just("binpoly"), st.tuples(st.integers(0, 3),
+                                            st.integers(0, 10))),
+    st.tuples(st.just("gauss"), st.tuples(st.floats(0.3, 2.0))),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shape=SHAPES, n=st.sampled_from([0, 1, 2, 3]),
+       nu=st.sampled_from([0.0, 0.25, 0.5]), a=st.floats(0.1, 60.0),
+       share=st.floats(0.5, 0.95, exclude_min=True))
+def test_route_is_within_tol_of_mpmath_or_refused(shape, n, nu, a, share):
+    name, params = shape
+    if n == 0:
+        nu = 0.0  # the quadratic kernel has no branch exponent
+    omega = share * a
+    if not omega > 0.5 * a:
+        return
+    assert_routed_or_refused(name, params, n, nu, a, omega)
+
+
+@pytest.mark.parametrize("name,params,n,nu,a,omega,want", [
+    # the benchmark's near-a faults: exp(1) at n = 2, monexp(2,1) at
+    # nu = 0.25, binpoly(1,2), gauss(1) and the quadratic kernel
+    ("exp", (1.0,), 2, 0.0, 2.0, 1.8, "routed"),
+    ("monexp", (2, 1.0), 2, 0.25, 2.0, 1.2, "routed"),
+    ("binpoly", (1, 2), 2, 0.0, 1.0, 0.9, "routed"),
+    ("gauss", (1.0,), 1, 0.0, 2.0, 1.8, "routed"),
+    ("exp", (1.0,), 0, 0.0, 2.0, 1.8, "routed"),
+    # |singular| far above (tol/u) |direct|: the split stays, unchanged
+    ("exp", (1.0,), 1, 0.0, 30.0, 25.0, "refused"),
+    ("monexp", (2, 1.0), 3, 0.0, 10.0, 9.0, "refused"),
+])
+def test_benchmark_near_a_inputs(name, params, n, nu, a, omega, want):
+    assert assert_routed_or_refused(name, params, n, nu, a, omega) == want
+
+
+@pytest.mark.parametrize("omega", [1.4, 1.6, 1.8])
+def test_monexp_branch_near_a_is_accurate(omega):
+    # the split was 1.7e-10 to 8.7e-10 off here
+    res = evaluate_transform(TransformSpec(MonomialExp(2, 1.0), 2, omega,
+                                           2.0, 0.25))
+    ref = reference(lambda x: x ** 2 * mpmath.exp(-x), 2, 0.25, 2.0, omega)
+    assert res.route == "direct"
+    assert abs(res.total - ref) <= 1e-12 * abs(ref)
+
+
+def test_refused_op_stops_at_the_first_trusted_level():
+    f = Exponential(1.0)
+    res = evaluate_transform(TransformSpec(f, 1, 25.0, 30.0))
+    assert res.route == "series" and res.k_used > 0
+    assert len(f.ladder(0.0, 30.0, 1e-15).rule.levels) == MIN_LEVEL + 1
+
+
+@pytest.mark.parametrize("kw", [{"k_max": TERM_CAP}, {"keep_terms": True},
+                                {"k_max": 5}])
+@pytest.mark.parametrize("n", [0, 2])
+def test_k_max_and_keep_terms_keep_the_series(kw, n):
+    res = evaluate(Exponential(1.0), n, 0.0, 2.0, 1.8, **kw)
+    assert res.route == "series" and res.k_used > 0
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.9])
+def test_omega_up_to_half_a_keeps_the_series(omega):
+    res = evaluate_transform(TransformSpec(Exponential(1.0), 2, omega, 2.0))
+    assert res.route == "series" and res.k_used > 0
+
+
+def test_nu_below_the_guard_is_rejected_on_the_route():
+    spec = TransformSpec(Exponential(1.0), 1, 1.8, 2.0, nu=1e-13)
+    with pytest.raises(ValueError, match="branch exponent nu must be 0"):
+        evaluate_transform(spec)
+
+
+def test_routed_sweep_matches_fresh_instances():
+    shared = gauss(1.0)
+    for omega in (1.2, 1.9, 1.5, 1.2):
+        got = evaluate_transform(TransformSpec(shared, 2, omega, 2.0, 0.5))
+        want = evaluate_transform(TransformSpec(gauss(1.0), 2, omega, 2.0,
+                                                0.5))
+        assert got.route == "direct"
+        assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the tanh-sinh rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize("a", [0.3, 2.0, 25.0])
+def test_tanh_sinh_matches_mpmath(nu, a):
+    # int_0^a x^{-nu} e^{-1.3 x^2} (1 + x)^{-1} dx
+    rule = TanhSinh(gauss(1.3), nu, a)
+    got, change = rule.integral(
+        lambda xs, gs: sum(g / (1.0 + x) for x, g in zip(xs, gs)), 1e-14)
+    ref = reference(lambda x: mpmath.exp(-1.3 * x * x), 1, nu, a, 1.0)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+    assert change <= 1e-14 * abs(got)
+
+
+def test_tanh_sinh_refuses_what_it_cannot_resolve():
+    # too many oscillations for the finest level
+    f = CustomSeries(lambda k: 0.0, lambda x: math.cos(400.0 * x))
+    assert TanhSinh(f, 0.0, 2.0).integral(lambda xs, gs: sum(gs),
+                                          1e-12) is None
+    # an integrand that is not finite cannot close its range
+    f = CustomSeries(lambda k: 0.0, lambda x: math.nan)
+    with pytest.raises(NonconvergenceError, match="does not decay"):
+        TanhSinh(f, 0.0, 2.0)
+
+
+def test_tanh_sinh_levels_grow_by_replacement():
+    rule = TanhSinh(Exponential(1.0), 0.25, 2.0)
+    first = rule.levels
+    rule.level(2)
+    assert len(first) == 1 and len(rule.levels) == 3
+    assert rule.levels[0] is first[0]
+
+
+# ---------------------------------------------------------------------------
+# coefficient streams that leave float range
+# ---------------------------------------------------------------------------
+
+def raises_or_flags(call):
+    try:
+        res = call()
+    except FinitePartError as exc:
+        return str(exc)
+    assert not res.converged
+    return "flagged"
+
+
+@pytest.mark.parametrize("omega", [1.425, 1.5])
+def test_gauss_climb_at_infinity_raises_or_flags(omega):
+    got = raises_or_flags(lambda: evaluate_transform(
+        TransformSpec(gauss(1.0), 1, omega)))
+    assert got == "flagged" or "c_342 of CustomSeries(gauss(1.0))" in got
+
+
+def test_gauss_climb_near_a_raises_or_flags_on_the_series():
+    got = raises_or_flags(lambda: evaluate_transform(
+        TransformSpec(gauss(1.0), 1, 0.475, 0.5), k_max=TERM_CAP))
+    assert got == "flagged" or "leaves float range at m = " in got
+
+
+def test_gauss_near_a_is_routed_within_tol():
+    res = evaluate_transform(TransformSpec(gauss(1.0), 1, 0.475, 0.5))
+    ref = reference(lambda x: mpmath.exp(-x * x), 1, 0.0, 0.5, 0.475)
+    assert res.route == "direct"
+    assert abs(res.total - ref) <= TOL * abs(ref)
+
+
+def test_stream_overflow_names_m_and_k():
+    # the series tables: c_342 = (-1)^171 / 171! is no float
+    with pytest.raises(NonconvergenceError,
+                       match=r"coefficient c_342 of CustomSeries\(gauss\(1"
+                             r"\.0\)\) leaves float range at m = 327 "
+                             r"\(OverflowError"):
+        f = gauss(1.0)
+        for m in range(1, 400):
+            finite_part_integral(f, m, 0.0, 0.5)
+    # a stream that fails inside the first chunk a rung reads
+    f = CustomSeries(lambda k: 1.0 / (20 - k), math.exp)
+    with pytest.raises(NonconvergenceError,
+                       match=r"coefficient c_20 of CustomSeries\(custom\) "
+                             r"leaves float range at m = 10 "
+                             r"\(ZeroDivisionError"):
+        finite_part_integral(f, 10, 0.0, 0.5)
+    # the recurrence: (-200)^134 leaves float range
+    with pytest.raises(NonconvergenceError,
+                       match=r"coefficient c_134 of MonomialExp\(p=0, b=200\)"
+                             r" leaves float range at m = 135"):
+        finite_part_integral(MonomialExp(0, 200.0), 140, 0.0, 1.0)

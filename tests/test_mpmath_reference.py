@@ -21,9 +21,10 @@ import pytest
 
 from finitepart.entire import CustomSeries, Exponential, MonomialExp
 from finitepart.errors import NonconvergenceError
-from finitepart.finite_part import (FpiMethod, _ExpSinh, _SeriesTables,
+from finitepart.finite_part import (SPLIT_POINT, FpiMethod, _SeriesTables,
                                     finite_part_integral)
 from finitepart.gammafn import expint, lower_gamma
+from finitepart.quadrature import ExpSinh
 
 
 def _reference_mp(p, b, m, nu, a=math.inf):
@@ -278,7 +279,8 @@ TAIL_STREAMS = {
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
 def test_split_tail_matches_mpmath_quad(name, nu):
     fn, mp_fn = TAIL_STREAMS[name]
-    nodes = _ExpSinh(CustomSeries(lambda k: 0.0, fn, decaying=True))
+    nodes = ExpSinh(CustomSeries(lambda k: 0.0, fn, decaying=True),
+                    SPLIT_POINT)
     for m in (1, 2, 3, 5, 8, 13, 21, 30):
         got, _ = nodes.integral(m + nu)
         with mpmath.workdps(30):
@@ -293,8 +295,8 @@ def test_unresolved_split_tail_raises():
     f = CustomSeries(lambda k: 0.0,
                      lambda x: math.exp(-x) * math.cos(60 * x), decaying=True)
     with pytest.raises(NonconvergenceError, match="did not converge"):
-        _ExpSinh(f).integral(1.0)
+        ExpSinh(f, SPLIT_POINT).integral(1.0)
     # no decay: the node range cannot close
     f = CustomSeries(lambda k: 0.0, math.cos, decaying=True)
     with pytest.raises(NonconvergenceError, match="does not decay"):
-        _ExpSinh(f)
+        ExpSinh(f, SPLIT_POINT)

@@ -478,7 +478,9 @@ def test_climb_forms_only_the_binomials_it_reaches(monkeypatch):
     f = Exponential(1.0)
     res = evaluate_transform(TransformSpec(f, 3, 0.2, 1.0))
     assert len(stieltjes._BINOMS[3]) == res.k_used + 1
-    deeper = evaluate_transform(TransformSpec(Exponential(1.0), 3, 0.6, 1.0))
+    # omega > a/2: k_max keeps the transform on the series
+    deeper = evaluate_transform(TransformSpec(Exponential(1.0), 3, 0.6, 1.0),
+                                k_max=TERM_CAP)
     assert len(stieltjes._BINOMS[3]) == deeper.k_used + 1 > res.k_used + 1
     assert stieltjes._BINOMS[3] == [float((-1) ** k * math.comb(k + 2, k))
                                     for k in range(deeper.k_used + 1)]
@@ -586,7 +588,9 @@ def test_user_stream_sweep_reads_each_coefficient_once():
     calls = []
     read = f.coeff
     f.coeff = lambda k: calls.append(k) or read(k)
-    k_used = [evaluate_transform(TransformSpec(f, 1, omega, 2.0)).k_used
+    # omega > a/2: k_max keeps the transforms on the series
+    k_used = [evaluate_transform(TransformSpec(f, 1, omega, 2.0),
+                                 k_max=TERM_CAP).k_used
               for omega in (1.2, 1.4, 1.6, 1.8)]
     assert max(k_used) > 150  # the ladder is climbed past m = 150
     assert len(calls) == len(set(calls))

@@ -16,9 +16,12 @@ in.  Two parts are printed:
           shuffled m; then transforms, quadratic-kernel values and
           effective diffusivities
 
-A raised error prints as its type and message, so a changed error path
-shows as well.  Two dumps differ exactly where a value, a method, a count,
-a bound or an error differs.
+A transform or quadratic-kernel result prints as the tuple (naive_sum,
+singular, total, k_used, tail_estimate, converged, route), ``route`` read
+as "series" from a result without it, so dumps of checkouts with and
+without that field line up.  A raised error prints as its type and
+message, so a changed error path shows as well.  Two dumps differ exactly
+where a value, a method, a count, a bound, a route or an error differs.
 """
 
 import argparse
@@ -61,6 +64,12 @@ def call(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def fields(res):
+    """A transform result as a plain tuple of its fields."""
+    return (res.naive_sum, res.singular, res.total, res.k_used,
+            res.tail_estimate, res.converged, getattr(res, "route", "series"))
+
+
 def dump_rounds(child, workloads, seeds, out):
     with tempfile.TemporaryDirectory() as tmp:
         for wl in WORKLOADS:
@@ -88,8 +97,11 @@ def dump_grid(child, fp, st, out):
                             + call(fp.finite_part_integral, f, m, nu, a))
 
     def transform(f, n, w, a, nu):
-        return st.evaluate_transform(st.TransformSpec(f, n, w, a, nu),
-                                     tol=1e-12)
+        return fields(st.evaluate_transform(st.TransformSpec(f, n, w, a, nu),
+                                            tol=1e-12))
+
+    def quadratic(f, w, a):
+        return fields(st.eval_quadratic(f, w, a, tol=1e-12))
 
     for text in FUNCTIONS:
         for nu in NUS:
@@ -107,7 +119,7 @@ def dump_grid(child, fp, st, out):
             for share in OMEGA_SHARES:
                 w = share * top
                 out(f"quadratic {text} {a!r} {w!r} "
-                    + call(st.eval_quadratic, f, w, a, tol=1e-12))
+                    + call(quadratic, f, w, a))
     for pe in (0.5, 2.0, 30.0, 1e3):
         gp, gm = make("0.5*exp(1.3)"), make("monexp(1,0.9)")
         out(f"diffusivity {pe!r} "
