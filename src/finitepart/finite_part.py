@@ -413,7 +413,8 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
     """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("pole strength m must be an integer >= 1")
-    check_nu(nu)
+    if nu != 0.0:
+        check_nu(nu)
     if not a > 0:
         raise ValueError("upper limit a must be positive")
     check_tol(tol)
