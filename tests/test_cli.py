@@ -241,12 +241,19 @@ def test_exit_code_3_with_partial_rows_on_nonconvergence():
 
 
 def test_overflowing_naive_sum_is_flagged(capsys):
-    # omega^k overflows near k = 119: the row is flagged, not converged to inf
-    code = main(["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "400",
-                 "--format", "json"])
+    # on the series, forced by --kmax, omega^k overflows near k = 119: the
+    # row is flagged, not converged to inf
+    argv = ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "400",
+            "--format", "json"]
+    code = main(argv + ["--kmax", "10000"])
     row = json.loads(capsys.readouterr().out)["results"][0]
     assert code == 3
     assert row["flag"] == "nonconverged" and row["total"] == math.inf
+    # the closed route: the pole term e^400 swamps the identity's rounding
+    code = main(argv)
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 3 and row["k_used"] == 0
+    assert row["flag"] == "nonconverged" and abs(row["total"]) < math.inf
     code = main(["quadratic", "--f", "exp(1)", "--omega", "200",
                  "--format", "json"])
     row = json.loads(capsys.readouterr().out)["results"][0]
@@ -254,13 +261,21 @@ def test_overflowing_naive_sum_is_flagged(capsys):
 
 
 def test_closed_form_overflow_is_reported_not_raised(capsys):
-    for argv in (["stieltjes", "--f", "exp(50)", "--n", "1", "--omega", "2"],
+    for argv in (["stieltjes", "--f", "exp(50)", "--n", "1", "--omega", "2",
+                  "--kmax", "10000"],
                  ["stieltjes", "--f", "exp(50)", "--n", "1", "--nu", "0.5",
                   "--omega", "2"],
                  ["quadratic", "--f", "exp(10)", "--omega", "20"]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "float range" in err
+    # without --kmax the closed route takes it, flagged: e^100 in the pole
+    # term swamps the identity's rounding
+    assert main(["stieltjes", "--f", "exp(50)", "--n", "1", "--omega", "2",
+                 "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["results"][0]["flag"] == "nonconverged"
 
 
 @pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),

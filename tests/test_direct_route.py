@@ -5,7 +5,10 @@ References are mpmath quadratures at 40 digits.  A routed result must keep
 the exact identity naive_sum + singular == total and lie within
 tol |ref| + 4u |singular| of the reference: the identity's own rounding is
 u |singular| at most twice.  A refused one must be the series result, bit
-for bit.
+for bit.  The exponential family at nu = 0 with b omega > 1 takes the
+closed route before either (tests/test_closed_route.py); here such a
+result must keep the identity and either meet the routed bound or be
+flagged with ``direct`` within its own bound of the reference.
 """
 
 import cmath
@@ -22,7 +25,7 @@ from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import UNIT_ROUNDOFF
 from finitepart.quadrature import MIN_LEVEL, TanhSinh
 from finitepart.series import TERM_CAP
-from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec,
+from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _closed,
                                   eval_quadratic, evaluate_transform)
 
 U = UNIT_ROUNDOFF
@@ -97,14 +100,23 @@ def assert_routed_or_refused(name, params, n, nu, a, omega):
                        k_max=TERM_CAP)
         assert got == want
         return "refused"
-    assert res.route == "direct"
-    assert (res.k_used, res.converged, res.per_term) == (0, True, None)
     assert res.naive_sum + res.singular == res.total
-    assert res.tail_estimate >= U * abs(res.singular)
+    assert (res.k_used, res.per_term) == (0, None)
     ref = reference(make_mp(*params), n, nu, a, omega)
+    if res.route == "closed":
+        direct, bound = _closed(*make_f(*params).exp_family(), n, omega, a)
+        assert res.direct == direct
+        assert abs(mpmath.mpf(direct) - ref) <= bound, (res, ref)
+        assert res.tail_estimate == abs(res.total - direct) + bound
+        if not res.converged:
+            return "flagged"
+    else:
+        assert (res.route, res.converged) == ("direct", True)
+        assert res.naive_sum == res.direct - res.singular
+        assert res.tail_estimate >= U * abs(res.singular)
     err = abs(mpmath.mpf(res.total) - ref)
     assert err <= TOL * abs(ref) + 4 * U * abs(res.singular), (res, ref)
-    return "routed"
+    return "routed" if res.route == "direct" else "closed"
 
 
 SHAPES = st.one_of(
@@ -132,16 +144,17 @@ def test_route_is_within_tol_of_mpmath_or_refused(shape, n, nu, a, share):
 
 
 @pytest.mark.parametrize("name,params,n,nu,a,omega,want", [
-    # the benchmark's near-a faults: exp(1) at n = 2, monexp(2,1) at
-    # nu = 0.25, binpoly(1,2), gauss(1) and the quadratic kernel
-    ("exp", (1.0,), 2, 0.0, 2.0, 1.8, "routed"),
+    # the benchmark's near-a faults: exp(1) at n = 2 (closed route),
+    # monexp(2,1) at nu = 0.25, binpoly(1,2), gauss(1) and the quadratic
+    # kernel
+    ("exp", (1.0,), 2, 0.0, 2.0, 1.8, "closed"),
     ("monexp", (2, 1.0), 2, 0.25, 2.0, 1.2, "routed"),
     ("binpoly", (1, 2), 2, 0.0, 1.0, 0.9, "routed"),
     ("gauss", (1.0,), 1, 0.0, 2.0, 1.8, "routed"),
     ("exp", (1.0,), 0, 0.0, 2.0, 1.8, "routed"),
-    # |singular| far above (tol/u) |direct|: the split stays, unchanged
-    ("exp", (1.0,), 1, 0.0, 30.0, 25.0, "refused"),
-    ("monexp", (2, 1.0), 3, 0.0, 10.0, 9.0, "refused"),
+    # |singular| far above (tol/u) |direct|: flagged on the closed route
+    ("exp", (1.0,), 1, 0.0, 30.0, 25.0, "flagged"),
+    ("monexp", (2, 1.0), 3, 0.0, 10.0, 9.0, "flagged"),
 ])
 def test_benchmark_near_a_inputs(name, params, n, nu, a, omega, want):
     assert assert_routed_or_refused(name, params, n, nu, a, omega) == want
@@ -158,7 +171,9 @@ def test_monexp_branch_near_a_is_accurate(omega):
 
 
 def test_refused_op_stops_at_the_first_trusted_level():
-    f = Exponential(1.0)
+    # e^{-x} as a user stream: Exponential(1) would take the closed route
+    f = CustomSeries(lambda k: (-1) ** k / math.factorial(k),
+                     lambda x: math.exp(-x), decaying=True, label="exp(1)")
     res = evaluate_transform(TransformSpec(f, 1, 25.0, 30.0))
     assert res.route == "series" and res.k_used > 0
     assert len(f.ladder(0.0, 30.0, 1e-15).rule.levels) == MIN_LEVEL + 1

@@ -17,9 +17,9 @@ in.  Two parts are printed:
           effective diffusivities
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
-singular, total, k_used, tail_estimate, converged, route), ``route`` read
-as "series" from a result without it, so dumps of checkouts with and
-without that field line up.  A raised error prints as its type and
+singular, total, k_used, tail_estimate, converged, route, direct),
+``route`` read as "series" and ``direct`` as None from a result without
+them, so dumps of checkouts with and without those fields line up.  A raised error prints as its type and
 message, so a changed error path shows as well.  Two dumps differ exactly
 where a value, a method, a count, a bound, a route or an error differs.
 """
@@ -67,7 +67,8 @@ def call(fn, *args, **kwargs):
 def fields(res):
     """A transform result as a plain tuple of its fields."""
     return (res.naive_sum, res.singular, res.total, res.k_used,
-            res.tail_estimate, res.converged, getattr(res, "route", "series"))
+            res.tail_estimate, res.converged, getattr(res, "route", "series"),
+            getattr(res, "direct", None))
 
 
 def dump_rounds(child, workloads, seeds, out):
