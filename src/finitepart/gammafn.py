@@ -4,8 +4,9 @@ Only the pieces the series representations actually need live here:
 digamma at positive integers, log-gamma with sign for arbitrary real
 (non-pole) arguments, rising factorials, and the two incomplete-gamma
 pieces of the exponential-family finite parts: the generalized
-exponential integral E_p(z) for z > 1 and the lower incomplete gamma
-function.  Negative non-integer arguments go through the reflection
+exponential integral E_p(z) for z > 1 (also as e^z E_p(z), which the
+closed-form transforms use) and the lower incomplete gamma function.
+Negative non-integer arguments go through the reflection
 formula so no evaluation ever lands next to a pole of Gamma itself.
 """
 

@@ -211,6 +211,17 @@ def test_singular_overflow_raises_nonconvergence(kw, a):
                            **kw)
 
 
+@pytest.mark.parametrize("kw", [{}, {"k_max": TERM_CAP}])
+@pytest.mark.parametrize("p,n", [(1, 2), (2, 1)])
+def test_singular_beyond_float_range_raises_nonconvergence(kw, p, n):
+    # omega^p e^709.5 is past the largest float, with no OverflowError
+    with pytest.raises(NonconvergenceError,
+                       match=r"singular term of MonomialExp\(p=\d, b=1\) at "
+                             r"omega = 709\.5 leaves float range \(-inf\)"):
+        evaluate_transform(TransformSpec(MonomialExp(p, 1.0), n, 709.5),
+                           **kw)
+
+
 @pytest.mark.parametrize("a", ["inf", "800"])
 def test_singular_overflow_in_the_cli(capsys, a):
     assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "750",

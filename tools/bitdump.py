@@ -19,9 +19,10 @@ in.  Two parts are printed:
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
 ``route`` read as "series" and ``direct`` as None from a result without
-them, so dumps of checkouts with and without those fields line up.  A raised error prints as its type and
-message, so a changed error path shows as well.  Two dumps differ exactly
-where a value, a method, a count, a bound, a route or an error differs.
+them, so dumps of checkouts with and without those fields line up.  A
+raised error prints as its type and message, so a changed error path
+shows as well.  Two dumps differ exactly where a value, a method, a
+count, a bound, a route, ``direct`` or an error differs.
 """
 
 import argparse
