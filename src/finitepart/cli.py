@@ -43,7 +43,8 @@ from .stieltjes import (TransformSpec, eval_quadratic, evaluate_transform,
                         effective_diffusivity)
 
 SWEEP_COLUMNS = ["omega", "naive_sum", "singular", "total", "k_used",
-                 "tail_estimate", "oracle", "rel_diff", "flag"]
+                 "tail_estimate", "route", "direct", "oracle", "rel_diff",
+                 "flag"]
 
 
 def parse_function(text: str):
@@ -174,6 +175,8 @@ def _transform_row(omega, res):
         "total": res.total,
         "k_used": res.k_used,
         "tail_estimate": res.tail_estimate,
+        "route": res.route,
+        "direct": res.direct,  # None on the series route
         "flag": "" if res.converged else "nonconverged",
     }
 

@@ -67,7 +67,8 @@ class Ladder:
     :mod:`finitepart.finite_part` (``route``, the callable m -> FPI_m of a
     finite a, ``series``, the Maclaurin tables, and ``nodes``, the exp-sinh
     nodes of the split); and ``rule``, the tanh-sinh nodes of the direct
-    transforms at a finite a; each None until first needed.
+    transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at a = inf;
+    each None until first needed.
     """
 
     __slots__ = ("rungs", "naive", "route", "series", "nodes", "rule")
@@ -191,7 +192,9 @@ class TaylorFunction:
     def fpi_infinite(self, m: int, nu: float):
         """Closed form of the finite part of int_0^inf f(x) x^{-m-nu} dx, or
         None without one.  Beyond float range (large m) the value is not
-        finite or OverflowError is raised."""
+        finite or OverflowError is raised.  A descriptor with a closed form
+        overrides this hook; one that keeps it has its rungs split and its
+        transforms routed (see :mod:`finitepart.stieltjes`)."""
         return None
 
     # -- scaling ------------------------------------------------------

@@ -79,8 +79,9 @@ class FpiValue(NamedTuple):
     rungs it is a forward bound on the rounding error carried through the
     recurrence, and for the incomplete-gamma rungs m <= p of ``MonomialExp``
     it covers truncation and rounding.  A SplitInfinite rung adds to the bound
-    of its series part the last change of the exp-sinh rule and the
-    rounding u (|series part| + |integral|) of the sum of the two.
+    of its series part the bound of the exp-sinh integral, its last change
+    plus the rounding of its weighted powers, and the rounding
+    u (|series part| + |integral|) of the sum of the two.
     """
 
     value: float
@@ -349,15 +350,27 @@ def _exp_route(f, lad, shape, nu, a, tol):
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
+def splits_at_infinity(f):
+    """Whether f's rungs at a = inf are split: its descriptor keeps the
+    base ``fpi_infinite``, which has no closed form."""
+    return type(unscale(f)[0]).fpi_infinite is TaylorFunction.fpi_infinite
+
+
+def split_nodes(ladder, f):
+    """The exp-sinh nodes on [SPLIT_POINT, inf) of f's a = inf ``ladder``,
+    made on first use."""
+    nodes = ladder.nodes
+    if nodes is None:
+        nodes = ladder.nodes = ExpSinh(f, SPLIT_POINT)
+    return nodes
+
+
 def _split_infinite(f, m, nu, tol):
     """fpi(f, m, nu, a0) on the tables of f's a = inf ladder plus the
     exp-sinh integral of f(x) x^{-m-nu} over [a0, inf) on its nodes."""
     ladder = f.ladder(nu, math.inf, tol)
     fin = _tables(ladder, f, nu, SPLIT_POINT, tol).rung(m)
-    nodes = ladder.nodes
-    if nodes is None:
-        nodes = ladder.nodes = ExpSinh(f, SPLIT_POINT)
-    q, err = nodes.integral(m + nu)
+    q, err = split_nodes(ladder, f).integral(m + nu)
     bound = fin.tail_bound + err + UNIT_ROUNDOFF * (abs(fin.value) + abs(q))
     return _new_fpi((fin.value + q, FpiMethod.SPLIT_INFINITE,
                      fin.terms_used, bound))

@@ -104,14 +104,17 @@ def expint_scaled(p: float, z: float) -> tuple[float, int]:
     c = math.inf
     d = 1.0 / b
     h = d
+    q = p - 1.0
+    # |delta - 1| <= _CF_EPS, as delta - 1 is exact for delta near 1
+    lo, hi = 1.0 - _CF_EPS, 1.0 + _CF_EPS
     for i in range(1, TERM_CAP + 1):
-        an = -i * (p - 1.0 + i)
+        an = -i * (q + i)
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) <= _CF_EPS:
+        if lo <= delta <= hi:
             return h, i
     raise NonconvergenceError(f"E_{p:g}({z:g}) continued fraction did not "
                               f"converge within {TERM_CAP} iterations")

@@ -4,42 +4,95 @@ A rule maps its interval onto the whole t line by an x(t) under which the
 integrand decays double exponentially, and sums it by the trapezoidal rule
 at the steps h = 2^-n of its levels n = 0, 1, ...:
 
-  ExpSinh   [a0, inf):  x = a0 + e^{pi/2 sinh t}, F(x) = f(x)
-  TanhSinh  [0, a]:     x = a s/(1+s), s = e^{pi sinh t}, F(x) = f(x) x^{-nu}
+  ExpSinh   [a0, inf):  x = a0 + u, u = e^{pi/2 sinh t}, F(x) = f(x)
+  TanhSinh  [0, a]:     x = a s y, s = e^{pi sinh t}, y = 1/(1+s),
+                        F(x) = f(x) x^{-nu}
 
 A rule belongs to the integrand factor F that its callers share, and each
 caller brings its own factor of x.  The nodes x_i and the weighted values
 g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
 takes the integers t in [lo, hi], each level n after it the odd multiples of
-2^-n in that range.  The range ends where two nodes in a row are quiet,
-their size below _NEGLIGIBLE times the largest one's.  Levels grow by
-replacement, never in place, so a thread reads whole tuples only.
+2^-n in that range.  The range ends at the first quiet node, one whose size
+is below _NEGLIGIBLE times the largest one's, the next node confirming it.
+The part of a node that F does not change, (u, w) or (s, y, pi cosh t y),
+is computed once per process for every |t| <= _T_CAP of a level, in one
+table per rule, so a rule forms only x and g, in the order of the formulas
+above.  Tables and levels grow by replacement, and a level's lists are
+never changed once made, so a thread reads whole levels only.
 """
 
 import math
-from itertools import repeat
-from operator import mul
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, mul, truediv
 
 from .errors import NonconvergenceError
+from .gammafn import UNIT_ROUNDOFF
 
 _HALF_PI = 0.5 * math.pi
 _T_CAP = 6  # |t| of the outermost node: x = a0 + e^{317}, or s = e^{+-634}
 _NEGLIGIBLE = 2.0 ** -70
+_CHAIN = 8  # an exp-sinh rung takes pow every 8th power, divides by x between
 MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
 
 
+def integrate(parts, rtol, atol=0.0, accept=None):
+    """(the integral, the sum of its parts' last changes), or None.
+
+    The integral is the sum of the trapezoidal values of ``parts``, pairs
+    (rule, level_sum), ``level_sum(xs, gs)`` summing a level's values times
+    the caller's factor.  From level MIN_LEVEL on it is accepted when the
+    sum of the changes is within max(rtol |integral|, atol), and refused
+    (None) when ``accept(integral)`` is false; a part whose change is within
+    that bound over len(parts) keeps its level from then on.  None as well
+    when the integral leaves float range or the levels pass LEVEL_CAP.
+    """
+    count = len(parts)
+    totals = [0.0] * count
+    values = [math.nan] * count
+    changes = values[:]
+    live = range(count)
+    for n in range(LEVEL_CAP + 1):
+        for i in live:
+            rule, level_sum = parts[i]
+            totals[i] += level_sum(*rule.level(n))
+            new = math.ldexp(totals[i], -n)
+            changes[i] = abs(new - values[i])
+            values[i] = new
+        value = reduce(add, values)
+        if not abs(value) < math.inf:
+            return None
+        if n >= MIN_LEVEL:
+            if accept is not None and not accept(value):
+                return None
+            bound = max(rtol * abs(value), atol)
+            err = reduce(add, changes)
+            if err <= bound:
+                return value, err
+            if count > 1:
+                live = [i for i in live if changes[i] > bound / count]
+    return None
+
+
 class _Rule:
-    """The levels of one rule and the loop that sums them; a subclass
-    gives ``_node(t) -> (x, g)`` and ``_size(x, g)``, the measure of a
-    quiet node."""
+    """The levels of one rule; a subclass gives its geometry
+    ``_geometry(t)``, the nodes ``_nodes(*columns)`` of geometry columns,
+    and ``_size(x, g)``, the measure of a quiet node."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
-    _TRIM = 0  # 1: the range ends at the first quiet node of the two
+    _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
 
     def __init__(self, f):
         self.f = f
-        x, g = self._node(0.0)
+        cols = self._columns(0)
+
+        def node(t):  # level 0 holds t = -_T_CAP, ..., _T_CAP
+            xs, gs = self._nodes(*(c[t + _T_CAP:t + _T_CAP + 1]
+                                   for c in cols))
+            return xs[0], gs[0]
+
+        x, g = node(0)
         xs, gs = [x], [g]
         big = self._size(x, g)
         ends = []
@@ -51,118 +104,159 @@ class _Rule:
                     raise NonconvergenceError(
                         f"{self._WHAT} of {f!r} is not finite or does not "
                         f"decay by x = {xs[-1]:.3g}")
-                x, g = self._node(float(t))
+                x, g = node(t)
                 xs.append(x)
                 gs.append(g)
                 v = self._size(x, g)
                 big = max(big, v)
                 quiet = quiet + 1 if v <= _NEGLIGIBLE * big else 0
-            if self._TRIM:
-                t -= step
-                del xs[-1], gs[-1]
-            ends.append(t)
+            del xs[-1], gs[-1]
+            ends.append(t - step)
         self.hi, self.lo = ends
         self.levels = ((xs, gs),)
+
+    @classmethod
+    def _columns(cls, n):
+        """The geometry of level n at every |t| <= _T_CAP, as columns;
+        computed once per process."""
+        table = cls._TABLE
+        while len(table) <= n:
+            if table:
+                span = 2 ** (len(table) - 1)
+                h = 1.0 / (2 * span)
+                ts = [(2 * i + 1) * h for i in range(-_T_CAP * span,
+                                                     _T_CAP * span)]
+            else:
+                ts = [float(t) for t in range(-_T_CAP, _T_CAP + 1)]
+            table = cls._TABLE = table + (
+                tuple(zip(*map(cls._geometry, ts))),)
+        return table[n]
 
     def level(self, n):
         """(x_i, g_i) of the nodes new at level n."""
         levels = self.levels
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
-            h = 1.0 / (2 * span)
-            ts = [(2 * i + 1) * h for i in range(self.lo * span,
-                                                 self.hi * span)]
-            xs, gs = zip(*map(self._node, ts))
-            levels = self.levels = levels + ((xs, gs),)
+            cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
+            cols = self._columns(len(levels))
+            levels = self.levels = levels + (
+                self._nodes(*(c[cut] for c in cols)),)
         return levels[n]
-
-    def integral(self, level_sum, rtol, atol=0.0, accept=None):
-        """(the integral, the change of its last level), or None.
-
-        ``level_sum(xs, gs)`` sums the values of a level's nodes times the
-        caller's factor.  From level MIN_LEVEL on, the value is accepted when
-        its change is within max(rtol |value|, atol), and refused (None)
-        when ``accept(value)`` is false.  None as well when the sum leaves
-        float range or the levels pass LEVEL_CAP first.
-        """
-        total = 0.0
-        est = math.nan
-        for n in range(LEVEL_CAP + 1):
-            xs, gs = self.level(n)
-            total += level_sum(xs, gs)
-            new = math.ldexp(total, -n)
-            if not abs(new) < math.inf:
-                return None
-            err = abs(new - est)
-            if n >= MIN_LEVEL:
-                if accept is not None and not accept(new):
-                    return None
-                if err <= max(rtol * abs(new), atol):
-                    return new, err
-            est = new
-        return None
 
 
 class ExpSinh(_Rule):
-    """Exp-sinh quadrature of f(x) x^{-p} over [a0, inf), p >= 1: the tails
-    of the split rungs of one ladder, which share its nodes.
+    """Exp-sinh quadrature of f(x) x^{-p} over [a0, inf), p >= 1 and
+    a0 >= 1: the tails of the split rungs of one ladder, which share its
+    nodes, and the tail of its direct transforms.
 
     x = a0 + exp(pi/2 sinh t).  A node's size is |g_i| / x_i, which bounds
-    every rung's term g_i x_i^{-p}; the range ends at the second quiet node.
+    every rung's term g_i x_i^{-p}.
+
+    A rung sums the levels below MIN_LEVEL as one block.  The block and
+    each level after it keep the sum of their |g_i| / x_i and the weighted
+    powers g_i x_i^{-p} of the last rung that read them.  The power p - j,
+    j = (floor(p) - 1) mod _CHAIN, takes pow, and each power above it is the
+    one below over x_i, so the rungs of a climb, p, p + 1, ... or p, p + 2,
+    ..., take pow once in _CHAIN powers, and a rung has the same bits
+    whatever the rungs read before it.  pow is within an ulp, 2u, its
+    product and each of the j steps round once: a term is within (j + 3) u
+    of g_i x_i^{-p}, which is at most |g_i| / x_i.
     """
 
     _WHAT = "split tail"
+    _TABLE = ()
     _RTOL, _ATOL = 1e-13, 1e-15
 
     def __init__(self, f, a0):
         self.a0 = a0
         super().__init__(f)
+        self._kept = [None] * (LEVEL_CAP + 1)
 
-    def _node(self, t):
+    @staticmethod
+    def _geometry(t):
         u = math.exp(_HALF_PI * math.sinh(t))
-        x = self.a0 + u
-        return x, _HALF_PI * math.cosh(t) * u * self.f.eval(x)
+        return u, _HALF_PI * math.cosh(t) * u
+
+    def _nodes(self, us, ws):
+        xs = list(map(add, repeat(self.a0), us))
+        return xs, list(map(mul, ws, map(self.f.eval, xs)))
 
     @staticmethod
     def _size(x, g):
         return abs(g) / x
 
     def integral(self, p):
-        """(int_{a0}^inf f(x) x^{-p} dx, the change of its last level); a
-        change within 1e-13 relative or 1e-15 absolute is accepted, and
+        """(int_{a0}^inf f(x) x^{-p} dx, its error bound: the change of the
+        last level plus the rounding of the weighted powers); a change
+        within 1e-13 relative or 1e-15 absolute is accepted, and
         NonconvergenceError is raised without one."""
-        got = super().integral(
-            lambda xs, gs: sum(map(mul, gs, map(pow, xs, repeat(-p)))),
-            self._RTOL, self._ATOL)
-        if got is None:
-            raise NonconvergenceError(
-                f"exp-sinh tail of {self.f!r} at power {p:g} did not converge "
-                f"within {LEVEL_CAP} levels")
-        return got
+        j = (math.floor(p) - 1) % _CHAIN
+        kept = self._kept
+        total = sizes = 0.0
+        est = math.nan
+        for n in range(MIN_LEVEL - 1, LEVEL_CAP + 1):
+            last = kept[n]
+            if last is None:
+                if n < MIN_LEVEL:  # the levels below MIN_LEVEL, as one
+                    head = [self.level(i) for i in range(n + 1)]
+                    xs = tuple(chain.from_iterable(x for x, _ in head))
+                    gs = tuple(chain.from_iterable(g for _, g in head))
+                else:
+                    xs, gs = self.level(n)
+                last = (math.nan, (), xs, gs,
+                        sum(map(abs, map(truediv, gs, xs))))
+            q, terms, xs, gs, size = last
+            k = p - q
+            if not (0.0 <= k <= j and k % 1.0 == 0.0):
+                terms = list(map(mul, gs, map(pow, xs, repeat(j - p))))
+                k = j
+            for _ in range(int(k)):
+                terms = list(map(truediv, terms, xs))
+            kept[n] = (p, terms, xs, gs, size)
+            sizes += size
+            total += sum(terms)
+            new = math.ldexp(total, -n)
+            if not abs(new) < math.inf:
+                break
+            err = abs(new - est)
+            if n >= MIN_LEVEL and err <= max(self._RTOL * abs(new),
+                                             self._ATOL):
+                return new, err + ((j + 3) * UNIT_ROUNDOFF
+                                   * math.ldexp(sizes, -n))
+            est = new
+        raise NonconvergenceError(
+            f"exp-sinh tail of {self.f!r} at power {p:g} did not converge "
+            f"within {LEVEL_CAP} levels")
 
 
 class TanhSinh(_Rule):
     """Tanh-sinh quadrature of f(x) x^{-nu} times a bounded factor of x
-    over [0, a]: the direct transforms of one finite-a ladder.
+    over [0, a]: the direct transforms of one ladder, on [0, a] at a
+    finite a and on [0, SPLIT_POINT] at a = inf.
 
     x = a s/(1+s) with s = e^{pi sinh t}, so x near 0 keeps its relative
     accuracy and x^{-nu} with it; w = pi cosh t x/(1+s), and
-    g = pi cosh t x^{1-nu} f(x)/(1+s).  A node's size is |g_i|; the range
-    ends at the first quiet node, the second confirming it.
+    g = pi cosh t x^{1-nu} f(x)/(1+s).  A node's size is |g_i|.
     """
 
     _WHAT = "tanh-sinh integrand"
-    _TRIM = 1
+    _TABLE = ()
 
     def __init__(self, f, nu, a):
         self.a, self.p = a, 1.0 - nu
         super().__init__(f)
 
-    def _node(self, t):
+    @staticmethod
+    def _geometry(t):
         s = math.exp(math.pi * math.sinh(t))
         y = 1.0 / (1.0 + s)
-        x = self.a * s * y
-        return x, math.pi * math.cosh(t) * y * x ** self.p * self.f.eval(x)
+        return s, y, math.pi * math.cosh(t) * y
+
+    def _nodes(self, ss, ys, ws):
+        xs = list(map(mul, map(mul, repeat(self.a), ss), ys))
+        # x ** 1.0 is x exactly
+        ps = xs if self.p == 1.0 else map(pow, xs, repeat(self.p))
+        return xs, list(map(mul, map(mul, ws, ps), map(self.f.eval, xs)))
 
     @staticmethod
     def _size(x, g):

@@ -24,10 +24,13 @@ routes integrate the transform itself, with naive_sum = direct - singular:
   b omega > 1, at a finite or infinite a: the exponential integrals of
   :func:`_closed`, flagged wherever the identity's rounding plus the
   bound of ``direct`` exceeds tol |direct|;
-* the direct route, at a finite a with omega > a/2: the tanh-sinh rule of
-  :mod:`finitepart.quadrature`, whose nodes f's rung ladder keeps, taken
-  only where |singular| <= (tol/u) |direct|, u the unit roundoff, so that
-  the exact identity naive_sum + singular == total costs at most tol.
+* the direct route, at a finite a with omega > a/2, and at a = inf with
+  omega > SPLIT_POINT/2 where f's rungs are split (a user stream): the
+  double-exponential rules of :mod:`finitepart.quadrature`, whose nodes
+  f's rung ladder keeps, tanh-sinh on [0, a], or on [0, SPLIT_POINT] plus
+  the split's exp-sinh nodes on [SPLIT_POINT, inf); taken only where
+  |singular| <= (tol/u) |direct|, u the unit roundoff, so that the exact
+  identity naive_sum + singular == total costs at most tol.
 
 Elsewhere, and with ``k_max`` or ``keep_terms`` given, the split is summed.
 """
@@ -40,9 +43,10 @@ from operator import add, mul, truediv
 
 from .entire import TaylorFunction
 from .errors import FinitePartError, NonconvergenceError
-from .finite_part import check_nu, finite_part_integral
+from .finite_part import (SPLIT_POINT, check_nu, finite_part_integral,
+                          split_nodes, splits_at_infinity)
 from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
-from .quadrature import TanhSinh
+from .quadrature import TanhSinh, integrate
 from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
@@ -84,8 +88,8 @@ class ExpansionResult:
     terms with a tail estimate from its last terms.  Elsewhere the
     transform itself, ``direct``, was computed, naive_sum = direct -
     singular and k_used = 0: on route "direct" by quadrature, with the
-    quadrature's last change plus u (|direct| + |singular|) as the tail
-    estimate; on route "closed" by exponential integrals, with
+    sum of its rules' last changes plus u (|direct| + |singular|) as the
+    tail estimate; on route "closed" by exponential integrals, with
     |total - direct| plus the bound of ``direct`` as the tail estimate,
     converged when that is within tol |direct|.  ``direct`` is None on
     the series route.
@@ -162,25 +166,44 @@ def _quadratic_singular(f, omega):
         - (math.log(omega) / omega) * fi.imag
 
 
-def _direct(f, nu, a, tol, singular, level_sum):
+def _shifted_powers(xs, omega, n):
+    """(omega + x)^n for x in xs; without pow at n = 1, where it would
+    return omega + x exactly."""
+    ys = map(add, xs, repeat(omega))
+    return ys if n == 1 else map(pow, ys, repeat(n))
+
+
+def _direct(f, nu, a, tol, singular, kernel):
     """The transform integrated directly, or None where that is refused.
 
     The singular term ``singular()`` comes first.  The integral is the
-    tanh-sinh rule of f's ladder at (nu, a), made on first use, with the
-    kernel that ``level_sum`` applies; it is refused from the rule's first
-    trusted level on wherever |singular| > (tol/u) |direct|, and when the
-    singular term or the rule raises or the rule does not converge to tol
-    within its level cap.
+    tanh-sinh rule of f's ladder at (nu, a), made on first use, on [0, a];
+    at a = inf on [0, SPLIT_POINT], plus the exp-sinh nodes of the split on
+    [SPLIT_POINT, inf) times x^{-nu}.  ``kernel(xs, gs)`` sums a level's
+    values times the kernel.  It is refused from the first trusted level on
+    wherever |singular| > (tol/u) |direct|, and when the singular term or a
+    rule raises or the sum of the rules' changes is not within tol |direct|
+    by the level cap.
     """
     limit = tol / UNIT_ROUNDOFF
     try:
         sing = singular()
         lad = f.ladder(nu, a, _FPI_TOL)
+        top = a
+        if a == math.inf:
+            # f x^{-1-nu} integrable: so is the integrand, under any kernel
+            f.check_integrable_at_infinity(1, nu)
+            top = SPLIT_POINT
         rule = lad.rule
         if rule is None:
-            rule = lad.rule = TanhSinh(f, nu, a)
-        got = rule.integral(level_sum, tol,
-                            accept=lambda v: abs(sing) <= limit * abs(v))
+            rule = lad.rule = TanhSinh(f, nu, top)
+        parts = [(rule, kernel)]
+        if top < a:
+            parts.append((split_nodes(lad, f), kernel if nu == 0.0 else (
+                lambda xs, gs: kernel(xs, map(mul, gs, map(
+                    pow, xs, repeat(-nu)))))))
+        got = integrate(parts, tol,
+                        accept=lambda v: abs(sing) <= limit * abs(v))
     except (ArithmeticError, FinitePartError):
         return None
     if got is None:
@@ -338,7 +361,9 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     must lie in (0, 1).  Unless ``k_max`` or ``keep_terms`` is given, the
     closed route is taken at nu = 0 for c x^p e^{-bx} with p < n and
     b omega > 1, and the direct route is tried first at a finite a with
-    omega > a/2 (see the module docstring and ``ExpansionResult``).
+    omega > a/2 and, for f without a closed form there, at a = inf with
+    omega > SPLIT_POINT/2 (see the module docstring and
+    ``ExpansionResult``).
     """
     check_tol(tol)
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
@@ -349,11 +374,13 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
             shape = f.exp_family()
             if shape is not None and shape[0] < n and shape[1] * omega > 1.0:
                 return _closed_route(f, shape, n, omega, a, tol)
-    if omega > 0.5 * a and k_max is None and not keep_terms:
+    if k_max is None and not keep_terms and (
+            omega > 0.5 * a if a < math.inf
+            else omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)):
         check_nu(nu)
         res = _direct(f, nu, a, tol, partial(_singular, f, n, nu, omega),
-                      lambda xs, gs: sum(map(truediv, gs, map(
-                          pow, map(add, xs, repeat(omega)), repeat(n)))))
+                      lambda xs, gs: sum(map(truediv, gs,
+                                             _shifted_powers(xs, omega, n))))
         if res is not None:
             return res
     naive, k_used, tail, ok, rows = _naive_series(
@@ -380,7 +407,9 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
-    if omega > 0.5 * a and k_max is None and not keep_terms:
+    if k_max is None and not keep_terms and (
+            omega > 0.5 * a if a < math.inf
+            else omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)):
         w2 = omega * omega
         res = _direct(f, 0.0, a, tol, partial(_quadratic_singular, f, omega),
                       lambda xs, gs: sum(map(truediv, gs, map(

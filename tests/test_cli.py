@@ -77,6 +77,45 @@ def test_sweep_csv_shape_and_singular_column():
     assert float(data[-1][0]) == pytest.approx(1e-1)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_transform_rows_name_the_route_and_carry_direct(fmt, capsys):
+    # (argv, route, exit code): the closed route flagged, with the accurate
+    # 2.49e-3 in direct; the direct route near a; the series
+    cases = [
+        (["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "400"],
+         "closed", 3),
+        (["stieltjes", "--f", "binpoly(1,2)", "--n", "2", "--omega", "0.9",
+          "--a", "1"], "direct", 0),
+        (["quadratic", "--f", "exp(1)", "--omega", "1.8", "--a", "2"],
+         "direct", 0),
+        (["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.5"],
+         "series", 0),
+    ]
+    for argv, route, code in cases:
+        assert main(argv + ["--format", fmt]) == code
+        out = capsys.readouterr().out
+        if fmt == "json":
+            row = json.loads(out)["results"][0]
+        else:
+            header, data = csv.reader(io.StringIO(out))
+            assert header == ["omega", "naive_sum", "singular", "total",
+                              "k_used", "tail_estimate", "route", "direct",
+                              "flag"]
+            row = dict(zip(header, data))
+        assert row["route"] == route
+        if route == "series":
+            assert row["direct"] == (None if fmt == "json" else "")
+            continue
+        direct = float(row["direct"])
+        assert float(row["naive_sum"]) + float(row["singular"]) \
+            == float(row["total"])
+        if route == "closed":
+            assert direct == pytest.approx(2.4937e-3, rel=1e-4)
+            assert row["flag"] == "nonconverged"
+        else:
+            assert direct == pytest.approx(float(row["total"]), rel=1e-12)
+
+
 def test_quadratic_and_diffusivity_commands():
     code, doc = run(RunConfig("quadratic", {
         "f": "poly(1)", "omega": 0.5, "a": "inf", "tol": 1e-12,

@@ -1,5 +1,6 @@
-"""The direct route of the transforms at a finite a with omega > a/2, its
-tanh-sinh rule, and coefficient streams that leave float range.
+"""The direct route of the transforms at a finite a with omega > a/2 and,
+for user streams, at a = inf with omega > SPLIT_POINT/2, its tanh-sinh
+rule, and coefficient streams that leave float range.
 
 References are mpmath quadratures at 40 digits.  A routed result must keep
 the exact identity naive_sum + singular == total and lie within
@@ -19,11 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
-                               MonomialExp)
-from finitepart.errors import FinitePartError, NonconvergenceError
-from finitepart.finite_part import finite_part_integral
+                               MonomialExp, Polynomial)
+from finitepart.errors import (DivergentIntegralError, FinitePartError,
+                               NonconvergenceError)
+from finitepart.finite_part import (SPLIT_POINT, finite_part_integral,
+                                   splits_at_infinity)
 from finitepart.gammafn import UNIT_ROUNDOFF
-from finitepart.quadrature import MIN_LEVEL, TanhSinh
+from finitepart.quadrature import MIN_LEVEL, TanhSinh, integrate
 from finitepart.series import TERM_CAP
 from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _closed,
                                   eval_quadratic, evaluate_transform)
@@ -51,6 +54,18 @@ FAMILIES = {
     "binpoly": (lambda p, q: BinomialPoly(p, q),
                 lambda p, q: lambda x: x ** p * (1 - x) ** q),
     "gauss": (gauss, lambda c: lambda x: mpmath.exp(-c * x * x)),
+    # user streams without a closed form at a = inf
+    "xexp": (lambda: CustomSeries(
+        lambda k: k and (-1) ** (k - 1) / math.factorial(k - 1),
+        lambda x: x * math.exp(-x), lambda z: z * cmath.exp(-z),
+        decaying=True, label="xexp"),
+        lambda: lambda x: x * mpmath.exp(-x)),
+    "expcos3": (lambda: CustomSeries(
+        lambda k: ((-1 + 3j) ** k).real / math.factorial(k),
+        lambda x: math.exp(-x) * math.cos(3 * x),
+        lambda z: cmath.exp(-z) * cmath.cos(3 * z), decaying=True,
+        label="expcos3"),
+        lambda: lambda x: mpmath.exp(-x) * mpmath.cos(3 * x)),
 }
 
 
@@ -210,6 +225,88 @@ def test_routed_sweep_matches_fresh_instances():
 
 
 # ---------------------------------------------------------------------------
+# user streams at a = inf: tanh-sinh on [0, 1] plus the split's exp-sinh
+# ---------------------------------------------------------------------------
+
+STREAMS = st.one_of(
+    st.tuples(st.just("gauss"), st.tuples(st.floats(0.7, 1.5))),
+    st.tuples(st.just("xexp"), st.just(())),
+    st.tuples(st.just("expcos3"), st.just(())),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stream=STREAMS, n=st.sampled_from([0, 1, 2, 3]),
+       nu=st.sampled_from([0.0, 0.25, 0.5]),
+       omega=st.floats(0.5, 40.0, exclude_min=True))
+def test_route_at_infinity_is_within_tol_of_mpmath_or_refused(stream, n, nu,
+                                                             omega):
+    name, params = stream
+    if n == 0:
+        nu = 0.0
+    assert_routed_or_refused(name, params, n, nu, math.inf, omega)
+
+
+@pytest.mark.parametrize("omega", [1.425, 1.5])
+def test_gauss_at_infinity_is_routed_within_tol(omega):
+    # the split's climb raises here (see the test below)
+    res = evaluate_transform(TransformSpec(gauss(1.0), 1, omega))
+    ref = reference(lambda x: mpmath.exp(-x * x), 1, 0.0, math.inf, omega)
+    assert res.route == "direct"
+    assert abs(res.total - ref) <= TOL * abs(ref)
+
+
+def test_route_at_infinity_starts_above_half_the_split_point():
+    f = gauss(1.0)
+    at, above = (evaluate_transform(TransformSpec(f, 2, omega, nu=0.25))
+                 for omega in (0.5 * SPLIT_POINT, 0.51 * SPLIT_POINT))
+    assert (at.route, above.route) == ("series", "direct")
+    for kw in ({"k_max": TERM_CAP}, {"keep_terms": True}):
+        res = evaluate_transform(TransformSpec(f, 2, 0.8, nu=0.25), **kw)
+        assert res.route == "series" and res.k_used > 0
+
+
+def test_closed_forms_at_infinity_build_no_rule():
+    # split or closed is read off the descriptor's type
+    assert splits_at_infinity(gauss(1.0))
+    assert splits_at_infinity(-2.0 * gauss(1.0))
+    for f in (Exponential(1.0), MonomialExp(2, 0.5), 2.0 * Exponential(3.0),
+              Polynomial([1.0])):
+        assert not splits_at_infinity(f)
+        for nu, call in ((0.5, lambda: evaluate_transform(
+                TransformSpec(f, 2, 0.8, nu=0.5))),
+                         (0.0, lambda: eval_quadratic(f, 0.8))):
+            assert call().route == "series"
+            lad = f.ladder(nu, math.inf, 1e-15)
+            assert (lad.rule, lad.nodes) == (None, None)
+
+
+def test_undeclared_stream_at_infinity_raises_as_on_the_series():
+    f = CustomSeries(lambda k: 1.0 / math.factorial(k), math.exp)
+    for kw in ({}, {"k_max": TERM_CAP}):
+        with pytest.raises(DivergentIntegralError, match="did not declare"):
+            evaluate_transform(TransformSpec(f, 1, 0.9), **kw)
+    assert f.ladder(0.0, math.inf, 1e-15).rule is None
+
+
+def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
+    f = gauss(1.0)
+    calls = []
+    call = f.eval
+    f.eval = lambda x: calls.append(x) or call(x)
+    routes = [evaluate_transform(TransformSpec(f, 1, omega)).route
+              for omega in (0.01, 0.1, 0.3, 0.6, 0.9, 1.2, 3.0, 0.7)]
+    routes += [eval_quadratic(f, omega).route for omega in (0.8, 1.1)]
+    assert routes.count("direct") == 7
+    lad = f.ladder(0.0, math.inf, 1e-15)
+    nodes = sum(len(xs) for rule in (lad.rule, lad.nodes)
+                for xs, _ in rule.levels)
+    # each range search also evaluates the node past each of its two ends;
+    # the singular terms evaluate f at -omega
+    assert sum(x > 0 for x in calls) == nodes + 4
+
+
+# ---------------------------------------------------------------------------
 # the tanh-sinh rule
 # ---------------------------------------------------------------------------
 
@@ -218,8 +315,8 @@ def test_routed_sweep_matches_fresh_instances():
 def test_tanh_sinh_matches_mpmath(nu, a):
     # int_0^a x^{-nu} e^{-1.3 x^2} (1 + x)^{-1} dx
     rule = TanhSinh(gauss(1.3), nu, a)
-    got, change = rule.integral(
-        lambda xs, gs: sum(g / (1.0 + x) for x, g in zip(xs, gs)), 1e-14)
+    got, change = integrate([(rule, lambda xs, gs: sum(
+        g / (1.0 + x) for x, g in zip(xs, gs)))], 1e-14)
     ref = reference(lambda x: mpmath.exp(-1.3 * x * x), 1, nu, a, 1.0)
     assert abs(got - ref) <= 1e-14 * abs(ref)
     assert change <= 1e-14 * abs(got)
@@ -228,8 +325,8 @@ def test_tanh_sinh_matches_mpmath(nu, a):
 def test_tanh_sinh_refuses_what_it_cannot_resolve():
     # too many oscillations for the finest level
     f = CustomSeries(lambda k: 0.0, lambda x: math.cos(400.0 * x))
-    assert TanhSinh(f, 0.0, 2.0).integral(lambda xs, gs: sum(gs),
-                                          1e-12) is None
+    assert integrate([(TanhSinh(f, 0.0, 2.0), lambda xs, gs: sum(gs))],
+                     1e-12) is None
     # an integrand that is not finite cannot close its range
     f = CustomSeries(lambda k: 0.0, lambda x: math.nan)
     with pytest.raises(NonconvergenceError, match="does not decay"):
@@ -260,7 +357,7 @@ def raises_or_flags(call):
 @pytest.mark.parametrize("omega", [1.425, 1.5])
 def test_gauss_climb_at_infinity_raises_or_flags(omega):
     got = raises_or_flags(lambda: evaluate_transform(
-        TransformSpec(gauss(1.0), 1, omega)))
+        TransformSpec(gauss(1.0), 1, omega), k_max=TERM_CAP))
     assert got == "flagged" or "c_342 of CustomSeries(gauss(1.0))" in got
 
 

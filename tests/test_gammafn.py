@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 from scipy import special
 
-from finitepart.gammafn import (EULER_GAMMA, digamma_int, gamma_ratio,
-                                gamma_real, harmonic, lgamma_signed,
-                                pochhammer)
+from finitepart.gammafn import (EULER_GAMMA, digamma_int, expint_scaled,
+                                gamma_ratio, gamma_real, harmonic,
+                                lgamma_signed, pochhammer)
+from finitepart.series import TERM_CAP
 
 
 def test_digamma_small_values():
@@ -49,3 +51,30 @@ def test_pochhammer(x, k):
 def test_gamma_ratio():
     assert gamma_ratio(7.5, 5.5) == pytest.approx(6.5 * 5.5, rel=1e-13)
     assert gamma_ratio(-0.5, 0.5) == pytest.approx(-2.0, rel=1e-13)
+
+
+def _expint_scaled_unhoisted(p, z):
+    """expint_scaled's loop with p - 1 formed at every step and the stop
+    test written |delta - 1| <= 2^-52."""
+    b = z + p
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    for i in range(1, TERM_CAP + 1):
+        an = -i * (p - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 2.0 ** -52:
+            return h, i
+    return None
+
+
+def test_expint_scaled_keeps_the_bits_and_steps_of_its_loop():
+    rng = random.Random(17)
+    for _ in range(4000):
+        p = rng.choice([1, 2, 3, 4, rng.uniform(0.05, 6.0)])
+        z = 300.0 - 299.0 * rng.random()  # in (1, 300]
+        assert expint_scaled(p, z) == _expint_scaled_unhoisted(p, z), (p, z)

@@ -602,7 +602,8 @@ def test_split_sweep_evaluates_f_once_per_node():
         calls = []
         call = f.eval
         f.eval = lambda x: calls.append(x) or call(x)
-        k_used = [evaluate_transform(TransformSpec(f, 1, omega)).k_used
+        k_used = [evaluate_transform(TransformSpec(f, 1, omega),
+                                     k_max=TERM_CAP).k_used
                   for omega in _sweep_omegas(top)]
         return max(k_used) + 1, len(calls)
 

@@ -14,7 +14,8 @@ in.  Two parts are printed:
   grid    finite parts of a fixed set of descriptors over m, nu and a,
           each (nu, a) on a fresh descriptor in ascending, descending and
           shuffled m; then transforms, quadratic-kernel values and
-          effective diffusivities
+          effective diffusivities, and the user streams' transforms and
+          quadratic-kernel values at a = inf at STREAM_OMEGAS
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
@@ -47,6 +48,8 @@ NUS = (0.0, 0.25, 0.5)
 AS = (0.5, 1.0, 2.0, 4.0, 30.0, math.inf)
 OMEGA_SHARES = (1e-3, 0.05, 0.3, 0.7, 0.95)
 TRANSFORM_AS = (0.5, 1.0, 2.0, 30.0, math.inf)
+# omega of the user streams at a = inf, around and past the split point
+STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0)
 
 
 def parse_seeds(text):
@@ -122,6 +125,19 @@ def dump_grid(child, fp, st, out):
                 w = share * top
                 out(f"quadratic {text} {a!r} {w!r} "
                     + call(quadratic, f, w, a))
+    for text in FUNCTIONS:
+        if not text.startswith("gauss("):
+            continue
+        for nu in NUS:
+            f = make(text)
+            for n in (1, 2, 3):
+                for w in STREAM_OMEGAS:
+                    out(f"transform {text} {nu!r} inf {n} {w!r} "
+                        + call(transform, f, n, w, math.inf, nu))
+        f = make(text)
+        for w in STREAM_OMEGAS:
+            out(f"quadratic {text} inf {w!r} "
+                + call(quadratic, f, w, math.inf))
     for pe in (0.5, 2.0, 30.0, 1e3):
         gp, gm = make("0.5*exp(1.3)"), make("monexp(1,0.9)")
         out(f"diffusivity {pe!r} "
