@@ -80,8 +80,8 @@ class FpiValue(NamedTuple):
     recurrence, and for the incomplete-gamma rungs m <= p of ``MonomialExp``
     it covers truncation and rounding.  A SplitInfinite rung adds to the bound
     of its series part the bound of the exp-sinh integral, its last change
-    plus the rounding of its weighted powers, and the rounding
-    u (|series part| + |integral|) of the sum of the two.
+    plus the rounding of its weighted powers and their sums, and the
+    rounding u (|series part| + |integral|) of the sum of the two.
     """
 
     value: float

@@ -23,7 +23,7 @@ never changed once made, so a thread reads whole levels only.
 
 import math
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, mul, truediv
 
 from .errors import NonconvergenceError
@@ -32,7 +32,6 @@ from .gammafn import UNIT_ROUNDOFF
 _HALF_PI = 0.5 * math.pi
 _T_CAP = 6  # |t| of the outermost node: x = a0 + e^{317}, or s = e^{+-634}
 _NEGLIGIBLE = 2.0 ** -70
-_CHAIN = 8  # an exp-sinh rung takes pow every 8th power, divides by x between
 MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
 
@@ -151,16 +150,6 @@ class ExpSinh(_Rule):
 
     x = a0 + exp(pi/2 sinh t).  A node's size is |g_i| / x_i, which bounds
     every rung's term g_i x_i^{-p}.
-
-    A rung sums the levels below MIN_LEVEL as one block.  The block and
-    each level after it keep the sum of their |g_i| / x_i and the weighted
-    powers g_i x_i^{-p} of the last rung that read them.  The power p - j,
-    j = (floor(p) - 1) mod _CHAIN, takes pow, and each power above it is the
-    one below over x_i, so the rungs of a climb, p, p + 1, ... or p, p + 2,
-    ..., take pow once in _CHAIN powers, and a rung has the same bits
-    whatever the rungs read before it.  pow is within an ulp, 2u, its
-    product and each of the j steps round once: a term is within (j + 3) u
-    of g_i x_i^{-p}, which is at most |g_i| / x_i.
     """
 
     _WHAT = "split tail"
@@ -170,7 +159,7 @@ class ExpSinh(_Rule):
     def __init__(self, f, a0):
         self.a0 = a0
         super().__init__(f)
-        self._kept = [None] * (LEVEL_CAP + 1)
+        self._sizes = ()
 
     @staticmethod
     def _geometry(t):
@@ -185,48 +174,45 @@ class ExpSinh(_Rule):
     def _size(x, g):
         return abs(g) / x
 
+    def _sizes_to(self, n):
+        """The sum of the sizes |g_i| / x_i of levels 0 to n; kept per
+        level, grown by replacement."""
+        sizes = self._sizes
+        while len(sizes) <= n:
+            xs, gs = self.level(len(sizes))
+            sizes = self._sizes = sizes + (
+                (sizes[-1] if sizes else 0.0)
+                + sum(map(abs, map(truediv, gs, xs))),)
+        return sizes[n]
+
     def integral(self, p):
-        """(int_{a0}^inf f(x) x^{-p} dx, its error bound: the change of the
-        last level plus the rounding of the weighted powers); a change
+        """(int_{a0}^inf f(x) x^{-p} dx, its error bound); a last change
         within 1e-13 relative or 1e-15 absolute is accepted, and
-        NonconvergenceError is raised without one."""
-        j = (math.floor(p) - 1) % _CHAIN
-        kept = self._kept
-        total = sizes = 0.0
-        est = math.nan
-        for n in range(MIN_LEVEL - 1, LEVEL_CAP + 1):
-            last = kept[n]
-            if last is None:
-                if n < MIN_LEVEL:  # the levels below MIN_LEVEL, as one
-                    head = [self.level(i) for i in range(n + 1)]
-                    xs = tuple(chain.from_iterable(x for x, _ in head))
-                    gs = tuple(chain.from_iterable(g for _, g in head))
-                else:
-                    xs, gs = self.level(n)
-                last = (math.nan, (), xs, gs,
-                        sum(map(abs, map(truediv, gs, xs))))
-            q, terms, xs, gs, size = last
-            k = p - q
-            if not (0.0 <= k <= j and k % 1.0 == 0.0):
-                terms = list(map(mul, gs, map(pow, xs, repeat(j - p))))
-                k = j
-            for _ in range(int(k)):
-                terms = list(map(truediv, terms, xs))
-            kept[n] = (p, terms, xs, gs, size)
-            sizes += size
-            total += sum(terms)
-            new = math.ldexp(total, -n)
-            if not abs(new) < math.inf:
-                break
-            err = abs(new - est)
-            if n >= MIN_LEVEL and err <= max(self._RTOL * abs(new),
-                                             self._ATOL):
-                return new, err + ((j + 3) * UNIT_ROUNDOFF
-                                   * math.ldexp(sizes, -n))
-            est = new
-        raise NonconvergenceError(
-            f"exp-sinh tail of {self.f!r} at power {p:g} did not converge "
-            f"within {LEVEL_CAP} levels")
+        NonconvergenceError is raised without one.
+
+        The bound is the last change plus the rounding at the step 2^-n of
+        the last level n, whose N nodes are the most of any level: pow is
+        within an ulp, 2u, and its product rounds once, so a term is within
+        3u of g_i x_i^{-p}, which is at most |g_i| / x_i; a level's sum of
+        at most N terms adds (N - 1) u of their sizes, recursive summation
+        or the compensated sum() of Python 3.12, and each of the n additions
+        of a level to the total u of the sizes summed so far.
+        """
+        counts = []
+
+        def level_sum(xs, gs):
+            counts.append(len(xs))
+            return sum(map(mul, gs, map(pow, xs, repeat(-p))))
+
+        got = integrate([(self, level_sum)], self._RTOL, self._ATOL)
+        if got is None:
+            raise NonconvergenceError(
+                f"exp-sinh tail of {self.f!r} at power {p:g} did not "
+                f"converge within {LEVEL_CAP} levels")
+        value, change = got
+        n = len(counts) - 1
+        return value, change + ((counts[-1] + n + 2) * UNIT_ROUNDOFF
+                                * math.ldexp(self._sizes_to(n), -n))
 
 
 class TanhSinh(_Rule):

@@ -173,6 +173,14 @@ def _shifted_powers(xs, omega, n):
     return ys if n == 1 else map(pow, ys, repeat(n))
 
 
+def _routed(f, omega, a):
+    """Whether the direct route is tried: omega > a/2 at a finite a, and
+    omega > SPLIT_POINT/2 at a = inf where f's rungs are split."""
+    if a < math.inf:
+        return omega > 0.5 * a
+    return omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)
+
+
 def _direct(f, nu, a, tol, singular, kernel):
     """The transform integrated directly, or None where that is refused.
 
@@ -374,9 +382,7 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
             shape = f.exp_family()
             if shape is not None and shape[0] < n and shape[1] * omega > 1.0:
                 return _closed_route(f, shape, n, omega, a, tol)
-    if k_max is None and not keep_terms and (
-            omega > 0.5 * a if a < math.inf
-            else omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)):
+    if k_max is None and not keep_terms and _routed(f, omega, a):
         check_nu(nu)
         res = _direct(f, nu, a, tol, partial(_singular, f, n, nu, omega),
                       lambda xs, gs: sum(map(truediv, gs,
@@ -407,9 +413,7 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
     cap = _naive_cap(k_max)
-    if k_max is None and not keep_terms and (
-            omega > 0.5 * a if a < math.inf
-            else omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)):
+    if k_max is None and not keep_terms and _routed(f, omega, a):
         w2 = omega * omega
         res = _direct(f, 0.0, a, tol, partial(_quadratic_singular, f, omega),
                       lambda xs, gs: sum(map(truediv, gs, map(
