@@ -7,8 +7,7 @@ from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
 from .errors import (DivergentIntegralError, FinitePartError,
                      IndeterminateZeroOrderError, NonconvergenceError)
 from .finite_part import FpiMethod, FpiValue, finite_part_integral
-from .oracles import (QuadratureResult, fpi_contour_oracle, fpi_epsilon_oracle,
-                      quad_adaptive)
+from .oracles import QuadratureResult, fpi_epsilon_oracle, quad_adaptive
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       KummerRegime, gauss2f1_branch, gauss2f1_integer,
                       gauss2f1_leading, kummer_u, kummer_u_leading)
@@ -26,8 +25,8 @@ __all__ = [
     "LeadingBehavior", "LeadingKind", "MonomialExp", "NonconvergenceError",
     "Polynomial", "QuadratureResult", "Scaled", "TaylorFunction",
     "TransformSpec", "classify", "effective_diffusivity", "eval_quadratic",
-    "evaluate_transform", "finite_part_integral", "fpi_contour_oracle",
-    "fpi_epsilon_oracle", "gauss2f1_branch", "gauss2f1_integer",
-    "gauss2f1_leading", "kummer_u", "kummer_u_leading", "leading_term",
-    "quad_adaptive", "singular_term_branch", "singular_term_integer",
+    "evaluate_transform", "finite_part_integral", "fpi_epsilon_oracle",
+    "gauss2f1_branch", "gauss2f1_integer", "gauss2f1_leading", "kummer_u",
+    "kummer_u_leading", "leading_term", "quad_adaptive",
+    "singular_term_branch", "singular_term_integer",
 ]

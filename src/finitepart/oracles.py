@@ -1,6 +1,6 @@
 """Independent verification engines.
 
-Three ways to check a finite-part or transform value without touching the
+Two ways to check a finite-part or transform value without touching the
 series representations used elsewhere in the package:
 
 * :func:`quad_adaptive` wraps adaptive Gauss-Kronrod quadrature (QUADPACK
@@ -10,12 +10,9 @@ series representations used elsewhere in the package:
 * :func:`fpi_epsilon_oracle` evaluates a finite part straight from its
   definition: the divergent part in eps is removed analytically, so the
   eps -> 0 limit is one ordinary integral of the Taylor remainder.
-* :func:`fpi_contour_oracle` evaluates the equivalent circular-contour
-  representation by trigonometric interpolation.
 
-scipy (quadrature) and numpy (the contour oracle's FFT, its only use) are
-imported by the functions that use them, on their first call, so
-importing this module needs only the standard library.
+scipy is imported by the quadrature on its first call, so importing this
+module needs only the standard library.
 """
 
 import math
@@ -30,8 +27,6 @@ _QUAD_LIMIT = 200  # QUADPACK subinterval limit
 _ROUNDOFF = "The occurrence of roundoff error"
 _TAYLOR_TERM_CAP = 600  # terms of the epsilon oracle's Taylor remainder
 _EPS_QUAD_TOL = 1e-12
-_CONTOUR_N_THETA = 64  # first contour resolution, a power of two
-_CONTOUR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -191,51 +186,3 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
     rem = quad_adaptive(lambda u: _taylor_remainder(f, m, u ** (1.0 / q)),
                         0.0, a**q, tol=_EPS_QUAD_TOL)
     return head + rem.value / q
-
-
-# ---------------------------------------------------------------------------
-# circular-contour oracle (nu = 0)
-# ---------------------------------------------------------------------------
-
-def _contour_spectral(f, m, a, n):
-    import numpy as np
-
-    theta = 2.0 * math.pi * np.arange(n) / n
-    z = a * np.exp(1j * theta)
-    g = np.array([f.eval_complex(zz) for zz in z]) * np.exp(1j * (1 - m) * theta)
-    ghat = np.fft.fft(g) / n
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    val = ghat[0] * math.log(a)
-    for idx in range(1, n):
-        l = freqs[idx]
-        if abs(l) == n // 2:
-            continue  # ambiguous Nyquist bin; halves under doubling anyway
-        val += ghat[idx] / l
-    return complex(val) / a ** (m - 1)
-
-
-def fpi_contour_oracle(f: TaylorFunction, m: int, a: float) -> float:
-    """Finite part of int_0^a f(x) x^{-m} dx from its contour representation.
-
-    The value equals the average over the circle |z| = a of
-    f(z) (log a + i (theta - pi)) e^{i (1-m) theta} / a^{m-1}.  The periodic
-    factor is replaced by its trigonometric interpolant (FFT), against
-    which the linear theta term integrates exactly; the resolution doubles
-    from 64 nodes until two successive values agree to 1e-10.
-    """
-    if m < 1:
-        raise ValueError("pole strength m must be >= 1")
-    if not (0.0 < a < math.inf):
-        raise ValueError("contour oracle requires finite a > 0")
-    n = _CONTOUR_N_THETA
-    prev = _contour_spectral(f, m, a, n)
-    while n < (1 << 18):
-        n *= 2
-        cur = _contour_spectral(f, m, a, n)
-        if abs(cur - prev) < _CONTOUR_TOL:
-            return float(cur.real)
-        prev = cur
-    raise NonconvergenceError(
-        "contour oracle did not stabilize before the doubling cap",
-        partial=float(prev.real),
-    )

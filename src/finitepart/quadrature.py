@@ -36,16 +36,16 @@ MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
 
 
-def integrate(parts, rtol, atol=0.0, accept=None):
+def integrate(parts, rtol, atol=0.0):
     """(the integral, the sum of its parts' last changes), or None.
 
     The integral is the sum of the trapezoidal values of ``parts``, pairs
     (rule, level_sum), ``level_sum(xs, gs)`` summing a level's values times
     the caller's factor.  From level MIN_LEVEL on it is accepted when the
-    sum of the changes is within max(rtol |integral|, atol), and refused
-    (None) when ``accept(integral)`` is false; a part whose change is within
-    that bound over len(parts) keeps its level from then on.  None as well
-    when the integral leaves float range or the levels pass LEVEL_CAP.
+    sum of the changes is within max(rtol |integral|, atol); a part whose
+    change is within that bound over len(parts) keeps its level from then
+    on.  None when the integral leaves float range or the levels pass
+    LEVEL_CAP.
     """
     count = len(parts)
     totals = [0.0] * count
@@ -63,8 +63,6 @@ def integrate(parts, rtol, atol=0.0, accept=None):
         if not abs(value) < math.inf:
             return None
         if n >= MIN_LEVEL:
-            if accept is not None and not accept(value):
-                return None
             bound = max(rtol * abs(value), atol)
             err = reduce(add, changes)
             if err <= bound:

@@ -30,27 +30,29 @@ routes integrate the transform itself, with naive_sum = direct - singular:
   f's rung ladder keeps, tanh-sinh on [0, a], or on [0, SPLIT_POINT] plus
   the split's exp-sinh nodes on [SPLIT_POINT, inf); taken only where
   |singular| <= (tol/u) |direct|, u the unit roundoff, so that the exact
-  identity naive_sum + singular == total costs at most tol.
+  identity naive_sum + singular == total costs at most tol.  Where that
+  test fails the split is summed and flagged, with ``direct`` beside it.
 
-Elsewhere, and with ``k_max`` or ``keep_terms`` given, the split is summed.
+Elsewhere, and with ``k_max`` given, the split is summed.  Its naive terms
+are binom(-n,k) omega^k times the public finite_part_integral values.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, mul, truediv
 
 from .entire import TaylorFunction
 from .errors import FinitePartError, NonconvergenceError
-from .finite_part import (SPLIT_POINT, check_nu, finite_part_integral,
-                          split_nodes, splits_at_infinity)
+from .finite_part import (DEFAULT_TOL, SPLIT_POINT, check_nu,
+                          finite_part_integral, split_nodes,
+                          splits_at_infinity)
 from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
 from .quadrature import TanhSinh, integrate
 from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
-_FPI_TOL = 1e-15
 
 # n -> the signed binomials (-1)^k binom(n+k-1,k) as floats, k = 0, 1, ...;
 # grown by replacement, never in place, so a thread reads a whole list
@@ -92,7 +94,9 @@ class ExpansionResult:
     tail estimate; on route "closed" by exponential integrals, with
     |total - direct| plus the bound of ``direct`` as the tail estimate,
     converged when that is within tol |direct|.  ``direct`` is None on
-    the series route.
+    the series route, except where the direct route was refused on its
+    ratio test, |singular| > (tol/u) |direct|: that series result is
+    flagged, with ``direct`` beside it.
     """
 
     naive_sum: float
@@ -101,7 +105,6 @@ class ExpansionResult:
     k_used: int
     tail_estimate: float
     converged: bool = True
-    per_term: list = field(default=None, compare=False)
     route: str = "series"
     direct: float = None
 
@@ -159,18 +162,25 @@ def _singular(f, n, nu, omega):
                               f"leaves float range ({why})")
 
 
-def _quadratic_singular(f, omega):
-    """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega."""
+def _quadratic_singular(f, n, nu, omega):
+    """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega;
+    n and nu, of the signature of :func:`_singular`, are not used."""
     fi = f.eval_complex(1j * omega)
     return (math.pi / (2.0 * omega)) * fi.real \
         - (math.log(omega) / omega) * fi.imag
 
 
-def _shifted_powers(xs, omega, n):
-    """(omega + x)^n for x in xs; without pow at n = 1, where it would
-    return omega + x exactly."""
+def _pole_kernel(omega, n, xs, gs):
+    """sum_i g_i / (omega + x_i)^n over a level; without pow at n = 1,
+    where it would return omega + x exactly."""
     ys = map(add, xs, repeat(omega))
-    return ys if n == 1 else map(pow, ys, repeat(n))
+    return sum(map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n))))
+
+
+def _quadratic_kernel(omega, n, xs, gs):
+    """sum_i g_i / (omega^2 + x_i^2) over a level; n is not used."""
+    return sum(map(truediv, gs, map(add, map(mul, xs, xs),
+                                    repeat(omega * omega))))
 
 
 def _routed(f, omega, a):
@@ -182,21 +192,21 @@ def _routed(f, omega, a):
 
 
 def _direct(f, nu, a, tol, singular, kernel):
-    """The transform integrated directly, or None where that is refused.
+    """(the singular term, the transform integrated directly, the sum of
+    the rules' last changes), or None where that fails.
 
     The singular term ``singular()`` comes first.  The integral is the
     tanh-sinh rule of f's ladder at (nu, a), made on first use, on [0, a];
     at a = inf on [0, SPLIT_POINT], plus the exp-sinh nodes of the split on
     [SPLIT_POINT, inf) times x^{-nu}.  ``kernel(xs, gs)`` sums a level's
-    values times the kernel.  It is refused from the first trusted level on
-    wherever |singular| > (tol/u) |direct|, and when the singular term or a
-    rule raises or the sum of the rules' changes is not within tol |direct|
-    by the level cap.
+    values times the kernel.  None where the singular term or a rule
+    raises, or the sum of the rules' changes is not within tol |direct| by
+    the level cap.
     """
-    limit = tol / UNIT_ROUNDOFF
+    check_nu(nu)
     try:
         sing = singular()
-        lad = f.ladder(nu, a, _FPI_TOL)
+        lad = f.ladder(nu, a, DEFAULT_TOL)
         top = a
         if a == math.inf:
             # f x^{-1-nu} integrable: so is the integrand, under any kernel
@@ -210,17 +220,36 @@ def _direct(f, nu, a, tol, singular, kernel):
             parts.append((split_nodes(lad, f), kernel if nu == 0.0 else (
                 lambda xs, gs: kernel(xs, map(mul, gs, map(
                     pow, xs, repeat(-nu)))))))
-        got = integrate(parts, tol,
-                        accept=lambda v: abs(sing) <= limit * abs(v))
+        got = integrate(parts, tol)
     except (ArithmeticError, FinitePartError):
         return None
-    if got is None:
-        return None
-    direct, change = got
-    naive = direct - sing
-    tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
-    return ExpansionResult(naive, sing, naive + sing, 0, tail, True, None,
-                           "direct", direct)
+    return None if got is None else (sing, *got)
+
+
+def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel):
+    """The transform with the singular term ``singular(f, n, nu, omega)``
+    and the level sums ``kernel(omega, n, xs, gs)``: the result of the
+    direct route where k_max is None, :func:`_routed` holds and the
+    integral passes |singular| <= (tol/u) |direct|; else the naive series
+    of :func:`_naive_series` at ``series`` = (m0, step, binomial order,
+    ostep) plus the singular term, flagged with ``direct`` beside it where
+    only that test failed."""
+    cap = _naive_cap(k_max)
+    direct = None
+    if k_max is None and _routed(f, omega, a):
+        got = _direct(f, nu, a, tol, partial(singular, f, n, nu, omega),
+                      partial(kernel, omega, n))
+        if got is not None:
+            sing, direct, change = got
+            if abs(sing) <= (tol / UNIT_ROUNDOFF) * abs(direct):
+                naive = direct - sing
+                tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
+                return ExpansionResult(naive, sing, naive + sing, 0, tail,
+                                       True, "direct", direct)
+    naive, k_used, tail, ok = _naive_series(f, nu, a, *series, tol, cap)
+    sing = singular(f, n, nu, omega)
+    return ExpansionResult(naive, sing, naive + sing, k_used, tail,
+                           ok and direct is None, "series", direct)
 
 
 def _closed(p, b, c, n, omega, a):
@@ -271,7 +300,7 @@ def _closed_route(f, shape, n, omega, a, tol):
     total = naive + sing
     tail = abs(total - direct) + bound
     return ExpansionResult(naive, sing, total, 0, tail,
-                           tail <= tol * abs(direct), None, "closed", direct)
+                           tail <= tol * abs(direct), "closed", direct)
 
 
 def _powers(x):
@@ -299,7 +328,7 @@ def _naive_cap(k_max):
     return k_max
 
 
-def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
+def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
     """sum_k binom(-n,k) ostep^k FPI(f, m0 + step*k, nu, a) for k = 0..cap.
 
     The rungs do not depend on omega, so a sweep on one descriptor reads
@@ -321,9 +350,9 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
     tail estimate is the larger of the last two term magnitudes, so an
     isolated near-zero term (a sign change passing through the finite-part
     sequence) cannot make the estimate under-cover the remainder.
-    Returns (total, k_used, tail_estimate, converged, rows).
+    Returns (total, k_used, tail_estimate, converged).
     """
-    lad = f.ladder(nu, a, _FPI_TOL)
+    lad = f.ladder(nu, a, DEFAULT_TOL)
     key = (m0, step)
     fs = lad.naive.get(key, [])
     ws = _powers(ostep)
@@ -336,7 +365,7 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
         for m in count(m0 + step * k, step):
             v = rungs.get(m)
             if v is None:
-                v = rungs[m] = finite_part_integral(f, m, nu, a, _FPI_TOL)
+                v = rungs[m] = finite_part_integral(f, m, nu, a, DEFAULT_TOL)
             value = v.value
             new.append(value)
             if k == len(bs):
@@ -352,78 +381,59 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap, keep_terms):
         fs = fs + new
         if len(fs) > len(lad.naive.get(key, ())):
             lad.naive[key] = fs
-    rows = None
-    if keep_terms:
-        rows = list(zip(range(s.terms), map(mul, _binomials(n, s.terms),
-                                            _powers(ostep)), fs))
-    return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
+    return s.total, s.terms - 1, max(s.last, s.prev), s.converged
 
 
 def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
-                       k_max: int = None,
-                       keep_terms: bool = False) -> ExpansionResult:
+                       k_max: int = None) -> ExpansionResult:
     """Evaluate int_0^a x^{-nu} f/(omega+x)^n dx by its exact decomposition.
 
     The naive series is the same for every nu; the singular part is the
     pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
-    must lie in (0, 1).  Unless ``k_max`` or ``keep_terms`` is given, the
-    closed route is taken at nu = 0 for c x^p e^{-bx} with p < n and
-    b omega > 1, and the direct route is tried first at a finite a with
-    omega > a/2 and, for f without a closed form there, at a = inf with
-    omega > SPLIT_POINT/2 (see the module docstring and
-    ``ExpansionResult``).
+    must lie in (0, 1).  Unless ``k_max`` is given, the closed route is
+    taken at nu = 0 for c x^p e^{-bx} with p < n and b omega > 1, and the
+    direct route is tried first at a finite a with omega > a/2 and, for f
+    without a closed form there, at a = inf with omega > SPLIT_POINT/2
+    (see the module docstring and ``ExpansionResult``).
     """
     check_tol(tol)
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
-    cap = _naive_cap(k_max)
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
-        if k_max is None and not keep_terms:
+        if k_max is None:
             shape = f.exp_family()
             if shape is not None and shape[0] < n and shape[1] * omega > 1.0:
                 return _closed_route(f, shape, n, omega, a, tol)
-    if k_max is None and not keep_terms and _routed(f, omega, a):
-        check_nu(nu)
-        res = _direct(f, nu, a, tol, partial(_singular, f, n, nu, omega),
-                      lambda xs, gs: sum(map(truediv, gs,
-                                             _shifted_powers(xs, omega, n))))
-        if res is not None:
-            return res
-    naive, k_used, tail, ok, rows = _naive_series(
-        f, nu, a, n, 1, n, omega, tol, cap, keep_terms)
-    sing = _singular(f, n, nu, omega)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
+    return _transform(f, n, nu, omega, a, tol, k_max, (n, 1, n, omega),
+                      _singular, _pole_kernel)
 
 
 def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
-                   tol: float = DEFAULT_EVAL_TOL, k_max: int = None,
-                   keep_terms: bool = False) -> ExpansionResult:
+                   tol: float = DEFAULT_EVAL_TOL,
+                   k_max: int = None) -> ExpansionResult:
     """Evaluate int_0^a f(x)/(omega^2+x^2) dx by its exact decomposition.
 
     The naive part integrates the expansion of the kernel term by term,
     sum_k (-1)^k omega^{2k} FPI(f, 2k+2, 0, a); the residues of
     f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega supply the missing
     (pi/(2 omega)) Re f(i omega) - (ln omega / omega) Im f(i omega).
-    ``tol`` must lie in (0, 1).  The direct route is tried first as in
-    :func:`evaluate_transform`.
+    ``tol`` must lie in (0, 1), and omega^2 must be a finite float.  The
+    direct route is tried first as in :func:`evaluate_transform`.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
     check_tol(tol)
     if not (math.isinf(a) or omega < a):
         raise ValueError("expansion requires omega < a")
-    cap = _naive_cap(k_max)
-    if k_max is None and not keep_terms and _routed(f, omega, a):
-        w2 = omega * omega
-        res = _direct(f, 0.0, a, tol, partial(_quadratic_singular, f, omega),
-                      lambda xs, gs: sum(map(truediv, gs, map(
-                          add, map(mul, xs, xs), repeat(w2)))))
-        if res is not None:
-            return res
-    naive, k_used, tail, ok, rows = _naive_series(
-        f, 0.0, a, 2, 2, 1, omega**2, tol, cap, keep_terms)
-    sing = _quadratic_singular(f, omega)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok, rows)
+    try:
+        square = omega**2
+    except OverflowError:
+        square = math.inf
+    if square == math.inf:
+        raise ValueError(f"omega = {omega!r} is too large: omega^2 leaves "
+                         "float range")
+    return _transform(f, 0, 0.0, omega, a, tol, k_max, (2, 2, 1, square),
+                      _quadratic_singular, _quadratic_kernel)
 
 
 def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,

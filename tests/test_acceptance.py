@@ -21,13 +21,14 @@ from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial)
 from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import EULER_GAMMA
-from finitepart.oracles import (fpi_contour_oracle, fpi_epsilon_oracle,
-                                quad_adaptive)
+from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
 from finitepart.specfun import (Gauss2F1BranchParams, Gauss2F1IntParams,
                                 KummerParams, gauss2f1_branch,
                                 gauss2f1_integer, kummer_u)
 from finitepart.stieltjes import (TransformSpec, effective_diffusivity,
                                   eval_quadratic, evaluate_transform)
+
+from contour_oracle import fpi_contour_oracle
 
 ONE = Polynomial([1.0])
 GRID_F = [Exponential(1.0), Exponential(2.0), ONE, BinomialPoly(1, 2),

@@ -116,6 +116,23 @@ def test_transform_rows_name_the_route_and_carry_direct(fmt, capsys):
             assert direct == pytest.approx(float(row["total"]), rel=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_refused_direct_route_row_is_flagged_with_direct(fmt, capsys):
+    # |singular| = 2.7e9 > (tol/u) |direct|: the series row, flagged, and
+    # the integral (0.0564233964464380 at 40 digits) beside it
+    assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--nu", "0.25",
+                 "--a", "30", "--omega", "21", "--format", fmt]) == 3
+    out = capsys.readouterr().out
+    if fmt == "json":
+        row = json.loads(out)["results"][0]
+    else:
+        header, data = csv.reader(io.StringIO(out))
+        row = dict(zip(header, data))
+    assert (row["route"], row["flag"]) == ("series", "nonconverged")
+    assert float(row["direct"]) == pytest.approx(0.0564233964464380,
+                                                 rel=1e-12)
+
+
 def test_quadratic_and_diffusivity_commands():
     code, doc = run(RunConfig("quadratic", {
         "f": "poly(1)", "omega": 0.5, "a": "inf", "tol": 1e-12,
@@ -186,6 +203,19 @@ def test_quadratic_zero_omega_or_peclet_reaches_the_range_checks(
     assert main(["quadratic"] + args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--f", "exp(1)", "--omega", "1e200"],
+    ["--f", "exp(1)", "--pe", "1e-200"],
+    ["--g-plus", "exp(1)", "--g-minus", "exp(1)", "--pe", "1e-200"],
+])
+def test_quadratic_omega_whose_square_overflows_exits_2(args, capsys):
+    # omega**2 once raised a raw OverflowError, exit 1 with a traceback
+    assert main(["quadratic"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: omega = 1e+200 is too large: "
+                                 "omega^2 leaves float range\n")
 
 
 def test_quadratic_peclet_alone_is_omega_1_over_pe():

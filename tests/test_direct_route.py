@@ -6,10 +6,12 @@ References are mpmath quadratures at 40 digits.  A routed result must keep
 the exact identity naive_sum + singular == total and lie within
 tol |ref| + 4u |singular| of the reference: the identity's own rounding is
 u |singular| at most twice.  A refused one must be the series result, bit
-for bit.  The exponential family at nu = 0 with b omega > 1 takes the
-closed route before either (tests/test_closed_route.py); here such a
-result must keep the identity and either meet the routed bound or be
-flagged with ``direct`` within its own bound of the reference.
+for bit; where it was refused on its ratio test, |singular| > (tol/u)
+|direct|, flagged, with ``direct`` within tol |ref|.  The exponential
+family at nu = 0 with b omega > 1 takes the closed route before either
+(tests/test_closed_route.py); here such a result must keep the identity
+and either meet the routed bound or be flagged with ``direct`` within its
+own bound of the reference.
 """
 
 import cmath
@@ -26,7 +28,7 @@ from finitepart.errors import (DivergentIntegralError, FinitePartError,
 from finitepart.finite_part import (SPLIT_POINT, finite_part_integral,
                                    splits_at_infinity)
 from finitepart.gammafn import UNIT_ROUNDOFF
-from finitepart.quadrature import MIN_LEVEL, TanhSinh, integrate
+from finitepart.quadrature import TanhSinh, integrate
 from finitepart.series import TERM_CAP
 from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _closed,
                                   eval_quadratic, evaluate_transform)
@@ -54,7 +56,11 @@ FAMILIES = {
     "binpoly": (lambda p, q: BinomialPoly(p, q),
                 lambda p, q: lambda x: x ** p * (1 - x) ** q),
     "gauss": (gauss, lambda c: lambda x: mpmath.exp(-c * x * x)),
-    # user streams without a closed form at a = inf
+    # user streams without a closed form
+    "expstream": (lambda: CustomSeries(
+        lambda k: (-1) ** k / math.factorial(k), lambda x: math.exp(-x),
+        lambda z: cmath.exp(-z), decaying=True, label="expstream"),
+        lambda: lambda x: mpmath.exp(-x)),
     "xexp": (lambda: CustomSeries(
         lambda k: k and (-1) ** (k - 1) / math.factorial(k - 1),
         lambda x: x * math.exp(-x), lambda z: z * cmath.exp(-z),
@@ -99,8 +105,16 @@ def outcome(make, n, nu, a, omega, **kw):
         r = evaluate(make(), n, nu, a, omega, **kw)
     except (FinitePartError, ArithmeticError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr((r.naive_sum, r.singular, r.total, r.k_used,
-                 r.tail_estimate, r.converged, r.route))
+    return (r.naive_sum, r.singular, r.total, r.k_used, r.tail_estimate,
+            r.converged, r.route, r.direct)
+
+
+def assert_flagged_with_direct(res, ref):
+    """A refusal on the ratio test: flagged, |singular| > (tol/u)
+    |direct|, and ``direct`` within tol |ref| of the reference."""
+    assert (res.route, res.converged) == ("series", False)
+    assert abs(res.singular) > TOL / U * abs(res.direct)
+    assert abs(mpmath.mpf(res.direct) - ref) <= TOL * abs(ref), (res, ref)
 
 
 def assert_routed_or_refused(name, params, n, nu, a, omega):
@@ -113,10 +127,14 @@ def assert_routed_or_refused(name, params, n, nu, a, omega):
         got = outcome(lambda: make_f(*params), n, nu, a, omega)
         want = outcome(lambda: make_f(*params), n, nu, a, omega,
                        k_max=TERM_CAP)
-        assert got == want
+        if res is not None and res.direct is not None:
+            assert_flagged_with_direct(
+                res, reference(make_mp(*params), n, nu, a, omega))
+            want = want[:5] + (False, "series", res.direct)
+        assert repr(got) == repr(want)
         return "refused"
     assert res.naive_sum + res.singular == res.total
-    assert (res.k_used, res.per_term) == (0, None)
+    assert res.k_used == 0
     ref = reference(make_mp(*params), n, nu, a, omega)
     if res.route == "closed":
         direct, bound = _closed(*make_f(*params).exp_family(), n, omega, a)
@@ -185,19 +203,25 @@ def test_monexp_branch_near_a_is_accurate(omega):
     assert abs(res.total - ref) <= 1e-12 * abs(ref)
 
 
-def test_refused_op_stops_at_the_first_trusted_level():
+@pytest.mark.parametrize("name,a,omega", [
     # e^{-x} as a user stream: Exponential(1) would take the closed route
-    f = CustomSeries(lambda k: (-1) ** k / math.factorial(k),
-                     lambda x: math.exp(-x), decaying=True, label="exp(1)")
-    res = evaluate_transform(TransformSpec(f, 1, 25.0, 30.0))
-    assert res.route == "series" and res.k_used > 0
-    assert len(f.ladder(0.0, 30.0, 1e-15).rule.levels) == MIN_LEVEL + 1
+    ("expstream", 30.0, 25.0),
+    # the pole term swamps the transform: the series gives -3.3e5, -2.0e9
+    # and -4.0e14 for values near 0.1
+    ("xexp", math.inf, 6.0), ("xexp", math.inf, 8.0),
+    ("xexp", math.inf, 12.0),
+])
+def test_refused_on_the_ratio_test_is_flagged_with_direct(name, a, omega):
+    make_f, make_mp = FAMILIES[name]
+    res = evaluate_transform(TransformSpec(make_f(), 1, omega, a))
+    assert_flagged_with_direct(res, reference(make_mp(), 1, 0.0, a, omega))
+    assert res.k_used > 0
+    assert assert_routed_or_refused(name, (), 1, 0.0, a, omega) == "refused"
 
 
-@pytest.mark.parametrize("kw", [{"k_max": TERM_CAP}, {"keep_terms": True},
-                                {"k_max": 5}])
+@pytest.mark.parametrize("kw", [{"k_max": TERM_CAP}, {"k_max": 5}])
 @pytest.mark.parametrize("n", [0, 2])
-def test_k_max_and_keep_terms_keep_the_series(kw, n):
+def test_k_max_keeps_the_series(kw, n):
     res = evaluate(Exponential(1.0), n, 0.0, 2.0, 1.8, **kw)
     assert res.route == "series" and res.k_used > 0
 
@@ -261,9 +285,9 @@ def test_route_at_infinity_starts_above_half_the_split_point():
     at, above = (evaluate_transform(TransformSpec(f, 2, omega, nu=0.25))
                  for omega in (0.5 * SPLIT_POINT, 0.51 * SPLIT_POINT))
     assert (at.route, above.route) == ("series", "direct")
-    for kw in ({"k_max": TERM_CAP}, {"keep_terms": True}):
-        res = evaluate_transform(TransformSpec(f, 2, 0.8, nu=0.25), **kw)
-        assert res.route == "series" and res.k_used > 0
+    res = evaluate_transform(TransformSpec(f, 2, 0.8, nu=0.25),
+                             k_max=TERM_CAP)
+    assert res.route == "series" and res.k_used > 0
 
 
 def test_closed_forms_at_infinity_build_no_rule():

@@ -1,20 +1,24 @@
+import ast
 import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+import finitepart
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import EULER_GAMMA
-from finitepart.oracles import (fpi_contour_oracle, fpi_epsilon_oracle,
-                                quad_adaptive)
+from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
+
+from contour_oracle import fpi_contour_oracle
 
 
 def expint_e1(x):
@@ -77,6 +81,23 @@ def test_import_needs_neither_numpy_nor_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_no_module_of_the_package_imports_numpy():
+    # numpy is a test dependency only: the contour oracle lives in tests/
+    seen = []
+    for path in sorted(Path(finitepart.__file__).parent.rglob("*.py")):
+        seen.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "numpy"], (
+                f"{path.name}:{node.lineno} imports numpy")
+    assert "oracles.py" in seen and "stieltjes.py" in seen
 
 
 def test_quad_examples():

@@ -224,18 +224,6 @@ def test_monotone_refinement():
         assert abs(full.total - short.total) <= short.tail_estimate
 
 
-def test_per_term_reporting():
-    res = evaluate_transform(TransformSpec(ONE, 1, 0.5, 1.0), keep_terms=True)
-    assert res.per_term is not None
-    ks = [row[0] for row in res.per_term]
-    assert ks == list(range(res.k_used + 1))
-    # rows carry (k, binomial weight * omega^k, finite part value)
-    assert res.per_term[0][1] == 1.0
-    assert res.per_term[1][1] == pytest.approx(-0.5)
-    recon = sum(w * v for _, w, v in res.per_term)
-    assert recon == pytest.approx(res.naive_sum, rel=1e-15, abs=1e-15)
-
-
 GRID = [
     (f, n, nu, omega, a)
     for f in (EXP1, Exponential(2.0), ONE, BinomialPoly(1, 2), BinomialPoly(0, 3))
@@ -353,6 +341,19 @@ def test_effective_diffusivity_exponential_density():
         assert math.isclose(keff, want, rel_tol=1e-8)
 
 
+@pytest.mark.parametrize("omega", [1e200, 1.5e154, math.inf])
+def test_quadratic_rejects_omega_whose_square_overflows(omega):
+    # omega**2 raised a raw OverflowError, or summed a series of inf
+    with pytest.raises(ValueError, match=r"omega = .* is too large: "
+                                         r"omega\^2 leaves float range"):
+        eval_quadratic(EXP1, omega)
+    if omega < math.inf:
+        with pytest.raises(ValueError, match="omega\\^2 leaves float range"):
+            effective_diffusivity(EXP1, EXP1, peclet=1.0 / omega, kappa=1.0)
+    # omega^2 near the largest float is still evaluated
+    assert eval_quadratic(EXP1, 1.3e154).route == "series"
+
+
 def test_effective_diffusivity_domain_error():
     with pytest.raises(ValueError):
         effective_diffusivity(ONE, ONE, peclet=2.0, kappa=1.0, a=0.25)
@@ -365,7 +366,7 @@ def test_expansion_result_fields():
     assert isinstance(res, ExpansionResult)
     assert res.total == res.naive_sum + res.singular
     assert res.tail_estimate >= 0.0
-    assert res.per_term is None
+    assert (res.route, res.direct) == ("series", None)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +387,14 @@ def _sweep_omegas(top, count=16):
 
 def _bits(res):
     return repr((res.naive_sum, res.singular, res.total, res.k_used,
-                 res.tail_estimate, res.converged, res.per_term))
+                 res.tail_estimate, res.converged))
 
 
 def _transform(kernel, f, n, nu, a, omega):
     if kernel == "quadratic":
-        return eval_quadratic(f, omega, a, keep_terms=True)
+        return eval_quadratic(f, omega, a, k_max=TERM_CAP)
     return evaluate_transform(TransformSpec(f, n, omega, a, nu),
-                              keep_terms=True)
+                              k_max=TERM_CAP)
 
 
 LADDER_SWEEPS = [
@@ -430,8 +431,8 @@ def test_ladder_resets_on_another_a_or_nu():
     f = Exponential(1.0)
     for a in (7, 7.0, 7):
         want = evaluate_transform(TransformSpec(Exponential(1.0), 1, 6.3, a),
-                                  keep_terms=True)
-        got = evaluate_transform(TransformSpec(f, 1, 6.3, a), keep_terms=True)
+                                  k_max=TERM_CAP)
+        got = evaluate_transform(TransformSpec(f, 1, 6.3, a), k_max=TERM_CAP)
         assert _bits(got) == _bits(want)
 
 
@@ -488,10 +489,10 @@ def test_climb_forms_only_the_binomials_it_reaches(monkeypatch):
 
 def test_int_nu_zero_shares_the_float_rungs(fpi_calls):
     f = Exponential(1.0)
-    want = evaluate_transform(TransformSpec(f, 2, 0.3, 1.0), keep_terms=True)
+    want = evaluate_transform(TransformSpec(f, 2, 0.3, 1.0), k_max=TERM_CAP)
     computed = len(fpi_calls)
     got = evaluate_transform(TransformSpec(f, 2, 0.3, 1.0, nu=0),
-                             keep_terms=True)
+                             k_max=TERM_CAP)
     assert _bits(got) == _bits(want)
     assert len(fpi_calls) == computed > 0
 
@@ -515,25 +516,21 @@ def test_sweep_computes_each_rung_once(fpi_calls):
     assert sorted(fpi_calls) == sorted(reached)
 
 
-def _reference_naive(f, nu, a, m0, step, n, ostep, tol, k_max):
+def _reference_naive(f, nu, a, m0, step, n, ostep, tol, cap):
     """The naive series as a plain loop: float((-1)^k binom(n+k-1, k))
     times ostep^k times FPI(f, m0 + step*k, nu, a), ostep^k by repeated
-    multiplication; (naive_sum, k_used, tail_estimate, converged, rows)."""
-    rows = []
-
+    multiplication; (naive_sum, k_used, tail_estimate, converged)."""
     def terms():
         wk = 1.0
         for k in count():
             coef = float((-1) ** k * math.comb(n + k - 1, k)) * wk
             fv = finite_part_integral(f, m0 + step * k, nu, a,
                                       tol=1e-15).value
-            rows.append((k, coef, fv))
             yield coef * fv
             wk *= ostep
 
-    cap = TERM_CAP if k_max is None else k_max
     s = sum_until_small(terms(), tol, cap + 1)
-    return s.total, s.terms - 1, max(s.last, s.prev), s.converged, rows
+    return s.total, s.terms - 1, max(s.last, s.prev), s.converged
 
 
 TABLE_STREAMS = {
@@ -550,28 +547,28 @@ TABLE_STREAMS = {
 @pytest.mark.parametrize("a", [1.5, math.inf])
 def test_table_sum_matches_a_plain_loop(stream, kernel, nu, a):
     # a rising sweep needs more rungs than its tables hold, a falling one
-    # fewer; both must give the bits of the plain loop, rows included
+    # fewer; both must give the bits of the plain loop
     make = TABLE_STREAMS[stream]
     if stream == "poly" and kernel == "quadratic" and math.isinf(a):
         return  # a degree-1 polynomial against x^-2 diverges at infinity
     top = 0.5 * a if math.isfinite(a) else 0.9
     omegas = _sweep_omegas(top, 6)
     tol = 1e-12
-    for k_max in (0, 3, None):
+    for k_max in (0, 3, TERM_CAP):
         for sweep in (omegas, omegas[::-1]):
             f, ref_f = make(), make()
             for omega in sweep:
                 if kernel == "quadratic":
-                    got = eval_quadratic(f, omega, a, tol, k_max, True)
+                    got = eval_quadratic(f, omega, a, tol, k_max)
                     want = _reference_naive(ref_f, 0.0, a, 2, 2, 1,
                                             omega ** 2, tol, k_max)
                 else:
                     got = evaluate_transform(TransformSpec(f, 3, omega, a, nu),
-                                             tol, k_max, True)
+                                             tol, k_max)
                     want = _reference_naive(ref_f, nu, a, 3, 1, 3, omega,
                                             tol, k_max)
                 assert repr((got.naive_sum, got.k_used, got.tail_estimate,
-                             got.converged, got.per_term)) == repr(want)
+                             got.converged)) == repr(want)
 
 
 def gauss_stream(c):
@@ -621,7 +618,7 @@ def test_shared_ladder_across_threads():
 
     def run(f, a, omega):
         return _bits(evaluate_transform(TransformSpec(f, 2, omega, a),
-                                        keep_terms=True))
+                                        k_max=TERM_CAP))
 
     want = [run(MonomialExp(1, 0.9), a, omega) for a, omega in jobs]
     shared = MonomialExp(1, 0.9)

@@ -14,8 +14,10 @@ in.  Two parts are printed:
   grid    finite parts of a fixed set of descriptors over m, nu and a,
           each (nu, a) on a fresh descriptor in ascending, descending and
           shuffled m; then transforms, quadratic-kernel values and
-          effective diffusivities, and the user streams' transforms and
-          quadratic-kernel values at a = inf at STREAM_OMEGAS
+          effective diffusivities, the user streams' transforms and
+          quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
+          transforms of REFUSED, which the direct route refuses on its
+          ratio test
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
@@ -27,6 +29,7 @@ count, a bound, a route, ``direct`` or an error differs.
 """
 
 import argparse
+import cmath
 import math
 import os
 import random
@@ -50,6 +53,22 @@ OMEGA_SHARES = (1e-3, 0.05, 0.3, 0.7, 0.95)
 TRANSFORM_AS = (0.5, 1.0, 2.0, 30.0, math.inf)
 # omega of the user streams at a = inf, around and past the split point
 STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0)
+# n = 1 transforms (stream, a, omega) whose pole term swamps the value
+REFUSED = (("expstream", 30.0, 25.0), ("xexp", math.inf, 6.0),
+           ("xexp", math.inf, 8.0), ("xexp", math.inf, 12.0))
+
+
+def make_stream(entire, name):
+    """e^{-x} (``expstream``) or x e^{-x} (``xexp``) as a user stream
+    with exact eval callbacks, as ``gauss(c)`` is."""
+    if name == "expstream":
+        return entire.CustomSeries(
+            lambda k: (-1) ** k / math.factorial(k), lambda x: math.exp(-x),
+            lambda z: cmath.exp(-z), decaying=True, label=name)
+    return entire.CustomSeries(
+        lambda k: k and (-1) ** (k - 1) / math.factorial(k - 1),
+        lambda x: x * math.exp(-x), lambda z: z * cmath.exp(-z),
+        decaying=True, label=name)
 
 
 def parse_seeds(text):
@@ -86,7 +105,7 @@ def dump_rounds(child, workloads, seeds, out):
                     out(f"round {wl} {seed} {i} {o!r}")
 
 
-def dump_grid(child, fp, st, out):
+def dump_grid(child, entire, fp, st, out):
     make = child.make_function
     rng = random.Random(0)
     ms = list(range(1, M_TOP + 1))
@@ -142,6 +161,9 @@ def dump_grid(child, fp, st, out):
         gp, gm = make("0.5*exp(1.3)"), make("monexp(1,0.9)")
         out(f"diffusivity {pe!r} "
             + call(st.effective_diffusivity, gp, gm, pe, 1.0, tol=1e-12))
+    for name, a, w in REFUSED:
+        out(f"transform {name} 0.0 {a!r} 1 {w!r} "
+            + call(transform, make_stream(entire, name), 1, w, a, 0.0))
 
 
 def main(argv=None):
@@ -155,6 +177,7 @@ def main(argv=None):
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     import child
     import workloads
+    import finitepart.entire as entire
     import finitepart.finite_part as fp
     import finitepart.stieltjes as st
 
@@ -164,7 +187,7 @@ def main(argv=None):
         write(line + "\n")
 
     dump_rounds(child, workloads, parse_seeds(args.seeds), out)
-    dump_grid(child, fp, st, out)
+    dump_grid(child, entire, fp, st, out)
     return 0
 
 
