@@ -60,6 +60,8 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
         raise ValueError("order n must be >= 1")
     if not (0.0 <= nu < 1.0):
         raise ValueError("nu must lie in [0, 1)")
+    if not a > 0.0:
+        raise ValueError("upper limit a must be positive")
     m = f.zero_order()
     d0 = f.coeff(m)
 

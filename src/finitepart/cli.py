@@ -77,12 +77,6 @@ def parse_function(text: str):
     return f if factor == 1.0 else f * factor
 
 
-def _parse_a(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_tol(text: str) -> float:
     try:
         tol = float(text)
@@ -139,7 +133,7 @@ _OPTIONS = {
     "nu": ("--nu", {"type": float, "default": 0.0}),
     "omega": ("--omega", {"type": float}),
     "pe": ("--pe", {"type": float}),
-    "a": ("--a", {"type": _parse_a, "default": math.inf}),
+    "a": ("--a", {"type": float, "default": math.inf}),
     "kappa": ("--kappa", {"type": float, "default": 1.0}),
     "g_plus": ("--g-plus", {}),
     "g_minus": ("--g-minus", {}),
@@ -154,6 +148,8 @@ _OPTIONS = {
 }
 
 _DEFAULTS = {name: kw.get("default") for name, (_, kw) in _OPTIONS.items()}
+_FLOATS = [name for name, (_, kw) in _OPTIONS.items()
+           if kw.get("type") is float]
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +329,9 @@ _CONFIG_KEYS = {cmd: tuple(name.rstrip("!") for name in names.split())
 def run(config: RunConfig):
     """Execute a configuration; returns (exit_code, document)."""
     prm = {**_DEFAULTS, **config.params}
-    if isinstance(prm["a"], str):
-        # stored configs hold an unbounded limit as "inf"
-        prm["a"] = _parse_a(prm["a"])
+    for name in _FLOATS:
+        if isinstance(prm[name], str):  # stored configs hold +-inf as text
+            prm[name] = float(prm[name])
     rows, converged = _COMMANDS[config.command][0](prm)
     doc = {"config": config.to_json(), "results": rows}
     return (0 if converged else 3), doc
@@ -414,9 +410,9 @@ def _config_from_args(args) -> RunConfig:
     for key in _CONFIG_KEYS[args.command]:
         v = getattr(args, key)
         if v is not None and v is not False:
-            # keep stored configs strict JSON: unbounded limits as "inf"
+            # keep stored configs strict JSON: +-inf as "inf" and "-inf"
             if isinstance(v, float) and math.isinf(v):
-                v = "inf"
+                v = str(v)
             params[key] = v
     return RunConfig(args.command, params)
 

@@ -220,6 +220,9 @@ class Polynomial(TaylorFunction):
     def __init__(self, coeffs, lowest: int = 0):
         super().__init__()
         coeffs = [float(c) for c in coeffs]
+        for c in coeffs:
+            if not math.isfinite(c):
+                raise ValueError(f"polynomial coefficient {c!r} is not finite")
         lowest = _integer(lowest, "lowest exponent")
         if lowest < 0:
             raise ValueError("lowest exponent must be >= 0")
@@ -332,6 +335,8 @@ class MonomialExp(TaylorFunction):
             raise ValueError("MonomialExp requires p >= 0")
         if b <= 0:
             raise ValueError(f"{type(self).__name__} requires b > 0")
+        if not math.isfinite(b):
+            raise ValueError(f"{type(self).__name__} b = {b!r} is not finite")
         self.p = p
         self.b = float(b)
 
@@ -463,11 +468,13 @@ class Scaled(TaylorFunction):
 
     def __init__(self, base: TaylorFunction, factor: float):
         super().__init__()
-        if factor == 0.0:
-            raise ValueError("scale factor must be nonzero")
         if isinstance(base, Scaled):
             factor *= base.factor
             base = base.base
+        if factor == 0.0:
+            raise ValueError("scale factor must be nonzero")
+        if not math.isfinite(factor):
+            raise ValueError(f"scale factor {factor!r} is not finite")
         self.base = base
         self.factor = float(factor)
 

@@ -50,8 +50,9 @@ class Gauss2F1IntParams:
                 f"parameters must satisfy r+1 < s < n+1; got r={self.r}, "
                 f"s={self.s}, n={self.n}"
             )
-        if not self.zeta > 1.0:
-            raise ValueError("zeta must exceed 1")
+        if not 1.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and exceed 1; "
+                             f"got {self.zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,9 @@ class Gauss2F1BranchParams:
                 raise ValueError(f"{name} must be a positive integer")
         if not (_MU_GUARD < self.mu < 1.0 - _MU_GUARD):
             raise ValueError("mu must lie strictly inside (0, 1)")
-        if not self.zeta > 1.0:
-            raise ValueError("zeta must exceed 1")
+        if not 1.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and exceed 1; "
+                             f"got {self.zeta!r}")
 
 
 class KummerRegime(enum.Enum):
@@ -92,8 +94,9 @@ class KummerParams:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite; "
+                             f"got {self.omega!r}")
         v = self.s_or_a
         if isinstance(v, int) and v >= 1:
             regime = (KummerRegime.INT_ORDER_N_GE_S if self.n >= v

@@ -18,7 +18,8 @@ which is what the high-Peclet effective diffusivity expansion needs.
 
 The split converges like (omega/a)^k and, on f = c x^p e^{-bx}, its pole
 term grows like e^{b omega}, which the naive series must cancel.  So two
-routes integrate the transform itself, with naive_sum = direct - singular:
+routes integrate the transform itself and keep that integral, ``direct``,
+as the split naive_sum = direct - singular:
 
 * the closed route, at nu = 0 for the exponential family with p < n and
   b omega > 1, at a finite or infinite a: the exponential integrals of
@@ -28,10 +29,10 @@ routes integrate the transform itself, with naive_sum = direct - singular:
   omega > SPLIT_POINT/2 where f's rungs are split (a user stream): the
   double-exponential rules of :mod:`finitepart.quadrature`, whose nodes
   f's rung ladder keeps, tanh-sinh on [0, a], or on [0, SPLIT_POINT] plus
-  the split's exp-sinh nodes on [SPLIT_POINT, inf); taken only where
-  |singular| <= (tol/u) |direct|, u the unit roundoff, so that the exact
-  identity naive_sum + singular == total costs at most tol.  Where that
-  test fails the split is summed and flagged, with ``direct`` beside it.
+  the split's exp-sinh nodes on [SPLIT_POINT, inf); flagged where
+  |singular| > (tol/u) |direct|, u the unit roundoff, as then the exact
+  identity naive_sum + singular == total may cost more than tol.  Where a
+  rule fails the split is summed instead.
 
 Elsewhere, and with ``k_max`` given, the split is summed.  Its naive terms
 are binom(-n,k) omega^k times the public finite_part_integral values.
@@ -87,16 +88,14 @@ class ExpansionResult:
     """Naive + singular decomposition of one transform value.
 
     ``route`` is "series" where the naive series was summed, to k_used
-    terms with a tail estimate from its last terms.  Elsewhere the
-    transform itself, ``direct``, was computed, naive_sum = direct -
-    singular and k_used = 0: on route "direct" by quadrature, with the
-    sum of its rules' last changes plus u (|direct| + |singular|) as the
-    tail estimate; on route "closed" by exponential integrals, with
-    |total - direct| plus the bound of ``direct`` as the tail estimate,
-    converged when that is within tol |direct|.  ``direct`` is None on
-    the series route, except where the direct route was refused on its
-    ratio test, |singular| > (tol/u) |direct|: that series result is
-    flagged, with ``direct`` beside it.
+    terms with a tail estimate from its last terms; ``direct`` is None
+    there.  Elsewhere the transform itself, ``direct``, was computed,
+    naive_sum = direct - singular and k_used = 0: on route "direct" by
+    quadrature, with the sum of its rules' last changes plus
+    u (|direct| + |singular|) as the tail estimate, converged when
+    |singular| <= (tol/u) |direct|; on route "closed" by exponential
+    integrals, with |total - direct| plus the bound of ``direct`` as the
+    tail estimate, converged when that is within tol |direct|.
     """
 
     naive_sum: float
@@ -147,12 +146,11 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
 
 
-def _singular(f, n, nu, omega):
-    """The pole term at nu = 0, the branch-point term at 0 < nu < 1;
+def _singular(term, f, n, nu, omega):
+    """A kernel's singular term ``term(f, n, nu, omega)``;
     NonconvergenceError where it leaves float range."""
     try:
-        s = (singular_term_integer(f, n, omega) if nu == 0.0
-             else singular_term_branch(f, n, nu, omega))
+        s = term(f, n, nu, omega)
         if abs(s) < math.inf:
             return s
         why = repr(s)
@@ -162,9 +160,15 @@ def _singular(f, n, nu, omega):
                               f"leaves float range ({why})")
 
 
+def _pole_singular(f, n, nu, omega):
+    """The pole term at nu = 0, the branch-point term at 0 < nu < 1."""
+    return (singular_term_integer(f, n, omega) if nu == 0.0
+            else singular_term_branch(f, n, nu, omega))
+
+
 def _quadratic_singular(f, n, nu, omega):
     """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega;
-    n and nu, of the signature of :func:`_singular`, are not used."""
+    n and nu, of the signature of :func:`_pole_singular`, are not used."""
     fi = f.eval_complex(1j * omega)
     return (math.pi / (2.0 * omega)) * fi.real \
         - (math.log(omega) / omega) * fi.imag
@@ -191,21 +195,19 @@ def _routed(f, omega, a):
     return omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)
 
 
-def _direct(f, nu, a, tol, singular, kernel):
-    """(the singular term, the transform integrated directly, the sum of
-    the rules' last changes), or None where that fails.
+def _direct(f, nu, a, tol, kernel):
+    """(the transform integrated directly, the sum of the rules' last
+    changes), or None where that fails.
 
-    The singular term ``singular()`` comes first.  The integral is the
-    tanh-sinh rule of f's ladder at (nu, a), made on first use, on [0, a];
-    at a = inf on [0, SPLIT_POINT], plus the exp-sinh nodes of the split on
-    [SPLIT_POINT, inf) times x^{-nu}.  ``kernel(xs, gs)`` sums a level's
-    values times the kernel.  None where the singular term or a rule
-    raises, or the sum of the rules' changes is not within tol |direct| by
-    the level cap.
+    The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
+    first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
+    nodes of the split on [SPLIT_POINT, inf) times x^{-nu}.
+    ``kernel(xs, gs)`` sums a level's values times the kernel.  None where
+    a rule raises, or the sum of the rules' changes is not within
+    tol |direct| by the level cap.
     """
     check_nu(nu)
     try:
-        sing = singular()
         lad = f.ladder(nu, a, DEFAULT_TOL)
         top = a
         if a == math.inf:
@@ -220,36 +222,46 @@ def _direct(f, nu, a, tol, singular, kernel):
             parts.append((split_nodes(lad, f), kernel if nu == 0.0 else (
                 lambda xs, gs: kernel(xs, map(mul, gs, map(
                     pow, xs, repeat(-nu)))))))
-        got = integrate(parts, tol)
+        return integrate(parts, tol)
     except (ArithmeticError, FinitePartError):
         return None
-    return None if got is None else (sing, *got)
 
 
-def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel):
-    """The transform with the singular term ``singular(f, n, nu, omega)``
-    and the level sums ``kernel(omega, n, xs, gs)``: the result of the
-    direct route where k_max is None, :func:`_routed` holds and the
-    integral passes |singular| <= (tol/u) |direct|; else the naive series
-    of :func:`_naive_series` at ``series`` = (m0, step, binomial order,
-    ostep) plus the singular term, flagged with ``direct`` beside it where
-    only that test failed."""
-    cap = _naive_cap(k_max)
-    direct = None
+def _integrated(direct, sing, tail, converged, route):
+    """The split naive_sum = direct - sing, k_used = 0, of an integral."""
+    naive = direct - sing
+    return ExpansionResult(naive, sing, naive + sing, 0, tail, converged,
+                           route, direct)
+
+
+def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel,
+               shape=None):
+    """The transform with the singular term ``singular(f, n, nu, omega)``,
+    computed first by :func:`_singular`, and the level sums
+    ``kernel(omega, n, xs, gs)``: the
+    closed route of :func:`_closed` on f's (p, b, c) ``shape`` where given;
+    else, where k_max is None, the integral of :func:`_direct` where
+    :func:`_routed` holds and it converges; elsewhere the naive series of
+    :func:`_naive_series` at ``series`` = (m0, step, binomial order,
+    ostep)."""
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0; got {k_max}")
+    sing = _singular(singular, f, n, nu, omega)
+    if shape is not None:
+        direct, bound = _closed(*shape, n, omega, a)
+        tail = abs((direct - sing) + sing - direct) + bound
+        return _integrated(direct, sing, tail, tail <= tol * abs(direct),
+                           "closed")
     if k_max is None and _routed(f, omega, a):
-        got = _direct(f, nu, a, tol, partial(singular, f, n, nu, omega),
-                      partial(kernel, omega, n))
+        got = _direct(f, nu, a, tol, partial(kernel, omega, n))
         if got is not None:
-            sing, direct, change = got
-            if abs(sing) <= (tol / UNIT_ROUNDOFF) * abs(direct):
-                naive = direct - sing
-                tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
-                return ExpansionResult(naive, sing, naive + sing, 0, tail,
-                                       True, "direct", direct)
-    naive, k_used, tail, ok = _naive_series(f, nu, a, *series, tol, cap)
-    sing = singular(f, n, nu, omega)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail,
-                           ok and direct is None, "series", direct)
+            direct, change = got
+            tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
+            return _integrated(direct, sing, tail, abs(sing) <= (
+                tol / UNIT_ROUNDOFF) * abs(direct), "direct")
+    naive, k_used, tail, ok = _naive_series(
+        f, nu, a, *series, tol, TERM_CAP if k_max is None else k_max)
+    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok)
 
 
 def _closed(p, b, c, n, omega, a):
@@ -290,19 +302,6 @@ def _closed(p, b, c, n, omega, a):
     return scale * total, abs(scale) * UNIT_ROUNDOFF * bound
 
 
-def _closed_route(f, shape, n, omega, a, tol):
-    """The closed-route result of the transform of f = c x^p e^{-bx}, its
-    (p, b, c) ``shape``: converged where |total - direct| plus the bound of
-    ``direct`` is within tol |direct|, else flagged with ``direct``."""
-    direct, bound = _closed(*shape, n, omega, a)
-    sing = _singular(f, n, 0.0, omega)
-    naive = direct - sing
-    total = naive + sing
-    tail = abs(total - direct) + bound
-    return ExpansionResult(naive, sing, total, 0, tail,
-                           tail <= tol * abs(direct), "closed", direct)
-
-
 def _powers(x):
     """1, x, x^2, ... by repeated multiplication."""
     return accumulate(repeat(x), mul, initial=1.0)
@@ -317,15 +316,6 @@ def _binomials(n, size):
         bs = _BINOMS[n] = bs + [float((-1) ** k * math.comb(n + k - 1, k))
                                 for k in range(len(bs), size)]
     return bs
-
-
-def _naive_cap(k_max):
-    """The naive-series cap: k_max, or TERM_CAP when it is None."""
-    if k_max is None:
-        return TERM_CAP
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0; got {k_max}")
-    return k_max
 
 
 def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
@@ -398,14 +388,14 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     """
     check_tol(tol)
     f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
+    shape = None
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
-        if k_max is None:
-            shape = f.exp_family()
-            if shape is not None and shape[0] < n and shape[1] * omega > 1.0:
-                return _closed_route(f, shape, n, omega, a, tol)
+        shape = f.exp_family() if k_max is None else None
+        if shape is not None and (shape[0] >= n or shape[1] * omega <= 1.0):
+            shape = None  # the closed route needs p < n and b omega > 1
     return _transform(f, n, nu, omega, a, tol, k_max, (n, 1, n, omega),
-                      _singular, _pole_kernel)
+                      _pole_singular, _pole_kernel, shape)
 
 
 def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
@@ -450,8 +440,8 @@ def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,
     """
     if not peclet > 0:
         raise ValueError("Peclet number must be positive")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite; got {kappa!r}")
     omega = 1.0 / peclet
     q_plus = eval_quadratic(g_plus, omega, a, tol)
     q_minus = eval_quadratic(g_minus, omega, a, tol)

@@ -118,8 +118,8 @@ def test_transform_rows_name_the_route_and_carry_direct(fmt, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_refused_direct_route_row_is_flagged_with_direct(fmt, capsys):
-    # |singular| = 2.7e9 > (tol/u) |direct|: the series row, flagged, and
-    # the integral (0.0564233964464380 at 40 digits) beside it
+    # |singular| = 2.7e9 > (tol/u) |direct|: the integral (0.0564233964464380
+    # at 40 digits) split as direct - singular + singular, flagged
     assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--nu", "0.25",
                  "--a", "30", "--omega", "21", "--format", fmt]) == 3
     out = capsys.readouterr().out
@@ -128,9 +128,11 @@ def test_refused_direct_route_row_is_flagged_with_direct(fmt, capsys):
     else:
         header, data = csv.reader(io.StringIO(out))
         row = dict(zip(header, data))
-    assert (row["route"], row["flag"]) == ("series", "nonconverged")
-    assert float(row["direct"]) == pytest.approx(0.0564233964464380,
-                                                 rel=1e-12)
+    assert (row["route"], row["flag"]) == ("direct", "nonconverged")
+    assert int(row["k_used"]) == 0
+    direct, singular = float(row["direct"]), float(row["singular"])
+    assert float(row["naive_sum"]) == direct - singular
+    assert direct == pytest.approx(0.0564233964464380, rel=1e-12)
 
 
 def test_quadratic_and_diffusivity_commands():
@@ -296,6 +298,63 @@ def test_exit_code_2_on_bad_input():
     assert invoke("stieltjes", "--f", "exp(1)", "--n", "1",
                   "--omega", "0.7", "--a", "0.5").returncode == 2
     assert invoke().returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    # -inf was stored as "inf": these computed at a = +inf and exited 0
+    (["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.5",
+      "--a=-inf"], "upper limit a must be positive"),
+    (["fpi", "--f", "exp(1)", "--m", "1", "--a=-inf"],
+     "upper limit a must be positive"),
+    (["asym", "--f", "exp(1)", "--n", "1", "--a=-inf"],
+     "upper limit a must be positive"),
+    # an inf other than --a stayed the string "inf" and failed a comparison
+    (["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "inf"],
+     "expansion requires omega < a"),
+    (["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.5", "--nu",
+      "inf"], "branch exponent nu must lie in [0, 1)"),
+    (["quadratic", "--f", "exp(1)", "--omega", "inf"],
+     "omega = inf is too large: omega^2 leaves float range"),
+    (["quadratic", "--f", "exp(1)", "--pe", "inf"], "omega must be positive"),
+    (["specfun", "--family", "kummer-int", "--n", "2", "--s", "1",
+      "--omega", "inf"], "omega must be positive and finite; got inf"),
+    (["specfun", "--family", "gauss-int", "--n", "5", "--r", "2", "--s", "4",
+      "--zeta", "inf"], "zeta must be finite and exceed 1; got inf"),
+    (["specfun", "--family", "gauss-branch", "--n", "5", "--mu", "0.5",
+      "--s", "4", "--zeta", "inf"],
+     "zeta must be finite and exceed 1; got inf"),
+    (["quadratic", "--g-plus", "exp(1)", "--g-minus", "exp(1)", "--pe", "2",
+      "--kappa", "inf"], "kappa must be positive and finite; got inf"),
+    # non-finite descriptor parameters
+    (["fpi", "--f", "poly(1:nan)", "--m", "1", "--a", "2"],
+     "polynomial coefficient nan is not finite"),
+    (["asym", "--f", "poly(nan:1)", "--n", "1"],
+     "polynomial coefficient nan is not finite"),
+    (["fpi", "--f", "exp(inf)", "--m", "1", "--a", "2"],
+     "Exponential b = inf is not finite"),
+    (["fpi", "--f", "inf*exp(1)", "--m", "1", "--a", "2"],
+     "scale factor inf is not finite"),
+])
+def test_infinite_or_nan_values_exit_2_naming_the_check(argv, message,
+                                                        capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_stored_configs_keep_the_sign_of_an_infinity():
+    args = build_parser().parse_args(["fpi", "--f", "exp(1)", "--m", "1",
+                                      "--a=-inf"])
+    params = cli._config_from_args(args).params
+    assert params["a"] == "-inf"
+    with pytest.raises(ValueError, match="a must be positive"):
+        run(RunConfig("fpi", params))
+    _, doc = run(RunConfig("fpi", {**params, "a": "inf"}))
+    assert doc["results"][0]["value"] == pytest.approx(-EULER_GAMMA,
+                                                       rel=1e-15)
+    # every float option, not only --a, is restored
+    with pytest.raises(ValueError, match="omega < a"):
+        run(RunConfig("stieltjes", {"f": "exp(1)", "n": 1, "omega": "inf"}))
 
 
 def test_exit_code_3_with_partial_rows_on_nonconvergence():

@@ -5,10 +5,11 @@ rule, and coefficient streams that leave float range.
 References are mpmath quadratures at 40 digits.  A routed result must keep
 the exact identity naive_sum + singular == total and lie within
 tol |ref| + 4u |singular| of the reference: the identity's own rounding is
-u |singular| at most twice.  A refused one must be the series result, bit
-for bit; where it was refused on its ratio test, |singular| > (tol/u)
-|direct|, flagged, with ``direct`` within tol |ref|.  The exponential
-family at nu = 0 with b omega > 1 takes the closed route before either
+u |singular| at most twice.  One that fails the ratio test, |singular| >
+(tol/u) |direct|, keeps the integral, naive_sum = direct - singular, and is
+flagged, with ``direct`` within tol |ref|.  Where a rule fails, the result
+must be the series result, bit for bit.  The exponential family at nu = 0
+with b omega > 1 takes the closed route before either
 (tests/test_closed_route.py); here such a result must keep the identity
 and either meet the routed bound or be flagged with ``direct`` within its
 own bound of the reference.
@@ -21,6 +22,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finitepart import stieltjes
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import (DivergentIntegralError, FinitePartError,
@@ -110,9 +112,12 @@ def outcome(make, n, nu, a, omega, **kw):
 
 
 def assert_flagged_with_direct(res, ref):
-    """A refusal on the ratio test: flagged, |singular| > (tol/u)
-    |direct|, and ``direct`` within tol |ref| of the reference."""
-    assert (res.route, res.converged) == ("series", False)
+    """A refusal on the ratio test: the integral kept on route "direct",
+    naive_sum = direct - singular and k_used = 0, flagged, |singular| >
+    (tol/u) |direct|, and ``direct`` within tol |ref| of the reference."""
+    assert (res.route, res.converged, res.k_used) == ("direct", False, 0)
+    assert res.naive_sum == res.direct - res.singular
+    assert res.naive_sum + res.singular == res.total
     assert abs(res.singular) > TOL / U * abs(res.direct)
     assert abs(mpmath.mpf(res.direct) - ref) <= TOL * abs(ref), (res, ref)
 
@@ -127,15 +132,14 @@ def assert_routed_or_refused(name, params, n, nu, a, omega):
         got = outcome(lambda: make_f(*params), n, nu, a, omega)
         want = outcome(lambda: make_f(*params), n, nu, a, omega,
                        k_max=TERM_CAP)
-        if res is not None and res.direct is not None:
-            assert_flagged_with_direct(
-                res, reference(make_mp(*params), n, nu, a, omega))
-            want = want[:5] + (False, "series", res.direct)
         assert repr(got) == repr(want)
         return "refused"
+    ref = reference(make_mp(*params), n, nu, a, omega)
+    if res.route == "direct" and not res.converged:
+        assert_flagged_with_direct(res, ref)
+        return "flagged"
     assert res.naive_sum + res.singular == res.total
     assert res.k_used == 0
-    ref = reference(make_mp(*params), n, nu, a, omega)
     if res.route == "closed":
         direct, bound = _closed(*make_f(*params).exp_family(), n, omega, a)
         assert res.direct == direct
@@ -203,20 +207,32 @@ def test_monexp_branch_near_a_is_accurate(omega):
     assert abs(res.total - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("name,a,omega", [
-    # e^{-x} as a user stream: Exponential(1) would take the closed route
-    ("expstream", 30.0, 25.0),
+REFUSED = [
+    # e^{-x} as a user stream: Exponential(1) would take the closed route;
+    # at a = 60 its series overflows after 174 terms
+    ("expstream", 30.0, 25.0), ("expstream", 60.0, 54.0),
     # the pole term swamps the transform: the series gives -3.3e5, -2.0e9
     # and -4.0e14 for values near 0.1
     ("xexp", math.inf, 6.0), ("xexp", math.inf, 8.0),
     ("xexp", math.inf, 12.0),
-])
-def test_refused_on_the_ratio_test_is_flagged_with_direct(name, a, omega):
+]
+
+
+@pytest.mark.parametrize("name,a,omega", REFUSED)
+def test_refused_on_the_ratio_test_is_flagged_with_direct(name, a, omega,
+                                                          monkeypatch):
+    def rung(*args):
+        raise AssertionError(f"finite_part_integral{args}")
+
+    # the integral is kept: no rung of the series is computed
+    monkeypatch.setattr(stieltjes, "finite_part_integral", rung)
     make_f, make_mp = FAMILIES[name]
-    res = evaluate_transform(TransformSpec(make_f(), 1, omega, a))
+    f = make_f()
+    res = evaluate_transform(TransformSpec(f, 1, omega, a))
     assert_flagged_with_direct(res, reference(make_mp(), 1, 0.0, a, omega))
-    assert res.k_used > 0
-    assert assert_routed_or_refused(name, (), 1, 0.0, a, omega) == "refused"
+    lad = f.ladder(0.0, a, 1e-15)
+    assert (lad.rungs, lad.naive) == ({}, {})
+    assert assert_routed_or_refused(name, (), 1, 0.0, a, omega) == "flagged"
 
 
 @pytest.mark.parametrize("kw", [{"k_max": TERM_CAP}, {"k_max": 5}])
@@ -419,3 +435,14 @@ def test_stream_overflow_names_m_and_k():
                        match=r"coefficient c_134 of MonomialExp\(p=0, b=200\)"
                              r" leaves float range at m = 135"):
         finite_part_integral(MonomialExp(0, 200.0), 140, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kw", [{}, {"k_max": TERM_CAP}])
+def test_quadratic_singular_overflow_raises_nonconvergence(kw):
+    # f(i omega) = e^{812}: the stream's complex callback raises
+    # OverflowError, which once escaped raw from eval_quadratic
+    with pytest.raises(NonconvergenceError,
+                       match=r"singular term of CustomSeries\(gauss\(1\.0\)\)"
+                             r" at omega = 28\.5 leaves float range "
+                             r"\(OverflowError"):
+        eval_quadratic(gauss(1.0), 28.5, 30.0, **kw)

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
-                               MonomialExp, Polynomial, Scaled, unscale)
+                               MonomialExp, Polynomial, Scaled, TaylorFunction,
+                               unscale)
 from finitepart.errors import IndeterminateZeroOrderError, NonconvergenceError
 from finitepart.finite_part import finite_part_integral
 from finitepart.series import TERM_CAP
@@ -117,6 +119,61 @@ def test_polynomial_trimming_and_validation():
         Polynomial([0.0, 0.0])
     q = Polynomial.from_dict({2: 5.0})
     assert q.coeff(2) == 5.0 and q.coeff(1) == 0.0
+
+
+@pytest.mark.parametrize("make,named", [
+    (lambda: Polynomial([1.0, math.nan]), "polynomial coefficient nan"),
+    (lambda: Polynomial([math.inf], lowest=2), "polynomial coefficient inf"),
+    (lambda: Exponential(math.inf), "Exponential b = inf"),
+    (lambda: Exponential(math.nan), "Exponential b = nan"),
+    (lambda: MonomialExp(1, math.inf), "MonomialExp b = inf"),
+    (lambda: Exponential(1.0) * math.inf, "scale factor inf"),
+    (lambda: math.nan * Polynomial([1.0]), "scale factor nan"),
+    # the factors of nested scalings multiply out of float range
+    (lambda: Exponential(1.0) * 1e200 * 1e200, "scale factor inf"),
+])
+def test_non_finite_parameters_are_rejected(make, named):
+    # poly(1:nan) once gave a nan finite part, and exp(inf) ran 10,000
+    # continued-fraction steps before it raised
+    with pytest.raises(ValueError, match=f"^{named} is not finite$"):
+        make()
+
+
+class ShiftedExp(TaylorFunction):
+    """(1 + x) e^{-x}, known only through its coefficients
+    (-1)^k (1 - k) / k!: the base class evaluates it."""
+
+    def _coeff(self, k):
+        return (-1) ** k * (1 - k) / math.factorial(k)
+
+
+def test_coefficients_alone_give_values_and_derivatives():
+    f = ShiftedExp()
+    for x in (-1.3, 0.0, 0.7, 4.0):
+        assert f.eval(x) == pytest.approx((1 + x) * math.exp(-x), rel=1e-14)
+        # f'' = (x - 1) e^{-x}
+        assert f.derivative_at(2, x) == pytest.approx(
+            (x - 1) * math.exp(-x), rel=1e-13, abs=1e-15)
+    for z in (0.5 + 1.2j, -2.0j, -1.5 + 0.3j):
+        assert f.eval_complex(z) == pytest.approx((1 + z) * cmath.exp(-z),
+                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("omega,route", [(0.3, "series"), (1.5, "direct")])
+def test_coefficients_alone_give_a_finite_a_transform(omega, route):
+    res = evaluate_transform(TransformSpec(ShiftedExp(), 2, omega, 2.0, 0.25))
+    with mpmath.workdps(40):
+        # int_0^2 x^{-1/4} (1 + x) e^{-x} (omega + x)^{-2} dx in u = x^{3/4},
+        # where the integrand is bounded at 0
+        k = mpmath.mpf(4) / 3
+
+        def integrand(u):
+            x = u ** k
+            return k * (1 + x) * mpmath.exp(-x) / (omega + x) ** 2
+
+        ref = mpmath.quad(integrand, [0, mpmath.mpf(2) ** (1 / k)])
+    assert (res.route, res.converged) == (route, True)
+    assert abs(res.total - ref) <= 1e-12 * abs(ref)
 
 
 def test_polynomial_from_dict_checks_its_exponents():

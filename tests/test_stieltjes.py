@@ -456,8 +456,9 @@ def test_raising_rung_raises_again(fpi_calls):
     spec = TransformSpec(f, 1, 54.0, 60.0)
     errors = []
     for _ in range(2):
+        # k_max keeps the series: the direct route returns the integral
         with pytest.raises(NonconvergenceError) as exc:
-            evaluate_transform(spec)
+            evaluate_transform(spec, k_max=TERM_CAP)
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == "finite-part series overflowed after 174 terms"
     assert fpi_calls == [1, 1]

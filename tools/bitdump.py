@@ -16,8 +16,8 @@ in.  Two parts are printed:
           shuffled m; then transforms, quadratic-kernel values and
           effective diffusivities, the user streams' transforms and
           quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
-          transforms of REFUSED, which the direct route refuses on its
-          ratio test
+          transforms of REFUSED, which fail the direct route's ratio test
+          and so come back flagged on that route
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
@@ -53,7 +53,8 @@ OMEGA_SHARES = (1e-3, 0.05, 0.3, 0.7, 0.95)
 TRANSFORM_AS = (0.5, 1.0, 2.0, 30.0, math.inf)
 # omega of the user streams at a = inf, around and past the split point
 STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0)
-# n = 1 transforms (stream, a, omega) whose pole term swamps the value
+# n = 1 transforms (stream, a, omega) whose pole term swamps the value:
+# |singular| > (tol/u) |direct|, so the integral is kept and flagged
 REFUSED = (("expstream", 30.0, 25.0), ("xexp", math.inf, 6.0),
            ("xexp", math.inf, 8.0), ("xexp", math.inf, 12.0))
 
