@@ -39,8 +39,9 @@ class LeadingBehavior:
     carries_log: bool
 
     def value_at(self, omega: float) -> float:
-        if not omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < omega < math.inf:
+            raise ValueError(
+                f"omega must be positive and finite; got {omega!r}")
         v = self.coefficient
         if self.exponent != 0.0:
             v *= omega**self.exponent

@@ -40,7 +40,7 @@ from .series import check_tol
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       gauss2f1_branch, gauss2f1_integer, kummer_u)
 from .stieltjes import (TransformSpec, eval_quadratic, evaluate_transform,
-                        effective_diffusivity)
+                        effective_diffusivity, peclet_omega)
 
 SWEEP_COLUMNS = ["omega", "naive_sum", "singular", "total", "k_used",
                  "tail_estimate", "route", "direct", "oracle", "rel_diff",
@@ -253,9 +253,7 @@ def _run_quadratic(prm):
     if omega is None:
         if prm["pe"] is None:
             raise ValueError("quadratic needs --omega or --pe")
-        if not prm["pe"] > 0:
-            raise ValueError("Peclet number must be positive")
-        omega = 1.0 / prm["pe"]
+        omega = peclet_omega(prm["pe"])
     f = parse_function(prm["f"])
     res = eval_quadratic(f, omega, prm["a"], tol=prm["tol"],
                          k_max=prm["kmax"])
@@ -439,13 +437,39 @@ def _replay_config(saved) -> RunConfig:
 
 
 _parser = None  # built on the first main() call, then reused
+_defaults = None  # the top-level options as an empty argv leaves them
+_subparsers = None  # the parser of each command, by name
+
+
+def _parse_args(argv):
+    """``_parser.parse_args(argv)``, with an argv that opens with a command
+    parsed by that command's subparser alone.
+
+    The top-level pass over such an argv only finds the command and hands
+    the rest on, so the subparser takes the rest directly, onto the
+    top-level defaults; leftovers get the top-level error, as in
+    ``parse_args``.
+    """
+    global _parser, _defaults, _subparsers
+    if _parser is None:
+        _parser = build_parser()
+        _defaults = vars(_parser.parse_args([]))
+        _subparsers = next(a.choices for a in _parser._actions
+                           if a.dest == "command")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser.parse_args(argv)
+    args = argparse.Namespace(**_defaults)
+    args.command = argv[0]
+    args, extra = sub.parse_known_args(argv[1:], args)
+    if extra:
+        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse_args(argv)
     fmt = args.format
     out_path = args.output
     try:  # OSError: an unreadable --replay or unwritable --output

@@ -27,7 +27,8 @@ import numbers
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
-from .errors import DivergentIntegralError, IndeterminateZeroOrderError
+from .errors import (DivergentIntegralError, IndeterminateZeroOrderError,
+                     NonconvergenceError)
 from .gammafn import digamma_int
 from .series import power_terms, sum_until_small
 
@@ -479,7 +480,11 @@ class Scaled(TaylorFunction):
         self.factor = float(factor)
 
     def _coeff(self, k):
-        return self.factor * self.base.coeff(k)
+        c = self.factor * self.base.coeff(k)
+        if math.isinf(c):
+            raise NonconvergenceError(
+                f"coefficient {k} of {self!r} leaves float range")
+        return c
 
     def eval(self, x):
         return self.factor * self.base.eval(x)

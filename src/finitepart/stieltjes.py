@@ -426,6 +426,16 @@ def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
                       _quadratic_singular, _quadratic_kernel)
 
 
+def peclet_omega(peclet: float) -> float:
+    """omega = 1/Pe of the quadratic kernel, for a positive finite Pe."""
+    if not peclet > 0:
+        raise ValueError("Peclet number must be positive")
+    if peclet == math.inf:
+        raise ValueError(
+            f"Peclet number must be positive and finite; got {peclet!r}")
+    return 1.0 / peclet
+
+
 def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,
                           peclet: float, kappa: float, a: float = math.inf,
                           tol: float = DEFAULT_EVAL_TOL) -> float:
@@ -438,11 +448,9 @@ def effective_diffusivity(g_plus: TaylorFunction, g_minus: TaylorFunction,
 
         kappa_eff = kappa * [1 + S[g_plus](1/Pe) + S[g_minus](1/Pe)].
     """
-    if not peclet > 0:
-        raise ValueError("Peclet number must be positive")
+    omega = peclet_omega(peclet)
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite; got {kappa!r}")
-    omega = 1.0 / peclet
     q_plus = eval_quadratic(g_plus, omega, a, tol)
     q_minus = eval_quadratic(g_minus, omega, a, tol)
     return kappa * (1.0 + q_plus.total + q_minus.total)

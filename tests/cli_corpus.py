@@ -1,0 +1,111 @@
+"""Command lines of the ``finitepart`` CLI that its parse tests and
+``tools/bitdump.py`` share.
+
+``ARGVS`` covers every command with valid options, option abbreviations,
+``--format`` and ``--output`` on either side of the command, and the
+argparse rejections: unknown and ambiguous options, extra positionals,
+``--replay`` after a command, missing options and values, bad int, float
+and choice values, and help.  ``SCRIPTS`` are runs that share one working
+directory: a document saved with ``--output`` and then replayed.  Output
+files are named relative to the working directory.
+"""
+
+COMMANDS = ("fpi", "stieltjes", "quadratic", "specfun", "asym", "compare",
+            "sweep")
+
+FPI = ["fpi", "--f", "exp(1)", "--m", "1"]
+ST = ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.5"]
+
+ARGVS = [
+    # every command, valid
+    FPI,
+    ["fpi", "--f", "monexp(2,0.8)", "--m", "2", "--nu", "0.5", "--a", "3",
+     "--compare", "--tol", "1e-10"],
+    ST + ["--a", "inf", "--compare"],
+    ["stieltjes", "--f", "binpoly(1,2)", "--n", "2", "--nu", "0.25",
+     "--omega", "0.1", "--a", "1", "--kmax", "200"],
+    ["quadratic", "--f", "exp(1)", "--omega", "0.1", "--compare"],
+    ["quadratic", "--f", "exp(1)", "--pe", "4"],
+    ["quadratic", "--g-plus", "0.5*exp(1)", "--g-minus", "0.5*exp(1)",
+     "--pe", "100", "--kappa", "2"],
+    ["specfun", "--family", "gauss-int", "--n", "5", "--r", "2", "--s", "4",
+     "--zeta", "2"],
+    ["specfun", "--family", "gauss-branch", "--n", "3", "--mu", "0.5",
+     "--s", "2", "--zeta", "2"],
+    ["specfun", "--family", "kummer-int", "--n", "2", "--s", "1",
+     "--omega", "0.5"],
+    ["specfun", "--family", "kummer-frac", "--n", "3", "--afrac", "0.3",
+     "--omega", "0.5"],
+    ["asym", "--f", "monexp(2,1)", "--n", "1", "--omega", "1e-3"],
+    ["asym", "--f", "exp(1)", "--n", "2", "--nu", "0.5"],
+    ["compare", "--op", "fpi", "--f", "exp(1)", "--m", "1", "--a", "2"],
+    ["compare", "--op", "stieltjes", "--f", "exp(1)", "--n", "1",
+     "--omega", "0.3"],
+    ["compare", "--op", "quadratic", "--f", "exp(1)", "--omega", "0.1"],
+    ["sweep", "--f", "exp(1)", "--n", "1", "--a", "inf", "--omega-grid",
+     "1e-4:1e-1:4", "--with-oracle", "--format", "csv"],
+    # abbreviations
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--om", "0.5"],
+    ["quadratic", "--f", "exp(1)", "--om", "0.2"],
+    ["sweep", "--f", "exp(1)", "--n", "1", "--om", "1e-3:1e-1:3"],
+    FPI + ["--form", "json"],
+    FPI + ["--form", "csv", "--out", "fpi.csv"],
+    ["compare", "--o", "fpi", "--f", "exp(1)", "--m", "1"],  # ambiguous
+    # a negative prefix, joined and separate
+    ["fpi", "--f=-3*exp(2)", "--m", "1"],
+    ["fpi", "--f", "-3*exp(2)", "--m", "1"],
+    # --format and --output before, after and on both sides of the command
+    ["--format", "csv"] + ST,
+    ST + ["--format", "csv"],
+    ["--format", "json"] + FPI + ["--format", "csv"],
+    ["--output", "before.txt"] + FPI,
+    FPI + ["--output", "after.txt"],
+    ["--form", "json", "--out", "both.json"] + FPI + ["--out", "sub.json"],
+    # rejected by argparse
+    FPI + ["--bogus", "3"],
+    FPI + ["extra"],
+    FPI + ["--replay", "doc.json"],
+    FPI + ["--"],
+    ["fpi", "--f", "exp(1)"],
+    ["stieltjes", "--n", "1", "--omega", "0.5"],
+    ["specfun", "--n", "2"],
+    ["fpi", "--f", "exp(1)", "--m"],
+    ["fpi", "--f", "exp(1)", "--m", "one"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1.5", "--omega", "0.5"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "half"],
+    FPI + ["--tol", "2"],
+    FPI + ["--tol", "tiny"],
+    ["specfun", "--family", "bessel", "--n", "1"],
+    ["compare", "--op", "sweep", "--f", "exp(1)"],
+    FPI + ["--format", "xml"],
+    ["--format", "xml"] + FPI,
+    ["stielt", "--f", "exp(1)"],
+    ["bogus"],
+    # validated after parsing: exit 2 with an error line
+    ["fpi", "--f", "bogus(1)", "--m", "1"],
+    ST[:-1] + ["inf"],
+    ["asym", "--f", "exp(1)", "--n", "1", "--omega", "inf"],
+    ["quadratic", "--f", "exp(1)", "--pe", "inf"],
+    ["fpi", "--f", "1e200*poly(1e200)", "--m", "1", "--a", "2"],
+    ["--replay", "missing.json"],
+    [],
+    # help
+    ["-h"],
+    ["--help"],
+    ["fpi", "--help"],
+] + [[cmd, "-h"] for cmd in COMMANDS]
+
+SAVED = ["--format", "json", "--output", "saved.json"]
+
+SCRIPTS = [(argv,) for argv in ARGVS] + [
+    (ST + ["--a", "4"] + SAVED, ["--replay", "saved.json"],
+     ["--replay", "saved.json", "--format", "csv"],
+     ["--output", "replayed.json", "--replay", "saved.json"]),
+    (["quadratic", "--g-plus", "exp(1)", "--g-minus", "monexp(1,0.9)",
+      "--pe", "30"] + SAVED, ["--replay", "saved.json", "--format", "table"]),
+    (["sweep", "--f", "poly(1:0.5:-0.3)", "--n", "2", "--a", "2",
+      "--omega-grid", "1e-3:0.5:5"] + SAVED, ["--replay", "saved.json"]),
+    (["specfun", "--family", "kummer-frac", "--n", "3", "--afrac", "0.3",
+      "--omega", "0.5"] + SAVED, ["--replay", "saved.json"]),
+    (FPI + ["--replay", "saved.json"] + SAVED, ["--replay", "saved.json"]),
+]

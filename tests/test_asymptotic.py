@@ -80,6 +80,10 @@ def test_leading_term_examples():
 def test_leading_term_validation():
     with pytest.raises(ValueError):
         leading_term(EXP1, 1, 0.0, -0.5)
+    for omega in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^omega must be positive and "
+                                             f"finite; got {omega!r}$"):
+            leading_term(EXP1, 1, 0.0, omega)
     with pytest.raises(ValueError):
         classify(EXP1, 0, 0.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import cli_corpus
 from finitepart import cli
 from finitepart.cli import (RunConfig, build_parser, main, parse_function,
                             render, run)
@@ -315,7 +316,8 @@ def test_exit_code_2_on_bad_input():
       "inf"], "branch exponent nu must lie in [0, 1)"),
     (["quadratic", "--f", "exp(1)", "--omega", "inf"],
      "omega = inf is too large: omega^2 leaves float range"),
-    (["quadratic", "--f", "exp(1)", "--pe", "inf"], "omega must be positive"),
+    (["quadratic", "--f", "exp(1)", "--pe", "inf"],
+     "Peclet number must be positive and finite; got inf"),
     (["specfun", "--family", "kummer-int", "--n", "2", "--s", "1",
       "--omega", "inf"], "omega must be positive and finite; got inf"),
     (["specfun", "--family", "gauss-int", "--n", "5", "--r", "2", "--s", "4",
@@ -334,6 +336,11 @@ def test_exit_code_2_on_bad_input():
      "Exponential b = inf is not finite"),
     (["fpi", "--f", "inf*exp(1)", "--m", "1", "--a", "2"],
      "scale factor inf is not finite"),
+    # a leading value at omega = inf was -inf with exit 0
+    (["asym", "--f", "exp(1)", "--n", "1", "--omega", "inf"],
+     "omega must be positive and finite; got inf"),
+    (["quadratic", "--g-plus", "exp(1)", "--g-minus", "exp(1)", "--pe",
+      "inf"], "Peclet number must be positive and finite; got inf"),
 ])
 def test_infinite_or_nan_values_exit_2_naming_the_check(argv, message,
                                                         capsys):
@@ -404,6 +411,16 @@ def test_closed_form_overflow_is_reported_not_raised(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["results"][0]["flag"] == "nonconverged"
+
+
+def test_scaled_coefficient_out_of_float_range_exits_3(capsys):
+    # 1e200 * 1e200 printed value inf with exit 0
+    assert main(["fpi", "--f", "1e200*poly(1e200)", "--m", "1",
+                 "--a", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: coefficient 0 of 1e+200*Polynomial([1e+200], lowest=0) "
+        "leaves float range\n")
 
 
 @pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),
@@ -563,6 +580,34 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
         assert main(argv) == 0
     assert builds == []
     assert capsys.readouterr().out.count("value") == 4
+
+
+@pytest.mark.parametrize("argv", cli_corpus.ARGVS,
+                         ids=lambda argv: " ".join(argv) or "<empty>")
+def test_parse_matches_the_whole_parser(argv, capsys):
+    # a command's argv skips the top-level pass: same namespace, or the
+    # same output and exit code
+    def outcome(parse):
+        try:
+            result = ("parsed", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result + tuple(capsys.readouterr())
+
+    assert outcome(cli._parse_args) == outcome(build_parser().parse_args)
+
+
+def test_a_command_argv_is_parsed_by_its_subparser_alone(monkeypatch,
+                                                          capsys):
+    cli._parse_args([])  # builds the parser
+    top, whole = [], cli._parser.parse_args
+    monkeypatch.setattr(cli._parser, "parse_args",
+                        lambda argv: top.append(argv) or whole(argv))
+    assert main(["fpi", "--f", "exp(1)", "--m", "1"]) == 0
+    assert "value" in capsys.readouterr().out
+    assert top == []
+    main(["--format", "json", "fpi", "--f", "exp(1)", "--m", "1"])
+    assert top == [["--format", "json", "fpi", "--f", "exp(1)", "--m", "1"]]
 
 
 def test_negative_scalar_prefix_in_equals_form(capsys):

@@ -139,6 +139,18 @@ def test_non_finite_parameters_are_rejected(make, named):
         make()
 
 
+def test_scaled_coefficient_out_of_float_range_raises():
+    # the factor and the coefficient are finite, their product is not: the
+    # finite part once came back inf, unflagged
+    f = Polynomial([1e200]) * 1e200
+    msg = r"^coefficient 0 of 1e\+200\*Polynomial\(\[1e\+200\], lowest=0\) "
+    with pytest.raises(NonconvergenceError, match=msg + "leaves float range$"):
+        f.coeff(0)
+    with pytest.raises(NonconvergenceError, match="leaves float range"):
+        finite_part_integral(f, 1, 0.0, 2.0)
+    assert (Polynomial([1e200]) * -1e108).coeff(0) == -1e308
+
+
 class ShiftedExp(TaylorFunction):
     """(1 + x) e^{-x}, known only through its coefficients
     (-1)^k (1 - k) / k!: the base class evaluates it."""

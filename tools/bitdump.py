@@ -7,7 +7,7 @@
 Run with any Python that has the package's dependencies; the package is
 imported from ``<root>/src`` and the benchmark's round from
 ``<root>/bench``, where ``root`` defaults to the checkout this script sits
-in.  Two parts are printed:
+in.  Three parts are printed:
 
   round   every warm-up output of the three benchmark workloads for the
           seeds given, through ``bench/child.py``'s ``Round``
@@ -18,6 +18,12 @@ in.  Two parts are printed:
           quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
           transforms of REFUSED, which fail the direct route's ratio test
           and so come back flagged on that route
+  cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
+          the argv corpus of ``tests/cli_corpus.py`` (of this checkout, so
+          both dumps run the same calls), each in a fresh working
+          directory, then its save-then-``--replay`` scripts; one line per
+          call with the exit code, stdout, stderr and the text of every
+          file in the working directory
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
@@ -30,6 +36,8 @@ count, a bound, a route, ``direct`` or an error differs.
 
 import argparse
 import cmath
+import contextlib
+import io
 import math
 import os
 import random
@@ -167,6 +175,36 @@ def dump_grid(child, entire, fp, st, out):
             + call(transform, make_stream(entire, name), 1, w, a, 0.0))
 
 
+def run_cli(main, argv):
+    """(exit code, stdout, stderr) of one in-process ``main(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a rejected argv or help
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def dump_cli(cli, scripts, out):
+    os.environ["COLUMNS"] = "80"
+    home = os.getcwd()
+    for script in scripts:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                for argv in script:
+                    code, stdout, stderr = run_cli(cli.main, argv)
+                    files = {}
+                    for name in sorted(os.listdir(tmp)):
+                        with open(name) as fh:
+                            files[name] = fh.read()
+                    out(f"cli {argv!r} {code!r} {stdout!r} {stderr!r} "
+                        f"{files!r}")
+            finally:
+                os.chdir(home)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", default=os.path.dirname(HERE),
@@ -175,9 +213,12 @@ def main(argv=None):
                     help="benchmark seeds, e.g. 1-10 or 1,4; '' for none")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench"),
+                    os.path.join(os.path.dirname(HERE), "tests")]
     import child
+    import cli_corpus
     import workloads
+    import finitepart.cli as cli
     import finitepart.entire as entire
     import finitepart.finite_part as fp
     import finitepart.stieltjes as st
@@ -189,6 +230,7 @@ def main(argv=None):
 
     dump_rounds(child, workloads, parse_seeds(args.seeds), out)
     dump_grid(child, entire, fp, st, out)
+    dump_cli(cli, cli_corpus.SCRIPTS, out)
     return 0
 
 
