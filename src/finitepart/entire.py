@@ -41,11 +41,18 @@ _EVAL_RTOL = 1e-15
 _FACT = [float(math.factorial(k)) for k in range(151)]
 
 
-def first_nonzero(coeffs):
-    """(k, c_k) for the first nonzero of c_0, c_1, ... in ``coeffs``: the
-    zero order and its coefficient.  Reads at most ZERO_ORDER_SCAN_CAP + 1
-    values."""
-    for k, c in enumerate(islice(coeffs, ZERO_ORDER_SCAN_CAP + 1)):
+def first_nonzero(f):
+    """(k, c_k) for the first nonzero of f's c_0, c_1, ...: the zero order
+    and its coefficient.  Reads at most ZERO_ORDER_SCAN_CAP + 1 values; an
+    OverflowError or ZeroDivisionError of the stream raises
+    NonconvergenceError naming c_k."""
+    for k in range(ZERO_ORDER_SCAN_CAP + 1):
+        try:
+            c = f.coeff(k)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonconvergenceError(
+                f"coefficient c_{k} of {f!r} leaves float range in the "
+                f"zero-order scan ({type(exc).__name__}: {exc})") from exc
         if c != 0.0:
             return k, c
     raise IndeterminateZeroOrderError(
@@ -151,7 +158,7 @@ class TaylorFunction:
 
     def zero_order(self) -> int:
         """Order of the zero at the origin: smallest k with c_k != 0."""
-        return first_nonzero(map(self.coeff, count()))[0]
+        return first_nonzero(self)[0]
 
     def finite_degree(self):
         """Polynomial degree if the stream terminates, else None."""

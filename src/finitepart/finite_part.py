@@ -44,7 +44,7 @@ at its first rung, and every later rung of the ladder goes straight to it.
 import enum
 import math
 from functools import partial
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, sub, truediv
 from typing import NamedTuple
 
@@ -143,7 +143,7 @@ class _SeriesTables:
         deg = f.finite_degree()
         self.pows = ([a ** -nu], [0 - nu])
         if deg is None:
-            r, c = first_nonzero(map(f.coeff, count()))
+            r, c = first_nonzero(f)
             self.cs = [0.0] * r + [c]
         else:
             r = f.zero_order()

@@ -10,9 +10,9 @@ at the steps h = 2^-n of its levels n = 0, 1, ...:
 
 A rule belongs to the integrand factor F that its callers share, and each
 caller brings its own factor of x.  The nodes x_i and the weighted values
-g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
-takes the integers t in [lo, hi], each level n after it the odd multiples of
-2^-n in that range.  The range ends at the first quiet node, one whose size
+g_i = w_i F(x_i), w = dx/dt, of every level are computed once, with the
+sum of the node sizes up to that level: level 0 takes the integers t in
+[lo, hi], each level n after it the odd multiples of 2^-n in that range.  The range ends at the first quiet node, one whose size
 is below _NEGLIGIBLE times the largest one's, the next node confirming it.
 The part of a node that F does not change, (u, w) or (s, y, pi cosh t y),
 is computed once per process for every |t| <= _T_CAP of a level, in one
@@ -37,28 +37,41 @@ LEVEL_CAP = 8  # finest step h = 2^-8
 
 
 def integrate(parts, rtol, atol=0.0):
-    """(the integral, the sum of its parts' last changes), or None.
+    """(the integral, its error bound), or None.
 
-    The integral is the sum of the trapezoidal values of ``parts``, pairs
-    (rule, level_sum), ``level_sum(xs, gs)`` summing a level's values times
-    the caller's factor.  From level MIN_LEVEL on it is accepted when the
-    sum of the changes is within max(rtol |integral|, atol); a part whose
-    change is within that bound over len(parts) keeps its level from then
-    on.  None when the integral leaves float range or the levels pass
-    LEVEL_CAP.
+    The integral is the sum of the trapezoidal values of ``parts``,
+    (rule, level_sum, scale, c): ``level_sum(xs, gs)`` sums a level's
+    values times the caller's factor of x, which is at most ``scale`` times
+    the rule's node size and is formed within c u.  From level MIN_LEVEL on
+    it is accepted when the sum of the changes is within
+    max(rtol |integral|, atol); a part whose change is within that bound
+    over len(parts) keeps its level from then on.  None when the integral
+    leaves float range or the levels pass LEVEL_CAP.
+
+    The bound is the sum of the parts' last changes plus, for each part at
+    its last level n, whose N nodes are the most of any of its levels, the
+    rounding (N + n + c) u 2^-n scale times its node sizes over levels 0
+    to n: a term is within (c + 1) u of its exact value, at most scale
+    times its node's size; a level's sum of at most N terms adds (N - 1) u of their
+    sizes, recursive summation or the compensated sum() of Python 3.12,
+    and each of the n additions of a level to the total u of the sizes
+    summed so far.
     """
     count = len(parts)
     totals = [0.0] * count
     values = [math.nan] * count
     changes = values[:]
+    tops = [0] * count
     live = range(count)
     for n in range(LEVEL_CAP + 1):
         for i in live:
-            rule, level_sum = parts[i]
-            totals[i] += level_sum(*rule.level(n))
+            rule, level_sum, _, _ = parts[i]
+            xs, gs, _ = rule.level(n)
+            totals[i] += level_sum(xs, gs)
             new = math.ldexp(totals[i], -n)
             changes[i] = abs(new - values[i])
             values[i] = new
+            tops[i] = n
         value = reduce(add, values)
         if not abs(value) < math.inf:
             return None
@@ -66,16 +79,25 @@ def integrate(parts, rtol, atol=0.0):
             bound = max(rtol * abs(value), atol)
             err = reduce(add, changes)
             if err <= bound:
-                return value, err
+                return value, err + reduce(add, map(_rounding, parts, tops))
             if count > 1:
                 live = [i for i in live if changes[i] > bound / count]
     return None
 
 
+def _rounding(part, n):
+    """The rounding bound of :func:`integrate` of a part at its level n."""
+    rule, _, scale, c = part
+    xs, _, size = rule.level(n)
+    return (len(xs) + n + c) * UNIT_ROUNDOFF * math.ldexp(scale * size, -n)
+
+
 class _Rule:
-    """The levels of one rule; a subclass gives its geometry
-    ``_geometry(t)``, the nodes ``_nodes(*columns)`` of geometry columns,
-    and ``_size(x, g)``, the measure of a quiet node."""
+    """The levels of one rule, each (x_i, g_i, the sum of the node sizes of
+    levels 0 to it); a subclass gives its geometry ``_geometry(t)``, the
+    nodes ``_nodes(*columns)`` of geometry columns, and the node sizes
+    ``_sizes(xs, gs)``, which find a quiet node and bound the rounding of
+    :func:`integrate`."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
     _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
@@ -87,11 +109,10 @@ class _Rule:
         def node(t):  # level 0 holds t = -_T_CAP, ..., _T_CAP
             xs, gs = self._nodes(*(c[t + _T_CAP:t + _T_CAP + 1]
                                    for c in cols))
-            return xs[0], gs[0]
+            return xs[0], gs[0], next(self._sizes(xs, gs))
 
-        x, g = node(0)
+        x, g, big = node(0)
         xs, gs = [x], [g]
-        big = self._size(x, g)
         ends = []
         for step in (1, -1):
             t = quiet = 0
@@ -101,16 +122,15 @@ class _Rule:
                     raise NonconvergenceError(
                         f"{self._WHAT} of {f!r} is not finite or does not "
                         f"decay by x = {xs[-1]:.3g}")
-                x, g = node(t)
+                x, g, v = node(t)
                 xs.append(x)
                 gs.append(g)
-                v = self._size(x, g)
                 big = max(big, v)
                 quiet = quiet + 1 if v <= _NEGLIGIBLE * big else 0
             del xs[-1], gs[-1]
             ends.append(t - step)
         self.hi, self.lo = ends
-        self.levels = ((xs, gs),)
+        self.levels = ((xs, gs, sum(self._sizes(xs, gs))),)
 
     @classmethod
     def _columns(cls, n):
@@ -130,14 +150,16 @@ class _Rule:
         return table[n]
 
     def level(self, n):
-        """(x_i, g_i) of the nodes new at level n."""
+        """(x_i, g_i) of the nodes new at level n, and the sum of the node
+        sizes of levels 0 to n."""
         levels = self.levels
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
             cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
             cols = self._columns(len(levels))
+            xs, gs = self._nodes(*(c[cut] for c in cols))
             levels = self.levels = levels + (
-                self._nodes(*(c[cut] for c in cols)),)
+                (xs, gs, levels[-1][2] + sum(self._sizes(xs, gs))),)
         return levels[n]
 
 
@@ -157,7 +179,6 @@ class ExpSinh(_Rule):
     def __init__(self, f, a0):
         self.a0 = a0
         super().__init__(f)
-        self._sizes = ()
 
     @staticmethod
     def _geometry(t):
@@ -169,48 +190,23 @@ class ExpSinh(_Rule):
         return xs, list(map(mul, ws, map(self.f.eval, xs)))
 
     @staticmethod
-    def _size(x, g):
-        return abs(g) / x
-
-    def _sizes_to(self, n):
-        """The sum of the sizes |g_i| / x_i of levels 0 to n; kept per
-        level, grown by replacement."""
-        sizes = self._sizes
-        while len(sizes) <= n:
-            xs, gs = self.level(len(sizes))
-            sizes = self._sizes = sizes + (
-                (sizes[-1] if sizes else 0.0)
-                + sum(map(abs, map(truediv, gs, xs))),)
-        return sizes[n]
+    def _sizes(xs, gs):
+        return map(abs, map(truediv, gs, xs))
 
     def integral(self, p):
-        """(int_{a0}^inf f(x) x^{-p} dx, its error bound); a last change
-        within 1e-13 relative or 1e-15 absolute is accepted, and
-        NonconvergenceError is raised without one.
-
-        The bound is the last change plus the rounding at the step 2^-n of
-        the last level n, whose N nodes are the most of any level: pow is
-        within an ulp, 2u, and its product rounds once, so a term is within
-        3u of g_i x_i^{-p}, which is at most |g_i| / x_i; a level's sum of
-        at most N terms adds (N - 1) u of their sizes, recursive summation
-        or the compensated sum() of Python 3.12, and each of the n additions
-        of a level to the total u of the sizes summed so far.
-        """
-        counts = []
-
-        def level_sum(xs, gs):
-            counts.append(len(xs))
-            return sum(map(mul, gs, map(pow, xs, repeat(-p))))
-
-        got = integrate([(self, level_sum)], self._RTOL, self._ATOL)
+        """(int_{a0}^inf f(x) x^{-p} dx, its error bound by
+        :func:`integrate`); a last change within 1e-13 relative or 1e-15
+        absolute is accepted, and NonconvergenceError is raised without
+        one.  The factor x^{-p} is at most the size's 1/x, and pow is
+        within an ulp, 2u."""
+        got = integrate([(self, lambda xs, gs: sum(map(
+            mul, gs, map(pow, xs, repeat(-p)))), 1.0, 2)],
+            self._RTOL, self._ATOL)
         if got is None:
             raise NonconvergenceError(
                 f"exp-sinh tail of {self.f!r} at power {p:g} did not "
                 f"converge within {LEVEL_CAP} levels")
-        value, change = got
-        n = len(counts) - 1
-        return value, change + ((counts[-1] + n + 2) * UNIT_ROUNDOFF
-                                * math.ldexp(self._sizes_to(n), -n))
+        return got
 
 
 class TanhSinh(_Rule):
@@ -243,5 +239,5 @@ class TanhSinh(_Rule):
         return xs, list(map(mul, map(mul, ws, ps), map(self.f.eval, xs)))
 
     @staticmethod
-    def _size(x, g):
-        return abs(g)
+    def _sizes(xs, gs):
+        return map(abs, gs)

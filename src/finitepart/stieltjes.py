@@ -19,20 +19,18 @@ which is what the high-Peclet effective diffusivity expansion needs.
 The split converges like (omega/a)^k and, on f = c x^p e^{-bx}, its pole
 term grows like e^{b omega}, which the naive series must cancel.  So two
 routes integrate the transform itself and keep that integral, ``direct``,
-as the split naive_sum = direct - singular:
+with its bound, as the split naive_sum = direct - singular, flagged
+wherever the identity's rounding plus that bound exceeds tol |direct|:
 
 * the closed route, at nu = 0 for the exponential family with p < n and
   b omega > 1, at a finite or infinite a: the exponential integrals of
-  :func:`_closed`, flagged wherever the identity's rounding plus the
-  bound of ``direct`` exceeds tol |direct|;
+  :func:`_closed`;
 * the direct route, at a finite a with omega > a/2, and at a = inf with
   omega > SPLIT_POINT/2 where f's rungs are split (a user stream): the
   double-exponential rules of :mod:`finitepart.quadrature`, whose nodes
   f's rung ladder keeps, tanh-sinh on [0, a], or on [0, SPLIT_POINT] plus
-  the split's exp-sinh nodes on [SPLIT_POINT, inf); flagged where
-  |singular| > (tol/u) |direct|, u the unit roundoff, as then the exact
-  identity naive_sum + singular == total may cost more than tol.  Where a
-  rule fails the split is summed instead.
+  the split's exp-sinh nodes on [SPLIT_POINT, inf).  Where a rule fails
+  the split is summed instead.
 
 Elsewhere, and with ``k_max`` given, the split is summed.  Its naive terms
 are binom(-n,k) omega^k times the public finite_part_integral values.
@@ -89,13 +87,11 @@ class ExpansionResult:
 
     ``route`` is "series" where the naive series was summed, to k_used
     terms with a tail estimate from its last terms; ``direct`` is None
-    there.  Elsewhere the transform itself, ``direct``, was computed,
-    naive_sum = direct - singular and k_used = 0: on route "direct" by
-    quadrature, with the sum of its rules' last changes plus
-    u (|direct| + |singular|) as the tail estimate, converged when
-    |singular| <= (tol/u) |direct|; on route "closed" by exponential
-    integrals, with |total - direct| plus the bound of ``direct`` as the
-    tail estimate, converged when that is within tol |direct|.
+    there.  Elsewhere the transform itself, ``direct``, was computed, by
+    quadrature on route "direct" and by exponential integrals on route
+    "closed": naive_sum = direct - singular, k_used = 0, and the tail
+    estimate is |total - direct| plus the bound of ``direct``, converged
+    when that is within tol |direct|.
     """
 
     naive_sum: float
@@ -195,16 +191,18 @@ def _routed(f, omega, a):
     return omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)
 
 
-def _direct(f, nu, a, tol, kernel):
-    """(the transform integrated directly, the sum of the rules' last
-    changes), or None where that fails.
+def _direct(f, n, nu, a, tol, kernel):
+    """(the transform integrated directly, its bound by
+    :func:`~finitepart.quadrature.integrate`), or None where that fails.
 
     The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
     first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
     nodes of the split on [SPLIT_POINT, inf) times x^{-nu}.
-    ``kernel(xs, gs)`` sums a level's values times the kernel.  None where
-    a rule raises, or the sum of the rules' changes is not within
-    tol |direct| by the level cap.
+    ``kernel(xs, gs)`` sums a level's values times the kernel of order n,
+    which is largest at x = 0 and is formed within (n + 2) u; x^{-nu} adds
+    3u, and on [SPLIT_POINT, inf) the kernel times x^{1-nu} is at most 1.
+    None where a rule raises, or the sum of the rules' changes is not
+    within tol |direct| by the level cap.
     """
     check_nu(nu)
     try:
@@ -217,21 +215,15 @@ def _direct(f, nu, a, tol, kernel):
         rule = lad.rule
         if rule is None:
             rule = lad.rule = TanhSinh(f, nu, top)
-        parts = [(rule, kernel)]
+        c = n + 5
+        parts = [(rule, kernel, kernel((0.0,), (1.0,)), c)]
         if top < a:
             parts.append((split_nodes(lad, f), kernel if nu == 0.0 else (
                 lambda xs, gs: kernel(xs, map(mul, gs, map(
-                    pow, xs, repeat(-nu)))))))
+                    pow, xs, repeat(-nu))))), 1.0, c))
         return integrate(parts, tol)
     except (ArithmeticError, FinitePartError):
         return None
-
-
-def _integrated(direct, sing, tail, converged, route):
-    """The split naive_sum = direct - sing, k_used = 0, of an integral."""
-    naive = direct - sing
-    return ExpansionResult(naive, sing, naive + sing, 0, tail, converged,
-                           route, direct)
 
 
 def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel,
@@ -243,22 +235,22 @@ def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel,
     else, where k_max is None, the integral of :func:`_direct` where
     :func:`_routed` holds and it converges; elsewhere the naive series of
     :func:`_naive_series` at ``series`` = (m0, step, binomial order,
-    ostep)."""
+    ostep).  Both integrals are accepted by the rule of ExpansionResult."""
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0; got {k_max}")
     sing = _singular(singular, f, n, nu, omega)
+    got = None
     if shape is not None:
-        direct, bound = _closed(*shape, n, omega, a)
-        tail = abs((direct - sing) + sing - direct) + bound
-        return _integrated(direct, sing, tail, tail <= tol * abs(direct),
-                           "closed")
-    if k_max is None and _routed(f, omega, a):
-        got = _direct(f, nu, a, tol, partial(kernel, omega, n))
-        if got is not None:
-            direct, change = got
-            tail = change + UNIT_ROUNDOFF * (abs(direct) + abs(sing))
-            return _integrated(direct, sing, tail, abs(sing) <= (
-                tol / UNIT_ROUNDOFF) * abs(direct), "direct")
+        got, route = _closed(*shape, n, omega, a), "closed"
+    elif k_max is None and _routed(f, omega, a):
+        got, route = _direct(f, n, nu, a, tol,
+                             partial(kernel, omega, n)), "direct"
+    if got is not None:
+        direct, bound = got
+        naive = direct - sing
+        tail = abs(naive + sing - direct) + bound
+        return ExpansionResult(naive, sing, naive + sing, 0, tail,
+                               tail <= tol * abs(direct), route, direct)
     naive, k_used, tail, ok = _naive_series(
         f, nu, a, *series, tol, TERM_CAP if k_max is None else k_max)
     return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok)

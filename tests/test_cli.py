@@ -119,8 +119,9 @@ def test_transform_rows_name_the_route_and_carry_direct(fmt, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_refused_direct_route_row_is_flagged_with_direct(fmt, capsys):
-    # |singular| = 2.7e9 > (tol/u) |direct|: the integral (0.0564233964464380
-    # at 40 digits) split as direct - singular + singular, flagged
+    # |singular| = 2.7e9: the identity direct - singular + singular alone
+    # rounds by 3.7e-6 |direct|, past tol; the integral (0.0564233964464380
+    # at 40 digits) is kept and flagged
     assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--nu", "0.25",
                  "--a", "30", "--omega", "21", "--format", fmt]) == 3
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from finitepart.asymptotic import classify
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial, Scaled, TaylorFunction,
                                unscale)
@@ -149,6 +150,27 @@ def test_scaled_coefficient_out_of_float_range_raises():
     with pytest.raises(NonconvergenceError, match="leaves float range"):
         finite_part_integral(f, 1, 0.0, 2.0)
     assert (Polynomial([1e200]) * -1e108).coeff(0) == -1e308
+
+
+@pytest.mark.parametrize("error,c3", [
+    ("OverflowError", lambda: float(10 ** 400)),
+    ("ZeroDivisionError", lambda: 1.0 / 0),
+])
+def test_zero_order_scan_out_of_float_range_raises(error, c3):
+    # c_3 is no float: the scan once raised the stream's error raw
+    msg = (r"^coefficient c_3 of CustomSeries\(custom\) leaves float range "
+           rf"in the zero-order scan \({error}")
+
+    def stream():
+        return CustomSeries(lambda k: 0.0 if k < 3 else c3(), lambda x: 0.0)
+
+    calls = [lambda f: f.zero_order(),
+             lambda f: finite_part_integral(f, 2, 0.0, 2.0),
+             lambda f: evaluate_transform(TransformSpec(f, 1, 0.5, 2.0)),
+             lambda f: classify(f, 1)]
+    for call in calls:
+        with pytest.raises(NonconvergenceError, match=msg):
+            call(stream())
 
 
 class ShiftedExp(TaylorFunction):

@@ -506,7 +506,7 @@ class _ReferenceTables:
         self.f, self.nu, self.a, self.tol = f, nu, a, tol
         deg = f.finite_degree()
         if deg is None:
-            r, c = first_nonzero(map(f.coeff, count()))
+            r, c = first_nonzero(f)
             self.cs = [0.0] * r + [c]
         else:
             r = f.zero_order()

@@ -1,10 +1,12 @@
 """The double-exponential rules of finitepart.quadrature: their shared
 node geometry, their ranges and the split tails of the exp-sinh rule.
 
-References are mpmath quadratures at 22 digits."""
+References are mpmath quadratures at 22 digits, or 40 for tanh-sinh."""
 
 import cmath
 import math
+from itertools import repeat
+from operator import mul, truediv
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from finitepart.entire import CustomSeries
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import SPLIT_POINT
+from finitepart.gammafn import UNIT_ROUNDOFF
 from finitepart.quadrature import (_HALF_PI, _NEGLIGIBLE, _T_CAP, LEVEL_CAP,
                                    MIN_LEVEL, ExpSinh, TanhSinh, integrate)
 
@@ -66,12 +69,12 @@ class _Levels:
         self.values = values
 
     def level(self, n):
-        return None, n
+        return (), n, 0.0
 
     def part(self):
         v = self.values
         return self, lambda _, n: (math.ldexp(v(n), n) - math.ldexp(
-            v(n - 1), n - 1) if n else v(0))
+            v(n - 1), n - 1) if n else v(0)), 1.0, 0
 
 
 def test_cancelling_parts_are_accepted_on_the_sum_of_their_changes():
@@ -100,7 +103,7 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
     f = gauss(0.9)
     rule = make(f)
     for n in range(6):
-        xs, gs = rule.level(n)
+        xs, gs, _ = rule.level(n)
         if n:
             span = 2 ** (n - 1)
             ts = [(2 * i + 1) / (2 * span)
@@ -127,8 +130,8 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
     lambda f: ExpSinh(f, SPLIT_POINT), lambda f: TanhSinh(f, 0.0, 2.0)])
 def test_range_ends_at_the_first_quiet_node(make):
     rule = make(gauss(1.0))
-    xs, gs = rule.levels[0]
-    sizes = list(map(rule._size, xs, gs))
+    xs, gs, _ = rule.levels[0]
+    sizes = list(rule._sizes(xs, gs))
     big = max(sizes)
     # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
     ends = (rule.hi, len(xs) - 1)
@@ -164,3 +167,54 @@ def test_split_tails_lie_within_their_bound(name, nu):
             ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
                               [1, 2, 4, mpmath.inf])
             assert abs(got - ref) <= bound, (m, got, bound)
+
+
+def _split_tail_as_before(nodes, p):
+    """The split tail as ExpSinh.integral once formed it: the level sums
+    and their last change, accepted within 1e-13 relative or 1e-15
+    absolute, plus its own bound arithmetic, (N + n + 2) u 2^-n times the
+    sizes |g_i| / x_i of levels 0 to n."""
+    total = sizes = 0.0
+    value = math.nan
+    for n in range(LEVEL_CAP + 1):
+        xs, gs, _ = nodes.level(n)
+        total += sum(map(mul, gs, map(pow, xs, repeat(-p))))
+        sizes += sum(map(abs, map(truediv, gs, xs)))
+        new = math.ldexp(total, -n)
+        change, value = abs(new - value), new
+        if n >= MIN_LEVEL and change <= max(1e-13 * abs(value), 1e-15):
+            return value, change + ((len(xs) + n + 2) * UNIT_ROUNDOFF
+                                    * math.ldexp(sizes, -n))
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
+def test_split_tails_keep_their_bits(name, nu):
+    # integrate's bound is the one the split tails computed for themselves
+    nodes = ExpSinh(stream(name), SPLIT_POINT)
+    for m in range(1, 61):
+        got = nodes.integral(m + nu)
+        assert got == _split_tail_as_before(nodes, m + nu), m
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize("a", [0.3, 2.0, 25.0])
+def test_tanh_sinh_matches_mpmath(nu, a):
+    # int_0^a x^{-nu} e^{-1.3 x^2} (1 + x)^{-1} dx; the factor 1/(1 + x) is
+    # at most 1 and formed within u
+    rule = TanhSinh(gauss(1.3), nu, a)
+
+    def level_sum(xs, gs):
+        return sum(g / (1.0 + x) for x, g in zip(xs, gs))
+
+    got, bound = integrate([(rule, level_sum, 1.0, 1)], 1e-14)
+    # at scale 0 the bound is the last change alone
+    _, change = integrate([(rule, level_sum, 0.0, 1)], 1e-14)
+    with mpmath.workdps(40):
+        k = 1 / (1 - mpmath.mpf(nu))  # x = v^k: bounded at v = 0
+        ref = mpmath.quad(lambda v: k * mpmath.exp(-1.3 * v ** (2 * k))
+                          / (1 + v ** k), [0, mpmath.mpf(a) ** (1 / k)])
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+        assert abs(got - ref) <= bound, (got, bound)
+    assert change <= 1e-14 * abs(got)

@@ -16,8 +16,8 @@ in.  Three parts are printed:
           shuffled m; then transforms, quadratic-kernel values and
           effective diffusivities, the user streams' transforms and
           quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
-          transforms of REFUSED, which fail the direct route's ratio test
-          and so come back flagged on that route
+          transforms of REFUSED, whose pole term swamps the value, so that
+          they come back flagged on the direct route
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
           the argv corpus of ``tests/cli_corpus.py`` (of this checkout, so
           both dumps run the same calls), each in a fresh working
@@ -43,6 +43,7 @@ import os
 import random
 import sys
 import tempfile
+from functools import partial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -58,11 +59,13 @@ M_TOP = 40
 NUS = (0.0, 0.25, 0.5)
 AS = (0.5, 1.0, 2.0, 4.0, 30.0, math.inf)
 OMEGA_SHARES = (1e-3, 0.05, 0.3, 0.7, 0.95)
+TOL = 1e-12  # of every transform and quadratic-kernel value
 TRANSFORM_AS = (0.5, 1.0, 2.0, 30.0, math.inf)
 # omega of the user streams at a = inf, around and past the split point
 STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0)
 # n = 1 transforms (stream, a, omega) whose pole term swamps the value:
-# |singular| > (tol/u) |direct|, so the integral is kept and flagged
+# the identity (direct - singular) + singular == total alone rounds by
+# more than tol |direct|, so the integral is kept and flagged
 REFUSED = (("expstream", 30.0, 25.0), ("xexp", math.inf, 6.0),
            ("xexp", math.inf, 8.0), ("xexp", math.inf, 12.0))
 
@@ -129,12 +132,25 @@ def dump_grid(child, entire, fp, st, out):
                         out(f"fpi {text} {nu!r} {a!r} {name} {m} "
                             + call(fp.finite_part_integral, f, m, nu, a))
 
+    for line, _, thunk in grid_cases(child, entire, st):
+        out(f"{line} {call(thunk)}")
+
+
+def grid_cases(child, entire, st):
+    """(line head, reference, thunk) of the grid's transforms, quadratic-
+    kernel values, effective diffusivities and REFUSED transforms, in dump
+    order: ``thunk()`` computes the value, on the descriptor the grid
+    shares, so call each before the next is drawn.  ``reference`` is
+    (function text, n, nu, a, omega), n = 0 for the quadratic kernel, or
+    None for a diffusivity; a REFUSED text is a ``make_stream`` name."""
+    make = child.make_function
+
     def transform(f, n, w, a, nu):
         return fields(st.evaluate_transform(st.TransformSpec(f, n, w, a, nu),
-                                            tol=1e-12))
+                                            tol=TOL))
 
     def quadratic(f, w, a):
-        return fields(st.eval_quadratic(f, w, a, tol=1e-12))
+        return fields(st.eval_quadratic(f, w, a, tol=TOL))
 
     for text in FUNCTIONS:
         for nu in NUS:
@@ -144,15 +160,16 @@ def dump_grid(child, entire, fp, st, out):
                 for n in (1, 2, 3):
                     for share in OMEGA_SHARES:
                         w = share * top
-                        out(f"transform {text} {nu!r} {a!r} {n} {w!r} "
-                            + call(transform, f, n, w, a, nu))
+                        yield (f"transform {text} {nu!r} {a!r} {n} {w!r}",
+                               (text, n, nu, a, w),
+                               partial(transform, f, n, w, a, nu))
         for a in TRANSFORM_AS:
             top = 1.5 if math.isinf(a) else a
             f = make(text)
             for share in OMEGA_SHARES:
                 w = share * top
-                out(f"quadratic {text} {a!r} {w!r} "
-                    + call(quadratic, f, w, a))
+                yield (f"quadratic {text} {a!r} {w!r}", (text, 0, 0.0, a, w),
+                       partial(quadratic, f, w, a))
     for text in FUNCTIONS:
         if not text.startswith("gauss("):
             continue
@@ -160,19 +177,20 @@ def dump_grid(child, entire, fp, st, out):
             f = make(text)
             for n in (1, 2, 3):
                 for w in STREAM_OMEGAS:
-                    out(f"transform {text} {nu!r} inf {n} {w!r} "
-                        + call(transform, f, n, w, math.inf, nu))
+                    yield (f"transform {text} {nu!r} inf {n} {w!r}",
+                           (text, n, nu, math.inf, w),
+                           partial(transform, f, n, w, math.inf, nu))
         f = make(text)
         for w in STREAM_OMEGAS:
-            out(f"quadratic {text} inf {w!r} "
-                + call(quadratic, f, w, math.inf))
+            yield (f"quadratic {text} inf {w!r}", (text, 0, 0.0, math.inf, w),
+                   partial(quadratic, f, w, math.inf))
     for pe in (0.5, 2.0, 30.0, 1e3):
         gp, gm = make("0.5*exp(1.3)"), make("monexp(1,0.9)")
-        out(f"diffusivity {pe!r} "
-            + call(st.effective_diffusivity, gp, gm, pe, 1.0, tol=1e-12))
+        yield (f"diffusivity {pe!r}", None,
+               partial(st.effective_diffusivity, gp, gm, pe, 1.0, tol=TOL))
     for name, a, w in REFUSED:
-        out(f"transform {name} 0.0 {a!r} 1 {w!r} "
-            + call(transform, make_stream(entire, name), 1, w, a, 0.0))
+        yield (f"transform {name} 0.0 {a!r} 1 {w!r}", (name, 1, 0.0, a, w),
+               partial(transform, make_stream(entire, name), 1, w, a, 0.0))
 
 
 def run_cli(main, argv):
