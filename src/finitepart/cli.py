@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .asymptotic import classify
 from .entire import BinomialPoly, Exponential, MonomialExp, Polynomial
-from .errors import FinitePartError
+from .errors import FinitePartError, NonconvergenceError
 from .finite_part import finite_part_integral
 from .oracles import fpi_epsilon_oracle, quad_adaptive
 from .series import check_tol
@@ -177,16 +177,61 @@ def _transform_row(omega, res):
     }
 
 
-def _kernel_oracle(fn, omega, a, singular_lo=False):
-    pts = [omega, 10 * omega, 1.0] if omega < 1.0 else [omega]
-    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts,
-                         singular_lo=singular_lo).value
+def _kernel_oracle(what, omega, a, kernel):
+    """QUADPACK's value of a kernel integral on [0, a], taken in a
+    variable s that flattens the kernel's peak at x ~ omega.
+
+    ``kernel(top)`` gives (mapped, s_top, plain): the integrand in s, the s
+    of x = top, and the integrand in x.  ``mapped`` is integrated over [0,
+    s_top] with top = a at a finite a; at a = inf, top = max(1, omega) and
+    ``plain`` is integrated over [top, inf) as well.  A piece that QUADPACK
+    does not converge on, and a scale, range or value out of float range,
+    raise NonconvergenceError naming the oracle and omega.
+    """
+    top = a if a < math.inf else max(1.0, omega)
+    try:
+        mapped, s_top, plain = kernel(top)
+        if not s_top < math.inf:
+            raise OverflowError(f"{top!r} / omega leaves float range")
+        value = quad_adaptive(mapped, 0.0, s_top, tol=1e-11).value
+        if a == math.inf:
+            value += quad_adaptive(plain, top, a, tol=1e-11).value
+        if not abs(value) < math.inf:
+            raise OverflowError(f"the integral is {value}")
+    except (ArithmeticError, NonconvergenceError) as exc:
+        raise NonconvergenceError(
+            f"{what} oracle at omega = {omega!r}: {exc}") from exc
+    return value
 
 
 def _stieltjes_oracle(f, n, nu, omega, a):
-    # x ** -0.0 == 1.0, so nu = 0 multiplies by one exactly
-    return _kernel_oracle(lambda x: f.eval(x) * x ** (-nu) / (omega + x) ** n,
-                          omega, a, singular_lo=nu > 0)
+    # u = x^q = omega^q (e^s - 1), q = 1 - nu, and x = omega y: then
+    # x^-nu dx / (omega + x)^n = omega^(q-n) e^s ds / (q (1 + y)^n), which
+    # is bounded at every nu.  e^s / (1 + y)^n is taken as one exp, so that
+    # neither factor leaves float range where the quotient does not, and
+    # omega^(q-n) scales the integrand, not the integral, so that QUADPACK's
+    # absolute floor of 1e-15 is on the transform's own scale.
+    q = 1.0 - nu
+
+    def kernel(top):
+        scale = omega ** (q - n) / q
+
+        def mapped(s):
+            y = math.expm1(s) ** (1.0 / q)
+            return scale * f.eval(omega * y) * math.exp(s - n * math.log1p(y))
+
+        return (mapped, math.log1p((top / omega) ** q),
+                lambda x: f.eval(x) * x ** -nu * (omega + x) ** -n)
+
+    return _kernel_oracle("transform", omega, a, kernel)
+
+
+def _quadratic_oracle(f, omega, a):
+    # x = omega sinh s: dx / (omega^2 + x^2) = ds / (omega cosh s)
+    return _kernel_oracle("quadratic", omega, a, lambda top: (
+        lambda s: f.eval(omega * math.sinh(s)) / (omega * math.cosh(s)),
+        math.asinh(top / omega),
+        lambda x: f.eval(x) / (omega * omega + x * x)))
 
 
 def _attach_oracle(row, method_value, oracle_value):
@@ -259,9 +304,7 @@ def _run_quadratic(prm):
                          k_max=prm["kmax"])
     row = _transform_row(omega, res)
     if prm["compare"]:
-        oracle = _kernel_oracle(
-            lambda x: f.eval(x) / (omega * omega + x * x), omega, prm["a"])
-        _attach_oracle(row, res.total, oracle)
+        _attach_oracle(row, res.total, _quadratic_oracle(f, omega, prm["a"]))
     return [row], res.converged
 
 

@@ -44,6 +44,22 @@ ARGVS = [
     ["compare", "--op", "quadratic", "--f", "exp(1)", "--omega", "0.1"],
     ["sweep", "--f", "exp(1)", "--n", "1", "--a", "inf", "--omega-grid",
      "1e-4:1e-1:4", "--with-oracle", "--format", "csv"],
+    # the oracles' maps: nu > 0, a = inf with omega >= 1, an omega > a/2
+    # that the transform routes, and omega where 1 / omega leaves float range
+    ["stieltjes", "--f", "monexp(1,0.8)", "--n", "2", "--nu", "0.25",
+     "--omega", "0.05", "--compare"],
+    ["compare", "--op", "stieltjes", "--f", "exp(1.3)", "--n", "3", "--nu",
+     "0.75", "--omega", "0.3", "--a", "0.5"],
+    ["sweep", "--f", "monexp(1,0.8)", "--n", "2", "--nu", "0.25",
+     "--omega-grid", "0.5:4:3", "--with-oracle"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "1.5", "--a", "2",
+     "--compare"],
+    ["quadratic", "--f", "exp(1)", "--omega", "0.3", "--a", "2", "--compare"],
+    ["compare", "--op", "quadratic", "--f", "monexp(1,1.2)", "--omega", "2"],
+    ["stieltjes", "--f", "exp(1)", "--n", "2", "--nu", "0.5", "--omega",
+     "1e-30", "--compare"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "1e-320",
+     "--compare"],
     # abbreviations
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--om", "0.5"],
     ["quadratic", "--f", "exp(1)", "--om", "0.2"],

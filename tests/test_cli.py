@@ -294,6 +294,111 @@ def test_compare_of_a_nonzero_value_keeps_its_relative_difference(capsys):
     assert row["rel_diff"] < 1e-12
 
 
+# f(x) of the oracle grid as mpmath functions
+_MP_FUNCTIONS = {"exp(1.3)": ("1.3", 0), "monexp(1,0.8)": ("0.8", 1),
+                 "monexp(2,2.5)": ("2.5", 2)}
+
+
+def _oracle_omegas(a):
+    if a == math.inf:
+        return [1e-4, 1e-3, 1e-2, 0.1, 1.0, 27.0]
+    ratio = (0.9 * a / 1e-4) ** 0.2
+    return [1e-4 * ratio**i for i in range(5)] + [0.9 * a]
+
+
+def _kernel_reference(text, a, omega, n=None, nu=0.0):
+    """int_0^a x^-nu f(x) (omega+x)^-n dx, or with n None int_0^a f(x) /
+    (omega^2+x^2) dx, at 30 digits, taken in u = x^(1-nu): a plain
+    mpmath.quad in x is 4e-9 off at nu = 0.75 (exp(1.3), n = 3, a = 0.5,
+    omega = 0.3)."""
+    import mpmath
+    with mpmath.workdps(30):
+        b, p = _MP_FUNCTIONS[text]
+        b, q, w = mpmath.mpf(b), 1 - mpmath.mpf(nu), mpmath.mpf(omega)
+
+        def integrand(u):
+            x = u ** (1 / q)
+            kernel = (w + x) ** -n / q if n else 1 / (w * w + x * x)
+            return x**p * mpmath.exp(-b * x) * kernel
+
+        pts = [0, w**q]
+        if w < 1 < a:
+            pts.append(1)
+        pts.append(mpmath.inf if a == math.inf else mpmath.mpf(a) ** q)
+        return mpmath.quad(integrand, pts)
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, math.inf])
+@pytest.mark.parametrize("text", list(_MP_FUNCTIONS))
+def test_kernel_oracles_match_mpmath(text, a):
+    f = parse_function(text)
+    for omega in _oracle_omegas(a):
+        cases = [(n, nu) for n in (1, 3) for nu in (0.0, 0.25, 0.5, 0.75)]
+        for n, nu in cases + [(None, 0.0)]:
+            if n is None:
+                got = cli._quadratic_oracle(f, omega, a)
+            else:
+                got = cli._stieltjes_oracle(f, n, nu, omega, a)
+            ref = _kernel_reference(text, a, omega, n, nu)
+            assert abs(got - ref) <= 1e-11 * abs(ref), (n, nu, omega)
+
+
+@pytest.mark.parametrize("oracle, args, parent", [
+    ("_stieltjes_oracle", ("exp(1.42)", 1, 0.0, 0.00136, 1.98), 336),
+    ("_stieltjes_oracle", ("monexp(1,1.72)", 2, 0.25, 0.002235, math.inf),
+     618),
+    ("_quadratic_oracle", ("monexp(1,1.22)", 0.0181, math.inf), 324),
+])
+def test_kernel_oracles_take_few_evaluations(monkeypatch, oracle, args,
+                                             parent):
+    # ``parent``: QUADPACK evaluations with breakpoints at omega, 10 omega
+    # and 1 in x (and x = t^2 at nu > 0); in the flattening variable they
+    # fall to 63, 366 and 198
+    counts = []
+    real = cli.quad_adaptive
+
+    def counted(*pos, **kw):
+        res = real(*pos, **kw)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(cli, "quad_adaptive", counted)
+    getattr(cli, oracle)(parse_function(args[0]), *args[1:])
+    assert sum(counts) <= 0.65 * parent
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["stieltjes", "--n", "2", "--omega", "1e-30"], 1e30),
+    (["stieltjes", "--n", "2", "--nu", "0.5", "--omega", "1e-30"],
+     math.pi / 2 * 1e45),
+    (["stieltjes", "--n", "2", "--nu", "0.75", "--omega", "1e-30"],
+     math.gamma(0.25) * math.gamma(1.75) * 1e-30 ** -1.75),
+    (["quadratic", "--omega", "1e-30"], math.pi / 2 * 1e30),
+    # (omega + x)^2 underflowed to 0: a ZeroDivisionError traceback
+    (["stieltjes", "--n", "2", "--omega", "1e-300"], 1e300),
+    (["quadratic", "--omega", "1e-300"], math.pi / 2 * 1e300),
+])
+def test_compare_at_tiny_omega_gives_the_oracle(argv, want, capsys):
+    # the oracle split [0, a] at omega, 10 omega and 1 and did not converge
+    # on [10 omega, 1]: exit 3 although the method's value was right
+    assert main(argv + ["--f", "exp(1)", "--compare", "--format",
+                        "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert row["total"] == pytest.approx(want, rel=1e-12)
+    assert abs(row["oracle"] - row["total"]) <= 1e-11 * abs(row["total"])
+
+
+@pytest.mark.parametrize("nu", ["0", "0.5"])
+def test_oracle_out_of_float_range_exits_3_naming_it(nu, capsys):
+    # the transform is a float (about 736 at nu = 0); 1 / omega is not
+    assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--nu", nu,
+                 "--omega", "1e-320", "--compare"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: transform oracle at omega = 1e-320: 1.0 / omega leaves "
+        "float range\n")
+
+
 def test_exit_code_2_on_bad_input():
     assert invoke("fpi", "--f", "bogus(1)", "--m", "1").returncode == 2
     assert invoke("fpi", "--f", "exp(1)").returncode == 2       # missing --m

@@ -20,13 +20,18 @@ outside their own tail_estimate are counted too, and the flagged ones
 whose total is within tol |ref|.  The counts are printed, then one line
 per silently wrong, raw or under-covered value of an integrated route.
 
-References are cached as text in ``.faultscan/refs.json`` at the root of
-this checkout (git-ignored), keyed by function, n, nu, a and omega; a
-reference that mpmath cannot settle is reported and not used.
+A polynomial's transform at a = inf is summed term by term from the Beta
+integral int_0^inf x^(s-1) (omega+x)^-n dx = omega^(s-n) B(s, n-s),
+where the quadrature of ``bench/refs.py`` cannot settle the slow x^(s-n-1)
+tail.  References are cached as text in ``.faultscan/refs.json`` at the
+root of this checkout (git-ignored), keyed by function, n, nu, a and
+omega; a reference that mpmath cannot settle is reported, not used, and
+tried again on the next run.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -42,17 +47,34 @@ def reference(refs, cache, spec):
     """mpmath's value of ``spec`` = (text, n, nu, a, omega) as a string, or
     the message of a reference that did not settle; cached."""
     key = repr(spec)
-    if key not in cache:
+    if cache.get(key, "no reference").startswith("no reference"):
         text, n, nu, a, w = spec
         fn = refs.Fn(STREAM_FNS.get(text, text))
         with refs.mp.workdps(refs.DPS):
             try:
-                v = (refs.transform(fn, n, nu, a, w) if n
-                     else refs.quadratic(fn, a, w))
+                if n and fn.poly is not None and math.isinf(a):
+                    v = beta_transform(refs.mp, fn, n, nu, w)
+                elif n:
+                    v = refs.transform(fn, n, nu, a, w)
+                else:
+                    v = refs.quadratic(fn, a, w)
                 cache[key] = refs.mp.nstr(v, refs.DPS + 5)
             except (RuntimeError, ZeroDivisionError, ValueError) as exc:
                 cache[key] = f"no reference: {exc}"
     return cache[key]
+
+
+def beta_transform(mp, fn, n, nu, omega):
+    """int_0^inf x^-nu p(x) (omega+x)^-n dx of the polynomial ``fn``, each
+    term c x^k from the Beta integral with s = k + 1 - nu."""
+    w = mp.mpf(omega)
+    total = mp.mpf(0)
+    for k, c in fn.poly.items():
+        s = k + 1 - mp.mpf(nu)
+        if not 0 < s < n:
+            raise ValueError(f"x^{k} x^-nu (omega+x)^-{n} is not integrable")
+        total += c * w ** (s - n) * mp.beta(s, n - s)
+    return fn.c * total
 
 
 def classify(res, ref, tol):
