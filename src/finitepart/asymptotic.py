@@ -17,7 +17,8 @@ with d0 the first nonzero Maclaurin coefficient of f.
 
 import enum
 import math
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .entire import TaylorFunction
 from .finite_part import finite_part_integral
@@ -31,8 +32,11 @@ class LeadingKind(enum.Enum):
     BRANCH_POWER_DOMINANT = "BranchPowerDominant"
 
 
-@dataclass(frozen=True)
-class LeadingBehavior:
+class LeadingBehavior(NamedTuple):
+    """The leading term coefficient * omega^exponent (* ln omega where
+    ``carries_log``); a NamedTuple, so it unpacks as (kind, coefficient,
+    exponent, carries_log)."""
+
     kind: LeadingKind
     coefficient: float
     exponent: float
@@ -48,6 +52,10 @@ class LeadingBehavior:
         if self.carries_log:
             v *= math.log(omega)
         return v
+
+
+# builds a LeadingBehavior without the Python-level NamedTuple constructor
+_new_leading = partial(tuple.__new__, LeadingBehavior)
 
 
 def classify(f: TaylorFunction, n: int, nu: float = 0.0,
@@ -68,16 +76,15 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
 
     if nu == 0.0:
         if m == n - 1:
-            return LeadingBehavior(LeadingKind.LOG_DOMINANT, -d0, 0.0, True)
+            return _new_leading((LeadingKind.LOG_DOMINANT, -d0, 0.0, True))
         if m <= n - 2:
             s = n - m
             # the alternating factorial sum is the Beta integral
             # B(s-1, n-s+1): an exact ratio of integers, rounded once
             beta = (math.factorial(s - 2) * math.factorial(n - s)
                     / math.factorial(n - 1))
-            return LeadingBehavior(
-                LeadingKind.POWER_DOMINANT, d0 * beta, -(s - 1), False
-            )
+            return _new_leading(
+                (LeadingKind.POWER_DOMINANT, d0 * beta, -(s - 1), False))
     elif m <= n - 1:
         acc = 0.0
         for k in range(n):
@@ -93,11 +100,10 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
             math.pi / math.sin(math.pi * nu)
             * d0 * math.factorial(m) * (-1.0) ** (m - n + 1) * acc
         )
-        return LeadingBehavior(
-            LeadingKind.BRANCH_POWER_DOMINANT, coeff, m - n + 1 - nu, False
-        )
+        return _new_leading(
+            (LeadingKind.BRANCH_POWER_DOMINANT, coeff, m - n + 1 - nu, False))
     coeff = finite_part_integral(f, n, nu, a).value
-    return LeadingBehavior(LeadingKind.NAIVE_DOMINANT, coeff, 0.0, False)
+    return _new_leading((LeadingKind.NAIVE_DOMINANT, coeff, 0.0, False))
 
 
 def leading_term(f: TaylorFunction, n: int, nu: float, omega: float,

@@ -234,13 +234,26 @@ def _quadratic_oracle(f, omega, a):
         lambda x: f.eval(x) / (omega * omega + x * x)))
 
 
-def _attach_oracle(row, method_value, oracle_value):
-    # relative to an exact zero the difference is undefined: None, which
-    # renders as JSON null and an empty CSV or table cell
-    row["oracle"] = oracle_value
-    row["abs_diff"] = abs(method_value - oracle_value)
-    scale = max(abs(method_value), abs(oracle_value))
-    row["rel_diff"] = row["abs_diff"] / scale if method_value else None
+def _attach_oracle(row, method_value, oracle, *args):
+    """Add the oracle, abs_diff and rel_diff cells of ``oracle(*args)`` to
+    the row and return True.  Where the oracle raises NonconvergenceError,
+    print its error line, leave the three cells None and return False: the
+    row is kept, and the run exits 3."""
+    try:
+        value = oracle(*args)
+    except NonconvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        row.update(oracle=None, abs_diff=None, rel_diff=None)
+        return False
+    row["oracle"] = value
+    row["abs_diff"] = diff = abs(method_value - value)
+    # relative to an exact zero, or where either value is not finite, the
+    # difference is undefined: None, which renders as JSON null and an
+    # empty CSV or table cell
+    row["rel_diff"] = (diff / max(abs(method_value), abs(value))
+                       if method_value and math.isfinite(method_value)
+                       and math.isfinite(value) else None)
+    return True
 
 
 def _run_fpi(prm):
@@ -253,10 +266,11 @@ def _run_fpi(prm):
         "tail_estimate": v.tail_bound,
         "flag": "",
     }
+    ok = True
     if prm["compare"]:
-        _attach_oracle(row, v.value,
-                       fpi_epsilon_oracle(f, prm["m"], prm["nu"], prm["a"]))
-    return [row], True
+        ok = _attach_oracle(row, v.value, fpi_epsilon_oracle, f, prm["m"],
+                            prm["nu"], prm["a"])
+    return [row], ok
 
 
 def _run_stieltjes(prm):
@@ -272,9 +286,8 @@ def _run_stieltjes(prm):
         res = evaluate_transform(spec, tol=prm["tol"], k_max=prm["kmax"])
         row = _transform_row(omega, res)
         if prm["compare"] or prm["with_oracle"]:
-            _attach_oracle(row, res.total,
-                           _stieltjes_oracle(f, prm["n"], prm["nu"], omega,
-                                             prm["a"]))
+            all_ok &= _attach_oracle(row, res.total, _stieltjes_oracle, f,
+                                     prm["n"], prm["nu"], omega, prm["a"])
         rows.append(row)
         all_ok = all_ok and res.converged
     return rows, all_ok
@@ -303,9 +316,11 @@ def _run_quadratic(prm):
     res = eval_quadratic(f, omega, prm["a"], tol=prm["tol"],
                          k_max=prm["kmax"])
     row = _transform_row(omega, res)
+    ok = res.converged
     if prm["compare"]:
-        _attach_oracle(row, res.total, _quadratic_oracle(f, omega, prm["a"]))
-    return [row], res.converged
+        ok &= _attach_oracle(row, res.total, _quadratic_oracle, f, omega,
+                             prm["a"])
+    return [row], ok
 
 
 def _run_specfun(prm):

@@ -37,10 +37,10 @@ are binom(-n,k) omega^k times the public finite_part_integral values.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, mul, truediv
+from typing import NamedTuple
 
 from .entire import TaylorFunction
 from .errors import FinitePartError, NonconvergenceError
@@ -58,32 +58,45 @@ DEFAULT_EVAL_TOL = 1e-12
 _BINOMS = {}
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """One generalized Stieltjes evaluation: int_0^a x^{-nu} f/(omega+x)^n."""
-
+class _SpecFields(NamedTuple):
     f: TaylorFunction
     n: int
     omega: float
     a: float = math.inf
     nu: float = 0.0
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+
+class TransformSpec(_SpecFields):
+    """One generalized Stieltjes evaluation: int_0^a x^{-nu} f/(omega+x)^n;
+    a NamedTuple, so it unpacks as (f, n, omega, a, nu).  The constructor
+    checks the fields, and so do ``_make`` and ``_replace``, which go
+    through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, f: TaylorFunction, n: int, omega: float,
+                a: float = math.inf, nu: float = 0.0):
+        if not (isinstance(n, int) and n >= 1):
             raise ValueError("transform order n must be an integer >= 1")
-        if not (0.0 <= self.nu < 1.0):
+        if not (0.0 <= nu < 1.0):
             raise ValueError("branch exponent nu must lie in [0, 1)")
-        if not self.omega > 0.0:
+        if not omega > 0.0:
             raise ValueError("omega must be positive")
-        if not self.a > 0.0:
+        if not a > 0.0:
             raise ValueError("upper limit a must be positive")
-        if not self.omega < self.a:
+        if not omega < a:
             raise ValueError("expansion requires omega < a")
+        return tuple.__new__(cls, (f, n, omega, a, nu))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    """Naive + singular decomposition of one transform value.
+class ExpansionResult(NamedTuple):
+    """Naive + singular decomposition of one transform value; a NamedTuple,
+    so it unpacks as (naive_sum, singular, total, k_used, tail_estimate,
+    converged, route, direct).
 
     ``route`` is "series" where the naive series was summed, to k_used
     terms with a tail estimate from its last terms; ``direct`` is None
@@ -102,6 +115,10 @@ class ExpansionResult:
     converged: bool = True
     route: str = "series"
     direct: float = None
+
+
+# builds an ExpansionResult without the Python-level NamedTuple constructor
+_new_result = partial(tuple.__new__, ExpansionResult)
 
 
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
@@ -249,11 +266,12 @@ def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel,
         direct, bound = got
         naive = direct - sing
         tail = abs(naive + sing - direct) + bound
-        return ExpansionResult(naive, sing, naive + sing, 0, tail,
-                               tail <= tol * abs(direct), route, direct)
+        return _new_result((naive, sing, naive + sing, 0, tail,
+                            tail <= tol * abs(direct), route, direct))
     naive, k_used, tail, ok = _naive_series(
         f, nu, a, *series, tol, TERM_CAP if k_max is None else k_max)
-    return ExpansionResult(naive, sing, naive + sing, k_used, tail, ok)
+    return _new_result((naive, sing, naive + sing, k_used, tail, ok,
+                        "series", None))
 
 
 def _closed(p, b, c, n, omega, a):
@@ -379,7 +397,7 @@ def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
     (see the module docstring and ``ExpansionResult``).
     """
     check_tol(tol)
-    f, n, nu, omega, a = spec.f, spec.n, spec.nu, spec.omega, spec.a
+    f, n, omega, a, nu = spec
     shape = None
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)

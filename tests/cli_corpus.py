@@ -60,6 +60,10 @@ ARGVS = [
      "1e-30", "--compare"],
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "1e-320",
      "--compare"],
+    # rows kept where an oracle raises, and no rel_diff against an inf total
+    ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:1e-14:3",
+     "--with-oracle"],
+    ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"],
     # abbreviations
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--om", "0.5"],
     ["quadratic", "--f", "exp(1)", "--om", "0.2"],

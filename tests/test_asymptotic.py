@@ -1,10 +1,13 @@
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from finitepart.asymptotic import LeadingKind, classify, leading_term
+from finitepart.asymptotic import (LeadingBehavior, LeadingKind, classify,
+                                   leading_term)
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial)
 from finitepart.finite_part import finite_part_integral
@@ -124,3 +127,25 @@ def test_log_coefficient_recovered_by_fit():
     ]
     slope, _ = np.polyfit(np.log(omegas), totals, 1)
     assert abs(-slope - 1.0) < 0.02
+
+
+def test_leading_behavior_record():
+    lb = classify(EXP1, 1, 0.0)
+    # the literal text of the frozen dataclass this record replaced
+    assert repr(lb) == (
+        "LeadingBehavior(kind=<LeadingKind.LOG_DOMINANT: 'LogDominant'>, "
+        "coefficient=-1.0, exponent=0.0, carries_log=True)")
+    sig = inspect.signature(LeadingBehavior)
+    assert str(sig.replace(return_annotation=sig.empty)) == (
+        "(kind: finitepart.asymptotic.LeadingKind, coefficient: float, "
+        "exponent: float, carries_log: bool)")
+    kind, coefficient, exponent, carries_log = lb
+    assert lb == (LeadingKind.LOG_DOMINANT, -1.0, 0.0, True)
+    assert LeadingBehavior(kind=kind, coefficient=coefficient,
+                           exponent=exponent, carries_log=carries_log) == lb
+    assert type(LeadingBehavior(*lb)) is LeadingBehavior
+    with pytest.raises(AttributeError):
+        lb.coefficient = 2.0
+    back = pickle.loads(pickle.dumps(lb))
+    assert type(back) is LeadingBehavior and back == lb
+    assert back.value_at(0.5) == lb.value_at(0.5) == -math.log(0.5)

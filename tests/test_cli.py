@@ -14,6 +14,7 @@ from finitepart.cli import (RunConfig, build_parser, main, parse_function,
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial, Scaled)
 from finitepart.gammafn import EULER_GAMMA
+from finitepart.stieltjes import TransformSpec, evaluate_transform
 
 
 def invoke(*argv, cwd=None):
@@ -390,13 +391,59 @@ def test_compare_at_tiny_omega_gives_the_oracle(argv, want, capsys):
 
 @pytest.mark.parametrize("nu", ["0", "0.5"])
 def test_oracle_out_of_float_range_exits_3_naming_it(nu, capsys):
-    # the transform is a float (about 736 at nu = 0); 1 / omega is not
+    # the transform is a float (about 736 at nu = 0); 1 / omega is not: the
+    # method's row is kept with empty oracle cells
     assert main(["stieltjes", "--f", "exp(1)", "--n", "1", "--nu", nu,
                  "--omega", "1e-320", "--compare"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == (
+    assert err == (
         "error: transform oracle at omega = 1e-320: 1.0 / omega leaves "
         "float range\n")
+    header, row = out.splitlines()
+    want = evaluate_transform(TransformSpec(Exponential(1.0), 1, 1e-320,
+                                            nu=float(nu)))
+    assert header.split()[7:] == ["direct", "flag", "oracle", "abs_diff",
+                                  "rel_diff"]
+    assert row.split() == [repr(v) if isinstance(v, float) else str(v)
+                           for v in (1e-320, *want[:5], want.route)]
+
+
+def test_sweep_keeps_the_rows_of_an_oracle_that_raises(capsys):
+    # the first grid omega's oracle raises; every row is kept, and the
+    # other rows keep their oracle cells
+    argv = ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid",
+            "1e-320:1e-14:3", "--with-oracle"]
+    assert main(argv + ["--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert err == (
+        "error: transform oracle at omega = 1e-320: 1.0 / omega leaves "
+        "float range\n")
+    first, *rest = json.loads(out)["results"]
+    assert first["omega"] == 1e-320 and first["total"] == pytest.approx(
+        736.25, rel=1e-4)
+    assert [first[k] for k in ("oracle", "abs_diff", "rel_diff")] == [
+        None, None, None]
+    assert len(rest) == 2
+    for row in rest:
+        assert row["rel_diff"] <= 1e-12
+        assert row["abs_diff"] == abs(row["total"] - row["oracle"])
+    assert main(argv + ["--format", "csv"]) == 3
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    cells = [dict(zip(header, r)) for r in rows]
+    assert [c["oracle"] for c in cells][0] == "" and all(
+        c["oracle"] for c in cells[1:])
+
+
+def test_compare_of_an_infinite_total_has_no_relative_difference(capsys):
+    # total is inf (flagged) and the oracle finite: inf / inf was a NaN
+    argv = ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"]
+    assert main(argv + ["--format", "json"]) == 3
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert row["total"] == math.inf and row["flag"] == "nonconverged"
+    assert row["rel_diff"] is None and row["abs_diff"] == math.inf
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
 
 
 def test_exit_code_2_on_bad_input():

@@ -1,5 +1,7 @@
 import cmath
+import inspect
 import math
+import pickle
 import sys
 from itertools import count
 
@@ -367,6 +369,96 @@ def test_expansion_result_fields():
     assert res.total == res.naive_sum + res.singular
     assert res.tail_estimate >= 0.0
     assert (res.route, res.direct) == ("series", None)
+
+
+def test_records_print_as_the_dataclasses_did():
+    # the literal text of the frozen dataclasses these records replaced
+    assert repr(ExpansionResult(1.5, -0.25, 1.25, 3, 1e-16)) == (
+        "ExpansionResult(naive_sum=1.5, singular=-0.25, total=1.25, "
+        "k_used=3, tail_estimate=1e-16, converged=True, route='series', "
+        "direct=None)")
+    assert repr(ExpansionResult(0.5, 0.25, 0.75, 0, 2e-16, False, "direct",
+                                0.75)) == (
+        "ExpansionResult(naive_sum=0.5, singular=0.25, total=0.75, "
+        "k_used=0, tail_estimate=2e-16, converged=False, route='direct', "
+        "direct=0.75)")
+    assert repr(TransformSpec(Exponential(2.5), 3, 0.25, 1.0, 0.5)) == (
+        "TransformSpec(f=Exponential(b=2.5), n=3, omega=0.25, a=1.0, "
+        "nu=0.5)")
+
+
+@pytest.mark.parametrize("cls, text", [
+    (TransformSpec, "(f: finitepart.entire.TaylorFunction, n: int, "
+                    "omega: float, a: float = inf, nu: float = 0.0)"),
+    (ExpansionResult, "(naive_sum: float, singular: float, total: float, "
+                      "k_used: int, tail_estimate: float, converged: bool = "
+                      "True, route: str = 'series', direct: float = None)"),
+])
+def test_record_constructors_keep_their_parameters(cls, text):
+    sig = inspect.signature(cls)
+    assert str(sig.replace(return_annotation=sig.empty)) == text
+
+
+def test_records_are_frozen():
+    res = evaluate_transform(TransformSpec(EXP1, 1, 0.5, 1.0))
+    spec = TransformSpec(EXP1, 1, 0.5, 1.0)
+    for record, name in ((res, "total"), (res, "route"), (spec, "omega"),
+                         (spec, "f")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2.0)
+    with pytest.raises(AttributeError):
+        spec.extra = 1  # no instance dict either
+
+
+def test_spec_replace_and_make_run_the_constructor_checks():
+    spec = TransformSpec(EXP1, 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="expansion requires omega < a"):
+        spec._replace(omega=2.0)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        spec._replace(omega=-1.0)
+    with pytest.raises(ValueError, match="transform order n must be an "
+                                         "integer >= 1"):
+        TransformSpec._make((EXP1, 0, 0.5, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"branch exponent nu must lie in "
+                                         r"\[0, 1\)"):
+        TransformSpec._make([EXP1, 1, 0.5, 1.0, 1.0])
+    with pytest.raises(ValueError, match="upper limit a must be positive"):
+        TransformSpec._make(iter((EXP1, 1, 0.5, 0.0, 0.0)))
+    moved = spec._replace(omega=0.25, nu=0.5)
+    assert type(moved) is TransformSpec
+    assert moved == (EXP1, 1, 0.25, 1.0, 0.5)
+    assert TransformSpec._make(moved) == moved
+
+
+def test_records_survive_a_pickle_round_trip():
+    # Exponential compares by identity, so the reprs are compared; a
+    # descriptor that has computed holds its rung ladder, which does not
+    # pickle, so the results come from another one
+    spec = TransformSpec(Exponential(2.5), 3, 0.25, 1.0, 0.5)
+    used = spec._replace(f=Exponential(2.5))
+    for record in (spec, evaluate_transform(used),
+                   evaluate_transform(used._replace(omega=0.75))):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and repr(back) == repr(record)
+
+
+def test_records_build_by_keyword_and_from_their_fields():
+    spec = TransformSpec(f=EXP1, n=2, omega=0.5, nu=0.25)
+    assert spec == (EXP1, 2, 0.5, math.inf, 0.25)
+    f, n, omega, a, nu = spec
+    assert (f, n, omega, a, nu) == (spec.f, spec.n, spec.omega, spec.a,
+                                    spec.nu)
+    res = evaluate_transform(spec)
+    assert len(res) == 8 and tuple(res) == (
+        res.naive_sum, res.singular, res.total, res.k_used,
+        res.tail_estimate, res.converged, res.route, res.direct)
+    # tools/faultscan.py rebuilds a result from its fields
+    again = ExpansionResult(*tuple(res))
+    assert type(again) is ExpansionResult and again == res
+    assert ExpansionResult(**res._asdict()) == res
+    assert ExpansionResult(naive_sum=1.0, singular=2.0, total=3.0, k_used=1,
+                           tail_estimate=0.0) == (1.0, 2.0, 3.0, 1, 0.0,
+                                                  True, "series", None)
 
 
 # ---------------------------------------------------------------------------

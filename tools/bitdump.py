@@ -17,7 +17,9 @@ in.  Three parts are printed:
           effective diffusivities, the user streams' transforms and
           quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
           transforms of REFUSED, whose pole term swamps the value, so that
-          they come back flagged on the direct route
+          they come back flagged on the direct route; last, one ``repr``
+          line per public record (FpiValue, TransformSpec, ExpansionResult
+          and LeadingBehavior), so that a change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
           the argv corpus of ``tests/cli_corpus.py`` (of this checkout, so
           both dumps run the same calls), each in a fresh working
@@ -117,7 +119,7 @@ def dump_rounds(child, workloads, seeds, out):
                     out(f"round {wl} {seed} {i} {o!r}")
 
 
-def dump_grid(child, entire, fp, st, out):
+def dump_grid(child, entire, fp, st, asy, out):
     make = child.make_function
     rng = random.Random(0)
     ms = list(range(1, M_TOP + 1))
@@ -134,6 +136,13 @@ def dump_grid(child, entire, fp, st, out):
 
     for line, _, thunk in grid_cases(child, entire, st):
         out(f"{line} {call(thunk)}")
+
+    f = make("monexp(1,0.8)")
+    spec = st.TransformSpec(f, 2, 1.5, 2.0, 0.25)
+    for thunk in (partial(fp.finite_part_integral, f, 3, 0.25, 2.0),
+                  lambda: spec, partial(st.evaluate_transform, spec, tol=TOL),
+                  partial(asy.classify, f, 2, 0.25, 2.0)):
+        out(f"record {call(thunk)}")
 
 
 def grid_cases(child, entire, st):
@@ -236,6 +245,7 @@ def main(argv=None):
     import child
     import cli_corpus
     import workloads
+    import finitepart.asymptotic as asy
     import finitepart.cli as cli
     import finitepart.entire as entire
     import finitepart.finite_part as fp
@@ -247,7 +257,7 @@ def main(argv=None):
         write(line + "\n")
 
     dump_rounds(child, workloads, parse_seeds(args.seeds), out)
-    dump_grid(child, entire, fp, st, out)
+    dump_grid(child, entire, fp, st, asy, out)
     dump_cli(cli, cli_corpus.SCRIPTS, out)
     return 0
 
