@@ -95,7 +95,13 @@ def _parse_grid(text: str):
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (0 < lo < hi and count >= 2):
         raise ValueError("grid requires 0 < lo < hi and count >= 2")
-    ratio = (hi / lo) ** (1.0 / (count - 1))
+    span = hi / lo
+    if span == math.inf:  # a subnormal lo, say: the inner points in logs
+        start = math.log(lo)
+        step = (math.log(hi) - start) / (count - 1)
+        return [lo, *(math.exp(start + i * step)
+                      for i in range(1, count - 1)), hi]
+    ratio = span ** (1.0 / (count - 1))
     return [lo * ratio**i for i in range(count)]
 
 
@@ -258,14 +264,10 @@ def _attach_oracle(row, method_value, oracle, *args):
 
 def _run_fpi(prm):
     f = parse_function(prm["f"])
-    v = finite_part_integral(f, prm["m"], prm["nu"], prm["a"], tol=prm["tol"])
-    row = {
-        "value": v.value,
-        "method": v.method.value,
-        "terms_used": v.terms_used,
-        "tail_estimate": v.tail_bound,
-        "flag": "",
-    }
+    v = finite_part_integral(f, prm["m"], prm["nu"], prm["a"])
+    row = {"value": v.value, "method": v.method.value,
+           "terms_used": v.terms_used, "tail_estimate": v.tail_bound,
+           "flag": ""}
     ok = True
     if prm["compare"]:
         ok = _attach_oracle(row, v.value, fpi_epsilon_oracle, f, prm["m"],
@@ -365,7 +367,7 @@ def _run_compare(prm):
 # one).  Every command also takes --format, --output and --tol, added last;
 # it lists "tol" when it uses the tolerance and so stores it.
 _COMMANDS = {
-    "fpi": (_run_fpi, "finite-part integral", "f! m! nu a compare tol"),
+    "fpi": (_run_fpi, "finite-part integral", "f! m! nu a compare"),
     "stieltjes": (_run_stieltjes, "generalized Stieltjes transform",
                   "f! n! nu omega! a kmax compare tol"),
     "quadratic": (_run_quadratic, "omega^2 + x^2 kernel / diffusivity",

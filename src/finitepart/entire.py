@@ -15,7 +15,7 @@ Instances are immutable after construction and safe to share across
 threads.  Each keeps two caches, both written without a lock: the
 coefficient memo, which is idempotent because ``_coeff`` is a pure
 function of k, and the rung ladder (:meth:`TaylorFunction.ladder`), the
-finite-part values FPI(f, m, nu, a) of one (nu, a, tol) and the tables
+finite-part values FPI(f, m, nu, a) of one (nu, a) and the rung source
 they are computed from, which is replaced as a whole when another one is
 needed; a table grows by replacement, never in place.  A race between
 threads can only compute the same value twice.
@@ -68,23 +68,22 @@ def _integer(v, what):
 
 
 class Ladder:
-    """The rung ladder of one (nu, a, tol): the stored finite parts
-    ``rungs`` {m: FpiValue}; the rung values the naive series of
+    """The rung ladder of one (nu, a): the stored finite parts ``rungs``
+    {m: FpiValue}; the rung values the naive series of
     :mod:`finitepart.stieltjes` reads, ``naive`` {(m0, step): [FPI_m0,
-    FPI_{m0+step}, ...]}; the per-ladder work of
-    :mod:`finitepart.finite_part` (``route``, the callable m -> FPI_m of a
-    finite a, ``series``, the Maclaurin tables, and ``nodes``, the exp-sinh
-    nodes of the split); and ``rule``, the tanh-sinh nodes of the direct
-    transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at a = inf;
-    each None until first needed.
+    FPI_{m0+step}, ...]}; ``series``, the one rung source of
+    :func:`finitepart.finite_part.rung_source`, whose ``rung(m)`` computes
+    FPI_m; and ``rule``, the tanh-sinh nodes of the direct transforms, on
+    [0, a] at a finite a and on [0, SPLIT_POINT] at a = inf; each None
+    until first needed.
     """
 
-    __slots__ = ("rungs", "naive", "route", "series", "nodes", "rule")
+    __slots__ = ("rungs", "naive", "series", "rule")
 
     def __init__(self):
         self.rungs = {}
         self.naive = {}
-        self.route = self.series = self.nodes = self.rule = None
+        self.series = self.rule = None
 
 
 class TaylorFunction:
@@ -99,8 +98,8 @@ class TaylorFunction:
 
     def __init__(self):
         self._memo = {}
-        # (nu, a, tol, key, Ladder); see ladder()
-        self._ladder = (None, None, None, None, Ladder())
+        # (nu, a, key, Ladder); see ladder()
+        self._ladder = (None, None, None, Ladder())
 
     # -- coefficients ------------------------------------------------
 
@@ -170,23 +169,23 @@ class TaylorFunction:
 
     # -- finite parts -------------------------------------------------
 
-    def ladder(self, nu, a, tol) -> Ladder:
-        """The rung ladder of FPI(f, m, nu, a) at tolerance tol: the stored
-        finite parts and the tables they are computed from.
+    def ladder(self, nu, a) -> Ladder:
+        """The rung ladder of FPI(f, m, nu, a): the stored finite parts and
+        the rung source they are computed from.
 
-        The descriptor holds a single (nu, a, tol); another one, or an equal
-        nu or a of another type (which can round differently), replaces it
+        The descriptor holds a single (nu, a); another one, or an equal nu
+        or a of another type (which can round differently), replaces it
         with a fresh one, so a thread that still holds the old one reads
-        consistent rungs.  The objects nu, a and tol of the last call are
-        kept, and the same three objects again skip the key.
+        consistent rungs.  The objects nu and a of the last call are kept,
+        and the same two objects again skip the key.
         """
         lad = self._ladder
-        if lad[0] is nu and lad[1] is a and lad[2] is tol:
-            return lad[4]
-        key = (nu, type(nu), a, type(a), tol)
-        lad = self._ladder = (nu, a, tol, key,
-                              lad[4] if lad[3] == key else Ladder())
-        return lad[4]
+        if lad[0] is nu and lad[1] is a:
+            return lad[3]
+        key = (nu, type(nu), a, type(a))
+        lad = self._ladder = (nu, a, key,
+                              lad[3] if lad[2] == key else Ladder())
+        return lad[3]
 
     # -- infinite upper limit ---------------------------------------
 
@@ -198,11 +197,12 @@ class TaylorFunction:
         )
 
     def fpi_infinite(self, m: int, nu: float):
-        """Closed form of the finite part of int_0^inf f(x) x^{-m-nu} dx, or
-        None without one.  Beyond float range (large m) the value is not
-        finite or OverflowError is raised.  A descriptor with a closed form
-        overrides this hook; one that keeps it has its rungs split and its
-        transforms routed (see :mod:`finitepart.stieltjes`)."""
+        """Closed form of the finite part of int_0^inf f(x) x^{-m-nu} dx.
+        Beyond float range (large m) the value is not finite or
+        OverflowError is raised.  A descriptor with a closed form overrides
+        this hook and returns a number for every admitted (m, nu); one that
+        keeps this base, which returns None, has its rungs split and its
+        transforms routed (``finite_part.splits_at_infinity``)."""
         return None
 
     # -- scaling ------------------------------------------------------

@@ -10,10 +10,7 @@ the Maclaurin coefficients c_k of f:
 
   0<nu<1:   sum_{k>=0} c_k a^{k+1-m-nu} / (k+1-m-nu)
 
-with empty sums equal to zero.  Each descriptor's rung ladder keeps the
-tables of that series, c_k and the weights a^{j-nu}/(j-nu), j = k+1-m, so
-a climb over K rungs reads each c_k once and forms each weight once.  The
-exponential family c x^p e^{-bx}
+with empty sums equal to zero.  The exponential family c x^p e^{-bx}
 (``exp_family`` in :mod:`finitepart.entire`) does not sum that series past
 its first rung: for m <= p the integral is the ordinary c b^{-s} gamma(s, ab),
 s = p - m + 1 - nu, and from m = p + 1 on integration by parts steps the
@@ -35,10 +32,10 @@ is the exp-sinh rule of :mod:`finitepart.quadrature`, whose nodes x_i and
 weighted values w_i f(x_i) are computed once per ladder and serve every m;
 QUADPACK (:mod:`finitepart.oracles`) is left to check it.
 
-:func:`finite_part_integral` is the one entry point for every (m, nu, a);
-only the nu = 0 head and the route depend on the case.  A finite-a
-ladder's route, the recurrence or the Maclaurin tables, is chosen once,
-at its first rung, and every later rung of the ladder goes straight to it.
+:func:`finite_part_integral` is the one entry point for every (m, nu, a),
+and every finite part is summed to DEFAULT_TOL.  Each ladder holds one
+rung source, chosen at its first rung by :func:`rung_source`; a closed form
+at a = inf builds no ladder state.
 """
 
 import enum
@@ -53,7 +50,7 @@ from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
 from .quadrature import ExpSinh
-from .series import sum_until_small, check_tol
+from .series import sum_until_small
 
 DEFAULT_TOL = 1e-15
 NU_GUARD = 1e-12
@@ -118,8 +115,8 @@ def _read_coeffs(f, lo, hi, m):
 
 
 class _SeriesTables:
-    """The Maclaurin rungs of one (nu, a, tol) and their tables, kept on
-    f's ladder; :meth:`rung` reads rung m.
+    """The Maclaurin rungs of one (nu, a) and their tables; :meth:`rung`
+    reads rung m.
 
     With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
     the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are ln a and c_k,
@@ -137,8 +134,8 @@ class _SeriesTables:
     consistent.
     """
 
-    def __init__(self, f, nu, a, tol):
-        self.f, self.nu, self.a, self.tol = f, nu, a, tol
+    def __init__(self, f, nu, a):
+        self.f, self.nu, self.a = f, nu, a
         self.log_a = math.log(a)
         deg = f.finite_degree()
         self.pows = ([a ** -nu], [0 - nu])
@@ -206,11 +203,11 @@ class _SeriesTables:
         i = m - 1 - k, plus c_{m-1} ln a at nu = 0; the tail starts at k = m
         at nu = 0 and at k = m - 1 at 0 < nu < 1, both from the zero order at
         least.  Its terms (c_k a^{j-nu}) / (j-nu) are summed by
-        :func:`~finitepart.series.sum_until_small` to ``tol`` relative to the
-        rung's running value, head + tail so far, not to the tail's own sum,
-        and the tail is then added to the head; a polynomial's is summed
-        whole, and past its degree, where it is empty, the rung is its head.
-        ``terms_used`` counts the terms of the tail.
+        :func:`~finitepart.series.sum_until_small` to DEFAULT_TOL relative
+        to the rung's running value, head + tail so far, not to the tail's
+        own sum, and the tail is then added to the head; a polynomial's is
+        summed whole, and past its degree, where it is empty, the rung is its
+        head.  ``terms_used`` counts the terms of the tail.
         """
         r, deg, cs = self.r, self.deg, self.cs
         head = 0.0
@@ -239,7 +236,7 @@ class _SeriesTables:
                                           f"range at m = {m}")
         if deg is None:
             s = sum_until_small(chain.from_iterable(self._chunks(k0, m)),
-                                self.tol, offset=head)
+                                DEFAULT_TOL, offset=head)
             tail = s.total_or_raise("finite-part series")
             return _new_fpi((head + tail, _SERIES_FINITE, s.terms, s.last))
         if k0 > deg:  # the empty tail's + 0.0 turns a -0.0 head to 0.0
@@ -250,62 +247,57 @@ class _SeriesTables:
         return _new_fpi((head + tail, _SERIES_FINITE, deg + 1 - k0, 0.0))
 
 
-def _tables(ladder, f, nu, a, tol):
-    """The Maclaurin tables of ``ladder``, made on first use: f's own at
-    (nu, a) on a finite-a ladder, those of a0 on an a = inf one."""
-    tab = ladder.series
-    if tab is None:
-        tab = ladder.series = _SeriesTables(f, nu, a, tol)
-    return tab
-
-
 # ---------------------------------------------------------------------------
 # exponential family at finite a
 # ---------------------------------------------------------------------------
 
-def _exp_seed(f, lad, p, b, c, nu, a, tol):
-    """FPI(f, p + 1, nu, a), where the recurrence starts: the series while
-    ab <= 1, else the a = inf closed form less c a^{-nu} E_{1+nu}(ab)."""
-    x = a * b
-    if x <= 1.0:
-        return _tables(lad, f, nu, a, tol).rung(p + 1)
-    e, iters = expint(1.0 + nu, x)
-    head = unscale(f)[0].fpi_infinite(p + 1, nu)
-    tail = a ** -nu * e
-    value = c * (head - tail)
-    bound = (abs(c) * (4.0 * abs(head) + (iters + 4.0) * abs(tail))
-             + abs(value)) * UNIT_ROUNDOFF
-    return _new_fpi((value, _RECURRENCE, iters, bound))
+class _Recurrence:
+    """The rungs of c x^p e^{-bx} on its finite-a ladder, whose stored
+    finite parts ``rungs`` it shares.
 
-
-def _exp_route(f, lad, shape, nu, a, tol):
-    """The rung route of c x^p e^{-bx} on its finite-a ladder ``lad``:
-    m -> finite part of int_0^a c x^p e^{-bx} x^{-m-nu} dx.
-
-    p, b, c, c e^{-ab} and the coefficient stream are read once, here.  A
-    stored rung is returned as is.  Rungs m <= p are ordinary integrals.
-    Above them a call steps the recurrence from the highest stored rung
-    below m, or from the seed at m = p + 1, and stores every rung it
-    passes, so each rung has the bits of one climb from the seed whatever
-    the order of the calls.  The bound of each step is
+    Rungs m <= p are ordinary integrals.  Above them a call steps from the
+    highest stored rung below m, or from the seed at m = p + 1, and stores
+    every rung it passes, so each rung has the bits of one climb from the
+    seed whatever the order of the calls.  The bound of each step is
     (u |c_{m-1}| + 4u |edge| + b e_{m-1} + u |b FPI_{m-1}|) / (q - 1 + nu)
     + u |FPI_m|, with e_{m-1} the bound of the rung below and
     edge = c e^{-ab} a^{1-q-nu}, which takes a power and a product.
     """
-    p, b, c = shape
-    rungs = lad.rungs
-    coeff = f.coeff if nu == 0.0 else None
-    ce = c * math.exp(-a * b)
-    u = UNIT_ROUNDOFF
 
-    def route(m):
+    def __init__(self, f, rungs, shape, nu, a):
+        self.f, self.rungs, self.nu, self.a = f, rungs, nu, a
+        self.p, self.b, self.c = shape
+        self.ce = self.c * math.exp(-a * self.b)
+
+    def _seed(self):
+        """FPI(f, p + 1, nu, a): the series of throwaway tables while
+        ab <= 1, else the a = inf closed form less c a^{-nu} E_{1+nu}(ab)."""
+        f, p, c, nu, a = self.f, self.p, self.c, self.nu, self.a
+        if a * self.b <= 1.0:
+            return _SeriesTables(f, nu, a).rung(p + 1)
+        e, iters = expint(1.0 + nu, a * self.b)
+        head = unscale(f)[0].fpi_infinite(p + 1, nu)
+        tail = a ** -nu * e
+        value = c * (head - tail)
+        bound = (abs(c) * (4.0 * abs(head) + (iters + 4.0) * abs(tail))
+                 + abs(value)) * UNIT_ROUNDOFF
+        if not bound < math.inf:  # nor is the value, or c times a part
+            raise NonconvergenceError("finite-part recurrence leaves float "
+                                      f"range at m = {p + 1}")
+        return _new_fpi((value, _RECURRENCE, iters, bound))
+
+    def rung(self, m):
+        """Finite part of int_0^a c x^p e^{-bx} x^{-m-nu} dx."""
+        rungs = self.rungs
         v = rungs.get(m)
         if v is not None:
             return v
+        p, b, nu, a = self.p, self.b, self.nu, self.a
+        u = UNIT_ROUNDOFF
         if m <= p:
             s = p - m + 1 - nu
-            g, used, bound = lower_gamma(s, a * b, tol)
-            scale = c / b ** s
+            g, used, bound = lower_gamma(s, a * b, DEFAULT_TOL)
+            scale = self.c / b ** s
             value = scale * g
             v = rungs[m] = _new_fpi((value, _SERIES_FINITE, used,
                                      abs(scale) * bound + u * abs(value)))
@@ -318,8 +310,10 @@ def _exp_route(f, lad, shape, nu, a, tol):
             work = 0
         else:
             j = p + 1
-            prev = rungs[j] = _exp_seed(f, lad, p, b, c, nu, a, tol)
+            prev = rungs[j] = self._seed()
             work = prev.terms_used
+        f, ce = self.f, self.ce
+        coeff = f.coeff if nu == 0.0 else None
         value, bound = prev.value, prev.tail_bound
         for k in range(j + 1, m + 1):
             q = k - p
@@ -343,68 +337,59 @@ def _exp_route(f, lad, shape, nu, a, tol):
             prev = rungs[k] = _new_fpi((value, _RECURRENCE, work, bound))
         return prev
 
-    return route
-
 
 # ---------------------------------------------------------------------------
 # infinite upper limit
 # ---------------------------------------------------------------------------
 
+class _Split:
+    """The rungs of f at a = inf split at a0 = SPLIT_POINT: the Maclaurin
+    ``tables`` of (nu, a0) plus the exp-sinh integral over [a0, inf) on
+    ``nodes``, which direct transforms read too; each made on first use."""
+
+    def __init__(self, f, nu):
+        self.f, self.nu, self.tables, self.nodes = f, nu, None, None
+
+    def exp_sinh(self):
+        if self.nodes is None:
+            self.nodes = ExpSinh(self.f, SPLIT_POINT)
+        return self.nodes
+
+    def rung(self, m):
+        if self.tables is None:
+            self.tables = _SeriesTables(self.f, self.nu, SPLIT_POINT)
+        v, _, terms, bound = self.tables.rung(m)
+        q, err = self.exp_sinh().integral(m + self.nu)
+        return _new_fpi((v + q, FpiMethod.SPLIT_INFINITE, terms,
+                         bound + err + UNIT_ROUNDOFF * (abs(v) + abs(q))))
+
+
 def splits_at_infinity(f):
-    """Whether f's rungs at a = inf are split: its descriptor keeps the
-    base ``fpi_infinite``, which has no closed form."""
+    """Whether f's rungs at a = inf are split, for the rungs and the routes
+    alike: its descriptor keeps the base ``fpi_infinite``, no closed form."""
     return type(unscale(f)[0]).fpi_infinite is TaylorFunction.fpi_infinite
 
 
-def split_nodes(ladder, f):
-    """The exp-sinh nodes on [SPLIT_POINT, inf) of f's a = inf ``ladder``,
-    made on first use."""
-    nodes = ladder.nodes
-    if nodes is None:
-        nodes = ladder.nodes = ExpSinh(f, SPLIT_POINT)
-    return nodes
+def rung_source(f, lad, nu, a):
+    """The rung source of f's ladder ``lad`` at (nu, a), made at first use:
+    at a finite a the recurrence when f is c x^p e^{-bx}, else the Maclaurin
+    tables; at a = inf the split, taken where splits_at_infinity holds."""
+    if lad.series is None:
+        shape = f.exp_family()
+        lad.series = (_Split(f, nu) if a == math.inf
+                      else _SeriesTables(f, nu, a) if shape is None
+                      else _Recurrence(f, lad.rungs, shape, nu, a))
+    return lad.series
 
 
-def _split_infinite(f, m, nu, tol):
-    """fpi(f, m, nu, a0) on the tables of f's a = inf ladder plus the
-    exp-sinh integral of f(x) x^{-m-nu} over [a0, inf) on its nodes."""
-    ladder = f.ladder(nu, math.inf, tol)
-    fin = _tables(ladder, f, nu, SPLIT_POINT, tol).rung(m)
-    q, err = split_nodes(ladder, f).integral(m + nu)
-    bound = fin.tail_bound + err + UNIT_ROUNDOFF * (abs(fin.value) + abs(q))
-    return _new_fpi((fin.value + q, FpiMethod.SPLIT_INFINITE,
-                     fin.terms_used, bound))
-
-
-def _fpi_infinite(f, m, nu, tol):
-    """Finite part of int_0^inf f(x) x^{-m-nu} dx: the descriptor's closed
-    form when it has one, otherwise the split at a0 = 1."""
-    base, factor = unscale(f)
-    base.check_integrable_at_infinity(m, nu)
-    try:
-        closed = base.fpi_infinite(m, nu)
-    except OverflowError:  # factorials and powers at large m
-        closed = math.inf
-    if closed is None:
-        return _split_infinite(f, m, nu, tol)
-    if not math.isfinite(closed):
-        raise NonconvergenceError(f"closed form for {base!r} at "
-                                  f"m = {m} leaves float range")
-    return _new_fpi((factor * closed, FpiMethod.CLOSED_FORM, 0, 0.0))
+def _split_infinite(f, m, nu):
+    """The split rung m of f at a = inf, on f's ladder."""
+    return rung_source(f, f.ladder(nu, math.inf), nu, math.inf).rung(m)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-def _route(f, lad, nu, a, tol):
-    """The route of a finite-a ladder, chosen once: the exponential-family
-    recurrence when f is c x^p e^{-bx}, else the Maclaurin tables."""
-    shape = f.exp_family()
-    if shape is None:
-        return _tables(lad, f, nu, a, tol).rung
-    return _exp_route(f, lad, shape, nu, a, tol)
-
 
 def check_nu(nu):
     """Raise ValueError unless nu = 0 exactly or NU_GUARD < nu <
@@ -415,14 +400,14 @@ def check_nu(nu):
 
 
 def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
-                         a: float = math.inf,
-                         tol: float = DEFAULT_TOL) -> FpiValue:
+                         a: float = math.inf) -> FpiValue:
     """Finite part of int_0^a f(x) x^{-m-nu} dx, m >= 1, nu = 0 or
-    0 < nu < 1, 0 < a <= inf, 0 < tol < 1.
+    0 < nu < 1, 0 < a <= inf, summed to DEFAULT_TOL.
 
-    Every call validates its arguments.  At finite a it then returns
-    ``route(m)`` of f's ladder for (nu, a, tol), the route being chosen at
-    the ladder's first rung; at a = inf the closed form or the split.
+    Every call validates its arguments.  At finite a it then returns rung m
+    of the source of f's ladder for (nu, a), chosen at the ladder's first
+    rung by :func:`rung_source`; at a = inf the split where
+    :func:`splits_at_infinity` holds, else the closed form times f's factor.
     """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("pole strength m must be an integer >= 1")
@@ -430,11 +415,22 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
         check_nu(nu)
     if not a > 0:
         raise ValueError("upper limit a must be positive")
-    check_tol(tol)
     if math.isinf(a):
-        return _fpi_infinite(f, m, nu, tol)
-    lad = f.ladder(nu, a, tol)
-    route = lad.route
-    if route is None:
-        route = lad.route = _route(f, lad, nu, a, tol)
-    return route(m)
+        base, factor = unscale(f)
+        base.check_integrable_at_infinity(m, nu)
+        try:
+            closed = base.fpi_infinite(m, nu)
+        except OverflowError:  # factorials and powers at large m
+            closed = math.inf
+        if closed is None:  # the base hook; an override must give a number
+            if splits_at_infinity(f):
+                return _split_infinite(f, m, nu)
+            raise NotImplementedError(f"{type(base).__name__}.fpi_infinite "
+                                      f"returned None at m = {m}")
+        value = factor * closed
+        if not abs(value) < math.inf:
+            raise NonconvergenceError(f"closed form for {f!r} at m = {m} "
+                                      "leaves float range")
+        return _new_fpi((value, FpiMethod.CLOSED_FORM, 0, 0.0))
+    lad = f.ladder(nu, a)
+    return (lad.series or rung_source(f, lad, nu, a)).rung(m)

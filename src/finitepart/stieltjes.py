@@ -44,9 +44,8 @@ from typing import NamedTuple
 
 from .entire import TaylorFunction
 from .errors import FinitePartError, NonconvergenceError
-from .finite_part import (DEFAULT_TOL, SPLIT_POINT, check_nu,
-                          finite_part_integral, split_nodes,
-                          splits_at_infinity)
+from .finite_part import (SPLIT_POINT, check_nu, finite_part_integral,
+                          rung_source, splits_at_infinity)
 from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
 from .quadrature import TanhSinh, integrate
 from .series import TERM_CAP, sum_until_small, check_tol
@@ -214,7 +213,7 @@ def _direct(f, n, nu, a, tol, kernel):
 
     The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
     first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
-    nodes of the split on [SPLIT_POINT, inf) times x^{-nu}.
+    nodes of the split's rung source on [SPLIT_POINT, inf) times x^{-nu}.
     ``kernel(xs, gs)`` sums a level's values times the kernel of order n,
     which is largest at x = 0 and is formed within (n + 2) u; x^{-nu} adds
     3u, and on [SPLIT_POINT, inf) the kernel times x^{1-nu} is at most 1.
@@ -223,7 +222,7 @@ def _direct(f, n, nu, a, tol, kernel):
     """
     check_nu(nu)
     try:
-        lad = f.ladder(nu, a, DEFAULT_TOL)
+        lad = f.ladder(nu, a)
         top = a
         if a == math.inf:
             # f x^{-1-nu} integrable: so is the integrand, under any kernel
@@ -235,7 +234,8 @@ def _direct(f, n, nu, a, tol, kernel):
         c = n + 5
         parts = [(rule, kernel, kernel((0.0,), (1.0,)), c)]
         if top < a:
-            parts.append((split_nodes(lad, f), kernel if nu == 0.0 else (
+            tail = rung_source(f, lad, nu, a).exp_sinh()
+            parts.append((tail, kernel if nu == 0.0 else (
                 lambda xs, gs: kernel(xs, map(mul, gs, map(
                     pow, xs, repeat(-nu))))), 1.0, c))
         return integrate(parts, tol)
@@ -352,7 +352,7 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
     sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged).
     """
-    lad = f.ladder(nu, a, DEFAULT_TOL)
+    lad = f.ladder(nu, a)
     key = (m0, step)
     fs = lad.naive.get(key, [])
     ws = _powers(ostep)
@@ -365,7 +365,7 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
         for m in count(m0 + step * k, step):
             v = rungs.get(m)
             if v is None:
-                v = rungs[m] = finite_part_integral(f, m, nu, a, DEFAULT_TOL)
+                v = rungs[m] = finite_part_integral(f, m, nu, a)
             value = v.value
             new.append(value)
             if k == len(bs):

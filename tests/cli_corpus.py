@@ -64,6 +64,12 @@ ARGVS = [
     ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:1e-14:3",
      "--with-oracle"],
     ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"],
+    # a grid whose hi / lo leaves float range
+    ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:0.5:3"],
+    # scaled finite parts past float range: the closed form times its
+    # factor, and the recurrence's seed at ab > 1
+    ["fpi", "--f", "1e300*exp(100)", "--m", "50"],
+    ["fpi", "--f", "1e308*exp(5)", "--m", "1", "--a", "2"],
     # abbreviations
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--om", "0.5"],
     ["quadratic", "--f", "exp(1)", "--om", "0.2"],

@@ -183,7 +183,8 @@ def test_unreadable_tolerance_keeps_the_float_message(capsys):
 
 
 def test_stored_tolerance_outside_0_1_exits_2():
-    for cmd, params in [("fpi", {"f": "exp(1)", "m": 1, "tol": math.nan}),
+    for cmd, params in [("quadratic", {"f": "exp(1)", "omega": 0.1,
+                                       "tol": math.nan}),
                         ("stieltjes", {"f": "exp(1)", "n": 1, "omega": 0.1,
                                        "tol": -1.0})]:
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
@@ -434,6 +435,36 @@ def test_sweep_keeps_the_rows_of_an_oracle_that_raises(capsys):
         c["oracle"] for c in cells[1:])
 
 
+def _old_grid(lo, hi, count):
+    """The grid as it was formed before a span past float range was
+    stepped in logs."""
+    ratio = (hi / lo) ** (1.0 / (count - 1))
+    return [lo * ratio**i for i in range(count)]
+
+
+def test_grid_within_float_range_keeps_its_bits():
+    for text in ("1e-4:1e-1:7", "0.01:0.5:4", "1e-320:1e-14:3", "0.5:4:3",
+                 "1e-150:1e150:5", "1e-3:1e-1:2", "0.1:0.3:400"):
+        lo, hi, count = text.split(":")
+        want = _old_grid(float(lo), float(hi), int(count))
+        assert [v.hex() for v in cli._parse_grid(text)] == [
+            v.hex() for v in want]
+
+
+def test_grid_past_float_range_gives_finite_increasing_omegas(capsys):
+    # hi / lo = 5e319 leaves float range: the ratio and its powers were
+    # inf, and the sweep exited 2 with "expansion requires omega < a"
+    argv = next(v for v in cli_corpus.ARGVS
+                if v[-2:] == ["--omega-grid", "1e-320:0.5:3"])
+    assert main(argv + ["--format", "json"]) == 0
+    omegas = [r["omega"] for r in json.loads(capsys.readouterr().out)[
+        "results"]]
+    assert len(omegas) == 3 and all(map(math.isfinite, omegas))
+    assert omegas[0] < omegas[1] < omegas[2]
+    assert (omegas[0], omegas[2]) == (1e-320, 0.5)
+    assert omegas[1] == pytest.approx(math.sqrt(1e-320 * 0.5), rel=1e-12)
+
+
 def test_compare_of_an_infinite_total_has_no_relative_difference(capsys):
     # total is inf (flagged) and the oracle finite: inf / inf was a NaN
     argv = ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"]
@@ -574,6 +605,21 @@ def test_scaled_coefficient_out_of_float_range_exits_3(capsys):
     assert out == "" and err == (
         "error: coefficient 0 of 1e+200*Polynomial([1e+200], lowest=0) "
         "leaves float range\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--f", "1e300*exp(100)", "--m", "50"],
+     "closed form for 1e+300*Exponential(b=100) at m = 50 leaves float range"),
+    (["--f", "1e308*exp(5)", "--m", "1", "--a", "2"],
+     "finite-part recurrence leaves float range at m = 1"),
+])
+def test_scaled_finite_part_out_of_float_range_exits_3(capsys, argv,
+                                                       message):
+    # each printed inf (ClosedForm) or -inf (Recurrence) with exit 0
+    assert ["fpi"] + argv in cli_corpus.ARGVS
+    assert main(["fpi"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),
@@ -774,7 +820,7 @@ def test_negative_scalar_prefix_in_equals_form(capsys):
 
 # the keys each command stores in its JSON config, as released
 _STORED_KEYS = {
-    "fpi": ("f", "m", "nu", "a", "tol", "compare"),
+    "fpi": ("f", "m", "nu", "a", "compare"),
     "stieltjes": ("f", "n", "nu", "omega", "a", "tol", "kmax", "compare"),
     "quadratic": ("f", "omega", "pe", "a", "kappa", "g_plus", "g_minus",
                   "tol", "kmax", "compare"),

@@ -275,7 +275,7 @@ def test_swamped_transform_is_flagged_with_direct(name, a, omega,
     f = make_f()
     res = evaluate_transform(TransformSpec(f, 1, omega, a))
     assert_flagged_with_direct(res, reference(make_mp(), 1, 0.0, a, omega))
-    lad = f.ladder(0.0, a, 1e-15)
+    lad = f.ladder(0.0, a)
     assert (lad.rungs, lad.naive) == ({}, {})
     assert assert_routed_or_refused(name, (), 1, 0.0, a, omega) == "flagged"
 
@@ -362,8 +362,8 @@ def test_closed_forms_at_infinity_build_no_rule():
                 TransformSpec(f, 2, 0.8, nu=0.5))),
                          (0.0, lambda: eval_quadratic(f, 0.8))):
             assert call().route == "series"
-            lad = f.ladder(nu, math.inf, 1e-15)
-            assert (lad.rule, lad.nodes) == (None, None)
+            lad = f.ladder(nu, math.inf)
+            assert (lad.rule, lad.series) == (None, None)
 
 
 def test_undeclared_stream_at_infinity_raises_as_on_the_series():
@@ -371,7 +371,7 @@ def test_undeclared_stream_at_infinity_raises_as_on_the_series():
     for kw in ({}, {"k_max": TERM_CAP}):
         with pytest.raises(DivergentIntegralError, match="did not declare"):
             evaluate_transform(TransformSpec(f, 1, 0.9), **kw)
-    assert f.ladder(0.0, math.inf, 1e-15).rule is None
+    assert f.ladder(0.0, math.inf).rule is None
 
 
 def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
@@ -383,8 +383,8 @@ def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
               for omega in (0.01, 0.1, 0.3, 0.6, 0.9, 1.2, 3.0, 0.7)]
     routes += [eval_quadratic(f, omega).route for omega in (0.8, 1.1)]
     assert routes.count("direct") == 7
-    lad = f.ladder(0.0, math.inf, 1e-15)
-    nodes = sum(len(xs) for rule in (lad.rule, lad.nodes)
+    lad = f.ladder(0.0, math.inf)
+    nodes = sum(len(xs) for rule in (lad.rule, lad.series.nodes)
                 for xs, *_ in rule.levels)
     # each range search also evaluates the node past each of its two ends;
     # the singular terms evaluate f at -omega

@@ -123,7 +123,7 @@ def test_scaled_rungs_at_finite_a_match_mpmath(f, p, b, c, a, nu):
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
 def test_recurrence_agrees_with_maclaurin_rung_where_ab_le_1(a, b, nu):
     f = Exponential(b)
-    series = _SeriesTables(Exponential(b), nu, a, 1e-15)
+    series = _SeriesTables(Exponential(b), nu, a)
     for m in range(1, 61):
         got = finite_part_integral(f, m, nu, a)
         old = series.rung(m)

@@ -431,15 +431,60 @@ def test_spec_replace_and_make_run_the_constructor_checks():
 
 
 def test_records_survive_a_pickle_round_trip():
-    # Exponential compares by identity, so the reprs are compared; a
-    # descriptor that has computed holds its rung ladder, which does not
-    # pickle, so the results come from another one
+    # Exponential compares by identity, so the reprs are compared; the spec
+    # is pickled fresh and again once its descriptor has computed
     spec = TransformSpec(Exponential(2.5), 3, 0.25, 1.0, 0.5)
-    used = spec._replace(f=Exponential(2.5))
-    for record in (spec, evaluate_transform(used),
-                   evaluate_transform(used._replace(omega=0.75))):
+    for record in (spec, evaluate_transform(spec),
+                   evaluate_transform(spec._replace(omega=0.75)), spec):
         back = pickle.loads(pickle.dumps(record))
         assert type(back) is type(record) and repr(back) == repr(record)
+
+
+# e^{-x} as a user stream whose callbacks pickle: its rungs at a = inf split
+_EXP = Exponential(1.0)
+
+
+def _exp_stream():
+    return CustomSeries(_EXP.coeff, _EXP.eval, _EXP.eval_complex,
+                        decaying=True, label="exp")
+
+
+# case -> (descriptor, (m, nu, a) of the rung computed before the pickle,
+# the transform (n, omega) on the same ladder): a finite-a exponential
+# rung, a Maclaurin rung, a split rung at a = inf, and routed transforms
+PICKLE_CASES = {
+    "recurrence": (lambda: Exponential(2.5), (2, 0.0, 1.0), (2, 0.3)),
+    "maclaurin": (lambda: Polynomial([1.0, -2.0, 0.5], lowest=1),
+                  (3, 0.25, 2.0), (2, 0.5)),
+    "split": (_exp_stream, (2, 0.25, math.inf), (1, 0.3)),
+    "routed": (lambda: MonomialExp(1, 0.5), (1, 0.0, 2.0), (2, 1.5)),
+    "routed-split": (_exp_stream, (1, 0.0, math.inf), (2, 0.9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PICKLE_CASES))
+def test_used_descriptor_and_spec_pickle(case):
+    make, (m, nu, a), (n, omega) = PICKLE_CASES[case]
+    f = make()
+    finite_part_integral(f, m, nu, a)
+    spec = TransformSpec(f, n, omega, a, nu)
+    first = evaluate_transform(spec)
+    if case.startswith("routed"):
+        assert first.route == "direct"
+    f2 = pickle.loads(pickle.dumps(f))
+    spec2 = pickle.loads(pickle.dumps(spec))
+    # the copies carry the ladder: its rung source and stored rungs
+    for g in (f2, spec2.f):
+        lad, kept = g.ladder(nu, a), f.ladder(nu, a)
+        assert type(lad.series) is type(kept.series) is not type(None)
+        assert repr(lad.rungs) == repr(kept.rungs)
+    # and compute on from it with the bits of the original
+    for g in (f2, spec2.f):
+        assert repr(finite_part_integral(g, m + 7, nu, a)) == repr(
+            finite_part_integral(f, m + 7, nu, a))
+        for w in (omega, 0.7 * omega):
+            assert repr(evaluate_transform(TransformSpec(g, n, w, a, nu))) \
+                == repr(evaluate_transform(spec._replace(omega=w)))
 
 
 def test_records_build_by_keyword_and_from_their_fields():
@@ -534,9 +579,9 @@ def fpi_calls(monkeypatch):
     calls = []
     real = stieltjes.finite_part_integral
 
-    def counting(f, m, nu, a, tol):
+    def counting(f, m, nu, a):
         calls.append(m)
-        return real(f, m, nu, a, tol=tol)
+        return real(f, m, nu, a)
 
     monkeypatch.setattr(stieltjes, "finite_part_integral", counting)
     return calls
@@ -617,8 +662,7 @@ def _reference_naive(f, nu, a, m0, step, n, ostep, tol, cap):
         wk = 1.0
         for k in count():
             coef = float((-1) ** k * math.comb(n + k - 1, k)) * wk
-            fv = finite_part_integral(f, m0 + step * k, nu, a,
-                                      tol=1e-15).value
+            fv = finite_part_integral(f, m0 + step * k, nu, a).value
             yield coef * fv
             wk *= ostep
 

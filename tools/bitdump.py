@@ -13,11 +13,15 @@ in.  Three parts are printed:
           seeds given, through ``bench/child.py``'s ``Round``
   grid    finite parts of a fixed set of descriptors over m, nu and a,
           each (nu, a) on a fresh descriptor in ascending, descending and
-          shuffled m; then transforms, quadratic-kernel values and
-          effective diffusivities, the user streams' transforms and
-          quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
-          transforms of REFUSED, whose pole term swamps the value, so that
-          they come back flagged on the direct route; last, one ``repr``
+          shuffled m, and per descriptor kind one ``pickle`` line: the
+          descriptors of the last nu at the largest finite a and at
+          a = inf, each copied through pickle, and rung M_TOP + 1 of the
+          copy, so that state that cannot be pickled shows; then
+          transforms, quadratic-kernel values and effective diffusivities,
+          the user streams' transforms and quadratic-kernel values at
+          a = inf at STREAM_OMEGAS, and the transforms of REFUSED, whose
+          pole term swamps the value, so that they come back flagged on
+          the direct route; last, one ``repr``
           line per public record (FpiValue, TransformSpec, ExpansionResult
           and LeadingBehavior), so that a change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
@@ -42,6 +46,7 @@ import contextlib
 import io
 import math
 import os
+import pickle
 import random
 import sys
 import tempfile
@@ -108,6 +113,12 @@ def fields(res):
             getattr(res, "direct", None))
 
 
+def pickled_rung(fp, f, m, nu, a):
+    """(a copy of f through pickle, its rung m at (nu, a))."""
+    copy = pickle.loads(pickle.dumps(f))
+    return copy, fp.finite_part_integral(copy, m, nu, a)
+
+
 def dump_rounds(child, workloads, seeds, out):
     with tempfile.TemporaryDirectory() as tmp:
         for wl in WORKLOADS:
@@ -126,13 +137,17 @@ def dump_grid(child, entire, fp, st, asy, out):
     orders = {"up": ms, "down": ms[::-1],
               "mixed": rng.sample(ms, len(ms))}
     for text in FUNCTIONS:
+        last = {}
         for nu in NUS:
             for a in AS:
                 for name, order in orders.items():
-                    f = make(text)
+                    f = last[a] = make(text)
                     for m in order:
                         out(f"fpi {text} {nu!r} {a!r} {name} {m} "
                             + call(fp.finite_part_integral, f, m, nu, a))
+        out(f"pickle {text} " + " ; ".join(
+            call(pickled_rung, fp, last[a], M_TOP + 1, NUS[-1], a)
+            for a in AS[-2:]))
 
     for line, _, thunk in grid_cases(child, entire, st):
         out(f"{line} {call(thunk)}")
