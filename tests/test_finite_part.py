@@ -14,6 +14,8 @@ from finitepart.finite_part import (_CHUNK, DEFAULT_TOL, FpiMethod, FpiValue,
 from finitepart.gammafn import EULER_GAMMA, digamma_int
 from finitepart.oracles import fpi_epsilon_oracle, quad_adaptive
 from finitepart.series import sum_until_small
+from finitepart.stieltjes import (TransformSpec, eval_quadratic,
+                                  evaluate_transform)
 
 def fpi_polynomial(f, m, nu, a):
     """Reference finite part of a Polynomial at finite a, by exact sums.
@@ -291,6 +293,23 @@ def test_validation_errors():
         finite_part_integral(f, 1, 1e-14, 1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12, 1.0, 2.0])
+@pytest.mark.parametrize("a", [0.5, 2.0, math.inf])
+def test_tolerance_outside_0_1_is_rejected(tol, a):
+    # the finite parts are summed to DEFAULT_TOL and take no tolerance; the
+    # transforms built on them check theirs before any rung is formed
+    for f in (Exponential(1.0), Polynomial([1.0, 2.0]), _gauss(1.0)):
+        with pytest.raises(TypeError):
+            finite_part_integral(f, 1, 0.0, a, tol)
+        for call in (
+            lambda: evaluate_transform(TransformSpec(f, 1, 0.25, a), tol=tol),
+            lambda: eval_quadratic(f, 0.25, a, tol=tol),
+        ):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+                call()
+        assert f.ladder(0.0, a).series is None
+
+
 def test_divergent_stream_stops_at_the_term_cap():
     # c_k = 1 at nu = 0.5, a = 1: terms 1/(k - 1/2) never fall below the
     # relative tolerance, so the series stops at the fixed cap
@@ -363,6 +382,19 @@ def test_monomial_exp_below_its_power_is_an_ordinary_integral():
         want = quad_adaptive(integrand, 0.0, 4.0, tol=1e-12).value
         assert v.value == pytest.approx(want, rel=1e-11)
     assert finite_part_integral(f, 5, 0.25, 4.0).method is FpiMethod.RECURRENCE
+
+
+def test_ladder_keeps_rungs_of_one_tolerance():
+    # a ladder is keyed by (nu, a) alone: every rung is summed to DEFAULT_TOL
+    f = _gauss(1.0)
+    tight = finite_part_integral(f, 3, 0.0, 0.5)
+    ref = _ReferenceTables(_gauss(1.0), 0.0, 0.5, DEFAULT_TOL)
+    assert repr(tight) == repr(ref.rung(3))
+    loose = _ReferenceTables(_gauss(1.0), 0.0, 0.5, 1e-6).rung(3)
+    assert loose.value != tight.value
+    assert repr(f.ladder(0.0, 0.5).series.rung(3)) == repr(tight)
+    with pytest.raises(TypeError):
+        f.ladder(0.0, 0.5, 1e-6)
 
 
 def test_scaled_finite_parts_past_float_range_name_the_rung():
