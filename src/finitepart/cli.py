@@ -148,7 +148,8 @@ _OPTIONS = {
     "kmax": ("--kmax", {"type": int}),
     "compare": ("--compare", {"action": "store_true"}),
     "with_oracle": ("--with-oracle", {"action": "store_true"}),
-    "format": ("--format", {"choices": ("table", "json", "csv")}),
+    "format": ("--format", {"choices": ("table", "json", "csv"),
+                            "default": "table"}),
     "output": ("--output", {"help": "file path; stdout if absent"}),
     "tol": ("--tol", {"type": _parse_tol, "default": 1e-12}),
 }
@@ -352,7 +353,7 @@ def _run_asym(prm):
         "carries_log": lb.carries_log,
         "flag": "",
     }
-    if prm["omega"]:
+    if prm["omega"] is not None:  # a zero reaches value_at's range check
         row["leading_value"] = lb.value_at(prm["omega"])
     return [row], True
 
@@ -439,6 +440,19 @@ def _add(parser, name, **override):
     parser.add_argument(flag, **{**kw, **override})
 
 
+# every command takes _SHARED after its own options.  The top-level parser
+# takes _TOP_LEVEL as well, and the subparsers give those no default, so
+# that a value given before the command is not overwritten.
+_TOP_LEVEL = ("format", "output")
+_SHARED = (*_TOP_LEVEL, "tol")
+
+
+def _command_options(names):
+    """(dest, required) of each option of a command's parser, in order."""
+    return [(name.rstrip("!"), name.endswith("!")) for name in names.split()
+            if name != "tol"] + [(name, False) for name in _SHARED]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finitepart",
@@ -447,19 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--replay", default=None,
                     help="re-run the configuration embedded in a JSON document")
-    _add(ap, "format", default="table")
-    _add(ap, "output", default=None, help=None)
+    _add(ap, "format")
+    _add(ap, "output", help=None)
     sub = ap.add_subparsers(dest="command")
     for cmd, (_, text, names) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=text)
-        for name in names.split():
-            if name != "tol":
-                _add(p, name.rstrip("!"), required=name.endswith("!"))
-        # no subcommand defaults, so that --format and --output given
-        # before the subcommand are not overwritten
-        _add(p, "format", default=argparse.SUPPRESS)
-        _add(p, "output", default=argparse.SUPPRESS)
-        _add(p, "tol")
+        for dest, required in _command_options(names):
+            if dest in _TOP_LEVEL:
+                _add(p, dest, default=argparse.SUPPRESS)
+            else:
+                _add(p, dest, required=required)
     return ap
 
 
@@ -496,35 +507,81 @@ def _replay_config(saved) -> RunConfig:
     return RunConfig(cmd, params)
 
 
-_parser = None  # built on the first main() call, then reused
-_defaults = None  # the top-level options as an empty argv leaves them
-_subparsers = None  # the parser of each command, by name
+def _read_table(names):
+    """What build_parser gives one command, for :func:`_read`: flag -> (dest,
+    type, choices), with type None for a store_true flag; the namespace that
+    the top-level parser and the subparser fill in before any flag is read;
+    and the required dests."""
+    flags, required = {}, set()
+    start = {"replay": None, **{dest: _DEFAULTS[dest] for dest in _TOP_LEVEL}}
+    for dest, req in _command_options(names):
+        flag, kw = _OPTIONS[dest]
+        store_true = kw.get("action") == "store_true"
+        flags[flag] = (dest, None if store_true else kw.get("type", str),
+                       kw.get("choices"))
+        if dest not in _TOP_LEVEL:
+            start[dest] = False if store_true else kw.get("default")
+        if req:
+            required.add(dest)
+    return flags, start, required
+
+
+_READ_TABLES = {cmd: _read_table(names)
+                for cmd, (_, _, names) in _COMMANDS.items()}
+
+
+def _read(argv):
+    """The namespace of ``build_parser().parse_args(argv)`` for an argv of
+    the form ``command (--flag value | --store-true-flag)*`` whose flags are
+    exact flags of that command, every value non-empty, not starting with
+    "-", of its option's type and choices, and every required option given;
+    the last of a repeated flag wins.  None for any other argv: help, a
+    leading top-level option, abbreviations, ``--flag=value``, ``--`` and
+    every argv that argparse rejects, all of which argparse reads."""
+    table = _READ_TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    flags, start, required = table
+    given = {}
+    i, n = 1, len(argv)
+    while i < n:
+        option = flags.get(argv[i])
+        if option is None:
+            return None
+        dest, convert, choices = option
+        i += 1
+        if convert is None:
+            given[dest] = True
+            continue
+        if i == n or not argv[i] or argv[i][0] == "-":
+            return None
+        try:
+            value = convert(argv[i])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+        i += 1
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**{**start, "command": argv[0], **given})
+
+
+_parser = None  # built when _read first declines an argv, then reused
 
 
 def _parse_args(argv):
-    """``_parser.parse_args(argv)``, with an argv that opens with a command
-    parsed by that command's subparser alone.
-
-    The top-level pass over such an argv only finds the command and hands
-    the rest on, so the subparser takes the rest directly, onto the
-    top-level defaults; leftovers get the top-level error, as in
-    ``parse_args``.
-    """
-    global _parser, _defaults, _subparsers
-    if _parser is None:
-        _parser = build_parser()
-        _defaults = vars(_parser.parse_args([]))
-        _subparsers = next(a.choices for a in _parser._actions
-                           if a.dest == "command")
+    """``build_parser().parse_args(argv)``: a command line that :func:`_read`
+    accepts is read from the option tables alone, and every other argv goes
+    to argparse, so that help, usage and every error are argparse's own."""
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = _subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return _parser.parse_args(argv)
-    args = argparse.Namespace(**_defaults)
-    args.command = argv[0]
-    args, extra = sub.parse_known_args(argv[1:], args)
-    if extra:
-        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     return args
 
 

@@ -296,11 +296,18 @@ class _Recurrence:
         u = UNIT_ROUNDOFF
         if m <= p:
             s = p - m + 1 - nu
-            g, used, bound = lower_gamma(s, a * b, DEFAULT_TOL)
-            scale = self.c / b ** s
-            value = scale * g
-            v = rungs[m] = _new_fpi((value, _SERIES_FINITE, used,
-                                     abs(scale) * bound + u * abs(value)))
+            try:
+                g, used, bound = lower_gamma(s, a * b, DEFAULT_TOL)
+                scale = self.c / b ** s
+                value = scale * g
+                bound = abs(scale) * bound + u * abs(value)
+                if not bound < math.inf:  # nor is the value, scale or g
+                    raise OverflowError(f"its bound is {bound}")
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise NonconvergenceError(
+                    f"ordinary integral of {self.f!r} leaves float range at "
+                    f"m = {m} ({type(exc).__name__}: {exc})") from exc
+            v = rungs[m] = _new_fpi((value, _SERIES_FINITE, used, bound))
             return v
         j = m - 1
         while j > p and j not in rungs:

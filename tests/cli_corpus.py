@@ -1,13 +1,15 @@
 """Command lines of the ``finitepart`` CLI that its parse tests and
 ``tools/bitdump.py`` share.
 
-``ARGVS`` covers every command with valid options, option abbreviations,
+``ARGVS`` covers every command with valid options, repeated options,
+option abbreviations, ``=`` forms, empty and negative values, ``--``,
 ``--format`` and ``--output`` on either side of the command, and the
 argparse rejections: unknown and ambiguous options, extra positionals,
-``--replay`` after a command, missing options and values, bad int, float
-and choice values, and help.  ``SCRIPTS`` are runs that share one working
-directory: a document saved with ``--output`` and then replayed.  Output
-files are named relative to the working directory.
+``--replay`` after a command, missing options and values, bad int, float,
+tolerance and choice values, and help.  The CLI reads some of them from
+its option tables and hands the rest to argparse.  ``SCRIPTS`` are runs
+that share one working directory: a document saved with ``--output`` and
+then replayed.  Output files are named relative to the working directory.
 """
 
 COMMANDS = ("fpi", "stieltjes", "quadratic", "specfun", "asym", "compare",
@@ -70,6 +72,21 @@ ARGVS = [
     # factor, and the recurrence's seed at ab > 1
     ["fpi", "--f", "1e300*exp(100)", "--m", "50"],
     ["fpi", "--f", "1e308*exp(5)", "--m", "1", "--a", "2"],
+    # m <= p rungs of monexp past float range: lower_gamma's x^s e^{-x}
+    # overflows, and b^s underflows to 0
+    ["fpi", "--f", "monexp(200,200)", "--m", "1", "--a", "1"],
+    ["fpi", "--f", "monexp(3,1e-110)", "--m", "1", "--a", "1"],
+    # read from the option tables: a repeated option, the last one wins,
+    # and a repeated store_true flag
+    FPI + ["--m", "2"],
+    FPI + ["--compare", "--a", "2", "--compare"],
+    # left to argparse: an = form, an empty value, a negative number as a
+    # separate argument, "--" and -h after a command's options
+    FPI + ["--nu=0.25"],
+    ["fpi", "--f", "", "--m", "1"],
+    FPI + ["--nu", "-0.5"],
+    ["fpi", "--", "--f", "exp(1)", "--m", "1"],
+    FPI + ["-h"],
     # abbreviations
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--om", "0.5"],
     ["quadratic", "--f", "exp(1)", "--om", "0.2"],
@@ -101,6 +118,9 @@ ARGVS = [
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "half"],
     FPI + ["--tol", "2"],
     FPI + ["--tol", "tiny"],
+    FPI + ["--tol", "0"],
+    ST + ["--format", "JSON"],
+    ST + ["--a"],
     ["specfun", "--family", "bessel", "--n", "1"],
     ["compare", "--op", "sweep", "--f", "exp(1)"],
     FPI + ["--format", "xml"],
@@ -111,6 +131,7 @@ ARGVS = [
     ["fpi", "--f", "bogus(1)", "--m", "1"],
     ST[:-1] + ["inf"],
     ["asym", "--f", "exp(1)", "--n", "1", "--omega", "inf"],
+    ["asym", "--f", "exp(1)", "--n", "1", "--omega", "0"],
     ["quadratic", "--f", "exp(1)", "--pe", "inf"],
     ["fpi", "--f", "1e200*poly(1e200)", "--m", "1", "--a", "2"],
     ["--replay", "missing.json"],

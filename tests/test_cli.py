@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cli_corpus
 from finitepart import cli
@@ -608,18 +611,34 @@ def test_scaled_coefficient_out_of_float_range_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
+    # each printed inf (ClosedForm) or -inf (Recurrence) with exit 0
     (["--f", "1e300*exp(100)", "--m", "50"],
      "closed form for 1e+300*Exponential(b=100) at m = 50 leaves float range"),
     (["--f", "1e308*exp(5)", "--m", "1", "--a", "2"],
      "finite-part recurrence leaves float range at m = 1"),
+    # each ended in a traceback with exit 1
+    (["--f", "monexp(200,200)", "--m", "1", "--a", "1"],
+     "ordinary integral of MonomialExp(p=200, b=200) leaves float range at "
+     "m = 1 (OverflowError: math range error)"),
+    (["--f", "monexp(3,1e-110)", "--m", "1", "--a", "1"],
+     "ordinary integral of MonomialExp(p=3, b=1e-110) leaves float range at "
+     "m = 1 (ZeroDivisionError: float division by zero)"),
 ])
-def test_scaled_finite_part_out_of_float_range_exits_3(capsys, argv,
-                                                       message):
-    # each printed inf (ClosedForm) or -inf (Recurrence) with exit 0
+def test_finite_part_out_of_float_range_exits_3(capsys, argv, message):
     assert ["fpi"] + argv in cli_corpus.ARGVS
     assert main(["fpi"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_asym_zero_omega_reaches_the_range_check(capsys):
+    # it exited 0 without the leading_value column
+    argv = ["asym", "--f", "exp(1)", "--n", "1", "--omega", "0"]
+    assert argv in cli_corpus.ARGVS
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: omega must be positive and finite; got 0.0\n")
 
 
 @pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),
@@ -781,32 +800,115 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("value") == 4
 
 
-@pytest.mark.parametrize("argv", cli_corpus.ARGVS,
-                         ids=lambda argv: " ".join(argv) or "<empty>")
-def test_parse_matches_the_whole_parser(argv, capsys):
-    # a command's argv skips the top-level pass: same namespace, or the
-    # same output and exit code
-    def outcome(parse):
+def _parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` gives, each value with its type, or its
+    exit code; then what it printed on stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         try:
-            result = ("parsed", vars(parse(argv)))
+            result = ("parsed", {k: (type(v), v)
+                                 for k, v in vars(parse(argv)).items()})
         except SystemExit as exc:
             result = ("exit", exc.code)
-        return result + tuple(capsys.readouterr())
-
-    assert outcome(cli._parse_args) == outcome(build_parser().parse_args)
+    return result + (stdout.getvalue(), stderr.getvalue())
 
 
-def test_a_command_argv_is_parsed_by_its_subparser_alone(monkeypatch,
-                                                          capsys):
+@pytest.mark.parametrize("argv", cli_corpus.ARGVS,
+                         ids=lambda argv: " ".join(argv) or "<empty>")
+def test_parse_matches_the_whole_parser(argv):
+    # read from the option tables or by argparse: the same namespace and
+    # value types, or the same output and exit code
+    assert (_parse_outcome(cli._parse_args, argv)
+            == _parse_outcome(build_parser().parse_args, argv))
+
+
+def _value(draw, dest):
+    """[a valid value] of option ``dest``, or [] for a store_true flag."""
+    kw = cli._OPTIONS[dest][1]
+    if kw.get("action") == "store_true":
+        return []
+    pool = kw.get("choices") or {
+        int: ["1", "2", "7"], float: ["0.5", "2", "1e-3", "inf"],
+        cli._parse_tol: ["1e-10", "0.25"],
+    }.get(kw.get("type"), ["exp(1)", "monexp(2,0.8)", "x.txt"])
+    return [draw(st.sampled_from(pool))]
+
+
+@st.composite
+def _argvs(draw):
+    """A command's options in shuffled order, the required ones always,
+    with at most one change that argparse alone reads or rejects (a value
+    of "bogus" is valid only for an option without type or choices)."""
+    cmd = draw(st.sampled_from(cli_corpus.COMMANDS))
+    items = [(dest, required, [cli._OPTIONS[dest][0]] + _value(draw, dest))
+             for dest, required in cli._command_options(cli._COMMANDS[cmd][2])
+             if required or draw(st.booleans())]
+    items = draw(st.permutations(items))
+    change = draw(st.sampled_from([
+        None, "abbreviation", "equals", "repeat", "dash", "empty",
+        "bad value", "unknown", "no value", "no required", "help"]))
+    valued = [i for i, (_, _, tokens) in enumerate(items) if len(tokens) == 2]
+    if change == "no required":
+        required = [i for i, (_, req, _) in enumerate(items) if req]
+        if required:
+            del items[draw(st.sampled_from(required))]
+    elif change in ("equals", "dash", "empty", "bad value",
+                    "no value") and valued:
+        i = draw(st.sampled_from(valued))
+        dest, req, (flag, value) = items[i]
+        items[i] = (dest, req, {
+            "equals": [f"{flag}={value}"], "dash": [flag, "-" + value],
+            "empty": [flag, ""], "bad value": [flag, "bogus"],
+            "no value": [flag]}[change])
+    elif change == "abbreviation" and items:
+        i = draw(st.integers(0, len(items) - 1))
+        dest, req, (flag, *value) = items[i]
+        cut = draw(st.integers(3, max(3, len(flag) - 1)))
+        items[i] = (dest, req, [flag[:cut], *value])
+    elif change == "repeat" and items:
+        i = draw(st.integers(0, len(items) - 1))
+        dest, _, (flag, *_) = items[i]
+        items.insert(draw(st.integers(i + 1, len(items))),
+                     (dest, False, [flag] + _value(draw, dest)))
+    elif change in ("unknown", "help"):
+        extra = ["--bogus", "1"] if change == "unknown" else ["-h"]
+        items.insert(draw(st.integers(0, len(items))), (None, False, extra))
+    return [cmd] + [token for _, _, tokens in items for token in tokens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_read_argvs_match_the_whole_parser(argv):
+    assert (_parse_outcome(cli._parse_args, argv)
+            == _parse_outcome(build_parser().parse_args, argv))
+
+
+def test_a_command_argv_is_read_without_argparse(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was called")
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert main(["fpi", "--f", "exp(1)", "--m", "1", "--format", "csv"]) == 0
+    assert repr(-EULER_GAMMA) in capsys.readouterr().out
+    assert cli._parser is None
+
+
+def test_a_declined_argv_goes_to_the_whole_parser(monkeypatch, capsys):
     cli._parse_args([])  # builds the parser
-    top, whole = [], cli._parser.parse_args
+    whole, seen = cli._parser.parse_args, []
     monkeypatch.setattr(cli._parser, "parse_args",
-                        lambda argv: top.append(argv) or whole(argv))
+                        lambda argv: seen.append(argv) or whole(argv))
     assert main(["fpi", "--f", "exp(1)", "--m", "1"]) == 0
     assert "value" in capsys.readouterr().out
-    assert top == []
-    main(["--format", "json", "fpi", "--f", "exp(1)", "--m", "1"])
-    assert top == [["--format", "json", "fpi", "--f", "exp(1)", "--m", "1"]]
+    assert seen == []
+    for argv in (["--format", "json", "fpi", "--f", "exp(1)", "--m", "1"],
+                 ["fpi", "--f", "exp(1)", "--m=1"]):
+        assert main(argv) == 0
+        assert seen[-1] == argv
+    capsys.readouterr()
 
 
 def test_negative_scalar_prefix_in_equals_form(capsys):

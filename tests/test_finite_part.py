@@ -416,6 +416,25 @@ def test_scaled_finite_parts_past_float_range_name_the_rung():
                                               0.0, 2.0).value)
 
 
+@pytest.mark.parametrize("p, b, message", [
+    # (ab)^s e^{-ab} overflows in lower_gamma
+    (200, 200.0, "MonomialExp(p=200, b=200) leaves float range at m = 1 "
+                 "(OverflowError: math range error)"),
+    # b^s underflows to 0
+    (3, 1e-110, "MonomialExp(p=3, b=1e-110) leaves float range at m = 1 "
+                "(ZeroDivisionError: float division by zero)"),
+])
+def test_ordinary_rungs_past_float_range_name_the_rung(p, b, message):
+    # rung m <= p of x^p e^{-bx} at a finite a is an ordinary integral
+    f = MonomialExp(p, b)
+    for _ in range(2):
+        with pytest.raises(NonconvergenceError) as info:
+            finite_part_integral(f, 1, 0.0, 1.0)
+        assert str(info.value) == "ordinary integral of " + message
+    # the rungs above p still climb from their own seed
+    assert math.isfinite(finite_part_integral(f, p + 1, 0.0, 1.0).value)
+
+
 def test_closed_form_hook_returning_none_is_named():
     class Opaque(Exponential):
         def fpi_infinite(self, m, nu):

@@ -26,10 +26,11 @@ in.  Three parts are printed:
           and LeadingBehavior), so that a change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
           the argv corpus of ``tests/cli_corpus.py`` (of this checkout, so
-          both dumps run the same calls), each in a fresh working
-          directory, then its save-then-``--replay`` scripts; one line per
-          call with the exit code, stdout, stderr and the text of every
-          file in the working directory
+          both dumps run the same calls, read from the option tables or
+          by argparse), each in a fresh working directory, then its
+          save-then-``--replay`` scripts; one line per call with the exit
+          code, stdout, stderr and the text of every file in the working
+          directory
 
 A transform or quadratic-kernel result prints as the tuple (naive_sum,
 singular, total, k_used, tail_estimate, converged, route, direct),
@@ -225,6 +226,8 @@ def run_cli(main, argv):
             code = main(argv)
         except SystemExit as exc:  # argparse: a rejected argv or help
             code = exc.code
+        except Exception as exc:  # a traceback and exit 1 from the shell
+            code = f"{type(exc).__name__}: {exc}"
     return code, stdout.getvalue(), stderr.getvalue()
 
 
