@@ -35,12 +35,14 @@ from .asymptotic import classify
 from .entire import BinomialPoly, Exponential, MonomialExp, Polynomial
 from .errors import FinitePartError, NonconvergenceError
 from .finite_part import finite_part_integral
-from .oracles import fpi_epsilon_oracle, quad_adaptive
+from .oracles import fpi_epsilon_oracle, transform_oracle
+from .oracles import quad_adaptive  # noqa: F401 (bench/tracer.py wraps it)
 from .series import check_tol
 from .specfun import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
                       gauss2f1_branch, gauss2f1_integer, kummer_u)
-from .stieltjes import (TransformSpec, eval_quadratic, evaluate_transform,
+from .stieltjes import (TransformSpec, evaluate_transform,
                         effective_diffusivity, peclet_omega)
+from .stieltjes import eval_quadratic  # noqa: F401 (bench/tracer.py wraps it)
 
 SWEEP_COLUMNS = ["omega", "naive_sum", "singular", "total", "k_used",
                  "tail_estimate", "route", "direct", "oracle", "rel_diff",
@@ -170,77 +172,6 @@ def _need(prm, what, names):
             raise ValueError(f"{what} needs {_OPTIONS[name][0]}")
 
 
-def _transform_row(omega, res):
-    return {
-        "omega": omega,
-        "naive_sum": res.naive_sum,
-        "singular": res.singular,
-        "total": res.total,
-        "k_used": res.k_used,
-        "tail_estimate": res.tail_estimate,
-        "route": res.route,
-        "direct": res.direct,  # None on the series route
-        "flag": "" if res.converged else "nonconverged",
-    }
-
-
-def _kernel_oracle(what, omega, a, kernel):
-    """QUADPACK's value of a kernel integral on [0, a], taken in a
-    variable s that flattens the kernel's peak at x ~ omega.
-
-    ``kernel(top)`` gives (mapped, s_top, plain): the integrand in s, the s
-    of x = top, and the integrand in x.  ``mapped`` is integrated over [0,
-    s_top] with top = a at a finite a; at a = inf, top = max(1, omega) and
-    ``plain`` is integrated over [top, inf) as well.  A piece that QUADPACK
-    does not converge on, and a scale, range or value out of float range,
-    raise NonconvergenceError naming the oracle and omega.
-    """
-    top = a if a < math.inf else max(1.0, omega)
-    try:
-        mapped, s_top, plain = kernel(top)
-        if not s_top < math.inf:
-            raise OverflowError(f"{top!r} / omega leaves float range")
-        value = quad_adaptive(mapped, 0.0, s_top, tol=1e-11).value
-        if a == math.inf:
-            value += quad_adaptive(plain, top, a, tol=1e-11).value
-        if not abs(value) < math.inf:
-            raise OverflowError(f"the integral is {value}")
-    except (ArithmeticError, NonconvergenceError) as exc:
-        raise NonconvergenceError(
-            f"{what} oracle at omega = {omega!r}: {exc}") from exc
-    return value
-
-
-def _stieltjes_oracle(f, n, nu, omega, a):
-    # u = x^q = omega^q (e^s - 1), q = 1 - nu, and x = omega y: then
-    # x^-nu dx / (omega + x)^n = omega^(q-n) e^s ds / (q (1 + y)^n), which
-    # is bounded at every nu.  e^s / (1 + y)^n is taken as one exp, so that
-    # neither factor leaves float range where the quotient does not, and
-    # omega^(q-n) scales the integrand, not the integral, so that QUADPACK's
-    # absolute floor of 1e-15 is on the transform's own scale.
-    q = 1.0 - nu
-
-    def kernel(top):
-        scale = omega ** (q - n) / q
-
-        def mapped(s):
-            y = math.expm1(s) ** (1.0 / q)
-            return scale * f.eval(omega * y) * math.exp(s - n * math.log1p(y))
-
-        return (mapped, math.log1p((top / omega) ** q),
-                lambda x: f.eval(x) * x ** -nu * (omega + x) ** -n)
-
-    return _kernel_oracle("transform", omega, a, kernel)
-
-
-def _quadratic_oracle(f, omega, a):
-    # x = omega sinh s: dx / (omega^2 + x^2) = ds / (omega cosh s)
-    return _kernel_oracle("quadratic", omega, a, lambda top: (
-        lambda s: f.eval(omega * math.sinh(s)) / (omega * math.cosh(s)),
-        math.asinh(top / omega),
-        lambda x: f.eval(x) / (omega * omega + x * x)))
-
-
 def _attach_oracle(row, method_value, oracle, *args):
     """Add the oracle, abs_diff and rel_diff cells of ``oracle(*args)`` to
     the row and return True.  Where the oracle raises NonconvergenceError,
@@ -276,24 +207,36 @@ def _run_fpi(prm):
     return [row], ok
 
 
+def _transform_rows(prm, specs):
+    """One row per spec, and whether every value converged and every
+    oracle gave a value; the oracle's cells with --compare or
+    --with-oracle."""
+    rows = []
+    all_ok = True
+    for spec in specs:
+        res = evaluate_transform(spec, tol=prm["tol"], k_max=prm["kmax"])
+        row = {"omega": spec.omega, "naive_sum": res.naive_sum,
+               "singular": res.singular, "total": res.total,
+               "k_used": res.k_used, "tail_estimate": res.tail_estimate,
+               "route": res.route,
+               "direct": res.direct,  # None on the series route
+               "flag": "" if res.converged else "nonconverged"}
+        if prm["compare"] or prm["with_oracle"]:
+            all_ok &= _attach_oracle(row, res.total, transform_oracle, spec)
+        rows.append(row)
+        all_ok = all_ok and res.converged
+    return rows, all_ok
+
+
 def _run_stieltjes(prm):
     # also runs sweep; f is parsed once, so the grid points share its rungs
     f = parse_function(prm["f"])
     grid = prm["omega_grid"]
     if grid is None:
         _need(prm, "stieltjes", "omega")
-    rows = []
-    all_ok = True
-    for omega in [prm["omega"]] if grid is None else _parse_grid(grid):
-        spec = TransformSpec(f, prm["n"], omega, prm["a"], prm["nu"])
-        res = evaluate_transform(spec, tol=prm["tol"], k_max=prm["kmax"])
-        row = _transform_row(omega, res)
-        if prm["compare"] or prm["with_oracle"]:
-            all_ok &= _attach_oracle(row, res.total, _stieltjes_oracle, f,
-                                     prm["n"], prm["nu"], omega, prm["a"])
-        rows.append(row)
-        all_ok = all_ok and res.converged
-    return rows, all_ok
+    return _transform_rows(prm, (
+        TransformSpec(f, prm["n"], omega, prm["a"], prm["nu"])
+        for omega in ([prm["omega"]] if grid is None else _parse_grid(grid))))
 
 
 def _run_quadratic(prm):
@@ -316,14 +259,8 @@ def _run_quadratic(prm):
             raise ValueError("quadratic needs --omega or --pe")
         omega = peclet_omega(prm["pe"])
     f = parse_function(prm["f"])
-    res = eval_quadratic(f, omega, prm["a"], tol=prm["tol"],
-                         k_max=prm["kmax"])
-    row = _transform_row(omega, res)
-    ok = res.converged
-    if prm["compare"]:
-        ok &= _attach_oracle(row, res.total, _quadratic_oracle, f, omega,
-                             prm["a"])
-    return [row], ok
+    return _transform_rows(prm, [
+        TransformSpec(f, 1, omega, prm["a"], 0.0, "quadratic")])
 
 
 def _run_specfun(prm):

@@ -244,14 +244,6 @@ class Polynomial(TaylorFunction):
         self.coeffs = tuple(coeffs)
         self.lowest = lowest
 
-    @classmethod
-    def from_dict(cls, terms: dict) -> "Polynomial":
-        terms = {_integer(k, "Polynomial exponent"): c
-                 for k, c in terms.items()}
-        lo = min(terms)
-        hi = max(terms)
-        return cls([terms.get(k, 0.0) for k in range(lo, hi + 1)], lowest=lo)
-
     @property
     def degree(self) -> int:
         return self.lowest + len(self.coeffs) - 1

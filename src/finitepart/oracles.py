@@ -10,6 +10,8 @@ series representations used elsewhere in the package:
 * :func:`fpi_epsilon_oracle` evaluates a finite part straight from its
   definition: the divergent part in eps is removed analytically, so the
   eps -> 0 limit is one ordinary integral of the Taylor remainder.
+* :func:`transform_oracle` takes a transform by :func:`quad_adaptive` in
+  a variable that flattens its kernel's peak at x ~ omega.
 
 scipy is imported by the quadrature on its first call, so importing this
 module needs only the standard library.
@@ -186,3 +188,53 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
     rem = quad_adaptive(lambda u: _taylor_remainder(f, m, u ** (1.0 / q)),
                         0.0, a**q, tol=_EPS_QUAD_TOL)
     return head + rem.value / q
+
+
+def transform_oracle(spec) -> float:
+    """QUADPACK's value of the transform of a ``TransformSpec``, taken in a
+    variable s that flattens the kernel's peak at x ~ omega: over [0, s_top],
+    s_top the s of x = top, with top = a at a finite a; at a = inf, top =
+    max(1, omega), and the integrand in x over [top, inf) is added.  A piece
+    that QUADPACK does not converge on, and a scale, range or value out of
+    float range, raise NonconvergenceError naming the oracle ("transform"
+    or "quadratic") and omega.
+    """
+    f, n, omega, a, nu, kernel = spec
+    top = a if a < math.inf else max(1.0, omega)
+    try:
+        if kernel == "pole":
+            # u = x^q = omega^q (e^s - 1), q = 1 - nu, and x = omega y:
+            # then x^-nu dx / (omega + x)^n = omega^(q-n) e^s ds / (q (1 +
+            # y)^n), which is bounded at every nu.  e^s / (1 + y)^n is
+            # taken as one exp, so that neither factor leaves float range
+            # where the quotient does not, and omega^(q-n) scales the
+            # integrand, not the integral, so that QUADPACK's absolute
+            # floor of 1e-15 is on the transform's own scale.
+            q = 1.0 - nu
+            scale = omega ** (q - n) / q
+
+            def mapped(s):
+                y = math.expm1(s) ** (1.0 / q)
+                return scale * f.eval(omega * y) * math.exp(
+                    s - n * math.log1p(y))
+
+            s_top = math.log1p((top / omega) ** q)
+            plain = lambda x: f.eval(x) * x ** -nu * (omega + x) ** -n
+        else:
+            # x = omega sinh s: dx / (omega^2 + x^2) = ds / (omega cosh s)
+            mapped = lambda s: (f.eval(omega * math.sinh(s))
+                                / (omega * math.cosh(s)))
+            s_top = math.asinh(top / omega)
+            plain = lambda x: f.eval(x) / (omega * omega + x * x)
+        if not s_top < math.inf:
+            raise OverflowError(f"{top!r} / omega leaves float range")
+        value = quad_adaptive(mapped, 0.0, s_top, tol=1e-11).value
+        if a == math.inf:
+            value += quad_adaptive(plain, top, a, tol=1e-11).value
+        if not abs(value) < math.inf:
+            raise OverflowError(f"the integral is {value}")
+    except (ArithmeticError, NonconvergenceError) as exc:
+        what = "transform" if kernel == "pole" else "quadratic"
+        raise NonconvergenceError(
+            f"{what} oracle at omega = {omega!r}: {exc}") from exc
+    return value

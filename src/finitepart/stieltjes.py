@@ -13,8 +13,9 @@ term-by-term integration misses.  The singular part carries the dominant
 behavior as omega -> 0 whenever the zero order of f at the origin is
 below n.  :func:`evaluate_transform` computes both parts for every nu;
 only the singular term depends on the case.  The quadratic kernel
-1/(omega^2 + x^2) follows the same pattern with residues at +-i omega,
-which is what the high-Peclet effective diffusivity expansion needs.
+1/(omega^2 + x^2), a spec's kernel "quadratic", follows the same pattern
+with residues at +-i omega, which is what the high-Peclet effective
+diffusivity expansion needs.
 
 The split converges like (omega/a)^k and, on f = c x^p e^{-bx}, its pole
 term grows like e^{b omega}, which the naive series must cancel.  So two
@@ -63,29 +64,47 @@ class _SpecFields(NamedTuple):
     omega: float
     a: float = math.inf
     nu: float = 0.0
+    kernel: str = "pole"
 
 
 class TransformSpec(_SpecFields):
-    """One generalized Stieltjes evaluation: int_0^a x^{-nu} f/(omega+x)^n;
-    a NamedTuple, so it unpacks as (f, n, omega, a, nu).  The constructor
-    checks the fields, and so do ``_make`` and ``_replace``, which go
-    through it."""
+    """One transform evaluation: int_0^a x^{-nu} f(x) K(x) dx with the
+    kernel K = (omega+x)^{-n} ("pole") or 1/(omega^2+x^2) ("quadratic",
+    which takes n = 1 and nu = 0, and omega^2 a finite float); a
+    NamedTuple, so it unpacks as (f, n, omega, a, nu, kernel).  The
+    constructor checks the fields, and so do ``_make`` and ``_replace``,
+    which go through it."""
 
     __slots__ = ()
 
     def __new__(cls, f: TaylorFunction, n: int, omega: float,
-                a: float = math.inf, nu: float = 0.0):
-        if not (isinstance(n, int) and n >= 1):
-            raise ValueError("transform order n must be an integer >= 1")
-        if not (0.0 <= nu < 1.0):
-            raise ValueError("branch exponent nu must lie in [0, 1)")
+                a: float = math.inf, nu: float = 0.0, kernel: str = "pole"):
+        pole = kernel == "pole"
+        if pole:
+            if not (isinstance(n, int) and n >= 1):
+                raise ValueError("transform order n must be an integer >= 1")
+            if not (0.0 <= nu < 1.0):
+                raise ValueError("branch exponent nu must lie in [0, 1)")
+        elif kernel != "quadratic":
+            raise ValueError("kernel must be 'pole' or 'quadratic'; got "
+                             f"{kernel!r}")
+        elif not (n == 1 and nu == 0.0):
+            raise ValueError("the quadratic kernel takes n = 1 and nu = 0")
         if not omega > 0.0:
             raise ValueError("omega must be positive")
-        if not a > 0.0:
+        if pole and not a > 0.0:
             raise ValueError("upper limit a must be positive")
-        if not omega < a:
+        if not (omega < a or not pole and a == math.inf):
             raise ValueError("expansion requires omega < a")
-        return tuple.__new__(cls, (f, n, omega, a, nu))
+        if not pole:
+            try:
+                square = omega**2
+            except OverflowError:
+                square = math.inf
+            if square == math.inf:
+                raise ValueError(f"omega = {omega!r} is too large: omega^2 "
+                                 "leaves float range")
+        return tuple.__new__(cls, (f, n, omega, a, nu, kernel))
 
     @classmethod
     def _make(cls, iterable):
@@ -158,11 +177,14 @@ def singular_term_branch(f: TaylorFunction, n: int, nu: float,
     return math.pi / (math.sin(math.pi * nu) * omega**nu) * total
 
 
-def _singular(term, f, n, nu, omega):
-    """A kernel's singular term ``term(f, n, nu, omega)``;
+def _singular(kernel, f, n, nu, omega):
+    """The kernel's singular term: the pole term at nu = 0 and the
+    branch-point term at 0 < nu < 1, or the quadratic kernel's residues;
     NonconvergenceError where it leaves float range."""
     try:
-        s = term(f, n, nu, omega)
+        s = (_quadratic_singular(f, omega) if kernel == "quadratic"
+             else singular_term_integer(f, n, omega) if nu == 0.0
+             else singular_term_branch(f, n, nu, omega))
         if abs(s) < math.inf:
             return s
         why = repr(s)
@@ -172,15 +194,8 @@ def _singular(term, f, n, nu, omega):
                               f"leaves float range ({why})")
 
 
-def _pole_singular(f, n, nu, omega):
-    """The pole term at nu = 0, the branch-point term at 0 < nu < 1."""
-    return (singular_term_integer(f, n, omega) if nu == 0.0
-            else singular_term_branch(f, n, nu, omega))
-
-
-def _quadratic_singular(f, n, nu, omega):
-    """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega;
-    n and nu, of the signature of :func:`_pole_singular`, are not used."""
+def _quadratic_singular(f, omega):
+    """The residues of f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega."""
     fi = f.eval_complex(1j * omega)
     return (math.pi / (2.0 * omega)) * fi.real \
         - (math.log(omega) / omega) * fi.imag
@@ -193,10 +208,24 @@ def _pole_kernel(omega, n, xs, gs):
     return sum(map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n))))
 
 
-def _quadratic_kernel(omega, n, xs, gs):
-    """sum_i g_i / (omega^2 + x_i^2) over a level; n is not used."""
+def _quadratic_kernel(omega, xs, gs):
+    """sum_i g_i / (omega^2 + x_i^2) over a level."""
     return sum(map(truediv, gs, map(add, map(mul, xs, xs),
                                     repeat(omega * omega))))
+
+
+def _tail_scale(kernel, n, nu, omega):
+    """sup of x^{1-nu} K(x) over x >= SPLIT_POINT = 1: for the quadratic
+    kernel at x = max(1, omega); for the pole kernel at x = inf at n = 1 and
+    nu = 0, else at x = max(1, (1-nu) omega/(n-1+nu)), formed as
+    (x/y)^{1-nu} y^{1-nu-n}, y = omega + x, whose powers cannot overflow."""
+    if kernel == "quadratic":
+        return 0.5 / omega if omega >= 1.0 else 1.0 / (1.0 + omega * omega)
+    if n == 1 and nu == 0.0:
+        return 1.0
+    x = max(SPLIT_POINT, (1.0 - nu) * omega / (n - 1 + nu))
+    y = omega + x
+    return (x / y) ** (1.0 - nu) * y ** (1.0 - nu - n)
 
 
 def _routed(f, omega, a):
@@ -207,18 +236,19 @@ def _routed(f, omega, a):
     return omega > 0.5 * SPLIT_POINT and splits_at_infinity(f)
 
 
-def _direct(f, n, nu, a, tol, kernel):
+def _direct(f, n, nu, omega, a, tol, kernel):
     """(the transform integrated directly, its bound by
     :func:`~finitepart.quadrature.integrate`), or None where that fails.
 
     The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
     first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
     nodes of the split's rung source on [SPLIT_POINT, inf) times x^{-nu}.
-    ``kernel(xs, gs)`` sums a level's values times the kernel of order n,
-    which is largest at x = 0 and is formed within (n + 2) u; x^{-nu} adds
-    3u, and on [SPLIT_POINT, inf) the kernel times x^{1-nu} is at most 1.
-    None where a rule raises, or the sum of the rules' changes is not
-    within tol |direct| by the level cap.
+    A level's values are summed times the kernel by :func:`_pole_kernel` or
+    :func:`_quadratic_kernel`; the kernel is largest at x = 0 and is formed
+    within (n + 2) u, n = 0 for the quadratic kernel, and x^{-nu} adds 3u.
+    On [SPLIT_POINT, inf) the kernel times x^{1-nu} is at most
+    :func:`_tail_scale`.  None where a rule raises, or the sum of the
+    rules' changes is not within tol |direct| by the level cap.
     """
     check_nu(nu)
     try:
@@ -231,47 +261,20 @@ def _direct(f, n, nu, a, tol, kernel):
         rule = lad.rule
         if rule is None:
             rule = lad.rule = TanhSinh(f, nu, top)
-        c = n + 5
-        parts = [(rule, kernel, kernel((0.0,), (1.0,)), c)]
+        if kernel == "pole":
+            level, c = partial(_pole_kernel, omega, n), n + 5
+        else:
+            level, c = partial(_quadratic_kernel, omega), 5
+        parts = [(rule, level, level((0.0,), (1.0,)), c)]
         if top < a:
             tail = rung_source(f, lad, nu, a).exp_sinh()
-            parts.append((tail, kernel if nu == 0.0 else (
-                lambda xs, gs: kernel(xs, map(mul, gs, map(
-                    pow, xs, repeat(-nu))))), 1.0, c))
+            parts.append((tail, level if nu == 0.0 else (
+                lambda xs, gs: level(xs, map(mul, gs, map(
+                    pow, xs, repeat(-nu))))),
+                _tail_scale(kernel, n, nu, omega), c))
         return integrate(parts, tol)
     except (ArithmeticError, FinitePartError):
         return None
-
-
-def _transform(f, n, nu, omega, a, tol, k_max, series, singular, kernel,
-               shape=None):
-    """The transform with the singular term ``singular(f, n, nu, omega)``,
-    computed first by :func:`_singular`, and the level sums
-    ``kernel(omega, n, xs, gs)``: the
-    closed route of :func:`_closed` on f's (p, b, c) ``shape`` where given;
-    else, where k_max is None, the integral of :func:`_direct` where
-    :func:`_routed` holds and it converges; elsewhere the naive series of
-    :func:`_naive_series` at ``series`` = (m0, step, binomial order,
-    ostep).  Both integrals are accepted by the rule of ExpansionResult."""
-    if k_max is not None and k_max < 0:
-        raise ValueError(f"k_max must be >= 0; got {k_max}")
-    sing = _singular(singular, f, n, nu, omega)
-    got = None
-    if shape is not None:
-        got, route = _closed(*shape, n, omega, a), "closed"
-    elif k_max is None and _routed(f, omega, a):
-        got, route = _direct(f, n, nu, a, tol,
-                             partial(kernel, omega, n)), "direct"
-    if got is not None:
-        direct, bound = got
-        naive = direct - sing
-        tail = abs(naive + sing - direct) + bound
-        return _new_result((naive, sing, naive + sing, 0, tail,
-                            tail <= tol * abs(direct), route, direct))
-    naive, k_used, tail, ok = _naive_series(
-        f, nu, a, *series, tol, TERM_CAP if k_max is None else k_max)
-    return _new_result((naive, sing, naive + sing, k_used, tail, ok,
-                        "series", None))
 
 
 def _closed(p, b, c, n, omega, a):
@@ -386,54 +389,66 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
 
 def evaluate_transform(spec: TransformSpec, tol: float = DEFAULT_EVAL_TOL,
                        k_max: int = None) -> ExpansionResult:
-    """Evaluate int_0^a x^{-nu} f/(omega+x)^n dx by its exact decomposition.
+    """Evaluate the transform of ``spec`` by its exact decomposition.
 
-    The naive series is the same for every nu; the singular part is the
-    pole term at nu = 0 and the branch-point term at 0 < nu < 1.  ``tol``
-    must lie in (0, 1).  Unless ``k_max`` is given, the closed route is
-    taken at nu = 0 for c x^p e^{-bx} with p < n and b omega > 1, and the
-    direct route is tried first at a finite a with omega > a/2 and, for f
-    without a closed form there, at a = inf with omega > SPLIT_POINT/2
-    (see the module docstring and ``ExpansionResult``).
+    The naive series is sum_k binom(-n,k) omega^k FPI(f, n+k, nu, a) for
+    the pole kernel, whose singular part is the pole term at nu = 0 and the
+    branch-point term at 0 < nu < 1, and sum_k (-1)^k omega^{2k}
+    FPI(f, 2k+2, 0, a) for the quadratic kernel, whose residues of
+    f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega supply the missing
+    (pi/(2 omega)) Re f(i omega) - (ln omega / omega) Im f(i omega).
+    ``tol`` must lie in (0, 1).  Unless ``k_max`` is given, the closed route
+    is taken for the pole kernel at nu = 0 for c x^p e^{-bx} with p < n and
+    b omega > 1, and the direct route is tried first at a finite a with
+    omega > a/2 and, for f without a closed form there, at a = inf with
+    omega > SPLIT_POINT/2 (see the module docstring and ``ExpansionResult``).
     """
     check_tol(tol)
-    f, n, omega, a, nu = spec
-    shape = None
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0; got {k_max}")
+    f, n, omega, a, nu, kernel = spec
     if nu == 0.0:
         nu = 0.0  # an int 0 shares the float rungs (see the ladder key)
-        shape = f.exp_family() if k_max is None else None
-        if shape is not None and (shape[0] >= n or shape[1] * omega <= 1.0):
-            shape = None  # the closed route needs p < n and b omega > 1
-    return _transform(f, n, nu, omega, a, tol, k_max, (n, 1, n, omega),
-                      _pole_singular, _pole_kernel, shape)
+    shape = None
+    if kernel == "pole":
+        series = (n, 1, n, omega)
+        if nu == 0.0 and k_max is None:
+            shape = f.exp_family()  # the closed route: p < n, b omega > 1
+            if shape is not None and (shape[0] >= n
+                                      or shape[1] * omega <= 1.0):
+                shape = None
+    else:
+        series = (2, 2, 1, omega**2)
+    sing = _singular(kernel, f, n, nu, omega)
+    got = None
+    if shape is not None:
+        got, route = _closed(*shape, n, omega, a), "closed"
+    elif k_max is None and _routed(f, omega, a):
+        got, route = _direct(f, n, nu, omega, a, tol, kernel), "direct"
+    if got is not None:
+        direct, bound = got
+        naive = direct - sing
+        tail = abs(naive + sing - direct) + bound
+        return _new_result((naive, sing, naive + sing, 0, tail,
+                            tail <= tol * abs(direct), route, direct))
+    naive, k_used, tail, ok = _naive_series(
+        f, nu, a, *series, tol, TERM_CAP if k_max is None else k_max)
+    return _new_result((naive, sing, naive + sing, k_used, tail, ok,
+                        "series", None))
+
+
+# the core under a private name: bench/tracer.py wraps the public one, so
+# that eval_quadratic through it would nest two transform spans
+_evaluate_transform = evaluate_transform
 
 
 def eval_quadratic(f: TaylorFunction, omega: float, a: float = math.inf,
                    tol: float = DEFAULT_EVAL_TOL,
                    k_max: int = None) -> ExpansionResult:
-    """Evaluate int_0^a f(x)/(omega^2+x^2) dx by its exact decomposition.
-
-    The naive part integrates the expansion of the kernel term by term,
-    sum_k (-1)^k omega^{2k} FPI(f, 2k+2, 0, a); the residues of
-    f(z) (log z - i pi)/(omega^2+z^2) at z = +-i omega supply the missing
-    (pi/(2 omega)) Re f(i omega) - (ln omega / omega) Im f(i omega).
-    ``tol`` must lie in (0, 1), and omega^2 must be a finite float.  The
-    direct route is tried first as in :func:`evaluate_transform`.
-    """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    check_tol(tol)
-    if not (math.isinf(a) or omega < a):
-        raise ValueError("expansion requires omega < a")
-    try:
-        square = omega**2
-    except OverflowError:
-        square = math.inf
-    if square == math.inf:
-        raise ValueError(f"omega = {omega!r} is too large: omega^2 leaves "
-                         "float range")
-    return _transform(f, 0, 0.0, omega, a, tol, k_max, (2, 2, 1, square),
-                      _quadratic_singular, _quadratic_kernel)
+    """int_0^a f(x)/(omega^2+x^2) dx: :func:`evaluate_transform` of the
+    quadratic kernel's spec."""
+    return _evaluate_transform(
+        TransformSpec(f, 1, omega, a, 0.0, "quadratic"), tol, k_max)
 
 
 def peclet_omega(peclet: float) -> float:

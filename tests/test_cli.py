@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cli_corpus
-from finitepart import cli
+from finitepart import cli, oracles
 from finitepart.cli import (RunConfig, build_parser, main, parse_function,
                             render, run)
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
@@ -340,35 +340,34 @@ def test_kernel_oracles_match_mpmath(text, a):
     for omega in _oracle_omegas(a):
         cases = [(n, nu) for n in (1, 3) for nu in (0.0, 0.25, 0.5, 0.75)]
         for n, nu in cases + [(None, 0.0)]:
-            if n is None:
-                got = cli._quadratic_oracle(f, omega, a)
-            else:
-                got = cli._stieltjes_oracle(f, n, nu, omega, a)
+            spec = (TransformSpec(f, 1, omega, a, kernel="quadratic")
+                    if n is None else TransformSpec(f, n, omega, a, nu))
+            got = oracles.transform_oracle(spec)
             ref = _kernel_reference(text, a, omega, n, nu)
             assert abs(got - ref) <= 1e-11 * abs(ref), (n, nu, omega)
 
 
-@pytest.mark.parametrize("oracle, args, parent", [
-    ("_stieltjes_oracle", ("exp(1.42)", 1, 0.0, 0.00136, 1.98), 336),
-    ("_stieltjes_oracle", ("monexp(1,1.72)", 2, 0.25, 0.002235, math.inf),
-     618),
-    ("_quadratic_oracle", ("monexp(1,1.22)", 0.0181, math.inf), 324),
+@pytest.mark.parametrize("kernel, args, parent", [
+    ("pole", ("exp(1.42)", 1, 0.00136, 1.98), 336),
+    ("pole", ("monexp(1,1.72)", 2, 0.002235, math.inf, 0.25), 618),
+    ("quadratic", ("monexp(1,1.22)", 1, 0.0181, math.inf), 324),
 ])
-def test_kernel_oracles_take_few_evaluations(monkeypatch, oracle, args,
+def test_kernel_oracles_take_few_evaluations(monkeypatch, kernel, args,
                                              parent):
     # ``parent``: QUADPACK evaluations with breakpoints at omega, 10 omega
     # and 1 in x (and x = t^2 at nu > 0); in the flattening variable they
     # fall to 63, 366 and 198
     counts = []
-    real = cli.quad_adaptive
+    real = oracles.quad_adaptive
 
     def counted(*pos, **kw):
         res = real(*pos, **kw)
         counts.append(res.evaluations)
         return res
 
-    monkeypatch.setattr(cli, "quad_adaptive", counted)
-    getattr(cli, oracle)(parse_function(args[0]), *args[1:])
+    monkeypatch.setattr(oracles, "quad_adaptive", counted)
+    oracles.transform_oracle(TransformSpec(parse_function(args[0]), *args[1:],
+                                           kernel=kernel))
     assert sum(counts) <= 0.65 * parent
 
 

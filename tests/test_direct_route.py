@@ -22,7 +22,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finitepart import stieltjes
 from finitepart.cli import parse_function
@@ -36,7 +36,8 @@ from finitepart.gammafn import UNIT_ROUNDOFF
 from finitepart.quadrature import TanhSinh, integrate
 from finitepart.series import TERM_CAP
 from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _closed,
-                                  eval_quadratic, evaluate_transform)
+                                  _tail_scale, eval_quadratic,
+                                  evaluate_transform)
 
 U = UNIT_ROUNDOFF
 TOL = DEFAULT_EVAL_TOL
@@ -479,3 +480,79 @@ def test_quadratic_singular_overflow_raises_nonconvergence(kw):
                              r" at omega = 28\.5 leaves float range "
                              r"\(OverflowError"):
         eval_quadratic(gauss(1.0), 28.5, 30.0, **kw)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shape=st.one_of(SHAPES, STREAMS,
+                       st.tuples(st.just("expstream"), st.just(()))),
+       a=st.one_of(st.floats(0.1, 60.0), st.just(math.inf)),
+       share=st.floats(0.01, 0.95),
+       k_max=st.one_of(st.none(), st.integers(0, 60)),
+       tol=st.sampled_from([1e-12, 1e-6]))
+@example(("exp", (1.0,)), 2.0, 0.1, None, 1e-12)  # series
+@example(("exp", (1.0,)), 2.0, 0.9, None, 1e-12)  # direct at a finite a
+@example(("expstream", ()), math.inf, 0.9, None, 1e-12)  # direct at inf
+@example(("expstream", ()), math.inf, 0.9, 12, 1e-12)  # k_max: series
+def test_eval_quadratic_is_the_quadratic_spec_bit_for_bit(shape, a, share,
+                                                          k_max, tol):
+    name, params = shape
+    omega = share * (a if a < math.inf else 30.0)
+
+    def spec_outcome(f):
+        try:
+            return tuple(evaluate_transform(
+                TransformSpec(f, 1, omega, a, kernel="quadratic"), tol, k_max))
+        except (FinitePartError, ArithmeticError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    make = FAMILIES[name][0]
+    want = outcome(lambda: make(*params), 0, 0.0, a, omega, tol=tol,
+                   k_max=k_max)
+    assert repr(spec_outcome(make(*params))) == repr(want)
+
+
+@pytest.mark.parametrize("omega", [20.0, 30.0])
+def test_quadratic_exp_sinh_tail_is_bounded_by_the_kernel(omega):
+    # with the exp-sinh tail's rounding taken at the scale 1.0, not at
+    # x/(omega^2+x^2) <= 1/(2 omega), the bound was 3.0e-15 against
+    # tol |direct| of 2.5e-15 and 1.1e-15: flagged, at a true error of
+    # 1.2e-17 and 6.9e-18
+    make_f, make_mp = FAMILIES["expstream"]
+    res = eval_quadratic(make_f(), omega)
+    ref = reference(make_mp(), 0, 0.0, math.inf, omega)
+    assert (res.route, res.converged) == ("direct", True)
+    assert abs(mpmath.mpf(res.total) - ref) <= res.tail_estimate \
+        <= TOL * abs(res.direct)
+    assert abs(mpmath.mpf(res.total) - ref) <= TOL * abs(ref)
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.6, 1.0, 2.5, 30.0, 1e200])
+@pytest.mark.parametrize("n, nu", [(0, 0.0), (1, 0.0), (1, 0.25), (2, 0.0),
+                                   (2, 0.5), (3, 0.25)])
+def test_tail_scale_is_the_kernels_supremum_past_the_split(n, nu, omega):
+    # x^{1-nu} K(x) on x >= 1, K = 1/(omega^2+x^2) at n = 0: sampled on a
+    # geometric grid through the peak, it never exceeds the scale, and at
+    # the peak it is the scale, within the rounding of a few operations
+    # (absolute where the supremum underflows, as at omega = 1e200, n = 3)
+    kernel = "quadratic" if n == 0 else "pole"
+    scale = _tail_scale(kernel, n, nu, omega)
+    tiny = 4 * math.ulp(0.0)
+    with mpmath.workdps(40):
+        w = mpmath.mpf(omega)
+
+        def g(x):
+            x = mpmath.mpf(x)
+            k = 1 / (w * w + x * x) if n == 0 else (w + x) ** -n
+            return x ** (1 - mpmath.mpf(nu)) * k
+
+        top = math.log(1e3 * max(SPLIT_POINT, omega))
+        grid = [SPLIT_POINT * math.exp(top * i / 4000) for i in range(4001)]
+        assert max(map(g, grid)) <= scale * (1 + 4 * U) + tiny
+        if n == 1 and nu == 0.0:
+            assert scale == 1.0
+            return
+        if n == 0:
+            peak = max(SPLIT_POINT, omega)
+        else:
+            peak = max(SPLIT_POINT, (1 - nu) * omega / (n - 1 + nu))
+        assert abs(g(peak) - scale) <= 8 * U * g(peak) + tiny

@@ -118,8 +118,6 @@ def test_polynomial_trimming_and_validation():
     assert p.lowest == 1 and p.degree == 1
     with pytest.raises(ValueError):
         Polynomial([0.0, 0.0])
-    q = Polynomial.from_dict({2: 5.0})
-    assert q.coeff(2) == 5.0 and q.coeff(1) == 0.0
 
 
 @pytest.mark.parametrize("make,named", [
@@ -208,13 +206,6 @@ def test_coefficients_alone_give_a_finite_a_transform(omega, route):
         ref = mpmath.quad(integrand, [0, mpmath.mpf(2) ** (1 / k)])
     assert (res.route, res.converged) == (route, True)
     assert abs(res.total - ref) <= 1e-12 * abs(ref)
-
-
-def test_polynomial_from_dict_checks_its_exponents():
-    p = Polynomial.from_dict({2.0: 1.0})
-    assert p.lowest == 2 and p.degree == 2 and p.coeff(2) == 1.0
-    with pytest.raises(ValueError, match="must be an integer"):
-        Polynomial.from_dict({1.5: 1.0})
 
 
 def test_custom_series_contract():

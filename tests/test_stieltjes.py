@@ -1,16 +1,18 @@
 import cmath
+import importlib.util
 import inspect
 import math
 import pickle
 import sys
 from itertools import count
+from pathlib import Path
 
 import pytest
 from scipy import special
 
 from finitepart import stieltjes
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
-                               MonomialExp, Polynomial)
+                               MonomialExp, Polynomial, TaylorFunction)
 from finitepart.errors import DivergentIntegralError, NonconvergenceError
 from finitepart.finite_part import finite_part_integral
 from finitepart.gammafn import pochhammer
@@ -382,14 +384,16 @@ def test_records_print_as_the_dataclasses_did():
         "ExpansionResult(naive_sum=0.5, singular=0.25, total=0.75, "
         "k_used=0, tail_estimate=2e-16, converged=False, route='direct', "
         "direct=0.75)")
+    # and the spec's, with the kernel field added after them
     assert repr(TransformSpec(Exponential(2.5), 3, 0.25, 1.0, 0.5)) == (
         "TransformSpec(f=Exponential(b=2.5), n=3, omega=0.25, a=1.0, "
-        "nu=0.5)")
+        "nu=0.5, kernel='pole')")
 
 
 @pytest.mark.parametrize("cls, text", [
     (TransformSpec, "(f: finitepart.entire.TaylorFunction, n: int, "
-                    "omega: float, a: float = inf, nu: float = 0.0)"),
+                    "omega: float, a: float = inf, nu: float = 0.0, "
+                    "kernel: str = 'pole')"),
     (ExpansionResult, "(naive_sum: float, singular: float, total: float, "
                       "k_used: int, tail_estimate: float, converged: bool = "
                       "True, route: str = 'series', direct: float = None)"),
@@ -426,8 +430,43 @@ def test_spec_replace_and_make_run_the_constructor_checks():
         TransformSpec._make(iter((EXP1, 1, 0.5, 0.0, 0.0)))
     moved = spec._replace(omega=0.25, nu=0.5)
     assert type(moved) is TransformSpec
-    assert moved == (EXP1, 1, 0.25, 1.0, 0.5)
+    assert moved == (EXP1, 1, 0.25, 1.0, 0.5, "pole")
     assert TransformSpec._make(moved) == moved
+    with pytest.raises(ValueError, match="the quadratic kernel takes"):
+        spec._replace(n=2, kernel="quadratic")
+    assert spec._replace(kernel="quadratic").kernel == "quadratic"
+
+
+@pytest.mark.parametrize("args, kw, message", [
+    ((EXP1, 1, 0.5), {"kernel": "cauchy"},
+     "kernel must be 'pole' or 'quadratic'; got 'cauchy'"),
+    ((EXP1, 2, 0.5), {"kernel": "quadratic"},
+     "the quadratic kernel takes n = 1 and nu = 0"),
+    ((EXP1, 1, 0.5), {"nu": 0.25, "kernel": "quadratic"},
+     "the quadratic kernel takes n = 1 and nu = 0"),
+    # eval_quadratic's own checks, with its messages, in its order
+    ((EXP1, 1, -0.1, math.inf), {"kernel": "quadratic"},
+     "omega must be positive"),
+    ((EXP1, 1, 0.7, 0.5), {"kernel": "quadratic"},
+     "expansion requires omega < a"),
+    ((EXP1, 1, 0.7, -1.0), {"kernel": "quadratic"},
+     "expansion requires omega < a"),
+    # a = -inf, which that check once let through to the ladder
+    ((EXP1, 1, 0.7, -math.inf), {"kernel": "quadratic"},
+     "expansion requires omega < a"),
+    ((EXP1, 1, 1e200), {"kernel": "quadratic"},
+     "omega = 1e+200 is too large: omega^2 leaves float range"),
+    ((EXP1, 1, math.inf, math.inf), {"kernel": "quadratic"},
+     "omega = inf is too large: omega^2 leaves float range"),
+])
+def test_spec_checks_its_kernel(args, kw, message):
+    with pytest.raises(ValueError) as got:
+        TransformSpec(*args, **kw)
+    assert str(got.value) == message
+    if kw == {"kernel": "quadratic"} and args[1] == 1:
+        with pytest.raises(ValueError) as got:
+            eval_quadratic(args[0], *args[2:])
+        assert str(got.value) == message
 
 
 def test_records_survive_a_pickle_round_trip():
@@ -489,10 +528,10 @@ def test_used_descriptor_and_spec_pickle(case):
 
 def test_records_build_by_keyword_and_from_their_fields():
     spec = TransformSpec(f=EXP1, n=2, omega=0.5, nu=0.25)
-    assert spec == (EXP1, 2, 0.5, math.inf, 0.25)
-    f, n, omega, a, nu = spec
-    assert (f, n, omega, a, nu) == (spec.f, spec.n, spec.omega, spec.a,
-                                    spec.nu)
+    assert spec == (EXP1, 2, 0.5, math.inf, 0.25, "pole")
+    f, n, omega, a, nu, kernel = spec
+    assert (f, n, omega, a, nu, kernel) == (spec.f, spec.n, spec.omega,
+                                            spec.a, spec.nu, spec.kernel)
     res = evaluate_transform(spec)
     assert len(res) == 8 and tuple(res) == (
         res.naive_sum, res.singular, res.total, res.k_used,
@@ -820,6 +859,29 @@ def test_every_exported_name_resolves():
 
     for name in finitepart.__all__:
         assert getattr(finitepart, name) is not None, name
+
+
+def test_every_traced_binding_resolves():
+    # bench/tracer.py installs its wrappers with getattr and no default:
+    # a binding that it names and the package drops stops the traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.FUNCTIONS) > 20
+    for module, attr, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr,
+                                None)), (module, attr)
+    for meth in tracer.ENTIRE_METHODS:
+        assert callable(getattr(TaylorFunction, meth, None)), meth
+
+
+def test_eval_quadratic_reaches_the_core_unwrapped(monkeypatch):
+    # bench/tracer.py wraps stieltjes.evaluate_transform: eval_quadratic
+    # through that name would nest two transform spans per traced op
+    want = eval_quadratic(EXP1, 0.3, 2.0)
+    monkeypatch.setattr(stieltjes, "evaluate_transform", None)
+    assert repr(eval_quadratic(EXP1, 0.3, 2.0)) == repr(want)
 
 
 def test_removed_wrappers_are_gone():

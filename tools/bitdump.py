@@ -18,10 +18,10 @@ in.  Three parts are printed:
           a = inf, each copied through pickle, and rung M_TOP + 1 of the
           copy, so that state that cannot be pickled shows; then
           transforms, quadratic-kernel values and effective diffusivities,
-          the user streams' transforms and quadratic-kernel values at
-          a = inf at STREAM_OMEGAS, and the transforms of REFUSED, whose
-          pole term swamps the value, so that they come back flagged on
-          the direct route; last, one ``repr``
+          the user streams' (gauss(c) and ``expstream``) transforms and
+          quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
+          transforms of REFUSED, whose pole term swamps the value, so that
+          they come back flagged on the direct route; last, one ``repr``
           line per public record (FpiValue, TransformSpec, ExpansionResult
           and LeadingBehavior), so that a change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
@@ -69,8 +69,8 @@ AS = (0.5, 1.0, 2.0, 4.0, 30.0, math.inf)
 OMEGA_SHARES = (1e-3, 0.05, 0.3, 0.7, 0.95)
 TOL = 1e-12  # of every transform and quadratic-kernel value
 TRANSFORM_AS = (0.5, 1.0, 2.0, 30.0, math.inf)
-# omega of the user streams at a = inf, around and past the split point
-STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0)
+# omega of the user streams at a = inf, around and far past the split point
+STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0, 10.0, 20.0, 30.0)
 # n = 1 transforms (stream, a, omega) whose pole term swamps the value:
 # the identity (direct - singular) + singular == total alone rounds by
 # more than tol |direct|, so the integral is kept and flagged
@@ -167,7 +167,8 @@ def grid_cases(child, entire, st):
     order: ``thunk()`` computes the value, on the descriptor the grid
     shares, so call each before the next is drawn.  ``reference`` is
     (function text, n, nu, a, omega), n = 0 for the quadratic kernel, or
-    None for a diffusivity; a REFUSED text is a ``make_stream`` name."""
+    None for a diffusivity; ``expstream`` and a REFUSED text are
+    ``make_stream`` names."""
     make = child.make_function
 
     def transform(f, n, w, a, nu):
@@ -195,17 +196,18 @@ def grid_cases(child, entire, st):
                 w = share * top
                 yield (f"quadratic {text} {a!r} {w!r}", (text, 0, 0.0, a, w),
                        partial(quadratic, f, w, a))
-    for text in FUNCTIONS:
-        if not text.startswith("gauss("):
-            continue
+    streams = [(text, partial(make, text)) for text in FUNCTIONS
+               if text.startswith("gauss(")]
+    streams.append(("expstream", partial(make_stream, entire, "expstream")))
+    for text, make_f in streams:
         for nu in NUS:
-            f = make(text)
+            f = make_f()
             for n in (1, 2, 3):
                 for w in STREAM_OMEGAS:
                     yield (f"transform {text} {nu!r} inf {n} {w!r}",
                            (text, n, nu, math.inf, w),
                            partial(transform, f, n, w, math.inf, nu))
-        f = make(text)
+        f = make_f()
         for w in STREAM_OMEGAS:
             yield (f"quadratic {text} inf {w!r}", (text, 0, 0.0, math.inf, w),
                    partial(quadratic, f, w, math.inf))
