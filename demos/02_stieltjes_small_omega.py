@@ -12,16 +12,17 @@ branch-point kernel where the missing piece is an omega^{-1/2} power.
 import math
 
 from finitepart import (Exponential, Polynomial, TransformSpec, classify,
-                        evaluate_transform, quad_adaptive)
+                        evaluate_transform)
+from finitepart.oracles import transform_oracle
 
 f = Exponential(1.0)
 print("S = int_0^inf exp(-x)/(omega+x) dx")
 print(f"{'omega':>10} {'naive':>14} {'singular':>14} {'total':>16} "
       f"{'quadrature':>16} {'leading -ln w':>14}")
 for omega in (1e-1, 1e-2, 1e-3, 1e-4):
-    res = evaluate_transform(TransformSpec(f, 1, omega))
-    quad = quad_adaptive(lambda x: math.exp(-x) / (omega + x), 0.0, math.inf,
-                         tol=1e-12, breakpoints=[omega, 1.0]).value
+    spec = TransformSpec(f, 1, omega)
+    res = evaluate_transform(spec)
+    quad = transform_oracle(spec)
     print(f"{omega:>10.0e} {res.naive_sum:>14.8f} {res.singular:>14.8f} "
           f"{res.total:>16.10f} {quad:>16.10f} {-math.log(omega):>14.8f}")
 

@@ -13,8 +13,9 @@ import math
 from scipy import special
 
 from finitepart import (Gauss2F1BranchParams, Gauss2F1IntParams, KummerParams,
-                        gauss2f1_branch, gauss2f1_integer, kummer_u,
-                        kummer_u_leading, quad_adaptive)
+                        MonomialExp, TransformSpec, gauss2f1_branch,
+                        gauss2f1_integer, kummer_u, kummer_u_leading)
+from finitepart.oracles import transform_oracle
 
 print("2F1(5,2;4;-zeta)  vs the tabulated (zeta+2)/(2(zeta+1)^3)")
 for zeta in (1.5, 2.0, 10.0, 100.0):
@@ -41,15 +42,13 @@ for omega in (0.25, 1.0, 3.0):
     print(f"  omega={omega:>5}: series={got:.15g}   closed={want:.15g}")
 
 print()
-print("U(2,-4,omega) for small omega: series, Laplace-integral quadrature,")
-print("and the dominant terms alone")
+print("U(2,-4,omega) for small omega: series, quadrature of its Stieltjes")
+print("form omega^5 int_0^inf x e^-x (omega+x)^-7 dx, and the dominant terms")
 for omega in (1e-1, 1e-2, 1e-3):
     p = KummerParams(2, 7, omega)
     got = kummer_u(p)
-    quad = quad_adaptive(
-        lambda t: math.exp(-omega * t) * t / (1 + t) ** 7,
-        0.0, math.inf, tol=1e-12, breakpoints=[1.0, 10.0 / omega],
-    ).value / special.gamma(2.0)
+    quad = omega**5 * transform_oracle(
+        TransformSpec(MonomialExp(1, 1.0), 7, omega))
     lead = kummer_u_leading(p)
     print(f"  omega={omega:>6}: series={got:.12g}  quadrature={quad:.12g}  "
           f"leading={lead:.12g}")

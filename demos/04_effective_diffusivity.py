@@ -12,10 +12,9 @@ so kappa_eff grows like pi * Pe / ... with a logarithmic correction the
 term-by-term route misses entirely.
 """
 
-import math
-
-from finitepart import (Exponential, effective_diffusivity, eval_quadratic,
-                        quad_adaptive)
+from finitepart import (Exponential, TransformSpec, effective_diffusivity,
+                        eval_quadratic)
+from finitepart.oracles import transform_oracle
 
 g = Exponential(1.0) * 0.5
 
@@ -25,10 +24,9 @@ for pe in (2.0, 5.0, 10.0, 50.0, 100.0, 1000.0):
     keff = effective_diffusivity(g, g, peclet=pe, kappa=1.0)
     omega = 1.0 / pe
     res = eval_quadratic(g, omega)
-    direct = quad_adaptive(
-        lambda t: pe * pe * math.exp(-t) / (1.0 + pe * pe * t * t),
-        0.0, math.inf, tol=1e-12, breakpoints=[omega, 10 * omega, 1.0],
-    ).value
+    # Pe^2 e^-t / (1 + Pe^2 t^2) = e^-t / (omega^2 + t^2)
+    direct = transform_oracle(
+        TransformSpec(Exponential(1.0), 1, omega, kernel="quadratic"))
     print(f"{pe:>8g} {keff:>18.12f} {1.0 + direct:>18.12f} "
           f"{2 * res.naive_sum:>14.8f} {2 * res.singular:>14.8f}")
 

@@ -227,13 +227,18 @@ class Polynomial(TaylorFunction):
 
     def __init__(self, coeffs, lowest: int = 0):
         super().__init__()
-        coeffs = [float(c) for c in coeffs]
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise ValueError(f"polynomial coefficient {c!r} is not finite")
         lowest = _integer(lowest, "lowest exponent")
         if lowest < 0:
             raise ValueError("lowest exponent must be >= 0")
+        coeffs = list(coeffs)
+        for i, c in enumerate(coeffs):
+            try:
+                coeffs[i] = c = float(c)
+            except OverflowError:  # an int past float range
+                raise ValueError(f"polynomial coefficient of x^{lowest + i} "
+                                 "leaves float range") from None
+            if not math.isfinite(c):
+                raise ValueError(f"polynomial coefficient {c!r} is not finite")
         while coeffs and coeffs[0] == 0.0:
             coeffs.pop(0)
             lowest += 1

@@ -389,11 +389,6 @@ def rung_source(f, lad, nu, a):
     return lad.series
 
 
-def _split_infinite(f, m, nu):
-    """The split rung m of f at a = inf, on f's ladder."""
-    return rung_source(f, f.ladder(nu, math.inf), nu, math.inf).rung(m)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -430,8 +425,8 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
         except OverflowError:  # factorials and powers at large m
             closed = math.inf
         if closed is None:  # the base hook; an override must give a number
-            if splits_at_infinity(f):
-                return _split_infinite(f, m, nu)
+            if splits_at_infinity(f):  # the split rung, on f's ladder
+                return rung_source(f, f.ladder(nu, a), nu, a).rung(m)
             raise NotImplementedError(f"{type(base).__name__}.fpi_infinite "
                                       f"returned None at m = {m}")
         value = factor * closed

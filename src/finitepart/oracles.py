@@ -4,9 +4,8 @@ Two ways to check a finite-part or transform value without touching the
 series representations used elsewhere in the package:
 
 * :func:`quad_adaptive` wraps adaptive Gauss-Kronrod quadrature (QUADPACK
-  via scipy) for convergent integrals, with a t^2 endpoint substitution
-  for algebraic singularities at the lower limit; semi-infinite ranges use
-  QUADPACK's built-in rational mapping.
+  via scipy) of a convergent integral over one interval; semi-infinite
+  ranges use QUADPACK's built-in rational mapping.
 * :func:`fpi_epsilon_oracle` evaluates a finite part straight from its
   definition: the divergent part in eps is removed analytically, so the
   eps -> 0 limit is one ordinary integral of the Taylor remainder.
@@ -38,74 +37,40 @@ class QuadratureResult:
     evaluations: int
 
 
-def _quad_once(fn, lo, hi, tol):
-    """One QUADPACK call.  A result that QUADPACK flags for roundoff
-    (ier = 2) is still accepted when its error estimate is within ``tol``
-    of int |fn|: an integral that cancels to near zero cannot meet the
-    relative target, nor the fixed absolute floor below it, but is as
-    accurate as the integrand's size allows.  That case alone costs a
-    second call, for int |fn| to three digits."""
-    from scipy.integrate import quad
+def quad_adaptive(integrand, lo, hi, tol=1e-10) -> QuadratureResult:
+    """One QUADPACK call for a convergent integral on (lo, hi], ``hi``
+    possibly ``math.inf``, to the relative error target ``tol``.
 
-    out = quad(fn, lo, hi, epsabs=1e-15, epsrel=tol, limit=_QUAD_LIMIT,
-               full_output=1)
-    value, abserr, info = out[0], out[1], out[2]
-    neval = int(info.get("neval", 0))
-    if len(out) > 3 and out[3].startswith(_ROUNDOFF):
-        mag = quad(lambda x: abs(fn(x)), lo, hi, epsabs=0.0, epsrel=1e-3,
-                   limit=_QUAD_LIMIT, full_output=1)
-        neval += int(mag[2].get("neval", 0))
-        if abserr <= tol * mag[0]:
-            return value, abserr, neval
-    if len(out) > 3:
-        raise NonconvergenceError(
-            f"adaptive quadrature did not converge on [{lo}, {hi}]: {out[3]}",
-            partial=QuadratureResult(value, abserr, neval),
-        )
-    return value, abserr, neval
-
-
-def quad_adaptive(integrand, lo, hi, tol=1e-10, *, breakpoints=None,
-                  singular_lo=False) -> QuadratureResult:
-    """Adaptive quadrature of a convergent integral on (lo, hi].
-
-    Parameters
-    ----------
-    integrand : callable
-        Real integrand, reentrant; evaluated on the open interval.
-    lo, hi : float
-        Limits; ``hi`` may be ``math.inf``.
-    tol : float
-        Relative error target.
-    breakpoints : sequence of float, optional
-        Interior points to split at (useful for sharply peaked kernels).
-    singular_lo : bool
-        Apply the substitution x = lo + t^2 near the lower endpoint so
-        integrable algebraic singularities x^{-nu}, nu < 1, are tamed.
+    A result that QUADPACK flags for roundoff (ier = 2) is still accepted
+    when its error estimate is within ``tol`` of int |integrand|: an
+    integral that cancels to near zero cannot meet the relative target, nor
+    the fixed absolute floor below it, but is as accurate as the
+    integrand's size allows.  That case alone costs a second call, for
+    int |integrand| to three digits.  Any other QUADPACK warning raises
+    NonconvergenceError with the result as ``partial``.
     """
     if not lo < hi:
         raise ValueError("quadrature requires lo < hi")
-    edges = [lo]
-    if breakpoints:
-        edges.extend(p for p in sorted(breakpoints) if lo < p < hi)
-    edges.append(hi)
-    pieces = [(integrand, x0, x1) for x0, x1 in zip(edges[:-1], edges[1:])]
-    if singular_lo:
-        first = edges[1]
-        cut = first if math.isfinite(first) else lo + 1.0
-        pieces[0] = (lambda t: 2.0 * t * integrand(lo + t * t), 0.0,
-                     math.sqrt(cut - lo))
-        if cut != first:
-            pieces.insert(1, (integrand, cut, first))
+    from scipy.integrate import quad
 
-    total = err = 0.0
-    neval = 0
-    for fn, a, b in pieces:
-        v, e, n = _quad_once(fn, a, b, tol)
-        total += v
-        err += e
-        neval += n
-    return QuadratureResult(total, err, neval)
+    out = quad(integrand, lo, hi, epsabs=1e-15, epsrel=tol,
+               limit=_QUAD_LIMIT, full_output=1)
+    value, abserr, info = out[0], out[1], out[2]
+    neval = int(info.get("neval", 0))
+    warning = out[3] if len(out) > 3 else None
+    if warning is not None and warning.startswith(_ROUNDOFF):
+        mag = quad(lambda x: abs(integrand(x)), lo, hi, epsabs=0.0,
+                   epsrel=1e-3, limit=_QUAD_LIMIT, full_output=1)
+        neval += int(mag[2].get("neval", 0))
+        if abserr <= tol * mag[0]:
+            warning = None
+    if warning is not None:
+        raise NonconvergenceError(
+            f"adaptive quadrature did not converge on [{lo}, {hi}]: {warning}",
+            partial=QuadratureResult(value, abserr, neval),
+        )
+    # 0.0 + turns an integral of -0.0 into 0.0
+    return QuadratureResult(0.0 + value, abserr, neval)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
+from .errors import NonconvergenceError
 from .gammafn import EULER_GAMMA, digamma_int, gamma_ratio, gamma_real
 from .series import sum_until_small
 
@@ -155,8 +156,13 @@ def _gauss_int_singular(n, r, s, zeta):
 def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
     """2F1(n, r; s; -zeta) as a convergent large-argument expansion."""
     n, r, s, zeta = p.n, p.r, p.s, p.zeta
-    return (_gauss_int_naive(n, r, s, zeta)
-            + _gauss_int_singular(n, r, s, zeta))
+    try:
+        return (_gauss_int_naive(n, r, s, zeta)
+                + _gauss_int_singular(n, r, s, zeta))
+    except OverflowError as exc:  # factorials past float range
+        raise NonconvergenceError(
+            f"2F1(n, r; s; -zeta) at n = {n}, r = {r}, s = {s}, "
+            f"zeta = {zeta!r} leaves float range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +201,13 @@ def _gauss_branch_singular(n, s, mu, zeta):
 def gauss2f1_branch(p: Gauss2F1BranchParams) -> float:
     """2F1(n, 1-mu; s-mu+2; -zeta) as a convergent large-argument expansion."""
     n, s, mu, zeta = p.n, p.s, p.mu, p.zeta
-    return (_gauss_branch_naive(n, s, mu, zeta)
-            + _gauss_branch_singular(n, s, mu, zeta))
+    try:
+        return (_gauss_branch_naive(n, s, mu, zeta)
+                + _gauss_branch_singular(n, s, mu, zeta))
+    except OverflowError as exc:
+        raise NonconvergenceError(
+            f"2F1(n, 1-mu; s-mu+2; -zeta) at n = {n}, mu = {mu!r}, s = {s}, "
+            f"zeta = {zeta!r} leaves float range") from exc
 
 
 def gauss2f1_leading(p, zeta: float = None) -> float:
@@ -305,9 +316,16 @@ def _kummer_frac(a, n, omega):
 
 def kummer_u(p: KummerParams) -> float:
     """Kummer U at the covered parameter families, by regime."""
-    if p.regime is KummerRegime.FRAC_ORDER:
-        return _kummer_frac(float(p.s_or_a), p.n, p.omega)
-    return _kummer_int(int(p.s_or_a), p.n, p.omega)
+    frac = p.regime is KummerRegime.FRAC_ORDER
+    try:
+        if frac:
+            return _kummer_frac(float(p.s_or_a), p.n, p.omega)
+        return _kummer_int(int(p.s_or_a), p.n, p.omega)
+    except OverflowError as exc:
+        form = "U(a, a-n+1, omega) at a" if frac else "U(s, s+1-n, omega) at s"
+        raise NonconvergenceError(
+            f"{form} = {p.s_or_a!r}, n = {p.n}, omega = {p.omega!r} "
+            "leaves float range") from exc
 
 
 def kummer_u_leading(p: KummerParams, omega: float = None) -> float:

@@ -76,6 +76,18 @@ ARGVS = [
     # overflows, and b^s underflows to 0
     ["fpi", "--f", "monexp(200,200)", "--m", "1", "--a", "1"],
     ["fpi", "--f", "monexp(3,1e-110)", "--m", "1", "--a", "1"],
+    # specfun factorials past float range, and a polynomial coefficient
+    ["specfun", "--family", "gauss-int", "--n", "300", "--r", "1", "--s",
+     "200", "--zeta", "1.5"],
+    ["specfun", "--family", "gauss-branch", "--n", "300", "--mu", "0.5",
+     "--s", "2", "--zeta", "1.5"],
+    ["specfun", "--family", "kummer-int", "--n", "300", "--s", "3",
+     "--omega", "0.5"],
+    ["specfun", "--family", "kummer-int", "--n", "3", "--s", "300",
+     "--omega", "0.5"],
+    ["specfun", "--family", "kummer-frac", "--n", "300", "--afrac", "0.5",
+     "--omega", "0.5"],
+    ["fpi", "--f", "binpoly(0,2000)", "--m", "5", "--a", "1"],
     # read from the option tables: a repeated option, the last one wins,
     # and a repeated store_true flag
     FPI + ["--m", "2"],

@@ -354,7 +354,7 @@ def test_kernel_oracles_match_mpmath(text, a):
 ])
 def test_kernel_oracles_take_few_evaluations(monkeypatch, kernel, args,
                                              parent):
-    # ``parent``: QUADPACK evaluations with breakpoints at omega, 10 omega
+    # ``parent``: QUADPACK evaluations with interior splits at omega, 10 omega
     # and 1 in x (and x = t^2 at nu > 0); in the flattening variable they
     # fall to 63, 366 and 198
     counts = []
@@ -628,6 +628,39 @@ def test_finite_part_out_of_float_range_exits_3(capsys, argv, message):
     assert main(["fpi"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # each ended in an OverflowError traceback with exit 1
+    (["--family", "gauss-int", "--n", "300", "--r", "1", "--s", "200",
+      "--zeta", "1.5"],
+     "2F1(n, r; s; -zeta) at n = 300, r = 1, s = 200, zeta = 1.5"),
+    (["--family", "gauss-branch", "--n", "300", "--mu", "0.5", "--s", "2",
+      "--zeta", "1.5"],
+     "2F1(n, 1-mu; s-mu+2; -zeta) at n = 300, mu = 0.5, s = 2, zeta = 1.5"),
+    (["--family", "kummer-int", "--n", "300", "--s", "3", "--omega", "0.5"],
+     "U(s, s+1-n, omega) at s = 3, n = 300, omega = 0.5"),
+    (["--family", "kummer-int", "--n", "3", "--s", "300", "--omega", "0.5"],
+     "U(s, s+1-n, omega) at s = 300, n = 3, omega = 0.5"),
+    (["--family", "kummer-frac", "--n", "300", "--afrac", "0.5",
+      "--omega", "0.5"],
+     "U(a, a-n+1, omega) at a = 0.5, n = 300, omega = 0.5"),
+])
+def test_specfun_out_of_float_range_exits_3(capsys, argv, message):
+    assert ["specfun"] + argv in cli_corpus.ARGVS
+    assert main(["specfun"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message} leaves float range\n"
+
+
+def test_polynomial_coefficient_out_of_float_range_exits_2(capsys):
+    # C(2000, 1000) ~ 2e600: float() ended in an OverflowError traceback
+    argv = ["fpi", "--f", "binpoly(0,2000)", "--m", "5", "--a", "1"]
+    assert argv in cli_corpus.ARGVS
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: polynomial coefficient of x^230 leaves float range\n")
 
 
 def test_asym_zero_omega_reaches_the_range_check(capsys):

@@ -138,6 +138,19 @@ def test_non_finite_parameters_are_rejected(make, named):
         make()
 
 
+@pytest.mark.parametrize("make,power", [
+    (lambda: Polynomial([1, 2 * 10**308], lowest=3), 4),
+    # C(1030, j) leaves float range first at j = 500, and C(1029, j) never
+    (lambda: BinomialPoly(2, 1030), 2 + 500),
+])
+def test_int_coefficient_out_of_float_range_is_rejected(make, power):
+    # float() of the int ended in a raw OverflowError
+    with pytest.raises(ValueError, match=f"^polynomial coefficient of "
+                                         f"x\\^{power} leaves float range$"):
+        make()
+    assert BinomialPoly(2, 1029).degree == 1031
+
+
 def test_scaled_coefficient_out_of_float_range_raises():
     # the factor and the coefficient are finite, their product is not: the
     # finite part once came back inf, unflagged

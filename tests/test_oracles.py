@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import struct
 import subprocess
@@ -108,35 +109,26 @@ def test_quad_examples():
     r = quad_adaptive(lambda x: math.exp(-x) / (0.5 + x), 0.0, math.inf, tol=1e-11)
     assert r.value == pytest.approx(math.exp(0.5) * expint_e1(0.5), rel=1e-8)
 
-    r = quad_adaptive(lambda x: x**-0.5 / (0.25 + x), 0.0, 1.0, tol=1e-11,
-                      singular_lo=True)
+    # x^-1/2 at the lower limit: QUADPACK's extrapolation settles it
+    r = quad_adaptive(lambda x: x**-0.5 / (0.25 + x), 0.0, 1.0, tol=1e-11)
     assert r.value == pytest.approx(4.0 * math.atan(2.0), rel=1e-9)
 
 
-def test_quad_singular_lo_substitutes_about_a_nonzero_lower_limit():
-    r = quad_adaptive(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0, tol=1e-12,
-                      singular_lo=True)
+def test_quad_settles_an_inverse_square_root_at_a_nonzero_lower_limit():
+    r = quad_adaptive(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0, tol=1e-12)
     assert r.value == pytest.approx(2.0, rel=1e-12)
-    # hi = inf: the substituted piece ends at lo + 1, a plain one follows
     r = quad_adaptive(lambda x: (x - 1.0) ** -0.5 * math.exp(1.0 - x), 1.0,
-                      math.inf, tol=1e-12, singular_lo=True)
+                      math.inf, tol=1e-12)
     assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
-    r = quad_adaptive(lambda x: (x - 2.0) ** -0.5, 2.0, 4.0, tol=1e-12,
-                      breakpoints=[3.0], singular_lo=True)
+    r = quad_adaptive(lambda x: (x - 2.0) ** -0.5, 2.0, 4.0, tol=1e-12)
     assert r.value == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
 
-def test_quad_breakpoints_cover_sharp_peaks():
-    w = 0.01
-    r = quad_adaptive(lambda x: math.exp(-x) / (w * w + x * x), 0.0, math.inf,
-                      tol=1e-12, breakpoints=[w, 10 * w, 1.0])
-    # reference: pi/(2w) cos(w) + singular/naive remainder is not closed;
-    # compare against a finer independent splitting instead
-    r2a = quad_adaptive(lambda x: math.exp(-x) / (w * w + x * x), 0.0, 5 * w,
-                        tol=1e-13)
-    r2b = quad_adaptive(lambda x: math.exp(-x) / (w * w + x * x), 5 * w,
-                        math.inf, tol=1e-13)
-    assert r.value == pytest.approx(r2a.value + r2b.value, rel=1e-10)
+def test_quad_takes_one_interval():
+    sig = inspect.signature(quad_adaptive)
+    assert str(sig.replace(return_annotation=sig.empty)) \
+        == "(integrand, lo, hi, tol=1e-10)"
+    assert not hasattr(finitepart.oracles, "_quad_once")
 
 
 def test_quad_accepts_roundoff_within_the_integrand_size():

@@ -23,7 +23,7 @@ def gauss_int_quadrature(n, r, s, zeta):
     w = 1.0 / zeta
     val = quad_adaptive(
         lambda x: x ** (r - 1) * (1 - x) ** (s - r - 1) / (w + x) ** n,
-        0.0, 1.0, tol=1e-12, breakpoints=[min(10 * w, 0.5)],
+        0.0, 1.0, tol=1e-12,
     ).value
     return pref * val
 
@@ -35,18 +35,20 @@ def gauss_branch_quadrature(n, s, mu, zeta):
     w = 1.0 / zeta
     val = quad_adaptive(
         lambda x: x ** (-mu) * (1 - x) ** s / (w + x) ** n,
-        0.0, 1.0, tol=1e-12, breakpoints=[min(10 * w, 0.5)], singular_lo=True,
+        0.0, 1.0, tol=1e-12,
     ).value
     return pref * val
 
 
 def kummer_quadrature(a, b, omega):
-    val = quad_adaptive(
-        lambda t: math.exp(-omega * t) * t ** (a - 1) * (1 + t) ** (b - a - 1),
-        0.0, math.inf, tol=1e-12, breakpoints=[1.0, 10.0 / omega],
-        singular_lo=a < 1,
-    ).value
-    return val / special.gamma(a)
+    if a < 1:
+        # u = t^a: t^(a-1) dt = du / a leaves a bounded integrand
+        fn = lambda u: (math.exp(-omega * u ** (1 / a))
+                        * (1 + u ** (1 / a)) ** (b - a - 1) / a)
+    else:
+        fn = lambda t: (math.exp(-omega * t) * t ** (a - 1)
+                        * (1 + t) ** (b - a - 1))
+    return quad_adaptive(fn, 0.0, math.inf, tol=1e-12).value / special.gamma(a)
 
 
 # closed forms quoted from tables, evaluated with scipy primitives

@@ -32,15 +32,12 @@ def transform_oracle(f, n, nu, omega, a):
     def fn(x):
         v = f.eval(x) / (omega + x) ** n
         return v * x ** (-nu) if nu else v
-    pts = [omega, 10.0 * omega, 1.0] if omega < 1.0 else [omega]
-    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts,
-                         singular_lo=nu > 0).value
+    return quad_adaptive(fn, 0.0, a, tol=1e-11).value
 
 
 def quadratic_oracle(f, omega, a):
     fn = lambda x: f.eval(x) / (omega * omega + x * x)
-    pts = [omega, 10.0 * omega, 1.0] if omega < 1.0 else [omega]
-    return quad_adaptive(fn, 0.0, a, tol=1e-11, breakpoints=pts).value
+    return quad_adaptive(fn, 0.0, a, tol=1e-11).value
 
 
 # ---------------------------------------------------------------------------

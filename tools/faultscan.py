@@ -27,6 +27,15 @@ tail.  References are cached as text in ``.faultscan/refs.json`` at the
 root of this checkout (git-ignored), keyed by function, n, nu, a and
 omega; a reference that mpmath cannot settle is reported, not used, and
 tried again on the next run.
+
+Then the four ``specfun`` families are classified the same way, over a
+fixed grid with n <= 40, zeta in (1, 1e4] and omega in (0, 100], plus
+SPECFUN_LARGE_N, against ``bench/refs.py``'s ``hyp2f1`` and ``hyperu``.
+Their values carry no flag, so each is correct, silently wrong, rejected,
+raised raw, or has no reference: mpmath's ``hyperu`` need not settle, so a
+30-digit reference is used only where it agrees with the 40-digit one to
+20 digits, and one that raises is none.  The counts are printed per family
+and in all, then one line per silently wrong, raw or unreferenced value.
 """
 
 import argparse
@@ -41,6 +50,19 @@ CACHE = os.path.join(os.path.dirname(HERE), ".faultscan", "refs.json")
 
 # the make_stream names of REFUSED as refs.Fn literals
 STREAM_FNS = {"expstream": "exp(1)", "xexp": "monexp(1,1)"}
+
+SPECFUN_NS = (1, 2, 3, 5, 10, 20, 40)
+SPECFUN_ZETAS = (1.01, 1.5, 2.0, 10.0, 100.0, 1e4)
+SPECFUN_OMEGAS = (1e-3, 0.1, 0.5, 2.0, 10.0, 60.0, 100.0)
+SPECFUN_FRACTIONS = (0.25, 0.5, 0.75)
+# command lines whose factorials leave float range
+SPECFUN_LARGE_N = [
+    {"family": "gauss-int", "n": 300, "r": 1, "s": 200, "zeta": 1.5},
+    {"family": "gauss-branch", "n": 300, "mu": 0.5, "s": 2, "zeta": 1.5},
+    {"family": "kummer-int", "n": 300, "s": 3, "omega": 0.5},
+    {"family": "kummer-int", "n": 3, "s": 300, "omega": 0.5},
+    {"family": "kummer-frac", "n": 300, "afrac": 0.5, "omega": 0.5},
+]
 
 
 def reference(refs, cache, spec):
@@ -62,6 +84,87 @@ def reference(refs, cache, spec):
             except (RuntimeError, ZeroDivisionError, ValueError) as exc:
                 cache[key] = f"no reference: {exc}"
     return cache[key]
+
+
+def specfun_ops():
+    """The ops of the specfun census, in ``bench/refs.py``'s form."""
+    for n in SPECFUN_NS:
+        for r in (1, 2, 5):
+            for s in sorted({r + 2, (r + 2 + n) // 2, n}):
+                if r + 1 < s < n + 1:
+                    yield from ({"family": "gauss-int", "n": n, "r": r,
+                                 "s": s, "zeta": z} for z in SPECFUN_ZETAS)
+        for mu in SPECFUN_FRACTIONS:
+            for s in (1, 3, 10):
+                yield from ({"family": "gauss-branch", "n": n, "mu": mu,
+                             "s": s, "zeta": z} for z in SPECFUN_ZETAS)
+        for s in SPECFUN_NS:
+            yield from ({"family": "kummer-int", "n": n, "s": s,
+                         "omega": w} for w in SPECFUN_OMEGAS)
+        for a in SPECFUN_FRACTIONS:
+            yield from ({"family": "kummer-frac", "n": n, "afrac": a,
+                         "omega": w} for w in SPECFUN_OMEGAS)
+    yield from SPECFUN_LARGE_N
+
+
+def specfun_reference(refs, cache, op):
+    """mpmath's value of the specfun ``op`` as a string, or the reason
+    there is none; cached."""
+    key = repr(("specfun", sorted(op.items())))
+    if cache.get(key, "no reference").startswith("no reference"):
+        try:
+            with refs.mp.workdps(refs.DPS):
+                v = refs.specfun(op)
+            with refs.mp.workdps(refs.DPS + 10):
+                check = refs.specfun(op)
+                settled = abs(check - v) <= 1e-20 * abs(check)
+            cache[key] = (refs.mp.nstr(v, refs.DPS + 5) if settled else
+                          f"no reference: {v} at {refs.DPS} digits, "
+                          f"{check} at {refs.DPS + 10}")
+        except (ArithmeticError, ValueError,
+                refs.mp.libmp.NoConvergence) as exc:
+            cache[key] = f"no reference: {type(exc).__name__}: {exc}"
+    return cache[key]
+
+
+def specfun_census(child, refs, cache, tol, error_types):
+    """Print the specfun census; ``error_types`` are the rejections."""
+    kinds = Counter()
+    lines = []
+    for op in specfun_ops():
+        fam = op["family"]
+        head = " ".join(f"{k}={v}" for k, v in op.items())
+        try:
+            got = child._specfun_call(op)()
+        except error_types:
+            kinds[fam, "rejected"] += 1
+            continue
+        except Exception as exc:
+            kinds[fam, "raised raw"] += 1
+            lines.append(f"raised raw  {head}  {type(exc).__name__}: {exc}")
+            continue
+        text = specfun_reference(refs, cache, op)
+        if text.startswith("no reference"):
+            kinds[fam, "no reference"] += 1
+            lines.append(f"no reference  {head}  {text}")
+            continue
+        with refs.mp.workdps(refs.DPS):
+            ref = refs.mp.mpf(text)
+            rel = float(abs(ref - got) / abs(ref)) if ref else abs(got)
+        if rel <= tol:
+            kinds[fam, "correct"] += 1
+        else:
+            kinds[fam, "silently wrong"] += 1
+            lines.append(f"silently wrong  {head}  rel err {rel:.2g}")
+    order = ("correct", "silently wrong", "rejected", "raised raw",
+             "no reference")
+    fams = ("gauss-int", "gauss-branch", "kummer-int", "kummer-frac")
+    for fam in fams + ("specfun",):
+        sel = fams if fam == "specfun" else (fam,)
+        print(f"{fam}: " + " ".join(
+            f"{k}: {sum(kinds[f, k] for f in sel)}" for k in order))
+    for line in lines:
+        print(line)
 
 
 def beta_transform(mp, fn, n, nu, omega):
@@ -149,9 +252,6 @@ def main(argv=None):
             lines.append(f"outside tail  {head}  |total - ref| "
                          f"{float(err):.3g} > tail "
                          f"{res.tail_estimate:.3g}  route {res.route}")
-    os.makedirs(os.path.dirname(CACHE), exist_ok=True)
-    with open(CACHE, "w") as fh:
-        json.dump(cache, fh, indent=0, sort_keys=True)
     order = ("correct", "flagged", "rejected", "silently wrong",
              "raised raw", "no reference")
     print(" ".join(f"{k}: {kinds[k]}" for k in order))
@@ -161,6 +261,11 @@ def main(argv=None):
         f"{r} {flagged_within[r]}" for r in sorted(routes)))
     for line in lines:
         print(line)
+    specfun_census(child, refs, cache, bitdump.TOL,
+                   (FinitePartError, ValueError))
+    os.makedirs(os.path.dirname(CACHE), exist_ok=True)
+    with open(CACHE, "w") as fh:
+        json.dump(cache, fh, indent=0, sort_keys=True)
     return 0
 
 
