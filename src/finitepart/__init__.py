@@ -1,7 +1,7 @@
 """Finite-part integrals of entire functions and the exact small-parameter
 evaluation of generalized Stieltjes transforms built on top of them."""
 
-from .asymptotic import LeadingBehavior, LeadingKind, classify, leading_term
+from .asymptotic import LeadingBehavior, LeadingKind, classify
 from .entire import (BinomialPoly, CustomSeries, Exponential, MonomialExp,
                      Polynomial, Scaled, TaylorFunction)
 from .errors import (DivergentIntegralError, FinitePartError,
@@ -27,6 +27,6 @@ __all__ = [
     "TransformSpec", "classify", "effective_diffusivity", "eval_quadratic",
     "evaluate_transform", "finite_part_integral", "fpi_epsilon_oracle",
     "gauss2f1_branch", "gauss2f1_integer", "gauss2f1_leading", "kummer_u",
-    "kummer_u_leading", "leading_term", "quad_adaptive",
+    "kummer_u_leading", "quad_adaptive",
     "singular_term_branch", "singular_term_integer",
 ]

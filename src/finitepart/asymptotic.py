@@ -1,28 +1,30 @@
-"""Leading small-omega behavior of the transforms, from the zero order of f.
-
-The classification is purely analytic: it consumes the order m of the zero
-of f at the origin and a case table, never a numerical fit.
+"""Leading small-omega behavior of the transforms, from the order m of the
+zero of f at the origin alone: a case table, never a numerical fit.
 
 nu = 0:
   m = n-1        log-dominant,        S ~ -d0 ln(omega)
-  m <= n-2       power-dominant,      S ~ C / omega^{s-1},  s = n - m
+  m <= n-2       power-dominant,      S ~ C omega^{m-n+1}
   m >= n         naive-dominant,      S ~ FPI(f, n, 0, a)
 
 0 < nu < 1:
   m <= n-1       branch-power,        S ~ C omega^{m-n+1-nu}
   m >= n         naive-dominant,      S ~ FPI(f, n, nu, a)
 
-with d0 the first nonzero Maclaurin coefficient of f.
+with d0 = f^(m)(0)/m!.  Both power rows are the transform of d0 x^m itself:
+C = d0 B(m+1-nu, n-m-1+nu).
 """
 
 import enum
 import math
+import sys
 from functools import partial
 from typing import NamedTuple
 
 from .entire import TaylorFunction
+from .errors import NonconvergenceError
 from .finite_part import finite_part_integral
-from .gammafn import pochhammer
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 class LeadingKind(enum.Enum):
@@ -43,15 +45,19 @@ class LeadingBehavior(NamedTuple):
     carries_log: bool
 
     def value_at(self, omega: float) -> float:
+        """The term at omega; NonconvergenceError past float range."""
         if not 0.0 < omega < math.inf:
             raise ValueError(
                 f"omega must be positive and finite; got {omega!r}")
-        v = self.coefficient
-        if self.exponent != 0.0:
-            v *= omega**self.exponent
-        if self.carries_log:
-            v *= math.log(omega)
-        return v
+        try:
+            v = self.coefficient * omega**self.exponent
+        except OverflowError:  # a float power past float range
+            v = math.inf
+        if math.isinf(v) or abs(v) < _TINY <= abs(self.coefficient):
+            raise NonconvergenceError(f"leading term at omega = {omega!r}, "
+                                      f"exponent {self.exponent!r} leaves "
+                                      "float range")
+        return v * math.log(omega) if self.carries_log else v
 
 
 # builds a LeadingBehavior without the Python-level NamedTuple constructor
@@ -73,40 +79,36 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
         raise ValueError("upper limit a must be positive")
     m = f.zero_order()
     d0 = f.coeff(m)
-
-    if nu == 0.0:
-        if m == n - 1:
-            return _new_leading((LeadingKind.LOG_DOMINANT, -d0, 0.0, True))
-        if m <= n - 2:
-            s = n - m
-            # the alternating factorial sum is the Beta integral
-            # B(s-1, n-s+1): an exact ratio of integers, rounded once
-            beta = (math.factorial(s - 2) * math.factorial(n - s)
-                    / math.factorial(n - 1))
-            return _new_leading(
-                (LeadingKind.POWER_DOMINANT, d0 * beta, -(s - 1), False))
-    elif m <= n - 1:
-        acc = 0.0
-        for k in range(n):
-            j = m - n + k + 1
-            if j < 0:
-                continue
-            acc += (
-                (-1) ** k * pochhammer(nu, k)
-                / (math.factorial(k) * math.factorial(n - 1 - k)
-                   * math.factorial(j))
-            )
-        coeff = (
-            math.pi / math.sin(math.pi * nu)
-            * d0 * math.factorial(m) * (-1.0) ** (m - n + 1) * acc
-        )
+    if nu == 0.0 and m == n - 1:
+        return _new_leading((LeadingKind.LOG_DOMINANT, -d0, 0.0, True))
+    if m <= n - 1:  # m <= n-2 at nu = 0, whose exponents stay ints
+        kind, exponent = ((LeadingKind.BRANCH_POWER_DOMINANT, m - n + 1 - nu)
+                          if nu else (LeadingKind.POWER_DOMINANT, m - n + 1))
         return _new_leading(
-            (LeadingKind.BRANCH_POWER_DOMINANT, coeff, m - n + 1 - nu, False))
+            (kind, _beta_coefficient(d0, m, n, nu), exponent, False))
     coeff = finite_part_integral(f, n, nu, a).value
     return _new_leading((LeadingKind.NAIVE_DOMINANT, coeff, 0.0, False))
 
 
-def leading_term(f: TaylorFunction, n: int, nu: float, omega: float,
-                 a: float = math.inf) -> float:
-    """Numeric value of the classified leading term at one omega."""
-    return classify(f, n, nu, a).value_at(omega)
+def _beta_coefficient(d0, m, n, nu):
+    """d0 B(m+1-nu, n-m-1+nu) = d0 int_0^inf x^(m-nu) (1+x)^-n dx: the exact
+    ratio m! (n-m-2)! / (n-1)! at nu = 0, else Gamma(m+1-nu) (Gamma(n-m-1+nu)
+    / Gamma(n)), from lgamma where Gamma(n) overflows.  NonconvergenceError
+    where B or d0 B leaves the normal float range."""
+    x, y = m + 1 - nu, n - m - 1 + nu
+    try:
+        if not nu:
+            beta = (math.factorial(m) * math.factorial(n - m - 2)
+                    / math.factorial(n - 1))
+        elif n <= 171:
+            beta = math.gamma(x) * (math.gamma(y) / math.gamma(n))
+        else:
+            beta = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(n))
+        coeff = d0 * beta
+    except OverflowError:
+        beta = coeff = math.inf
+    if not (_TINY <= beta and _TINY <= abs(coeff) < math.inf):
+        raise NonconvergenceError(
+            f"leading coefficient d0 B(m+1-nu, n-m-1+nu) at n = {n}, "
+            f"m = {m}, nu = {nu!r} leaves float range")
+    return coeff

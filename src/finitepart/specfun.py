@@ -210,11 +210,10 @@ def gauss2f1_branch(p: Gauss2F1BranchParams) -> float:
             f"zeta = {zeta!r} leaves float range") from exc
 
 
-def gauss2f1_leading(p, zeta: float = None) -> float:
+def gauss2f1_leading(p) -> float:
     """Leading zeta -> infinity behavior of either 2F1 family."""
     if isinstance(p, Gauss2F1IntParams):
-        z = p.zeta if zeta is None else zeta
-        n, r, s = p.n, p.r, p.s
+        n, r, s, z = p.n, p.r, p.s, p.zeta
         a0 = float(_gauss_int_ak(n, r, s, 0))
         c0 = float(_kummer_dm(r, n, 0))
         lead = math.factorial(s - 1) / (math.factorial(r - 1) * z**n) * a0
@@ -223,8 +222,7 @@ def gauss2f1_leading(p, zeta: float = None) -> float:
                     * math.factorial(s - r - 1)))
         return lead
     if isinstance(p, Gauss2F1BranchParams):
-        z = p.zeta if zeta is None else zeta
-        n, s, mu = p.n, p.s, p.mu
+        n, s, mu, z = p.n, p.s, p.mu, p.zeta
         g = gamma_real(s - mu + 2.0)
         b0 = gamma_ratio(1.0 - mu - n, s - mu + 2.0 - n)
         lead = g / (gamma_real(1.0 - mu) * z**n) * b0
@@ -328,11 +326,10 @@ def kummer_u(p: KummerParams) -> float:
             "leaves float range") from exc
 
 
-def kummer_u_leading(p: KummerParams, omega: float = None) -> float:
+def kummer_u_leading(p: KummerParams) -> float:
     """Leading omega -> 0 behavior of U at the covered families,
     including the exp(omega) and ln(omega) factors of the dominant rows."""
-    w = p.omega if omega is None else omega
-    n = p.n
+    w, n = p.omega, p.n
     if p.regime is KummerRegime.FRAC_ORDER:
         a = float(p.s_or_a)
         return ((-1.0) ** n * gamma_real(1.0 - a) * w ** (n - a)

@@ -88,6 +88,17 @@ ARGVS = [
     ["specfun", "--family", "kummer-frac", "--n", "300", "--afrac", "0.5",
      "--omega", "0.5"],
     ["fpi", "--f", "binpoly(0,2000)", "--m", "5", "--a", "1"],
+    # branch-power coefficients at large n, from the Beta integral, and
+    # leading values past float range
+    ["asym", "--f", "monexp(20,1)", "--n", "40", "--nu", "0.5", "--omega",
+     "0.5"],
+    ["asym", "--f", "monexp(3,1)", "--n", "200", "--nu", "0.5", "--omega",
+     "0.5"],
+    ["asym", "--f", "poly(1@1000)", "--n", "1002", "--nu", "0.3", "--omega",
+     "0.5"],
+    ["asym", "--f", "exp(1)", "--n", "400", "--omega", "1e-3"],
+    ["asym", "--f", "exp(1)", "--n", "3", "--nu", "0.5", "--omega", "1e-300"],
+    ["asym", "--f", "1e300*exp(1)", "--n", "3", "--omega", "1e-200"],
     # read from the option tables: a repeated option, the last one wins,
     # and a repeated store_true flag
     FPI + ["--m", "2"],

@@ -1,15 +1,17 @@
 import inspect
 import math
 import pickle
+import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from finitepart.asymptotic import (LeadingBehavior, LeadingKind, classify,
-                                   leading_term)
+from finitepart.asymptotic import LeadingBehavior, LeadingKind, classify
 from finitepart.entire import (BinomialPoly, Exponential, MonomialExp,
                                Polynomial)
+from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import finite_part_integral
 from finitepart.stieltjes import TransformSpec, evaluate_transform
 
@@ -70,23 +72,24 @@ def test_classify_branch_power_dominant():
     assert lb.coefficient == pytest.approx(math.gamma(1.5), rel=1e-13)
 
 
-def test_leading_term_examples():
-    assert leading_term(EXP1, 1, 0.0, 1e-3) == pytest.approx(
+def test_value_at_examples():
+    assert classify(EXP1, 1, 0.0).value_at(1e-3) == pytest.approx(
         -math.log(1e-3), rel=1e-15
     )
-    assert leading_term(ONE, 3, 0.0, 1e-2) == pytest.approx(5000.0, rel=1e-12)
-    assert leading_term(ONE, 1, 0.5, 1e-4) == pytest.approx(
+    assert classify(ONE, 3, 0.0).value_at(1e-2) == pytest.approx(
+        5000.0, rel=1e-12)
+    assert classify(ONE, 1, 0.5).value_at(1e-4) == pytest.approx(
         math.pi * 100.0, rel=1e-12
     )
 
 
-def test_leading_term_validation():
+def test_value_at_validation():
     with pytest.raises(ValueError):
-        leading_term(EXP1, 1, 0.0, -0.5)
+        classify(EXP1, 1, 0.0).value_at(-0.5)
     for omega in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^omega must be positive and "
                                              f"finite; got {omega!r}$"):
-            leading_term(EXP1, 1, 0.0, omega)
+            classify(EXP1, 1, 0.0).value_at(omega)
     with pytest.raises(ValueError):
         classify(EXP1, 0, 0.0)
     with pytest.raises(ValueError):
@@ -149,3 +152,60 @@ def test_leading_behavior_record():
     back = pickle.loads(pickle.dumps(lb))
     assert type(back) is LeadingBehavior and back == lb
     assert back.value_at(0.5) == lb.value_at(0.5) == -math.log(0.5)
+
+
+# the census grid of tools/faultscan.py
+BETA_NS = (*range(1, 41), 60, 80, 100, 120, 150, 170, 200, 300)
+BETA_NUS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("n", BETA_NS)
+def test_power_coefficient_is_the_beta_integral(n):
+    # 0 < nu < 1 was an alternating sum: 743 of the grid's 1,765 branch
+    # rows were more than 1e-12 off, and 130 raised OverflowError
+    bad = []
+    for m in sorted({0, 1, 2, 3, 5, n // 2, n - 2, n - 1}):
+        for nu in BETA_NUS:
+            if not 0 <= m <= n - 1 or nu == 0.0 and m == n - 1:
+                continue
+            lb = classify(MonomialExp(m, 1.0) * 3.0, n, nu)
+            assert lb.kind is (LeadingKind.BRANCH_POWER_DOMINANT if nu
+                               else LeadingKind.POWER_DOMINANT)
+            assert lb.exponent == m - n + 1 - nu
+            assert type(lb.exponent) is (float if nu else int)
+            with mp.workdps(30):
+                ref = 3 * mp.beta(m + 1 - mp.mpf(nu), n - m - 1 + mp.mpf(nu))
+                err = float(abs(lb.coefficient - ref) / ref)
+            if err > (1e-13 if n <= 170 else 1e-12):
+                bad.append((m, nu, err))
+    assert not bad
+
+
+@pytest.mark.parametrize("f,n,nu", [
+    (Polynomial([1.0], lowest=550), 1100, 0.0),    # underflows below 1e-308
+    (Polynomial([1.0], lowest=550), 1100, 0.5),
+    (Polynomial([1e300], lowest=1), 2, 1e-10),     # 1e300 B(2-nu, nu)
+    (Polynomial([3e-308], lowest=1), 3, 0.0),      # 3e-308 B(2, 1)
+])
+def test_power_coefficient_out_of_float_range_raises(f, n, nu):
+    m = f.zero_order()
+    with pytest.raises(NonconvergenceError, match="^" + re.escape(
+            f"leading coefficient d0 B(m+1-nu, n-m-1+nu) at n = {n}, "
+            f"m = {m}, nu = {nu!r} leaves float range") + "$"):
+        classify(f, n, nu)
+
+
+@pytest.mark.parametrize("f,n,nu,omega,exponent", [
+    (EXP1, 400, 0.0, 1e-3, "-399"),
+    (EXP1, 3, 0.5, 1e-300, "-2.5"),
+    (EXP1 * 1e300, 3, 0.0, 1e-200, "-2"),
+    (EXP1 * 1e300, 3, 0.0, 1e-150, "-2"),          # the product overflows
+    (EXP1, 3, 0.0, 1e200, "-2"),                   # the power underflows
+])
+def test_leading_value_out_of_float_range_raises(f, n, nu, omega, exponent):
+    # each ended in a raw OverflowError, or gave 0.0
+    lb = classify(f, n, nu)
+    with pytest.raises(NonconvergenceError, match="^" + re.escape(
+            f"leading term at omega = {omega!r}, exponent {exponent} "
+            "leaves float range") + "$"):
+        lb.value_at(omega)

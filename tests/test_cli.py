@@ -204,6 +204,7 @@ def test_stored_tolerance_outside_0_1_exits_2():
     (["--g-plus", "exp(1)", "--g-minus", "exp(1)"],
      "diffusivity mode needs --g-plus, --g-minus and --pe"),
     (["--f", "exp(1)"], "quadratic needs --omega or --pe"),
+    (["--omega", "0.1"], "quadratic needs --f (or the diffusivity trio)"),
 ])
 def test_quadratic_zero_omega_or_peclet_reaches_the_range_checks(
         args, message, capsys):
@@ -671,6 +672,45 @@ def test_asym_zero_omega_reaches_the_range_check(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == (
         "error: omega must be positive and finite; got 0.0\n")
+
+
+@pytest.mark.parametrize("f,n,nu,m", [
+    # today's alternating sum printed 7.10e-12, and raised OverflowError on
+    # the other two
+    ("monexp(20,1)", "40", "0.5", 20),
+    ("monexp(3,1)", "200", "0.5", 3),
+    ("poly(1@1000)", "1002", "0.3", 1000),
+])
+def test_asym_branch_coefficient_is_the_beta_integral(capsys, f, n, nu, m):
+    import mpmath
+    argv = ["asym", "--f", f, "--n", n, "--nu", nu, "--omega", "0.5"]
+    assert argv in cli_corpus.ARGVS
+    assert main(argv + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    row = json.loads(out)["results"][0]
+    assert err == "" and row["kind"] == "BranchPowerDominant"
+    with mpmath.workdps(30):
+        want = mpmath.beta(m + 1 - mpmath.mpf(nu),
+                           int(n) - m - 1 + mpmath.mpf(nu))
+        assert abs(row["coefficient"] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("argv,omega,exponent", [
+    # each ended in an OverflowError traceback with exit 1
+    (["--f", "exp(1)", "--n", "400", "--omega", "1e-3"], "0.001", "-399"),
+    (["--f", "exp(1)", "--n", "3", "--nu", "0.5", "--omega", "1e-300"],
+     "1e-300", "-2.5"),
+    (["--f", "1e300*exp(1)", "--n", "3", "--omega", "1e-200"], "1e-200",
+     "-2"),
+])
+def test_asym_leading_value_out_of_float_range_exits_3(capsys, argv, omega,
+                                                       exponent):
+    assert ["asym"] + argv in cli_corpus.ARGVS
+    assert main(["asym"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: leading term at omega = {omega}, exponent {exponent} "
+        "leaves float range\n")
 
 
 @pytest.mark.parametrize("f,coeffs", [("poly(1:2:3)", {0: 1, 1: 2, 2: 3}),

@@ -8,6 +8,8 @@ ROADMAP item that mends it: the change that mends a fault makes its case
 pass, and must drop the mark.
 """
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -108,6 +110,23 @@ def test_monomial_exp_branch_transform():
 def test_binomial_transform_at_large_q():
     ref = transform_ref(lambda x: x**3 * (1 - x) ** 400, 2, 0, 1, 0.5)
     spec = TransformSpec(BinomialPoly(3, 400), 2, 0.5, 1.0)
+    assert allowed(outcome(lambda: evaluate_transform(spec), ref))
+
+
+@item(1, "monexp(20,1), n = 40, nu = 0.5, a = inf, omega = 0.01: the "
+         "singular term cancels (gives -1.30e28)")
+def test_branch_singular_term_at_large_n():
+    ref = transform_ref(lambda x: x**20 * mp.exp(-x), 40, 0.5, math.inf,
+                        0.01)
+    spec = TransformSpec(MonomialExp(20, 1.0), 40, 0.01, math.inf, 0.5)
+    assert allowed(outcome(lambda: evaluate_transform(spec), ref))
+
+
+@item(1, "monexp(20,1), n = 40, a = inf, omega = 0.05: the singular term "
+         "cancels (gives 1.57e13)")
+def test_pole_singular_term_at_large_n():
+    ref = transform_ref(lambda x: x**20 * mp.exp(-x), 40, 0, math.inf, 0.05)
+    spec = TransformSpec(MonomialExp(20, 1.0), 40, 0.05, math.inf)
     assert allowed(outcome(lambda: evaluate_transform(spec), ref))
 
 

@@ -36,6 +36,15 @@ raised raw, or has no reference: mpmath's ``hyperu`` need not settle, so a
 30-digit reference is used only where it agrees with the 40-digit one to
 20 digits, and one that raises is none.  The counts are printed per family
 and in all, then one line per silently wrong, raw or unreferenced value.
+
+Last, the power-law leading coefficients of ``asymptotic.classify`` are
+classified against mpmath's ``d0 * beta(m+1-nu, n-m-1+nu)``, on
+x^m e^{-x} (d0 = 1) over n in CLASSIFY_NS, m in {0, 1, 2, 3, 5, n//2,
+n-2, n-1} and nu in CLASSIFY_NUS: the power rows (nu = 0, m <= n-2) and
+the branch rows (0 < nu < 1, m <= n-1).  Each is correct, silently wrong
+(off by more than tol, or of the wrong kind or exponent), rejected or
+raised raw; the counts are printed per row kind, then one line per
+silently wrong or raw value.
 """
 
 import argparse
@@ -63,6 +72,9 @@ SPECFUN_LARGE_N = [
     {"family": "kummer-int", "n": 3, "s": 300, "omega": 0.5},
     {"family": "kummer-frac", "n": 300, "afrac": 0.5, "omega": 0.5},
 ]
+
+CLASSIFY_NS = (*range(1, 41), 60, 80, 100, 120, 150, 170, 200, 300)
+CLASSIFY_NUS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 def reference(refs, cache, spec):
@@ -167,6 +179,48 @@ def specfun_census(child, refs, cache, tol, error_types):
         print(line)
 
 
+def classify_census(asy, entire, mp, tol, error_types):
+    """Print the census of classify's power and branch coefficients;
+    ``error_types`` are the rejections."""
+    kinds = Counter()
+    lines = []
+    for n in CLASSIFY_NS:
+        for m in sorted({0, 1, 2, 3, 5, n // 2, n - 2, n - 1}):
+            for nu in CLASSIFY_NUS:
+                if not 0 <= m <= n - 1 or nu == 0.0 and m == n - 1:
+                    continue  # naive or log rows
+                row = "branch" if nu else "power"
+                head = f"classify n={n} m={m} nu={nu}"
+                try:
+                    lb = asy.classify(entire.MonomialExp(m, 1.0), n, nu)
+                except error_types:
+                    kinds[row, "rejected"] += 1
+                    continue
+                except Exception as exc:
+                    kinds[row, "raised raw"] += 1
+                    lines.append(f"raised raw  {head}  "
+                                 f"{type(exc).__name__}: {exc}")
+                    continue
+                with mp.workdps(30):
+                    ref = mp.beta(m + 1 - mp.mpf(nu), n - m - 1 + mp.mpf(nu))
+                    rel = float(abs(lb.coefficient - ref) / ref)
+                want = (asy.LeadingKind.BRANCH_POWER_DOMINANT if nu
+                        else asy.LeadingKind.POWER_DOMINANT)
+                if (rel <= tol and lb.kind is want
+                        and lb.exponent == m - n + 1 - nu):
+                    kinds[row, "correct"] += 1
+                else:
+                    kinds[row, "silently wrong"] += 1
+                    lines.append(f"silently wrong  {head}  rel err {rel:.2g}"
+                                 f"  {lb.kind.value} {lb.exponent!r}")
+    order = ("correct", "silently wrong", "rejected", "raised raw")
+    for row in ("power", "branch"):
+        print(f"classify {row}: " + " ".join(
+            f"{k}: {kinds[row, k]}" for k in order))
+    for line in lines:
+        print(line)
+
+
 def beta_transform(mp, fn, n, nu, omega):
     """int_0^inf x^-nu p(x) (omega+x)^-n dx of the polynomial ``fn``, each
     term c x^k from the Beta integral with s = k + 1 - nu."""
@@ -204,6 +258,7 @@ def main(argv=None):
     import bitdump
     import child
     import refs
+    import finitepart.asymptotic as asy
     import finitepart.entire as entire
     import finitepart.stieltjes as st
     from finitepart.errors import FinitePartError
@@ -263,6 +318,8 @@ def main(argv=None):
         print(line)
     specfun_census(child, refs, cache, bitdump.TOL,
                    (FinitePartError, ValueError))
+    classify_census(asy, entire, refs.mp, bitdump.TOL,
+                    (FinitePartError, ValueError))
     os.makedirs(os.path.dirname(CACHE), exist_ok=True)
     with open(CACHE, "w") as fh:
         json.dump(cache, fh, indent=0, sort_keys=True)
