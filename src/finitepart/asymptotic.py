@@ -25,6 +25,10 @@ from .errors import NonconvergenceError
 from .finite_part import finite_part_integral
 
 _TINY = sys.float_info.min  # the smallest normal float
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k-1)), k = 7, ..., 1: the Stirling series of ln Gamma
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
+             -1 / 360, 1 / 12)
 
 
 class LeadingKind(enum.Enum):
@@ -93,8 +97,8 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
 def _beta_coefficient(d0, m, n, nu):
     """d0 B(m+1-nu, n-m-1+nu) = d0 int_0^inf x^(m-nu) (1+x)^-n dx: the exact
     ratio m! (n-m-2)! / (n-1)! at nu = 0, else Gamma(m+1-nu) (Gamma(n-m-1+nu)
-    / Gamma(n)), from lgamma where Gamma(n) overflows.  NonconvergenceError
-    where B or d0 B leaves the normal float range."""
+    / Gamma(n)), by :func:`_stirling_beta` where Gamma(n) overflows.
+    NonconvergenceError where B or d0 B leaves the normal float range."""
     x, y = m + 1 - nu, n - m - 1 + nu
     try:
         if not nu:
@@ -103,7 +107,7 @@ def _beta_coefficient(d0, m, n, nu):
         elif n <= 171:
             beta = math.gamma(x) * (math.gamma(y) / math.gamma(n))
         else:
-            beta = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(n))
+            beta = _stirling_beta(x, y)
         coeff = d0 * beta
     except OverflowError:
         beta = coeff = math.inf
@@ -112,3 +116,31 @@ def _beta_coefficient(d0, m, n, nu):
             f"leading coefficient d0 B(m+1-nu, n-m-1+nu) at n = {n}, "
             f"m = {m}, nu = {nu!r} leaves float range")
     return coeff
+
+
+def _stirling_beta(x, y):
+    """B(x, y) from Stirling's formula without a term of size s ln s,
+    s = x + y, whose rounding would reach the result: for x <= y and
+    r = x/s, r^(x-1/2) (2 pi/s)^(1/2) e^E, where
+    E = (y - 1/2) log1p(-r) plus the Stirling remainders
+    delta(x) + delta(y) - delta(s).  The rounding of r drops out to first
+    order, since both factors read it."""
+    x, y = min(x, y), max(x, y)
+    s = x + y
+    r = x / s
+    return pow(r, x - 0.5) * (math.sqrt(2.0 * math.pi / s) * math.exp(
+        (y - 0.5) * math.log1p(-r) + _stirling_remainder(x)
+        + (_stirling_remainder(y) - _stirling_remainder(s))))
+
+
+def _stirling_remainder(z):
+    """delta(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2: from lgamma
+    below z = 10, where its terms stay below 40, and from seven terms of the
+    Stirling series from there, whose next term is below 3e-17."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LN_2PI
+    w = 1.0 / (z * z)
+    acc = 0.0
+    for c in _STIRLING:
+        acc = acc * w + c
+    return acc / z

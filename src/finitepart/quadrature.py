@@ -10,15 +10,16 @@ at the steps h = 2^-n of its levels n = 0, 1, ...:
 
 A rule belongs to the integrand factor F that its callers share, and each
 caller brings its own factor of x.  The nodes x_i and the weighted values
-g_i = w_i F(x_i), w = dx/dt, of every level are computed once, with the
-sum of the node sizes up to that level: level 0 takes the integers t in
-[lo, hi], each level n after it the odd multiples of 2^-n in that range.  The range ends at the first quiet node, one whose size
-is below _NEGLIGIBLE times the largest one's, the next node confirming it.
-The part of a node that F does not change, (u, w) or (s, y, pi cosh t y),
-is computed once per process for every |t| <= _T_CAP of a level, in one
-table per rule, so a rule forms only x and g, in the order of the formulas
-above.  Tables and levels grow by replacement, and a level's lists are
-never changed once made, so a thread reads whole levels only.
+g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
+takes the integers t in [lo, hi], each level n after it the odd multiples
+of 2^-n in that range.  The range ends at the first quiet node, one whose
+size is below _NEGLIGIBLE times the largest one's, the next node
+confirming it.  The part of a node that F does not change, (u, w) or
+(s, y, pi cosh t y), is computed once per process for every |t| <= _T_CAP
+of a level, in one table per rule, so a rule forms only x and g, in the
+order of the formulas above.  Tables and levels grow by replacement, and a
+level's lists are never changed once made, so a thread reads whole levels
+only.
 """
 
 import math
@@ -40,34 +41,38 @@ def integrate(parts, rtol, atol=0.0):
     """(the integral, its error bound), or None.
 
     The integral is the sum of the trapezoidal values of ``parts``,
-    (rule, level_sum, scale, c): ``level_sum(xs, gs)`` sums a level's
-    values times the caller's factor of x, which is at most ``scale`` times
-    the rule's node size and is formed within c u.  From level MIN_LEVEL on
-    it is accepted when the sum of the changes is within
-    max(rtol |integral|, atol); a part whose change is within that bound
-    over len(parts) keeps its level from then on.  None when the integral
-    leaves float range or the levels pass LEVEL_CAP.
+    (rule, level_terms, c): ``level_terms(xs, gs)`` lists a level's terms,
+    its values times the caller's factor of x, a factor formed within c u.
+    From level MIN_LEVEL on it is accepted when the sum of the changes is
+    within max(rtol |integral|, atol); a part whose change is within that
+    bound over len(parts) keeps its level from then on.  None when the
+    integral leaves float range or the levels pass LEVEL_CAP.
 
     The bound is the sum of the parts' last changes plus, for each part at
     its last level n, whose N nodes are the most of any of its levels, the
-    rounding (N + n + c) u 2^-n scale times its node sizes over levels 0
-    to n: a term is within (c + 1) u of its exact value, at most scale
-    times its node's size; a level's sum of at most N terms adds (N - 1) u of their
-    sizes, recursive summation or the compensated sum() of Python 3.12,
-    and each of the n additions of a level to the total u of the sizes
-    summed so far.
+    rounding (N + n + c) u 2^-n times the sum of the sizes |t| of the terms
+    it summed over levels 0 to n (a running error bound, Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4): a term is within
+    (c + 1) u of its exact value; a level's sum of at most N terms adds
+    (N - 1) u of their sizes, recursive summation or the compensated sum()
+    of Python 3.12, and each of the n additions of a level to the total u
+    of the sizes summed so far.  It does not cover the parts of the
+    integral past the ends of a rule's range, whose nodes are below
+    _NEGLIGIBLE times the largest node size, before the caller's factor.
     """
     count = len(parts)
     totals = [0.0] * count
+    sizes = totals[:]
     values = [math.nan] * count
     changes = values[:]
     tops = [0] * count
     live = range(count)
     for n in range(LEVEL_CAP + 1):
         for i in live:
-            rule, level_sum, _, _ = parts[i]
-            xs, gs, _ = rule.level(n)
-            totals[i] += level_sum(xs, gs)
+            rule, level_terms, _ = parts[i]
+            terms = level_terms(*rule.level(n))
+            totals[i] += sum(terms)
+            sizes[i] += sum(map(abs, terms))
             new = math.ldexp(totals[i], -n)
             changes[i] = abs(new - values[i])
             values[i] = new
@@ -79,25 +84,20 @@ def integrate(parts, rtol, atol=0.0):
             bound = max(rtol * abs(value), atol)
             err = reduce(add, changes)
             if err <= bound:
-                return value, err + reduce(add, map(_rounding, parts, tops))
+                for (rule, _, c), top, size in zip(parts, tops, sizes):
+                    err += ((len(rule.level(top)[0]) + top + c)
+                            * UNIT_ROUNDOFF * math.ldexp(size, -top))
+                return value, err
             if count > 1:
                 live = [i for i in live if changes[i] > bound / count]
     return None
 
 
-def _rounding(part, n):
-    """The rounding bound of :func:`integrate` of a part at its level n."""
-    rule, _, scale, c = part
-    xs, _, size = rule.level(n)
-    return (len(xs) + n + c) * UNIT_ROUNDOFF * math.ldexp(scale * size, -n)
-
-
 class _Rule:
-    """The levels of one rule, each (x_i, g_i, the sum of the node sizes of
-    levels 0 to it); a subclass gives its geometry ``_geometry(t)``, the
-    nodes ``_nodes(*columns)`` of geometry columns, and the node sizes
-    ``_sizes(xs, gs)``, which find a quiet node and bound the rounding of
-    :func:`integrate`."""
+    """The levels of one rule, each (x_i, g_i); a subclass gives its
+    geometry ``_geometry(t)``, the nodes ``_nodes(*columns)`` of geometry
+    columns, and the node sizes ``_sizes(xs, gs)``, which find a quiet
+    node."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
     _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
@@ -130,7 +130,7 @@ class _Rule:
             del xs[-1], gs[-1]
             ends.append(t - step)
         self.hi, self.lo = ends
-        self.levels = ((xs, gs, sum(self._sizes(xs, gs))),)
+        self.levels = ((xs, gs),)
 
     @classmethod
     def _columns(cls, n):
@@ -150,16 +150,14 @@ class _Rule:
         return table[n]
 
     def level(self, n):
-        """(x_i, g_i) of the nodes new at level n, and the sum of the node
-        sizes of levels 0 to n."""
+        """(x_i, g_i) of the nodes new at level n."""
         levels = self.levels
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
             cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
             cols = self._columns(len(levels))
             xs, gs = self._nodes(*(c[cut] for c in cols))
-            levels = self.levels = levels + (
-                (xs, gs, levels[-1][2] + sum(self._sizes(xs, gs))),)
+            levels = self.levels = levels + ((xs, gs),)
         return levels[n]
 
 
@@ -168,8 +166,7 @@ class ExpSinh(_Rule):
     a0 >= 1: the tails of the split rungs of one ladder, which share its
     nodes, and the tail of its direct transforms.
 
-    x = a0 + exp(pi/2 sinh t).  A node's size is |g_i| / x_i, which bounds
-    every rung's term g_i x_i^{-p}.
+    x = a0 + exp(pi/2 sinh t).  A node's size is |g_i| / x_i.
     """
 
     _WHAT = "split tail"
@@ -197,10 +194,9 @@ class ExpSinh(_Rule):
         """(int_{a0}^inf f(x) x^{-p} dx, its error bound by
         :func:`integrate`); a last change within 1e-13 relative or 1e-15
         absolute is accepted, and NonconvergenceError is raised without
-        one.  The factor x^{-p} is at most the size's 1/x, and pow is
-        within an ulp, 2u."""
-        got = integrate([(self, lambda xs, gs: sum(map(
-            mul, gs, map(pow, xs, repeat(-p)))), 1.0, 2)],
+        one.  The factor x^{-p} is pow's, within an ulp, 2u."""
+        got = integrate([(self, lambda xs, gs: list(map(
+            mul, gs, map(pow, xs, repeat(-p)))), 2)],
             self._RTOL, self._ATOL)
         if got is None:
             raise NonconvergenceError(
@@ -210,9 +206,9 @@ class ExpSinh(_Rule):
 
 
 class TanhSinh(_Rule):
-    """Tanh-sinh quadrature of f(x) x^{-nu} times a bounded factor of x
-    over [0, a]: the direct transforms of one ladder, on [0, a] at a
-    finite a and on [0, SPLIT_POINT] at a = inf.
+    """Tanh-sinh quadrature of f(x) x^{-nu} times a factor of x over
+    [0, a]: the direct transforms of one ladder, on [0, a] at a finite a
+    and on [0, SPLIT_POINT] at a = inf.
 
     x = a s/(1+s) with s = e^{pi sinh t}, so x near 0 keeps its relative
     accuracy and x^{-nu} with it; w = pi cosh t x/(1+s), and

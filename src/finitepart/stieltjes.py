@@ -202,30 +202,16 @@ def _quadratic_singular(f, omega):
 
 
 def _pole_kernel(omega, n, xs, gs):
-    """sum_i g_i / (omega + x_i)^n over a level; without pow at n = 1,
+    """The terms g_i / (omega + x_i)^n of a level; without pow at n = 1,
     where it would return omega + x exactly."""
     ys = map(add, xs, repeat(omega))
-    return sum(map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n))))
+    return list(map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n))))
 
 
 def _quadratic_kernel(omega, xs, gs):
-    """sum_i g_i / (omega^2 + x_i^2) over a level."""
-    return sum(map(truediv, gs, map(add, map(mul, xs, xs),
-                                    repeat(omega * omega))))
-
-
-def _tail_scale(kernel, n, nu, omega):
-    """sup of x^{1-nu} K(x) over x >= SPLIT_POINT = 1: for the quadratic
-    kernel at x = max(1, omega); for the pole kernel at x = inf at n = 1 and
-    nu = 0, else at x = max(1, (1-nu) omega/(n-1+nu)), formed as
-    (x/y)^{1-nu} y^{1-nu-n}, y = omega + x, whose powers cannot overflow."""
-    if kernel == "quadratic":
-        return 0.5 / omega if omega >= 1.0 else 1.0 / (1.0 + omega * omega)
-    if n == 1 and nu == 0.0:
-        return 1.0
-    x = max(SPLIT_POINT, (1.0 - nu) * omega / (n - 1 + nu))
-    y = omega + x
-    return (x / y) ** (1.0 - nu) * y ** (1.0 - nu - n)
+    """The terms g_i / (omega^2 + x_i^2) of a level."""
+    return list(map(truediv, gs, map(add, map(mul, xs, xs),
+                                     repeat(omega * omega))))
 
 
 def _routed(f, omega, a):
@@ -243,12 +229,11 @@ def _direct(f, n, nu, omega, a, tol, kernel):
     The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
     first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
     nodes of the split's rung source on [SPLIT_POINT, inf) times x^{-nu}.
-    A level's values are summed times the kernel by :func:`_pole_kernel` or
-    :func:`_quadratic_kernel`; the kernel is largest at x = 0 and is formed
-    within (n + 2) u, n = 0 for the quadratic kernel, and x^{-nu} adds 3u.
-    On [SPLIT_POINT, inf) the kernel times x^{1-nu} is at most
-    :func:`_tail_scale`.  None where a rule raises, or the sum of the
-    rules' changes is not within tol |direct| by the level cap.
+    A level's terms are its values times the kernel, by :func:`_pole_kernel`
+    or :func:`_quadratic_kernel`; the kernel is formed within (n + 2) u,
+    n = 0 for the quadratic kernel, and x^{-nu} adds 3u.  None where a rule
+    raises, or the sum of the rules' changes is not within tol |direct| by
+    the level cap.
     """
     check_nu(nu)
     try:
@@ -265,13 +250,12 @@ def _direct(f, n, nu, omega, a, tol, kernel):
             level, c = partial(_pole_kernel, omega, n), n + 5
         else:
             level, c = partial(_quadratic_kernel, omega), 5
-        parts = [(rule, level, level((0.0,), (1.0,)), c)]
+        parts = [(rule, level, c)]
         if top < a:
             tail = rung_source(f, lad, nu, a).exp_sinh()
             parts.append((tail, level if nu == 0.0 else (
                 lambda xs, gs: level(xs, map(mul, gs, map(
-                    pow, xs, repeat(-nu))))),
-                _tail_scale(kernel, n, nu, omega), c))
+                    pow, xs, repeat(-nu))))), c))
         return integrate(parts, tol)
     except (ArithmeticError, FinitePartError):
         return None

@@ -28,6 +28,15 @@ root of this checkout (git-ignored), keyed by function, n, nu, a and
 omega; a reference that mpmath cannot settle is reported, not used, and
 tried again on the next run.
 
+Two more lines follow.  The split rungs at a = inf of gauss(1) and
+gauss(0.7), m = 1-40 and nu in {0, 0.25, 0.5}, are counted where their
+value is further from mpmath's than their own tail_bound; the reference
+is the finite part over [0, 1], summed term by term from the Maclaurin
+series, plus the integral over [1, inf).  Then effective_diffusivity
+(e^{-x}, e^{-x}, Pe, kappa = 1) at DIFFUSIVITY_PES, against
+``bench/refs.py``'s ``diffusivity``, is correct, silently wrong, rejected
+or raised raw, with one line per silently wrong or raw value.
+
 Then the four ``specfun`` families are classified the same way, over a
 fixed grid with n <= 40, zeta in (1, 1e4] and omega in (0, 100], plus
 SPECFUN_LARGE_N, against ``bench/refs.py``'s ``hyp2f1`` and ``hyperu``.
@@ -73,8 +82,13 @@ SPECFUN_LARGE_N = [
     {"family": "kummer-frac", "n": 300, "afrac": 0.5, "omega": 0.5},
 ]
 
-CLASSIFY_NS = (*range(1, 41), 60, 80, 100, 120, 150, 170, 200, 300)
+CLASSIFY_NS = (*range(1, 41), 60, 80, 100, 120, 150, 170, 200, 300, 400,
+               600, 800, 1000)
 CLASSIFY_NUS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
+
+SPLIT_GAUSS = ("gauss(1)", "gauss(0.7)")
+DIFFUSIVITY_PES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
+                   100.0, 200.0, 500.0, 1000.0)
 
 
 def reference(refs, cache, spec):
@@ -96,6 +110,83 @@ def reference(refs, cache, spec):
             except (RuntimeError, ZeroDivisionError, ValueError) as exc:
                 cache[key] = f"no reference: {exc}"
     return cache[key]
+
+
+def split_rung_reference(mp, cache, text, m, nu):
+    """The finite part of int_0^inf e^{-c x^2} x^(-m-nu) dx as a string:
+    sum_i (-c)^i / i! / (2i - m - nu + 1) over [0, 1], the term of
+    exponent -1 left out, plus mpmath's quadrature over [1, inf); cached."""
+    key = repr(("split rung", text, m, nu))
+    if key not in cache:
+        with mp.workdps(40):
+            c, nu = mp.mpf(text[6:-1]), mp.mpf(nu)
+            head = mp.fsum((-c) ** i / mp.factorial(i) / (2 * i - m - nu + 1)
+                           for i in range(200) if 2 * i - m - nu + 1 != 0)
+            tail = mp.quad(lambda x: mp.exp(-c * x * x) * x ** (-m - nu),
+                           [1, 2, 4, mp.inf])
+            cache[key] = mp.nstr(head + tail, 35)
+    return cache[key]
+
+
+def split_rung_census(child, fp, mp, cache):
+    """Print how many split rungs at a = inf lie outside their
+    tail_bound, then one line per such rung."""
+    lines = []
+    count = 0
+    for text in SPLIT_GAUSS:
+        for nu in (0.0, 0.25, 0.5):
+            f = child.make_function(text)
+            for m in range(1, 41):
+                got = fp.finite_part_integral(f, m, nu, math.inf)
+                count += 1
+                with mp.workdps(40):
+                    err = abs(mp.mpf(split_rung_reference(
+                        mp, cache, text, m, nu)) - got.value)
+                if err > got.tail_bound:
+                    lines.append(f"outside tail_bound  fpi {text} {nu} inf "
+                                 f"{m}  |value - ref| {float(err):.3g} > "
+                                 f"{got.tail_bound:.3g}")
+    print(f"split rungs at a = inf outside tail_bound: {len(lines)} of "
+          f"{count}")
+    for line in lines:
+        print(line)
+
+
+def diffusivity_census(entire, st, refs, cache, tol, error_types):
+    """Print the census of effective_diffusivity(e^{-x}, e^{-x}, Pe, 1)."""
+    kinds = Counter()
+    lines = []
+    for pe in DIFFUSIVITY_PES:
+        g = entire.Exponential(1.0)
+        try:
+            got = st.effective_diffusivity(g, g, pe, 1.0)
+        except error_types:
+            kinds["rejected"] += 1
+            continue
+        except Exception as exc:
+            kinds["raised raw"] += 1
+            lines.append(f"raised raw  diffusivity Pe {pe}  "
+                         f"{type(exc).__name__}: {exc}")
+            continue
+        key = repr(("diffusivity", "exp(1)", pe))
+        if key not in cache:
+            with refs.mp.workdps(refs.DPS):
+                cache[key] = refs.mp.nstr(refs.diffusivity(
+                    "exp(1)", "exp(1)", pe, 1), refs.DPS + 5)
+        with refs.mp.workdps(refs.DPS):
+            ref = refs.mp.mpf(cache[key])
+            rel = float(abs(ref - got) / abs(ref))
+        if rel <= tol:
+            kinds["correct"] += 1
+        else:
+            kinds["silently wrong"] += 1
+            lines.append(f"silently wrong  diffusivity Pe {pe}  "
+                         f"rel err {rel:.2g}")
+    print("diffusivity: " + " ".join(
+        f"{k}: {kinds[k]}" for k in ("correct", "silently wrong", "rejected",
+                                     "raised raw")))
+    for line in lines:
+        print(line)
 
 
 def specfun_ops():
@@ -260,6 +351,7 @@ def main(argv=None):
     import refs
     import finitepart.asymptotic as asy
     import finitepart.entire as entire
+    import finitepart.finite_part as fp
     import finitepart.stieltjes as st
     from finitepart.errors import FinitePartError
 
@@ -316,6 +408,9 @@ def main(argv=None):
         f"{r} {flagged_within[r]}" for r in sorted(routes)))
     for line in lines:
         print(line)
+    split_rung_census(child, fp, refs.mp, cache)
+    diffusivity_census(entire, st, refs, cache, bitdump.TOL,
+                       (FinitePartError, ValueError))
     specfun_census(child, refs, cache, bitdump.TOL,
                    (FinitePartError, ValueError))
     classify_census(asy, entire, refs.mp, bitdump.TOL,
