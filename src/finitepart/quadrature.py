@@ -12,14 +12,16 @@ A rule belongs to the integrand factor F that its callers share, and each
 caller brings its own factor of x.  The nodes x_i and the weighted values
 g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
 takes the integers t in [lo, hi], each level n after it the odd multiples
-of 2^-n in that range.  The range ends at the first quiet node, one whose
-size is below _NEGLIGIBLE times the largest one's, the next node
-confirming it.  The part of a node that F does not change, (u, w) or
-(s, y, pi cosh t y), is computed once per process for every |t| <= _T_CAP
-of a level, in one table per rule, so a rule forms only x and g, in the
-order of the formulas above.  Tables and levels grow by replacement, and a
-level's lists are never changed once made, so a thread reads whole levels
-only.
+of 2^-n in that range, and notes whether its values are of one sign.  The
+range ends at the first quiet node, one whose size is below _NEGLIGIBLE
+times the largest one's, that the next node, no larger, confirms (a larger
+one marks a dip of F at a root); the tanh-sinh range keeps the confirming
+node at x -> 0 as well.  The part of a node that F does not
+change, (u, w) or (s, y, pi cosh t y), is computed once per process for
+every |t| <= _T_CAP of a level, in one table per rule, so a rule forms
+only x and g, in the order of the formulas above.  Tables and levels grow
+by replacement, and a level's lists are never changed once made, so a
+thread reads whole levels only.
 """
 
 import math
@@ -41,8 +43,8 @@ def integrate(parts, rtol, atol=0.0):
     """(the integral, its error bound), or None.
 
     The integral is the sum of the trapezoidal values of ``parts``,
-    (rule, level_terms, c): ``level_terms(xs, gs)`` lists a level's terms,
-    its values times the caller's factor of x, a factor formed within c u.
+    (rule, level_terms, c): ``level_terms(xs, gs)`` gives a level's terms,
+    its values times the caller's positive factor of x, formed within c u.
     From level MIN_LEVEL on it is accepted when the sum of the changes is
     within max(rtol |integral|, atol); a part whose change is within that
     bound over len(parts) keeps its level from then on.  None when the
@@ -56,9 +58,11 @@ def integrate(parts, rtol, atol=0.0):
     (c + 1) u of its exact value; a level's sum of at most N terms adds
     (N - 1) u of their sizes, recursive summation or the compensated sum()
     of Python 3.12, and each of the n additions of a level to the total u
-    of the sizes summed so far.  It does not cover the parts of the
-    integral past the ends of a rule's range, whose nodes are below
-    _NEGLIGIBLE times the largest node size, before the caller's factor.
+    of the sizes summed so far; where a level's values are of one sign,
+    the size of its sum is the sum of its sizes, bit for bit.  The parts
+    past the ends of a rule's range, where the integrand decays double
+    exponentially, are taken at the sizes of the terms of its end nodes,
+    which the caller's factor can raise far past the quiet sizes of F.
     """
     count = len(parts)
     totals = [0.0] * count
@@ -70,9 +74,11 @@ def integrate(parts, rtol, atol=0.0):
     for n in range(LEVEL_CAP + 1):
         for i in live:
             rule, level_terms, _ = parts[i]
-            terms = level_terms(*rule.level(n))
-            totals[i] += sum(terms)
-            sizes[i] += sum(map(abs, terms))
+            xs, gs, signed = rule.level(n)
+            terms = level_terms(xs, gs) if signed else [*level_terms(xs, gs)]
+            s = sum(terms)
+            sizes[i] += abs(s) if signed else sum(map(abs, terms))
+            totals[i] += s
             new = math.ldexp(totals[i], -n)
             changes[i] = abs(new - values[i])
             values[i] = new
@@ -84,9 +90,11 @@ def integrate(parts, rtol, atol=0.0):
             bound = max(rtol * abs(value), atol)
             err = reduce(add, changes)
             if err <= bound:
-                for (rule, _, c), top, size in zip(parts, tops, sizes):
+                for (rule, level_terms, c), top, size in zip(parts, tops,
+                                                             sizes):
                     err += ((len(rule.level(top)[0]) + top + c)
-                            * UNIT_ROUNDOFF * math.ldexp(size, -top))
+                            * UNIT_ROUNDOFF * math.ldexp(size, -top)
+                            + sum(map(abs, level_terms(*rule.ends))))
                 return value, err
             if count > 1:
                 live = [i for i in live if changes[i] > bound / count]
@@ -94,12 +102,14 @@ def integrate(parts, rtol, atol=0.0):
 
 
 class _Rule:
-    """The levels of one rule, each (x_i, g_i); a subclass gives its
-    geometry ``_geometry(t)``, the nodes ``_nodes(*columns)`` of geometry
-    columns, and the node sizes ``_sizes(xs, gs)``, which find a quiet
-    node."""
+    """The levels of one rule, each (x_i, g_i, whether the g_i are of one
+    sign), and the (x_i, g_i) of its range's end nodes, ``ends``; a
+    subclass gives its geometry ``_geometry(t)``, the nodes
+    ``_nodes(*columns)`` of geometry columns, and the node sizes
+    ``_sizes(xs, gs)``, which find a quiet node."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
+    _LOW_KEEPS = False  # whether the lower end keeps its confirming node
     _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
 
     def __init__(self, f):
@@ -116,6 +126,7 @@ class _Rule:
         ends = []
         for step in (1, -1):
             t = quiet = 0
+            last = big
             while quiet < 2:
                 t += step
                 if abs(t) > _T_CAP:
@@ -126,11 +137,17 @@ class _Rule:
                 xs.append(x)
                 gs.append(g)
                 big = max(big, v)
-                quiet = quiet + 1 if v <= _NEGLIGIBLE * big else 0
-            del xs[-1], gs[-1]
-            ends.append(t - step)
+                quiet = ((1 if v > last else quiet + 1)
+                         if v <= _NEGLIGIBLE * big else 0)
+                last = v
+            if step > 0 or not self._LOW_KEEPS:
+                del xs[-1], gs[-1]
+                t -= step
+            ends.append(t)
         self.hi, self.lo = ends
-        self.levels = ((xs, gs),)
+        # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
+        self.ends = [xs[self.hi], xs[-1]], [gs[self.hi], gs[-1]]
+        self.levels = ((xs, gs, _one_sign(gs)),)
 
     @classmethod
     def _columns(cls, n):
@@ -150,15 +167,21 @@ class _Rule:
         return table[n]
 
     def level(self, n):
-        """(x_i, g_i) of the nodes new at level n."""
+        """(x_i, g_i, whether the g_i are of one sign) of the nodes new at
+        level n."""
         levels = self.levels
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
             cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
             cols = self._columns(len(levels))
             xs, gs = self._nodes(*(c[cut] for c in cols))
-            levels = self.levels = levels + ((xs, gs),)
+            levels = self.levels = levels + ((xs, gs, _one_sign(gs)),)
         return levels[n]
+
+
+def _one_sign(gs):
+    """Whether no two of gs have opposite signs."""
+    return min(gs) >= 0.0 or max(gs) <= 0.0
 
 
 class ExpSinh(_Rule):
@@ -195,8 +218,8 @@ class ExpSinh(_Rule):
         :func:`integrate`); a last change within 1e-13 relative or 1e-15
         absolute is accepted, and NonconvergenceError is raised without
         one.  The factor x^{-p} is pow's, within an ulp, 2u."""
-        got = integrate([(self, lambda xs, gs: list(map(
-            mul, gs, map(pow, xs, repeat(-p)))), 2)],
+        got = integrate([(self, lambda xs, gs: map(
+            mul, gs, map(pow, xs, repeat(-p))), 2)],
             self._RTOL, self._ATOL)
         if got is None:
             raise NonconvergenceError(
@@ -217,6 +240,7 @@ class TanhSinh(_Rule):
 
     _WHAT = "tanh-sinh integrand"
     _TABLE = ()
+    _LOW_KEEPS = True  # the callers' kernels are largest at x = 0
 
     def __init__(self, f, nu, a):
         self.a, self.p = a, 1.0 - nu

@@ -205,13 +205,12 @@ def _pole_kernel(omega, n, xs, gs):
     """The terms g_i / (omega + x_i)^n of a level; without pow at n = 1,
     where it would return omega + x exactly."""
     ys = map(add, xs, repeat(omega))
-    return list(map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n))))
+    return map(truediv, gs, ys if n == 1 else map(pow, ys, repeat(n)))
 
 
 def _quadratic_kernel(omega, xs, gs):
     """The terms g_i / (omega^2 + x_i^2) of a level."""
-    return list(map(truediv, gs, map(add, map(mul, xs, xs),
-                                     repeat(omega * omega))))
+    return map(truediv, gs, map(add, map(mul, xs, xs), repeat(omega * omega)))
 
 
 def _routed(f, omega, a):

@@ -84,21 +84,25 @@ def reference(fn, n, nu, a, omega):
     """int_0^a x^{-nu} fn(x) K(x) dx at 40 digits, K = (omega+x)^{-n}, or
     1/(omega^2+x^2) for n = 0; taken in u = x^{1-nu}, in which the
     integrand is bounded at 0, and split at omega below a/2, where the
-    kernel's peak is narrow."""
+    kernel's peak is narrow.  The kernel is taken over K(0), as mpmath's
+    quad settles on an absolute change: on (1-x)^10 at a = 40,
+    omega = 20.5 and n = 40 the integral is about 1e-49, and without the
+    scale quad returned it 1e-3 off."""
     with mpmath.workdps(40):
         w, a = mpmath.mpf(omega), mpmath.mpf(a)
         k = 1 / (1 - mpmath.mpf(nu))
         if n:
             def kernel(x):
-                return (w + x) ** -n
+                return (1 + x / w) ** -n
         else:
             def kernel(x):
-                return 1 / (w * w + x * x)
+                return 1 / (1 + (x / w) ** 2)
         pts = [0, 1, 4, a] if a > 4 else [0, a]
         if w < a / 2:
             pts = sorted({*pts, w})
         pts = [x ** (1 / k) for x in pts]
-        return mpmath.quad(lambda u: k * fn(u ** k) * kernel(u ** k), pts)
+        return mpmath.quad(lambda u: k * fn(u ** k) * kernel(u ** k),
+                           pts) * w ** -(n or 2)
 
 
 def evaluate(f, n, nu, a, omega, **kw):
@@ -390,9 +394,10 @@ def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
     lad = f.ladder(0.0, math.inf)
     nodes = sum(len(xs) for rule in (lad.rule, lad.series.nodes)
                 for xs, *_ in rule.levels)
-    # each range search also evaluates the node past each of its two ends;
-    # the singular terms evaluate f at -omega
-    assert sum(x > 0 for x in calls) == nodes + 4
+    # each range search also evaluates the node past each of its two ends,
+    # but the tanh-sinh range keeps that node at x -> 0; the singular terms
+    # evaluate f at -omega
+    assert sum(x > 0 for x in calls) == nodes + 3
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +542,8 @@ def test_quadratic_exp_sinh_tail_is_bounded_by_the_kernel(omega):
 @example(("gauss", (1.0,)), 3, 0.5, 0.5, 1e-4)
 @example(("xexp", ()), 2, 0.25, math.inf, 1e-4)
 @example(("gauss", (0.7,)), 0, 0.0, math.inf, 1e-4)
+# a range once closed at the dip next to the root x = 1: 1.3e-11 off
+@example(("binpoly", (2, 8)), 3, 0.25, 40.0, 0.005)
 def test_direct_below_the_routing_lies_within_its_bound(shape, n, nu, a,
                                                         share):
     # the integral that routing at any omega will read: wherever it
@@ -568,16 +575,33 @@ def test_direct_bound_at_small_omega_is_tight():
     assert abs(mpmath.mpf(direct) - ref) <= bound <= 1e-13 * abs(direct)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: the tanh-sinh range closes on f alone, at its root "
-    "x = 1, and drops a part that the kernel amplifies by (a/omega)^n"))
 def test_direct_below_the_routing_covers_the_part_the_range_drops():
     # x^2 (1-x)^8 on [0, 40]: the level-0 nodes at x = 0.97, near the root,
-    # and at 4.5e-4 are below 2^-70 of the largest, so the range drops
-    # [0, 0.97], whose share 1.3e-11 of the transform at omega = 0.005 is
-    # past the bound, 3.9e-14 of it
+    # and at 4.5e-4 are below 2^-70 of the largest; a range closed at the
+    # first dropped [0, 0.97], 1.3e-11 of the transform at omega = 0.005,
+    # past a bound of 5.9e-15 of it
     make_f, make_mp = FAMILIES["binpoly"]
     direct, bound = stieltjes._direct(make_f(2, 8), 3, 0.25, 0.005, 40.0,
                                       TOL, "pole")
     ref = reference(make_mp(2, 8), 3, 0.25, 40.0, 0.005)
     assert abs(mpmath.mpf(direct) - ref) <= bound
+
+
+@pytest.mark.parametrize("p, q", [(0, 10), (2, 8)])
+@pytest.mark.parametrize("n", [10, 20, 40])
+@pytest.mark.parametrize("nu", [0.0, 0.25])
+def test_routed_high_order_lies_within_its_bound(p, q, n, nu):
+    # at omega = 20.5 > a/2 the kernel falls by ((omega+a)/omega)^n, up to
+    # 3e18, over [0, 40], and raises what the range drops by as much: a
+    # range closed at the dip next to the root x = 1 left binpoly(2,8)
+    # 8.6e-12 off at n = 20 and 7e-7 at n = 40, and one closed on f alone
+    # left binpoly(0,10) 3.8e-13 off at n = 40 and nu = 0.25, against
+    # bounds of 1e-14 to 2e-13, each marked converged
+    make_f, make_mp = FAMILIES["binpoly"]
+    f = make_f(p, q)
+    direct, bound = stieltjes._direct(f, n, nu, 20.5, 40.0, TOL, "pole")
+    ref = reference(make_mp(p, q), n, nu, 40.0, 20.5)
+    assert abs(mpmath.mpf(direct) - ref) <= bound
+    res = evaluate(f, n, nu, 40.0, 20.5)
+    assert (res.route, res.direct) == ("direct", direct)
+    assert abs(mpmath.mpf(res.total) - ref) <= res.tail_estimate

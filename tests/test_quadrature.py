@@ -11,7 +11,7 @@ from operator import mul
 import mpmath
 import pytest
 
-from finitepart.entire import CustomSeries
+from finitepart.entire import BinomialPoly, CustomSeries
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import SPLIT_POINT
 from finitepart.gammafn import UNIT_ROUNDOFF
@@ -62,19 +62,21 @@ def test_descriptors_share_one_geometry_table():
 
 
 class _Levels:
-    """A rule whose level n is n itself: its part's trapezoidal value at
-    level n is values(n)."""
+    """A rule whose level n holds n itself, and whose range has no end
+    nodes: its part's trapezoidal value at level n is values(n)."""
+
+    ends = (), ()
 
     def __init__(self, values):
         self.values = values
 
     def level(self, n):
-        return (), n
+        return (), (n,), False
 
     def part(self):
         v = self.values
-        return self, lambda _, n: [math.ldexp(v(n), n) - math.ldexp(
-            v(n - 1), n - 1) if n else v(0)], 0
+        return self, lambda _, ns: [math.ldexp(v(n), n) - math.ldexp(
+            v(n - 1), n - 1) if n else v(0) for n in ns], 0
 
 
 def test_cancelling_parts_are_accepted_on_the_sum_of_their_changes():
@@ -103,7 +105,8 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
     f = gauss(0.9)
     rule = make(f)
     for n in range(6):
-        xs, gs = rule.level(n)
+        xs, gs, signed = rule.level(n)
+        assert signed == (min(gs) >= 0.0 or max(gs) <= 0.0)
         if n:
             span = 2 ** (n - 1)
             ts = [(2 * i + 1) / (2 * span)
@@ -130,15 +133,33 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
     lambda f: ExpSinh(f, SPLIT_POINT), lambda f: TanhSinh(f, 0.0, 2.0)])
 def test_range_ends_at_the_first_quiet_node(make):
     rule = make(gauss(1.0))
-    xs, gs = rule.levels[0]
+    xs, gs, _ = rule.levels[0]
     sizes = list(rule._sizes(xs, gs))
     big = max(sizes)
-    # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
+    # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo; the tanh-sinh
+    # range keeps the confirming node at its lower end as well
     ends = (rule.hi, len(xs) - 1)
-    for i in ends:
+    firsts = (rule.hi, len(xs) - 1 - rule._LOW_KEEPS)
+    for i in range(firsts[0], ends[0] + 1):
         assert sizes[i] <= _NEGLIGIBLE * big
-    assert sizes[ends[0] - 1] > _NEGLIGIBLE * big
-    assert sizes[ends[1] - 1] > _NEGLIGIBLE * big
+    for i in range(firsts[1], ends[1] + 1):
+        assert sizes[i] <= _NEGLIGIBLE * big
+    assert sizes[firsts[0] - 1] > _NEGLIGIBLE * big
+    assert sizes[firsts[1] - 1] > _NEGLIGIBLE * big
+    assert rule.ends == ([xs[i] for i in ends], [gs[i] for i in ends])
+
+
+def test_range_runs_past_a_dip_at_a_root():
+    # x^2 (1-x)^8 on [0, 40]: the level-0 nodes at x = 0.973, next to the
+    # root x = 1, and at x = 4.5e-4 are both quiet, but the second is the
+    # larger, so the range runs on past x = 4.5e-4, to the node that
+    # confirms it, x = 8e-13
+    rule = TanhSinh(BinomialPoly(2, 8), 0.0, 40.0)
+    xs, gs, _ = rule.levels[0]
+    sizes = list(rule._sizes(xs, gs))
+    assert rule.lo == -3 and xs[-3] == pytest.approx(0.973, abs=1e-3)
+    assert sizes[-3] < sizes[-2] <= _NEGLIGIBLE * max(sizes)
+    assert sizes[-1] <= sizes[-2]
 
 
 def test_open_ranges_fail_as_before():
@@ -173,19 +194,24 @@ def _split_tail_as_before(nodes, p):
     """The split tail as ExpSinh.integral once formed it: the level sums
     and their last change, accepted within 1e-13 relative or 1e-15
     absolute, plus a running rounding bound, (N + n + 2) u 2^-n times the
-    sizes |g_i x_i^-p| of the terms of levels 0 to n."""
+    sizes |g_i x_i^-p| of the terms of levels 0 to n, plus the sizes of the
+    terms of the range's end nodes."""
+    def level_terms(xs, gs):
+        return list(map(mul, gs, map(pow, xs, repeat(-p))))
+
     total = sizes = 0.0
     value = math.nan
     for n in range(LEVEL_CAP + 1):
-        xs, gs = nodes.level(n)
-        terms = list(map(mul, gs, map(pow, xs, repeat(-p))))
+        xs, gs, _ = nodes.level(n)
+        terms = level_terms(xs, gs)
         total += sum(terms)
         sizes += sum(map(abs, terms))
         new = math.ldexp(total, -n)
         change, value = abs(new - value), new
         if n >= MIN_LEVEL and change <= max(1e-13 * abs(value), 1e-15):
             return value, change + ((len(xs) + n + 2) * UNIT_ROUNDOFF
-                                    * math.ldexp(sizes, -n))
+                                    * math.ldexp(sizes, -n)
+                                    + sum(map(abs, level_terms(*nodes.ends))))
     return None
 
 

@@ -152,39 +152,60 @@ def split_rung_census(child, fp, mp, cache):
         print(line)
 
 
+def tally(kinds, lines, key, head, thunk, judge, rejections):
+    """Count the outcome of ``thunk`` as kinds[key, kind]: "rejected"
+    where it raises one of ``rejections``, "raised raw" where it raises
+    anything else, and else the (kind, note) of ``judge`` of its value.
+    Each kind but correct, flagged and rejected adds the line
+    "<kind>  <head>  <note>"."""
+    try:
+        got = thunk()
+    except rejections:
+        kind = "rejected"
+    except Exception as exc:
+        kind, note = "raised raw", f"{type(exc).__name__}: {exc}"
+    else:
+        kind, note = judge(got)
+    kinds[key, kind] += 1
+    if kind not in ("correct", "flagged", "rejected"):
+        lines.append(f"{kind}  {head}  {note}")
+
+
+def against(ref, got, tol):
+    """(kind, note) of ``got`` against the mpf ``ref``: correct within
+    tol |ref|, else silently wrong with its relative error."""
+    rel = float(abs(ref - got) / abs(ref)) if ref else abs(got)
+    return ("correct", None) if rel <= tol else (
+        "silently wrong", f"rel err {rel:.2g}")
+
+
+def print_counts(label, kinds, keys, order):
+    """One line "<label>: <kind>: <count> ...", the label left out where
+    it is empty, summing kinds over keys."""
+    print(f"{label}: " * bool(label) + " ".join(
+        f"{k}: {sum(kinds[key, k] for key in keys)}" for k in order))
+
+
 def diffusivity_census(entire, st, refs, cache, tol, error_types):
     """Print the census of effective_diffusivity(e^{-x}, e^{-x}, Pe, 1)."""
     kinds = Counter()
     lines = []
-    for pe in DIFFUSIVITY_PES:
-        g = entire.Exponential(1.0)
-        try:
-            got = st.effective_diffusivity(g, g, pe, 1.0)
-        except error_types:
-            kinds["rejected"] += 1
-            continue
-        except Exception as exc:
-            kinds["raised raw"] += 1
-            lines.append(f"raised raw  diffusivity Pe {pe}  "
-                         f"{type(exc).__name__}: {exc}")
-            continue
+    g = entire.Exponential(1.0)
+
+    def judge(got, pe):
         key = repr(("diffusivity", "exp(1)", pe))
-        if key not in cache:
-            with refs.mp.workdps(refs.DPS):
+        with refs.mp.workdps(refs.DPS):
+            if key not in cache:
                 cache[key] = refs.mp.nstr(refs.diffusivity(
                     "exp(1)", "exp(1)", pe, 1), refs.DPS + 5)
-        with refs.mp.workdps(refs.DPS):
-            ref = refs.mp.mpf(cache[key])
-            rel = float(abs(ref - got) / abs(ref))
-        if rel <= tol:
-            kinds["correct"] += 1
-        else:
-            kinds["silently wrong"] += 1
-            lines.append(f"silently wrong  diffusivity Pe {pe}  "
-                         f"rel err {rel:.2g}")
-    print("diffusivity: " + " ".join(
-        f"{k}: {kinds[k]}" for k in ("correct", "silently wrong", "rejected",
-                                     "raised raw")))
+            return against(refs.mp.mpf(cache[key]), got, tol)
+
+    for pe in DIFFUSIVITY_PES:
+        tally(kinds, lines, "", f"diffusivity Pe {pe}",
+              lambda: st.effective_diffusivity(g, g, pe, 1.0),
+              lambda got: judge(got, pe), error_types)
+    print_counts("diffusivity", kinds, ("",), ("correct", "silently wrong",
+                                              "rejected", "raised raw"))
     for line in lines:
         print(line)
 
@@ -234,38 +255,25 @@ def specfun_census(child, refs, cache, tol, error_types):
     """Print the specfun census; ``error_types`` are the rejections."""
     kinds = Counter()
     lines = []
-    for op in specfun_ops():
-        fam = op["family"]
-        head = " ".join(f"{k}={v}" for k, v in op.items())
-        try:
-            got = child._specfun_call(op)()
-        except error_types:
-            kinds[fam, "rejected"] += 1
-            continue
-        except Exception as exc:
-            kinds[fam, "raised raw"] += 1
-            lines.append(f"raised raw  {head}  {type(exc).__name__}: {exc}")
-            continue
+
+    def judge(got, op):
         text = specfun_reference(refs, cache, op)
         if text.startswith("no reference"):
-            kinds[fam, "no reference"] += 1
-            lines.append(f"no reference  {head}  {text}")
-            continue
+            return "no reference", text
         with refs.mp.workdps(refs.DPS):
-            ref = refs.mp.mpf(text)
-            rel = float(abs(ref - got) / abs(ref)) if ref else abs(got)
-        if rel <= tol:
-            kinds[fam, "correct"] += 1
-        else:
-            kinds[fam, "silently wrong"] += 1
-            lines.append(f"silently wrong  {head}  rel err {rel:.2g}")
+            return against(refs.mp.mpf(text), got, tol)
+
+    for op in specfun_ops():
+        tally(kinds, lines, op["family"],
+              " ".join(f"{k}={v}" for k, v in op.items()),
+              lambda: child._specfun_call(op)(), lambda got: judge(got, op),
+              error_types)
     order = ("correct", "silently wrong", "rejected", "raised raw",
              "no reference")
     fams = ("gauss-int", "gauss-branch", "kummer-int", "kummer-frac")
-    for fam in fams + ("specfun",):
-        sel = fams if fam == "specfun" else (fam,)
-        print(f"{fam}: " + " ".join(
-            f"{k}: {sum(kinds[f, k] for f in sel)}" for k in order))
+    for fam in fams:
+        print_counts(fam, kinds, (fam,), order)
+    print_counts("specfun", kinds, fams, order)
     for line in lines:
         print(line)
 
@@ -275,39 +283,31 @@ def classify_census(asy, entire, mp, tol, error_types):
     ``error_types`` are the rejections."""
     kinds = Counter()
     lines = []
+
+    def judge(lb, n, m, nu):
+        with mp.workdps(30):
+            ref = mp.beta(m + 1 - mp.mpf(nu), n - m - 1 + mp.mpf(nu))
+            kind, _ = against(ref, lb.coefficient, tol)
+            rel = float(abs(lb.coefficient - ref) / ref)
+        want = (asy.LeadingKind.BRANCH_POWER_DOMINANT if nu
+                else asy.LeadingKind.POWER_DOMINANT)
+        if (kind, lb.kind, lb.exponent) == ("correct", want, m - n + 1 - nu):
+            return "correct", None
+        return "silently wrong", (f"rel err {rel:.2g}  {lb.kind.value} "
+                                  f"{lb.exponent!r}")
+
     for n in CLASSIFY_NS:
         for m in sorted({0, 1, 2, 3, 5, n // 2, n - 2, n - 1}):
             for nu in CLASSIFY_NUS:
                 if not 0 <= m <= n - 1 or nu == 0.0 and m == n - 1:
                     continue  # naive or log rows
-                row = "branch" if nu else "power"
-                head = f"classify n={n} m={m} nu={nu}"
-                try:
-                    lb = asy.classify(entire.MonomialExp(m, 1.0), n, nu)
-                except error_types:
-                    kinds[row, "rejected"] += 1
-                    continue
-                except Exception as exc:
-                    kinds[row, "raised raw"] += 1
-                    lines.append(f"raised raw  {head}  "
-                                 f"{type(exc).__name__}: {exc}")
-                    continue
-                with mp.workdps(30):
-                    ref = mp.beta(m + 1 - mp.mpf(nu), n - m - 1 + mp.mpf(nu))
-                    rel = float(abs(lb.coefficient - ref) / ref)
-                want = (asy.LeadingKind.BRANCH_POWER_DOMINANT if nu
-                        else asy.LeadingKind.POWER_DOMINANT)
-                if (rel <= tol and lb.kind is want
-                        and lb.exponent == m - n + 1 - nu):
-                    kinds[row, "correct"] += 1
-                else:
-                    kinds[row, "silently wrong"] += 1
-                    lines.append(f"silently wrong  {head}  rel err {rel:.2g}"
-                                 f"  {lb.kind.value} {lb.exponent!r}")
-    order = ("correct", "silently wrong", "rejected", "raised raw")
+                tally(kinds, lines, "branch" if nu else "power",
+                      f"classify n={n} m={m} nu={nu}",
+                      lambda: asy.classify(entire.MonomialExp(m, 1.0), n, nu),
+                      lambda lb: judge(lb, n, m, nu), error_types)
     for row in ("power", "branch"):
-        print(f"classify {row}: " + " ".join(
-            f"{k}: {kinds[row, k]}" for k in order))
+        print_counts(f"classify {row}", kinds, (row,),
+                     ("correct", "silently wrong", "rejected", "raised raw"))
     for line in lines:
         print(line)
 
@@ -323,19 +323,6 @@ def beta_transform(mp, fn, n, nu, omega):
             raise ValueError(f"x^{k} x^-nu (omega+x)^-{n} is not integrable")
         total += c * w ** (s - n) * mp.beta(s, n - s)
     return fn.c * total
-
-
-def classify(res, ref, tol):
-    """The class of a result against its reference, its total's error,
-    whether that is within tol |ref| and whether it is within the result's
-    tail_estimate; ``ref`` an mpf, compared at its own precision."""
-    err = abs(ref - res.total)
-    within = err <= tol * abs(ref)
-    if not res.converged:
-        kind = "flagged"
-    else:
-        kind = "correct" if within else "silently wrong"
-    return kind, err, within, err <= res.tail_estimate
 
 
 def main(argv=None):
@@ -364,44 +351,40 @@ def main(argv=None):
     outside = Counter()
     flagged_within = Counter()
     lines = []
-    for head, spec, thunk in bitdump.grid_cases(child, entire, st):
-        if spec is None:
-            continue
-        try:
-            got = thunk()
-        except (FinitePartError, ValueError):
-            kinds["rejected"] += 1
-            continue
-        except Exception as exc:
-            kinds["raised raw"] += 1
-            lines.append(f"raised raw  {head}  {type(exc).__name__}: {exc}")
-            continue
+    tails = []  # the value's outside-tail line, after its own line
+
+    def judge(got, head, spec):
         res = st.ExpansionResult(*got)
         text = reference(refs, cache, spec)
         if text.startswith("no reference"):
-            kinds["no reference"] += 1
-            lines.append(f"no reference  {head}  {text}")
-            continue
+            return "no reference", text
         with refs.mp.workdps(refs.DPS):
             ref = refs.mp.mpf(text)
-            kind, err, within, covered = classify(res, ref, bitdump.TOL)
-            rel = float(err / abs(ref)) if ref else float(err)
-        kinds[kind] += 1
+            err = abs(ref - res.total)
+            kind, note = against(ref, res.total, bitdump.TOL)
+        within = kind == "correct"
         routes[res.route] += 1
-        if kind == "flagged" and within:
-            flagged_within[res.route] += 1
-        if not covered:
+        if not res.converged:
+            kind = "flagged"
+            flagged_within[res.route] += within
+        if err > res.tail_estimate:
             outside[res.route] += 1
-        if kind == "silently wrong":
-            lines.append(f"silently wrong  {head}  rel err {rel:.2g}  "
-                         f"route {res.route}")
-        if not covered and res.route != "series":
-            lines.append(f"outside tail  {head}  |total - ref| "
-                         f"{float(err):.3g} > tail "
-                         f"{res.tail_estimate:.3g}  route {res.route}")
-    order = ("correct", "flagged", "rejected", "silently wrong",
-             "raised raw", "no reference")
-    print(" ".join(f"{k}: {kinds[k]}" for k in order))
+            if res.route != "series":
+                tails.append(f"outside tail  {head}  |total - ref| "
+                             f"{float(err):.3g} > tail "
+                             f"{res.tail_estimate:.3g}  route {res.route}")
+        return kind, f"{note}  route {res.route}"
+
+    for head, spec, thunk in bitdump.grid_cases(child, entire, st):
+        if spec is not None:
+            tally(kinds, lines, "", head, thunk,
+                  lambda got: judge(got, head, spec),
+                  (FinitePartError, ValueError))
+            lines += tails
+            tails.clear()
+    print_counts("", kinds, ("",), (
+        "correct", "flagged", "rejected", "silently wrong", "raised raw",
+        "no reference"))
     print("outside tail_estimate: " + ", ".join(
         f"{r} {outside[r]} of {routes[r]}" for r in sorted(routes)))
     print("flagged though within tol: " + ", ".join(
