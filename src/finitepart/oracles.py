@@ -5,7 +5,8 @@ series representations used elsewhere in the package:
 
 * :func:`quad_adaptive` wraps adaptive Gauss-Kronrod quadrature (QUADPACK
   via scipy) of a convergent integral over one interval; semi-infinite
-  ranges use QUADPACK's built-in rational mapping.
+  ranges use QUADPACK's built-in rational mapping, and an algebraic
+  weight at the lower end its Clenshaw-Curtis routine QAWS.
 * :func:`fpi_epsilon_oracle` evaluates a finite part straight from its
   definition: the divergent part in eps is removed analytically, so the
   eps -> 0 limit is one ordinary integral of the Taylor remainder.
@@ -37,30 +38,39 @@ class QuadratureResult:
     evaluations: int
 
 
-def quad_adaptive(integrand, lo, hi, tol=1e-10) -> QuadratureResult:
-    """One QUADPACK call for a convergent integral on (lo, hi], ``hi``
-    possibly ``math.inf``, to the relative error target ``tol``.
+def quad_adaptive(integrand, lo, hi, tol=1e-10, alpha=0.0) -> QuadratureResult:
+    """One QUADPACK call for the convergent integral of integrand(x) (x -
+    lo)^alpha on (lo, hi], ``hi`` possibly ``math.inf``, to the relative
+    error target ``tol``.
+
+    At alpha = 0 this is QAGS (QAGI at ``hi = inf``).  Otherwise, at a
+    finite ``hi``, (x - lo)^alpha, alpha > -1, is QAWS's algebraic weight:
+    its Clenshaw-Curtis rule integrates the power exactly, so an integrand
+    analytic at ``lo`` converges there without bisection.  QAWS evaluates
+    the integrand at both ends.
 
     A result that QUADPACK flags for roundoff (ier = 2) is still accepted
-    when its error estimate is within ``tol`` of int |integrand|: an
-    integral that cancels to near zero cannot meet the relative target, nor
-    the fixed absolute floor below it, but is as accurate as the
-    integrand's size allows.  That case alone costs a second call, for
-    int |integrand| to three digits.  Any other QUADPACK warning raises
-    NonconvergenceError with the result as ``partial``.
+    when its error estimate is within ``tol`` of int |integrand| (x -
+    lo)^alpha: an integral that cancels to near zero cannot meet the
+    relative target, nor the fixed absolute floor below it, but is as
+    accurate as the integrand's size allows.  That case alone costs a
+    second call, for the weighted int |integrand| to three digits.  Any
+    other QUADPACK warning raises NonconvergenceError with the result as
+    ``partial``.
     """
     if not lo < hi:
         raise ValueError("quadrature requires lo < hi")
     from scipy.integrate import quad
 
+    weight = {} if alpha == 0.0 else {"weight": "alg", "wvar": (alpha, 0.0)}
     out = quad(integrand, lo, hi, epsabs=1e-15, epsrel=tol,
-               limit=_QUAD_LIMIT, full_output=1)
+               limit=_QUAD_LIMIT, full_output=1, **weight)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
     warning = out[3] if len(out) > 3 else None
     if warning is not None and warning.startswith(_ROUNDOFF):
         mag = quad(lambda x: abs(integrand(x)), lo, hi, epsabs=0.0,
-                   epsrel=1e-3, limit=_QUAD_LIMIT, full_output=1)
+                   epsrel=1e-3, limit=_QUAD_LIMIT, full_output=1, **weight)
         neval += int(mag[2].get("neval", 0))
         if abserr <= tol * mag[0]:
             warning = None
@@ -168,22 +178,20 @@ def transform_oracle(spec) -> float:
     top = a if a < math.inf else max(1.0, omega)
     try:
         if kernel == "pole":
-            # u = x^q = omega^q (e^s - 1), q = 1 - nu, and x = omega y:
-            # then x^-nu dx / (omega + x)^n = omega^(q-n) e^s ds / (q (1 +
-            # y)^n), which is bounded at every nu.  e^s / (1 + y)^n is
-            # taken as one exp, so that neither factor leaves float range
-            # where the quotient does not, and omega^(q-n) scales the
-            # integrand, not the integral, so that QUADPACK's absolute
-            # floor of 1e-15 is on the transform's own scale.
-            q = 1.0 - nu
-            scale = omega ** (q - n) / q
+            # x = omega (e^s - 1): dx / (omega + x)^n = omega^(1-n) e^((1-n)
+            # s) ds, and x^-nu = omega^-nu s^-nu (s / expm1 s)^nu, with s^-nu
+            # left to QAWS's weight.  What remains is analytic at s = 0,
+            # where (s / expm1 s)^nu takes its limit 1.  omega^(1-n-nu)
+            # scales the integrand, not the integral, so that QUADPACK's
+            # absolute floor of 1e-15 is on the transform's own scale.
+            scale = omega ** (1.0 - n - nu)
 
             def mapped(s):
-                y = math.expm1(s) ** (1.0 / q)
-                return scale * f.eval(omega * y) * math.exp(
-                    s - n * math.log1p(y))
+                y = math.expm1(s)
+                value = scale * f.eval(omega * y) * math.exp((1 - n) * s)
+                return value * (s / y) ** nu if s and nu else value
 
-            s_top = math.log1p((top / omega) ** q)
+            s_top = math.log1p(top / omega)
             plain = lambda x: f.eval(x) * x ** -nu * (omega + x) ** -n
         else:
             # x = omega sinh s: dx / (omega^2 + x^2) = ds / (omega cosh s)
@@ -193,7 +201,8 @@ def transform_oracle(spec) -> float:
             plain = lambda x: f.eval(x) / (omega * omega + x * x)
         if not s_top < math.inf:
             raise OverflowError(f"{top!r} / omega leaves float range")
-        value = quad_adaptive(mapped, 0.0, s_top, tol=1e-11).value
+        # the quadratic kernel's nu is 0: no weight
+        value = quad_adaptive(mapped, 0.0, s_top, tol=1e-11, alpha=-nu).value
         if a == math.inf:
             value += quad_adaptive(plain, top, a, tol=1e-11).value
         if not abs(value) < math.inf:

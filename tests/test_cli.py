@@ -339,7 +339,8 @@ def _kernel_reference(text, a, omega, n=None, nu=0.0):
 def test_kernel_oracles_match_mpmath(text, a):
     f = parse_function(text)
     for omega in _oracle_omegas(a):
-        cases = [(n, nu) for n in (1, 3) for nu in (0.0, 0.25, 0.5, 0.75)]
+        cases = [(n, nu) for n in (1, 3)
+                 for nu in (0.0, 0.25, 0.5, 0.75, 0.9)]
         for n, nu in cases + [(None, 0.0)]:
             spec = (TransformSpec(f, 1, omega, a, kernel="quadratic")
                     if n is None else TransformSpec(f, n, omega, a, nu))
@@ -348,16 +349,18 @@ def test_kernel_oracles_match_mpmath(text, a):
             assert abs(got - ref) <= 1e-11 * abs(ref), (n, nu, omega)
 
 
-@pytest.mark.parametrize("kernel, args, parent", [
-    ("pole", ("exp(1.42)", 1, 0.00136, 1.98), 336),
-    ("pole", ("monexp(1,1.72)", 2, 0.002235, math.inf, 0.25), 618),
-    ("quadratic", ("monexp(1,1.22)", 1, 0.0181, math.inf), 324),
+@pytest.mark.parametrize("kernel, args, most", [
+    ("pole", ("exp(1.42)", 1, 0.00136, 1.98), 218),
+    ("pole", ("monexp(1,1.72)", 2, 0.002235, math.inf, 0.25), 220),
+    ("pole", ("exp(1)", 1, 0.01, 2.0, 0.75), 60),
+    ("quadratic", ("monexp(1,1.22)", 1, 0.0181, math.inf), 210),
 ])
-def test_kernel_oracles_take_few_evaluations(monkeypatch, kernel, args,
-                                             parent):
-    # ``parent``: QUADPACK evaluations with interior splits at omega, 10 omega
-    # and 1 in x (and x = t^2 at nu > 0); in the flattening variable they
-    # fall to 63, 366 and 198
+def test_kernel_oracles_take_few_evaluations(monkeypatch, kernel, args, most):
+    # QUADPACK evaluations.  Split in x at omega, 10 omega and 1 (x = t^2
+    # at nu > 0), the first, second and last case took 336, 618 and 324; in
+    # u = x^(1-nu), where f(x(u)) is not analytic at u = 0, the nu > 0
+    # cases took 366 and 105.  In the flattening variable, with s^-nu as
+    # QAWS's weight, the four take 63, 205, 40 and 198.
     counts = []
     real = oracles.quad_adaptive
 
@@ -369,7 +372,7 @@ def test_kernel_oracles_take_few_evaluations(monkeypatch, kernel, args,
     monkeypatch.setattr(oracles, "quad_adaptive", counted)
     oracles.transform_oracle(TransformSpec(parse_function(args[0]), *args[1:],
                                            kernel=kernel))
-    assert sum(counts) <= 0.65 * parent
+    assert sum(counts) <= most
 
 
 @pytest.mark.parametrize("argv, want", [

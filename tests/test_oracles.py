@@ -127,8 +127,47 @@ def test_quad_settles_an_inverse_square_root_at_a_nonzero_lower_limit():
 def test_quad_takes_one_interval():
     sig = inspect.signature(quad_adaptive)
     assert str(sig.replace(return_annotation=sig.empty)) \
-        == "(integrand, lo, hi, tol=1e-10)"
+        == "(integrand, lo, hi, tol=1e-10, alpha=0.0)"
     assert not hasattr(finitepart.oracles, "_quad_once")
+
+
+def test_quad_integrates_the_algebraic_weight_exactly():
+    # int_0^1 s^-0.75 e^-s ds, the lower incomplete gamma(0.25, 1): QAWS
+    # needs no bisection towards the singular end, and evaluates s = 0
+    seen = []
+
+    def g(s):
+        seen.append(s)
+        return math.exp(-s)
+
+    r = quad_adaptive(g, 0.0, 1.0, tol=1e-12, alpha=-0.75)
+    want = float(mpmath.gammainc(0.25, 0, 1))
+    assert r.value == pytest.approx(want, rel=1e-13)
+    assert 0.0 in seen and r.evaluations <= 50
+
+
+def test_quad_roundoff_retry_keeps_the_weight(monkeypatch):
+    # int |g(s)| s^alpha is the size the weighted value is judged by: a
+    # retry without the weight would judge it by int |g(s)| instead
+    calls = []
+
+    def answer(integrand, lo, hi, **kw):
+        calls.append(kw)
+        if len(calls) == 1:
+            return (-1e-14, 1e-20, {"neval": 25},
+                    "The occurrence of roundoff error is detected")
+        return 2.0, 1e-4, {"neval": 15}
+
+    monkeypatch.setattr(integrate, "quad", answer)
+    r = quad_adaptive(lambda s: 1.0 - 2.0 * s, 0.0, 1.0, tol=1e-11,
+                      alpha=-0.25)
+    assert len(calls) == 2
+    assert all(kw["weight"] == "alg" and kw["wvar"] == (-0.25, 0.0)
+               for kw in calls)
+    assert r.value == -1e-14 and r.evaluations == 40
+    calls.clear()
+    quad_adaptive(lambda s: 1.0 - 2.0 * s, 0.0, 1.0, tol=1e-11)
+    assert len(calls) == 2 and not any("weight" in kw for kw in calls)
 
 
 def test_quad_accepts_roundoff_within_the_integrand_size():
