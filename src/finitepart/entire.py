@@ -69,20 +69,18 @@ def _integer(v, what):
 
 class Ladder:
     """The rung ladder of one (nu, a): the stored finite parts ``rungs``
-    {m: FpiValue}; the rung values the naive series of
-    :mod:`finitepart.stieltjes` reads, ``naive`` {(m0, step): [FPI_m0,
-    FPI_{m0+step}, ...]}; ``series``, the one rung source of
-    :func:`finitepart.finite_part.rung_source`, whose ``rung(m)`` computes
-    FPI_m; and ``rule``, the tanh-sinh nodes of the direct transforms, on
-    [0, a] at a finite a and on [0, SPLIT_POINT] at a = inf; each None
-    until first needed.
+    {m: FpiValue}, which the recurrence writes and the naive series of
+    :mod:`finitepart.stieltjes` reads and extends; ``series``, the one rung
+    source of :func:`finitepart.finite_part.rung_source`, whose ``rung(m)``
+    computes FPI_m; and ``rule``, the tanh-sinh nodes of the direct
+    transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at
+    a = inf; each None until first needed.
     """
 
-    __slots__ = ("rungs", "naive", "series", "rule")
+    __slots__ = ("rungs", "series", "rule")
 
     def __init__(self):
         self.rungs = {}
-        self.naive = {}
         self.series = self.rule = None
 
 

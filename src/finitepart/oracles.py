@@ -130,10 +130,11 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
     whose divergent part in eps is exactly the one the definition removes,
     and the remainder Q(x) x^{-nu} with Q = (f - head) / x^m bounded at 0.
     So the eps -> 0 limit is the head's value at the upper limit plus the
-    ordinary integral of Q(x) x^{-nu} on (0, a], taken in u = x^{1-nu}
-    (x^{-nu} dx = du / (1-nu)) so that the integrand is bounded at both
-    ends.  At a = inf the value on (0, 1] is added to the convergent
-    integral of f(x) x^{-m-nu} over [1, inf).
+    ordinary integral of Q(x) x^{-nu} on (0, a], with x^{-nu} as
+    QUADPACK's algebraic end-point weight, so that the integrand Q is
+    analytic at both ends (at nu = 0 this is plain QAGS).  At a = inf the
+    value on (0, 1] is added to the convergent integral of f(x) x^{-m-nu}
+    over [1, inf).
     """
     if m < 1:
         raise ValueError("pole strength m must be >= 1")
@@ -159,10 +160,9 @@ def fpi_epsilon_oracle(f: TaylorFunction, m: int, nu: float,
         for k in range(m):
             p = k + 1 - m - nu
             head += f.coeff(k) * a**p / p
-    q = 1.0 - nu
-    rem = quad_adaptive(lambda u: _taylor_remainder(f, m, u ** (1.0 / q)),
-                        0.0, a**q, tol=_EPS_QUAD_TOL)
-    return head + rem.value / q
+    rem = quad_adaptive(lambda x: _taylor_remainder(f, m, x), 0.0, a,
+                        tol=_EPS_QUAD_TOL, alpha=-nu)
+    return head + rem.value
 
 
 def transform_oracle(spec) -> float:

@@ -39,7 +39,7 @@ are binom(-n,k) omega^k times the public finite_part_integral values.
 
 import math
 from functools import partial
-from itertools import accumulate, chain, count, repeat
+from itertools import count, repeat
 from operator import add, mul, truediv
 from typing import NamedTuple
 
@@ -298,11 +298,6 @@ def _closed(p, b, c, n, omega, a):
     return scale * total, abs(scale) * UNIT_ROUNDOFF * bound
 
 
-def _powers(x):
-    """1, x, x^2, ... by repeated multiplication."""
-    return accumulate(repeat(x), mul, initial=1.0)
-
-
 def _binomials(n, size):
     """The signed binomials (-1)^k binom(n+k-1,k) of n for k < size at
     least, each an exact integer rounded once to a float; grown by
@@ -318,18 +313,16 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
     """sum_k binom(-n,k) ostep^k FPI(f, m0 + step*k, nu, a) for k = 0..cap.
 
     The rungs do not depend on omega, so a sweep on one descriptor reads
-    them from two tables: the rung values of (m0, step) on f's rung ladder
-    (:meth:`~finitepart.entire.TaylorFunction.ladder`) and the signed
+    them from two tables: the stored finite parts of f's rung ladder
+    (:meth:`~finitepart.entire.TaylorFunction.ladder`), which the
+    recurrence and every other sum on that ladder share, and the signed
     binomials of n.  A term is (binomial * ostep^k) * rung, ostep^k by
-    repeated multiplication from 1; over the stored rungs the terms are
-    formed by ``map``.  Past them one rung at a time is read from the
-    ladder's stored rungs or computed by :func:`finite_part_integral` and
-    stored, and only the rungs the sum reaches are; its binomial comes from
-    the table of n, extended by one where the climb passes its end, so no
-    binomial is formed that the sum does not reach.  A rung that raises is
-    not stored, so it is computed, and raises, again on the next call.
-    The value list grows by replacement once the sum is done, never in
-    place.
+    repeated multiplication from 1.  A rung missing from the ladder is
+    computed by :func:`finite_part_integral` and stored, and only the rungs
+    the sum reaches are; the binomial table of n is extended by one where
+    the sum passes its end, so no binomial is formed that the sum does not
+    reach.  A rung that raises is not stored, so it is computed, and
+    raises, again on the next call.
 
     Summed by :func:`~finitepart.series.sum_until_small`; without
     convergence the partial sum is returned and the flag reports it.  The
@@ -338,35 +331,21 @@ def _naive_series(f, nu, a, m0, step, n, ostep, tol, cap):
     sequence) cannot make the estimate under-cover the remainder.
     Returns (total, k_used, tail_estimate, converged).
     """
-    lad = f.ladder(nu, a)
-    key = (m0, step)
-    fs = lad.naive.get(key, [])
-    ws = _powers(ostep)
-    new = []
+    rungs = f.ladder(nu, a).rungs
 
-    def climb():
-        rungs = lad.rungs
+    def terms():
         bs = _BINOMS.get(n, ())
-        k = len(fs)
-        for m in count(m0 + step * k, step):
+        w = 1.0
+        for k, m in enumerate(count(m0, step)):
             v = rungs.get(m)
             if v is None:
                 v = rungs[m] = finite_part_integral(f, m, nu, a)
-            value = v.value
-            new.append(value)
             if k == len(bs):
                 bs = _binomials(n, k + 1)
-            yield bs[k] * next(ws) * value
-            k += 1
+            yield bs[k] * w * v.value
+            w *= ostep
 
-    # rung * (binomial * ostep^k) has the bits of the product the other way
-    # round, and the map stops at the last listed rung before it reads ws
-    listed = map(mul, fs, map(mul, _binomials(n, len(fs)), ws))
-    s = sum_until_small(chain(listed, climb()), tol, cap + 1)
-    if new:
-        fs = fs + new
-        if len(fs) > len(lad.naive.get(key, ())):
-            lad.naive[key] = fs
+    s = sum_until_small(terms(), tol, cap + 1)
     return s.total, s.terms - 1, max(s.last, s.prev), s.converged
 
 

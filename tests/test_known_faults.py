@@ -39,6 +39,17 @@ def transform_ref(f, n, nu, a, omega):
         return mp.quad(lambda t: q * f(t**q) / (w + t**q) ** n, pts)
 
 
+def binpoly_ref(p, q, n, a, omega):
+    """int_0^a x^p (1-x)^q (omega + x)^-n dx, with the kernel taken over
+    its value at 0: at large n the unscaled integrand is so small (the
+    integral is about 1e-52 at n = 40) that mpmath settles on an absolute
+    change, up to 1e-3 off."""
+    with mp.workdps(DPS):
+        w = mp.mpf(omega)
+        return mp.quad(lambda x: x**p * (1 - x) ** q * (w / (w + x)) ** n,
+                       [0, 1, w, a]) / w**n
+
+
 def quadratic_ref(f, omega):
     """int_0^inf f(x) / (omega^2 + x^2) dx."""
     with mp.workdps(DPS):
@@ -106,7 +117,7 @@ def test_monomial_exp_branch_transform():
     assert allowed(outcome(lambda: evaluate_transform(spec), ref))
 
 
-@item(1, "binpoly(3,400), n = 2, a = 1, omega = 0.5 (gives -7.6e100)")
+@item(2, "binpoly(3,400), n = 2, a = 1, omega = 0.5 (gives -7.6e100)")
 def test_binomial_transform_at_large_q():
     ref = transform_ref(lambda x: x**3 * (1 - x) ** 400, 2, 0, 1, 0.5)
     spec = TransformSpec(BinomialPoly(3, 400), 2, 0.5, 1.0)
@@ -130,14 +141,31 @@ def test_pole_singular_term_at_large_n():
     assert allowed(outcome(lambda: evaluate_transform(spec), ref))
 
 
-@item(6, "U(3, -6, 60) (2.9e26 off, relative)")
+def forced(p, q, n, off):
+    return pytest.param(p, q, n, marks=item(
+        1, f"k_max forces the series on binpoly({p},{q}), n = {n}, a = 40, "
+           f"omega = 20.5 ({off} off, relative)"))
+
+
+@pytest.mark.parametrize("p, q, n", [forced(0, 10, 40, "3.9e-5"),
+                                     forced(2, 8, 20, "4.2e-9"),
+                                     forced(0, 10, 10, "1.7e-9")])
+def test_forced_series_at_large_n(p, q, n):
+    # omega > a/2 routes these direct, within 1e-12; k_max keeps the series
+    ref = binpoly_ref(p, q, n, 40, 20.5)
+    spec = TransformSpec(BinomialPoly(p, q), n, 20.5, 40.0)
+    assert allowed(outcome(lambda: evaluate_transform(spec, k_max=10_000),
+                           ref))
+
+
+@item(5, "U(3, -6, 60) (2.9e26 off, relative)")
 def test_kummer_u_at_large_omega():
     with mp.workdps(DPS):
         ref = mp.hyperu(3, -6, 60)
     assert allowed(outcome(lambda: kummer_u(KummerParams(3, 10, 60.0)), ref))
 
 
-@item(6, "2F1(40, 1; 40; -1.01) (25x off)")
+@item(5, "2F1(40, 1; 40; -1.01) (25x off)")
 def test_gauss_2f1_near_zeta_1():
     with mp.workdps(DPS):
         ref = mp.hyp2f1(40, 1, 40, -mp.mpf(1.01))

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import finitepart
+from finitepart import oracles
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
 from finitepart.errors import NonconvergenceError
@@ -280,9 +281,27 @@ def test_epsilon_oracle_matches_the_series_reference(name):
 
 def test_epsilon_oracle_exact_zero_with_a_branch_point():
     # x^2 (1 - x) x^{-2.75} on (0, 5]: 4 * 5^0.25 - 0.8 * 5^1.25 = 0; the
-    # remainder is integrated in u = x^0.25, which leaves no endpoint
-    # singularity for QUADPACK to fail on
+    # remainder -1 is integrated against QUADPACK's weight x^-0.75, which
+    # leaves no endpoint singularity for it to fail on
     assert abs(fpi_epsilon_oracle(BinomialPoly(2, 1), 2, 0.75, 5.0)) <= 1e-14
+
+
+def test_epsilon_oracle_weighs_the_branch_point(monkeypatch):
+    # the Taylor remainder is analytic in x, so with x^-nu as the weight the
+    # Clenshaw-Curtis rule converges at 0 without bisection, in 40
+    # evaluations; a map in which it is not analytic at 0 takes hundreds
+    counts = []
+
+    def counted(*args, **kw):
+        res = quad_adaptive(*args, **kw)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(oracles, "quad_adaptive", counted)
+    got = fpi_epsilon_oracle(Exponential(0.7), 2, 0.25, 2.0)
+    assert got == pytest.approx(finite_part_integral(
+        Exponential(0.7), 2, 0.25, 2.0).value, rel=1e-13)
+    assert len(counts) == 1 and counts[0] <= 60
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])

@@ -676,8 +676,8 @@ def test_sweep_computes_each_rung_once(fpi_calls):
     k_used = [evaluate_transform(TransformSpec(f, 2, omega, 1.0)).k_used
               for omega in _sweep_omegas(0.5)]
     assert sorted(fpi_calls) == list(range(2, 2 + max(k_used) + 1))
-    # three value lists on one ladder share their rungs, and none reads
-    # past the last rung its sum reaches
+    # three sums (n = 1 and 3 and the quadratic kernel) share the rungs
+    # of one ladder, and none reads past the last rung it reaches
     fpi_calls.clear()
     f = gauss_stream(1.0)
     reached = set()
