@@ -30,6 +30,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, repeat
 
 from .asymptotic import classify
 from .entire import BinomialPoly, Exponential, MonomialExp, Polynomial
@@ -339,33 +341,65 @@ def run(config: RunConfig):
 
 def render(doc, fmt: str) -> str:
     rows = doc["results"]
-    if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        known = [c for c in SWEEP_COLUMNS if any(c in r for r in rows)]
-        extra = sorted({k for r in rows for k in r} - set(known))
-        cols = known + extra
+    if fmt == "json":  # the two fixed outer levels around their members
+        config = doc["config"]
+        return ('{\n  "config": {\n    "command": '
+                + _json(config["command"], 2) + ',\n    "params": '
+                + _json(config["params"], 2) + '\n  },\n  "results": '
+                + _json(rows, 1) + "\n}\n")
+    cols = dict.fromkeys(chain.from_iterable(rows))
+    if fmt == "csv":  # csv writes a float as its repr and None as ""
+        cols = ([c for c in SWEEP_COLUMNS if c in cols]
+                + sorted(cols.keys() - SWEEP_COLUMNS))
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(cols)
-        for r in rows:
-            w.writerow([_cell(r.get(c, "")) for c in cols])
+        w.writerows(map(r.get, cols, repeat("")) for r in rows)
         return buf.getvalue()
-    # table
-    cols = list(dict.fromkeys(k for r in rows for k in r))
-    widths = {c: max(len(c), *(len(_cell(r.get(c, ""))) for r in rows))
-              for c in cols}
-    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-    for r in rows:
-        lines.append("  ".join(_cell(r.get(c, "")).ljust(widths[c])
-                               for c in cols))
-    return "\n".join(lines) + "\n"
+    # table: the header line, then each cell formatted once
+    lines = [list(cols), *(list(map(_cell, map(r.get, cols, repeat(""))))
+                           for r in rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(map(str.ljust, line, widths)) + "\n"
+                   for line in lines)
 
 
 def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return "" if v is None else str(v)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _encoder(depth):
+    """The C encoder for a container ``depth`` levels deep: its item
+    separator holds the newline and its members' indent, which is
+    ``indent=2``'s layout of that one level."""
+    return json.JSONEncoder(sort_keys=True, separators=(
+        ",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json(value, depth):
+    """``json.dumps(value, indent=2, sort_keys=True)``, laid out ``depth``
+    levels deep.  A container of scalars is one C-encoder call; one that
+    holds a container lays out each member one level deeper."""
+    encode = _encoder(depth)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return encode(value)
+    pad = "\n" + "  " * (depth + 1)
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        body = encode(value)[1:-1]
+    elif is_dict:  # each key as json writes it, from a one-member object
+        body = ("," + pad).join(encode({k: 0})[1:-2] + _json(v, depth + 1)
+                                for k, v in sorted(value.items()))
+    else:
+        body = ("," + pad).join([_json(v, depth + 1) for v in value])
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + pad + body + "\n" + "  " * depth + brackets[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ option abbreviations, ``=`` forms, empty and negative values, ``--``,
 ``--format`` and ``--output`` on either side of the command, and the
 argparse rejections: unknown and ambiguous options, extra positionals,
 ``--replay`` after a command, missing options and values, bad int, float,
-tolerance and choice values, and help.  The CLI reads some of them from
-its option tables and hands the rest to argparse.  ``SCRIPTS`` are runs
+tolerance and choice values, and help; and ``EDGE_ROWS``, whose rows hold
+None cells or leave columns out, in all three formats.  The CLI reads some
+of them from its option tables and hands the rest to argparse.  ``SCRIPTS`` are runs
 that share one working directory: a document saved with ``--output`` and
 then replayed.  Output files are named relative to the working directory.
 """
@@ -17,6 +18,18 @@ COMMANDS = ("fpi", "stieltjes", "quadratic", "specfun", "asym", "compare",
 
 FPI = ["fpi", "--f", "exp(1)", "--m", "1"]
 ST = ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "0.5"]
+
+# rows kept where an oracle raises (its cells None, an "error:" line), no
+# rel_diff against an inf total or a finite part of exactly 0, and a flagged
+# closed route that carries direct
+EDGE_ROWS = [
+    ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:1e-14:3",
+     "--with-oracle"],
+    ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"],
+    ["compare", "--op", "fpi", "--f", "binpoly(2,1)", "--m", "1", "--a",
+     "1.5"],
+    ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "400"],
+]
 
 ARGVS = [
     # every command, valid
@@ -62,10 +75,9 @@ ARGVS = [
      "1e-30", "--compare"],
     ["stieltjes", "--f", "exp(1)", "--n", "1", "--omega", "1e-320",
      "--compare"],
-    # rows kept where an oracle raises, and no rel_diff against an inf total
-    ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:1e-14:3",
-     "--with-oracle"],
-    ["quadratic", "--f", "exp(1)", "--omega", "1e5", "--compare"],
+    # the edge rows in every format
+    *(argv + fmt for argv in EDGE_ROWS
+      for fmt in ([], ["--format", "json"], ["--format", "csv"])),
     # a grid whose hi / lo leaves float range
     ["sweep", "--f", "exp(1)", "--n", "1", "--omega-grid", "1e-320:0.5:3"],
     # scaled finite parts past float range: the closed form times its

@@ -755,13 +755,159 @@ def test_replay_reproduces_json_byte_for_byte(tmp_path):
     assert doc["config"]["params"]["a"] == "inf"  # strict-JSON encoding
 
 
-def test_render_table_and_json():
-    doc = {"config": {"command": "fpi", "params": {}},
-           "results": [{"value": 1.5, "flag": ""}]}
-    table = render(doc, "table")
-    assert "value" in table and "1.5" in table
-    as_json = render(doc, "json")
-    assert json.loads(as_json)["results"][0]["value"] == 1.5
+# render as it was when each value went through Python: the reference that
+# render's bytes are held to.  JSON from json's pure-Python indent encoder,
+# one csv row of _reference_cell strings per result, and a table whose
+# columns are padded to their widest cell.
+def _reference_cell(v):
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else str(v)
+
+
+def _reference_render(doc, fmt):
+    rows = doc["results"]
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        known = [c for c in cli.SWEEP_COLUMNS if any(c in r for r in rows)]
+        extra = sorted({k for r in rows for k in r} - set(known))
+        cols = known + extra
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(cols)
+        for r in rows:
+            w.writerow([_reference_cell(r.get(c, "")) for c in cols])
+        return buf.getvalue()
+    cols = list(dict.fromkeys(k for r in rows for k in r))
+    widths = {c: max(len(c), *(len(_reference_cell(r.get(c, "")))
+                               for r in rows))
+              for c in cols}
+    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
+    for r in rows:
+        lines.append("  ".join(_reference_cell(r.get(c, "")).ljust(widths[c])
+                               for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+_FORMATS = ("json", "csv", "table")
+
+
+@pytest.fixture(scope="module")
+def corpus_documents(tmp_path_factory):
+    """(argv, document) of every document that the corpus commands render:
+    those of the commands that exit 0 or 3."""
+    docs, made, real = [], [], cli.render
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("corpus"))
+        mp.setattr(cli, "render",
+                   lambda doc, fmt: made.append(doc) or real(doc, fmt))
+        for argv in cli_corpus.ARGVS:
+            made.clear()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit:  # help and argparse's rejections
+                    continue
+            if code in (0, 3):
+                docs += [(argv, doc) for doc in made]
+    return docs
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_render_of_the_corpus_documents_is_the_reference(corpus_documents,
+                                                        fmt):
+    assert len(corpus_documents) >= 50
+    for argv, doc in corpus_documents:
+        assert render(doc, fmt) == _reference_render(doc, fmt), argv
+
+
+_EDGE_VALUES = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0,
+    "tiny": 5e-324, "none": None, "true": True, "false": False,
+    "big": 10**40, "-big": -3**90, "quote": 'say "hi"', "comma": "a,b",
+    "newline": "a\nb", "backslash": "a\\b", "non-ascii": "ωμέγα ∞ 😀",
+    "empty": "",
+}
+
+_HAND_BUILT = {
+    "edge values": {
+        "config": {"command": "sweep", "params": dict(_EDGE_VALUES)},
+        "results": [dict(_EDGE_VALUES), {"omega": 0.5, "total": -0.0}]},
+    "empty params": {"config": {"command": "fpi", "params": {}},
+                     "results": [{"value": 1.5, "flag": ""}]},
+    "no rows": {"config": {"command": "fpi", "params": {"m": 1}},
+                "results": []},
+    # a csv with extra and missing columns, and keys that csv quotes
+    "different key sets": {
+        "config": {"command": "sweep", "params": {"f": "exp(1)"}},
+        "results": [
+            {"omega": 1e-3, "total": 2.0, "zeta": 1, 'say "x"': None},
+            {"flag": "nonconverged", "omega": 2e-3, "abs_diff": 1e-17},
+            {"value": -1.0, "a,b": "c\nd", "ключ": math.inf}]},
+    "nested": {
+        "config": {"command": "sweep", "params": {
+            "f": "exp(1)", "grid": [1e-3, 0.5, {"n": 3, "b": []}],
+            "meta": {"z": {}, "a": [[], [None, -0.0]]}}},
+        "results": [{"omega": 0.1, "terms": [1.0, math.inf],
+                     "split": {"z": None, "a": [True, "é"]}}]},
+}
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("doc", _HAND_BUILT.values(), ids=_HAND_BUILT.keys())
+def test_render_of_hand_built_documents_is_the_reference(doc, fmt):
+    assert render(doc, fmt) == _reference_render(doc, fmt)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8)
+_KEYS = st.sampled_from(cli.SWEEP_COLUMNS) | st.text(max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "config": st.fixed_dictionaries({
+        "command": st.sampled_from(cli_corpus.COMMANDS),
+        "params": st.dictionaries(_KEYS, _JSON_VALUES, max_size=4)}),
+    "results": st.lists(st.dictionaries(_KEYS, _JSON_VALUES, max_size=6),
+                        max_size=3)}))
+def test_render_of_any_document_is_the_reference(doc):
+    for fmt in _FORMATS:
+        assert render(doc, fmt) == _reference_render(doc, fmt)
+
+
+def test_main_renders_each_document_once_through_render(tmp_path,
+                                                        monkeypatch, capsys):
+    # bench/tracer.py times cli.render by name: every document goes through
+    # one call of it, whose text is what the call writes
+    texts, real = [], cli.render
+
+    def counting(doc, fmt):
+        texts.append(real(doc, fmt))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "render", counting)
+    saved = tmp_path / "saved.json"
+    argv = ["stieltjes", "--f", "exp(1)", "--n", "2", "--omega", "0.25",
+            "--a", "2", "--compare"]
+    for call, head in ((argv + ["--format", "json", "--output", str(saved)],
+                        "{\n"),
+                       (argv + ["--format", "csv"], "omega,naive_sum,"),
+                       (argv, "omega  "),
+                       (["--replay", str(saved)], "{\n")):
+        texts.clear()
+        assert main(call) == 0
+        out = capsys.readouterr().out
+        written = saved.read_bytes() if "--output" in call else out.encode()
+        assert [text.encode() for text in texts] == [written]
+        assert texts[0].startswith(head)
 
 
 def test_build_parser_help_smoke():
