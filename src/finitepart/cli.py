@@ -458,7 +458,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _replay_config(saved) -> RunConfig:
-    """The configuration stored in a --replay document."""
+    """The configuration stored in a --replay document, whose params
+    name only options of its command."""
     if not isinstance(saved, dict):
         raise ValueError("replay document is not a JSON object")
     cfg = saved.get("config")
@@ -475,6 +476,10 @@ def _replay_config(saved) -> RunConfig:
     for name in _COMMANDS[cmd][2].split():
         if name.endswith("!") and name[:-1] not in params:
             raise ValueError(f'replay params have no "{name[:-1]}"')
+    for key in params:
+        if key not in _CONFIG_KEYS[cmd]:
+            raise ValueError(f"replay params hold {key!r}, which is not an "
+                             f"option of {cmd}")
     return RunConfig(cmd, params)
 
 

@@ -18,7 +18,10 @@ function of k, and the rung ladder (:meth:`TaylorFunction.ladder`), the
 finite-part values FPI(f, m, nu, a) of one (nu, a) and the rung source
 they are computed from, which is replaced as a whole when another one is
 needed; a table grows by replacement, never in place.  A race between
-threads can only compute the same value twice.
+threads can only compute the same value twice.  Nothing on the ladder
+refers back to the descriptor, so a dropped descriptor and its ladder are
+freed at once by reference counting, and a pickled descriptor carries its
+ladder with it.
 """
 
 import cmath
@@ -71,10 +74,13 @@ class Ladder:
     """The rung ladder of one (nu, a): the stored finite parts ``rungs``
     {m: FpiValue}, which the recurrence writes and the naive series of
     :mod:`finitepart.stieltjes` reads and extends; ``series``, the one rung
-    source of :func:`finitepart.finite_part.rung_source`, whose ``rung(m)``
-    computes FPI_m; and ``rule``, the tanh-sinh nodes of the direct
-    transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at
-    a = inf; each None until first needed.
+    source of :func:`finitepart.finite_part.rung_source`, whose
+    ``rung(f, m)`` computes FPI_m; and ``rule``, the tanh-sinh nodes of the
+    direct transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at
+    a = inf; each None until first needed.  The source and the rules hold
+    numbers and tables, no reference to f, and take f as an argument: the
+    ladder is freed with its descriptor by reference counting, with no
+    cycle for the garbage collector, and it pickles with the descriptor.
     """
 
     __slots__ = ("rungs", "series", "rule")

@@ -35,7 +35,10 @@ QUADPACK (:mod:`finitepart.oracles`) is left to check it.
 :func:`finite_part_integral` is the one entry point for every (m, nu, a),
 and every finite part is summed to DEFAULT_TOL.  Each ladder holds one
 rung source, chosen at its first rung by :func:`rung_source`; a closed form
-at a = inf builds no ladder state.
+at a = inf builds no ladder state.  A source holds no reference to f: it
+takes f as the first argument of every call that reads it, ``rung(f, m)``,
+so a descriptor is not reachable from its own ladder, and reference
+counting frees both once its last name goes.
 """
 
 import enum
@@ -115,8 +118,8 @@ def _read_coeffs(f, lo, hi, m):
 
 
 class _SeriesTables:
-    """The Maclaurin rungs of one (nu, a) and their tables; :meth:`rung`
-    reads rung m.
+    """The Maclaurin rungs of one (nu, a) and their tables, made from f's
+    coefficients; :meth:`rung` reads rung m of f, the same descriptor.
 
     With j = k + 1 - m, rung m is the sum over k of c_k a^{j-nu}/(j-nu),
     the nu = 0 term at j = 0 being c_{m-1} ln a.  Kept are ln a and c_k,
@@ -135,7 +138,7 @@ class _SeriesTables:
     """
 
     def __init__(self, f, nu, a):
-        self.f, self.nu, self.a = f, nu, a
+        self.nu, self.a = nu, a
         self.log_a = math.log(a)
         deg = f.finite_degree()
         self.pows = ([a ** -nu], [0 - nu])
@@ -149,11 +152,11 @@ class _SeriesTables:
         self.r, self.deg = r, deg
         self.es = []
 
-    def _coeffs(self, n, m):
-        """c_k for k < n; those the table lacks are read from the stream,
+    def _coeffs(self, f, n, m):
+        """c_k for k < n; those the table lacks are read from f's stream,
         for rung m."""
         cs = self.cs
-        cs = self.cs = cs + _read_coeffs(self.f, len(cs), n, m)
+        cs = self.cs = cs + _read_coeffs(f, len(cs), n, m)
         return cs
 
     def _powers(self, n):
@@ -180,7 +183,7 @@ class _SeriesTables:
         es = self.es = es + more
         return es
 
-    def _chunks(self, k, m):
+    def _chunks(self, f, k, m):
         """The tail terms (c_k a^{j-nu}) / (j-nu), j = k + 1 - m, from k on,
         one map of _CHUNK terms at a time."""
         j = k + 1 - m
@@ -188,7 +191,7 @@ class _SeriesTables:
             stop = k + _CHUNK
             cs = self.cs
             if len(cs) < stop:
-                cs = self._coeffs(stop, m)
+                cs = self._coeffs(f, stop, m)
             ps, ds = self.pows
             if len(ps) < j + _CHUNK:
                 ps, ds = self._powers(j + _CHUNK)
@@ -196,7 +199,7 @@ class _SeriesTables:
                       ds[j:j + _CHUNK])
             k, j = stop, j + _CHUNK
 
-    def rung(self, m):
+    def rung(self, f, m):
         """Finite part of int_0^a f(x) x^{-m-nu} dx, read from the tables.
 
         The head, k < m - 1, is the sum of c_k / (-(i+nu) a^{i+nu}) with
@@ -213,7 +216,7 @@ class _SeriesTables:
         head = 0.0
         if self.nu == 0.0:
             if len(cs) < m and deg is None:
-                cs = self._coeffs(m, m)
+                cs = self._coeffs(f, m, m)
             if m <= len(cs) and cs[m - 1] != 0.0:
                 head = cs[m - 1] * self.log_a
             k0 = max(r, m)
@@ -222,7 +225,7 @@ class _SeriesTables:
         top = m - 1 if deg is None else min(m - 1, deg + 1)
         if top > r:
             if len(cs) < top:
-                cs = self._coeffs(top, m)
+                cs = self._coeffs(f, top, m)
             es = self.es
             if len(es) < m - r:
                 es = self._head_divisors(m - r)
@@ -235,7 +238,7 @@ class _SeriesTables:
                 raise NonconvergenceError("finite-part head leaves float "
                                           f"range at m = {m}")
         if deg is None:
-            s = sum_until_small(chain.from_iterable(self._chunks(k0, m)),
+            s = sum_until_small(chain.from_iterable(self._chunks(f, k0, m)),
                                 DEFAULT_TOL, offset=head)
             tail = s.total_or_raise("finite-part series")
             return _new_fpi((head + tail, _SERIES_FINITE, s.terms, s.last))
@@ -252,8 +255,8 @@ class _SeriesTables:
 # ---------------------------------------------------------------------------
 
 class _Recurrence:
-    """The rungs of c x^p e^{-bx} on its finite-a ladder, whose stored
-    finite parts ``rungs`` it shares.
+    """The rungs of f = c x^p e^{-bx}, of ``shape`` (p, b, c), on its
+    finite-a ladder, whose stored finite parts ``rungs`` it shares.
 
     Rungs m <= p are ordinary integrals.  Above them a call steps from the
     highest stored rung below m, or from the seed at m = p + 1, and stores
@@ -264,17 +267,17 @@ class _Recurrence:
     edge = c e^{-ab} a^{1-q-nu}, which takes a power and a product.
     """
 
-    def __init__(self, f, rungs, shape, nu, a):
-        self.f, self.rungs, self.nu, self.a = f, rungs, nu, a
+    def __init__(self, rungs, shape, nu, a):
+        self.rungs, self.nu, self.a = rungs, nu, a
         self.p, self.b, self.c = shape
         self.ce = self.c * math.exp(-a * self.b)
 
-    def _seed(self):
+    def _seed(self, f):
         """FPI(f, p + 1, nu, a): the series of throwaway tables while
         ab <= 1, else the a = inf closed form less c a^{-nu} E_{1+nu}(ab)."""
-        f, p, c, nu, a = self.f, self.p, self.c, self.nu, self.a
+        p, c, nu, a = self.p, self.c, self.nu, self.a
         if a * self.b <= 1.0:
-            return _SeriesTables(f, nu, a).rung(p + 1)
+            return _SeriesTables(f, nu, a).rung(f, p + 1)
         e, iters = expint(1.0 + nu, a * self.b)
         head = unscale(f)[0].fpi_infinite(p + 1, nu)
         tail = a ** -nu * e
@@ -286,8 +289,8 @@ class _Recurrence:
                                       f"range at m = {p + 1}")
         return _new_fpi((value, _RECURRENCE, iters, bound))
 
-    def rung(self, m):
-        """Finite part of int_0^a c x^p e^{-bx} x^{-m-nu} dx."""
+    def rung(self, f, m):
+        """Finite part of int_0^a f(x) x^{-m-nu} dx, f = c x^p e^{-bx}."""
         rungs = self.rungs
         v = rungs.get(m)
         if v is not None:
@@ -305,7 +308,7 @@ class _Recurrence:
                     raise OverflowError(f"its bound is {bound}")
             except (OverflowError, ZeroDivisionError) as exc:
                 raise NonconvergenceError(
-                    f"ordinary integral of {self.f!r} leaves float range at "
+                    f"ordinary integral of {f!r} leaves float range at "
                     f"m = {m} ({type(exc).__name__}: {exc})") from exc
             v = rungs[m] = _new_fpi((value, _SERIES_FINITE, used, bound))
             return v
@@ -317,9 +320,9 @@ class _Recurrence:
             work = 0
         else:
             j = p + 1
-            prev = rungs[j] = self._seed()
+            prev = rungs[j] = self._seed(f)
             work = prev.terms_used
-        f, ce = self.f, self.ce
+        ce = self.ce
         coeff = f.coeff if nu == 0.0 else None
         value, bound = prev.value, prev.tail_bound
         for k in range(j + 1, m + 1):
@@ -354,19 +357,19 @@ class _Split:
     ``tables`` of (nu, a0) plus the exp-sinh integral over [a0, inf) on
     ``nodes``, which direct transforms read too; each made on first use."""
 
-    def __init__(self, f, nu):
-        self.f, self.nu, self.tables, self.nodes = f, nu, None, None
+    def __init__(self, nu):
+        self.nu, self.tables, self.nodes = nu, None, None
 
-    def exp_sinh(self):
+    def exp_sinh(self, f):
         if self.nodes is None:
-            self.nodes = ExpSinh(self.f, SPLIT_POINT)
+            self.nodes = ExpSinh(f, SPLIT_POINT)
         return self.nodes
 
-    def rung(self, m):
+    def rung(self, f, m):
         if self.tables is None:
-            self.tables = _SeriesTables(self.f, self.nu, SPLIT_POINT)
-        v, _, terms, bound = self.tables.rung(m)
-        q, err = self.exp_sinh().integral(m + self.nu)
+            self.tables = _SeriesTables(f, self.nu, SPLIT_POINT)
+        v, _, terms, bound = self.tables.rung(f, m)
+        q, err = self.exp_sinh(f).integral(f, m + self.nu)
         return _new_fpi((v + q, FpiMethod.SPLIT_INFINITE, terms,
                          bound + err + UNIT_ROUNDOFF * (abs(v) + abs(q))))
 
@@ -383,9 +386,9 @@ def rung_source(f, lad, nu, a):
     tables; at a = inf the split, taken where splits_at_infinity holds."""
     if lad.series is None:
         shape = f.exp_family()
-        lad.series = (_Split(f, nu) if a == math.inf
+        lad.series = (_Split(nu) if a == math.inf
                       else _SeriesTables(f, nu, a) if shape is None
-                      else _Recurrence(f, lad.rungs, shape, nu, a))
+                      else _Recurrence(lad.rungs, shape, nu, a))
     return lad.series
 
 
@@ -426,7 +429,7 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
             closed = math.inf
         if closed is None:  # the base hook; an override must give a number
             if splits_at_infinity(f):  # the split rung, on f's ladder
-                return rung_source(f, f.ladder(nu, a), nu, a).rung(m)
+                return rung_source(f, f.ladder(nu, a), nu, a).rung(f, m)
             raise NotImplementedError(f"{type(base).__name__}.fpi_infinite "
                                       f"returned None at m = {m}")
         value = factor * closed
@@ -435,4 +438,4 @@ def finite_part_integral(f: TaylorFunction, m: int, nu: float = 0.0,
                                       "leaves float range")
         return _new_fpi((value, FpiMethod.CLOSED_FORM, 0, 0.0))
     lad = f.ladder(nu, a)
-    return (lad.series or rung_source(f, lad, nu, a)).rung(m)
+    return (lad.series or rung_source(f, lad, nu, a)).rung(f, m)

@@ -9,7 +9,10 @@ at the steps h = 2^-n of its levels n = 0, 1, ...:
                         F(x) = f(x) x^{-nu}
 
 A rule belongs to the integrand factor F that its callers share, and each
-caller brings its own factor of x.  The nodes x_i and the weighted values
+caller brings its own factor of x.  It holds numbers and lists only, no
+reference to f: every call that reads a value of f takes f as its first
+argument, so a descriptor whose ladder keeps a rule is freed by reference
+counting once its last name goes.  The nodes x_i and the weighted values
 g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
 takes the integers t in [lo, hi], each level n after it the odd multiples
 of 2^-n in that range, and notes whether its values are of one sign.  The
@@ -39,12 +42,13 @@ MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
 
 
-def integrate(parts, rtol, atol=0.0):
+def integrate(f, parts, rtol, atol=0.0):
     """(the integral, its error bound), or None.
 
     The integral is the sum of the trapezoidal values of ``parts``,
-    (rule, level_terms, c): ``level_terms(xs, gs)`` gives a level's terms,
-    its values times the caller's positive factor of x, formed within c u.
+    (rule, level_terms, c), each rule of f: ``level_terms(xs, gs)`` gives
+    a level's terms, its values times the caller's positive factor of x,
+    formed within c u.
     From level MIN_LEVEL on it is accepted when the sum of the changes is
     within max(rtol |integral|, atol); a part whose change is within that
     bound over len(parts) keeps its level from then on.  None when the
@@ -74,7 +78,7 @@ def integrate(parts, rtol, atol=0.0):
     for n in range(LEVEL_CAP + 1):
         for i in live:
             rule, level_terms, _ = parts[i]
-            xs, gs, signed = rule.level(n)
+            xs, gs, signed = rule.level(f, n)
             terms = level_terms(xs, gs) if signed else [*level_terms(xs, gs)]
             s = sum(terms)
             sizes[i] += abs(s) if signed else sum(map(abs, terms))
@@ -92,7 +96,7 @@ def integrate(parts, rtol, atol=0.0):
             if err <= bound:
                 for (rule, level_terms, c), top, size in zip(parts, tops,
                                                              sizes):
-                    err += ((len(rule.level(top)[0]) + top + c)
+                    err += ((len(rule.level(f, top)[0]) + top + c)
                             * UNIT_ROUNDOFF * math.ldexp(size, -top)
                             + sum(map(abs, level_terms(*rule.ends))))
                 return value, err
@@ -103,9 +107,9 @@ def integrate(parts, rtol, atol=0.0):
 
 class _Rule:
     """The levels of one rule, each (x_i, g_i, whether the g_i are of one
-    sign), and the (x_i, g_i) of its range's end nodes, ``ends``; a
-    subclass gives its geometry ``_geometry(t)``, the nodes
-    ``_nodes(*columns)`` of geometry columns, and the node sizes
+    sign), and the (x_i, g_i) of its range's end nodes, ``ends``, made
+    from f at level 0; a subclass gives its geometry ``_geometry(t)``, the
+    nodes ``_nodes(f, *columns)`` of geometry columns, and the node sizes
     ``_sizes(xs, gs)``, which find a quiet node."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
@@ -113,12 +117,11 @@ class _Rule:
     _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
 
     def __init__(self, f):
-        self.f = f
         cols = self._columns(0)
 
         def node(t):  # level 0 holds t = -_T_CAP, ..., _T_CAP
-            xs, gs = self._nodes(*(c[t + _T_CAP:t + _T_CAP + 1]
-                                   for c in cols))
+            xs, gs = self._nodes(f, *(c[t + _T_CAP:t + _T_CAP + 1]
+                                      for c in cols))
             return xs[0], gs[0], next(self._sizes(xs, gs))
 
         x, g, big = node(0)
@@ -166,15 +169,15 @@ class _Rule:
                 tuple(zip(*map(cls._geometry, ts))),)
         return table[n]
 
-    def level(self, n):
+    def level(self, f, n):
         """(x_i, g_i, whether the g_i are of one sign) of the nodes new at
-        level n."""
+        level n, the values taken from f, the rule's own."""
         levels = self.levels
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
             cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
             cols = self._columns(len(levels))
-            xs, gs = self._nodes(*(c[cut] for c in cols))
+            xs, gs = self._nodes(f, *(c[cut] for c in cols))
             levels = self.levels = levels + ((xs, gs, _one_sign(gs)),)
         return levels[n]
 
@@ -205,25 +208,25 @@ class ExpSinh(_Rule):
         u = math.exp(_HALF_PI * math.sinh(t))
         return u, _HALF_PI * math.cosh(t) * u
 
-    def _nodes(self, us, ws):
+    def _nodes(self, f, us, ws):
         xs = list(map(add, repeat(self.a0), us))
-        return xs, list(map(mul, ws, map(self.f.eval, xs)))
+        return xs, list(map(mul, ws, map(f.eval, xs)))
 
     @staticmethod
     def _sizes(xs, gs):
         return map(abs, map(truediv, gs, xs))
 
-    def integral(self, p):
+    def integral(self, f, p):
         """(int_{a0}^inf f(x) x^{-p} dx, its error bound by
         :func:`integrate`); a last change within 1e-13 relative or 1e-15
         absolute is accepted, and NonconvergenceError is raised without
         one.  The factor x^{-p} is pow's, within an ulp, 2u."""
-        got = integrate([(self, lambda xs, gs: map(
+        got = integrate(f, [(self, lambda xs, gs: map(
             mul, gs, map(pow, xs, repeat(-p))), 2)],
             self._RTOL, self._ATOL)
         if got is None:
             raise NonconvergenceError(
-                f"exp-sinh tail of {self.f!r} at power {p:g} did not "
+                f"exp-sinh tail of {f!r} at power {p:g} did not "
                 f"converge within {LEVEL_CAP} levels")
         return got
 
@@ -252,11 +255,11 @@ class TanhSinh(_Rule):
         y = 1.0 / (1.0 + s)
         return s, y, math.pi * math.cosh(t) * y
 
-    def _nodes(self, ss, ys, ws):
+    def _nodes(self, f, ss, ys, ws):
         xs = list(map(mul, map(mul, repeat(self.a), ss), ys))
         # x ** 1.0 is x exactly
         ps = xs if self.p == 1.0 else map(pow, xs, repeat(self.p))
-        return xs, list(map(mul, map(mul, ws, ps), map(self.f.eval, xs)))
+        return xs, list(map(mul, map(mul, ws, ps), map(f.eval, xs)))
 
     @staticmethod
     def _sizes(xs, gs):

@@ -251,11 +251,11 @@ def _direct(f, n, nu, omega, a, tol, kernel):
             level, c = partial(_quadratic_kernel, omega), 5
         parts = [(rule, level, c)]
         if top < a:
-            tail = rung_source(f, lad, nu, a).exp_sinh()
+            tail = rung_source(f, lad, nu, a).exp_sinh(f)
             parts.append((tail, level if nu == 0.0 else (
                 lambda xs, gs: level(xs, map(mul, gs, map(
                     pow, xs, repeat(-nu))))), c))
-        return integrate(parts, tol)
+        return integrate(f, parts, tol)
     except (ArithmeticError, FinitePartError):
         return None
 

@@ -967,8 +967,15 @@ def test_unreadable_replay_exits_2(tmp_path, capsys):
      'params have no "f"'),
     ({"config": {"command": "fpi", "params": "f m"}},
      '"params" is not a JSON object'),
+    ({"config": {"command": "fpi",
+                 "params": {"f": "exp(1)", "m": 1, "bogus": [1, {"x": 2}]}}},
+     "params hold 'bogus', which is not an option of fpi"),
+    ({"config": {"command": "fpi",
+                 "params": {"f": "exp(1)", "m": 1, "Nu": 0.5}}},
+     "params hold 'Nu', which is not an option of fpi"),
 ], ids=["top-level-list", "no-config", "no-command", "no-params",
-        "unknown-command", "no-required-option", "params-not-object"])
+        "unknown-command", "no-required-option", "params-not-object",
+        "unknown-key", "misspelt-key"])
 def test_malformed_replay_names_the_problem(tmp_path, capsys, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

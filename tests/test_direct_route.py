@@ -407,7 +407,7 @@ def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
 def test_tanh_sinh_refuses_what_it_cannot_resolve():
     # too many oscillations for the finest level
     f = CustomSeries(lambda k: 0.0, lambda x: math.cos(400.0 * x))
-    assert integrate([(TanhSinh(f, 0.0, 2.0), lambda xs, gs: gs, 0)],
+    assert integrate(f, [(TanhSinh(f, 0.0, 2.0), lambda xs, gs: gs, 0)],
                      1e-12) is None
     # an integrand that is not finite cannot close its range
     f = CustomSeries(lambda k: 0.0, lambda x: math.nan)
@@ -416,9 +416,10 @@ def test_tanh_sinh_refuses_what_it_cannot_resolve():
 
 
 def test_tanh_sinh_levels_grow_by_replacement():
-    rule = TanhSinh(Exponential(1.0), 0.25, 2.0)
+    f = Exponential(1.0)
+    rule = TanhSinh(f, 0.25, 2.0)
     first = rule.levels
-    rule.level(2)
+    rule.level(f, 2)
     assert len(first) == 1 and len(rule.levels) == 3
     assert rule.levels[0] is first[0]
 

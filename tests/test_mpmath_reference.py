@@ -123,10 +123,11 @@ def test_scaled_rungs_at_finite_a_match_mpmath(f, p, b, c, a, nu):
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
 def test_recurrence_agrees_with_maclaurin_rung_where_ab_le_1(a, b, nu):
     f = Exponential(b)
-    series = _SeriesTables(Exponential(b), nu, a)
+    g = Exponential(b)
+    series = _SeriesTables(g, nu, a)
     for m in range(1, 61):
         got = finite_part_integral(f, m, nu, a)
-        old = series.rung(m)
+        old = series.rung(g, m)
         want = FpiMethod.SERIES_FINITE if m == 1 else FpiMethod.RECURRENCE
         assert got.method is want
         assert math.isclose(got.value, old.value, rel_tol=1e-12), m
@@ -279,10 +280,10 @@ TAIL_STREAMS = {
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5])
 def test_split_tail_matches_mpmath_quad(name, nu):
     fn, mp_fn = TAIL_STREAMS[name]
-    nodes = ExpSinh(CustomSeries(lambda k: 0.0, fn, decaying=True),
-                    SPLIT_POINT)
+    f = CustomSeries(lambda k: 0.0, fn, decaying=True)
+    nodes = ExpSinh(f, SPLIT_POINT)
     for m in (1, 2, 3, 5, 8, 13, 21, 30):
-        got, _ = nodes.integral(m + nu)
+        got, _ = nodes.integral(f, m + nu)
         with mpmath.workdps(30):
             p = m + mpmath.mpf(nu)
             ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
@@ -295,7 +296,7 @@ def test_unresolved_split_tail_raises():
     f = CustomSeries(lambda k: 0.0,
                      lambda x: math.exp(-x) * math.cos(60 * x), decaying=True)
     with pytest.raises(NonconvergenceError, match="did not converge"):
-        ExpSinh(f, SPLIT_POINT).integral(1.0)
+        ExpSinh(f, SPLIT_POINT).integral(f, 1.0)
     # no decay: the node range cannot close
     f = CustomSeries(lambda k: 0.0, math.cos, decaying=True)
     with pytest.raises(NonconvergenceError, match="does not decay"):

@@ -45,17 +45,19 @@ def stream(name):
 
 
 def test_descriptors_share_one_geometry_table():
-    rules = [ExpSinh(gauss(1.0), SPLIT_POINT), ExpSinh(gauss(0.7), 2.0),
-             TanhSinh(gauss(1.0), 0.5, 1.0), TanhSinh(gauss(1.3), 0.0, 3.0)]
-    for rule in rules:
-        rule.level(4)
+    fs = [gauss(1.0), gauss(0.7), gauss(1.0), gauss(1.3)]
+    rules = [ExpSinh(fs[0], SPLIT_POINT), ExpSinh(fs[1], 2.0),
+             TanhSinh(fs[2], 0.5, 1.0), TanhSinh(fs[3], 0.0, 3.0)]
+    for f, rule in zip(fs, rules):
+        rule.level(f, 4)
     for a, b in (rules[:2], rules[2:]):
         assert a._TABLE is b._TABLE
         assert all(a._columns(n) is b._columns(n) for n in range(5))
     assert ExpSinh._TABLE is not TanhSinh._TABLE
     # level n holds every |t| <= _T_CAP: 2 _T_CAP + 1 nodes, then the odd
     # multiples of 2^-n
-    ExpSinh(gauss(1.0), SPLIT_POINT).level(LEVEL_CAP)
+    f = gauss(1.0)
+    ExpSinh(f, SPLIT_POINT).level(f, LEVEL_CAP)
     widths = [len(cols[0]) for cols in ExpSinh._TABLE]
     assert widths == [2 * _T_CAP + 1] + [2 * _T_CAP * 2 ** (n - 1)
                                          for n in range(1, LEVEL_CAP + 1)]
@@ -70,7 +72,7 @@ class _Levels:
     def __init__(self, values):
         self.values = values
 
-    def level(self, n):
+    def level(self, f, n):
         return (), (n,), False
 
     def part(self):
@@ -88,14 +90,14 @@ def test_cancelling_parts_are_accepted_on_the_sum_of_their_changes():
         return _Levels(lambda n: 1.0 + sign * 0.75 * rtol * (-1) ** n)
 
     parts = [wobble(1).part(), wobble(-1).part()]
-    assert integrate(parts, rtol) is None
-    value, change = integrate(parts, 2 * rtol)
+    assert integrate(None, parts, rtol) is None
+    value, change = integrate(None, parts, 2 * rtol)
     assert value == pytest.approx(2.0) and change == pytest.approx(3 * rtol)
     # a part within its share of the bound keeps its level
     calls = []
     still = _Levels(lambda n: calls.append(n) or 1.0)
     slow = _Levels(lambda n: 1.0 + 2.0 ** -(8 * n))
-    assert integrate([still.part(), slow.part()], 1e-12) is not None
+    assert integrate(None, [still.part(), slow.part()], 1e-12) is not None
     assert max(calls) == MIN_LEVEL
 
 
@@ -105,7 +107,7 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
     f = gauss(0.9)
     rule = make(f)
     for n in range(6):
-        xs, gs, signed = rule.level(n)
+        xs, gs, signed = rule.level(f, n)
         assert signed == (min(gs) >= 0.0 or max(gs) <= 0.0)
         if n:
             span = 2 ** (n - 1)
@@ -180,9 +182,10 @@ def test_split_tails_lie_within_their_bound(name, nu):
     # the tail of every split rung m = 1-60: the bound covers the last
     # change and the rounding of the terms and their sums
     fn, mp_fn = STREAMS[name]
-    nodes = ExpSinh(stream(name), SPLIT_POINT)
+    f = stream(name)
+    nodes = ExpSinh(f, SPLIT_POINT)
     for m in range(1, 61):
-        got, bound = nodes.integral(m + nu)
+        got, bound = nodes.integral(f, m + nu)
         with mpmath.workdps(22):
             p = m + mpmath.mpf(nu)
             ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
@@ -190,7 +193,7 @@ def test_split_tails_lie_within_their_bound(name, nu):
             assert abs(got - ref) <= bound, (m, got, bound)
 
 
-def _split_tail_as_before(nodes, p):
+def _split_tail_as_before(f, nodes, p):
     """The split tail as ExpSinh.integral once formed it: the level sums
     and their last change, accepted within 1e-13 relative or 1e-15
     absolute, plus a running rounding bound, (N + n + 2) u 2^-n times the
@@ -202,7 +205,7 @@ def _split_tail_as_before(nodes, p):
     total = sizes = 0.0
     value = math.nan
     for n in range(LEVEL_CAP + 1):
-        xs, gs, _ = nodes.level(n)
+        xs, gs, _ = nodes.level(f, n)
         terms = level_terms(xs, gs)
         total += sum(terms)
         sizes += sum(map(abs, terms))
@@ -220,10 +223,11 @@ def _split_tail_as_before(nodes, p):
 def test_split_tails_keep_their_bits(name, nu):
     # the split tails keep the bits they computed for themselves; the
     # bound's rounding comes from the sizes of the terms summed
-    nodes = ExpSinh(stream(name), SPLIT_POINT)
+    f = stream(name)
+    nodes = ExpSinh(f, SPLIT_POINT)
     for m in range(1, 61):
-        got = nodes.integral(m + nu)
-        assert got == _split_tail_as_before(nodes, m + nu), m
+        got = nodes.integral(f, m + nu)
+        assert got == _split_tail_as_before(f, nodes, m + nu), m
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
@@ -231,12 +235,13 @@ def test_split_tails_keep_their_bits(name, nu):
 def test_tanh_sinh_matches_mpmath(nu, a):
     # int_0^a x^{-nu} e^{-1.3 x^2} (1 + x)^{-1} dx; the factor 1/(1 + x) is
     # formed within u
-    rule = TanhSinh(gauss(1.3), nu, a)
+    f = gauss(1.3)
+    rule = TanhSinh(f, nu, a)
 
     def level_terms(xs, gs):
         return [g / (1.0 + x) for x, g in zip(xs, gs)]
 
-    got, bound = integrate([(rule, level_terms, 1)], 1e-14)
+    got, bound = integrate(f, [(rule, level_terms, 1)], 1e-14)
     # the terms are positive, so their sizes over levels 0 to n, times
     # 2^-n, sum to the integral: the bound is the last change, within
     # 1e-14 |got|, plus the rounding (N + n + 1) u |got| at the last level

@@ -1,9 +1,11 @@
 import cmath
+import gc
 import importlib.util
 import inspect
 import math
 import pickle
 import sys
+import weakref
 from itertools import count
 from pathlib import Path
 
@@ -521,6 +523,31 @@ def test_used_descriptor_and_spec_pickle(case):
         for w in (omega, 0.7 * omega):
             assert repr(evaluate_transform(TransformSpec(g, n, w, a, nu))) \
                 == repr(evaluate_transform(spec._replace(omega=w)))
+
+
+@pytest.mark.parametrize("case", sorted(PICKLE_CASES))
+def test_unpickled_descriptor_is_freed_by_reference_counting(case):
+    # the copy carries the ladder, computes on from it, and is then freed
+    # at once: its rung source and rules hold no reference back to it
+    make, (m, nu, a), (n, omega) = PICKLE_CASES[case]
+    f = make()
+    finite_part_integral(f, m, nu, a)
+    evaluate_transform(TransformSpec(f, n, omega, a, nu))
+    data = pickle.dumps(f)
+    gc.collect()
+    gc.disable()
+    try:
+        g = pickle.loads(data)
+        lad = g.ladder(nu, a)
+        assert lad.series is not None
+        finite_part_integral(g, m + 7, nu, a)
+        evaluate_transform(TransformSpec(g, n, 0.7 * omega, a, nu))
+        ref = weakref.ref(g)
+        del g, lad
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_records_build_by_keyword_and_from_their_fields():
