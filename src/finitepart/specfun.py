@@ -3,8 +3,11 @@
 Both functions admit incomplete or complete generalized-Stieltjes integral
 representations, so the exact naive + singular decomposition turns into
 series representations valid where the canonical power series is useless
-(2F1 beyond the unit disk, U near the origin).  Four parameter families
-are covered:
+(2F1 beyond the unit disk, U near the origin).  Those series converge
+like (omega/a)^k, omega = 1/zeta and a = 1 for 2F1, so where the
+transform core routes omega > a/2 to its direct integral, at zeta < 2,
+the integer 2F1 family takes that integral instead of its series
+(:func:`gauss2f1_integer`).  Four parameter families are covered:
 
   2F1(n, r; s; -zeta)              positive integers, r+1 < s < n+1, zeta > 1
   2F1(n, 1-mu; s-mu+2; -zeta)      n, s positive integers, 0 < mu < 1, zeta > 1
@@ -20,9 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
+from .entire import BinomialPoly
 from .errors import NonconvergenceError
 from .gammafn import EULER_GAMMA, digamma_int, gamma_ratio, gamma_real
 from .series import sum_until_small
+from .stieltjes import DEFAULT_EVAL_TOL, _direct, _routed
 
 _SERIES_RTOL = 1e-15
 _MU_GUARD = 1e-12
@@ -154,15 +159,48 @@ def _gauss_int_singular(n, r, s, zeta):
 
 
 def gauss2f1_integer(p: Gauss2F1IntParams) -> float:
-    """2F1(n, r; s; -zeta) as a convergent large-argument expansion."""
+    """2F1(n, r; s; -zeta), by one of two methods (DLMF 15.6.1):
+
+    * at zeta < 2, where omega = 1/zeta > 1/2 and the transform core routes
+      omega > a/2 at a = 1, the Euler integral
+      (s-r) C(s-1, r-1) zeta^{-n} int_0^1 x^{r-1} (1-x)^{s-r-1}
+      (1/zeta + x)^{-n} dx, taken by the core's direct route at
+      DEFAULT_EVAL_TOL; NonconvergenceError where that integral is refused
+      or its own bound exceeds DEFAULT_EVAL_TOL times its value;
+    * elsewhere the convergent large-argument expansion, naive + singular.
+
+    NonconvergenceError also where a factorial, the polynomial's
+    coefficients or the value leave float range.
+    """
     n, r, s, zeta = p.n, p.r, p.s, p.zeta
+    what = f"2F1(n, r; s; -zeta) at n = {n}, r = {r}, s = {s}, zeta = {zeta!r}"
+    omega = 1.0 / zeta
+    try:
+        f = BinomialPoly(r - 1, s - r - 1)
+    except ValueError as exc:  # a binomial coefficient past float range
+        raise NonconvergenceError(f"{what} leaves float range") from exc
+    if _routed(f, omega, 1.0):
+        got = _direct(f, n, 0.0, omega, 1.0, DEFAULT_EVAL_TOL, "pole")
+        if got is None:
+            raise NonconvergenceError(f"{what}: its integral over [0, 1] "
+                                      "did not converge")
+        direct, bound = got
+        if not bound <= DEFAULT_EVAL_TOL * abs(direct):
+            raise NonconvergenceError(
+                f"{what}: its integral's bound is {bound / abs(direct):.3g} "
+                f"of its value, above {DEFAULT_EVAL_TOL:g}")
+        try:
+            value = (s - r) * math.comb(s - 1, r - 1) * zeta ** -n * direct
+        except OverflowError:  # C(s-1, r-1) past float range
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+        raise NonconvergenceError(f"{what} leaves float range")
     try:
         return (_gauss_int_naive(n, r, s, zeta)
                 + _gauss_int_singular(n, r, s, zeta))
     except OverflowError as exc:  # factorials past float range
-        raise NonconvergenceError(
-            f"2F1(n, r; s; -zeta) at n = {n}, r = {r}, s = {s}, "
-            f"zeta = {zeta!r} leaves float range") from exc
+        raise NonconvergenceError(f"{what} leaves float range") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ ARGVS = [
     ["fpi", "--f", "monexp(3,1e-110)", "--m", "1", "--a", "1"],
     # specfun factorials past float range, and a polynomial coefficient
     ["specfun", "--family", "gauss-int", "--n", "300", "--r", "1", "--s",
-     "200", "--zeta", "1.5"],
+     "200", "--zeta", "2.0"],
     ["specfun", "--family", "gauss-branch", "--n", "300", "--mu", "0.5",
      "--s", "2", "--zeta", "1.5"],
     ["specfun", "--family", "kummer-int", "--n", "300", "--s", "3",
@@ -100,6 +100,14 @@ ARGVS = [
     ["specfun", "--family", "kummer-frac", "--n", "300", "--afrac", "0.5",
      "--omega", "0.5"],
     ["fpi", "--f", "binpoly(0,2000)", "--m", "5", "--a", "1"],
+    # 2F1 at zeta < 2 by its Euler integral: computed at n = 300, refused at
+    # n = 2000, and a bound above tol
+    ["specfun", "--family", "gauss-int", "--n", "300", "--r", "1", "--s",
+     "200", "--zeta", "1.5"],
+    ["specfun", "--family", "gauss-int", "--n", "2000", "--r", "1", "--s",
+     "3", "--zeta", "1.5"],
+    ["specfun", "--family", "gauss-int", "--n", "14", "--r", "9", "--s",
+     "11", "--zeta", "1.999"],
     # branch-power coefficients at large n, from the Beta integral, and
     # leading values past float range
     ["asym", "--f", "monexp(20,1)", "--n", "40", "--nu", "0.5", "--omega",

@@ -636,9 +636,10 @@ def test_finite_part_out_of_float_range_exits_3(capsys, argv, message):
 
 @pytest.mark.parametrize("argv,message", [
     # each ended in an OverflowError traceback with exit 1
+    # at zeta < 2 the Euler integral computes it (tests/test_specfun.py)
     (["--family", "gauss-int", "--n", "300", "--r", "1", "--s", "200",
-      "--zeta", "1.5"],
-     "2F1(n, r; s; -zeta) at n = 300, r = 1, s = 200, zeta = 1.5"),
+      "--zeta", "2.0"],
+     "2F1(n, r; s; -zeta) at n = 300, r = 1, s = 200, zeta = 2.0"),
     (["--family", "gauss-branch", "--n", "300", "--mu", "0.5", "--s", "2",
       "--zeta", "1.5"],
      "2F1(n, 1-mu; s-mu+2; -zeta) at n = 300, mu = 0.5, s = 2, zeta = 1.5"),
@@ -655,6 +656,22 @@ def test_specfun_out_of_float_range_exits_3(capsys, argv, message):
     assert main(["specfun"] + argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message} leaves float range\n"
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["--n", "2000", "--r", "1", "--s", "3", "--zeta", "1.5"],
+     "n = 2000, r = 1, s = 3, zeta = 1.5: its integral over [0, 1] did not "
+     "converge"),
+    (["--n", "14", "--r", "9", "--s", "11", "--zeta", "1.999"],
+     "n = 14, r = 9, s = 11, zeta = 1.999: its integral's bound is 1.01e-12 "
+     "of its value, above 1e-12"),
+])
+def test_specfun_refused_integral_exits_3(capsys, argv, why):
+    argv = ["specfun", "--family", "gauss-int"] + argv
+    assert argv in cli_corpus.ARGVS
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: 2F1(n, r; s; -zeta) at {why}\n"
 
 
 def test_polynomial_coefficient_out_of_float_range_exits_2(capsys):

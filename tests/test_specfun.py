@@ -1,15 +1,20 @@
 import math
+import random
 
+import mpmath
 import pytest
 from scipy import special
 
+from finitepart import specfun
 from finitepart.entire import BinomialPoly, Exponential, MonomialExp
+from finitepart.errors import NonconvergenceError
 from finitepart.oracles import quad_adaptive
 from finitepart.specfun import (Gauss2F1BranchParams, Gauss2F1IntParams,
                                 KummerParams, KummerRegime, gauss2f1_branch,
                                 gauss2f1_integer, gauss2f1_leading, kummer_u,
                                 kummer_u_leading)
-from finitepart.stieltjes import TransformSpec, evaluate_transform
+from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _direct,
+                                  evaluate_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,83 @@ def test_gauss_int_matches_generic_transform():
         )
         direct = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
         assert math.isclose(direct, via_transform, rel_tol=1e-10)
+
+
+ROUTED_ZETAS = (1.001, 1.01, 1.1, 1.5, 1.999)
+
+
+def routed_cases(zeta, count=24, seed=35):
+    """``count`` seeded windows (n, r, s), r+1 < s < n+1 and n <= 40."""
+    rng = random.Random(f"{seed} {zeta!r}")
+    cases = []
+    for _ in range(count):
+        n = rng.randint(3, 40)
+        s = rng.randint(3, n)
+        cases.append((n, rng.randint(1, s - 2), s))
+    return cases
+
+
+def mpmath_2f1(n, r, s, zeta):
+    with mpmath.workdps(40):
+        return mpmath.hyp2f1(n, r, s, -mpmath.mpf(zeta))
+
+
+@pytest.mark.parametrize("zeta", ROUTED_ZETAS)
+def test_gauss_int_below_zeta_2_against_mpmath(zeta):
+    # the Euler integral: each value within 1e-13 of mpmath, or refused
+    cases = routed_cases(zeta)
+    if zeta == 1.5:
+        cases.append((300, 1, 200))  # the series leaves float range here
+    computed = 0
+    for n, r, s in cases:
+        try:
+            got = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
+        except NonconvergenceError:
+            continue
+        want = mpmath_2f1(n, r, s, zeta)
+        assert abs(got - want) <= 1e-13 * abs(want), (n, r, s, got, want)
+        computed += 1
+    assert computed >= len(cases) - 1
+
+
+@pytest.mark.parametrize("n,r,s", [(4, 1, 3), (10, 3, 8), (40, 1, 40)])
+def test_gauss_int_methods_meet_at_zeta_2(monkeypatch, n, r, s):
+    # zeta >= 2 keeps the series bit for bit and takes no integral; the
+    # float below 2 takes the integral once, and no series
+    calls = []
+    monkeypatch.setattr(specfun, "_direct",
+                        lambda *args: calls.append(args) or _direct(*args))
+    for zeta in (2.0, 2.5, 10.0):
+        got = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
+        assert got == (specfun._gauss_int_naive(n, r, s, zeta)
+                       + specfun._gauss_int_singular(n, r, s, zeta))
+    assert calls == []
+    zeta = math.nextafter(2.0, 1.0)
+    monkeypatch.setattr(specfun, "_gauss_int_naive", None)
+    got = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
+    f = BinomialPoly(r - 1, s - r - 1)
+    assert [args[1:] for args in calls] == [
+        (n, 0.0, 1.0 / zeta, 1.0, DEFAULT_EVAL_TOL, "pole")]
+    direct, _ = _direct(f, n, 0.0, 1.0 / zeta, 1.0, DEFAULT_EVAL_TOL, "pole")
+    assert got == (s - r) * math.comb(s - 1, r - 1) * zeta ** -n * direct
+    want = mpmath_2f1(n, r, s, zeta)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n,r,s,zeta,why", [
+    # (2/3 + x)^-2000 leaves float range
+    (2000, 1, 3, 1.5, "its integral over [0, 1] did not converge"),
+    # bound 9.4e-16 on 9.4e-4; the value is 4e-16 off
+    (14, 9, 11, 1.999,
+     "its integral's bound is 1.01e-12 of its value, above 1e-12"),
+])
+def test_gauss_int_refused_integral_raises(monkeypatch, n, r, s, zeta, why):
+    # never answered by the series
+    monkeypatch.setattr(specfun, "_gauss_int_naive", None)
+    with pytest.raises(NonconvergenceError) as info:
+        gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
+    assert str(info.value) == (f"2F1(n, r; s; -zeta) at n = {n}, r = {r}, "
+                               f"s = {s}, zeta = {zeta!r}: {why}")
 
 
 # ---------------------------------------------------------------------------

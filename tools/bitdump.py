@@ -21,9 +21,12 @@ in.  Three parts are printed:
           the user streams' (gauss(c) and ``expstream``) transforms and
           quadratic-kernel values at a = inf at STREAM_OMEGAS, and the
           transforms of REFUSED, whose pole term swamps the value, so that
-          they come back flagged on the direct route; last, one ``repr``
-          line per public record (FpiValue, TransformSpec, ExpansionResult
-          and LeadingBehavior), so that a change to a record's text shows
+          they come back flagged on the direct route; then the 2F1
+          integer family at GAUSS_INT_WINDOWS and GAUSS_INT_ZETAS, either
+          side of zeta = 2, where it turns from its Euler integral to its
+          series; last, one ``repr`` line per public record (FpiValue,
+          TransformSpec, ExpansionResult and LeadingBehavior), so that a
+          change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
           the argv corpus of ``tests/cli_corpus.py`` (of this checkout, so
           both dumps run the same calls, read from the option tables or
@@ -76,6 +79,11 @@ STREAM_OMEGAS = (0.6, 0.9, 1.2, 3.0, 10.0, 20.0, 30.0)
 # more than tol |direct|, so the integral is kept and flagged
 REFUSED = (("expstream", 30.0, 25.0), ("xexp", math.inf, 6.0),
            ("xexp", math.inf, 8.0), ("xexp", math.inf, 12.0))
+# 2F1(n, r; s; -zeta): the benchmark's windows (n, r, s), one near
+# zeta = 1 and one whose factorials leave float range
+GAUSS_INT_WINDOWS = ((4, 1, 3), (6, 2, 5), (8, 2, 6), (10, 3, 8),
+                     (40, 1, 40), (300, 1, 200))
+GAUSS_INT_ZETAS = (1.5, math.nextafter(2.0, 1.0), 2.0, 2.5)
 
 
 def make_stream(entire, name):
@@ -152,6 +160,12 @@ def dump_grid(child, entire, fp, st, asy, out):
 
     for line, _, thunk in grid_cases(child, entire, st):
         out(f"{line} {call(thunk)}")
+
+    for n, r, s in GAUSS_INT_WINDOWS:
+        for z in GAUSS_INT_ZETAS:
+            op = {"family": "gauss-int", "n": n, "r": r, "s": s, "zeta": z}
+            out(f"specfun gauss-int {n} {r} {s} {z!r} "
+                + call(child._specfun_call(op)))
 
     f = make("monexp(1,0.8)")
     spec = st.TransformSpec(f, 2, 1.5, 2.0, 0.25)

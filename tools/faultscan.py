@@ -44,7 +44,11 @@ Their values carry no flag, so each is correct, silently wrong, rejected,
 raised raw, or has no reference: mpmath's ``hyperu`` need not settle, so a
 30-digit reference is used only where it agrees with the 40-digit one to
 20 digits, and one that raises is none.  The counts are printed per family
-and in all, then one line per silently wrong, raw or unreferenced value.
+and in all, each line ending in how many values the transform core's
+direct-route integral computed (a call of ``specfun._direct`` that
+returned a value; none in a checkout whose ``specfun`` has no such name)
+and how many the series did, then one line per silently wrong, raw or
+unreferenced value.
 
 Last, the power-law leading coefficients of ``asymptotic.classify`` are
 classified against mpmath's ``d0 * beta(m+1-nu, n-m-1+nu)``, on
@@ -254,7 +258,20 @@ def specfun_reference(refs, cache, op):
 def specfun_census(child, refs, cache, tol, error_types):
     """Print the specfun census; ``error_types`` are the rejections."""
     kinds = Counter()
+    methods = Counter()
     lines = []
+    taken = []  # one entry per integral of the op being computed
+    direct = getattr(child.sf, "_direct", None)
+
+    def counted(*args):
+        taken.append(args)
+        return direct(*args)
+
+    def compute(op):
+        taken.clear()
+        got = child._specfun_call(op)()
+        methods[op["family"], "integral" if taken else "series"] += 1
+        return got
 
     def judge(got, op):
         text = specfun_reference(refs, cache, op)
@@ -263,14 +280,22 @@ def specfun_census(child, refs, cache, tol, error_types):
         with refs.mp.workdps(refs.DPS):
             return against(refs.mp.mpf(text), got, tol)
 
-    for op in specfun_ops():
-        tally(kinds, lines, op["family"],
-              " ".join(f"{k}={v}" for k, v in op.items()),
-              lambda: child._specfun_call(op)(), lambda got: judge(got, op),
-              error_types)
+    if direct is not None:
+        child.sf._direct = counted
+    try:
+        for op in specfun_ops():
+            tally(kinds, lines, op["family"],
+                  " ".join(f"{k}={v}" for k, v in op.items()),
+                  lambda: compute(op), lambda got: judge(got, op),
+                  error_types)
+    finally:
+        if direct is not None:
+            child.sf._direct = direct
     order = ("correct", "silently wrong", "rejected", "raised raw",
              "no reference")
     fams = ("gauss-int", "gauss-branch", "kummer-int", "kummer-frac")
+    kinds += methods
+    order += ("integral", "series")
     for fam in fams:
         print_counts(fam, kinds, (fam,), order)
     print_counts("specfun", kinds, fams, order)
