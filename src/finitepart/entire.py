@@ -75,9 +75,10 @@ class Ladder:
     {m: FpiValue}, which the recurrence writes and the naive series of
     :mod:`finitepart.stieltjes` reads and extends; ``series``, the one rung
     source of :func:`finitepart.finite_part.rung_source`, whose
-    ``rung(f, m)`` computes FPI_m; and ``rule``, the tanh-sinh nodes of the
-    direct transforms, on [0, a] at a finite a and on [0, SPLIT_POINT] at
-    a = inf; each None until first needed.  The source and the rules hold
+    ``rung(f, m)`` computes FPI_m; and ``rule``, the Gauss-Jacobi rule of
+    the direct transforms, on [0, a] at a finite a and on [0, SPLIT_POINT]
+    at a = inf, which keeps the weighted values w_i f(x_i) of each of its
+    node counts; each None until first needed.  The source and the rules hold
     numbers and tables, no reference to f, and take f as an argument: the
     ladder is freed with its descriptor by reference counting, with no
     cycle for the garbage collector, and it pickles with the descriptor.

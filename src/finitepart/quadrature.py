@@ -1,33 +1,41 @@
-"""Double-exponential quadrature rules (Takahasi and Mori 1974).
+"""Quadrature rules: exp-sinh on [a0, inf) and Gauss-Jacobi on [0, a].
 
-A rule maps its interval onto the whole t line by an x(t) under which the
-integrand decays double exponentially, and sums it by the trapezoidal rule
-at the steps h = 2^-n of its levels n = 0, 1, ...:
+ExpSinh is a double-exponential rule (Takahasi and Mori 1974): it maps
+[a0, inf) onto the whole t line by x = a0 + u, u = e^{pi/2 sinh t}, under
+which the integrand F(x) = f(x) decays double exponentially, and sums it
+by the trapezoidal rule at the steps h = 2^-n of its levels n = 0, 1, ...
+The nodes x_i and the weighted values g_i = w_i F(x_i), w = dx/dt, of
+every level are computed once: level 0 takes the integers t in [lo, hi],
+each level n after it the odd multiples of 2^-n in that range, and notes
+whether its values are of one sign.  The range ends at the first quiet
+node, one whose size is below _NEGLIGIBLE times the largest one's, that
+the next node, no larger, confirms (a larger one marks a dip of F at a
+root).  The part of a node that F does not change, (u, w), is computed
+once per process for every |t| <= _T_CAP of a level, in one table, so a
+rule forms only x and g.
 
-  ExpSinh   [a0, inf):  x = a0 + u, u = e^{pi/2 sinh t}, F(x) = f(x)
-  TanhSinh  [0, a]:     x = a s y, s = e^{pi sinh t}, y = 1/(1+s),
-                        F(x) = f(x) x^{-nu}
+GaussJacobi is the N-point Gauss rule of the weight x^{-nu} on [0, a], for
+N = GAUSS_START, 2 GAUSS_START, ..., GAUSS_CAP.  Its nodes and weights on
+[0, 1] come from the Jacobi matrix of that weight (Jacobi alpha = 0,
+beta = -nu, shifted to [0, 1]) by Golub and Welsch (Math. Comp. 23, 1969):
+implicit QL, which keeps only the first component of each eigenvector.
+They are computed once per process for every (nu, N), in one table.  On
+the pole kernel at omega > a/2 the rule converges like rho^{-2N}, with
+rho >= 3.73 the Bernstein ellipse through the pole (Trefethen, SIAM
+Review 50, 2008), and rho >= 2.89 on the quadratic kernel.
 
-A rule belongs to the integrand factor F that its callers share, and each
+A rule belongs to the integrand factor that its callers share, and each
 caller brings its own factor of x.  It holds numbers and lists only, no
 reference to f: every call that reads a value of f takes f as its first
 argument, so a descriptor whose ladder keeps a rule is freed by reference
-counting once its last name goes.  The nodes x_i and the weighted values
-g_i = w_i F(x_i), w = dx/dt, of every level are computed once: level 0
-takes the integers t in [lo, hi], each level n after it the odd multiples
-of 2^-n in that range, and notes whether its values are of one sign.  The
-range ends at the first quiet node, one whose size is below _NEGLIGIBLE
-times the largest one's, that the next node, no larger, confirms (a larger
-one marks a dip of F at a root); the tanh-sinh range keeps the confirming
-node at x -> 0 as well.  The part of a node that F does not
-change, (u, w) or (s, y, pi cosh t y), is computed once per process for
-every |t| <= _T_CAP of a level, in one table per rule, so a rule forms
-only x and g, in the order of the formulas above.  Tables and levels grow
-by replacement, and a level's lists are never changed once made, so a
-thread reads whole levels only.
+counting once its last name goes.  Tables, levels and rules grow by
+replacement, and a level's or rule's lists are never changed once made,
+so a thread reads whole ones only.
 """
 
+import cmath
 import math
+from decimal import Decimal, localcontext
 from functools import reduce
 from itertools import repeat
 from operator import add, mul, truediv
@@ -36,10 +44,16 @@ from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF
 
 _HALF_PI = 0.5 * math.pi
-_T_CAP = 6  # |t| of the outermost node: x = a0 + e^{317}, or s = e^{+-634}
+_T_CAP = 6  # |t| of the outermost node: x = a0 + e^{317}
 _NEGLIGIBLE = 2.0 ** -70
 MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
+GAUSS_START = 16  # nodes of the first Gauss-Jacobi rule
+GAUSS_CAP = 128  # nodes of the last
+
+# (nu, N) -> (the nodes t_i, the weights w_i) of the N-point Gauss rule of
+# x^{-nu} on [0, 1]; grown by replacement, never in place
+_JACOBI = {}
 
 
 def integrate(f, parts, rtol, atol=0.0):
@@ -113,7 +127,6 @@ class _Rule:
     ``_sizes(xs, gs)``, which find a quiet node."""
 
     _WHAT = ""  # names the integrand in the error of a range that is open
-    _LOW_KEEPS = False  # whether the lower end keeps its confirming node
     _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
 
     def __init__(self, f):
@@ -143,10 +156,8 @@ class _Rule:
                 quiet = ((1 if v > last else quiet + 1)
                          if v <= _NEGLIGIBLE * big else 0)
                 last = v
-            if step > 0 or not self._LOW_KEEPS:
-                del xs[-1], gs[-1]
-                t -= step
-            ends.append(t)
+            del xs[-1], gs[-1]
+            ends.append(t - step)
         self.hi, self.lo = ends
         # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
         self.ends = [xs[self.hi], xs[-1]], [gs[self.hi], gs[-1]]
@@ -231,36 +242,155 @@ class ExpSinh(_Rule):
         return got
 
 
-class TanhSinh(_Rule):
-    """Tanh-sinh quadrature of f(x) x^{-nu} times a factor of x over
+def jacobi_rule(nu, count):
+    """(t_i, w_i), increasing t_i: the count-point Gauss rule of the weight
+    x^{-nu} on [0, 1], 0 <= nu < 1; made once per process."""
+    global _JACOBI
+    key = (nu, count)
+    got = _JACOBI.get(key)
+    if got is None:
+        got = _golub_welsch(nu, count)
+        _JACOBI = {**_JACOBI, key: got}
+    return got
+
+
+def _golub_welsch(nu, count):
+    """The nodes and weights of :func:`jacobi_rule` by Golub and Welsch.
+
+    The Jacobi matrix of x^{-nu} on [0, 1] is that of the Jacobi weight
+    (1-t)^0 (1+t)^{-nu} on [-1, 1] under x = (1+t)/2: with s = 2k - nu its
+    diagonal is (1 + nu^2/(s (s+2)))/2, (1-nu)/(2-nu) at k = 0, and its
+    off-diagonal k (k-nu)/(s sqrt(s^2 - 1)), k >= 1.  Its eigenvalues are
+    the nodes; the weights are 1/(1-nu), the weight's integral, times the
+    squares of the eigenvectors' first components.  Implicit QL with
+    Wilkinson's shift (tqli of Numerical Recipes, 2nd ed., sec. 11.3) finds
+    both, rotating the first row of the eigenvector matrix only.  It runs
+    in 34-digit decimal arithmetic, and each node and weight is rounded
+    once to a float: in float the weights at the ends of the range came
+    out up to 4,400 u off at N = 64, and at nu near 1 the first node
+    carries over half of the weight's integral.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 34
+        one, zero, v = Decimal(1), Decimal(0), Decimal(nu)
+        d = [(one - v) / (2 - v)]
+        e = []
+        for k in range(1, count):
+            s = 2 * k - v
+            d.append((one + v * v / (s * (s + 2))) / 2)
+            e.append(k * (k - v) / (s * ((s - 1) * (s + 1)).sqrt()))
+        e.append(zero)
+        z = [one] + [zero] * (count - 1)
+        eps = Decimal(10) ** (2 - ctx.prec)
+        for lo in range(count):
+            while True:
+                m = lo
+                while m < count - 1 and abs(e[m]) > eps * (abs(d[m])
+                                                           + abs(d[m + 1])):
+                    m += 1
+                if m == lo:
+                    break
+                g = (d[lo + 1] - d[lo]) / (2 * e[lo])
+                r = (g * g + one).sqrt()
+                g = d[m] - d[lo] + e[lo] / (g + r if g >= 0 else g - r)
+                s = c = one
+                p = zero
+                for i in range(m - 1, lo - 1, -1):
+                    f = s * e[i]
+                    b = c * e[i]
+                    r = e[i + 1] = (f * f + g * g).sqrt()
+                    if not r:  # split the matrix and sweep again
+                        d[i + 1] -= p
+                        e[m] = zero
+                        break
+                    s = f / r
+                    c = g / r
+                    g = d[i + 1] - p
+                    r = (d[i] - g) * s + 2 * c * b
+                    p = s * r
+                    d[i + 1] = g + p
+                    g = c * r - b
+                    f = z[i + 1]
+                    z[i + 1] = s * z[i] + c * f
+                    z[i] = c * z[i] - s * f
+                else:
+                    d[lo] -= p
+                    e[lo] = g
+                    e[m] = zero
+        mass = one / (one - v)
+        nodes = sorted(zip(d, z))
+        return ([float(t) for t, _ in nodes],
+                [float(mass * (w * w)) for _, w in nodes])
+
+
+class GaussJacobi:
+    """Gauss-Jacobi quadrature of f(x) x^{-nu} times a factor of x over
     [0, a]: the direct transforms of one ladder, on [0, a] at a finite a
     and on [0, SPLIT_POINT] at a = inf.
 
-    x = a s/(1+s) with s = e^{pi sinh t}, so x near 0 keeps its relative
-    accuracy and x^{-nu} with it; w = pi cosh t x/(1+s), and
-    g = pi cosh t x^{1-nu} f(x)/(1+s).  A node's size is |g_i|.
+    ``rules`` maps N to the N-point rule's (x_i, g_i): the nodes
+    x_i = a t_i and g_i = (a^{1-nu} w_i) f(x_i) of :func:`jacobi_rule`.
+    Each is made from f on first use and kept, so every later call forms
+    only the caller's factor of x.
     """
 
-    _WHAT = "tanh-sinh integrand"
-    _TABLE = ()
-    _LOW_KEEPS = True  # the callers' kernels are largest at x = 0
+    def __init__(self, nu, a):
+        self.nu, self.a = nu, a
+        self.scale = a ** (1.0 - nu)
+        self.rules = {}
 
-    def __init__(self, f, nu, a):
-        self.a, self.p = a, 1.0 - nu
-        super().__init__(f)
+    def rule(self, f, count):
+        """(x_i, g_i) of the count-point rule, the values taken from f, the
+        rule's own."""
+        got = self.rules.get(count)
+        if got is None:
+            ts, ws = jacobi_rule(self.nu, count)
+            xs = list(map(mul, ts, repeat(self.a)))
+            got = xs, list(map(mul, map(mul, ws, repeat(self.scale)),
+                               map(f.eval, xs)))
+            self.rules = {**self.rules, count: got}
+        return got
 
-    @staticmethod
-    def _geometry(t):
-        s = math.exp(math.pi * math.sinh(t))
-        y = 1.0 / (1.0 + s)
-        return s, y, math.pi * math.cosh(t) * y
+    def integral(self, f, rule_terms, c, rtol, rho):
+        """(Q_2N, its error bound), or None.
 
-    def _nodes(self, f, ss, ys, ws):
-        xs = list(map(mul, map(mul, repeat(self.a), ss), ys))
-        # x ** 1.0 is x exactly
-        ps = xs if self.p == 1.0 else map(pow, xs, repeat(self.p))
-        return xs, list(map(mul, map(mul, ws, ps), map(f.eval, xs)))
+        Q_N is the sum of the terms ``rule_terms(xs, gs)`` of the N-point
+        rule: its values times the caller's factor of x, formed within c u.
+        That factor is analytic inside the Bernstein ellipse of ``rho``
+        about [0, a], so Q_N of it alone is within about rho^{-2N}
+        (Trefethen, SIAM Review 50, 2008).  The pairs start at the first N
+        of GAUSS_START, 2 GAUSS_START, ... at which that is within rtol,
+        since two rules that both miss the factor can agree by chance.  N
+        doubles until the bound, the change |Q_2N - Q_N| plus the rounding
+        (2N + c) u sum |t| of Q_2N's terms, is within rtol |Q_2N|, or until
+        the change is within that rounding, which more nodes only raise;
+        2N u covers the sum's (2N - 1) u and the rule's own nodes and
+        weights.  None where Q leaves float range or 2N passes GAUSS_CAP.
+        """
+        count = GAUSS_START
+        while count < GAUSS_CAP and 2 * count * math.log(rho) < -math.log(
+                rtol):
+            count *= 2
+        old = None
+        while count <= GAUSS_CAP:
+            terms = [*rule_terms(*self.rule(f, count))]
+            value = sum(terms)
+            if not abs(value) < math.inf:
+                return None
+            if old is not None:
+                change = abs(value - old)
+                rounding = ((count + c) * UNIT_ROUNDOFF
+                            * sum(map(abs, terms)))
+                if change <= max(rtol * abs(value) - rounding, rounding):
+                    return value, change + rounding
+            old = value
+            count *= 2
+        return None
 
-    @staticmethod
-    def _sizes(xs, gs):
-        return map(abs, gs)
+
+def bernstein_rho(z, a):
+    """rho of the Bernstein ellipse about [0, a] through the point z: the
+    ellipse with foci 0 and a whose semi-axes sum to rho a/2."""
+    t = 2.0 * z / a - 1.0
+    w = abs(t + cmath.sqrt(t - 1.0) * cmath.sqrt(t + 1.0))
+    return max(w, 1.0 / w)

@@ -28,10 +28,13 @@ wherever the identity's rounding plus that bound exceeds tol |direct|:
   :func:`_closed`;
 * the direct route, at a finite a with omega > a/2, and at a = inf with
   omega > SPLIT_POINT/2 where f's rungs are split (a user stream): the
-  double-exponential rules of :mod:`finitepart.quadrature`, whose nodes
-  f's rung ladder keeps, tanh-sinh on [0, a], or on [0, SPLIT_POINT] plus
-  the split's exp-sinh nodes on [SPLIT_POINT, inf).  Where a rule fails
-  the split is summed instead.
+  rules of :mod:`finitepart.quadrature`, whose values of f the rung
+  ladder keeps, Gauss-Jacobi for the weight x^{-nu} on [0, a], or on
+  [0, SPLIT_POINT] plus the split's exp-sinh nodes on [SPLIT_POINT, inf).
+  The kernel's poles lie on a Bernstein ellipse of rho >= 3.73 about the
+  Gauss range (2.89 for the quadratic kernel), so rules of 16 and 32
+  nodes reach the tolerance where f is smooth on the range's scale.
+  Where a rule fails the split is summed instead.
 
 Elsewhere, and with ``k_max`` given, the split is summed.  Its naive terms
 are binom(-n,k) omega^k times the public finite_part_integral values.
@@ -48,7 +51,7 @@ from .errors import FinitePartError, NonconvergenceError
 from .finite_part import (SPLIT_POINT, check_nu, finite_part_integral,
                           rung_source, splits_at_infinity)
 from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
-from .quadrature import TanhSinh, integrate
+from .quadrature import GaussJacobi, bernstein_rho, integrate
 from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
@@ -222,17 +225,20 @@ def _routed(f, omega, a):
 
 
 def _direct(f, n, nu, omega, a, tol, kernel):
-    """(the transform integrated directly, its bound by
-    :func:`~finitepart.quadrature.integrate`), or None where that fails.
+    """(the transform integrated directly, its bound), or None where that
+    fails.
 
-    The integral is the tanh-sinh rule of f's ladder at (nu, a), made on
-    first use, on [0, a]; at a = inf on [0, SPLIT_POINT], plus the exp-sinh
-    nodes of the split's rung source on [SPLIT_POINT, inf) times x^{-nu}.
-    A level's terms are its values times the kernel, by :func:`_pole_kernel`
-    or :func:`_quadratic_kernel`; the kernel is formed within (n + 2) u,
-    n = 0 for the quadratic kernel, and x^{-nu} adds 3u.  None where a rule
-    raises, or the sum of the rules' changes is not within tol |direct| by
-    the level cap.
+    The integral is the Gauss-Jacobi rule of f's ladder at (nu, a), made
+    on first use, on [0, a] by
+    :meth:`~finitepart.quadrature.GaussJacobi.integral`; at a = inf on
+    [0, SPLIT_POINT], plus the exp-sinh nodes of the split's rung source on
+    [SPLIT_POINT, inf) times x^{-nu} by
+    :func:`~finitepart.quadrature.integrate`, whose change is accepted
+    within tol of the larger part, and the two bounds add.  The rule's
+    terms are its values times the kernel, by :func:`_pole_kernel` or
+    :func:`_quadratic_kernel`; the kernel is formed within (n + 2) u, n = 0
+    for the quadratic kernel, and the rule's values and the tail's x^{-nu}
+    within 3u.  None where a rule raises, or does not converge by its cap.
     """
     check_nu(nu)
     try:
@@ -244,18 +250,24 @@ def _direct(f, n, nu, omega, a, tol, kernel):
             top = SPLIT_POINT
         rule = lad.rule
         if rule is None:
-            rule = lad.rule = TanhSinh(f, nu, top)
+            rule = lad.rule = GaussJacobi(nu, top)
         if kernel == "pole":
             level, c = partial(_pole_kernel, omega, n), n + 5
+            pole = -omega
         else:
             level, c = partial(_quadratic_kernel, omega), 5
-        parts = [(rule, level, c)]
-        if top < a:
-            tail = rung_source(f, lad, nu, a).exp_sinh(f)
-            parts.append((tail, level if nu == 0.0 else (
-                lambda xs, gs: level(xs, map(mul, gs, map(
-                    pow, xs, repeat(-nu))))), c))
-        return integrate(f, parts, tol)
+            pole = 1j * omega
+        got = rule.integral(f, level, c, tol, bernstein_rho(pole, top))
+        if got is None or top == a:
+            return got
+        head, bound = got
+        tail = rung_source(f, lad, nu, a).exp_sinh(f)
+        got = integrate(f, [(tail, level if nu == 0.0 else (
+            lambda xs, gs: level(xs, map(mul, gs, map(
+                pow, xs, repeat(-nu))))), c)], tol, tol * abs(head))
+        if got is None:
+            return None
+        return head + got[0], bound + got[1]
     except (ArithmeticError, FinitePartError):
         return None
 

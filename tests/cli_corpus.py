@@ -100,12 +100,15 @@ ARGVS = [
     ["specfun", "--family", "kummer-frac", "--n", "300", "--afrac", "0.5",
      "--omega", "0.5"],
     ["fpi", "--f", "binpoly(0,2000)", "--m", "5", "--a", "1"],
-    # 2F1 at zeta < 2 by its Euler integral: computed at n = 300, refused at
-    # n = 2000, and a bound above tol
+    # 2F1 at zeta < 2 by its Euler integral: refused at n = 300 past the
+    # rule's cap, at n = 2000 past float range, and at n = 3000 in range;
+    # computed at (14, 9, 11), once refused for a bound above tol
     ["specfun", "--family", "gauss-int", "--n", "300", "--r", "1", "--s",
      "200", "--zeta", "1.5"],
     ["specfun", "--family", "gauss-int", "--n", "2000", "--r", "1", "--s",
      "3", "--zeta", "1.5"],
+    ["specfun", "--family", "gauss-int", "--n", "3000", "--r", "1", "--s",
+     "3", "--zeta", "1.001"],
     ["specfun", "--family", "gauss-int", "--n", "14", "--r", "9", "--s",
      "11", "--zeta", "1.999"],
     # branch-power coefficients at large n, from the Beta integral, and

@@ -1,5 +1,5 @@
 """The direct route of the transforms at a finite a with omega > a/2 and,
-for user streams, at a = inf with omega > SPLIT_POINT/2, its tanh-sinh
+for user streams, at a = inf with omega > SPLIT_POINT/2, its Gauss-Jacobi
 rule, and coefficient streams that leave float range.
 
 References are mpmath quadratures at 40 digits.  A routed result must keep
@@ -33,7 +33,7 @@ from finitepart.errors import (DivergentIntegralError, FinitePartError,
 from finitepart.finite_part import (SPLIT_POINT, finite_part_integral,
                                    splits_at_infinity)
 from finitepart.gammafn import UNIT_ROUNDOFF
-from finitepart.quadrature import TanhSinh, integrate
+from finitepart.quadrature import GAUSS_START, GaussJacobi
 from finitepart.series import TERM_CAP
 from finitepart.stieltjes import (DEFAULT_EVAL_TOL, TransformSpec, _closed,
                                   eval_quadratic, evaluate_transform)
@@ -318,7 +318,7 @@ def test_routed_sweep_matches_fresh_instances():
 
 
 # ---------------------------------------------------------------------------
-# user streams at a = inf: tanh-sinh on [0, 1] plus the split's exp-sinh
+# user streams at a = inf: Gauss-Jacobi on [0, 1] plus the split's exp-sinh
 # ---------------------------------------------------------------------------
 
 STREAMS = st.one_of(
@@ -392,36 +392,37 @@ def test_routed_sweep_at_infinity_evaluates_f_once_per_node():
     routes += [eval_quadratic(f, omega).route for omega in (0.8, 1.1)]
     assert routes.count("direct") == 7
     lad = f.ladder(0.0, math.inf)
-    nodes = sum(len(xs) for rule in (lad.rule, lad.series.nodes)
-                for xs, *_ in rule.levels)
-    # each range search also evaluates the node past each of its two ends,
-    # but the tanh-sinh range keeps that node at x -> 0; the singular terms
-    # evaluate f at -omega
-    assert sum(x > 0 for x in calls) == nodes + 3
+    nodes = sum(len(xs) for xs, _ in lad.rule.rules.values()) + sum(
+        len(xs) for xs, *_ in lad.series.nodes.levels)
+    # the exp-sinh range search also evaluates the node past each of its
+    # two ends; the singular terms evaluate f at -omega
+    assert sum(x > 0 for x in calls) == nodes + 2
 
 
 # ---------------------------------------------------------------------------
-# the tanh-sinh rule
+# the Gauss-Jacobi rule
 # ---------------------------------------------------------------------------
 
-def test_tanh_sinh_refuses_what_it_cannot_resolve():
-    # too many oscillations for the finest level
+def test_gauss_jacobi_refuses_what_it_cannot_resolve():
+    # too many oscillations for the largest rule (no factor of x: its
+    # ellipse is the whole plane)
     f = CustomSeries(lambda k: 0.0, lambda x: math.cos(400.0 * x))
-    assert integrate(f, [(TanhSinh(f, 0.0, 2.0), lambda xs, gs: gs, 0)],
-                     1e-12) is None
-    # an integrand that is not finite cannot close its range
+    assert GaussJacobi(0.0, 2.0).integral(f, lambda xs, gs: gs, 0, 1e-12,
+                                          math.inf) is None
+    # nor is an integrand that is not finite
     f = CustomSeries(lambda k: 0.0, lambda x: math.nan)
-    with pytest.raises(NonconvergenceError, match="does not decay"):
-        TanhSinh(f, 0.0, 2.0)
+    assert GaussJacobi(0.0, 2.0).integral(f, lambda xs, gs: gs, 0, 1e-12,
+                                          math.inf) is None
 
 
-def test_tanh_sinh_levels_grow_by_replacement():
+def test_gauss_jacobi_rules_grow_by_replacement():
     f = Exponential(1.0)
-    rule = TanhSinh(f, 0.25, 2.0)
-    first = rule.levels
-    rule.level(f, 2)
-    assert len(first) == 1 and len(rule.levels) == 3
-    assert rule.levels[0] is first[0]
+    rule = GaussJacobi(0.25, 2.0)
+    rule.rule(f, GAUSS_START)
+    first = rule.rules
+    rule.rule(f, 2 * GAUSS_START)
+    assert len(first) == 1 and len(rule.rules) == 2
+    assert rule.rules[GAUSS_START] is first[GAUSS_START]
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +546,8 @@ def test_quadratic_exp_sinh_tail_is_bounded_by_the_kernel(omega):
 @example(("gauss", (0.7,)), 0, 0.0, math.inf, 1e-4)
 # a range once closed at the dip next to the root x = 1: 1.3e-11 off
 @example(("binpoly", (2, 8)), 3, 0.25, 40.0, 0.005)
+# Gauss-Jacobi rules of 16 and 32 nodes 2.4e-13 apart, each further off
+@example(("binpoly", (2, 8)), 3, 0.25, 40.0, 0.001)
 def test_direct_below_the_routing_lies_within_its_bound(shape, n, nu, a,
                                                         share):
     # the integral that routing at any omega will read: wherever it
@@ -567,24 +570,37 @@ def test_direct_below_the_routing_lies_within_its_bound(shape, n, nu, a,
 
 
 def test_direct_bound_at_small_omega_is_tight():
-    # -2 x^3 under the quadratic kernel, a = 0.5, omega = 5e-4: with the
-    # tanh-sinh rounding taken at K(0) = omega^-2 times the node sizes,
-    # the bound was 6.8e-9 |direct|, where the error is below 1e-15
-    direct, bound = stieltjes._direct(parse_function("poly(-2@3)"), 1, 0.0,
-                                      5e-4, 0.5, TOL, "quadratic")
-    ref = reference(lambda x: -2 * x ** 3, 0, 0.0, 0.5, 5e-4)
+    # -2 x^3 under the quadratic kernel, a = 0.5: with the rounding taken
+    # at K(0) = omega^-2 times the node sizes, the bound was 6.8e-9
+    # |direct| at omega = 5e-4, where the error is below 1e-15.  That omega
+    # is past the Gauss-Jacobi cap (the poles at +-i omega lie on the
+    # ellipse of rho = 1.045 about [0, a]), so the bound is taken at the
+    # smallest omega in 1-2-5 steps that the rule reaches, 0.02, whose
+    # ellipse (rho = 1.33) admits the pair of 64 and 128 nodes
+    f = parse_function("poly(-2@3)")
+    assert stieltjes._direct(f, 1, 0.0, 5e-4, 0.5, TOL, "quadratic") is None
+    direct, bound = stieltjes._direct(f, 1, 0.0, 0.02, 0.5, TOL, "quadratic")
+    ref = reference(lambda x: -2 * x ** 3, 0, 0.0, 0.5, 0.02)
     assert abs(mpmath.mpf(direct) - ref) <= bound <= 1e-13 * abs(direct)
 
 
-def test_direct_below_the_routing_covers_the_part_the_range_drops():
-    # x^2 (1-x)^8 on [0, 40]: the level-0 nodes at x = 0.97, near the root,
-    # and at 4.5e-4 are below 2^-70 of the largest; a range closed at the
-    # first dropped [0, 0.97], 1.3e-11 of the transform at omega = 0.005,
-    # past a bound of 5.9e-15 of it
+def test_direct_below_the_routing_covers_the_whole_range():
+    # x^2 (1-x)^8 on [0, 40]: the tanh-sinh level-0 nodes at x = 0.97,
+    # near the root, and at 4.5e-4 were below 2^-70 of the largest, and a
+    # range closed at the first dropped [0, 0.97], 1.3e-11 of the transform
+    # at omega = 0.005, past a bound of 5.9e-15 of it.  The Gauss-Jacobi
+    # rule keeps every node.  At omega = 0.005 and 0.04 the pole's ellipse
+    # (rho = 1.023 and 1.065) admits no pair of rules by the cap, so it
+    # refuses; at 0.04 the rules of 16 and 32 nodes were 2.2e-13 and
+    # 4.6e-13 off, 2.4e-13 apart.  At omega = 0.8 (rho = 1.33) it lies
+    # within its bound
     make_f, make_mp = FAMILIES["binpoly"]
-    direct, bound = stieltjes._direct(make_f(2, 8), 3, 0.25, 0.005, 40.0,
+    for omega in (0.005, 0.04):
+        assert stieltjes._direct(make_f(2, 8), 3, 0.25, omega, 40.0, TOL,
+                                 "pole") is None
+    direct, bound = stieltjes._direct(make_f(2, 8), 3, 0.25, 0.8, 40.0,
                                       TOL, "pole")
-    ref = reference(make_mp(2, 8), 3, 0.25, 40.0, 0.005)
+    ref = reference(make_mp(2, 8), 3, 0.25, 40.0, 0.8)
     assert abs(mpmath.mpf(direct) - ref) <= bound
 
 
@@ -606,3 +622,49 @@ def test_routed_high_order_lies_within_its_bound(p, q, n, nu):
     res = evaluate(f, n, nu, 40.0, 20.5)
     assert (res.route, res.direct) == ("direct", direct)
     assert abs(mpmath.mpf(res.total) - ref) <= res.tail_estimate
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Jacobi rule at any nu < 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [0.77, 0.8, 0.9, 0.95])
+@pytest.mark.parametrize("name,params,a", [
+    ("exp", (1.0,), 1.0), ("exp", (1.0,), 30.0), ("binpoly", (0, 3), 1.0)])
+@pytest.mark.parametrize("n,share", [(1, 0.6), (3, 0.9), (15, 0.55)])
+def test_direct_is_built_at_high_nu(name, params, a, nu, n, share):
+    # f(0) != 0: the tanh-sinh range could not close by t = 6 at nu >= 0.8
+    # on [0, 1] and at nu >= 0.77 on [0, 30]; the Gauss-Jacobi rule carries
+    # x^{-nu} in its weights.  The reference is taken in x = t^q, as
+    # test_known_faults.transform_ref, with the kernel over K(0)
+    make_f, make_mp = FAMILIES[name]
+    omega = share * a
+    got = stieltjes._direct(make_f(*params), n, nu, omega, a, TOL, "pole")
+    assert got is not None
+    direct, bound = got
+    ref = reference(make_mp(*params), n, nu, a, omega)
+    assert abs(mpmath.mpf(direct) - ref) <= bound <= TOL * abs(direct)
+    res = evaluate_transform(TransformSpec(make_f(*params), n, omega, a, nu))
+    assert (res.route, res.direct) == ("direct", direct)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=SHAPES, n=st.integers(0, 40),
+       nu=st.one_of(st.just(0.0), st.floats(0.01, 0.95)),
+       a=st.floats(0.1, 60.0), share=st.floats(0.5, 1.0, exclude_min=True,
+                                                exclude_max=True))
+@example(("binpoly", (0, 3)), 15, 0.83, 1.0, 1 / 1.05)
+@example(("exp", (1.0,)), 40, 0.95, 30.0, 0.51)
+def test_gauss_jacobi_route_is_within_its_bound_or_none(shape, n, nu, a,
+                                                        share):
+    # n = 0 is the quadratic kernel, at nu = 0
+    name, params = shape
+    if n == 0:
+        nu = 0.0
+    omega = share * a
+    got = stieltjes._direct(FAMILIES[name][0](*params), max(n, 1), nu, omega,
+                            a, TOL, "pole" if n else "quadratic")
+    if got is not None:
+        direct, bound = got
+        ref = reference(FAMILIES[name][1](*params), n, nu, a, omega)
+        assert abs(mpmath.mpf(direct) - ref) <= bound, (direct, bound, ref)

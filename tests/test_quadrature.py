@@ -1,7 +1,8 @@
-"""The double-exponential rules of finitepart.quadrature: their shared
-node geometry, their ranges and the split tails of the exp-sinh rule.
+"""The rules of finitepart.quadrature: the shared node geometry, the
+ranges and the split tails of the exp-sinh rule, and the Gauss-Jacobi
+rules, their moments and their table.
 
-References are mpmath quadratures at 22 digits, or 40 for tanh-sinh."""
+References are mpmath quadratures at 22 digits, or 40 for Gauss-Jacobi."""
 
 import cmath
 import math
@@ -11,12 +12,15 @@ from operator import mul
 import mpmath
 import pytest
 
-from finitepart.entire import BinomialPoly, CustomSeries
+from finitepart import quadrature
+from finitepart.entire import CustomSeries, Exponential
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import SPLIT_POINT
 from finitepart.gammafn import UNIT_ROUNDOFF
-from finitepart.quadrature import (_HALF_PI, _NEGLIGIBLE, _T_CAP, LEVEL_CAP,
-                                   MIN_LEVEL, ExpSinh, TanhSinh, integrate)
+from finitepart.quadrature import (_HALF_PI, _NEGLIGIBLE, _T_CAP, GAUSS_CAP,
+                                   GAUSS_START, LEVEL_CAP, MIN_LEVEL, ExpSinh,
+                                   GaussJacobi, bernstein_rho, integrate,
+                                   jacobi_rule)
 
 
 def gauss(c):
@@ -46,14 +50,18 @@ def stream(name):
 
 def test_descriptors_share_one_geometry_table():
     fs = [gauss(1.0), gauss(0.7), gauss(1.0), gauss(1.3)]
-    rules = [ExpSinh(fs[0], SPLIT_POINT), ExpSinh(fs[1], 2.0),
-             TanhSinh(fs[2], 0.5, 1.0), TanhSinh(fs[3], 0.0, 3.0)]
+    rules = [ExpSinh(fs[0], SPLIT_POINT), ExpSinh(fs[1], 2.0)]
     for f, rule in zip(fs, rules):
         rule.level(f, 4)
-    for a, b in (rules[:2], rules[2:]):
-        assert a._TABLE is b._TABLE
-        assert all(a._columns(n) is b._columns(n) for n in range(5))
-    assert ExpSinh._TABLE is not TanhSinh._TABLE
+    a, b = rules
+    assert a._TABLE is b._TABLE
+    assert all(a._columns(n) is b._columns(n) for n in range(5))
+    # the Gauss-Jacobi rules of one nu read one table entry per N
+    gausses = [GaussJacobi(0.5, 1.0), GaussJacobi(0.5, 3.0)]
+    for f, rule in zip(fs[2:], gausses):
+        rule.rule(f, 2 * GAUSS_START)
+    assert quadrature._JACOBI[(0.5, 2 * GAUSS_START)] is jacobi_rule(
+        0.5, 2 * GAUSS_START)
     # level n holds every |t| <= _T_CAP: 2 _T_CAP + 1 nodes, then the odd
     # multiples of 2^-n
     f = gauss(1.0)
@@ -101,11 +109,9 @@ def test_cancelling_parts_are_accepted_on_the_sum_of_their_changes():
     assert max(calls) == MIN_LEVEL
 
 
-@pytest.mark.parametrize("make", [
-    lambda f: ExpSinh(f, SPLIT_POINT), lambda f: TanhSinh(f, 0.25, 2.0)])
-def test_nodes_have_the_bits_of_the_direct_formulas(make):
+def test_nodes_have_the_bits_of_the_direct_formulas():
     f = gauss(0.9)
-    rule = make(f)
+    rule = ExpSinh(f, SPLIT_POINT)
     for n in range(6):
         xs, gs, signed = rule.level(f, n)
         assert signed == (min(gs) >= 0.0 or max(gs) <= 0.0)
@@ -118,58 +124,52 @@ def test_nodes_have_the_bits_of_the_direct_formulas(make):
                                      *range(-1, rule.lo - 1, -1)]]
         assert len(ts) == len(xs)
         for t, x, g in zip(ts, xs, gs):
-            if isinstance(rule, ExpSinh):
-                u = math.exp(_HALF_PI * math.sinh(t))
-                want = rule.a0 + u
-                assert (x, g) == (want, _HALF_PI * math.cosh(t) * u
-                                  * f.eval(want))
-            else:
-                s = math.exp(math.pi * math.sinh(t))
-                y = 1.0 / (1.0 + s)
-                want = rule.a * s * y
-                assert (x, g) == (want, math.pi * math.cosh(t) * y
-                                  * want ** rule.p * f.eval(want))
+            u = math.exp(_HALF_PI * math.sinh(t))
+            want = rule.a0 + u
+            assert (x, g) == (want, _HALF_PI * math.cosh(t) * u
+                              * f.eval(want))
 
 
-@pytest.mark.parametrize("make", [
-    lambda f: ExpSinh(f, SPLIT_POINT), lambda f: TanhSinh(f, 0.0, 2.0)])
-def test_range_ends_at_the_first_quiet_node(make):
-    rule = make(gauss(1.0))
+@pytest.mark.parametrize("nu, a", [(0.25, 2.0), (0.83, 30.0)])
+def test_gauss_nodes_have_the_bits_of_the_direct_formulas(nu, a):
+    f = gauss(0.9)
+    rule = GaussJacobi(nu, a)
+    for count in (GAUSS_START, 2 * GAUSS_START, GAUSS_CAP):
+        xs, gs = rule.rule(f, count)
+        ts, ws = jacobi_rule(nu, count)
+        assert len(xs) == len(gs) == count
+        for t, w, x, g in zip(ts, ws, xs, gs):
+            assert (x, g) == (t * a, w * a ** (1.0 - nu) * f.eval(x))
+
+
+def test_range_ends_at_the_first_quiet_node():
+    rule = ExpSinh(gauss(1.0), SPLIT_POINT)
     xs, gs, _ = rule.levels[0]
     sizes = list(rule._sizes(xs, gs))
     big = max(sizes)
-    # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo; the tanh-sinh
-    # range keeps the confirming node at its lower end as well
+    # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
     ends = (rule.hi, len(xs) - 1)
-    firsts = (rule.hi, len(xs) - 1 - rule._LOW_KEEPS)
-    for i in range(firsts[0], ends[0] + 1):
+    for i in ends:
         assert sizes[i] <= _NEGLIGIBLE * big
-    for i in range(firsts[1], ends[1] + 1):
-        assert sizes[i] <= _NEGLIGIBLE * big
-    assert sizes[firsts[0] - 1] > _NEGLIGIBLE * big
-    assert sizes[firsts[1] - 1] > _NEGLIGIBLE * big
+        assert sizes[i - 1] > _NEGLIGIBLE * big
     assert rule.ends == ([xs[i] for i in ends], [gs[i] for i in ends])
 
 
 def test_range_runs_past_a_dip_at_a_root():
-    # x^2 (1-x)^8 on [0, 40]: the level-0 nodes at x = 0.973, next to the
-    # root x = 1, and at x = 4.5e-4 are both quiet, but the second is the
-    # larger, so the range runs on past x = 4.5e-4, to the node that
-    # confirms it, x = 8e-13
-    rule = TanhSinh(BinomialPoly(2, 8), 0.0, 40.0)
+    # (x - x_1) e^{-x} on [1, inf), x_1 the level-0 node at t = 1: the node
+    # at the root and the next one, x = 300, are both quiet, but the second
+    # is the larger, so the range runs on past the root, to x = 300, and
+    # the node after it, at t = 3, confirms it
+    x1 = SPLIT_POINT + math.exp(_HALF_PI * math.sinh(1.0))
+    f = CustomSeries(lambda k: 0.0, lambda x: (x - x1) * math.exp(-x))
+    rule = ExpSinh(f, SPLIT_POINT)
     xs, gs, _ = rule.levels[0]
     sizes = list(rule._sizes(xs, gs))
-    assert rule.lo == -3 and xs[-3] == pytest.approx(0.973, abs=1e-3)
-    assert sizes[-3] < sizes[-2] <= _NEGLIGIBLE * max(sizes)
-    assert sizes[-1] <= sizes[-2]
+    assert rule.hi == 2 and xs[1] == x1
+    assert sizes[1] < sizes[2] <= _NEGLIGIBLE * max(sizes)
 
 
 def test_open_ranges_fail_as_before():
-    nan = CustomSeries(lambda k: 0.0, lambda x: math.nan)
-    with pytest.raises(NonconvergenceError, match=(
-            r"^tanh-sinh integrand of CustomSeries\(custom\) is not finite "
-            r"or does not decay by x = 2$")):
-        TanhSinh(nan, 0.0, 2.0)
     with pytest.raises(NonconvergenceError, match=(
             r"^split tail of CustomSeries\(custom\) is not finite or does "
             r"not decay by x = 4.04e\+137$")):
@@ -232,21 +232,21 @@ def test_split_tails_keep_their_bits(name, nu):
 
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
 @pytest.mark.parametrize("a", [0.3, 2.0, 25.0])
-def test_tanh_sinh_matches_mpmath(nu, a):
+def test_gauss_jacobi_matches_mpmath(nu, a):
     # int_0^a x^{-nu} e^{-1.3 x^2} (1 + x)^{-1} dx; the factor 1/(1 + x) is
-    # formed within u
+    # formed within u, and is analytic inside the ellipse through x = -1
     f = gauss(1.3)
-    rule = TanhSinh(f, nu, a)
+    rule = GaussJacobi(nu, a)
 
-    def level_terms(xs, gs):
+    def rule_terms(xs, gs):
         return [g / (1.0 + x) for x, g in zip(xs, gs)]
 
-    got, bound = integrate(f, [(rule, level_terms, 1)], 1e-14)
-    # the terms are positive, so their sizes over levels 0 to n, times
-    # 2^-n, sum to the integral: the bound is the last change, within
-    # 1e-14 |got|, plus the rounding (N + n + 1) u |got| at the last level
-    # n of N nodes
-    rounding = (len(rule.levels[-1][0]) + len(rule.levels)) * UNIT_ROUNDOFF
+    got, bound = rule.integral(f, rule_terms, 1, 1e-14,
+                               bernstein_rho(-1.0, a))
+    # the terms are positive, so their sizes sum to the integral: the
+    # bound is the last change, within 1e-14 |got|, plus the rounding
+    # (N + 1) u |got| of the last rule, of N nodes
+    rounding = (max(rule.rules) + 1) * UNIT_ROUNDOFF
     assert bound <= (1e-14 + rounding * (1 + 1e-9)) * abs(got)
     with mpmath.workdps(40):
         k = 1 / (1 - mpmath.mpf(nu))  # x = v^k: bounded at v = 0
@@ -254,3 +254,36 @@ def test_tanh_sinh_matches_mpmath(nu, a):
                           / (1 + v ** k), [0, mpmath.mpf(a) ** (1 / k)])
         assert abs(got - ref) <= 1e-14 * abs(ref)
         assert abs(got - ref) <= bound, (got, bound)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 0.83, 0.95])
+@pytest.mark.parametrize("count", [16, 32, 64])
+def test_gauss_jacobi_moments(nu, count):
+    # the rule integrates x^k exactly for k <= 2N - 1: int_0^1 x^{k-nu} dx
+    ts, ws = jacobi_rule(nu, count)
+    assert ts == sorted(ts) and 0.0 < ts[0] and ts[-1] < 1.0
+    for k in range(2 * count):
+        got = sum(w * t ** k for t, w in zip(ts, ws))
+        assert abs(got - 1.0 / (k + 1 - nu)) <= 4e-14, k
+
+
+def test_gauss_jacobi_table_is_built_once_per_nu_and_n(monkeypatch):
+    built = []
+    make = quadrature._golub_welsch
+    monkeypatch.setattr(quadrature, "_JACOBI", {})
+    monkeypatch.setattr(quadrature, "_golub_welsch",
+                        lambda nu, n: built.append((nu, n)) or make(nu, n))
+    fs = [gauss(1.0), gauss(0.7), Exponential(1.0)]
+    for nu in (0.0, 0.5, 0.0):
+        for f in fs:
+            for a in (1.0, 3.0):
+                rule = GaussJacobi(nu, a)
+                for count in (GAUSS_START, 2 * GAUSS_START, GAUSS_START):
+                    rule.rule(f, count)
+    assert built == [(0.0, GAUSS_START), (0.0, 2 * GAUSS_START),
+                     (0.5, GAUSS_START), (0.5, 2 * GAUSS_START)]
+    first = quadrature._JACOBI
+    assert jacobi_rule(0.5, GAUSS_START) is first[(0.5, GAUSS_START)]
+    # the table grows by replacement: a new entry leaves the old dict whole
+    jacobi_rule(0.25, GAUSS_START)
+    assert quadrature._JACOBI is not first and len(first) == 4

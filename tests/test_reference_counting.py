@@ -22,7 +22,7 @@ from finitepart.entire import (CustomSeries, Exponential, MonomialExp,
                                Polynomial)
 from finitepart.finite_part import (FpiMethod, _Recurrence, _SeriesTables,
                                     _Split, finite_part_integral)
-from finitepart.quadrature import TanhSinh
+from finitepart.quadrature import GaussJacobi
 from finitepart.stieltjes import TransformSpec, evaluate_transform
 
 
@@ -57,7 +57,7 @@ def _transform(n, omega, a, nu, route, kernel="pole"):
 _NONE = type(None)
 
 # case -> (descriptor maker, its use, the types of the rung source and of
-# the tanh-sinh rule that its ladder keeps at the (nu, a) of the use)
+# the Gauss-Jacobi rule that its ladder keeps at the (nu, a) of the use)
 CASES = {
     "recurrence": (lambda: Exponential(2.5),
                    _rungs(6, 0.25, 1.0, FpiMethod.RECURRENCE),
@@ -73,10 +73,10 @@ CASES = {
               (_Split, _NONE)),
     "direct-finite-a": (lambda: MonomialExp(1, 0.5),
                         _transform(2, 1.5, 2.0, 0.0, "direct"),
-                        (_NONE, TanhSinh)),
+                        (_NONE, GaussJacobi)),
     "direct-at-infinity": (lambda: _gauss_stream(True),
                            _transform(2, 0.9, math.inf, 0.25, "direct"),
-                           (_Split, TanhSinh)),
+                           (_Split, GaussJacobi)),
     "series": (lambda: Exponential(1.0),
                _transform(2, 0.3, 4.0, 0.0, "series"), (_Recurrence, _NONE)),
     "closed": (lambda: Exponential(2.0),
@@ -86,12 +86,12 @@ CASES = {
                   (_Recurrence, _NONE)),
     "quadratic-direct": (lambda: _gauss_stream(True),
                          _transform(1, 0.8, math.inf, 0.0, "direct",
-                                    "quadratic"), (_Split, TanhSinh)),
+                                    "quadratic"), (_Split, GaussJacobi)),
 }
 
 
 def _kept(f):
-    """The types of the rung source and the tanh-sinh rule of f's ladder
+    """The types of the rung source and the Gauss-Jacobi rule of f's ladder
     at the (nu, a) of its last use."""
     lad = f._ladder[3]
     return type(lad.series), type(lad.rule)

@@ -236,9 +236,8 @@ def test_gauss_int_methods_meet_at_zeta_2(monkeypatch, n, r, s):
 @pytest.mark.parametrize("n,r,s,zeta,why", [
     # (2/3 + x)^-2000 leaves float range
     (2000, 1, 3, 1.5, "its integral over [0, 1] did not converge"),
-    # bound 9.4e-16 on 9.4e-4; the value is 4e-16 off
-    (14, 9, 11, 1.999,
-     "its integral's bound is 1.01e-12 of its value, above 1e-12"),
+    # (1/1.001 + x)^-3000 stays in float range, but no rule resolves it
+    (3000, 1, 3, 1.001, "its integral over [0, 1] did not converge"),
 ])
 def test_gauss_int_refused_integral_raises(monkeypatch, n, r, s, zeta, why):
     # never answered by the series
@@ -247,6 +246,23 @@ def test_gauss_int_refused_integral_raises(monkeypatch, n, r, s, zeta, why):
         gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
     assert str(info.value) == (f"2F1(n, r; s; -zeta) at n = {n}, r = {r}, "
                                f"s = {s}, zeta = {zeta!r}: {why}")
+
+
+def test_gauss_int_integral_over_its_bound_raises(monkeypatch):
+    # (14, 9, 11, 1.999) once came back with a bound of 1.01e-12 of its
+    # value; the Gauss-Jacobi rule computes it, 7.3e-16 off, and no
+    # integrand of this family has terms of both signs, so an integral
+    # over its bound is made here
+    with mpmath.workdps(40):
+        want = mpmath.hyp2f1(14, 9, 11, -mpmath.mpf(1.999))
+    got = gauss2f1_integer(Gauss2F1IntParams(14, 9, 11, 1.999))
+    assert abs(got - want) <= 1e-15 * abs(want)
+    monkeypatch.setattr(specfun, "_direct", lambda *args: (1.0, 2e-12))
+    with pytest.raises(NonconvergenceError) as info:
+        gauss2f1_integer(Gauss2F1IntParams(14, 9, 11, 1.999))
+    assert str(info.value) == (
+        "2F1(n, r; s; -zeta) at n = 14, r = 9, s = 11, zeta = 1.999: its "
+        "integral's bound is 2e-12 of its value, above 1e-12")
 
 
 # ---------------------------------------------------------------------------

@@ -185,24 +185,11 @@ def grid_cases(child, entire, st):
     ``make_stream`` names."""
     make = child.make_function
 
-    def transform(f, n, w, a, nu):
-        return fields(st.evaluate_transform(st.TransformSpec(f, n, w, a, nu),
-                                            tol=TOL))
-
     def quadratic(f, w, a):
         return fields(st.eval_quadratic(f, w, a, tol=TOL))
 
     for text in FUNCTIONS:
-        for nu in NUS:
-            for a in TRANSFORM_AS:
-                top = 1.5 if math.isinf(a) else a
-                f = make(text)
-                for n in (1, 2, 3):
-                    for share in OMEGA_SHARES:
-                        w = share * top
-                        yield (f"transform {text} {nu!r} {a!r} {n} {w!r}",
-                               (text, n, nu, a, w),
-                               partial(transform, f, n, w, a, nu))
+        yield from function_transforms(st, make, text, NUS)
         for a in TRANSFORM_AS:
             top = 1.5 if math.isinf(a) else a
             f = make(text)
@@ -210,17 +197,8 @@ def grid_cases(child, entire, st):
                 w = share * top
                 yield (f"quadratic {text} {a!r} {w!r}", (text, 0, 0.0, a, w),
                        partial(quadratic, f, w, a))
-    streams = [(text, partial(make, text)) for text in FUNCTIONS
-               if text.startswith("gauss(")]
-    streams.append(("expstream", partial(make_stream, entire, "expstream")))
-    for text, make_f in streams:
-        for nu in NUS:
-            f = make_f()
-            for n in (1, 2, 3):
-                for w in STREAM_OMEGAS:
-                    yield (f"transform {text} {nu!r} inf {n} {w!r}",
-                           (text, n, nu, math.inf, w),
-                           partial(transform, f, n, w, math.inf, nu))
+    for text, make_f in streams(child, entire):
+        yield from stream_transforms(st, make_f, text, NUS)
         f = make_f()
         for w in STREAM_OMEGAS:
             yield (f"quadratic {text} inf {w!r}", (text, 0, 0.0, math.inf, w),
@@ -231,7 +209,48 @@ def grid_cases(child, entire, st):
                partial(st.effective_diffusivity, gp, gm, pe, 1.0, tol=TOL))
     for name, a, w in REFUSED:
         yield (f"transform {name} 0.0 {a!r} 1 {w!r}", (name, 1, 0.0, a, w),
-               partial(transform, make_stream(entire, name), 1, w, a, 0.0))
+               partial(transform, st, make_stream(entire, name), 1, w, a,
+                       0.0))
+
+
+def transform(st, f, n, w, a, nu):
+    return fields(st.evaluate_transform(st.TransformSpec(f, n, w, a, nu),
+                                        tol=TOL))
+
+
+def streams(child, entire):
+    """(text, maker) of the user streams at a = inf."""
+    make = child.make_function
+    found = [(text, partial(make, text)) for text in FUNCTIONS
+             if text.startswith("gauss(")]
+    return found + [("expstream", partial(make_stream, entire, "expstream"))]
+
+
+def function_transforms(st, make, text, nus):
+    """The grid cases of ``text``'s transforms at ``nus``: n = 1, 2, 3 at
+    each a of TRANSFORM_AS and omega of OMEGA_SHARES."""
+    for nu in nus:
+        for a in TRANSFORM_AS:
+            top = 1.5 if math.isinf(a) else a
+            f = make(text)
+            for n in (1, 2, 3):
+                for share in OMEGA_SHARES:
+                    w = share * top
+                    yield (f"transform {text} {nu!r} {a!r} {n} {w!r}",
+                           (text, n, nu, a, w),
+                           partial(transform, st, f, n, w, a, nu))
+
+
+def stream_transforms(st, make_f, text, nus):
+    """The grid cases of a user stream's transforms at a = inf and
+    ``nus``: n = 1, 2, 3 at each omega of STREAM_OMEGAS."""
+    for nu in nus:
+        f = make_f()
+        for n in (1, 2, 3):
+            for w in STREAM_OMEGAS:
+                yield (f"transform {text} {nu!r} inf {n} {w!r}",
+                       (text, n, nu, math.inf, w),
+                       partial(transform, st, f, n, w, math.inf, nu))
 
 
 def run_cli(main, argv):

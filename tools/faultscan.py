@@ -15,10 +15,13 @@ and compared with mpmath references at 30 digits from
   silently wrong  converged, but total off by more than tol |ref|
   raised raw      any other exception
 
-with tol the grid's 1e-12.  Per route, the values whose total lies
-outside their own tail_estimate are counted too, and the flagged ones
-whose total is within tol |ref|.  The counts are printed, then one line
-per silently wrong, raw or under-covered value of an integrated route.
+with tol the grid's 1e-12.  Per route, the values computed, the silently
+wrong ones, the values whose total lies outside their own tail_estimate
+and the flagged ones whose total is within tol |ref| are counted too.  The
+counts are printed, then one line per silently wrong, raw or
+under-covered value of an integrated route.  The same census follows for
+the grid's transforms at HIGH_NUS, where f(0) != 0 once kept the direct
+route from being built.
 
 A polynomial's transform at a = inf is summed term by term from the Beta
 integral int_0^inf x^(s-1) (omega+x)^-n dx = omega^(s-n) B(s, n-s),
@@ -85,6 +88,9 @@ SPECFUN_LARGE_N = [
     {"family": "kummer-int", "n": 3, "s": 300, "omega": 0.5},
     {"family": "kummer-frac", "n": 300, "afrac": 0.5, "omega": 0.5},
 ]
+
+# branch exponents of the second transform census
+HIGH_NUS = (0.75, 0.9)
 
 CLASSIFY_NS = (*range(1, 41), 60, 80, 100, 120, 150, 170, 200, 300, 400,
                600, 800, 1000)
@@ -337,6 +343,61 @@ def classify_census(asy, entire, mp, tol, error_types):
         print(line)
 
 
+def transform_census(cases, refs, cache, error_types, st, tol):
+    """Print the census of the grid ``cases``, (head, reference, thunk)
+    as ``bitdump.grid_cases`` yields them; ``error_types`` are the
+    rejections."""
+    kinds = Counter()
+    routes = Counter()
+    wrong = Counter()
+    outside = Counter()
+    flagged_within = Counter()
+    lines = []
+    tails = []  # the value's outside-tail line, after its own line
+
+    def judge(got, head, spec):
+        res = st.ExpansionResult(*got)
+        text = reference(refs, cache, spec)
+        if text.startswith("no reference"):
+            return "no reference", text
+        with refs.mp.workdps(refs.DPS):
+            ref = refs.mp.mpf(text)
+            err = abs(ref - res.total)
+            kind, note = against(ref, res.total, tol)
+        within = kind == "correct"
+        routes[res.route] += 1
+        if not res.converged:
+            kind = "flagged"
+            flagged_within[res.route] += within
+        wrong[res.route] += kind == "silently wrong"
+        if err > res.tail_estimate:
+            outside[res.route] += 1
+            if res.route != "series":
+                tails.append(f"outside tail  {head}  |total - ref| "
+                             f"{float(err):.3g} > tail "
+                             f"{res.tail_estimate:.3g}  route {res.route}")
+        return kind, f"{note}  route {res.route}"
+
+    for head, spec, thunk in cases:
+        if spec is not None:
+            tally(kinds, lines, "", head, thunk,
+                  lambda got: judge(got, head, spec), error_types)
+            lines += tails
+            tails.clear()
+    print_counts("", kinds, ("",), (
+        "correct", "flagged", "rejected", "silently wrong", "raised raw",
+        "no reference"))
+    for label, counts in (("computed by route", routes),
+                          ("silently wrong by route", wrong),
+                          ("flagged though within tol", flagged_within)):
+        print(f"{label}: " + ", ".join(f"{r} {counts[r]}"
+                                       for r in sorted(routes)))
+    print("outside tail_estimate: " + ", ".join(
+        f"{r} {outside[r]} of {routes[r]}" for r in sorted(routes)))
+    for line in lines:
+        print(line)
+
+
 def beta_transform(mp, fn, n, nu, omega):
     """int_0^inf x^-nu p(x) (omega+x)^-n dx of the polynomial ``fn``, each
     term c x^k from the Beta integral with s = k + 1 - nu."""
@@ -371,51 +432,19 @@ def main(argv=None):
     if os.path.exists(CACHE):
         with open(CACHE) as fh:
             cache = json.load(fh)
-    kinds = Counter()
-    routes = Counter()
-    outside = Counter()
-    flagged_within = Counter()
-    lines = []
-    tails = []  # the value's outside-tail line, after its own line
+    transform_census(bitdump.grid_cases(child, entire, st), refs, cache,
+                     (FinitePartError, ValueError), st, bitdump.TOL)
 
-    def judge(got, head, spec):
-        res = st.ExpansionResult(*got)
-        text = reference(refs, cache, spec)
-        if text.startswith("no reference"):
-            return "no reference", text
-        with refs.mp.workdps(refs.DPS):
-            ref = refs.mp.mpf(text)
-            err = abs(ref - res.total)
-            kind, note = against(ref, res.total, bitdump.TOL)
-        within = kind == "correct"
-        routes[res.route] += 1
-        if not res.converged:
-            kind = "flagged"
-            flagged_within[res.route] += within
-        if err > res.tail_estimate:
-            outside[res.route] += 1
-            if res.route != "series":
-                tails.append(f"outside tail  {head}  |total - ref| "
-                             f"{float(err):.3g} > tail "
-                             f"{res.tail_estimate:.3g}  route {res.route}")
-        return kind, f"{note}  route {res.route}"
+    def high_nu_cases():
+        for text in bitdump.FUNCTIONS:
+            yield from bitdump.function_transforms(
+                st, child.make_function, text, HIGH_NUS)
+        for text, make_f in bitdump.streams(child, entire):
+            yield from bitdump.stream_transforms(st, make_f, text, HIGH_NUS)
 
-    for head, spec, thunk in bitdump.grid_cases(child, entire, st):
-        if spec is not None:
-            tally(kinds, lines, "", head, thunk,
-                  lambda got: judge(got, head, spec),
-                  (FinitePartError, ValueError))
-            lines += tails
-            tails.clear()
-    print_counts("", kinds, ("",), (
-        "correct", "flagged", "rejected", "silently wrong", "raised raw",
-        "no reference"))
-    print("outside tail_estimate: " + ", ".join(
-        f"{r} {outside[r]} of {routes[r]}" for r in sorted(routes)))
-    print("flagged though within tol: " + ", ".join(
-        f"{r} {flagged_within[r]}" for r in sorted(routes)))
-    for line in lines:
-        print(line)
+    print(f"transforms at nu in {HIGH_NUS}:")
+    transform_census(high_nu_cases(), refs, cache,
+                     (FinitePartError, ValueError), st, bitdump.TOL)
     split_rung_census(child, fp, refs.mp, cache)
     diffusivity_census(entire, st, refs, cache, bitdump.TOL,
                        (FinitePartError, ValueError))
