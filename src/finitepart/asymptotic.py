@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .entire import TaylorFunction
 from .errors import NonconvergenceError
 from .finite_part import finite_part_integral
+from .stieltjes import check_order
 
 _TINY = sys.float_info.min  # the smallest normal float
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -75,8 +76,7 @@ def classify(f: TaylorFunction, n: int, nu: float = 0.0,
     ``a`` only matters for the naive-dominant case, whose coefficient is
     the leading finite-part integral (a-dependent by nature).
     """
-    if n < 1:
-        raise ValueError("order n must be >= 1")
+    check_order(n)
     if not (0.0 <= nu < 1.0):
         raise ValueError("nu must lie in [0, 1)")
     if not a > 0.0:

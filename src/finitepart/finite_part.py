@@ -52,7 +52,7 @@ from .entire import TaylorFunction, first_nonzero, unscale
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF, expint, lower_gamma
 from .oracles import quad_adaptive  # noqa: F401  (bench/tracer.py wraps it)
-from .quadrature import ExpSinh
+from .quadrature import LEVEL_CAP, ExpSinh
 from .series import sum_until_small
 
 DEFAULT_TOL = 1e-15
@@ -355,7 +355,9 @@ class _Recurrence:
 class _Split:
     """The rungs of f at a = inf split at a0 = SPLIT_POINT: the Maclaurin
     ``tables`` of (nu, a0) plus the exp-sinh integral over [a0, inf) on
-    ``nodes``, which direct transforms read too; each made on first use."""
+    ``nodes``, which direct transforms read too; each made on first use.
+    The split owns its tail's policy, :meth:`tail`: the factor, the
+    tolerance and the error of a tail that does not converge."""
 
     def __init__(self, nu):
         self.nu, self.tables, self.nodes = nu, None, None
@@ -365,11 +367,26 @@ class _Split:
             self.nodes = ExpSinh(f, SPLIT_POINT)
         return self.nodes
 
+    def tail(self, f, m):
+        """(int_{a0}^inf f(x) x^{-p} dx, p = m + nu, its error bound by
+        :meth:`~finitepart.quadrature.ExpSinh.integral`): the factor x^{-p}
+        is pow's, within an ulp, 2u; a last change within 1e-13 relative or
+        1e-15 absolute is accepted, and NonconvergenceError is raised
+        without one."""
+        p = m + self.nu
+        got = self.exp_sinh(f).integral(f, lambda xs, gs: map(
+            mul, gs, map(pow, xs, repeat(-p))), 2, 1e-13, 1e-15)
+        if got is None:
+            raise NonconvergenceError(
+                f"exp-sinh tail of {f!r} at power {p:g} did not "
+                f"converge within {LEVEL_CAP} levels")
+        return got
+
     def rung(self, f, m):
         if self.tables is None:
             self.tables = _SeriesTables(f, self.nu, SPLIT_POINT)
         v, _, terms, bound = self.tables.rung(f, m)
-        q, err = self.exp_sinh(f).integral(f, m + self.nu)
+        q, err = self.tail(f, m)
         return _new_fpi((v + q, FpiMethod.SPLIT_INFINITE, terms,
                          bound + err + UNIT_ROUNDOFF * (abs(v) + abs(q))))
 

@@ -25,20 +25,22 @@ rho >= 3.73 the Bernstein ellipse through the pole (Trefethen, SIAM
 Review 50, 2008), and rho >= 2.89 on the quadratic kernel.
 
 A rule belongs to the integrand factor that its callers share, and each
-caller brings its own factor of x.  It holds numbers and lists only, no
-reference to f: every call that reads a value of f takes f as its first
-argument, so a descriptor whose ladder keeps a rule is freed by reference
-counting once its last name goes.  Tables, levels and rules grow by
-replacement, and a level's or rule's lists are never changed once made,
-so a thread reads whole ones only.
+caller brings its own factor of x.  Each rule has one integration method,
+``integral(f, terms, c, rtol, ...)``, which returns (the value, its error
+bound) or None; the caller sets the tolerance and says what a refusal
+means.  A rule holds numbers and lists only, no reference to f: every
+call that reads a value of f takes f as its first argument, so a
+descriptor whose ladder keeps a rule is freed by reference counting once
+its last name goes.  Tables, levels and rules grow by replacement, and a
+level's or rule's lists are never changed once made, so a thread reads
+whole ones only.
 """
 
 import cmath
 import math
 from decimal import Decimal, localcontext
-from functools import reduce
 from itertools import repeat
-from operator import add, mul, truediv
+from operator import add, mul
 
 from .errors import NonconvergenceError
 from .gammafn import UNIT_ROUNDOFF
@@ -49,93 +51,60 @@ _NEGLIGIBLE = 2.0 ** -70
 MIN_LEVEL = 3  # first level whose change from the one before is trusted
 LEVEL_CAP = 8  # finest step h = 2^-8
 GAUSS_START = 16  # nodes of the first Gauss-Jacobi rule
-GAUSS_CAP = 128  # nodes of the last
+GAUSS_CAP = 256  # nodes of the last
 
-# (nu, N) -> (the nodes t_i, the weights w_i) of the N-point Gauss rule of
-# x^{-nu} on [0, 1]; grown by replacement, never in place
+# level n -> the columns (u_i, w_i) of :func:`_geometry`, and (nu, N) ->
+# (the nodes t_i, the weights w_i) of the N-point Gauss rule of x^{-nu} on
+# [0, 1]; grown by replacement, never in place
+_GEOMETRY = ()
 _JACOBI = {}
 
 
-def integrate(f, parts, rtol, atol=0.0):
-    """(the integral, its error bound), or None.
+def _geometry(n):
+    """The columns (u_i, w_i) of exp-sinh level n at every |t| <= _T_CAP:
+    the integers t at level 0, the odd multiples of 2^-n after it;
+    computed once per process."""
+    global _GEOMETRY
+    table = _GEOMETRY
+    while len(table) <= n:
+        if table:
+            span = 2 ** (len(table) - 1)
+            h = 1.0 / (2 * span)
+            ts = [(2 * i + 1) * h for i in range(-_T_CAP * span,
+                                                 _T_CAP * span)]
+        else:
+            ts = [float(t) for t in range(-_T_CAP, _T_CAP + 1)]
+        us = [math.exp(_HALF_PI * math.sinh(t)) for t in ts]
+        ws = [_HALF_PI * math.cosh(t) * u for t, u in zip(ts, us)]
+        table = _GEOMETRY = table + ((us, ws),)
+    return table[n]
 
-    The integral is the sum of the trapezoidal values of ``parts``,
-    (rule, level_terms, c), each rule of f: ``level_terms(xs, gs)`` gives
-    a level's terms, its values times the caller's positive factor of x,
-    formed within c u.
-    From level MIN_LEVEL on it is accepted when the sum of the changes is
-    within max(rtol |integral|, atol); a part whose change is within that
-    bound over len(parts) keeps its level from then on.  None when the
-    integral leaves float range or the levels pass LEVEL_CAP.
 
-    The bound is the sum of the parts' last changes plus, for each part at
-    its last level n, whose N nodes are the most of any of its levels, the
-    rounding (N + n + c) u 2^-n times the sum of the sizes |t| of the terms
-    it summed over levels 0 to n (a running error bound, Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 4): a term is within
-    (c + 1) u of its exact value; a level's sum of at most N terms adds
-    (N - 1) u of their sizes, recursive summation or the compensated sum()
-    of Python 3.12, and each of the n additions of a level to the total u
-    of the sizes summed so far; where a level's values are of one sign,
-    the size of its sum is the sum of its sizes, bit for bit.  The parts
-    past the ends of a rule's range, where the integrand decays double
-    exponentially, are taken at the sizes of the terms of its end nodes,
-    which the caller's factor can raise far past the quiet sizes of F.
+def _one_sign(gs):
+    """Whether no two of gs have opposite signs."""
+    return min(gs) >= 0.0 or max(gs) <= 0.0
+
+
+class ExpSinh:
+    """Exp-sinh quadrature of f(x) times the caller's positive factor of x
+    over [a0, inf), a0 >= 1: the tails of the split rungs of one ladder,
+    x^{-m-nu}, which share its nodes, and the tail of its direct
+    transforms, x^{-nu} times the kernel.
+
+    x = a0 + exp(pi/2 sinh t).  ``levels`` holds each level's (x_i, g_i,
+    whether the g_i are of one sign), and ``ends`` the (x_i, g_i) of the
+    range's end nodes, made from f at level 0.  A node's size is
+    |g_i| / x_i.
     """
-    count = len(parts)
-    totals = [0.0] * count
-    sizes = totals[:]
-    values = [math.nan] * count
-    changes = values[:]
-    tops = [0] * count
-    live = range(count)
-    for n in range(LEVEL_CAP + 1):
-        for i in live:
-            rule, level_terms, _ = parts[i]
-            xs, gs, signed = rule.level(f, n)
-            terms = level_terms(xs, gs) if signed else [*level_terms(xs, gs)]
-            s = sum(terms)
-            sizes[i] += abs(s) if signed else sum(map(abs, terms))
-            totals[i] += s
-            new = math.ldexp(totals[i], -n)
-            changes[i] = abs(new - values[i])
-            values[i] = new
-            tops[i] = n
-        value = reduce(add, values)
-        if not abs(value) < math.inf:
-            return None
-        if n >= MIN_LEVEL:
-            bound = max(rtol * abs(value), atol)
-            err = reduce(add, changes)
-            if err <= bound:
-                for (rule, level_terms, c), top, size in zip(parts, tops,
-                                                             sizes):
-                    err += ((len(rule.level(f, top)[0]) + top + c)
-                            * UNIT_ROUNDOFF * math.ldexp(size, -top)
-                            + sum(map(abs, level_terms(*rule.ends))))
-                return value, err
-            if count > 1:
-                live = [i for i in live if changes[i] > bound / count]
-    return None
 
-
-class _Rule:
-    """The levels of one rule, each (x_i, g_i, whether the g_i are of one
-    sign), and the (x_i, g_i) of its range's end nodes, ``ends``, made
-    from f at level 0; a subclass gives its geometry ``_geometry(t)``, the
-    nodes ``_nodes(f, *columns)`` of geometry columns, and the node sizes
-    ``_sizes(xs, gs)``, which find a quiet node."""
-
-    _WHAT = ""  # names the integrand in the error of a range that is open
-    _TABLE = ()  # level n -> the geometry columns of |t| <= _T_CAP
-
-    def __init__(self, f):
-        cols = self._columns(0)
+    def __init__(self, f, a0):
+        self.a0 = a0
+        us, ws = _geometry(0)
 
         def node(t):  # level 0 holds t = -_T_CAP, ..., _T_CAP
-            xs, gs = self._nodes(f, *(c[t + _T_CAP:t + _T_CAP + 1]
-                                      for c in cols))
-            return xs[0], gs[0], next(self._sizes(xs, gs))
+            x = a0 + us[t + _T_CAP]
+            g = ws[t + _T_CAP] * f.eval(x)
+            return x, g, abs(g / x)
 
         x, g, big = node(0)
         xs, gs = [x], [g]
@@ -147,7 +116,7 @@ class _Rule:
                 t += step
                 if abs(t) > _T_CAP:
                     raise NonconvergenceError(
-                        f"{self._WHAT} of {f!r} is not finite or does not "
+                        f"split tail of {f!r} is not finite or does not "
                         f"decay by x = {xs[-1]:.3g}")
                 x, g, v = node(t)
                 xs.append(x)
@@ -163,23 +132,6 @@ class _Rule:
         self.ends = [xs[self.hi], xs[-1]], [gs[self.hi], gs[-1]]
         self.levels = ((xs, gs, _one_sign(gs)),)
 
-    @classmethod
-    def _columns(cls, n):
-        """The geometry of level n at every |t| <= _T_CAP, as columns;
-        computed once per process."""
-        table = cls._TABLE
-        while len(table) <= n:
-            if table:
-                span = 2 ** (len(table) - 1)
-                h = 1.0 / (2 * span)
-                ts = [(2 * i + 1) * h for i in range(-_T_CAP * span,
-                                                     _T_CAP * span)]
-            else:
-                ts = [float(t) for t in range(-_T_CAP, _T_CAP + 1)]
-            table = cls._TABLE = table + (
-                tuple(zip(*map(cls._geometry, ts))),)
-        return table[n]
-
     def level(self, f, n):
         """(x_i, g_i, whether the g_i are of one sign) of the nodes new at
         level n, the values taken from f, the rule's own."""
@@ -187,59 +139,54 @@ class _Rule:
         while len(levels) <= n:
             span = 2 ** (len(levels) - 1)
             cut = slice((self.lo + _T_CAP) * span, (self.hi + _T_CAP) * span)
-            cols = self._columns(len(levels))
-            xs, gs = self._nodes(f, *(c[cut] for c in cols))
+            us, ws = _geometry(len(levels))
+            xs = list(map(add, repeat(self.a0), us[cut]))
+            gs = list(map(mul, ws[cut], map(f.eval, xs)))
             levels = self.levels = levels + ((xs, gs, _one_sign(gs)),)
         return levels[n]
 
+    def integral(self, f, level_terms, c, rtol, atol):
+        """(the integral, its error bound), or None.
 
-def _one_sign(gs):
-    """Whether no two of gs have opposite signs."""
-    return min(gs) >= 0.0 or max(gs) <= 0.0
+        The integral is the trapezoidal value of the terms
+        ``level_terms(xs, gs)`` of the levels: their values times the
+        caller's positive factor of x, formed within c u.  From level
+        MIN_LEVEL on it is accepted when its change from the level before
+        is within max(rtol |integral|, atol).  None when the integral
+        leaves float range or the levels pass LEVEL_CAP.
 
-
-class ExpSinh(_Rule):
-    """Exp-sinh quadrature of f(x) x^{-p} over [a0, inf), p >= 1 and
-    a0 >= 1: the tails of the split rungs of one ladder, which share its
-    nodes, and the tail of its direct transforms.
-
-    x = a0 + exp(pi/2 sinh t).  A node's size is |g_i| / x_i.
-    """
-
-    _WHAT = "split tail"
-    _TABLE = ()
-    _RTOL, _ATOL = 1e-13, 1e-15
-
-    def __init__(self, f, a0):
-        self.a0 = a0
-        super().__init__(f)
-
-    @staticmethod
-    def _geometry(t):
-        u = math.exp(_HALF_PI * math.sinh(t))
-        return u, _HALF_PI * math.cosh(t) * u
-
-    def _nodes(self, f, us, ws):
-        xs = list(map(add, repeat(self.a0), us))
-        return xs, list(map(mul, ws, map(f.eval, xs)))
-
-    @staticmethod
-    def _sizes(xs, gs):
-        return map(abs, map(truediv, gs, xs))
-
-    def integral(self, f, p):
-        """(int_{a0}^inf f(x) x^{-p} dx, its error bound by
-        :func:`integrate`); a last change within 1e-13 relative or 1e-15
-        absolute is accepted, and NonconvergenceError is raised without
-        one.  The factor x^{-p} is pow's, within an ulp, 2u."""
-        got = integrate(f, [(self, lambda xs, gs: map(
-            mul, gs, map(pow, xs, repeat(-p))), 2)],
-            self._RTOL, self._ATOL)
-        if got is None:
-            raise NonconvergenceError(
-                f"exp-sinh tail of {f!r} at power {p:g} did not "
-                f"converge within {LEVEL_CAP} levels")
-        return got
+        The bound is the last change plus, at the last level n, whose N
+        nodes are the most of any level, the rounding (N + n + c) u 2^-n
+        times the sum of the sizes |t| of the terms summed over levels 0 to
+        n (a running error bound, Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 4): a term is within (c + 1) u of its
+        exact value; a level's sum of at most N terms adds (N - 1) u of
+        their sizes, recursive summation or the compensated sum() of
+        Python 3.12, and each of the n additions of a level to the total u
+        of the sizes summed so far; where a level's values are of one sign,
+        the size of its sum is the sum of its sizes, bit for bit.  The
+        parts past the ends of the range, where the integrand decays double
+        exponentially, are taken at the sizes of the terms of its end
+        nodes, which the caller's factor can raise far past the quiet sizes
+        of F.
+        """
+        total = size = 0.0
+        value = math.nan
+        for n in range(LEVEL_CAP + 1):
+            xs, gs, signed = self.level(f, n)
+            terms = level_terms(xs, gs) if signed else [*level_terms(xs, gs)]
+            s = sum(terms)
+            size += abs(s) if signed else sum(map(abs, terms))
+            total += s
+            new = math.ldexp(total, -n)
+            change, value = abs(new - value), new
+            if not abs(value) < math.inf:
+                return None
+            if n >= MIN_LEVEL and change <= max(rtol * abs(value), atol):
+                return value, change + (
+                    (len(xs) + n + c) * UNIT_ROUNDOFF * math.ldexp(size, -n)
+                    + sum(map(abs, level_terms(*self.ends))))
+        return None
 
 
 def jacobi_rule(nu, count):
@@ -371,6 +318,8 @@ class GaussJacobi:
         while count < GAUSS_CAP and 2 * count * math.log(rho) < -math.log(
                 rtol):
             count *= 2
+        if count == GAUSS_CAP:  # no pair within the cap
+            return None
         old = None
         while count <= GAUSS_CAP:
             terms = [*rule_terms(*self.rule(f, count))]

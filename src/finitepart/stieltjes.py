@@ -51,7 +51,7 @@ from .errors import FinitePartError, NonconvergenceError
 from .finite_part import (SPLIT_POINT, check_nu, finite_part_integral,
                           rung_source, splits_at_infinity)
 from .gammafn import UNIT_ROUNDOFF, expint_scaled, pochhammer
-from .quadrature import GaussJacobi, bernstein_rho, integrate
+from .quadrature import GaussJacobi, bernstein_rho
 from .series import TERM_CAP, sum_until_small, check_tol
 
 DEFAULT_EVAL_TOL = 1e-12
@@ -142,10 +142,15 @@ class ExpansionResult(NamedTuple):
 _new_result = partial(tuple.__new__, ExpansionResult)
 
 
+def check_order(n):
+    """Raise ValueError unless the order n is an integer >= 1."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("order n must be an integer >= 1")
+
+
 def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
     """Pole contribution of f(z)/(omega+z)^n at z = -omega (nu = 0 case)."""
-    if n < 1:
-        raise ValueError("order n must be >= 1")
+    check_order(n)
     if not omega > 0:
         raise ValueError("omega must be positive")
     # the order-0 derivative is f itself: one eval call
@@ -162,8 +167,7 @@ def singular_term_integer(f: TaylorFunction, n: int, omega: float) -> float:
 def singular_term_branch(f: TaylorFunction, n: int, nu: float,
                          omega: float) -> float:
     """Branch-point contribution of z^{-nu} f(z)/(omega+z)^n (0 < nu < 1)."""
-    if n < 1:
-        raise ValueError("order n must be >= 1")
+    check_order(n)
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie strictly between 0 and 1")
     if not omega > 0:
@@ -233,12 +237,13 @@ def _direct(f, n, nu, omega, a, tol, kernel):
     :meth:`~finitepart.quadrature.GaussJacobi.integral`; at a = inf on
     [0, SPLIT_POINT], plus the exp-sinh nodes of the split's rung source on
     [SPLIT_POINT, inf) times x^{-nu} by
-    :func:`~finitepart.quadrature.integrate`, whose change is accepted
-    within tol of the larger part, and the two bounds add.  The rule's
-    terms are its values times the kernel, by :func:`_pole_kernel` or
-    :func:`_quadratic_kernel`; the kernel is formed within (n + 2) u, n = 0
-    for the quadratic kernel, and the rule's values and the tail's x^{-nu}
-    within 3u.  None where a rule raises, or does not converge by its cap.
+    :meth:`~finitepart.quadrature.ExpSinh.integral`, whose last change is
+    accepted within tol of the larger part, and the two bounds add.  The
+    rule's terms are its values times the kernel, by :func:`_pole_kernel`
+    or :func:`_quadratic_kernel`; the kernel is formed within (n + 2) u,
+    n = 0 for the quadratic kernel, and the rule's values and the tail's
+    x^{-nu} within 3u.  None where a rule raises, or does not converge by
+    its cap.
     """
     check_nu(nu)
     try:
@@ -262,9 +267,9 @@ def _direct(f, n, nu, omega, a, tol, kernel):
             return got
         head, bound = got
         tail = rung_source(f, lad, nu, a).exp_sinh(f)
-        got = integrate(f, [(tail, level if nu == 0.0 else (
+        got = tail.integral(f, level if nu == 0.0 else (
             lambda xs, gs: level(xs, map(mul, gs, map(
-                pow, xs, repeat(-nu))))), c)], tol, tol * abs(head))
+                pow, xs, repeat(-nu))))), c, tol, tol * abs(head))
         if got is None:
             return None
         return head + got[0], bound + got[1]

@@ -458,6 +458,15 @@ def test_gauss_near_a_is_routed_within_tol():
     assert abs(res.total - ref) <= TOL * abs(ref)
 
 
+@pytest.mark.parametrize("c,a,omega", [(0.95, 59.69, 59.3),
+                                       (1.77, 46.65, 38.9)])
+def test_gauss_far_from_the_origin_is_routed_within_tol(c, a, omega):
+    # exp(-c x^2) at a above 46 is a narrow peak on the Gauss range: the
+    # pair of 128 and 256 nodes resolves it, and the series overflows
+    assert assert_routed_or_refused("gauss", (c,), 1, 0.0, a,
+                                    omega) == "routed"
+
+
 def test_stream_overflow_names_m_and_k():
     # the series tables: c_342 = (-1)^171 / 171! is no float
     with pytest.raises(NonconvergenceError,
@@ -574,9 +583,8 @@ def test_direct_bound_at_small_omega_is_tight():
     # at K(0) = omega^-2 times the node sizes, the bound was 6.8e-9
     # |direct| at omega = 5e-4, where the error is below 1e-15.  That omega
     # is past the Gauss-Jacobi cap (the poles at +-i omega lie on the
-    # ellipse of rho = 1.045 about [0, a]), so the bound is taken at the
-    # smallest omega in 1-2-5 steps that the rule reaches, 0.02, whose
-    # ellipse (rho = 1.33) admits the pair of 64 and 128 nodes
+    # ellipse of rho = 1.045 about [0, a]), so the bound is taken at 0.02,
+    # whose ellipse (rho = 1.33) admits the pair of 64 and 128 nodes
     f = parse_function("poly(-2@3)")
     assert stieltjes._direct(f, 1, 0.0, 5e-4, 0.5, TOL, "quadratic") is None
     direct, bound = stieltjes._direct(f, 1, 0.0, 0.02, 0.5, TOL, "quadratic")

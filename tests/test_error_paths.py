@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from finitepart.asymptotic import classify
 from finitepart.cli import main
 from finitepart.entire import (BinomialPoly, CustomSeries, Exponential,
                                MonomialExp, Polynomial)
@@ -17,6 +18,7 @@ from finitepart.stieltjes import singular_term_branch, singular_term_integer
 
 STREAM = CustomSeries(lambda k: 1.0 / math.factorial(k), math.exp)
 DERIVATIVE = "derivative order must be >= 0"
+ORDER = "order n must be an integer >= 1"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -38,13 +40,18 @@ DERIVATIVE = "derivative order must be >= 0"
     (lambda: KummerParams(1, 1.5, 0.5), "n must be a positive integer"),
     (lambda: singular_term_integer(Exponential(1.0), 2, 0.0),
      "omega must be positive"),
-    (lambda: singular_term_branch(Exponential(1.0), 0, 0.5, 0.1),
-     "order n must be >= 1"),
+    (lambda: singular_term_branch(Exponential(1.0), 0, 0.5, 0.1), ORDER),
+    (lambda: singular_term_branch(Exponential(1.0), 2.5, 0.5, 0.1), ORDER),
+    (lambda: singular_term_integer(Exponential(1.0), 2.5, 0.1), ORDER),
+    (lambda: classify(Exponential(1.0), 2.5), ORDER),
+    (lambda: classify(Exponential(1.0), 2.5, 0.5), ORDER),
 ], ids=["coeff", "derivative-stream", "derivative-polynomial",
         "derivative-monexp", "derivative-scaled", "polynomial-lowest",
         "binomial-p", "harmonic", "digamma", "pochhammer", "gauss-int-r",
         "gauss-branch-n", "kummer-n", "singular-integer-omega",
-        "singular-branch-n"])
+        "singular-branch-n", "singular-branch-non-integer-n",
+        "singular-integer-non-integer-n", "classify-non-integer-n",
+        "classify-branch-non-integer-n"])
 def test_negative_or_non_integer_argument_raises(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

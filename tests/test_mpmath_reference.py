@@ -22,7 +22,7 @@ import pytest
 from finitepart.entire import CustomSeries, Exponential, MonomialExp
 from finitepart.errors import NonconvergenceError
 from finitepart.finite_part import (SPLIT_POINT, FpiMethod, _SeriesTables,
-                                    finite_part_integral)
+                                    _Split, finite_part_integral)
 from finitepart.gammafn import expint, lower_gamma
 from finitepart.quadrature import ExpSinh
 
@@ -281,9 +281,9 @@ TAIL_STREAMS = {
 def test_split_tail_matches_mpmath_quad(name, nu):
     fn, mp_fn = TAIL_STREAMS[name]
     f = CustomSeries(lambda k: 0.0, fn, decaying=True)
-    nodes = ExpSinh(f, SPLIT_POINT)
+    split = _Split(nu)
     for m in (1, 2, 3, 5, 8, 13, 21, 30):
-        got, _ = nodes.integral(f, m + nu)
+        got, _ = split.tail(f, m)
         with mpmath.workdps(30):
             p = m + mpmath.mpf(nu)
             ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
@@ -296,7 +296,7 @@ def test_unresolved_split_tail_raises():
     f = CustomSeries(lambda k: 0.0,
                      lambda x: math.exp(-x) * math.cos(60 * x), decaying=True)
     with pytest.raises(NonconvergenceError, match="did not converge"):
-        ExpSinh(f, SPLIT_POINT).integral(f, 1.0)
+        _Split(0.0).tail(f, 1)
     # no decay: the node range cannot close
     f = CustomSeries(lambda k: 0.0, math.cos, decaying=True)
     with pytest.raises(NonconvergenceError, match="does not decay"):

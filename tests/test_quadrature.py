@@ -15,12 +15,11 @@ import pytest
 from finitepart import quadrature
 from finitepart.entire import CustomSeries, Exponential
 from finitepart.errors import NonconvergenceError
-from finitepart.finite_part import SPLIT_POINT
+from finitepart.finite_part import SPLIT_POINT, _Split
 from finitepart.gammafn import UNIT_ROUNDOFF
 from finitepart.quadrature import (_HALF_PI, _NEGLIGIBLE, _T_CAP, GAUSS_CAP,
                                    GAUSS_START, LEVEL_CAP, MIN_LEVEL, ExpSinh,
-                                   GaussJacobi, bernstein_rho, integrate,
-                                   jacobi_rule)
+                                   GaussJacobi, bernstein_rho, jacobi_rule)
 
 
 def gauss(c):
@@ -53,9 +52,10 @@ def test_descriptors_share_one_geometry_table():
     rules = [ExpSinh(fs[0], SPLIT_POINT), ExpSinh(fs[1], 2.0)]
     for f, rule in zip(fs, rules):
         rule.level(f, 4)
-    a, b = rules
-    assert a._TABLE is b._TABLE
-    assert all(a._columns(n) is b._columns(n) for n in range(5))
+    # both rules read one table, built once: reading it again builds none
+    table = quadrature._GEOMETRY
+    assert all(quadrature._geometry(n) is table[n] for n in range(5))
+    assert quadrature._GEOMETRY is table
     # the Gauss-Jacobi rules of one nu read one table entry per N
     gausses = [GaussJacobi(0.5, 1.0), GaussJacobi(0.5, 3.0)]
     for f, rule in zip(fs[2:], gausses):
@@ -66,14 +66,14 @@ def test_descriptors_share_one_geometry_table():
     # multiples of 2^-n
     f = gauss(1.0)
     ExpSinh(f, SPLIT_POINT).level(f, LEVEL_CAP)
-    widths = [len(cols[0]) for cols in ExpSinh._TABLE]
+    widths = [len(cols[0]) for cols in quadrature._GEOMETRY]
     assert widths == [2 * _T_CAP + 1] + [2 * _T_CAP * 2 ** (n - 1)
                                          for n in range(1, LEVEL_CAP + 1)]
 
 
-class _Levels:
+class _Levels(ExpSinh):
     """A rule whose level n holds n itself, and whose range has no end
-    nodes: its part's trapezoidal value at level n is values(n)."""
+    nodes: its trapezoidal value at level n is values(n)."""
 
     ends = (), ()
 
@@ -83,30 +83,42 @@ class _Levels:
     def level(self, f, n):
         return (), (n,), False
 
-    def part(self):
+    def terms(self, _, ns):
         v = self.values
-        return self, lambda _, ns: [math.ldexp(v(n), n) - math.ldexp(
-            v(n - 1), n - 1) if n else v(0) for n in ns], 0
+        return [math.ldexp(v(n), n) - math.ldexp(v(n - 1), n - 1) if n
+                else v(0) for n in ns]
 
 
-def test_cancelling_parts_are_accepted_on_the_sum_of_their_changes():
-    # each part changes by 1.5 rtol per level and the total by nothing; the
-    # sum of the changes, 3 rtol, exceeds the bound, 2 rtol
-    rtol = 1e-10
-
-    def wobble(sign):
-        return _Levels(lambda n: 1.0 + sign * 0.75 * rtol * (-1) ** n)
-
-    parts = [wobble(1).part(), wobble(-1).part()]
-    assert integrate(None, parts, rtol) is None
-    value, change = integrate(None, parts, 2 * rtol)
-    assert value == pytest.approx(2.0) and change == pytest.approx(3 * rtol)
-    # a part within its share of the bound keeps its level
+def test_levels_are_accepted_on_their_last_change():
     calls = []
-    still = _Levels(lambda n: calls.append(n) or 1.0)
-    slow = _Levels(lambda n: 1.0 + 2.0 ** -(8 * n))
-    assert integrate(None, [still.part(), slow.part()], 1e-12) is not None
+
+    def levels(v):
+        return _Levels(lambda n: calls.append(n) or v(n))
+
+    def integral(v, rtol, atol=0.0):
+        calls.clear()
+        rule = levels(v)
+        return rule.integral(None, rule.terms, 0, rtol, atol)
+
+    # no change from level 1 on, but none is trusted before MIN_LEVEL; the
+    # bound is the rounding (N + n + c) u 2^-n sum |t|, N = c = 0, of the
+    # terms 1, 1, 2, 4 of levels 0 to 3
+    assert integral(lambda n: 1.0, 1e-12) == (1.0, MIN_LEVEL * UNIT_ROUNDOFF)
     assert max(calls) == MIN_LEVEL
+    # a change of 9e-n from level n on: accepted at the first level whose
+    # change is within max(rtol |v|, atol), and not before MIN_LEVEL
+    for rtol, atol, top in [(1e-5, 0.0, 6), (0.0, 1e-5, 6), (1e-6, 1e-5, 6),
+                            (0.0, 9.5e-5, 5), (0.5, 0.0, MIN_LEVEL)]:
+        value, bound = integral(lambda n: 1.0 + 10.0 ** -n, rtol, atol)
+        assert max(calls) == top
+        assert value == pytest.approx(1.0 + 10.0 ** -top, rel=1e-15)
+        assert bound == pytest.approx(9.0 * 10.0 ** -top, rel=1e-9)
+    # no change within the bound: None past LEVEL_CAP
+    assert integral(lambda n: 1.0 + 1e-3 * (-1) ** n, 1e-6) is None
+    assert max(calls) == LEVEL_CAP
+    # None at the first level whose value leaves float range
+    assert integral(lambda n: 1.0 if n < 2 else math.inf, 1.0, 1.0) is None
+    assert max(calls) == 2
 
 
 def test_nodes_have_the_bits_of_the_direct_formulas():
@@ -142,10 +154,15 @@ def test_gauss_nodes_have_the_bits_of_the_direct_formulas(nu, a):
             assert (x, g) == (t * a, w * a ** (1.0 - nu) * f.eval(x))
 
 
+def node_sizes(xs, gs):
+    """The exp-sinh node sizes |g_i| / x_i."""
+    return [abs(g / x) for x, g in zip(xs, gs)]
+
+
 def test_range_ends_at_the_first_quiet_node():
     rule = ExpSinh(gauss(1.0), SPLIT_POINT)
     xs, gs, _ = rule.levels[0]
-    sizes = list(rule._sizes(xs, gs))
+    sizes = node_sizes(xs, gs)
     big = max(sizes)
     # level 0 runs t = 0, 1, ..., hi, then -1, ..., lo
     ends = (rule.hi, len(xs) - 1)
@@ -164,7 +181,7 @@ def test_range_runs_past_a_dip_at_a_root():
     f = CustomSeries(lambda k: 0.0, lambda x: (x - x1) * math.exp(-x))
     rule = ExpSinh(f, SPLIT_POINT)
     xs, gs, _ = rule.levels[0]
-    sizes = list(rule._sizes(xs, gs))
+    sizes = node_sizes(xs, gs)
     assert rule.hi == 2 and xs[1] == x1
     assert sizes[1] < sizes[2] <= _NEGLIGIBLE * max(sizes)
 
@@ -183,9 +200,9 @@ def test_split_tails_lie_within_their_bound(name, nu):
     # change and the rounding of the terms and their sums
     fn, mp_fn = STREAMS[name]
     f = stream(name)
-    nodes = ExpSinh(f, SPLIT_POINT)
+    split = _Split(nu)
     for m in range(1, 61):
-        got, bound = nodes.integral(f, m + nu)
+        got, bound = split.tail(f, m)
         with mpmath.workdps(22):
             p = m + mpmath.mpf(nu)
             ref = mpmath.quad(lambda x: mp_fn(x) * x ** -p,
@@ -194,7 +211,7 @@ def test_split_tails_lie_within_their_bound(name, nu):
 
 
 def _split_tail_as_before(f, nodes, p):
-    """The split tail as ExpSinh.integral once formed it: the level sums
+    """The split tail as _Split.tail once formed it: the level sums
     and their last change, accepted within 1e-13 relative or 1e-15
     absolute, plus a running rounding bound, (N + n + 2) u 2^-n times the
     sizes |g_i x_i^-p| of the terms of levels 0 to n, plus the sizes of the
@@ -224,10 +241,10 @@ def test_split_tails_keep_their_bits(name, nu):
     # the split tails keep the bits they computed for themselves; the
     # bound's rounding comes from the sizes of the terms summed
     f = stream(name)
-    nodes = ExpSinh(f, SPLIT_POINT)
+    split = _Split(nu)
     for m in range(1, 61):
-        got = nodes.integral(f, m + nu)
-        assert got == _split_tail_as_before(f, nodes, m + nu), m
+        got = split.tail(f, m)
+        assert got == _split_tail_as_before(f, split.exp_sinh(f), m + nu), m
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])

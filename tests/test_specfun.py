@@ -209,6 +209,17 @@ def test_gauss_int_below_zeta_2_against_mpmath(zeta):
     assert computed >= len(cases) - 1
 
 
+@pytest.mark.parametrize("n,r,s,zeta", [
+    (300, 1, 200, 1.5), (300, 1, 200, math.nextafter(2.0, 1.0)),
+    (1000, 1, 3, 1.01)])
+def test_gauss_int_large_n_against_mpmath(n, r, s, zeta):
+    # (1/zeta + x)^-n at n in the hundreds: the pair of 128 and 256 nodes
+    # resolves these, which no pair of up to 128 did; computed, not refused
+    got = gauss2f1_integer(Gauss2F1IntParams(n, r, s, zeta))
+    want = mpmath_2f1(n, r, s, zeta)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
 @pytest.mark.parametrize("n,r,s", [(4, 1, 3), (10, 3, 8), (40, 1, 40)])
 def test_gauss_int_methods_meet_at_zeta_2(monkeypatch, n, r, s):
     # zeta >= 2 keeps the series bit for bit and takes no integral; the

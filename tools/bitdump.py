@@ -24,7 +24,8 @@ in.  Three parts are printed:
           they come back flagged on the direct route; then the 2F1
           integer family at GAUSS_INT_WINDOWS and GAUSS_INT_ZETAS, either
           side of zeta = 2, where it turns from its Euler integral to its
-          series; last, one ``repr`` line per public record (FpiValue,
+          series, and the Gauss-Jacobi rule's reach, GAUSS_INT_REACH and
+          GAUSS_REACH; last, one ``repr`` line per public record (FpiValue,
           TransformSpec, ExpansionResult and LeadingBehavior), so that a
           change to a record's text shows
   cli     in-process ``finitepart.cli.main`` calls with ``COLUMNS=80``:
@@ -84,6 +85,12 @@ REFUSED = (("expstream", 30.0, 25.0), ("xexp", math.inf, 6.0),
 GAUSS_INT_WINDOWS = ((4, 1, 3), (6, 2, 5), (8, 2, 6), (10, 3, 8),
                      (40, 1, 40), (300, 1, 200))
 GAUSS_INT_ZETAS = (1.5, math.nextafter(2.0, 1.0), 2.0, 2.5)
+# the Gauss-Jacobi rule's reach: 2F1(n, r; s; -zeta) at large n, computed
+# by its last pair of nodes or refused past them, and n = 1 transforms of
+# gauss(c) at a finite a (c, a, omega), narrow peaks near a
+GAUSS_INT_REACH = ((1000, 1, 3, 1.01), (2000, 1, 3, 1.5),
+                   (3000, 1, 3, 1.001))
+GAUSS_REACH = ((0.95, 59.69, 59.3), (1.77, 46.65, 38.9))
 
 
 def make_stream(entire, name):
@@ -161,11 +168,15 @@ def dump_grid(child, entire, fp, st, asy, out):
     for line, _, thunk in grid_cases(child, entire, st):
         out(f"{line} {call(thunk)}")
 
-    for n, r, s in GAUSS_INT_WINDOWS:
-        for z in GAUSS_INT_ZETAS:
-            op = {"family": "gauss-int", "n": n, "r": r, "s": s, "zeta": z}
-            out(f"specfun gauss-int {n} {r} {s} {z!r} "
-                + call(child._specfun_call(op)))
+    gauss_ints = [(*window, z) for window in GAUSS_INT_WINDOWS
+                  for z in GAUSS_INT_ZETAS]
+    for n, r, s, z in gauss_ints + list(GAUSS_INT_REACH):
+        op = {"family": "gauss-int", "n": n, "r": r, "s": s, "zeta": z}
+        out(f"specfun gauss-int {n} {r} {s} {z!r} "
+            + call(child._specfun_call(op)))
+    for c, a, w in GAUSS_REACH:
+        out(f"transform gauss({c}) 0.0 {a!r} 1 {w!r} "
+            + call(transform, st, make(f"gauss({c})"), 1, w, a, 0.0))
 
     f = make("monexp(1,0.8)")
     spec = st.TransformSpec(f, 2, 1.5, 2.0, 0.25)
